@@ -35,8 +35,11 @@
 
 namespace emv::ckpt {
 
-/** File format version; bump on any incompatible layout change. */
-inline constexpr std::uint32_t kVersion = 1;
+/**
+ * File format version; bump on any incompatible layout change.
+ * Version 2 added the page tables' per-node live-entry counts.
+ */
+inline constexpr std::uint32_t kVersion = 2;
 
 /** 8-byte file magic. */
 inline constexpr char kMagic[8] = {'E', 'M', 'V', 'C',

@@ -30,7 +30,9 @@ BuddyAllocator::orderForBytes(Addr bytes)
 
 BuddyAllocator::BuddyAllocator(Addr base, Addr size_bytes)
     : rangeBase(base), rangeSize(size_bytes),
-      freeLists(kMaxOrder + 1)
+      freeLists(kMaxOrder + 1),
+      allocationsCtr(&_stats.counter("allocations")),
+      freesCtr(&_stats.counter("frees"))
 {
     emv_assert(isAligned(base, kPage4K), "buddy base must be 4K aligned");
     emv_assert(size_bytes > 0 && isAligned(size_bytes, kPage4K),
@@ -99,7 +101,7 @@ BuddyAllocator::allocate(unsigned order)
         freeLists[k].insert(block);
         block += orderBytes(k);
     }
-    ++_stats.counter("allocations");
+    ++*allocationsCtr;
     if (audit::enabled())
         auditInvariants();
     return block;
@@ -137,7 +139,7 @@ BuddyAllocator::free(Addr block, unsigned order)
                block + orderBytes(order) <= rangeBase + rangeSize,
                "freed block %s outside managed range",
                hexAddr(block).c_str());
-    ++_stats.counter("frees");
+    ++*freesCtr;
     insertFree(block, order);
     if (audit::enabled())
         auditInvariants();

@@ -49,6 +49,9 @@ class BuddyAllocator
      */
     BuddyAllocator(Addr base, Addr size_bytes);
 
+    BuddyAllocator(const BuddyAllocator &) = delete;
+    BuddyAllocator &operator=(const BuddyAllocator &) = delete;
+
     /**
      * Allocate a block of 2^order frames, naturally aligned.
      * @return Block base address, or nullopt if no memory.
@@ -79,6 +82,10 @@ class BuddyAllocator
 
     /** Size in bytes of the largest free contiguous block run. */
     Addr largestFreeRun() const;
+
+    /** Bases of the free blocks of @p order, ascending. */
+    const std::set<Addr> &freeBlocks(unsigned order) const
+    { return freeLists.at(order); }
 
     /** Free memory as a coalesced interval set (for planners). */
     IntervalSet freeIntervals() const;
@@ -123,6 +130,9 @@ class BuddyAllocator
     /** freeLists[n] holds bases of free blocks of order n. */
     std::vector<std::set<Addr>> freeLists;
     StatGroup _stats{"buddy"};
+    /** Handles into _stats for the per-frame paths. */
+    Counter *allocationsCtr;
+    Counter *freesCtr;
 };
 
 } // namespace emv::mem

@@ -9,7 +9,8 @@
 namespace emv::mem {
 
 PhysMemory::PhysMemory(Addr size_bytes)
-    : sizeBytes(size_bytes)
+    : sizeBytes(size_bytes), readsCtr(&_stats.counter("reads")),
+      writesCtr(&_stats.counter("writes"))
 {
     emv_assert(size_bytes > 0 && isAligned(size_bytes, kPage4K),
                "physical memory size must be a positive multiple of 4K");
@@ -45,7 +46,7 @@ PhysMemory::read64(Addr addr) const
                hexAddr(addr).c_str());
     EMV_CHECK(addr < sizeBytes, "read of %s beyond physical size %s",
               hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-    ++_stats.counter("reads");
+    ++*readsCtr;
     const Frame *frame = frameForConst(addr);
     if (!frame)
         return 0;  // Untouched memory reads as zero.
@@ -59,7 +60,7 @@ PhysMemory::write64(Addr addr, std::uint64_t value)
                hexAddr(addr).c_str());
     EMV_CHECK(addr < sizeBytes, "write of %s beyond physical size %s",
               hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-    ++_stats.counter("writes");
+    ++*writesCtr;
     frameFor(addr)[(addr & (kPage4K - 1)) >> 3] = value;
 }
 

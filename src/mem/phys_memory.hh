@@ -46,6 +46,9 @@ class PhysMemory
     /** @param size_bytes Total physical address space size. */
     explicit PhysMemory(Addr size_bytes);
 
+    PhysMemory(const PhysMemory &) = delete;
+    PhysMemory &operator=(const PhysMemory &) = delete;
+
     Addr size() const { return sizeBytes; }
 
     /** Load a naturally aligned 64-bit word. */
@@ -97,6 +100,10 @@ class PhysMemory
 
     Addr sizeBytes;
     mutable StatGroup _stats{"physmem"};
+    /** Handles into _stats, bound once: read64/write64 are the
+     *  hottest calls in machine build. */
+    Counter *readsCtr;
+    Counter *writesCtr;
     std::unordered_map<std::uint64_t, std::unique_ptr<Frame>> frames;
     std::unordered_set<std::uint64_t> badFrames;
 };

@@ -1,5 +1,7 @@
 #include "paging/page_table.hh"
 
+#include <algorithm>
+
 #include "common/audit.hh"
 #include "common/ckpt.hh"
 #include "common/logging.hh"
@@ -7,8 +9,9 @@
 namespace emv::paging {
 
 PageTable::PageTable(MemSpace &space)
-    : space(space), rootFrame(space.allocTableFrame()), nodes(1)
+    : space(space), rootFrame(space.allocTableFrame())
 {
+    liveEntries.emplace(rootFrame, 0);
 }
 
 PageTable::~PageTable()
@@ -27,18 +30,27 @@ PageTable::freeSubtree(Addr table, int level)
         }
     }
     space.freeTableFrame(table);
-    --nodes;
+    liveEntries.erase(table);
+}
+
+std::uint32_t
+PageTable::scanPresent(Addr table) const
+{
+    std::uint32_t present = 0;
+    for (int i = 0; i < kEntriesPerTable; ++i)
+        present += Pte{space.read64(table + 8ull * i)}.present();
+    return present;
 }
 
 bool
 PageTable::nodeEmpty(Addr table) const
 {
-    for (int i = 0; i < kEntriesPerTable; ++i) {
-        Pte pte{space.read64(table + 8ull * i)};
-        if (pte.present())
-            return false;
-    }
-    return true;
+    const std::uint32_t live = liveEntries.at(table);
+    EMV_INVARIANT(live == scanPresent(table),
+                  "page table: node %s has live count %u but %u "
+                  "present entries", hexAddr(table).c_str(), live,
+                  scanPresent(table));
+    return live == 0;
 }
 
 void
@@ -59,8 +71,9 @@ PageTable::map(Addr va, Addr pa, PageSize size, bool writable,
         Pte pte{space.read64(entry_addr)};
         if (!pte.present()) {
             const Addr child = space.allocTableFrame();
-            ++nodes;
             space.write64(entry_addr, Pte::makeTable(child));
+            ++liveEntries[table];
+            liveEntries.emplace(child, 0);
             table = child;
         } else {
             emv_assert(!pte.pageSize(),
@@ -79,6 +92,7 @@ PageTable::map(Addr va, Addr pa, PageSize size, bool writable,
                hexAddr(va).c_str());
     space.write64(entry_addr,
                   Pte::makeLeaf(pa, target, writable, user_mode));
+    ++liveEntries[table];
     ++leaves;
     ++updates;
     EMV_CHECK([&] {
@@ -125,6 +139,7 @@ PageTable::unmap(Addr va, PageSize size)
     if (!is_leaf_here)
         return false;  // A smaller mapping exists below this level.
     space.write64(entry_addr, 0);
+    --liveEntries[table];
     --leaves;
     ++updates;
 
@@ -135,7 +150,8 @@ PageTable::unmap(Addr va, PageSize size)
             break;
         space.write64(path_entries[i], 0);
         space.freeTableFrame(child);
-        --nodes;
+        liveEntries.erase(child);
+        --liveEntries[path_tables[i]];
         child = path_tables[i];
     }
     return true;
@@ -220,8 +236,16 @@ PageTable::serialize(ckpt::Encoder &enc) const
 {
     enc.u64(rootFrame);
     enc.u64(leaves);
-    enc.u64(nodes);
     enc.u64(updates);
+
+    std::vector<std::pair<Addr, std::uint32_t>> counts(
+        liveEntries.begin(), liveEntries.end());
+    std::sort(counts.begin(), counts.end());
+    enc.u64(counts.size());
+    for (const auto &[node, live] : counts) {
+        enc.u64(node);
+        enc.u32(live);
+    }
 }
 
 bool
@@ -230,11 +254,24 @@ PageTable::deserialize(ckpt::Decoder &dec)
     // The entries themselves are restored with physical memory; only
     // the tree metadata lives here.  The constructor-allocated root
     // is superseded by the saved root (its frame is accounted for by
-    // the restored allocator state).
+    // the restored allocator state).  The live counts are restored
+    // too, so the tree is never read back through the MemSpace.
     rootFrame = dec.u64();
     leaves = dec.u64();
-    nodes = dec.u64();
     updates = dec.u64();
+
+    liveEntries.clear();
+    const std::uint64_t ncounts = dec.u64();
+    for (std::uint64_t i = 0; dec.ok() && i < ncounts; ++i) {
+        const Addr node = dec.u64();
+        const std::uint32_t live = dec.u32();
+        if (dec.ok())
+            liveEntries.emplace(node, live);
+    }
+    if (dec.ok() && !liveEntries.count(rootFrame)) {
+        dec.fail("page table: no live count for the root");
+        return false;
+    }
     return dec.ok();
 }
 

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -130,18 +131,20 @@ class PageTable
     std::uint64_t mappedLeaves() const { return leaves; }
 
     /** Number of table nodes (including the root). */
-    std::uint64_t tableNodes() const { return nodes; }
+    std::uint64_t tableNodes() const { return liveEntries.size(); }
 
     /** Monotonic count of map/unmap operations (PT update events). */
     std::uint64_t updateCount() const { return updates; }
 
     /** Bytes of memory consumed by table nodes. */
-    Addr tableBytes() const { return nodes * kPage4K; }
+    Addr tableBytes() const { return tableNodes() * kPage4K; }
 
     /**
-     * Checkpoint table metadata (root, node/leaf/update counts).
-     * The tree contents themselves live in the MemSpace's physical
-     * memory and are captured by the PhysMemory chunk.
+     * Checkpoint table metadata (root, leaf/update counts and the
+     * per-node live-entry counts, sorted by node address).  The
+     * tree contents themselves live in the MemSpace's physical
+     * memory and are captured by the PhysMemory chunk, so restore
+     * never reads the tree.
      */
     void serialize(ckpt::Encoder &enc) const;
     bool deserialize(ckpt::Decoder &dec);
@@ -154,14 +157,22 @@ class PageTable
     void visitLeaves(Addr table, int level, Addr va_prefix,
                      const std::function<void(const Leaf &)> &fn) const;
 
-    /** True if the node holds no present entries. */
+    /**
+     * True if the node holds no present entries: an O(1) check of
+     * its live count (audited against a rescan of the node).
+     */
     bool nodeEmpty(Addr table) const;
+
+    /** Present entries in the node, by reading all 512 of them. */
+    std::uint32_t scanPresent(Addr table) const;
 
     MemSpace &space;
     Addr rootFrame;
     std::uint64_t leaves = 0;
-    std::uint64_t nodes = 0;
     std::uint64_t updates = 0;
+    /** Present entries per table node (the root included), keyed by
+     *  node address; its size is the node count. */
+    std::unordered_map<Addr, std::uint32_t> liveEntries;
 };
 
 } // namespace emv::paging

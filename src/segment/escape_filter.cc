@@ -27,11 +27,34 @@ log2Bits(unsigned bits)
 EscapeFilter::EscapeFilter(unsigned bits, unsigned num_hashes,
                            std::uint64_t seed)
     : bits(bits), hashes(num_hashes, log2Bits(bits), seed),
-      words((bits + 63) / 64, 0)
+      words((bits + 63) / 64, 0),
+      positivesCtr(&_stats.counter("positives"))
 {
     emv_assert(bits >= 64 && (bits & (bits - 1)) == 0,
                "escape filter size must be a power of two >= 64");
     emv_assert(num_hashes >= 1, "escape filter needs >= 1 hash");
+}
+
+EscapeFilter::EscapeFilter(const EscapeFilter &other)
+    : bits(other.bits), inserted(other.inserted), hashes(other.hashes),
+      words(other.words), _stats(other._stats),
+      positivesCtr(&_stats.counter("positives"))
+{
+}
+
+EscapeFilter &
+EscapeFilter::operator=(const EscapeFilter &other)
+{
+    if (this == &other)
+        return *this;
+    bits = other.bits;
+    inserted = other.inserted;
+    hashes = other.hashes;
+    words = other.words;
+    _stats = other._stats;
+    // Map assignment may recycle nodes under other keys: rebind.
+    positivesCtr = &_stats.counter("positives");
+    return *this;
 }
 
 void
@@ -70,7 +93,7 @@ EscapeFilter::mayContain(Addr addr) const
         if (!(words[bit >> 6] & (1ull << (bit & 63))))
             return false;
     }
-    ++_stats.counter("positives");
+    ++*positivesCtr;
     return true;
 }
 

@@ -44,6 +44,10 @@ class EscapeFilter
     explicit EscapeFilter(unsigned bits = 256, unsigned num_hashes = 4,
                           std::uint64_t seed = 0x1234);
 
+    /** Copies bind their stat handle to their own stat group. */
+    EscapeFilter(const EscapeFilter &other);
+    EscapeFilter &operator=(const EscapeFilter &other);
+
     /** Add the page containing @p addr to the filter. */
     void insertPage(Addr addr);
 
@@ -96,6 +100,8 @@ class EscapeFilter
     H3Family hashes;
     std::vector<std::uint64_t> words;
     mutable StatGroup _stats{"escape_filter"};
+    /** Handle into _stats: mayContain runs on every segment L1 miss. */
+    Counter *positivesCtr;
 };
 
 } // namespace emv::segment

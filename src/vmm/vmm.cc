@@ -670,11 +670,16 @@ Vm::reclaimGuestRange(Addr base, Addr bytes)
         for (Addr off = 0; off < e.bytes; off += kPage4K) {
             splitNestedLeaf(e.gpa + off);
             nestedPt->unmap(e.gpa + off, PageSize::Size4K);
-            _vmm.freeHostBlock(e.hpa + off, PageSize::Size4K);
         }
+        // One free per extent.  The buddy allocator coalesces fully on
+        // every insert, so its free lists end exactly as they would
+        // after freeing the extent 4K at a time.
+        _vmm.hostBuddy().freeRange(e.hpa, e.bytes);
         backing.remove(e.gpa, e.bytes);
-        if (nestedChangeHook)
-            nestedChangeHook(e.gpa, PageSize::Size4K);
+        if (nestedChangeHook) {
+            for (Addr off = 0; off < e.bytes; off += kPage4K)
+                nestedChangeHook(e.gpa + off, PageSize::Size4K);
+        }
     }
     countExit("hot_remove");
     _stats.counter("range_reclaimed_bytes") += bytes;

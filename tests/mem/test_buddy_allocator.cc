@@ -148,6 +148,68 @@ TEST(BuddyTest, FreeIntervalsMatchAccounting)
     EXPECT_TRUE(free_set.contains(3 * MiB));
 }
 
+/**
+ * Free [start, end) except @p kept two ways: with freeRange over each
+ * run between kept frames, and 4K at a time in ascending order.  The
+ * per-order free lists must end identical (full coalescing makes them
+ * depend only on which frames are free).
+ */
+void
+expectRangeFreeMatchesPageFrees(Addr base, Addr size, Addr start,
+                                Addr end, const std::set<Addr> &kept)
+{
+    BuddyAllocator ranged(base, size);
+    BuddyAllocator paged(base, size);
+    for (BuddyAllocator *buddy : {&ranged, &paged}) {
+        ASSERT_TRUE(buddy->allocateRange(start, end - start));
+        // Other live blocks, so coalescing stops at varied orders.
+        ASSERT_TRUE(buddy->allocate(3).has_value());
+        ASSERT_TRUE(buddy->allocate(0).has_value());
+    }
+    Addr run = start;
+    for (Addr frame = start; frame <= end; frame += kPage4K) {
+        if (frame < end && !kept.count(frame))
+            continue;
+        if (frame > run)
+            ranged.freeRange(run, frame - run);
+        run = frame + kPage4K;
+    }
+    for (Addr frame = start; frame < end; frame += kPage4K) {
+        if (!kept.count(frame))
+            paged.free(frame, 0);
+    }
+    for (unsigned order = 0; order <= BuddyAllocator::kMaxOrder;
+         ++order) {
+        EXPECT_EQ(ranged.freeBlocks(order), paged.freeBlocks(order))
+            << "order " << order;
+    }
+    EXPECT_EQ(ranged.freeBytes(), paged.freeBytes());
+}
+
+TEST(BuddyTest, FreeRangeMatchesAscendingPageFrees)
+{
+    // Unaligned ends, so both paths must split and coalesce across
+    // the range boundary.
+    expectRangeFreeMatchesPageFrees(0, 16 * MiB, 1 * MiB + 3 * kPage4K,
+                                    9 * MiB - 5 * kPage4K, {});
+    expectRangeFreeMatchesPageFrees(0, 16 * MiB, 0, 8 * MiB, {});
+    // A base that is not a multiple of any large block.
+    expectRangeFreeMatchesPageFrees(3 * kPage4K, 12 * MiB,
+                                    2 * MiB + kPage4K, 7 * MiB, {});
+}
+
+TEST(BuddyTest, FreeRangeMatchesPageFreesAroundRetiredFrame)
+{
+    // A retired (bad) frame stays allocated: the range is returned
+    // as the runs on either side of it.
+    expectRangeFreeMatchesPageFrees(
+        0, 16 * MiB, 1 * MiB, 9 * MiB,
+        {4 * MiB + 7 * kPage4K});
+    expectRangeFreeMatchesPageFrees(
+        0, 16 * MiB, 1 * MiB + kPage4K, 3 * MiB,
+        {1 * MiB + kPage4K, 2 * MiB, 3 * MiB - kPage4K});
+}
+
 /** Property sweep: random alloc/free keeps invariants. */
 class BuddyPropertyTest : public ::testing::TestWithParam<std::uint64_t>
 {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/audit.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "paging/page_table.hh"
 #include "paging/pte.hh"
@@ -16,6 +20,56 @@ class PageTableTest : public ::testing::Test
     PageTableTest()
         : mem(256 * MiB), space(mem, 128 * MiB), pt(space)
     {
+    }
+
+    /**
+     * Rescan-based reference: every node reachable from the root,
+     * with the number of present entries read from it.
+     */
+    std::map<Addr, unsigned>
+    rescan() const
+    {
+        std::map<Addr, unsigned> present;
+        scanNode(pt.root(), kLevels, present);
+        return present;
+    }
+
+    void
+    scanNode(Addr table, int level, std::map<Addr, unsigned> &present) const
+    {
+        unsigned &count = present[table];
+        for (int i = 0; i < kEntriesPerTable; ++i) {
+            const Pte pte{mem.read64(table + 8ull * i)};
+            if (!pte.present())
+                continue;
+            ++count;
+            if (level > 1 && !pte.pageSize())
+                scanNode(pte.frame(), level - 1, present);
+        }
+    }
+
+    /**
+     * Nodes that unmapping the 4K page at @p va frees, bottom-up, by
+     * rescanning each node on its path: a node goes when the entry
+     * being removed from it is its last one.  Never the root.
+     */
+    std::vector<Addr>
+    rescanFrees(Addr va) const
+    {
+        const auto present = rescan();
+        std::vector<Addr> path{pt.root()};
+        for (int level = kLevels; level > 1; --level) {
+            const Pte pte{mem.read64(path.back() +
+                                     8ull * tableIndex(va, level))};
+            path.push_back(pte.frame());
+        }
+        std::vector<Addr> frees;
+        for (std::size_t i = path.size() - 1; i > 0; --i) {
+            if (present.at(path[i]) != 1)
+                break;
+            frees.push_back(path[i]);
+        }
+        return frees;
     }
 
     mem::PhysMemory mem;
@@ -125,7 +179,7 @@ TEST_F(PageTableTest, UnmapReclaimsEmptyNodes)
     EXPECT_EQ(nodes_with_mapping, 4u);
     pt.unmap(0x1000, PageSize::Size4K);
     EXPECT_EQ(pt.tableNodes(), 1u);
-    EXPECT_EQ(space.freed, 3u);
+    EXPECT_EQ(space.freed.size(), 3u);
 }
 
 TEST_F(PageTableTest, SiblingKeepsSharedNodes)
@@ -173,22 +227,50 @@ TEST_F(PageTableTest, MixedSizesCoexist)
 
 TEST_F(PageTableTest, RandomizedMapUnmapConsistency)
 {
+    // Few leaves per node, so nodes at every level empty and get
+    // reclaimed: 2 L3, 4 L2 and 16 L1 nodes cover the 256 pages.
+    // Auditing checks each node's live count against a rescan.
+    setQuietLogging(true);
+    audit::setEnabled(true);
+    audit::resetCounters();
     Rng rng(31);
     std::map<Addr, Addr> ref;  // va page -> pa page
     for (int step = 0; step < 2000; ++step) {
-        const Addr va = rng.nextBelow(4096) * kPage4K;
+        const Addr va = (rng.nextBelow(2) << 39) +
+                        (rng.nextBelow(2) << 30) +
+                        (rng.nextBelow(4) << 21) +
+                        rng.nextBelow(16) * kPage4K;
+        const auto freed_before = space.freed.size();
+        std::vector<Addr> expected_frees;
         if (rng.nextBool(0.6)) {
             if (ref.count(va))
                 continue;
             const Addr pa = rng.nextBelow(16384) * kPage4K;
             pt.map(va, pa, PageSize::Size4K);
             ref[va] = pa;
-        } else if (!ref.empty()) {
-            auto it = ref.begin();
-            std::advance(it,
-                         static_cast<long>(rng.nextBelow(ref.size())));
-            pt.unmap(it->first, PageSize::Size4K);
+        } else {
+            auto it = ref.lower_bound(va);
+            if (it == ref.end())
+                continue;
+            expected_frees = rescanFrees(it->first);
+            ASSERT_TRUE(pt.unmap(it->first, PageSize::Size4K));
             ref.erase(it);
+        }
+        // The nodes freed, and their order, are those a rescan of
+        // every node on the path predicts.
+        const std::vector<Addr> freed(
+            space.freed.begin() +
+                static_cast<std::ptrdiff_t>(freed_before),
+            space.freed.end());
+        ASSERT_EQ(freed, expected_frees) << "step " << step;
+        // Every frame ever allocated is either reachable from the
+        // root or freed, and no reachable node is empty.
+        const auto live = rescan();
+        ASSERT_EQ(pt.tableNodes(), live.size()) << "step " << step;
+        ASSERT_EQ(live.size() + space.freed.size(), space.allocated);
+        for (const auto &[node, present] : live) {
+            ASSERT_TRUE(node == pt.root() || present > 0)
+                << "empty node at step " << step;
         }
     }
     for (const auto &[va, pa] : ref) {
@@ -197,6 +279,33 @@ TEST_F(PageTableTest, RandomizedMapUnmapConsistency)
         ASSERT_EQ(t->pa, pa);
     }
     EXPECT_EQ(pt.mappedLeaves(), ref.size());
+    EXPECT_FALSE(space.freed.empty());
+    EXPECT_EQ(audit::failureCount(), 0u);
+    audit::setEnabled(false);
+    setQuietLogging(false);
+}
+
+TEST_F(PageTableTest, RestoredLiveCountsReclaimNodes)
+{
+    // Map a 2M range 4K at a time, checkpoint, restore into a second
+    // table over the same memory, then unmap in ascending order (the
+    // I/O-gap reclaim pattern).  Restore must not read the tree.
+    const Addr va_base = 1ull << 40;
+    for (Addr off = 0; off < kPage2M; off += kPage4K)
+        pt.map(va_base + off, (1ull << 30) + off, PageSize::Size4K);
+    const auto bytes = test::ckptBytes(pt);
+
+    PageTable other(space);
+    const auto reads = mem.stats().counterValue("reads");
+    ASSERT_TRUE(test::ckptRestore(bytes, other));
+    EXPECT_EQ(mem.stats().counterValue("reads"), reads);
+    EXPECT_EQ(test::ckptBytes(other), bytes);
+    EXPECT_EQ(other.tableNodes(), 4u);
+
+    for (Addr off = 0; off < kPage2M; off += kPage4K)
+        ASSERT_TRUE(other.unmap(va_base + off, PageSize::Size4K));
+    EXPECT_EQ(other.mappedLeaves(), 0u);
+    EXPECT_EQ(other.tableNodes(), 1u);
 }
 
 TEST_F(PageTableTest, TableBytesMatchesNodes)

@@ -69,13 +69,14 @@ class BumpMemSpace : public paging::MemSpace
     }
 
     void
-    freeTableFrame(Addr) override
+    freeTableFrame(Addr frame) override
     {
-        ++freed;
+        freed.push_back(frame);
     }
 
     std::uint64_t allocated = 0;
-    std::uint64_t freed = 0;
+    /** Every freed frame, in the order it was freed. */
+    std::vector<Addr> freed;
 
   private:
     mem::PhysMemory &mem;

@@ -302,6 +302,29 @@ TEST_F(VmmTest, NestedChangeHookFires)
     EXPECT_EQ(invalidated[0], 8 * MiB);
 }
 
+TEST_F(VmmTest, ReclaimGuestRangeNotifiesEveryPage)
+{
+    auto &vm = vmm.createVm("a", smallVmConfig());
+    std::vector<Addr> invalidated;
+    vm.setNestedChangeHook([&](Addr gpa, PageSize size) {
+        EXPECT_EQ(size, PageSize::Size4K);
+        invalidated.push_back(gpa);
+    });
+    const Addr base = 8 * MiB;
+    const Addr bytes = 3 * MiB + 5 * kPage4K;
+    const Addr free_before = vmm.hostBuddy().freeBytes();
+    vm.reclaimGuestRange(base, bytes);
+
+    std::vector<Addr> expected;
+    for (Addr gpa = base; gpa < base + bytes; gpa += kPage4K)
+        expected.push_back(gpa);
+    EXPECT_EQ(invalidated, expected);
+    EXPECT_EQ(vmm.hostBuddy().freeBytes(), free_before + bytes);
+    EXPECT_FALSE(vm.gpaToHpa(base).has_value());
+    EXPECT_FALSE(vm.gpaToHpa(base + bytes - kPage4K).has_value());
+    EXPECT_TRUE(vm.gpaToHpa(base + bytes).has_value());
+}
+
 TEST_F(VmmTest, AllocHostBlockRetiresBadFrames)
 {
     // Poison the next frame allocation would return (top-down).
