@@ -34,6 +34,11 @@ makeRig(core::Mode mode)
                                     0.02);
     sim::MachineConfig cfg;
     cfg.mode = mode;
+    // Segment modes get Fig. 13-style bad frames, as the perfbench
+    // direct-seg workload does: with an empty filter mayContain()
+    // returns before hashing and the probe cost would go untimed.
+    if (core::usesGuestSegment(mode) || core::usesVmmSegment(mode))
+        cfg.badFrames = 16;
     rig.machine = std::make_unique<sim::Machine>(cfg, *rig.wl);
     rig.machine->run(20000);  // Warm.
     return rig;
@@ -78,6 +83,18 @@ BM_TranslateDualDirect(benchmark::State &state)
 }
 
 void
+BM_TranslateGuestDirect(benchmark::State &state)
+{
+    translateLoop(state, core::Mode::GuestDirect);
+}
+
+void
+BM_TranslateNativeDirect(benchmark::State &state)
+{
+    translateLoop(state, core::Mode::NativeDirect);
+}
+
+void
 BM_TlbLookupHit(benchmark::State &state)
 {
     tlb::Tlb tlb("bench", 128, 4);
@@ -107,6 +124,8 @@ BENCHMARK(BM_TranslateNative);
 BENCHMARK(BM_TranslateBaseVirtualized);
 BENCHMARK(BM_TranslateVmmDirect);
 BENCHMARK(BM_TranslateDualDirect);
+BENCHMARK(BM_TranslateGuestDirect);
+BENCHMARK(BM_TranslateNativeDirect);
 BENCHMARK(BM_TlbLookupHit);
 BENCHMARK(BM_EscapeFilterProbe);
 

@@ -1,6 +1,7 @@
 #include "common/h3_hash.hh"
 
-#include "common/logging.hh"
+#include <bit>
+
 #include "common/rng.hh"
 
 namespace emv {
@@ -13,21 +14,18 @@ H3Hash::H3Hash(unsigned output_bits, std::uint64_t seed)
     std::uint64_t sm = seed;
     const std::uint32_t mask =
         output_bits == 32 ? 0xffffffffu : ((1u << output_bits) - 1);
-    for (auto &column : matrix)
-        column = static_cast<std::uint32_t>(splitMix64(sm)) & mask;
-}
-
-std::uint32_t
-H3Hash::operator()(std::uint64_t key) const
-{
-    std::uint32_t result = 0;
-    std::uint64_t k = key;
-    // XOR the column for every set key bit.
-    for (unsigned i = 0; k != 0; ++i, k >>= 1) {
-        if (k & 1)
-            result ^= matrix[i];
+    // One random column per input bit, drawn in bit order.
+    std::uint32_t column[8 * kKeyBytes];
+    for (auto &c : column)
+        c = static_cast<std::uint32_t>(splitMix64(sm)) & mask;
+    // Each byte value extends a smaller one by its lowest set bit.
+    for (unsigned i = 0; i < kKeyBytes; ++i) {
+        table[i][0] = 0;
+        for (unsigned b = 1; b < 256; ++b) {
+            table[i][b] = table[i][b & (b - 1)] ^
+                          column[8 * i + std::countr_zero(b)];
+        }
     }
-    return result;
 }
 
 H3Family::H3Family(unsigned num_hashes, unsigned output_bits,
@@ -37,14 +35,6 @@ H3Family::H3Family(unsigned num_hashes, unsigned output_bits,
     std::uint64_t sm = seed;
     for (unsigned i = 0; i < num_hashes; ++i)
         hashes.emplace_back(output_bits, splitMix64(sm));
-}
-
-std::uint32_t
-H3Family::hash(unsigned index, std::uint64_t key) const
-{
-    emv_assert(index < hashes.size(), "H3 family index %u out of range",
-               index);
-    return hashes[index](key);
 }
 
 } // namespace emv

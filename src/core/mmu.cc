@@ -551,7 +551,6 @@ Mmu::translateImpl(Addr gva)
     pendingFaultAddr = 0;
     walkSideCycles = 0;
     WalkTrace trace;
-    trace.refs.reserve(24);
     WalkOutcome out = doWalk(gva, trace, result);
     if (!out.ok) {
         ++*faultsCtr;
@@ -582,15 +581,13 @@ Mmu::translateImpl(Addr gva)
     result.ok = true;
     result.path = TranslatePath::Walk;
 
-    std::uint64_t guest_refs = 0, nested_refs = 0, native_refs = 0;
-    for (const auto &ref : trace.refs) {
-        switch (ref.stage) {
-          case RefStage::GuestTable: ++guest_refs; break;
-          case RefStage::NestedTable: ++nested_refs; break;
-          case RefStage::NativeTable:
-          case RefStage::ShadowTable: ++native_refs; break;
-        }
-    }
+    const std::uint64_t guest_refs =
+        trace.countStage(RefStage::GuestTable);
+    const std::uint64_t nested_refs =
+        trace.countStage(RefStage::NestedTable);
+    const std::uint64_t native_refs =
+        trace.countStage(RefStage::NativeTable) +
+        trace.countStage(RefStage::ShadowTable);
     *guestRefsCtr += guest_refs;
     *nestedRefsCtr += nested_refs;
     *nativeRefsCtr += native_refs;

@@ -39,7 +39,7 @@ class EscapeFilter
     /**
      * @param bits       Filter size in bits (power of two; paper: 256).
      * @param num_hashes H3 hash functions (paper: 4).
-     * @param seed       Seed for the H3 matrices.
+     * @param seed       Seed for the H3 tables.
      */
     explicit EscapeFilter(unsigned bits = 256, unsigned num_hashes = 4,
                           std::uint64_t seed = 0x1234);
@@ -88,7 +88,7 @@ class EscapeFilter
 
     /**
      * Checkpoint the bit words, insert count and stats.  The H3
-     * matrices are rebuilt deterministically from the construction
+     * tables are rebuilt deterministically from the construction
      * seed and are intentionally not stored.
      */
     void serialize(ckpt::Encoder &enc) const;

@@ -60,6 +60,56 @@ TEST(H3HashTest, SpreadsKeys)
     EXPECT_GT(outputs.size(), 180u);
 }
 
+TEST(H3HashTest, HashIsXorOfSingleBitHashes)
+{
+    // The byte-sliced tables must reproduce the bit-serial definition:
+    // h(k) = XOR of h(1 << i) over the set bits i of k, for every
+    // output width and for keys with bits set above bit 32.
+    for (unsigned bits = 1; bits <= 32; ++bits) {
+        H3Hash h(bits, 0xfeed + bits);
+        std::uint32_t column[64];
+        for (unsigned i = 0; i < 64; ++i)
+            column[i] = h(1ull << i);
+        std::uint64_t sm = bits;
+        for (int n = 0; n < 64; ++n) {
+            std::uint64_t key = splitMix64(sm);
+            if (n % 4 == 0)
+                key |= 1ull << 63;
+            if (n % 4 == 1)
+                key &= ~0xffffffffull;  // High bits only.
+            std::uint32_t expected = 0;
+            for (unsigned i = 0; i < 64; ++i) {
+                if (key >> i & 1)
+                    expected ^= column[i];
+            }
+            ASSERT_EQ(h(key), expected)
+                << "bits=" << bits << " key=" << key;
+        }
+    }
+}
+
+TEST(H3HashTest, GoldenValues)
+{
+    // Captured from the bit-serial implementation: the hash values
+    // feed every escape-filter decision, so they must never change.
+    const std::uint64_t keys[] = {0, 1, 0x80, 0xdeadbeefull,
+                                  0xffffffffffffffffull,
+                                  0x123456789abcdef0ull};
+    const std::uint32_t family[][4] = {
+        {0, 0, 0, 0},       {65, 170, 6, 230},  {97, 102, 211, 16},
+        {147, 70, 75, 22},  {140, 111, 41, 36}, {168, 244, 122, 212},
+    };
+    const std::uint32_t wide[] = {0x00000000, 0x4c476be3, 0x70ee19c3,
+                                  0xb2d2b664, 0xb2c3ad4c, 0xc75af3c4};
+    H3Family fam(4, 8, 0x1234);
+    H3Hash w32(32, 99);
+    for (std::size_t k = 0; k < std::size(keys); ++k) {
+        for (unsigned h = 0; h < 4; ++h)
+            EXPECT_EQ(fam.hash(h, keys[k]), family[k][h]) << k;
+        EXPECT_EQ(w32(keys[k]), wide[k]) << k;
+    }
+}
+
 TEST(H3FamilyTest, MembersDiffer)
 {
     H3Family family(4, 8, 77);

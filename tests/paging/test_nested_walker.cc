@@ -133,6 +133,40 @@ TEST_F(NestedWalkerTest, TwoDWalkMakes24References)
     EXPECT_EQ(trace.countStage(RefStage::NestedTable), 20u);
 }
 
+TEST_F(NestedWalkerTest, StageTalliesMatchARescanOfRefs)
+{
+    guestPt->map(0x1000, 0x2000, PageSize::Size4K);
+    NestedWalker nested_walker(host);
+    PagingGpaTranslator tx(host, nestedPt.root());
+    WalkTrace trace;
+    ASSERT_TRUE(
+        nested_walker.walk(guestPt->root(), 0x1234, tx, trace).ok);
+    ASSERT_EQ(trace.refs.size(), WalkRefs::kCapacity);
+    for (RefStage stage :
+         {RefStage::GuestTable, RefStage::NestedTable,
+          RefStage::NativeTable, RefStage::ShadowTable}) {
+        std::size_t rescan = 0;
+        for (const auto &ref : trace.refs)
+            rescan += ref.stage == stage ? 1 : 0;
+        EXPECT_EQ(trace.countStage(stage), rescan)
+            << refStageName(stage);
+    }
+
+    trace.clear();
+    EXPECT_TRUE(trace.refs.empty());
+    EXPECT_EQ(trace.countStage(RefStage::NestedTable), 0u);
+}
+
+TEST(WalkTraceDeathTest, TwentyFifthRefPanics)
+{
+    WalkTrace trace;
+    for (std::size_t i = 0; i < WalkRefs::kCapacity; ++i)
+        trace.addRef(0x1000 * i, RefStage::NestedTable, 1);
+    EXPECT_EQ(trace.refs.size(), 24u);
+    EXPECT_DEATH(trace.addRef(0x99000, RefStage::GuestTable, 1),
+                 "walk trace overflow");
+}
+
 TEST_F(NestedWalkerTest, TranslationComposesCorrectly)
 {
     guestPt->map(0x400000, 0x10000, PageSize::Size4K);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/audit.hh"
+#include "common/ckpt.hh"
 #include "common/rng.hh"
 #include "segment/escape_filter.hh"
 #include "../test_support.hh"
@@ -76,6 +77,73 @@ TEST(EscapeFilterTest, SixteenFaultsKeepLowFalsePositives)
     // Analytic rate for n=16, m=256, k=4 is ~0.24%; allow slack.
     EXPECT_LT(rate, 0.02);
     EXPECT_NEAR(rate, filter.expectedFalsePositiveRate(), 0.01);
+}
+
+/** The filter's bit words, read back through its checkpoint form. */
+std::vector<std::uint64_t>
+filterWords(const EscapeFilter &filter)
+{
+    ckpt::Encoder enc;
+    filter.serialize(enc);
+    ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
+    dec.u32();  // Size in bits.
+    dec.u32();  // Inserted pages.
+    std::vector<std::uint64_t> words(dec.u64());
+    for (auto &w : words)
+        w = dec.u64();
+    EXPECT_TRUE(dec.ok());
+    return words;
+}
+
+TEST(EscapeFilterTest, GoldenWordsAfterSixteenInserts)
+{
+    // Captured from the bit-serial H3 implementation.  Every filter
+    // bit decides whether a page escapes, so the words (and the
+    // positives count of a fixed probe sweep) must never change.
+    std::uint64_t sm = 2014;
+    std::vector<Addr> pages;
+    for (int i = 0; i < 16; ++i)
+        pages.push_back((splitMix64(sm) & ((1ull << 40) - 1)) << 12);
+    EXPECT_EQ(pages.front(), 0xd42ade5404000ull);
+    EXPECT_EQ(pages.back(), 0x5d713dd636000ull);
+
+    // Default construction, and the Mmu's VMM and guest filters
+    // (MmuConfig's default filterSeed; the guest filter uses
+    // seed ^ 0x9e3779b9).
+    const std::uint64_t mmu_seed = 0x5eedf117e2ull;
+    EscapeFilter deflt, vmm(256, 4, mmu_seed),
+        guest(256, 4, mmu_seed ^ 0x9e3779b9ull);
+    for (Addr page : pages) {
+        deflt.insertPage(page);
+        vmm.insertPage(page);
+        guest.insertPage(page);
+    }
+    EXPECT_EQ(filterWords(deflt),
+              (std::vector<std::uint64_t>{
+                  0x900a20028010e150ull, 0x1202224544008050ull,
+                  0x2e98100022005c70ull, 0x0104401824880c92ull}));
+    EXPECT_EQ(filterWords(vmm),
+              (std::vector<std::uint64_t>{
+                  0x148015e0000000e9ull, 0x4a81021482d00186ull,
+                  0x0a16000210001a84ull, 0x083802940410468aull}));
+    EXPECT_EQ(filterWords(guest),
+              (std::vector<std::uint64_t>{
+                  0x49a60b4510049011ull, 0x4020046080424108ull,
+                  0x208002260d031121ull, 0x05009c1440012200ull}));
+
+    const std::uint64_t positives_before =
+        guest.stats().counterValue("positives");
+    std::uint64_t probe = 7;
+    unsigned hits = 0;
+    for (int i = 0; i < 100000; ++i) {
+        hits += guest.mayContain(
+                    (splitMix64(probe) & ((1ull << 40) - 1)) << 12)
+                    ? 1
+                    : 0;
+    }
+    EXPECT_EQ(hits, 234u);
+    EXPECT_EQ(guest.stats().counterValue("positives") - positives_before,
+              234u);
 }
 
 TEST(EscapeFilterTest, ClearEmptiesFilter)

@@ -39,11 +39,14 @@
  *   hot-path-stat-lookup
  *                  no string-keyed StatRegistry lookups (counter(
  *                  "name") and friends) inside the Mmu::translate
- *                  call tree in core/mmu.cc — every translation pays
- *                  for them, so the constructor caches the pointers
- *                  once and the hot path bumps them directly; a
- *                  map lookup per op also skews the telemetry
- *                  throughput meter it feeds.
+ *                  call tree (the Mmu's translate methods, the
+ *                  escape-filter probe, TLB and walk-cache lookup
+ *                  and insert, PTE-line access and both walkers) —
+ *                  every translation pays for them, so the
+ *                  constructor caches the pointers once and the hot
+ *                  path bumps them directly; a map lookup per op
+ *                  also skews the telemetry throughput meter it
+ *                  feeds.
  *
  * Concurrency-safety rules (see DESIGN.md §12), ahead of the
  * in-process parallel engine:
@@ -453,19 +456,44 @@ void
 checkHotPathStatLookup(const fs::path &file, const std::string &rel,
                        const std::string &stripped)
 {
-    if (rel != "core/mmu.cc")
-        return;
     // The translate call tree: everything a single translation can
-    // execute.  Cold control-plane methods (set*/flush*/fraction*)
-    // may look stats up by name; these may not.
-    static const char *const hot[] = {
-        "translate", "translateImpl", "doWalk",
-        "nestedToHost", "segmentToHost", "priceTrace",
+    // execute, by translation unit.  Cold control-plane methods
+    // (set*/flush*/fraction*) may look stats up by name; these may
+    // not.
+    struct HotFile
+    {
+        const char *rel;
+        std::vector<const char *> methods;
     };
+    static const HotFile hotFiles[] = {
+        {"core/mmu.cc",
+         {"Mmu::translate", "Mmu::translateImpl", "Mmu::doWalk",
+          "Mmu::nestedToHost", "Mmu::segmentToHost",
+          "Mmu::priceTrace"}},
+        {"segment/escape_filter.cc", {"EscapeFilter::mayContain"}},
+        {"tlb/tlb.cc", {"Tlb::lookup", "Tlb::insert"}},
+        {"tlb/tlb_hierarchy.cc",
+         {"TlbHierarchy::lookupL1", "TlbHierarchy::lookupL2",
+          "TlbHierarchy::lookupNested", "TlbHierarchy::insertGuest",
+          "TlbHierarchy::insertNested"}},
+        {"tlb/walk_cache.cc",
+         {"WalkCache::lookup", "WalkCache::insert",
+          "LineCache::access"}},
+        {"paging/walker.cc", {"Walker::walk"}},
+        {"paging/nested_walker.cc", {"NestedWalker::walk"}},
+    };
+    const HotFile *hot = nullptr;
+    for (const auto &candidate : hotFiles) {
+        if (rel == candidate.rel)
+            hot = &candidate;
+    }
+    if (!hot)
+        return;
     static const std::regex lookup(
         R"((counter|scalar|distribution|counterValue|scalarValue)\s*\(\s*")");
-    for (const char *name : hot) {
-        const std::regex def("Mmu::" + std::string(name) +
+    for (const char *name : hot->methods) {
+        // \b keeps Walker::walk from matching NestedWalker::walk.
+        const std::regex def(R"(\b)" + std::string(name) +
                              R"(\s*\()");
         auto from = stripped.cbegin();
         std::smatch m;
@@ -495,10 +523,11 @@ checkHotPathStatLookup(const fs::path &file, const std::string &rel,
                 const int line = 1 + static_cast<int>(std::count(
                     stripped.begin(), stripped.begin() + off, '\n'));
                 report(file, line, "hot-path-stat-lookup",
-                       "string-keyed stat lookup inside Mmu::" +
+                       "string-keyed stat lookup inside " +
                            std::string(name) +
-                           "; cache the counter/scalar pointer in "
-                           "the constructor and bump it directly");
+                           " (translate call tree); cache the "
+                           "counter/scalar pointer in the "
+                           "constructor and bump it directly");
             }
             from = it;
         }
