@@ -2,38 +2,13 @@
 
 #include "common/audit.hh"
 #include "core/mmu.hh"
+#include "paging/walker.hh"
 
 namespace emv::core {
 
-using paging::GpaTranslator;
 using paging::RefStage;
 using paging::WalkOutcome;
 using paging::WalkTrace;
-
-namespace {
-
-/** GpaTranslator that defers to the auditor's reference resolve. */
-class ReferenceGpaTranslator : public GpaTranslator
-{
-  public:
-    using Resolve = WalkOutcome (*)(const void *, Addr, WalkTrace &);
-
-    ReferenceGpaTranslator(const void *ctx, Resolve resolve)
-        : ctx(ctx), resolve(resolve)
-    {}
-
-    WalkOutcome
-    toHost(Addr gpa, WalkTrace &trace) override
-    {
-        return resolve(ctx, gpa, trace);
-    }
-
-  private:
-    const void *ctx;
-    Resolve resolve;
-};
-
-} // namespace
 
 DifferentialAuditor::DifferentialAuditor(Mmu &mmu) : mmu(mmu) {}
 
@@ -51,8 +26,9 @@ DifferentialAuditor::referenceToHost(Addr gpa, bool use_vmm_seg,
     }
     if (!mmu.nestedRootValid)
         return WalkOutcome{0, PageSize::Size4K, false};
-    return mmu.walker.walk(mmu.nestedRoot, gpa, RefStage::NestedTable,
-                           trace, nullptr);
+    return paging::radixWalk(mmu.hostMem, mmu.nestedRoot, gpa,
+                             RefStage::NestedTable, trace, nullptr,
+                             paging::hostResident);
 }
 
 WalkOutcome
@@ -81,8 +57,9 @@ DifferentialAuditor::referenceTranslate(Addr gva) const
         }
         if (!mmu.nativeRootValid)
             return WalkOutcome{0, PageSize::Size4K, false};
-        return mmu.walker.walk(mmu.nativeRoot, gva,
-                               RefStage::NativeTable, trace, nullptr);
+        return paging::radixWalk(mmu.hostMem, mmu.nativeRoot, gva,
+                                 RefStage::NativeTable, trace, nullptr,
+                                 paging::hostResident);
       }
 
       case Mode::BaseVirtualized:
@@ -97,19 +74,11 @@ DifferentialAuditor::referenceTranslate(Addr gva) const
         }
         if (!mmu.guestRootValid)
             return WalkOutcome{0, PageSize::Size4K, false};
-        struct Ctx
-        {
-            const DifferentialAuditor *self;
-            bool useVmmSeg;
-        } ctx{this, use_vmm_seg};
-        ReferenceGpaTranslator tx(
-            &ctx, [](const void *c, Addr gpa, WalkTrace &t) {
-                const auto *cc = static_cast<const Ctx *>(c);
-                return cc->self->referenceToHost(gpa, cc->useVmmSeg,
-                                                 t);
+        return paging::radixWalk(
+            mmu.hostMem, mmu.guestRoot, gva, RefStage::GuestTable,
+            trace, nullptr, [&](Addr gpa) {
+                return referenceToHost(gpa, use_vmm_seg, trace);
             });
-        return mmu.nestedWalker.walk(mmu.guestRoot, gva, tx, trace,
-                                     nullptr);
       }
     }
     return WalkOutcome{0, PageSize::Size4K, false};

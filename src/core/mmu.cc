@@ -8,6 +8,7 @@
 #include "common/trace.hh"
 #include "core/differential_auditor.hh"
 #include "mem/phys_memory.hh"
+#include "paging/walker.hh"
 
 namespace emv::core {
 
@@ -54,7 +55,6 @@ operator<<(std::ostream &os, TranslatePath path)
 
 Mmu::Mmu(mem::PhysMemory &host_mem, const MmuConfig &config)
     : hostMem(host_mem), config(config),
-      walker(host_mem), nestedWalker(host_mem),
       tlbHier(config.tlbGeometry),
       guestPsc(config.pscSets, config.pscWays, "guest_psc"),
       nestedPsc(config.pscSets, config.pscWays, "nested_psc"),
@@ -256,9 +256,10 @@ Mmu::nestedToHost(Addr gpa, WalkTrace &trace)
         }
         ++*nestedTlbMissesCtr;
     }
-    WalkOutcome out =
-        walker.walk(nestedRoot, gpa, RefStage::NestedTable, trace,
-                    config.walkCachesEnabled ? &nestedPsc : nullptr);
+    WalkOutcome out = paging::radixWalk(
+        hostMem, nestedRoot, gpa, RefStage::NestedTable, trace,
+        config.walkCachesEnabled ? &nestedPsc : nullptr,
+        paging::hostResident);
     if (!out.ok) {
         pendingFaultSpace = FaultSpace::Nested;
         pendingFaultAddr = gpa;
@@ -305,84 +306,42 @@ Mmu::segmentToHost(Addr gpa, WalkTrace &trace, bool &used_paging)
     return nestedToHost(gpa, trace);
 }
 
-/** Adapter: nested paging only (base virtualized, guest direct). */
-class NestedPagingTranslator : public paging::GpaTranslator
-{
-  public:
-    explicit NestedPagingTranslator(Mmu &mmu) : mmu(mmu) {}
-
-    WalkOutcome
-    toHost(Addr gpa, WalkTrace &trace) override
-    {
-        return mmu.nestedToHost(gpa, trace);
-    }
-
-  private:
-    Mmu &mmu;
-};
-
-/** Adapter: VMM segment first, nested paging fallback. */
-class SegmentFirstTranslator : public paging::GpaTranslator
-{
-  public:
-    explicit SegmentFirstTranslator(Mmu &mmu) : mmu(mmu) {}
-
-    WalkOutcome
-    toHost(Addr gpa, WalkTrace &trace) override
-    {
-        return mmu.segmentToHost(gpa, trace, usedPaging);
-    }
-
-    bool usedPaging = false;
-
-  private:
-    Mmu &mmu;
-};
-
 WalkOutcome
-Mmu::doWalk(Addr gva, WalkTrace &trace, TranslationResult &result)
+Mmu::doWalk(Addr gva, WalkTrace &trace)
 {
-    (void)result;
-    switch (_mode) {
-      case Mode::Native:
-      case Mode::NativeDirect: {
+    tlb::WalkCache *const psc =
+        config.walkCachesEnabled ? &guestPsc : nullptr;
+    if (_mode == Mode::Native || _mode == Mode::NativeDirect) {
         emv_assert(nativeRootValid, "native walk without a root");
-        return walker.walk(
-            nativeRoot, gva, RefStage::NativeTable, trace,
-            config.walkCachesEnabled ? &guestPsc : nullptr);
-      }
+        return paging::radixWalk(hostMem, nativeRoot, gva,
+                                 RefStage::NativeTable, trace, psc,
+                                 paging::hostResident);
+    }
 
-      case Mode::BaseVirtualized: {
-        emv_assert(guestRootValid, "2D walk without a guest root");
-        NestedPagingTranslator tx(*this);
-        return nestedWalker.walk(
-            guestRoot, gva, tx, trace,
-            config.walkCachesEnabled ? &guestPsc : nullptr);
-      }
+    // Virtualized: gPA→hPA by the VMM segment first (VMM/Dual
+    // Direct) or by nested paging alone.  used_paging records
+    // whether any step fell back to nested paging.
+    const bool use_vmm_seg =
+        _mode == Mode::VmmDirect || _mode == Mode::DualDirect;
+    const bool guest_seg_mode =
+        _mode == Mode::GuestDirect || _mode == Mode::DualDirect;
+    bool used_paging = false;
+    auto to_host = [&](Addr gpa) {
+        return use_vmm_seg ? segmentToHost(gpa, trace, used_paging)
+                           : nestedToHost(gpa, trace);
+    };
 
-      case Mode::VmmDirect: {
-        emv_assert(guestRootValid, "2D walk without a guest root");
-        SegmentFirstTranslator tx(*this);
-        WalkOutcome out = nestedWalker.walk(
-            guestRoot, gva, tx, trace,
-            config.walkCachesEnabled ? &guestPsc : nullptr);
-        if (out.ok) {
-            if (vmmSeg.enabled() && !tx.usedPaging)
-                ++*catVmmOnlyCtr;
-            else
-                ++*catNeitherCtr;
-        }
-        return out;
-      }
-
-      case Mode::GuestDirect: {
+    if (guest_seg_mode) {
         if (guestSeg.contains(gva) &&
             !_guestFilter->mayContain(gva)) {
+            // Table I "Guest segment only"; in Dual Direct the VMM
+            // segment's escape-filter re-check passing makes it
+            // "Both" (the 0D fast path ran before the L2 lookup).
             ++trace.calculations;
-            const Addr gpa = guestSeg.translate(gva);
-            WalkOutcome out = nestedToHost(gpa, trace);
+            WalkOutcome out = to_host(guestSeg.translate(gva));
             if (out.ok) {
-                ++*catGuestOnlyCtr;
+                ++*(use_vmm_seg && !used_paging ? catBothCtr
+                                                : catGuestOnlyCtr);
                 // The linear gVA→gPA map adds no granule limit
                 // beyond the guest-segment offset alignment.
                 out.size = std::min(out.size,
@@ -392,52 +351,19 @@ Mmu::doWalk(Addr gva, WalkTrace &trace, TranslationResult &result)
         }
         if (guestSeg.enabled())
             ++trace.calculations;  // Failed base-bound check.
-        emv_assert(guestRootValid, "2D walk without a guest root");
-        NestedPagingTranslator tx(*this);
-        WalkOutcome out = nestedWalker.walk(
-            guestRoot, gva, tx, trace,
-            config.walkCachesEnabled ? &guestPsc : nullptr);
-        if (out.ok)
-            ++*catNeitherCtr;
-        return out;
-      }
-
-      case Mode::DualDirect: {
-        if (guestSeg.contains(gva) &&
-            !_guestFilter->mayContain(gva)) {
-            // "Guest segment only" (Table I): the both-segments case
-            // was already handled before the L2 lookup.
-            ++trace.calculations;
-            const Addr gpa = guestSeg.translate(gva);
-            bool used_paging = false;
-            WalkOutcome out = segmentToHost(gpa, trace, used_paging);
-            if (out.ok) {
-                if (used_paging)
-                    ++*catGuestOnlyCtr;
-                else
-                    ++*catBothCtr;  // Escape-filter re-check passed.
-                out.size = std::min(out.size,
-                                    segmentGranule(guestSeg.offset()));
-            }
-            return out;
-        }
-        if (guestSeg.enabled())
-            ++trace.calculations;
-        emv_assert(guestRootValid, "2D walk without a guest root");
-        SegmentFirstTranslator tx(*this);
-        WalkOutcome out = nestedWalker.walk(
-            guestRoot, gva, tx, trace,
-            config.walkCachesEnabled ? &guestPsc : nullptr);
-        if (out.ok) {
-            if (vmmSeg.enabled() && !tx.usedPaging)
-                ++*catVmmOnlyCtr;
-            else
-                ++*catNeitherCtr;
-        }
-        return out;
-      }
     }
-    emv_panic("unhandled mode in doWalk");
+
+    emv_assert(guestRootValid, "2D walk without a guest root");
+    const WalkOutcome out =
+        paging::radixWalk(hostMem, guestRoot, gva, RefStage::GuestTable,
+                          trace, psc, to_host);
+    // Base Virtualized has no segments and keeps no categories.
+    if (out.ok && _mode != Mode::BaseVirtualized) {
+        ++*(use_vmm_seg && vmmSeg.enabled() && !used_paging
+                ? catVmmOnlyCtr
+                : catNeitherCtr);
+    }
+    return out;
 }
 
 TranslationResult
@@ -551,7 +477,7 @@ Mmu::translateImpl(Addr gva)
     pendingFaultAddr = 0;
     walkSideCycles = 0;
     WalkTrace trace;
-    WalkOutcome out = doWalk(gva, trace, result);
+    WalkOutcome out = doWalk(gva, trace);
     if (!out.ok) {
         ++*faultsCtr;
         result.ok = false;
@@ -618,41 +544,32 @@ Mmu::translateImpl(Addr gva)
 }
 
 double
-Mmu::fractionBoth() const
+Mmu::categoryFraction(const Counter &category) const
 {
     const double denom = static_cast<double>(
-        _stats.counterValue("dd_fast_hits") +
-        _stats.counterValue("ds_fast_hits") +
-        _stats.counterValue("walks"));
+        ddFastHitsCtr->value() + dsFastHitsCtr->value() +
+        walksCtr->value());
     if (denom == 0.0)
         return 0.0;
-    return static_cast<double>(_stats.counterValue("cat_both")) / denom;
+    return static_cast<double>(category.value()) / denom;
+}
+
+double
+Mmu::fractionBoth() const
+{
+    return categoryFraction(*catBothCtr);
 }
 
 double
 Mmu::fractionVmmOnly() const
 {
-    const double denom = static_cast<double>(
-        _stats.counterValue("dd_fast_hits") +
-        _stats.counterValue("ds_fast_hits") +
-        _stats.counterValue("walks"));
-    if (denom == 0.0)
-        return 0.0;
-    return static_cast<double>(_stats.counterValue("cat_vmm_only")) /
-           denom;
+    return categoryFraction(*catVmmOnlyCtr);
 }
 
 double
 Mmu::fractionGuestOnly() const
 {
-    const double denom = static_cast<double>(
-        _stats.counterValue("dd_fast_hits") +
-        _stats.counterValue("ds_fast_hits") +
-        _stats.counterValue("walks"));
-    if (denom == 0.0)
-        return 0.0;
-    return static_cast<double>(_stats.counterValue("cat_guest_only")) /
-           denom;
+    return categoryFraction(*catGuestOnlyCtr);
 }
 
 void

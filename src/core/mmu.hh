@@ -41,8 +41,7 @@
 #include "common/types.hh"
 #include "core/cost_model.hh"
 #include "core/mode.hh"
-#include "paging/nested_walker.hh"
-#include "paging/walker.hh"
+#include "paging/walk.hh"
 #include "segment/direct_segment.hh"
 #include "segment/escape_filter.hh"
 #include "tlb/tlb_hierarchy.hh"
@@ -112,7 +111,7 @@ struct TranslationResult
 
 /**
  * The MMU.  Owns the TLB hierarchy, walk caches, segment registers
- * and escape filters; the walkers read page tables out of host
+ * and escape filters; its walks read page tables out of host
  * physical memory.
  */
 class Mmu
@@ -205,8 +204,6 @@ class Mmu
     bool deserialize(ckpt::Decoder &dec);
 
   private:
-    friend class NestedPagingTranslator;
-    friend class SegmentFirstTranslator;
     friend class DifferentialAuditor;
 
     /** translate() minus the audit hook (all the real work). */
@@ -218,8 +215,7 @@ class Mmu
                       unsigned &line_hits);
 
     /** Mode-dispatched walk; fills trace and category stats. */
-    paging::WalkOutcome doWalk(Addr gva, paging::WalkTrace &trace,
-                               TranslationResult &result);
+    paging::WalkOutcome doWalk(Addr gva, paging::WalkTrace &trace);
 
     /** gPA→hPA via nested TLB + nested table walk. */
     paging::WalkOutcome nestedToHost(Addr gpa,
@@ -230,6 +226,9 @@ class Mmu
                                       paging::WalkTrace &trace,
                                       bool &used_paging);
 
+    /** @p category's share of walks plus segment fast hits. */
+    double categoryFraction(const Counter &category) const;
+
     /** Largest TLB granule consistent with a segment translation. */
     static PageSize segmentGranule(std::uint64_t offset);
 
@@ -237,8 +236,6 @@ class Mmu
     MmuConfig config;
     Mode _mode = Mode::Native;
 
-    paging::Walker walker;
-    paging::NestedWalker nestedWalker;
     tlb::TlbHierarchy tlbHier;
     tlb::WalkCache guestPsc;
     tlb::WalkCache nestedPsc;

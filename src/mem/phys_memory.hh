@@ -4,7 +4,7 @@
  *
  * Page tables in emv are not abstract maps: they are genuine radix
  * trees of x86-64-encoded 64-bit entries stored in a PhysMemory, and
- * the walkers load each entry with read64().  That keeps the paper's
+ * the page walk loads each entry with read64().  That keeps the paper's
  * headline count — up to 24 memory references per 2D walk (Fig. 2) —
  * an emergent property rather than an assertion.
  *

@@ -71,7 +71,7 @@ struct SoftTranslation
  *
  * map()/unmap() maintain the radix tree; translate() is a software
  * walk used for correctness checks and by the shadow pager.  The
- * simulated, cycle-accounted walks live in walker.hh.
+ * simulated, cycle-accounted walk is radixWalk() in walker.hh.
  */
 class PageTable
 {

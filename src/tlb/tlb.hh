@@ -36,7 +36,7 @@ namespace emv::tlb {
 /** What a TLB entry translates. */
 enum class EntryKind : std::uint8_t {
     Guest,   //!< gVA→hPA (or native VA→PA).
-    Nested,  //!< gPA→hPA, cached by the 2D walker.
+    Nested,  //!< gPA→hPA, cached by the 2D walk.
 };
 
 /** Successful lookup result. */

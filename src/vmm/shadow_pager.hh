@@ -41,7 +41,7 @@ class ShadowPager
     ShadowPager(const ShadowPager &) = delete;
     ShadowPager &operator=(const ShadowPager &) = delete;
 
-    /** Host-physical root for the hardware's 1D walker. */
+    /** Host-physical root for the hardware's 1D walk. */
     Addr shadowRoot() const;
 
     /** Full resync from the guest table (VM start / CR3 write). */

@@ -430,5 +430,85 @@ TEST_F(MmuTest, DualDirectDisabledVmmSegmentActsAsGuestDirect)
     EXPECT_EQ(mmu->stats().counterValue("nested_refs"), 4u);
 }
 
+/**
+ * Table I category accounting per mode, pinned over one fixed
+ * sequence: a guest-segment hit, a guest-escaped page, a page whose
+ * gPA escaped the VMM segment, a paged address outside the guest
+ * segment, and then (VMM segment disabled) a segment hit and a paged
+ * address again.  Walk caches and the nested TLB stay on, so the
+ * ref and calculation counts include their effect.
+ */
+struct CategoryRow
+{
+    const char *name;  //!< Test-name suffix.
+    Mode mode;
+    std::uint64_t both, vmmOnly, guestOnly, neither;
+    std::uint64_t calculations, guestRefs, nestedRefs, nativeRefs;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CategoryRow &row)
+{
+    return os << row.mode;
+}
+
+class MmuCategoryTest : public MmuTest,
+                        public ::testing::WithParamInterface<CategoryRow>
+{
+};
+
+TEST_P(MmuCategoryTest, FixedSequencePinsCategoriesAndRefs)
+{
+    const CategoryRow &want = GetParam();
+    guestPt->map(0x3000, 0x31000, PageSize::Size4K);
+    auto mmu = makeMmu(want.mode);
+    mmu->guestFilter().insertPage(kSegVa + 0x9000);
+    mmu->vmmFilter().insertPage(kSegGpa + 0xa000);
+
+    mmu->translate(kSegVa + 0x5123);  // Segment hit.
+    mmu->translate(kSegVa + 0x9000);  // Guest-escaped page.
+    mmu->translate(kSegVa + 0xa000);  // gPA escaped the VMM segment.
+    mmu->translate(0x2abc);           // Outside the guest segment.
+    mmu->setVmmSegment(SegmentRegs());  // BASE == LIMIT.
+    mmu->translate(kSegVa + 0x6000);
+    mmu->translate(0x3abc);
+
+    const StatGroup &s = mmu->stats();
+    EXPECT_EQ(s.counterValue("cat_both"), want.both);
+    EXPECT_EQ(s.counterValue("cat_vmm_only"), want.vmmOnly);
+    EXPECT_EQ(s.counterValue("cat_guest_only"), want.guestOnly);
+    EXPECT_EQ(s.counterValue("cat_neither"), want.neither);
+    EXPECT_EQ(s.counterValue("calculations"), want.calculations);
+    EXPECT_EQ(s.counterValue("guest_refs"), want.guestRefs);
+    EXPECT_EQ(s.counterValue("nested_refs"), want.nestedRefs);
+    EXPECT_EQ(s.counterValue("native_refs"), want.nativeRefs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, MmuCategoryTest,
+    ::testing::Values(
+        // name, mode, cat_both, cat_vmm_only, cat_guest_only,
+        // cat_neither, calculations, guest_refs, nested_refs,
+        // native_refs.
+        CategoryRow{"Native", Mode::Native,
+                    0, 0, 0, 0,
+                    0, 0, 0, 4},
+        CategoryRow{"NativeDirect", Mode::NativeDirect,
+                    0, 0, 0, 0,
+                    0, 0, 0, 4},
+        CategoryRow{"BaseVirtualized", Mode::BaseVirtualized,
+                    0, 0, 0, 0,
+                    0, 11, 17, 0},
+        CategoryRow{"DualDirect", Mode::DualDirect,
+                    1, 2, 2, 1,
+                    15, 8, 9, 0},
+        CategoryRow{"VmmDirect", Mode::VmmDirect,
+                    0, 3, 0, 3,
+                    13, 11, 10, 0},
+        CategoryRow{"GuestDirect", Mode::GuestDirect,
+                    0, 0, 3, 3,
+                    6, 8, 17, 0}),
+    [](const auto &info) { return std::string(info.param.name); });
+
 } // namespace
 } // namespace emv::core

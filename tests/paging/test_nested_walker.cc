@@ -1,9 +1,8 @@
-/** @file Unit tests for the 2D nested walker — Fig. 2's reference
- *  counts are verified here. */
+/** @file Unit tests for 2D nested walks — the radix walk engine with
+ *  a gPA→hPA step — where Fig. 2's reference counts are verified. */
 
 #include <gtest/gtest.h>
 
-#include "paging/nested_walker.hh"
 #include "paging/page_table.hh"
 #include "paging/walker.hh"
 #include "../test_support.hh"
@@ -55,44 +54,6 @@ class NestedMemSpace : public MemSpace
     Addr next;
 };
 
-/** Second dimension through real nested-table walks. */
-class PagingGpaTranslator : public GpaTranslator
-{
-  public:
-    PagingGpaTranslator(mem::PhysMemory &host, Addr nested_root)
-        : walker(host), nestedRoot(nested_root)
-    {
-    }
-
-    WalkOutcome
-    toHost(Addr gpa, WalkTrace &trace) override
-    {
-        return walker.walk(nestedRoot, gpa, RefStage::NestedTable,
-                           trace);
-    }
-
-  private:
-    Walker walker;
-    Addr nestedRoot;
-};
-
-/** Second dimension through a linear segment (VMM Direct style). */
-class SegmentGpaTranslator : public GpaTranslator
-{
-  public:
-    explicit SegmentGpaTranslator(Addr offset) : offset(offset) {}
-
-    WalkOutcome
-    toHost(Addr gpa, WalkTrace &trace) override
-    {
-        ++trace.calculations;
-        return WalkOutcome{gpa + offset, PageSize::Size1G, true};
-    }
-
-  private:
-    Addr offset;
-};
-
 class NestedWalkerTest : public ::testing::Test
 {
   protected:
@@ -111,6 +72,36 @@ class NestedWalkerTest : public ::testing::Test
         guestPt = std::make_unique<PageTable>(*guestSpace);
     }
 
+    /** 2D walk of @p gva, second dimension through real nested-table
+     *  walks. */
+    WalkOutcome
+    pagedWalk(Addr gva, WalkTrace &trace,
+              tlb::WalkCache *guest_psc = nullptr)
+    {
+        return radixWalk(host, guestPt->root(), gva,
+                         RefStage::GuestTable, trace, guest_psc,
+                         [&](Addr gpa) {
+                             return radixWalk(host, nestedPt.root(), gpa,
+                                              RefStage::NestedTable,
+                                              trace, nullptr,
+                                              hostResident);
+                         });
+    }
+
+    /** 2D walk of @p gva, second dimension through a linear segment
+     *  (VMM Direct style): one calculation, 1G granule. */
+    WalkOutcome
+    segmentWalk(Addr gva, WalkTrace &trace)
+    {
+        return radixWalk(host, guestPt->root(), gva,
+                         RefStage::GuestTable, trace, nullptr,
+                         [&](Addr gpa) {
+                             ++trace.calculations;
+                             return WalkOutcome{gpa + kHostBacking,
+                                                PageSize::Size1G, true};
+                         });
+    }
+
     mem::PhysMemory host;
     test::BumpMemSpace hostSpace;
     PageTable nestedPt;
@@ -121,10 +112,8 @@ class NestedWalkerTest : public ::testing::Test
 TEST_F(NestedWalkerTest, TwoDWalkMakes24References)
 {
     guestPt->map(0x1000, 0x2000, PageSize::Size4K);
-    NestedWalker nested_walker(host);
-    PagingGpaTranslator tx(host, nestedPt.root());
     WalkTrace trace;
-    auto out = nested_walker.walk(guestPt->root(), 0x1234, tx, trace);
+    auto out = pagedWalk(0x1234, trace);
     ASSERT_TRUE(out.ok);
     // Fig. 2: 4 guest levels x (4 nested refs + 1 guest read)
     // + 4 nested refs for the final data gPA = 24.
@@ -136,11 +125,8 @@ TEST_F(NestedWalkerTest, TwoDWalkMakes24References)
 TEST_F(NestedWalkerTest, StageTalliesMatchARescanOfRefs)
 {
     guestPt->map(0x1000, 0x2000, PageSize::Size4K);
-    NestedWalker nested_walker(host);
-    PagingGpaTranslator tx(host, nestedPt.root());
     WalkTrace trace;
-    ASSERT_TRUE(
-        nested_walker.walk(guestPt->root(), 0x1234, tx, trace).ok);
+    ASSERT_TRUE(pagedWalk(0x1234, trace).ok);
     ASSERT_EQ(trace.refs.size(), WalkRefs::kCapacity);
     for (RefStage stage :
          {RefStage::GuestTable, RefStage::NestedTable,
@@ -170,11 +156,8 @@ TEST(WalkTraceDeathTest, TwentyFifthRefPanics)
 TEST_F(NestedWalkerTest, TranslationComposesCorrectly)
 {
     guestPt->map(0x400000, 0x10000, PageSize::Size4K);
-    NestedWalker nested_walker(host);
-    PagingGpaTranslator tx(host, nestedPt.root());
     WalkTrace trace;
-    auto out = nested_walker.walk(guestPt->root(), 0x400abc, tx,
-                                  trace);
+    auto out = pagedWalk(0x400abc, trace);
     ASSERT_TRUE(out.ok);
     // gVA 0x400abc -> gPA 0x10abc -> hPA backing + 0x10abc.
     EXPECT_EQ(out.pa, kHostBacking + 0x10abcu);
@@ -183,11 +166,8 @@ TEST_F(NestedWalkerTest, TranslationComposesCorrectly)
 
 TEST_F(NestedWalkerTest, GuestFaultStopsWalk)
 {
-    NestedWalker nested_walker(host);
-    PagingGpaTranslator tx(host, nestedPt.root());
     WalkTrace trace;
-    auto out =
-        nested_walker.walk(guestPt->root(), 0xdead0000, tx, trace);
+    auto out = pagedWalk(0xdead0000, trace);
     EXPECT_FALSE(out.ok);
     // Root pointer nested-translated (4 refs) + 1 guest read that
     // found a non-present entry.
@@ -197,10 +177,8 @@ TEST_F(NestedWalkerTest, GuestFaultStopsWalk)
 TEST_F(NestedWalkerTest, SegmentTranslatorFlattensTo4Refs)
 {
     guestPt->map(0x1000, 0x2000, PageSize::Size4K);
-    NestedWalker nested_walker(host);
-    SegmentGpaTranslator tx(kHostBacking);
     WalkTrace trace;
-    auto out = nested_walker.walk(guestPt->root(), 0x1111, tx, trace);
+    auto out = segmentWalk(0x1111, trace);
     ASSERT_TRUE(out.ok);
     // VMM Direct (§III.B): 4 memory accesses + 5 calculations.
     EXPECT_EQ(trace.refs.size(), 4u);
@@ -211,11 +189,8 @@ TEST_F(NestedWalkerTest, SegmentTranslatorFlattensTo4Refs)
 TEST_F(NestedWalkerTest, GuestLargePageShortensGuestDimension)
 {
     guestPt->map(0x40000000, 0x200000, PageSize::Size2M);
-    NestedWalker nested_walker(host);
-    PagingGpaTranslator tx(host, nestedPt.root());
     WalkTrace trace;
-    auto out = nested_walker.walk(guestPt->root(), 0x40000010, tx,
-                                  trace);
+    auto out = pagedWalk(0x40000010, trace);
     ASSERT_TRUE(out.ok);
     // 3 guest levels x 5 + final 4 = 19 refs.
     EXPECT_EQ(trace.refs.size(), 19u);
@@ -226,11 +201,8 @@ TEST_F(NestedWalkerTest, GuestLargePageShortensGuestDimension)
 TEST_F(NestedWalkerTest, CombinedSizeIsMinOfDimensions)
 {
     guestPt->map(0x40000000, 0x200000, PageSize::Size2M);
-    NestedWalker nested_walker(host);
-    SegmentGpaTranslator tx(kHostBacking);  // Reports 1G granule.
     WalkTrace trace;
-    auto out = nested_walker.walk(guestPt->root(), 0x40000010, tx,
-                                  trace);
+    auto out = segmentWalk(0x40000010, trace);  // 1G granule.
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.size, PageSize::Size2M);
 }
@@ -239,14 +211,12 @@ TEST_F(NestedWalkerTest, GuestPscSkipsNestedWork)
 {
     guestPt->map(0x1000, 0x2000, PageSize::Size4K);
     guestPt->map(0x2000, 0x3000, PageSize::Size4K);
-    NestedWalker nested_walker(host);
-    PagingGpaTranslator tx(host, nestedPt.root());
     tlb::WalkCache psc(4, 4);
     WalkTrace first;
-    nested_walker.walk(guestPt->root(), 0x1000, tx, first, &psc);
+    pagedWalk(0x1000, first, &psc);
     EXPECT_EQ(first.refs.size(), 24u);
     WalkTrace second;
-    nested_walker.walk(guestPt->root(), 0x2000, tx, second, &psc);
+    pagedWalk(0x2000, second, &psc);
     // PSC hit at guest level 2: 1 guest level x 5 + final 4 = 9.
     EXPECT_EQ(second.refs.size(), 9u);
 }

@@ -1,12 +1,11 @@
 /** @file
- * Property tests: the hardware walkers must agree with software
- * page-table composition under randomized mappings.
+ * Property tests: the radix walk engine, in 1D and 2D, must agree
+ * with software page-table composition under randomized mappings.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "paging/nested_walker.hh"
 #include "paging/page_table.hh"
 #include "paging/walker.hh"
 #include "../test_support.hh"
@@ -23,7 +22,6 @@ TEST_P(WalkPropertyTest, WalkerMatchesTranslateOnRandomMappings)
     mem::PhysMemory mem(512 * MiB);
     test::BumpMemSpace space(mem, 256 * MiB);
     PageTable pt(space);
-    Walker walker(mem);
     Rng rng(GetParam());
 
     // Random mix of 4K and 2M mappings across a wide VA range.
@@ -57,8 +55,8 @@ TEST_P(WalkPropertyTest, WalkerMatchesTranslateOnRandomMappings)
         auto sw = pt.translate(probe);
         ASSERT_TRUE(sw.has_value());
         WalkTrace trace;
-        auto hw = walker.walk(pt.root(), probe,
-                              RefStage::NativeTable, trace, &cache);
+        auto hw = radixWalk(mem, pt.root(), probe, RefStage::NativeTable,
+                            trace, &cache, hostResident);
         ASSERT_TRUE(hw.ok);
         ASSERT_EQ(hw.pa, sw->pa) << hexAddr(probe);
         ASSERT_EQ(hw.size, sw->size);
@@ -130,30 +128,16 @@ TEST_P(WalkPropertyTest, NestedWalkEqualsComposition)
         }
     }
 
-    class Tx : public GpaTranslator
-    {
-      public:
-        Tx(mem::PhysMemory &host, Addr root)
-            : walker(host), root(root)
-        {
-        }
-        WalkOutcome
-        toHost(Addr gpa, WalkTrace &trace) override
-        {
-            return walker.walk(root, gpa, RefStage::NestedTable,
-                               trace);
-        }
-
-      private:
-        Walker walker;
-        Addr root;
-    } tx(host, nested.root());
-
-    NestedWalker nested_walker(host);
     for (const auto &[va, gpa] : pairs) {
         const Addr probe = va + rng.nextBelow(kPage4K);
         WalkTrace trace;
-        auto hw = nested_walker.walk(guest.root(), probe, tx, trace);
+        auto hw = radixWalk(
+            host, guest.root(), probe, RefStage::GuestTable, trace,
+            nullptr, [&](Addr gpa) {
+                return radixWalk(host, nested.root(), gpa,
+                                 RefStage::NestedTable, trace, nullptr,
+                                 hostResident);
+            });
         ASSERT_TRUE(hw.ok);
         const Addr expect =
             nested.translate(gpa + (probe - va))->pa;

@@ -1,4 +1,5 @@
-/** @file Unit tests for the 1D page-table walker. */
+/** @file Unit tests for 1D walks: the radix walk engine with the
+ *  identity (host-resident) step. */
 
 #include <gtest/gtest.h>
 
@@ -12,24 +13,27 @@ namespace {
 class WalkerTest : public ::testing::Test
 {
   protected:
-    WalkerTest()
-        : mem(256 * MiB), space(mem, 128 * MiB), pt(space),
-          walker(mem)
+    WalkerTest() : mem(256 * MiB), space(mem, 128 * MiB), pt(space) {}
+
+    /** 1D walk of pt for @p va. */
+    WalkOutcome
+    walk(Addr va, RefStage stage, WalkTrace &trace,
+         tlb::WalkCache *cache = nullptr)
     {
+        return radixWalk(mem, pt.root(), va, stage, trace, cache,
+                         hostResident);
     }
 
     mem::PhysMemory mem;
     test::BumpMemSpace space;
     PageTable pt;
-    Walker walker;
 };
 
 TEST_F(WalkerTest, FourReferencesFor4KPage)
 {
     pt.map(0x1000, 0x2000, PageSize::Size4K);
     WalkTrace trace;
-    auto out = walker.walk(pt.root(), 0x1234, RefStage::NativeTable,
-                           trace);
+    auto out = walk(0x1234, RefStage::NativeTable, trace);
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.pa, 0x2234u);
     EXPECT_EQ(out.size, PageSize::Size4K);
@@ -42,7 +46,7 @@ TEST_F(WalkerTest, RefLevelsDescend)
 {
     pt.map(0x1000, 0x2000, PageSize::Size4K);
     WalkTrace trace;
-    walker.walk(pt.root(), 0x1000, RefStage::NativeTable, trace);
+    walk(0x1000, RefStage::NativeTable, trace);
     ASSERT_EQ(trace.refs.size(), 4u);
     for (int i = 0; i < 4; ++i) {
         EXPECT_EQ(trace.refs[i].level, 4 - i);
@@ -54,8 +58,7 @@ TEST_F(WalkerTest, ThreeReferencesFor2MPage)
 {
     pt.map(0x40000000, 0x200000, PageSize::Size2M);
     WalkTrace trace;
-    auto out = walker.walk(pt.root(), 0x40012345,
-                           RefStage::NativeTable, trace);
+    auto out = walk(0x40012345, RefStage::NativeTable, trace);
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.size, PageSize::Size2M);
     EXPECT_EQ(trace.refs.size(), 3u);
@@ -65,8 +68,7 @@ TEST_F(WalkerTest, TwoReferencesFor1GPage)
 {
     pt.map(0x40000000, 0x40000000, PageSize::Size1G);
     WalkTrace trace;
-    auto out = walker.walk(pt.root(), 0x40000004,
-                           RefStage::NativeTable, trace);
+    auto out = walk(0x40000004, RefStage::NativeTable, trace);
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.size, PageSize::Size1G);
     EXPECT_EQ(trace.refs.size(), 2u);
@@ -75,8 +77,7 @@ TEST_F(WalkerTest, TwoReferencesFor1GPage)
 TEST_F(WalkerTest, UnmappedFaults)
 {
     WalkTrace trace;
-    auto out = walker.walk(pt.root(), 0xdead000,
-                           RefStage::NativeTable, trace);
+    auto out = walk(0xdead000, RefStage::NativeTable, trace);
     EXPECT_FALSE(out.ok);
     EXPECT_EQ(trace.refs.size(), 1u);  // Root entry read, absent.
 }
@@ -87,8 +88,7 @@ TEST_F(WalkerTest, FaultDepthMatchesPopulatedLevels)
     WalkTrace trace;
     // Same L1 table, different entry: walks all 4 levels, faults at
     // the leaf.
-    auto out = walker.walk(pt.root(), 0x5000, RefStage::NativeTable,
-                           trace);
+    auto out = walk(0x5000, RefStage::NativeTable, trace);
     EXPECT_FALSE(out.ok);
     EXPECT_EQ(trace.refs.size(), 4u);
 }
@@ -99,13 +99,11 @@ TEST_F(WalkerTest, WalkCacheSkipsUpperLevels)
     pt.map(0x2000, 0x3000, PageSize::Size4K);
     tlb::WalkCache cache(4, 4);
     WalkTrace first;
-    walker.walk(pt.root(), 0x1000, RefStage::NativeTable, first,
-                &cache);
+    walk(0x1000, RefStage::NativeTable, first, &cache);
     EXPECT_EQ(first.refs.size(), 4u);
     WalkTrace second;
     // Neighbouring page shares levels 4..2: only the L1 read left.
-    walker.walk(pt.root(), 0x2000, RefStage::NativeTable, second,
-                &cache);
+    walk(0x2000, RefStage::NativeTable, second, &cache);
     EXPECT_EQ(second.refs.size(), 1u);
     EXPECT_EQ(second.refs[0].level, 1);
 }
@@ -116,11 +114,9 @@ TEST_F(WalkerTest, WalkCacheMissesAcrossDistantAddresses)
     pt.map(0x40000000000, 0x3000, PageSize::Size4K);
     tlb::WalkCache cache(4, 4);
     WalkTrace first, second;
-    walker.walk(pt.root(), 0x1000, RefStage::NativeTable, first,
-                &cache);
+    walk(0x1000, RefStage::NativeTable, first, &cache);
     // Different PML4 entry: no shared prefix below the root.
-    walker.walk(pt.root(), 0x40000000000, RefStage::NativeTable,
-                second, &cache);
+    walk(0x40000000000, RefStage::NativeTable, second, &cache);
     EXPECT_EQ(second.refs.size(), 4u);
 }
 
@@ -128,8 +124,7 @@ TEST_F(WalkerTest, AgreesWithSoftwareTranslate)
 {
     pt.map(0x7f0000000000, 0x12345000, PageSize::Size4K);
     WalkTrace trace;
-    auto hw = walker.walk(pt.root(), 0x7f00000006a8,
-                          RefStage::NativeTable, trace);
+    auto hw = walk(0x7f00000006a8, RefStage::NativeTable, trace);
     auto sw = pt.translate(0x7f00000006a8);
     ASSERT_TRUE(hw.ok);
     ASSERT_TRUE(sw.has_value());
@@ -140,7 +135,7 @@ TEST_F(WalkerTest, CountStageHelper)
 {
     pt.map(0x1000, 0x2000, PageSize::Size4K);
     WalkTrace trace;
-    walker.walk(pt.root(), 0x1000, RefStage::ShadowTable, trace);
+    walk(0x1000, RefStage::ShadowTable, trace);
     EXPECT_EQ(trace.countStage(RefStage::ShadowTable), 4u);
     EXPECT_EQ(trace.countStage(RefStage::NestedTable), 0u);
 }

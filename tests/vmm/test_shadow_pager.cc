@@ -32,6 +32,16 @@ class ShadowPagerTest : public ::testing::Test
                          PageSize::Size4K);
     }
 
+    /** Walk the shadow table rooted at @p root (it lives in host
+     *  memory, so the walk is 1D). */
+    paging::WalkOutcome
+    shadowWalk(Addr root, Addr gva, paging::WalkTrace &trace)
+    {
+        return paging::radixWalk(host, root, gva,
+                                 paging::RefStage::ShadowTable, trace,
+                                 nullptr, paging::hostResident);
+    }
+
     mem::PhysMemory host;
     Vmm vmm;
     Vm *vm;
@@ -53,10 +63,8 @@ TEST_F(ShadowPagerTest, CheckpointRoundTripPreservesShadowTable)
     EXPECT_EQ(b.syncExits(), a.syncExits());
 
     // The restored shadow table still composes both dimensions.
-    paging::Walker walker(host);
     paging::WalkTrace trace;
-    auto out = walker.walk(b.shadowRoot(), 1 * GiB,
-                           paging::RefStage::ShadowTable, trace);
+    auto out = shadowWalk(b.shadowRoot(), 1 * GiB, trace);
     ASSERT_TRUE(out.ok);
     auto guest = proc->pageTable().translate(1 * GiB);
     ASSERT_TRUE(guest.has_value());
@@ -76,11 +84,8 @@ TEST_F(ShadowPagerTest, RebuildComposesGuestAndNested)
         ASSERT_TRUE(guest.has_value());
         auto expect_hpa = vm->gpaToHpa(guest->pa);
         ASSERT_TRUE(expect_hpa.has_value());
-        // Walk the shadow table directly (it lives in host memory).
-        paging::Walker walker(host);
         paging::WalkTrace trace;
-        auto out = walker.walk(pager.shadowRoot(), gva,
-                               paging::RefStage::ShadowTable, trace);
+        auto out = shadowWalk(pager.shadowRoot(), gva, trace);
         ASSERT_TRUE(out.ok);
         EXPECT_EQ(out.pa, *expect_hpa);
         // A shadow walk is 1D: at most 4 references.
@@ -104,10 +109,8 @@ TEST_F(ShadowPagerTest, UnmapDropsShadowEntries)
     os->unmapRange(*proc, 1 * GiB, 1 * MiB);
     pager.onGuestUnmapped(1 * GiB, 1 * MiB);
 
-    paging::Walker walker(host);
     paging::WalkTrace trace;
-    auto out = walker.walk(pager.shadowRoot(), 1 * GiB,
-                           paging::RefStage::ShadowTable, trace);
+    auto out = shadowWalk(pager.shadowRoot(), 1 * GiB, trace);
     EXPECT_FALSE(out.ok);
 }
 
@@ -121,10 +124,8 @@ TEST_F(ShadowPagerTest, ShadowKeeps2MGranuleWhenBackingContiguous)
     ShadowPager pager(*vm, *proc);
     pager.rebuildAll();
 
-    paging::Walker walker(host);
     paging::WalkTrace trace;
-    auto out = walker.walk(pager.shadowRoot(), 2 * GiB,
-                           paging::RefStage::ShadowTable, trace);
+    auto out = shadowWalk(pager.shadowRoot(), 2 * GiB, trace);
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.size, PageSize::Size2M);
 }
@@ -143,17 +144,14 @@ TEST_F(ShadowPagerTest, ShadowSplitsWhenBackingPunctured)
 
     ShadowPager pager(*vm, *proc);
     pager.rebuildAll();
-    paging::Walker walker(host);
     paging::WalkTrace trace;
-    auto out = walker.walk(pager.shadowRoot(), 2 * GiB,
-                           paging::RefStage::ShadowTable, trace);
+    auto out = shadowWalk(pager.shadowRoot(), 2 * GiB, trace);
     ASSERT_TRUE(out.ok);
     EXPECT_EQ(out.size, PageSize::Size4K);
     // The punctured page still translates correctly.
     paging::WalkTrace trace2;
-    auto hole = walker.walk(pager.shadowRoot(),
-                            2 * GiB + 4 * kPage4K,
-                            paging::RefStage::ShadowTable, trace2);
+    auto hole =
+        shadowWalk(pager.shadowRoot(), 2 * GiB + 4 * kPage4K, trace2);
     ASSERT_TRUE(hole.ok);
     EXPECT_EQ(alignDown(hole.pa, kPage4K), *fresh);
 }

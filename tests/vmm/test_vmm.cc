@@ -1,7 +1,9 @@
 /** @file Unit tests for the VMM: backing, nested paging, segments,
- *  ballooning backend and host compaction. */
+ *  ballooning backend, host compaction and VMM swapping. */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/logging.hh"
 #include "vmm/vmm.hh"
@@ -333,6 +335,68 @@ TEST_F(VmmTest, AllocHostBlockRetiresBadFrames)
     ASSERT_TRUE(block.has_value());
     EXPECT_FALSE(host.isBad(*block));
     EXPECT_EQ(vmm.stats().counterValue("bad_frames_retired"), 1u);
+}
+
+/** VMM swapping (a Table II service the segment modes trade away). */
+class SwapTest : public ::testing::Test
+{
+  protected:
+    static constexpr Addr kHostRam = 1 * GiB;
+
+    SwapTest() : host(kHostRam), vmm(host, kHostRam) {}
+
+    Vm &
+    makeVm(const char *name)
+    {
+        VmConfig cfg;
+        cfg.ramBytes = 128 * MiB;
+        cfg.lowRamBytes = 32 * MiB;
+        cfg.ioGapStart = 32 * MiB;
+        cfg.ioGapEnd = 64 * MiB;
+        return vmm.createVm(name, cfg);
+    }
+
+    mem::PhysMemory host;
+    Vmm vmm;
+};
+
+TEST_F(SwapTest, SwapOutDropsBackingAndPreservesContents)
+{
+    auto &vm = makeVm("vm");
+    vm.guestPhys().write64(80 * MiB, 0xabcdef);
+    const Addr free_before = vmm.hostBuddy().freeBytes();
+    ASSERT_TRUE(vm.swapOutPage(80 * MiB));
+    EXPECT_TRUE(vm.isSwappedOut(80 * MiB));
+    EXPECT_FALSE(vm.gpaToHpa(80 * MiB).has_value());
+    EXPECT_EQ(vmm.hostBuddy().freeBytes(), free_before + kPage4K);
+
+    // The nested fault path swaps it back in with contents intact.
+    ASSERT_TRUE(vm.ensureBacked(80 * MiB));
+    EXPECT_FALSE(vm.isSwappedOut(80 * MiB));
+    EXPECT_EQ(vm.guestPhys().read64(80 * MiB), 0xabcdefu);
+    EXPECT_GT(vm.stats().counterValue("pages_swapped_in"), 0u);
+}
+
+TEST_F(SwapTest, SwapDeclinedInsideVmmSegment)
+{
+    auto &vm = makeVm("vm");
+    auto info = vm.createVmmSegment(32 * MiB);
+    ASSERT_TRUE(info.has_value());
+    const Addr inside = info->regs.base() + 4 * MiB;
+    EXPECT_FALSE(vm.swapOutPage(inside));
+    EXPECT_EQ(vm.stats().counterValue("swap_declined"), 1u);
+    // Pages outside the segment still swap.
+    Addr outside = 1 * MiB;
+    ASSERT_FALSE(info->regs.contains(outside));
+    EXPECT_TRUE(vm.swapOutPage(outside));
+}
+
+TEST_F(SwapTest, SwapUnbackedFails)
+{
+    auto &vm = makeVm("vm");
+    std::vector<Addr> pages{80 * MiB};
+    vm.reclaimGuestPages(pages);
+    EXPECT_FALSE(vm.swapOutPage(80 * MiB));
 }
 
 } // namespace

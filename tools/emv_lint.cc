@@ -41,7 +41,7 @@
  *                  "name") and friends) inside the Mmu::translate
  *                  call tree (the Mmu's translate methods, the
  *                  escape-filter probe, TLB and walk-cache lookup
- *                  and insert, PTE-line access and both walkers) —
+ *                  and insert, PTE-line access and the radix walk) —
  *                  every translation pays for them, so the
  *                  constructor caches the pointers once and the hot
  *                  path bumps them directly; a map lookup per op
@@ -479,8 +479,7 @@ checkHotPathStatLookup(const fs::path &file, const std::string &rel,
         {"tlb/walk_cache.cc",
          {"WalkCache::lookup", "WalkCache::insert",
           "LineCache::access"}},
-        {"paging/walker.cc", {"Walker::walk"}},
-        {"paging/nested_walker.cc", {"NestedWalker::walk"}},
+        {"paging/walker.hh", {"radixWalk"}},
     };
     const HotFile *hot = nullptr;
     for (const auto &candidate : hotFiles) {
@@ -492,7 +491,7 @@ checkHotPathStatLookup(const fs::path &file, const std::string &rel,
     static const std::regex lookup(
         R"((counter|scalar|distribution|counterValue|scalarValue)\s*\(\s*")");
     for (const char *name : hot->methods) {
-        // \b keeps Walker::walk from matching NestedWalker::walk.
+        // \b: the name itself, not a longer identifier ending in it.
         const std::regex def(R"(\b)" + std::string(name) +
                              R"(\s*\()");
         auto from = stripped.cbegin();
