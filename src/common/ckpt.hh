@@ -37,9 +37,11 @@ namespace emv::ckpt {
 
 /**
  * File format version; bump on any incompatible layout change.
- * Version 2 added the page tables' per-node live-entry counts.
+ * Version 2 added the page tables' per-node live-entry counts;
+ * version 3 gave the TLBs, walk caches and PTE-line cache one common
+ * entry layout (tag, value, LRU stamp, valid).
  */
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 /** 8-byte file magic. */
 inline constexpr char kMagic[8] = {'E', 'M', 'V', 'C',

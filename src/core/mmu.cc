@@ -53,12 +53,19 @@ operator<<(std::ostream &os, TranslatePath path)
     return os << toString(path);
 }
 
+/** Per-dimension paging-structure cache: 8 sets x 4 ways. */
+constexpr unsigned kPscSets = 8;
+constexpr unsigned kPscWays = 4;
+/** PTE-line cache: 512 sets x 8 ways of 64-byte lines. */
+constexpr unsigned kPteLineSets = 512;
+constexpr unsigned kPteLineWays = 8;
+
 Mmu::Mmu(mem::PhysMemory &host_mem, const MmuConfig &config)
     : hostMem(host_mem), config(config),
       tlbHier(config.tlbGeometry),
-      guestPsc(config.pscSets, config.pscWays, "guest_psc"),
-      nestedPsc(config.pscSets, config.pscWays, "nested_psc"),
-      pteLines(config.pteLineSets, config.pteLineWays),
+      guestPsc(kPscSets, kPscWays, "guest_psc"),
+      nestedPsc(kPscSets, kPscWays, "nested_psc"),
+      pteLines(kPteLineSets, kPteLineWays),
       _vmmFilter(std::make_unique<segment::EscapeFilter>(
           config.filterBits, config.filterHashes, config.filterSeed)),
       _guestFilter(std::make_unique<segment::EscapeFilter>(

@@ -68,10 +68,6 @@ struct MmuConfig
 
     bool walkCachesEnabled = true;      //!< Paging-structure caches.
     bool nestedTlbShared = true;        //!< Nested entries use the L2.
-    unsigned pscSets = 8;               //!< Per-dimension PSC sets.
-    unsigned pscWays = 4;
-    unsigned pteLineSets = 512;         //!< PTE-line cache (x ways x 64B).
-    unsigned pteLineWays = 8;
 
     unsigned filterBits = 256;          //!< Escape filter geometry.
     unsigned filterHashes = 4;

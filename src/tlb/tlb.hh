@@ -19,17 +19,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
-
-namespace emv {
-namespace ckpt {
-class Encoder;
-class Decoder;
-} // namespace ckpt
-} // namespace emv
+#include "tlb/set_assoc.hh"
 
 namespace emv::tlb {
 
@@ -63,9 +56,6 @@ class Tlb
     std::optional<TlbHit> lookup(EntryKind kind, Addr addr,
                                  PageSize size);
 
-    /** Probe all three size classes, largest benefit first. */
-    std::optional<TlbHit> lookupAny(EntryKind kind, Addr addr);
-
     /** Install a mapping (replaces LRU in the set). */
     void insert(EntryKind kind, Addr addr, Addr frame, PageSize size);
 
@@ -81,8 +71,8 @@ class Tlb
     /** Number of valid entries of @p kind (occupancy accounting). */
     std::size_t occupancy(EntryKind kind) const;
 
-    unsigned sets() const { return numSets; }
-    unsigned ways() const { return numWays; }
+    unsigned sets() const { return array.sets(); }
+    unsigned ways() const { return array.ways(); }
 
     StatGroup &stats() { return _stats; }
 
@@ -94,24 +84,16 @@ class Tlb
     bool deserialize(ckpt::Decoder &dec);
 
   private:
-    struct Entry
+    /** The array tag: vpn << 4 | kind << 2 | size. */
+    static std::uint64_t
+    tagOf(EntryKind kind, Addr addr, PageSize size)
     {
-        std::uint64_t vpn = 0;
-        Addr frame = 0;
-        std::uint64_t lru = 0;
-        PageSize size = PageSize::Size4K;
-        EntryKind kind = EntryKind::Guest;
-        bool valid = false;
-    };
+        return ((addr >> pageShift(size)) << 4) |
+               (static_cast<std::uint64_t>(kind) << 2) |
+               static_cast<std::uint64_t>(size);
+    }
 
-    unsigned setOf(std::uint64_t vpn, EntryKind kind,
-                   PageSize size) const;
-
-    std::string name;
-    unsigned numSets;
-    unsigned numWays;
-    std::uint64_t tick = 0;
-    std::vector<Entry> entries;
+    SetAssoc array;
     StatGroup _stats;
 
     // Hot-path counters bound once (std::map references are stable).
@@ -122,4 +104,3 @@ class Tlb
 };
 
 } // namespace emv::tlb
-

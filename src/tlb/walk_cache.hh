@@ -20,17 +20,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
-
-namespace emv {
-namespace ckpt {
-class Encoder;
-class Decoder;
-} // namespace ckpt
-} // namespace emv
+#include "tlb/set_assoc.hh"
 
 namespace emv::tlb {
 
@@ -69,20 +62,7 @@ class WalkCache
     bool deserialize(ckpt::Decoder &dec);
 
   private:
-    struct Entry
-    {
-        std::uint64_t key = 0;
-        Addr value = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    unsigned setOf(std::uint64_t key) const;
-
-    unsigned numSets;
-    unsigned numWays;
-    std::uint64_t tick = 0;
-    std::vector<Entry> entries;
+    SetAssoc array;
     StatGroup _stats;
     Counter *hitsCtr;
     Counter *missesCtr;
@@ -110,17 +90,7 @@ class LineCache
     bool deserialize(ckpt::Decoder &dec);
 
   private:
-    struct Entry
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    unsigned numSets;
-    unsigned numWays;
-    std::uint64_t tick = 0;
-    std::vector<Entry> entries;
+    SetAssoc array;
     StatGroup _stats;
     Counter *hitsCtr;
     Counter *missesCtr;

@@ -52,15 +52,6 @@ TEST(TlbTest, SizesAreIsolated)
     EXPECT_EQ(hit->frame, 0x400000u);
 }
 
-TEST(TlbTest, LookupAnyFindsAllSizes)
-{
-    Tlb tlb("t", 16, 4);
-    tlb.insert(EntryKind::Guest, 0, 0x40000000, PageSize::Size1G);
-    auto hit = tlb.lookupAny(EntryKind::Guest, 0x12345678);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->size, PageSize::Size1G);
-}
-
 TEST(TlbTest, LruEvictionWithinSet)
 {
     Tlb tlb("t", 1, 2);  // Single set, 2 ways.

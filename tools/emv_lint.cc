@@ -471,6 +471,7 @@ checkHotPathStatLookup(const fs::path &file, const std::string &rel,
           "Mmu::nestedToHost", "Mmu::segmentToHost",
           "Mmu::priceTrace"}},
         {"segment/escape_filter.cc", {"EscapeFilter::mayContain"}},
+        {"tlb/set_assoc.hh", {"SetAssoc::find", "SetAssoc::insert"}},
         {"tlb/tlb.cc", {"Tlb::lookup", "Tlb::insert"}},
         {"tlb/tlb_hierarchy.cc",
          {"TlbHierarchy::lookupL1", "TlbHierarchy::lookupL2",
