@@ -24,16 +24,13 @@ struct AuditStats
 {
     // The group's *structure* (name, parent, counter set) is fixed
     // during construction and never changes after; only the counter
-    // values move, and those go through the guarded pointers below.
+    // values move, and those go through the guarded counters below.
     // Exporters read it registry-side at quiescence.
     EMV_THREAD_CONFINED StatGroup group{"audit"};
     Mutex mutex;
-    Counter *const checks EMV_PT_GUARDED_BY(mutex) =
-        &group.counter("checks");
-    Counter *const failures EMV_PT_GUARDED_BY(mutex) =
-        &group.counter("failures");
-    Counter *const mismatches EMV_PT_GUARDED_BY(mutex) =
-        &group.counter("mismatches");
+    Counter checks EMV_GUARDED_BY(mutex){group, "checks"};
+    Counter failures EMV_GUARDED_BY(mutex){group, "failures"};
+    Counter mismatches EMV_GUARDED_BY(mutex){group, "mismatches"};
 
     AuditStats() { group.setParent("machine"); }
 };
@@ -66,7 +63,7 @@ countCheck()
 {
     auto &stats = auditStats();
     LockGuard lock(stats.mutex);
-    ++*stats.checks;
+    ++stats.checks;
 }
 
 void
@@ -76,7 +73,7 @@ failImpl(const char *kind, const char *expr, const char *file,
     {
         auto &stats = auditStats();
         LockGuard lock(stats.mutex);
-        ++*stats.failures;
+        ++stats.failures;
     }
     const std::string record = emv::detail::format(
         "%s failed: %s (%s) at %s:%d", kind, msg.c_str(), expr, file,
@@ -120,7 +117,7 @@ checkCount()
 {
     auto &stats = auditStats();
     LockGuard lock(stats.mutex);
-    return stats.checks->value();
+    return stats.checks.value();
 }
 
 std::uint64_t
@@ -128,7 +125,7 @@ failureCount()
 {
     auto &stats = auditStats();
     LockGuard lock(stats.mutex);
-    return stats.failures->value();
+    return stats.failures.value();
 }
 
 std::uint64_t
@@ -136,7 +133,7 @@ mismatchCount()
 {
     auto &stats = auditStats();
     LockGuard lock(stats.mutex);
-    return stats.mismatches->value();
+    return stats.mismatches.value();
 }
 
 void
@@ -153,7 +150,7 @@ reportMismatch(const std::string &msg)
     {
         auto &stats = auditStats();
         LockGuard lock(stats.mutex);
-        ++*stats.mismatches;
+        ++stats.mismatches;
     }
     emitRecord("mismatch: " + msg);
     if (failFastFlag.load(std::memory_order_relaxed))

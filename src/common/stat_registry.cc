@@ -18,14 +18,14 @@ StatRegistry::instance()
 void
 StatRegistry::add(StatGroup *group)
 {
-    LockGuard lock(mutex);
+    LockGuard lock(statRegistryMutex());
     entries.push_back(group);
 }
 
 void
 StatRegistry::remove(StatGroup *group)
 {
-    LockGuard lock(mutex);
+    LockGuard lock(statRegistryMutex());
     entries.erase(std::remove(entries.begin(), entries.end(), group),
                   entries.end());
 }
@@ -33,17 +33,24 @@ StatRegistry::remove(StatGroup *group)
 std::vector<const StatGroup *>
 StatRegistry::groups() const
 {
-    std::vector<const StatGroup *> out;
+    // Take the sort keys under the leaf lock (a listed group is alive
+    // and its parent link stable), then sort and let callers visit
+    // outside it so callbacks may re-enter the registry.
+    std::vector<std::pair<std::string, const StatGroup *>> keyed;
     {
-        // Snapshot under the leaf lock; sort (and let callers
-        // visit) outside it so callbacks may re-enter the registry.
-        LockGuard lock(mutex);
-        out.assign(entries.begin(), entries.end());
+        LockGuard lock(statRegistryMutex());
+        keyed.reserve(entries.size());
+        for (const StatGroup *group : entries)
+            keyed.emplace_back(group->fullNameLocked(), group);
     }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const StatGroup *a, const StatGroup *b) {
-                         return a->fullName() < b->fullName();
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
                      });
+    std::vector<const StatGroup *> out;
+    out.reserve(keyed.size());
+    for (const auto &[name, group] : keyed)
+        out.push_back(group);
     return out;
 }
 
@@ -71,7 +78,7 @@ StatRegistry::visitAll(StatVisitor &visitor) const
 std::size_t
 StatRegistry::size() const
 {
-    LockGuard lock(mutex);
+    LockGuard lock(statRegistryMutex());
     return entries.size();
 }
 

@@ -29,46 +29,50 @@ namespace emv {
 /**
  * Registry of all live StatGroups (identity-based, thread-safe).
  *
- * Locking contract: `mutex` is a leaf lock guarding only the entry
- * list.  It is never held across a callback — groups(), visitAll()
- * and groupsUnder() snapshot the list under the lock, release it,
- * then sort/visit the snapshot.  Visitors may therefore re-enter
- * the registry freely (a visitor constructing or destroying a
- * StatGroup, or querying size(), cannot deadlock), and every public
- * method is annotated EMV_EXCLUDES(mutex) so the thread-safety
- * analysis rejects any future path that would call back in while
- * holding it.  Note the snapshot is of *registration*: concurrent
- * group destruction during a visit is still a use-after-free, so
- * exporters run only while the groups they cover are quiescent
- * (e.g. after worker threads joined).
+ * Locking contract: statRegistryMutex() is a leaf lock guarding the
+ * entry list and every group's parent link.  It is never held across
+ * a callback — groups(), visitAll() and groupsUnder() take the sort
+ * keys (full names) under the lock, release it, then sort/visit the
+ * snapshot.  Visitors may therefore re-enter the registry freely (a
+ * visitor constructing or destroying a StatGroup, or querying
+ * size(), cannot deadlock), and every public method is annotated
+ * EMV_EXCLUDES so the thread-safety analysis rejects any future path
+ * that would call back in while holding it.  A group in the entry
+ * list is alive while the lock is held (~StatGroup blocks in
+ * remove()), but the snapshot is of *registration*: concurrent group
+ * destruction during a visit is still a use-after-free, so exporters
+ * run only while the groups they cover are quiescent (e.g. after
+ * worker threads joined).
  */
 class StatRegistry
 {
   public:
     static StatRegistry &instance();
 
-    void add(StatGroup *group) EMV_EXCLUDES(mutex);
-    void remove(StatGroup *group) EMV_EXCLUDES(mutex);
+    void add(StatGroup *group) EMV_EXCLUDES(statRegistryMutex());
+    void remove(StatGroup *group) EMV_EXCLUDES(statRegistryMutex());
 
     /** Live groups sorted by fullName (ties keep creation order). */
     std::vector<const StatGroup *> groups() const
-        EMV_EXCLUDES(mutex);
+        EMV_EXCLUDES(statRegistryMutex());
 
     /** Live groups whose fullName starts with @p prefix. */
     std::vector<const StatGroup *>
-    groupsUnder(const std::string &prefix) const EMV_EXCLUDES(mutex);
+    groupsUnder(const std::string &prefix) const
+        EMV_EXCLUDES(statRegistryMutex());
 
     /** visit() every live group in fullName order.  The registry
      *  lock is NOT held during visits (see the class comment). */
-    void visitAll(StatVisitor &visitor) const EMV_EXCLUDES(mutex);
+    void visitAll(StatVisitor &visitor) const
+        EMV_EXCLUDES(statRegistryMutex());
 
-    std::size_t size() const EMV_EXCLUDES(mutex);
+    std::size_t size() const EMV_EXCLUDES(statRegistryMutex());
 
   private:
     StatRegistry() = default;
 
-    mutable Mutex mutex;
-    std::vector<StatGroup *> entries EMV_GUARDED_BY(mutex);
+    std::vector<StatGroup *> entries
+        EMV_GUARDED_BY(statRegistryMutex());
 };
 
 /** "group.name value" lines, one per stat (dump() format). */

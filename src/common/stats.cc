@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/ckpt.hh"
+#include "common/logging.hh"
 #include "common/stat_registry.hh"
 
 namespace emv {
@@ -109,6 +110,15 @@ Distribution::deserialize(ckpt::Decoder &dec)
     return dec.ok();
 }
 
+Mutex &
+statRegistryMutex()
+{
+    // Leaked, like the registry: groups with static storage duration
+    // may deregister after normal static destruction would have run.
+    static Mutex *mutex = new Mutex;
+    return *mutex;
+}
+
 StatGroup::StatGroup(std::string name) : _name(std::move(name))
 {
     StatRegistry::instance().add(this);
@@ -119,79 +129,97 @@ StatGroup::~StatGroup()
     StatRegistry::instance().remove(this);
 }
 
-StatGroup::StatGroup(const StatGroup &other)
-    : _name(other._name), parentPrefix(other.parentPrefix),
-      parentGroup(other.parentGroup),
-      counters(other.counters), scalars(other.scalars),
-      distributions(other.distributions)
+template <typename Stat>
+void
+StatGroup::declare(std::map<std::string, Stat *> &kind, const char *name,
+                   Stat &stat)
 {
-    StatRegistry::instance().add(this);
+    emv_assert(!counters.count(name) && !scalars.count(name) &&
+                   !distributions.count(name),
+               "stat %s.%s declared twice", _name.c_str(), name);
+    kind.emplace(name, &stat);
 }
 
-StatGroup &
-StatGroup::operator=(const StatGroup &other)
+Counter::Counter(StatGroup &group, const char *name)
 {
-    if (this == &other)
-        return *this;
-    // Registration is identity-based; only the contents change.
-    _name = other._name;
-    parentPrefix = other.parentPrefix;
-    parentGroup = other.parentGroup;
-    counters = other.counters;
-    scalars = other.scalars;
-    distributions = other.distributions;
-    return *this;
+    group.declare(group.counters, name, *this);
+}
+
+Scalar::Scalar(StatGroup &group, const char *name)
+{
+    group.declare(group.scalars, name, *this);
+}
+
+Distribution::Distribution(StatGroup &group, const char *name)
+{
+    group.declare(group.distributions, name, *this);
+}
+
+void
+StatGroup::setParent(const std::string &prefix)
+{
+    LockGuard lock(statRegistryMutex());
+    parentPrefix = prefix;
+    parentGroup = nullptr;
+}
+
+void
+StatGroup::setParent(const StatGroup *group)
+{
+    LockGuard lock(statRegistryMutex());
+    parentGroup = group;
+    parentPrefix.clear();
 }
 
 std::string
 StatGroup::fullName() const
 {
+    LockGuard lock(statRegistryMutex());
+    return fullNameLocked();
+}
+
+std::string
+StatGroup::fullNameLocked() const
+{
     if (parentGroup)
-        return parentGroup->fullName() + "." + _name;
+        return parentGroup->fullNameLocked() + "." + _name;
     return parentPrefix.empty() ? _name : parentPrefix + "." + _name;
-}
-
-Counter &
-StatGroup::counter(const std::string &name)
-{
-    return counters[name];
-}
-
-Scalar &
-StatGroup::scalar(const std::string &name)
-{
-    return scalars[name];
-}
-
-Distribution &
-StatGroup::distribution(const std::string &name)
-{
-    return distributions[name];
 }
 
 std::uint64_t
 StatGroup::counterValue(const std::string &name) const
 {
     auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second.value();
+    return it == counters.end() ? 0 : it->second->value();
 }
 
 double
 StatGroup::scalarValue(const std::string &name) const
 {
     auto it = scalars.find(name);
-    return it == scalars.end() ? 0.0 : it->second.value();
+    return it == scalars.end() ? 0.0 : it->second->value();
 }
 
 void
 StatGroup::resetAll()
 {
     for (auto &[name, c] : counters)
-        c.reset();
+        c->reset();
     for (auto &[name, s] : scalars)
-        s.reset();
+        s->reset();
     for (auto &[name, d] : distributions)
-        d.reset();
+        d->reset();
+}
+
+void
+StatGroup::copyValues(const StatGroup &other)
+{
+    ckpt::Encoder enc;
+    other.serialize(enc);
+    ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
+    const bool same_stats = deserialize(dec) && dec.atEnd();
+    emv_assert(same_stats, "%s: copyValues from a group with other "
+               "stats: %s", _name.c_str(), dec.error().c_str());
 }
 
 void
@@ -199,11 +227,11 @@ StatGroup::visit(StatVisitor &visitor) const
 {
     visitor.beginGroup(*this);
     for (const auto &[name, c] : counters)
-        visitor.visitCounter(*this, name, c);
+        visitor.visitCounter(*this, name, *c);
     for (const auto &[name, s] : scalars)
-        visitor.visitScalar(*this, name, s);
+        visitor.visitScalar(*this, name, *s);
     for (const auto &[name, d] : distributions)
-        visitor.visitDistribution(*this, name, d);
+        visitor.visitDistribution(*this, name, *d);
     visitor.endGroup(*this);
 }
 
@@ -212,15 +240,15 @@ StatGroup::dump(std::ostream &os) const
 {
     const std::string full = fullName();
     for (const auto &[name, c] : counters)
-        os << full << '.' << name << ' ' << c.value() << '\n';
+        os << full << '.' << name << ' ' << c->value() << '\n';
     for (const auto &[name, s] : scalars)
-        os << full << '.' << name << ' ' << s.value() << '\n';
+        os << full << '.' << name << ' ' << s->value() << '\n';
     for (const auto &[name, d] : distributions) {
-        os << full << '.' << name << ".count " << d.count() << '\n';
-        os << full << '.' << name << ".mean " << d.mean() << '\n';
-        os << full << '.' << name << ".stddev " << d.stddev() << '\n';
-        os << full << '.' << name << ".min " << d.min() << '\n';
-        os << full << '.' << name << ".max " << d.max() << '\n';
+        os << full << '.' << name << ".count " << d->count() << '\n';
+        os << full << '.' << name << ".mean " << d->mean() << '\n';
+        os << full << '.' << name << ".stddev " << d->stddev() << '\n';
+        os << full << '.' << name << ".min " << d->min() << '\n';
+        os << full << '.' << name << ".max " << d->max() << '\n';
     }
 }
 
@@ -230,17 +258,17 @@ StatGroup::serialize(ckpt::Encoder &enc) const
     enc.u64(counters.size());
     for (const auto &[name, c] : counters) {
         enc.str(name);
-        enc.u64(c.value());
+        enc.u64(c->value());
     }
     enc.u64(scalars.size());
     for (const auto &[name, s] : scalars) {
         enc.str(name);
-        enc.f64(s.value());
+        enc.f64(s->value());
     }
     enc.u64(distributions.size());
     for (const auto &[name, d] : distributions) {
         enc.str(name);
-        d.serialize(enc);
+        d->serialize(enc);
     }
 }
 
@@ -248,25 +276,21 @@ bool
 StatGroup::deserialize(ckpt::Decoder &dec)
 {
     resetAll();
-    const std::uint64_t ncounters = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < ncounters; ++i) {
-        const std::string name = dec.str();
-        const std::uint64_t value = dec.u64();
-        if (dec.ok())
-            counter(name) += value;
-    }
-    const std::uint64_t nscalars = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < nscalars; ++i) {
-        const std::string name = dec.str();
-        const double value = dec.f64();
-        if (dec.ok())
-            scalar(name).set(value);
-    }
-    const std::uint64_t ndists = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < ndists; ++i) {
-        const std::string name = dec.str();
-        distribution(name).deserialize(dec);
-    }
+    // Restore each saved stat into the declared one of its name.
+    const auto restore = [&](auto &kind, auto &&read) {
+        const std::uint64_t n = dec.u64();
+        for (std::uint64_t i = 0; dec.ok() && i < n; ++i) {
+            const std::string name = dec.str();
+            const auto it = kind.find(name);
+            if (it == kind.end())
+                dec.fail("unknown stat " + _name + "." + name);
+            else
+                read(*it->second);
+        }
+    };
+    restore(counters, [&](Counter &c) { c += dec.u64(); });
+    restore(scalars, [&](Scalar &s) { s.set(dec.f64()); });
+    restore(distributions, [&](Distribution &d) { d.deserialize(dec); });
     return dec.ok();
 }
 

@@ -4,8 +4,19 @@
  *
  * The paper's methodology is counter-driven (perf + BadgerTrap): TLB
  * misses, page-walk cycles, walk memory references.  Every simulated
- * structure owns named Counter/Scalar stats registered in a
- * StatGroup so experiments can dump and diff them uniformly.
+ * structure declares its stats once, as typed members of a StatGroup
+ * (gem5's idiom), so experiments can dump and diff them uniformly:
+ *
+ *   struct Stats : StatGroup
+ *   {
+ *       Stats() : StatGroup("mmu") {}
+ *       Counter accesses{*this, "accesses"};
+ *       Scalar walkCycles{*this, "walk_cycles"};
+ *   };
+ *
+ * Each stat registers with its group when it is constructed, and the
+ * base group is constructed first, so the stat set is fixed once the
+ * owner is built: a bump is a member access, never a name lookup.
  *
  * Groups auto-register in the process-wide StatRegistry (see
  * stat_registry.hh) under hierarchical names: a group named "mmu"
@@ -23,6 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_safety.hh"
+
 namespace emv {
 
 namespace ckpt {
@@ -30,11 +43,22 @@ class Encoder;
 class Decoder;
 } // namespace ckpt
 
+class StatGroup;
+
+/**
+ * The stat registry's leaf lock (see StatRegistry).  It also guards
+ * every group's parent link, which fullName() reads and setParent()
+ * writes from different threads.
+ */
+Mutex &statRegistryMutex();
+
 /** Monotonic event counter. */
 class Counter
 {
   public:
     Counter() = default;
+    /** Declare this counter as @p group's stat @p name. */
+    Counter(StatGroup &group, const char *name);
 
     Counter &operator++() { ++_value; return *this; }
     Counter &operator+=(std::uint64_t delta)
@@ -52,6 +76,8 @@ class Scalar
 {
   public:
     Scalar() = default;
+    /** Declare this scalar as @p group's stat @p name. */
+    Scalar(StatGroup &group, const char *name);
 
     Scalar &operator+=(double delta) { _value += delta; return *this; }
     void set(double value) { _value = value; }
@@ -75,6 +101,10 @@ class Distribution
 {
   public:
     static constexpr unsigned kBuckets = 64;
+
+    Distribution() = default;
+    /** Declare this distribution as @p group's stat @p name. */
+    Distribution(StatGroup &group, const char *name);
 
     void sample(double value);
     void reset();
@@ -123,8 +153,6 @@ class Distribution
     std::array<std::uint64_t, kBuckets> _buckets{};
 };
 
-class StatGroup;
-
 /**
  * Visitor over a group's stats; the exporters (text/JSON/CSV) and
  * any future sink implement this.
@@ -148,17 +176,19 @@ class StatVisitor
 };
 
 /**
- * A named collection of stats.  Structures register their counters
- * by name; dump() emits "group.name value" lines.  Every live group
- * is tracked by the process-wide StatRegistry; setParent() prefixes
- * the exported name ("machine" + "mmu" -> "machine.mmu").
+ * A named collection of declared stats (see the file comment); it
+ * reads stats by name but never hands out a mutable one, and holds
+ * pointers to them, so it cannot be copied or moved.  dump() emits
+ * "group.name value" lines.  Every live group is tracked by the
+ * process-wide StatRegistry; setParent() prefixes the exported name
+ * ("machine" + "mmu" -> "machine.mmu").
  *
- * Thread-safety: registration/deregistration go through the
- * (synchronized) StatRegistry, so groups may be constructed and
- * destroyed from any thread.  The stats *inside* a group are plain
- * counters owned by the component's thread; cross-thread increments
- * need an external lock (see audit.cc) and exports run only at
- * quiescence.
+ * Thread-safety: registration/deregistration and the parent link go
+ * through statRegistryMutex(), so groups may be constructed,
+ * reparented and destroyed from any thread.  The stats *inside* a
+ * group are plain counters owned by the component's thread;
+ * cross-thread increments need an external lock (see audit.cc) and
+ * exports run only at quiescence.
  */
 class StatGroup
 {
@@ -166,16 +196,12 @@ class StatGroup
     explicit StatGroup(std::string name);
     ~StatGroup();
 
-    StatGroup(const StatGroup &other);
-    StatGroup &operator=(const StatGroup &other);
+    StatGroup(const StatGroup &) = delete;
+    StatGroup &operator=(const StatGroup &) = delete;
 
-    Counter &counter(const std::string &name);
-    Scalar &scalar(const std::string &name);
-    Distribution &distribution(const std::string &name);
-
-    /** Value of a counter (0 if never touched). */
+    /** Value of a counter (0 if not declared). */
     std::uint64_t counterValue(const std::string &name) const;
-    /** Value of a scalar (0 if never touched). */
+    /** Value of a scalar (0 if not declared). */
     double scalarValue(const std::string &name) const;
 
     void resetAll();
@@ -184,11 +210,15 @@ class StatGroup
     /** Walk all stats through @p visitor (alphabetical per kind). */
     void visit(StatVisitor &visitor) const;
 
+    /** Copy every value from @p other, which declares the same
+     *  stats (e.g. the group of a copied component). */
+    void copyValues(const StatGroup &other);
+
     const std::string &name() const { return _name; }
 
     /** Hierarchy prefix; fullName() becomes "<prefix>.<name>". */
     void setParent(const std::string &prefix)
-    { parentPrefix = prefix; parentGroup = nullptr; }
+        EMV_EXCLUDES(statRegistryMutex());
     /**
      * Parent by group: fullName() recurses through @p group, so
      * reparenting an ancestor renames the whole subtree.  The parent
@@ -196,25 +226,39 @@ class StatGroup
      * order gives this for the owner/child layout used here).
      */
     void setParent(const StatGroup *group)
-    { parentGroup = group; parentPrefix.clear(); }
-    const std::string &parent() const { return parentPrefix; }
-    std::string fullName() const;
+        EMV_EXCLUDES(statRegistryMutex());
+    std::string fullName() const EMV_EXCLUDES(statRegistryMutex());
 
     /**
      * Checkpoint every stat by name.  deserialize() resets the group
-     * first, so stats present at save time are restored bit-exactly
-     * and stats created later start from zero as usual.
+     * first and restores each saved value into the declared stat of
+     * that name: a declared stat missing from the bytes stays zero,
+     * and a saved name the group does not declare fails the decoder.
      */
     void serialize(ckpt::Encoder &enc) const;
     bool deserialize(ckpt::Decoder &dec);
 
   private:
+    friend class Counter;
+    friend class Scalar;
+    friend class Distribution;
+    friend class StatRegistry;
+
+    /** Register @p stat in @p kind (the declaring constructors). */
+    template <typename Stat>
+    void declare(std::map<std::string, Stat *> &kind, const char *name,
+                 Stat &stat);
+
+    std::string fullNameLocked() const
+        EMV_REQUIRES(statRegistryMutex());
+
     std::string _name;
-    std::string parentPrefix;
-    const StatGroup *parentGroup = nullptr;
-    std::map<std::string, Counter> counters;
-    std::map<std::string, Scalar> scalars;
-    std::map<std::string, Distribution> distributions;
+    std::string parentPrefix EMV_GUARDED_BY(statRegistryMutex());
+    const StatGroup *parentGroup
+        EMV_GUARDED_BY(statRegistryMutex()) = nullptr;
+    std::map<std::string, Counter *> counters;
+    std::map<std::string, Scalar *> scalars;
+    std::map<std::string, Distribution *> distributions;
 };
 
 /**

@@ -70,30 +70,7 @@ Mmu::Mmu(mem::PhysMemory &host_mem, const MmuConfig &config)
           config.filterBits, config.filterHashes, config.filterSeed)),
       _guestFilter(std::make_unique<segment::EscapeFilter>(
           config.filterBits, config.filterHashes,
-          config.filterSeed ^ 0x9e3779b9ull)),
-      accessesCtr(&_stats.counter("accesses")),
-      l1HitsCtr(&_stats.counter("l1_hits")),
-      l1MissesCtr(&_stats.counter("l1_misses")),
-      l2HitsCtr(&_stats.counter("l2_hits")),
-      l2MissesCtr(&_stats.counter("l2_misses")),
-      walksCtr(&_stats.counter("walks")),
-      ddFastHitsCtr(&_stats.counter("dd_fast_hits")),
-      dsFastHitsCtr(&_stats.counter("ds_fast_hits")),
-      catBothCtr(&_stats.counter("cat_both")),
-      catVmmOnlyCtr(&_stats.counter("cat_vmm_only")),
-      catGuestOnlyCtr(&_stats.counter("cat_guest_only")),
-      catNeitherCtr(&_stats.counter("cat_neither")),
-      guestRefsCtr(&_stats.counter("guest_refs")),
-      nestedRefsCtr(&_stats.counter("nested_refs")),
-      nativeRefsCtr(&_stats.counter("native_refs")),
-      calcsCtr(&_stats.counter("calculations")),
-      nestedTlbHitsCtr(&_stats.counter("nested_tlb_hits")),
-      nestedTlbMissesCtr(&_stats.counter("nested_tlb_misses")),
-      escapeSlowCtr(&_stats.counter("escape_slow_paths")),
-      faultsCtr(&_stats.counter("faults")),
-      walkCyclesScl(&_stats.scalar("walk_cycles")),
-      translationCyclesScl(&_stats.scalar("translation_cycles")),
-      perWalkCyclesDist(&_stats.distribution("cycles_per_walk"))
+          config.filterSeed ^ 0x9e3779b9ull))
 {
     // Child structures export under the MMU's name, so a registry
     // dump reads "mmu.l1tlb4k.misses", "mmu.guest_psc.hits", ...
@@ -169,7 +146,6 @@ Mmu::retireGuestSegment()
               guestSeg.toString().c_str());
     guestSeg.clear();
     _guestFilter->clear();
-    ++_stats.counter("segment_retirements");
     flushAll();
 }
 
@@ -180,7 +156,6 @@ Mmu::retireVmmSegment()
               vmmSeg.toString().c_str());
     vmmSeg.clear();
     _vmmFilter->clear();
-    ++_stats.counter("segment_retirements");
     flushAll();
 }
 
@@ -253,7 +228,7 @@ Mmu::nestedToHost(Addr gpa, WalkTrace &trace)
     emv_assert(nestedRootValid, "nested walk without a nested root");
     if (config.nestedTlbShared) {
         if (auto hit = tlbHier.lookupNested(gpa)) {
-            ++*nestedTlbHitsCtr;
+            ++_stats.nestedTlbHits;
             walkSideCycles += config.costs.nestedTlbHitCycles;
             WalkOutcome out;
             out.pa = hit->frame + (gpa & (pageBytes(hit->size) - 1));
@@ -261,7 +236,7 @@ Mmu::nestedToHost(Addr gpa, WalkTrace &trace)
             out.ok = true;
             return out;
         }
-        ++*nestedTlbMissesCtr;
+        ++_stats.nestedTlbMisses;
     }
     WalkOutcome out = paging::radixWalk(
         hostMem, nestedRoot, gpa, RefStage::NestedTable, trace,
@@ -306,7 +281,7 @@ Mmu::segmentToHost(Addr gpa, WalkTrace &trace, bool &used_paging)
                 out.ok = true;
                 return out;
             }
-            ++*escapeSlowCtr;
+            ++_stats.escapeSlowPaths;
         }
     }
     used_paging = true;
@@ -347,8 +322,8 @@ Mmu::doWalk(Addr gva, WalkTrace &trace)
             ++trace.calculations;
             WalkOutcome out = to_host(guestSeg.translate(gva));
             if (out.ok) {
-                ++*(use_vmm_seg && !used_paging ? catBothCtr
-                                                : catGuestOnlyCtr);
+                ++(use_vmm_seg && !used_paging ? _stats.catBoth
+                                               : _stats.catGuestOnly);
                 // The linear gVA→gPA map adds no granule limit
                 // beyond the guest-segment offset alignment.
                 out.size = std::min(out.size,
@@ -366,9 +341,9 @@ Mmu::doWalk(Addr gva, WalkTrace &trace)
                           trace, psc, to_host);
     // Base Virtualized has no segments and keeps no categories.
     if (out.ok && _mode != Mode::BaseVirtualized) {
-        ++*(use_vmm_seg && vmmSeg.enabled() && !used_paging
-                ? catVmmOnlyCtr
-                : catNeitherCtr);
+        ++(use_vmm_seg && vmmSeg.enabled() && !used_paging
+               ? _stats.catVmmOnly
+               : _stats.catNeither);
     }
     return out;
 }
@@ -394,13 +369,13 @@ Mmu::translate(Addr gva)
 TranslationResult
 Mmu::translateImpl(Addr gva)
 {
-    ++*accessesCtr;
+    ++_stats.accesses;
     TranslationResult result;
     const CostModel &costs = config.costs;
 
     // 1. L1 TLB.
     if (auto hit = tlbHier.lookupL1(gva)) {
-        ++*l1HitsCtr;
+        ++_stats.l1Hits;
         result.hpa = hit->frame + (gva & (pageBytes(hit->size) - 1));
         result.ok = true;
         result.cycles = costs.l1HitCycles;
@@ -408,10 +383,10 @@ Mmu::translateImpl(Addr gva)
         EMV_TRACE(Tlb, "L1 hit gva=%s frame=%s size=%s",
                   hexAddr(gva).c_str(), hexAddr(hit->frame).c_str(),
                   pageSizeName(hit->size));
-        *translationCyclesScl += static_cast<double>(result.cycles);
+        _stats.translationCycles += static_cast<double>(result.cycles);
         return result;
     }
-    ++*l1MissesCtr;
+    ++_stats.l1Misses;
     EMV_TRACE(Tlb, "L1 miss gva=%s", hexAddr(gva).c_str());
 
     // 2. Dual Direct fast path: both segments hit => 0D walk.  The
@@ -422,8 +397,8 @@ Mmu::translateImpl(Addr gva)
         !_guestFilter->mayContain(gva)) {
         const Addr gpa = guestSeg.translate(gva);
         if (vmmSeg.contains(gpa) && !_vmmFilter->mayContain(gpa)) {
-            ++*ddFastHitsCtr;
-            ++*catBothCtr;
+            ++_stats.ddFastHits;
+            ++_stats.catBoth;
             const Addr hpa = vmmSeg.translate(gpa);
             // Table II: one (combined) base-bound check.
             result.cycles = costs.segmentCheckCycles;
@@ -433,7 +408,7 @@ Mmu::translateImpl(Addr gva)
             tlbHier.l1For(PageSize::Size4K)
                 .insert(tlb::EntryKind::Guest, gva,
                         alignDown(hpa, kPage4K), PageSize::Size4K);
-            *translationCyclesScl += static_cast<double>(result.cycles);
+            _stats.translationCycles += static_cast<double>(result.cycles);
             return result;
         }
     }
@@ -442,11 +417,11 @@ Mmu::translateImpl(Addr gva)
     //     L2 lookup (§III.D's less intrusive placement).
     if (_mode == Mode::NativeDirect && guestSeg.contains(gva) &&
         _guestFilter->mayContain(gva)) {
-        ++*escapeSlowCtr;  // Escaped page: conventional paging.
+        ++_stats.escapeSlowPaths;  // Escaped page: conventional paging.
     }
     if (_mode == Mode::NativeDirect && guestSeg.contains(gva) &&
         !_guestFilter->mayContain(gva)) {
-        ++*dsFastHitsCtr;
+        ++_stats.dsFastHits;
         const Addr pa = guestSeg.translate(gva);
         result.cycles = costs.segmentCheckCycles;
         result.hpa = pa;
@@ -455,13 +430,13 @@ Mmu::translateImpl(Addr gva)
         tlbHier.l1For(PageSize::Size4K)
             .insert(tlb::EntryKind::Guest, gva, alignDown(pa, kPage4K),
                     PageSize::Size4K);
-        *translationCyclesScl += static_cast<double>(result.cycles);
+        _stats.translationCycles += static_cast<double>(result.cycles);
         return result;
     }
 
     // 3. L2 TLB.
     if (auto hit = tlbHier.lookupL2(gva)) {
-        ++*l2HitsCtr;
+        ++_stats.l2Hits;
         EMV_TRACE(Tlb, "L2 hit gva=%s frame=%s size=%s",
                   hexAddr(gva).c_str(), hexAddr(hit->frame).c_str(),
                   pageSizeName(hit->size));
@@ -473,10 +448,10 @@ Mmu::translateImpl(Addr gva)
             .insert(tlb::EntryKind::Guest,
                     alignDown(gva, pageBytes(hit->size)), hit->frame,
                     hit->size);
-        *translationCyclesScl += static_cast<double>(result.cycles);
+        _stats.translationCycles += static_cast<double>(result.cycles);
         return result;
     }
-    ++*l2MissesCtr;
+    ++_stats.l2Misses;
     EMV_TRACE(Tlb, "L2 miss gva=%s", hexAddr(gva).c_str());
 
     // 4. Page walk (mode-flattened).
@@ -486,7 +461,7 @@ Mmu::translateImpl(Addr gva)
     WalkTrace trace;
     WalkOutcome out = doWalk(gva, trace);
     if (!out.ok) {
-        ++*faultsCtr;
+        ++_stats.faults;
         result.ok = false;
         result.path = TranslatePath::Fault;
         result.faultSpace = pendingFaultSpace == FaultSpace::None
@@ -505,7 +480,7 @@ Mmu::translateImpl(Addr gva)
         return result;
     }
 
-    ++*walksCtr;
+    ++_stats.walks;
     unsigned line_hits = 0;
     const Cycles walk_cycles =
         priceTrace(trace, line_hits) + walkSideCycles;
@@ -521,10 +496,10 @@ Mmu::translateImpl(Addr gva)
     const std::uint64_t native_refs =
         trace.countStage(RefStage::NativeTable) +
         trace.countStage(RefStage::ShadowTable);
-    *guestRefsCtr += guest_refs;
-    *nestedRefsCtr += nested_refs;
-    *nativeRefsCtr += native_refs;
-    *calcsCtr += trace.calculations;
+    _stats.guestRefs += guest_refs;
+    _stats.nestedRefs += nested_refs;
+    _stats.nativeRefs += native_refs;
+    _stats.calculations += trace.calculations;
 
     // BadgerTrap-style per-walk record: what the walk touched and
     // what it cost, one line per resolved walk.
@@ -540,9 +515,9 @@ Mmu::translateImpl(Addr gva)
               trace.calculations, line_hits,
               static_cast<unsigned long long>(walk_cycles),
               pageSizeName(out.size), hexAddr(out.pa).c_str());
-    *walkCyclesScl += static_cast<double>(walk_cycles);
-    *translationCyclesScl += static_cast<double>(walk_cycles);
-    perWalkCyclesDist->sample(static_cast<double>(walk_cycles));
+    _stats.walkCycles += static_cast<double>(walk_cycles);
+    _stats.translationCycles += static_cast<double>(walk_cycles);
+    _stats.cyclesPerWalk.sample(static_cast<double>(walk_cycles));
 
     tlbHier.insertGuest(alignDown(gva, pageBytes(out.size)),
                         alignDown(out.pa, pageBytes(out.size)),
@@ -554,8 +529,8 @@ double
 Mmu::categoryFraction(const Counter &category) const
 {
     const double denom = static_cast<double>(
-        ddFastHitsCtr->value() + dsFastHitsCtr->value() +
-        walksCtr->value());
+        _stats.ddFastHits.value() + _stats.dsFastHits.value() +
+        _stats.walks.value());
     if (denom == 0.0)
         return 0.0;
     return static_cast<double>(category.value()) / denom;
@@ -564,19 +539,19 @@ Mmu::categoryFraction(const Counter &category) const
 double
 Mmu::fractionBoth() const
 {
-    return categoryFraction(*catBothCtr);
+    return categoryFraction(_stats.catBoth);
 }
 
 double
 Mmu::fractionVmmOnly() const
 {
-    return categoryFraction(*catVmmOnlyCtr);
+    return categoryFraction(_stats.catVmmOnly);
 }
 
 double
 Mmu::fractionGuestOnly() const
 {
-    return categoryFraction(*catGuestOnlyCtr);
+    return categoryFraction(_stats.catGuestOnly);
 }
 
 void

@@ -113,6 +113,35 @@ struct TranslationResult
 class Mmu
 {
   public:
+    /** The MMU's counters; its dump is the perfbench fingerprint. */
+    struct Stats : StatGroup
+    {
+        Stats() : StatGroup("mmu") {}
+        Counter accesses{*this, "accesses"};
+        Counter l1Hits{*this, "l1_hits"};
+        Counter l1Misses{*this, "l1_misses"};
+        Counter l2Hits{*this, "l2_hits"};
+        Counter l2Misses{*this, "l2_misses"};
+        Counter walks{*this, "walks"};
+        Counter ddFastHits{*this, "dd_fast_hits"};
+        Counter dsFastHits{*this, "ds_fast_hits"};
+        Counter catBoth{*this, "cat_both"};
+        Counter catVmmOnly{*this, "cat_vmm_only"};
+        Counter catGuestOnly{*this, "cat_guest_only"};
+        Counter catNeither{*this, "cat_neither"};
+        Counter guestRefs{*this, "guest_refs"};
+        Counter nestedRefs{*this, "nested_refs"};
+        Counter nativeRefs{*this, "native_refs"};
+        Counter calculations{*this, "calculations"};
+        Counter nestedTlbHits{*this, "nested_tlb_hits"};
+        Counter nestedTlbMisses{*this, "nested_tlb_misses"};
+        Counter escapeSlowPaths{*this, "escape_slow_paths"};
+        Counter faults{*this, "faults"};
+        Scalar walkCycles{*this, "walk_cycles"};
+        Scalar translationCycles{*this, "translation_cycles"};
+        Distribution cyclesPerWalk{*this, "cycles_per_walk"};
+    };
+
     Mmu(mem::PhysMemory &host_mem, const MmuConfig &config = {});
     ~Mmu();
 
@@ -167,7 +196,7 @@ class Mmu
     void invalidateNestedPage(Addr gpa, PageSize size);
 
     tlb::TlbHierarchy &tlbs() { return tlbHier; }
-    StatGroup &stats() { return _stats; }
+    Stats &stats() { return _stats; }
     const CostModel &costs() const { return config.costs; }
     const MmuConfig &configuration() const { return config; }
 
@@ -257,30 +286,7 @@ class Mmu
     Addr pendingFaultAddr = 0;
     Cycles walkSideCycles = 0;
 
-    StatGroup _stats{"mmu"};
-    Counter *accessesCtr;
-    Counter *l1HitsCtr;
-    Counter *l1MissesCtr;
-    Counter *l2HitsCtr;
-    Counter *l2MissesCtr;
-    Counter *walksCtr;
-    Counter *ddFastHitsCtr;
-    Counter *dsFastHitsCtr;
-    Counter *catBothCtr;
-    Counter *catVmmOnlyCtr;
-    Counter *catGuestOnlyCtr;
-    Counter *catNeitherCtr;
-    Counter *guestRefsCtr;
-    Counter *nestedRefsCtr;
-    Counter *nativeRefsCtr;
-    Counter *calcsCtr;
-    Counter *nestedTlbHitsCtr;
-    Counter *nestedTlbMissesCtr;
-    Counter *escapeSlowCtr;
-    Counter *faultsCtr;
-    Scalar *walkCyclesScl;
-    Scalar *translationCyclesScl;
-    Distribution *perWalkCyclesDist;
+    Stats _stats;
 
     /** Cumulative per-translation latency (telemetry tail metrics). */
     telemetry::LatencyHistogram translationLatencyHist;

@@ -28,7 +28,7 @@ faultPointName(FaultPoint point)
 FaultInjector::FaultInjector(const FaultPlan &plan, std::uint64_t seed)
     : events(plan.events()), _rng(seed)
 {
-    _stats.counter("scheduled_events") += events.size();
+    _stats.scheduledEvents += events.size();
 }
 
 std::vector<FaultEvent>
@@ -38,7 +38,7 @@ FaultInjector::eventsDue(std::uint64_t op)
     while (pending(op)) {
         due.push_back(events[cursor]);
         ++cursor;
-        ++_stats.counter("delivered_events");
+        ++_stats.deliveredEvents;
         EMV_TRACE(Fault, "deliver %s x%u (scheduled op %llu, at %llu)",
                   faultKindName(due.back().kind), due.back().count,
                   static_cast<unsigned long long>(due.back().op),
@@ -54,7 +54,7 @@ FaultInjector::armFailures(FaultPoint point, unsigned count)
         LockGuard lock(hookMutex);
         armed[static_cast<std::size_t>(point)] += count;
     }
-    _stats.counter("armed_failures") += count;
+    _stats.armedFailures += count;
     EMV_TRACE(Fault, "armed %u %s request failure(s)", count,
               faultPointName(point));
 }
@@ -70,7 +70,7 @@ FaultInjector::shouldFail(FaultPoint point)
             return false;
         remaining = --slot;
     }
-    ++_stats.counter("injected_request_failures");
+    ++_stats.injectedRequestFailures;
     EMV_TRACE(Fault, "%s request failure injected (%u left)",
               faultPointName(point), remaining);
     return true;

@@ -86,7 +86,31 @@ class FaultInjector
      *  replays identically). */
     Rng &rng() { return _rng; }
 
-    StatGroup &stats() { return _stats; }
+    /** Injection and recovery counts; Machine bumps the recovery
+     *  ones as it handles the events. */
+    struct Stats : StatGroup
+    {
+        Stats() : StatGroup("fault") {}
+        Counter scheduledEvents{*this, "scheduled_events"};
+        Counter deliveredEvents{*this, "delivered_events"};
+        Counter armedFailures{*this, "armed_failures"};
+        Counter injectedRequestFailures{*this, "injected_request_failures"};
+        Counter injectedSkipped{*this, "injected_skipped"};
+        Counter injectedDram{*this, "injected_dram"};
+        Counter injectedGuestPte{*this, "injected_guest_pte"};
+        Counter injectedNestedPte{*this, "injected_nested_pte"};
+        Counter injectedSlotRevokes{*this, "injected_slot_revokes"};
+        Counter filterEscapes{*this, "filter_escapes"};
+        Counter filterSaturations{*this, "filter_saturations"};
+        Counter compactionFallbacks{*this, "compaction_fallbacks"};
+        Counter downgrades{*this, "downgrades"};
+        Counter terminalFaults{*this, "terminal_faults"};
+        Counter retries{*this, "retries"};
+        Counter recoveries{*this, "recoveries"};
+        Counter requestFailures{*this, "request_failures"};
+    };
+
+    Stats &stats() { return _stats; }
 
     /**
      * Checkpoint the delivery cursor, armed failures, RNG and stats.
@@ -105,7 +129,7 @@ class FaultInjector
                static_cast<std::size_t>(FaultPoint::NumPoints)>
         armed EMV_GUARDED_BY(hookMutex){};
     EMV_THREAD_CONFINED Rng _rng;
-    EMV_THREAD_CONFINED StatGroup _stats{"fault"};
+    EMV_THREAD_CONFINED Stats _stats;
 };
 
 } // namespace emv::fault

@@ -30,9 +30,7 @@ BuddyAllocator::orderForBytes(Addr bytes)
 
 BuddyAllocator::BuddyAllocator(Addr base, Addr size_bytes)
     : rangeBase(base), rangeSize(size_bytes),
-      freeLists(kMaxOrder + 1),
-      allocationsCtr(&_stats.counter("allocations")),
-      freesCtr(&_stats.counter("frees"))
+      freeLists(kMaxOrder + 1)
 {
     emv_assert(isAligned(base, kPage4K), "buddy base must be 4K aligned");
     emv_assert(size_bytes > 0 && isAligned(size_bytes, kPage4K),
@@ -87,7 +85,7 @@ BuddyAllocator::allocate(unsigned order)
         }
     }
     if (best_order < 0) {
-        ++_stats.counter("alloc_failures");
+        ++_stats.allocFailures;
         return std::nullopt;
     }
 
@@ -101,7 +99,7 @@ BuddyAllocator::allocate(unsigned order)
         freeLists[k].insert(block);
         block += orderBytes(k);
     }
-    ++*allocationsCtr;
+    ++_stats.allocations;
     if (audit::enabled())
         auditInvariants();
     return block;
@@ -139,7 +137,7 @@ BuddyAllocator::free(Addr block, unsigned order)
                block + orderBytes(order) <= rangeBase + rangeSize,
                "freed block %s outside managed range",
                hexAddr(block).c_str());
-    ++*freesCtr;
+    ++_stats.frees;
     insertFree(block, order);
     if (audit::enabled())
         auditInvariants();
@@ -198,7 +196,7 @@ BuddyAllocator::allocateRange(Addr start, Addr length)
             }
         }
     }
-    ++_stats.counter("range_allocations");
+    ++_stats.rangeAllocations;
     if (audit::enabled())
         auditInvariants();
     return true;
@@ -223,7 +221,7 @@ BuddyAllocator::freeRange(Addr start, Addr length)
         insertFree(addr, order);
         addr += orderBytes(order);
     }
-    ++_stats.counter("range_frees");
+    ++_stats.rangeFrees;
     if (audit::enabled())
         auditInvariants();
 }

@@ -129,10 +129,16 @@ class BuddyAllocator
     Addr rangeSize;
     /** freeLists[n] holds bases of free blocks of order n. */
     std::vector<std::set<Addr>> freeLists;
-    StatGroup _stats{"buddy"};
-    /** Handles into _stats for the per-frame paths. */
-    Counter *allocationsCtr;
-    Counter *freesCtr;
+    struct Stats : StatGroup
+    {
+        Stats() : StatGroup("buddy") {}
+        Counter allocations{*this, "allocations"};
+        Counter frees{*this, "frees"};
+        Counter allocFailures{*this, "alloc_failures"};
+        Counter rangeAllocations{*this, "range_allocations"};
+        Counter rangeFrees{*this, "range_frees"};
+    };
+    Stats _stats;
 };
 
 } // namespace emv::mem

@@ -9,8 +9,7 @@
 namespace emv::mem {
 
 PhysMemory::PhysMemory(Addr size_bytes)
-    : sizeBytes(size_bytes), readsCtr(&_stats.counter("reads")),
-      writesCtr(&_stats.counter("writes"))
+    : sizeBytes(size_bytes)
 {
     emv_assert(size_bytes > 0 && isAligned(size_bytes, kPage4K),
                "physical memory size must be a positive multiple of 4K");
@@ -46,7 +45,7 @@ PhysMemory::read64(Addr addr) const
                hexAddr(addr).c_str());
     EMV_CHECK(addr < sizeBytes, "read of %s beyond physical size %s",
               hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-    ++*readsCtr;
+    ++_stats.reads;
     const Frame *frame = frameForConst(addr);
     if (!frame)
         return 0;  // Untouched memory reads as zero.
@@ -60,7 +59,7 @@ PhysMemory::write64(Addr addr, std::uint64_t value)
                hexAddr(addr).c_str());
     EMV_CHECK(addr < sizeBytes, "write of %s beyond physical size %s",
               hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-    ++*writesCtr;
+    ++_stats.writes;
     frameFor(addr)[(addr & (kPage4K - 1)) >> 3] = value;
 }
 
@@ -79,7 +78,7 @@ PhysMemory::copyFrame(Addr dst_base, Addr src_base)
     emv_assert(isAligned(dst_base, kPage4K) &&
                isAligned(src_base, kPage4K),
                "copyFrame bases must be 4K aligned");
-    ++_stats.counter("frame_copies");
+    ++_stats.frameCopies;
     const Frame *src = frameForConst(src_base);
     if (!src) {
         zeroFrame(dst_base);

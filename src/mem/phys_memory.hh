@@ -99,11 +99,15 @@ class PhysMemory
     const Frame *frameForConst(Addr addr) const;
 
     Addr sizeBytes;
-    mutable StatGroup _stats{"physmem"};
-    /** Handles into _stats, bound once: read64/write64 are the
-     *  hottest calls in machine build. */
-    Counter *readsCtr;
-    Counter *writesCtr;
+    struct Stats : StatGroup
+    {
+        Stats() : StatGroup("physmem") {}
+        Counter reads{*this, "reads"};
+        Counter writes{*this, "writes"};
+        Counter frameCopies{*this, "frame_copies"};
+    };
+    /** Bumped by the const read path too. */
+    mutable Stats _stats;
     std::unordered_map<std::uint64_t, std::unique_ptr<Frame>> frames;
     std::unordered_set<std::uint64_t> badFrames;
 };

@@ -123,8 +123,8 @@ GuestOs::hotAdd(Addr base, Addr bytes)
               hexAddr(base).c_str(), hexAddr(bytes).c_str());
     ramSet.insert(base, base + bytes);
     _buddy->freeRange(base, bytes);
-    ++_stats.counter("hot_adds");
-    _stats.counter("hot_added_bytes") += bytes;
+    ++_stats.hotAdds;
+    _stats.hotAddedBytes += bytes;
 }
 
 bool
@@ -137,8 +137,8 @@ GuestOs::hotRemove(Addr base, Addr bytes)
     EMV_TRACE(Hotplug, "hot-remove [%s, +%s)",
               hexAddr(base).c_str(), hexAddr(bytes).c_str());
     ramSet.erase(base, base + bytes);
-    ++_stats.counter("hot_removes");
-    _stats.counter("hot_removed_bytes") += bytes;
+    ++_stats.hotRemoves;
+    _stats.hotRemovedBytes += bytes;
     return true;
 }
 
@@ -160,7 +160,7 @@ GuestOs::allocDataBlock(PageSize size)
             if (_phys.isBad(pa)) {
                 badPages.push_back(pa);
                 markUnmovable(pa, kPage4K);
-                ++_stats.counter("bad_pages_retired");
+                ++_stats.badPagesRetired;
             } else {
                 _buddy->freeRange(pa, kPage4K);
             }
@@ -186,7 +186,7 @@ GuestOs::allocKernelFrame()
             chunk_bytes, kPage4K, config.kernelAllocBase);
         if (fit && _buddy->allocateRange(fit->start, chunk_bytes)) {
             markUnmovable(fit->start, chunk_bytes);
-            ++_stats.counter("kernel_chunks");
+            ++_stats.kernelChunks;
             for (Addr off = 0; off < chunk_bytes; off += kPage4K) {
                 if (!_phys.isBad(fit->start + off))
                     kernelFreeList.push_back(fit->start + off);
@@ -239,7 +239,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
         const Addr pa = seg.translate(va_page);
         if (!_phys.isBad(pa)) {
             pt.map(va_page, pa, PageSize::Size4K);
-            ++_stats.counter("segment_offset_maps");
+            ++_stats.segmentOffsetMaps;
             if (mappingHook) {
                 mappingHook(proc, va_page, kPage4K, PageSize::Size4K,
                             true);
@@ -251,7 +251,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
         if (!healthy)
             return false;
         pt.map(va_page, *healthy, PageSize::Size4K);
-        ++_stats.counter("escape_remaps");
+        ++_stats.escapeRemaps;
         if (mappingHook) {
             mappingHook(proc, va_page, kPage4K, PageSize::Size4K,
                         true);
@@ -271,7 +271,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
             !pt.leafRangeOccupied(base2m, PageSize::Size2M)) {
             if (auto frame = allocDataBlock(PageSize::Size2M)) {
                 pt.map(base2m, *frame, PageSize::Size2M);
-                ++_stats.counter("thp_promotions");
+                ++_stats.thpPromotions;
                 if (mappingHook) {
                     mappingHook(proc, base2m, kPage2M,
                                 PageSize::Size2M, true);
@@ -290,7 +290,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
         if (fits) {
             if (auto frame = allocDataBlock(size)) {
                 proc.pageTable().map(base, *frame, size);
-                ++_stats.counter("pages_mapped");
+                ++_stats.pagesMapped;
                 if (mappingHook) {
                     mappingHook(proc, base, pageBytes(size), size,
                                 true);
@@ -302,7 +302,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
             return false;
         size = size == PageSize::Size1G ? PageSize::Size2M
                                         : PageSize::Size4K;
-        ++_stats.counter("size_fallbacks");
+        ++_stats.sizeFallbacks;
     }
 }
 
@@ -312,10 +312,10 @@ GuestOs::handleFault(Process &proc, Addr gva)
     FaultOutcome outcome;
     const Region *region = proc.findRegion(gva);
     if (!region) {
-        ++_stats.counter("segfaults");
+        ++_stats.segfaults;
         return outcome;
     }
-    ++_stats.counter("faults");
+    ++_stats.faults;
     const Addr page = alignDown(gva, kPage4K);
     const bool in_segment = proc.guestSegment().contains(page);
     if (!mapPage(proc, *region, page))
@@ -378,7 +378,7 @@ GuestOs::unmapRange(Process &proc, Addr va, Addr bytes)
                         mapping->size, false);
         }
         ++unmapped;
-        ++_stats.counter("pages_unmapped");
+        ++_stats.pagesUnmapped;
         page = base + pageBytes(mapping->size);
     }
     return unmapped;
@@ -389,7 +389,7 @@ GuestOs::createGuestSegment(Process &proc)
 {
     const Region *primary = proc.primaryRegion();
     if (!primary) {
-        ++_stats.counter("segment_failures");
+        ++_stats.segmentFailures;
         return std::nullopt;
     }
     // Take the highest fit: post-reclaim this is the hot-added /
@@ -399,7 +399,7 @@ GuestOs::createGuestSegment(Process &proc)
     auto fit =
         _buddy->freeIntervals().findFitHigh(primary->bytes, kPage2M);
     if (!fit || !_buddy->allocateRange(fit->start, primary->bytes)) {
-        ++_stats.counter("segment_failures");
+        ++_stats.segmentFailures;
         return std::nullopt;
     }
     auto regs = segment::SegmentRegs::fromRanges(
@@ -407,7 +407,7 @@ GuestOs::createGuestSegment(Process &proc)
     proc.setGuestSegment(regs);
     // Segment backing cannot be migrated out from under the regs.
     markUnmovable(fit->start, primary->bytes);
-    ++_stats.counter("segments_created");
+    ++_stats.segmentsCreated;
     EMV_TRACE(Segment, "guest segment created: %s",
               regs.toString().c_str());
     return regs;
@@ -425,7 +425,7 @@ GuestOs::releaseGuestSegment(Process &proc)
     clearUnmovable(seg.base() + seg.offset(), seg.length());
     _buddy->freeRange(seg.base() + seg.offset(), seg.length());
     proc.clearGuestSegment();
-    ++_stats.counter("segments_released");
+    ++_stats.segmentsReleased;
 }
 
 void

@@ -217,7 +217,28 @@ class GuestOs
     MappingHook mappingHook;
     std::vector<Addr> kernelFreeList;
     Rng thpRng{0x7709};
-    StatGroup _stats{"os"};
+    struct Stats : StatGroup
+    {
+        Stats() : StatGroup("os") {}
+        Counter hotAdds{*this, "hot_adds"};
+        Counter hotAddedBytes{*this, "hot_added_bytes"};
+        Counter hotRemoves{*this, "hot_removes"};
+        Counter hotRemovedBytes{*this, "hot_removed_bytes"};
+        Counter badPagesRetired{*this, "bad_pages_retired"};
+        Counter kernelChunks{*this, "kernel_chunks"};
+        Counter segmentOffsetMaps{*this, "segment_offset_maps"};
+        Counter escapeRemaps{*this, "escape_remaps"};
+        Counter thpPromotions{*this, "thp_promotions"};
+        Counter pagesMapped{*this, "pages_mapped"};
+        Counter sizeFallbacks{*this, "size_fallbacks"};
+        Counter segfaults{*this, "segfaults"};
+        Counter faults{*this, "faults"};
+        Counter pagesUnmapped{*this, "pages_unmapped"};
+        Counter segmentFailures{*this, "segment_failures"};
+        Counter segmentsCreated{*this, "segments_created"};
+        Counter segmentsReleased{*this, "segments_released"};
+    };
+    Stats _stats;
     int nextPid = 1;
 };
 

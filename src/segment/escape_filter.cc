@@ -27,8 +27,7 @@ log2Bits(unsigned bits)
 EscapeFilter::EscapeFilter(unsigned bits, unsigned num_hashes,
                            std::uint64_t seed)
     : bits(bits), hashes(num_hashes, log2Bits(bits), seed),
-      words((bits + 63) / 64, 0),
-      positivesCtr(&_stats.counter("positives"))
+      words((bits + 63) / 64, 0)
 {
     emv_assert(bits >= 64 && (bits & (bits - 1)) == 0,
                "escape filter size must be a power of two >= 64");
@@ -37,9 +36,9 @@ EscapeFilter::EscapeFilter(unsigned bits, unsigned num_hashes,
 
 EscapeFilter::EscapeFilter(const EscapeFilter &other)
     : bits(other.bits), inserted(other.inserted), hashes(other.hashes),
-      words(other.words), _stats(other._stats),
-      positivesCtr(&_stats.counter("positives"))
+      words(other.words)
 {
+    _stats.copyValues(other._stats);
 }
 
 EscapeFilter &
@@ -51,9 +50,7 @@ EscapeFilter::operator=(const EscapeFilter &other)
     inserted = other.inserted;
     hashes = other.hashes;
     words = other.words;
-    _stats = other._stats;
-    // Map assignment may recycle nodes under other keys: rebind.
-    positivesCtr = &_stats.counter("positives");
+    _stats.copyValues(other._stats);
     return *this;
 }
 
@@ -66,7 +63,7 @@ EscapeFilter::insertPage(Addr addr)
         words[bit >> 6] |= 1ull << (bit & 63);
     }
     ++inserted;
-    ++_stats.counter("inserts");
+    ++_stats.inserts;
     // A Bloom filter may report false positives (harmless: the page
     // escapes to paging) but never false negatives — a miss on an
     // inserted page would translate through the stale segment mapping.
@@ -93,7 +90,7 @@ EscapeFilter::mayContain(Addr addr) const
         if (!(words[bit >> 6] & (1ull << (bit & 63))))
             return false;
     }
-    ++*positivesCtr;
+    ++_stats.positives;
     return true;
 }
 

@@ -44,7 +44,7 @@ class EscapeFilter
     explicit EscapeFilter(unsigned bits = 256, unsigned num_hashes = 4,
                           std::uint64_t seed = 0x1234);
 
-    /** Copies bind their stat handle to their own stat group. */
+    /** Copies keep their own stat group and copy its values. */
     EscapeFilter(const EscapeFilter &other);
     EscapeFilter &operator=(const EscapeFilter &other);
 
@@ -99,9 +99,14 @@ class EscapeFilter
     unsigned inserted = 0;
     H3Family hashes;
     std::vector<std::uint64_t> words;
-    mutable StatGroup _stats{"escape_filter"};
-    /** Handle into _stats: mayContain runs on every segment L1 miss. */
-    Counter *positivesCtr;
+    struct Stats : StatGroup
+    {
+        Stats() : StatGroup("escape_filter") {}
+        Counter inserts{*this, "inserts"};
+        Counter positives{*this, "positives"};
+    };
+    /** Bumped by the const mayContain() too. */
+    mutable Stats _stats;
 };
 
 } // namespace emv::segment

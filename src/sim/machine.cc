@@ -439,29 +439,27 @@ Machine::attachTelemetry(telemetry::TelemetryRecorder *recorder)
         return;
 
     const auto &stats = _mmu->stats();
-    const auto ctr = [&stats](const char *name) {
-        return [&stats, name] { return stats.counterValue(name); };
+    const auto ctr = [](const Counter &counter) {
+        return [&counter] { return counter.value(); };
     };
-    telem->addCounter("accesses", ctr("accesses"));
-    telem->addCounter("l1_misses", ctr("l1_misses"));
-    telem->addCounter("l2_misses", ctr("l2_misses"));
-    telem->addCounter("walks", ctr("walks"));
-    telem->addCounter("guest_refs", ctr("guest_refs"));
-    telem->addCounter("nested_refs", ctr("nested_refs"));
-    telem->addCounter("native_refs", ctr("native_refs"));
-    telem->addCounter("dd_fast_hits", ctr("dd_fast_hits"));
-    telem->addCounter("ds_fast_hits", ctr("ds_fast_hits"));
+    telem->addCounter("accesses", ctr(stats.accesses));
+    telem->addCounter("l1_misses", ctr(stats.l1Misses));
+    telem->addCounter("l2_misses", ctr(stats.l2Misses));
+    telem->addCounter("walks", ctr(stats.walks));
+    telem->addCounter("guest_refs", ctr(stats.guestRefs));
+    telem->addCounter("nested_refs", ctr(stats.nestedRefs));
+    telem->addCounter("native_refs", ctr(stats.nativeRefs));
+    telem->addCounter("dd_fast_hits", ctr(stats.ddFastHits));
+    telem->addCounter("ds_fast_hits", ctr(stats.dsFastHits));
     telem->addCounter("escape_slow_paths",
-                      ctr("escape_slow_paths"));
-    telem->addCounter("faults", ctr("faults"));
+                      ctr(stats.escapeSlowPaths));
+    telem->addCounter("faults", ctr(stats.faults));
     telem->addCounter("guest_faults",
                       [this] { return guestFaultCount; });
     telem->addCounter("remaps", [this] { return remapCount; });
-    telem->addCounter("downgrades", [this] {
-        return injector->stats().counterValue("downgrades");
-    });
+    telem->addCounter("downgrades", ctr(injector->stats().downgrades));
     telem->addScalar("translation_cycles", [&stats] {
-        return stats.scalarValue("translation_cycles");
+        return stats.translationCycles.value();
     });
     telem->addScalar("base_cycles",
                      [this] { return baseCyclesPool; });
@@ -498,17 +496,17 @@ Machine::run(std::uint64_t ops)
     };
     auto snap = [&]() {
         return Snapshot{
-            stats.counterValue("l1_misses"),
-            stats.counterValue("l2_misses"),
-            stats.counterValue("walks"),
-            stats.counterValue("dd_fast_hits"),
-            stats.counterValue("ds_fast_hits"),
-            stats.counterValue("cat_both"),
-            stats.counterValue("cat_vmm_only"),
-            stats.counterValue("cat_guest_only"),
-            stats.counterValue("cat_neither"),
-            stats.scalarValue("walk_cycles"),
-            stats.scalarValue("translation_cycles"),
+            stats.l1Misses.value(),
+            stats.l2Misses.value(),
+            stats.walks.value(),
+            stats.ddFastHits.value(),
+            stats.dsFastHits.value(),
+            stats.catBoth.value(),
+            stats.catVmmOnly.value(),
+            stats.catGuestOnly.value(),
+            stats.catNeither.value(),
+            stats.walkCycles.value(),
+            stats.translationCycles.value(),
         };
     };
     const Snapshot before = snap();
@@ -611,7 +609,7 @@ Machine::measuredResult() const
     out.accessOps = accessCount;
     out.remapOps = remapCount;
     out.baseCycles = baseCyclesPool;
-    out.translationCycles = stats.scalarValue("translation_cycles");
+    out.translationCycles = stats.translationCycles.value();
     out.faultCycles = faultCyclesPool;
     out.shootdownCycles = shootdownCyclesPool;
     const std::uint64_t exits =
@@ -619,13 +617,13 @@ Machine::measuredResult() const
         (shadow ? shadow->syncExits() : 0) - shadowExitBase;
     out.vmExitCycles = static_cast<double>(exits) *
                        static_cast<double>(cfg.mmu.costs.vmExitCycles);
-    out.l1Misses = stats.counterValue("l1_misses");
-    out.l2Misses = stats.counterValue("l2_misses");
-    out.walks = stats.counterValue("walks");
+    out.l1Misses = stats.l1Misses.value();
+    out.l2Misses = stats.l2Misses.value();
+    out.walks = stats.walks.value();
     out.guestFaults = guestFaultCount;
-    out.ddFastHits = stats.counterValue("dd_fast_hits");
-    out.dsFastHits = stats.counterValue("ds_fast_hits");
-    const double walk_cycles = stats.scalarValue("walk_cycles");
+    out.ddFastHits = stats.ddFastHits.value();
+    out.dsFastHits = stats.dsFastHits.value();
+    const double walk_cycles = stats.walkCycles.value();
     out.cyclesPerWalk =
         out.walks ? walk_cycles / static_cast<double>(out.walks)
                   : 0.0;
@@ -633,13 +631,11 @@ Machine::measuredResult() const
                                              out.dsFastHits);
     if (denom > 0.0) {
         out.fractionBoth =
-            static_cast<double>(stats.counterValue("cat_both")) / denom;
+            static_cast<double>(stats.catBoth.value()) / denom;
         out.fractionVmmOnly =
-            static_cast<double>(stats.counterValue("cat_vmm_only")) /
-            denom;
+            static_cast<double>(stats.catVmmOnly.value()) / denom;
         out.fractionGuestOnly =
-            static_cast<double>(stats.counterValue("cat_guest_only")) /
-            denom;
+            static_cast<double>(stats.catGuestOnly.value()) / denom;
     }
     return out;
 }
@@ -921,7 +917,7 @@ Machine::selfBalloonGuestSegment()
         // segment allocator can use instead.
         if (!compactionDaemon().createFreeRun(primary->bytes))
             return false;
-        ++injector->stats().counter("compaction_fallbacks");
+        ++injector->stats().compactionFallbacks;
     }
     auto regs = _os->createGuestSegment(*proc);
     if (!regs)
@@ -983,7 +979,7 @@ Machine::downgradeMode()
     }
     cfg.mode = next;
     _mmu->setMode(next);
-    ++injector->stats().counter("downgrades");
+    ++injector->stats().downgrades;
     faultCyclesPool +=
         static_cast<double>(cfg.recovery.recoveryCycles);
     return true;
@@ -1008,7 +1004,7 @@ Machine::recordTerminalFault(const char *what, core::FaultSpace space,
     if (_terminalFault)
         return false;
     _terminalFault = FaultReport{what, space, addr, opCursor};
-    ++injector->stats().counter("terminal_faults");
+    ++injector->stats().terminalFaults;
     if (telem)
         telem->event("terminal_fault", what);
     EMV_TRACE(Fault, "terminal fault: %s space=%s addr=%s op=%llu",
@@ -1032,18 +1028,18 @@ Machine::retryWithBackoff(const char *what,
     for (unsigned tries = 0;; ++tries) {
         if (attempt()) {
             if (tries > 0)
-                ++injector->stats().counter("recoveries");
+                ++injector->stats().recoveries;
             return true;
         }
         if (tries >= budget)
             break;
-        ++injector->stats().counter("retries");
+        ++injector->stats().retries;
         faultCyclesPool += static_cast<double>(backoff);
         backoff *= 2;
         EMV_TRACE(Fault, "%s request failed; retry %u of %u", what,
                   tries + 1, budget);
     }
-    ++injector->stats().counter("request_failures");
+    ++injector->stats().requestFailures;
     emv_warn("%s request failed after %u attempts", what, budget + 1);
     return false;
 }
@@ -1131,7 +1127,7 @@ Machine::injectDramFault()
         if (region.empty()) {
             auto extent = _vm->backingMap().largestExtent();
             if (!extent) {
-                ++fstats.counter("injected_skipped");
+                ++fstats.injectedSkipped;
                 return;
             }
             region = Interval{extent->gpa,
@@ -1145,7 +1141,7 @@ Machine::injectDramFault()
             if (!hpa || _hostMem->isBad(*hpa))
                 continue;
             _hostMem->markBad(*hpa);
-            ++fstats.counter("injected_dram");
+            ++fstats.injectedDram;
             EMV_TRACE(Fault, "dram fault: gpa=%s hpa=%s",
                       hexAddr(gpa).c_str(), hexAddr(*hpa).c_str());
             if (cfg.faultPolicy == fault::FaultPolicy::FailFast) {
@@ -1165,19 +1161,19 @@ Machine::injectDramFault()
             const auto &vseg = _mmu->vmmSegment();
             if (vseg.enabled() && vseg.contains(gpa)) {
                 _mmu->vmmFilter().insertPage(gpa);
-                ++fstats.counter("filter_escapes");
+                ++fstats.filterEscapes;
                 maybeDowngradeForSaturation();
             }
             return;
         }
-        ++fstats.counter("injected_skipped");
+        ++fstats.injectedSkipped;
         return;
     }
 
     // Native: fault a frame inside the direct segment's backing.
     const auto &seg = proc->guestSegment();
     if (!seg.enabled()) {
-        ++fstats.counter("injected_skipped");
+        ++fstats.injectedSkipped;
         return;
     }
     for (unsigned tries = 0; tries < 64; ++tries) {
@@ -1187,7 +1183,7 @@ Machine::injectDramFault()
         if (_hostMem->isBad(pa))
             continue;
         _hostMem->markBad(pa);
-        ++fstats.counter("injected_dram");
+        ++fstats.injectedDram;
         const Addr va = pa - seg.offset();
         EMV_TRACE(Fault, "dram fault: va=%s pa=%s",
                   hexAddr(va).c_str(), hexAddr(pa).c_str());
@@ -1203,7 +1199,7 @@ Machine::injectDramFault()
         if (_mmu->guestSegment().enabled() &&
             _mmu->guestSegment().contains(va)) {
             _mmu->guestFilter().insertPage(va);
-            ++fstats.counter("filter_escapes");
+            ++fstats.filterEscapes;
         }
         _mmu->invalidateGuestPage(va, PageSize::Size4K);
         faultCyclesPool +=
@@ -1211,7 +1207,7 @@ Machine::injectDramFault()
         maybeDowngradeForSaturation();
         return;
     }
-    ++fstats.counter("injected_skipped");
+    ++fstats.injectedSkipped;
 }
 
 void
@@ -1221,7 +1217,7 @@ Machine::injectGuestPteCorruption()
     auto &rng = injector->rng();
     const auto &regions = proc->regions();
     if (regions.empty()) {
-        ++fstats.counter("injected_skipped");
+        ++fstats.injectedSkipped;
         return;
     }
     for (unsigned tries = 0; tries < 32; ++tries) {
@@ -1233,7 +1229,7 @@ Machine::injectGuestPteCorruption()
         auto xlat = proc->pageTable().translate(page);
         if (!xlat)
             continue;  // Segment-covered or never faulted in.
-        ++fstats.counter("injected_guest_pte");
+        ++fstats.injectedGuestPte;
         EMV_TRACE(Fault, "guest pte corrupt: va=%s",
                   hexAddr(page).c_str());
         if (cfg.faultPolicy == fault::FaultPolicy::FailFast) {
@@ -1250,7 +1246,7 @@ Machine::injectGuestPteCorruption()
             static_cast<double>(cfg.recovery.recoveryCycles);
         return;
     }
-    ++fstats.counter("injected_skipped");
+    ++fstats.injectedSkipped;
 }
 
 void
@@ -1259,18 +1255,18 @@ Machine::injectNestedPteCorruption()
     auto &fstats = injector->stats();
     auto &rng = injector->rng();
     if (!_vm) {
-        ++fstats.counter("injected_skipped");
+        ++fstats.injectedSkipped;
         return;
     }
     auto extent = _vm->backingMap().largestExtent();
     if (!extent) {
-        ++fstats.counter("injected_skipped");
+        ++fstats.injectedSkipped;
         return;
     }
     const Addr gpa =
         extent->gpa +
         alignDown(rng.nextBelow(extent->bytes), kPage4K);
-    ++fstats.counter("injected_nested_pte");
+    ++fstats.injectedNestedPte;
     EMV_TRACE(Fault, "nested pte corrupt: gpa=%s",
               hexAddr(gpa).c_str());
     if (cfg.faultPolicy == fault::FaultPolicy::FailFast) {
@@ -1295,7 +1291,7 @@ Machine::injectFilterSaturation()
     else if (_mmu->vmmSegment().enabled())
         filter = &_mmu->vmmFilter();
     if (!filter) {
-        ++fstats.counter("injected_skipped");
+        ++fstats.injectedSkipped;
         return;
     }
     // Flood with noise pages until the popcount bound: past it the
@@ -1308,7 +1304,7 @@ Machine::injectFilterSaturation()
          ++i) {
         filter->insertPage(rng.nextBelow(1ull << 36) << 12);
     }
-    ++fstats.counter("filter_saturations");
+    ++fstats.filterSaturations;
     EMV_TRACE(Fault, "filter saturated: %u/%u bits set",
               filter->popcount(), filter->sizeBits());
     if (cfg.faultPolicy == fault::FaultPolicy::FailFast) {
@@ -1324,7 +1320,7 @@ Machine::injectSlotRevocation()
 {
     auto &fstats = injector->stats();
     if (!_vm) {
-        ++fstats.counter("injected_skipped");
+        ++fstats.injectedSkipped;
         return;
     }
     // A legitimate VMM action under both policies: revoke the
@@ -1333,7 +1329,7 @@ Machine::injectSlotRevocation()
     auto &rng = injector->rng();
     const auto extents = _vm->backingMap().extents();
     if (extents.empty()) {
-        ++fstats.counter("injected_skipped");
+        ++fstats.injectedSkipped;
         return;
     }
     for (unsigned tries = 0; tries < 32; ++tries) {
@@ -1345,20 +1341,20 @@ Machine::injectSlotRevocation()
         if (_vm->activeSegmentRegion().contains(gpa))
             continue;
         if (_vm->swapOutPage(gpa)) {
-            ++fstats.counter("injected_slot_revokes");
+            ++fstats.injectedSlotRevokes;
             EMV_TRACE(Fault, "slot revoked: gpa=%s",
                       hexAddr(gpa).c_str());
             return;
         }
     }
-    ++fstats.counter("injected_skipped");
+    ++fstats.injectedSkipped;
 }
 
 void
 Machine::performBalloonRequest(unsigned failures)
 {
     if (!_vm) {
-        ++injector->stats().counter("injected_skipped");
+        ++injector->stats().injectedSkipped;
         return;
     }
     injector->armFailures(fault::FaultPoint::BalloonReclaim,
@@ -1380,7 +1376,7 @@ void
 Machine::performHotplugRequest(unsigned failures)
 {
     if (!_vm) {
-        ++injector->stats().counter("injected_skipped");
+        ++injector->stats().injectedSkipped;
         return;
     }
     injector->armFailures(fault::FaultPoint::HotplugExtend, failures);

@@ -18,11 +18,7 @@ ofKind(EntryKind kind)
 } // namespace
 
 Tlb::Tlb(std::string name, unsigned sets, unsigned ways)
-    : array(sets, ways), _stats(std::move(name)),
-      hitsCtr(&_stats.counter("hits")),
-      missesCtr(&_stats.counter("misses")),
-      insertsCtr(&_stats.counter("inserts")),
-      evictionsCtr(&_stats.counter("evictions"))
+    : array(sets, ways), _stats(std::move(name))
 {
 }
 
@@ -30,10 +26,10 @@ std::optional<TlbHit>
 Tlb::lookup(EntryKind kind, Addr addr, PageSize size)
 {
     if (auto frame = array.find(tagOf(kind, addr, size))) {
-        ++*hitsCtr;
+        ++_stats.hits;
         return TlbHit{*frame, size};
     }
-    ++*missesCtr;
+    ++_stats.misses;
     return std::nullopt;
 }
 
@@ -46,9 +42,9 @@ Tlb::insert(EntryKind kind, Addr addr, Addr frame, PageSize size)
     const auto found = array.insert(tagOf(kind, addr, size), frame);
     if (found.present)
         return;
-    ++*insertsCtr;
+    ++_stats.inserts;
     if (found.evicted)
-        ++*evictionsCtr;
+        ++_stats.evictions;
 }
 
 void
@@ -61,14 +57,14 @@ void
 Tlb::flushKind(EntryKind kind)
 {
     array.eraseIf(ofKind(kind));
-    ++_stats.counter("kind_flushes");
+    ++_stats.kindFlushes;
 }
 
 void
 Tlb::flushAll()
 {
     array.clear();
-    ++_stats.counter("full_flushes");
+    ++_stats.fullFlushes;
 }
 
 std::size_t

@@ -93,14 +93,19 @@ class Tlb
                static_cast<std::uint64_t>(size);
     }
 
-    SetAssoc array;
-    StatGroup _stats;
+    struct Stats : StatGroup
+    {
+        using StatGroup::StatGroup;
+        Counter hits{*this, "hits"};
+        Counter misses{*this, "misses"};
+        Counter inserts{*this, "inserts"};
+        Counter evictions{*this, "evictions"};
+        Counter kindFlushes{*this, "kind_flushes"};
+        Counter fullFlushes{*this, "full_flushes"};
+    };
 
-    // Hot-path counters bound once (std::map references are stable).
-    Counter *hitsCtr;
-    Counter *missesCtr;
-    Counter *insertsCtr;
-    Counter *evictionsCtr;
+    SetAssoc array;
+    Stats _stats;
 };
 
 } // namespace emv::tlb

@@ -7,9 +7,7 @@
 namespace emv::tlb {
 
 WalkCache::WalkCache(unsigned sets, unsigned ways, std::string name)
-    : array(sets, ways), _stats(std::move(name)),
-      hitsCtr(&_stats.counter("hits")),
-      missesCtr(&_stats.counter("misses"))
+    : array(sets, ways), _stats(std::move(name))
 {
 }
 
@@ -17,10 +15,10 @@ std::optional<Addr>
 WalkCache::lookup(std::uint64_t key)
 {
     if (auto next_table = array.find(key)) {
-        ++*hitsCtr;
+        ++_stats.hits;
         return *next_table;
     }
-    ++*missesCtr;
+    ++_stats.misses;
     return std::nullopt;
 }
 
@@ -37,7 +35,7 @@ void
 WalkCache::flush()
 {
     array.clear();
-    ++_stats.counter("flushes");
+    ++_stats.flushes;
 }
 
 void
@@ -55,9 +53,7 @@ WalkCache::deserialize(ckpt::Decoder &dec)
 }
 
 LineCache::LineCache(unsigned sets, unsigned ways, std::string name)
-    : array(sets, ways), _stats(std::move(name)),
-      hitsCtr(&_stats.counter("hits")),
-      missesCtr(&_stats.counter("misses"))
+    : array(sets, ways), _stats(std::move(name))
 {
 }
 
@@ -65,7 +61,7 @@ bool
 LineCache::access(Addr pa)
 {
     const bool hit = array.insert(pa >> 6, 0).present;
-    ++*(hit ? hitsCtr : missesCtr);
+    ++(hit ? _stats.hits : _stats.misses);
     return hit;
 }
 
@@ -73,7 +69,7 @@ void
 LineCache::flush()
 {
     array.clear();
-    ++_stats.counter("flushes");
+    ++_stats.flushes;
 }
 
 void

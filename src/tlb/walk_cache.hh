@@ -27,6 +27,15 @@
 
 namespace emv::tlb {
 
+/** Hit, miss and flush counts of a WalkCache or LineCache. */
+struct CacheStats : StatGroup
+{
+    using StatGroup::StatGroup;
+    Counter hits{*this, "hits"};
+    Counter misses{*this, "misses"};
+    Counter flushes{*this, "flushes"};
+};
+
 /**
  * Set-associative cache of page-walk intermediate results.
  *
@@ -63,9 +72,7 @@ class WalkCache
 
   private:
     SetAssoc array;
-    StatGroup _stats;
-    Counter *hitsCtr;
-    Counter *missesCtr;
+    CacheStats _stats;
 };
 
 /**
@@ -91,9 +98,7 @@ class LineCache
 
   private:
     SetAssoc array;
-    StatGroup _stats;
-    Counter *hitsCtr;
-    Counter *missesCtr;
+    CacheStats _stats;
 };
 
 } // namespace emv::tlb

@@ -72,7 +72,7 @@ PageSharing::mergeDuplicates(const std::vector<Vm *> &vms)
                 vmm.freeHostBlock(hpa, PageSize::Size4K);
                 ++refCounts[keeper];
                 ++freed;
-                ++_stats.counter("frames_merged");
+                ++_stats.framesMerged;
             }
         }
     }
@@ -96,7 +96,7 @@ PageSharing::onGuestWrite(Vm &vm, Addr gpa)
     vmm.hostMem().copyFrame(*copy, frame);
     vm.repointBacking(alignDown(gpa, kPage4K), *copy);
     --it->second;
-    ++_stats.counter("cow_breaks");
+    ++_stats.cowBreaks;
 }
 
 bool

@@ -62,7 +62,13 @@ class PageSharing
     Vmm &vmm;
     /** hPA frame -> reference count (>1 means shared). */
     std::unordered_map<Addr, std::uint32_t> refCounts;
-    StatGroup _stats{"sharing"};
+    struct Stats : StatGroup
+    {
+        Stats() : StatGroup("sharing") {}
+        Counter framesMerged{*this, "frames_merged"};
+        Counter cowBreaks{*this, "cow_breaks"};
+    };
+    Stats _stats;
 };
 
 } // namespace emv::vmm

@@ -104,7 +104,7 @@ ShadowPager::rebuildAll()
         [&](const paging::PageTable::Leaf &leaf) {
             syncLeaf(leaf.va);
         });
-    ++_stats.counter("rebuilds");
+    ++_stats.rebuilds;
 }
 
 void
@@ -121,7 +121,7 @@ ShadowPager::onGuestMapped(Addr gva, Addr bytes)
         const Addr leaf_bytes = pageBytes(guest->size);
         syncLeaf(pos);
         // Keeping the shadow coherent traps each guest PT write.
-        ++_stats.counter("sync_exits");
+        ++_stats.syncExits;
         pos = alignDown(pos, leaf_bytes) + leaf_bytes;
     }
 }
@@ -139,7 +139,7 @@ ShadowPager::onGuestUnmapped(Addr gva, Addr bytes)
         }
         const Addr leaf_bytes = pageBytes(shadow->size);
         shadowPt->unmap(alignDown(pos, leaf_bytes), shadow->size);
-        ++_stats.counter("sync_exits");
+        ++_stats.syncExits;
         pos = alignDown(pos, leaf_bytes) + leaf_bytes;
     }
 }

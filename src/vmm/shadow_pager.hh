@@ -61,7 +61,7 @@ class ShadowPager
 
     /** Coherence VM exits charged so far. */
     std::uint64_t syncExits() const
-    { return _stats.counterValue("sync_exits"); }
+    { return _stats.syncExits.value(); }
 
     StatGroup &stats() { return _stats; }
 
@@ -82,7 +82,13 @@ class ShadowPager
     os::Process &proc;
     std::unique_ptr<ShadowTableSpace> space;
     std::unique_ptr<paging::PageTable> shadowPt;
-    StatGroup _stats{"shadow"};
+    struct Stats : StatGroup
+    {
+        Stats() : StatGroup("shadow") {}
+        Counter rebuilds{*this, "rebuilds"};
+        Counter syncExits{*this, "sync_exits"};
+    };
+    Stats _stats;
 };
 
 } // namespace emv::vmm

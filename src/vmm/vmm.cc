@@ -158,7 +158,7 @@ Vmm::allocHostBlock(PageSize size)
             if (_hostMem.isBad(pa)) {
                 retiredBadFrames.push_back(pa);
                 markHostUnmovable(pa, kPage4K);
-                ++_stats.counter("bad_frames_retired");
+                ++_stats.badFramesRetired;
             } else {
                 _hostBuddy->freeRange(pa, kPage4K);
             }
@@ -188,7 +188,7 @@ Vmm::allocTableFrameHost()
         if (fit && _hostBuddy->allocateRange(fit->start,
                                              chunk_bytes)) {
             markHostUnmovable(fit->start, chunk_bytes);
-            ++_stats.counter("table_chunks");
+            ++_stats.tableChunks;
             for (Addr off = 0; off < chunk_bytes; off += kPage4K) {
                 if (!_hostMem.isBad(fit->start + off))
                     tableFreeList.push_back(fit->start + off);
@@ -264,7 +264,7 @@ Vm::Vm(Vmm &vmm, std::string name, const VmConfig &config)
                 backing.add(cfg.ioGapEnd, high_ram, fit->start);
                 mapNestedRange(cfg.ioGapEnd, high_ram, fit->start);
                 extensionHostBase = fit->start + high_ram;
-                ++_stats.counter("contiguous_reservations");
+                ++_stats.contiguousReservations;
                 return;
             }
         }
@@ -296,10 +296,10 @@ Vm::gpaSpan() const
 }
 
 void
-Vm::countExit(const char *reason)
+Vm::countExit(ExitReason reason)
 {
-    ++_stats.counter("vm_exits");
-    ++_stats.counter(std::string("vm_exits_") + reason);
+    ++_stats.vmExits;
+    ++_stats.exitsByReason[static_cast<std::size_t>(reason)];
 }
 
 void
@@ -334,7 +334,7 @@ Vm::splitNestedLeaf(Addr gpa)
     for (Addr off = 0; off < leaf_bytes; off += kPage4K)
         nestedPt->map(gpa_base + off, hpa_base + off,
                       PageSize::Size4K);
-    ++_stats.counter("nested_leaf_splits");
+    ++_stats.nestedLeafSplits;
 }
 
 void
@@ -350,7 +350,7 @@ Vm::backRange(Addr gpa, Addr bytes)
         if (fit && buddy.allocateRange(fit->start, bytes)) {
             backing.add(gpa, bytes, fit->start);
             mapNestedRange(gpa, bytes, fit->start);
-            ++_stats.counter("contiguous_reservations");
+            ++_stats.contiguousReservations;
             return;
         }
         emv_warn("VM %s: no contiguous host block for %llu bytes; "
@@ -386,8 +386,8 @@ Vm::ensureBacked(Addr gpa)
             splitNestedLeaf(page);
             nestedPt->map(page, *backing.toHpa(page),
                           PageSize::Size4K);
-            countExit("nested_repair");
-            ++_stats.counter("nested_mappings_repaired");
+            countExit(ExitReason::NestedRepair);
+            ++_stats.nestedMappingsRepaired;
         }
         return true;
     }
@@ -405,12 +405,12 @@ Vm::ensureBacked(Addr gpa)
         splitNestedLeaf(swap_page);
         nestedPt->map(swap_page, *frame, PageSize::Size4K);
         swapStore.erase(it);
-        countExit("swap_in");
-        ++_stats.counter("pages_swapped_in");
+        countExit(ExitReason::SwapIn);
+        ++_stats.pagesSwappedIn;
         return true;
     }
 
-    countExit("nested_fault");
+    countExit(ExitReason::NestedFault);
     const Addr block_bytes = pageBytes(cfg.nestedPageSize);
     const Addr base = alignDown(gpa, block_bytes);
 
@@ -474,7 +474,7 @@ Vm::offlineFrame(Addr gpa)
     repointBacking(page, *healthy);
     // Retire the faulty frame: keep it allocated, never reuse.
     _vmm.markHostUnmovable(*hpa, kPage4K);
-    ++_stats.counter("frames_offlined");
+    ++_stats.framesOfflined;
     EMV_TRACE(Vmm, "frame offlined: gpa=%s hpa %s -> %s",
               hexAddr(page).c_str(), hexAddr(*hpa).c_str(),
               hexAddr(*healthy).c_str());
@@ -492,7 +492,7 @@ Vm::dropNestedMapping(Addr gpa)
         nestedPt->unmap(page, PageSize::Size4K);
     if (nestedChangeHook)
         nestedChangeHook(page, PageSize::Size4K);
-    ++_stats.counter("nested_mappings_dropped");
+    ++_stats.nestedMappingsDropped;
     EMV_TRACE(Vmm, "nested mapping dropped: gpa=%s",
               hexAddr(page).c_str());
     return true;
@@ -506,7 +506,7 @@ Vm::swapOutPage(Addr gpa)
     if (segmentRegion.contains(gpa)) {
         // Table II: VMM swapping is limited under an active
         // segment — this frame is part of the linear backing.
-        ++_stats.counter("swap_declined");
+        ++_stats.swapDeclined;
         return false;
     }
     auto hpa = backing.toHpa(gpa);
@@ -523,7 +523,7 @@ Vm::swapOutPage(Addr gpa)
     _vmm.freeHostBlock(*hpa, PageSize::Size4K);
     if (nestedChangeHook)
         nestedChangeHook(gpa, PageSize::Size4K);
-    ++_stats.counter("pages_swapped_out");
+    ++_stats.pagesSwappedOut;
     return true;
 }
 
@@ -551,7 +551,7 @@ Vm::createVmmSegment(Addr min_bytes)
 {
     auto extent = backing.largestExtent();
     if (!extent || extent->bytes < min_bytes) {
-        ++_stats.counter("vmm_segment_failures");
+        ++_stats.vmmSegmentFailures;
         return std::nullopt;
     }
 
@@ -578,7 +578,7 @@ Vm::createVmmSegment(Addr min_bytes)
         info.escapedGpas.push_back(gpa_bad);
         if (nestedChangeHook)
             nestedChangeHook(gpa_bad, PageSize::Size4K);
-        ++_stats.counter("escape_remaps");
+        ++_stats.escapeRemaps;
     }
     segmentRegion = Interval{extent->gpa, extent->gpa + extent->bytes};
     for (Addr gpa : info.escapedGpas) {
@@ -593,7 +593,7 @@ Vm::createVmmSegment(Addr min_bytes)
                   "vmm segment: escaped gpa %s nested mapping "
                   "disagrees with backing map", hexAddr(gpa).c_str());
     }
-    ++_stats.counter("vmm_segments_created");
+    ++_stats.vmmSegmentsCreated;
     EMV_TRACE(Vmm, "VMM segment created: %s (%zu escapes)",
               info.regs.toString().c_str(),
               info.escapedGpas.size());
@@ -611,7 +611,7 @@ Vm::reclaimGuestPages(const std::vector<Addr> &gpas)
             // Table II: ballooning is limited under an active VMM
             // segment — freeing this frame would puncture the
             // segment's linear backing, so keep it.
-            ++_stats.counter("balloon_pages_declined");
+            ++_stats.balloonPagesDeclined;
             continue;
         }
         auto hpa = backing.toHpa(gpa);
@@ -623,9 +623,9 @@ Vm::reclaimGuestPages(const std::vector<Addr> &gpas)
         _vmm.freeHostBlock(*hpa, PageSize::Size4K);
         if (nestedChangeHook)
             nestedChangeHook(gpa, PageSize::Size4K);
-        ++_stats.counter("balloon_pages_reclaimed");
+        ++_stats.balloonPagesReclaimed;
     }
-    countExit("balloon");
+    countExit(ExitReason::Balloon);
 }
 
 std::optional<Addr>
@@ -634,12 +634,12 @@ Vm::grantExtension(Addr bytes)
     emv_assert(isAligned(bytes, kPage4K),
                "extension must be 4K aligned");
     if (extensionFaultHook && extensionFaultHook()) {
-        ++_stats.counter("extension_faults_injected");
+        ++_stats.extensionFaultsInjected;
         EMV_TRACE(Vmm, "extension grant failed (injected fault)");
         return std::nullopt;
     }
     if (extensionCursor + bytes > cfg.extensionReserve) {
-        ++_stats.counter("extension_failures");
+        ++_stats.extensionFailures;
         return std::nullopt;
     }
     const Addr high_ram = cfg.ramBytes - cfg.lowRamBytes;
@@ -652,9 +652,9 @@ Vm::grantExtension(Addr bytes)
         mapNestedRange(base, bytes, hpa);
     }
     extensionCursor += bytes;
-    countExit("hot_add");
-    ++_stats.counter("extensions_granted");
-    _stats.counter("extension_bytes") += bytes;
+    countExit(ExitReason::HotAdd);
+    ++_stats.extensionsGranted;
+    _stats.extensionBytes += bytes;
     return base;
 }
 
@@ -681,8 +681,8 @@ Vm::reclaimGuestRange(Addr base, Addr bytes)
                 nestedChangeHook(e.gpa + off, PageSize::Size4K);
         }
     }
-    countExit("hot_remove");
-    _stats.counter("range_reclaimed_bytes") += bytes;
+    countExit(ExitReason::HotRemove);
+    _stats.rangeReclaimedBytes += bytes;
 }
 
 std::optional<std::uint64_t>
@@ -693,7 +693,7 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
                isAligned(bytes, kPage4K),
                "segment backing range must be 4K aligned");
     if (compactionFaultHook && compactionFaultHook()) {
-        ++_stats.counter("compaction_faults_injected");
+        ++_stats.compactionFaultsInjected;
         EMV_TRACE(Vmm, "segment materialization failed "
                   "(injected compaction fault)");
         return std::nullopt;
@@ -738,7 +738,7 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
                 break;
         }
         if (!best) {
-            ++_stats.counter("compaction_failures");
+            ++_stats.compactionFailures;
             return std::nullopt;
         }
         if (max_migrations &&
@@ -789,7 +789,7 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
                 if (hi > lo)
                     buddy.freeRange(lo, hi - lo);
             }
-            ++_stats.counter("compaction_failures");
+            ++_stats.compactionFailures;
             return std::nullopt;
         }
 
@@ -815,7 +815,7 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
             }
         }
         run = Interval{wstart, wend};
-        ++_stats.counter("host_compactions");
+        ++_stats.hostCompactions;
     }
 
     // --- Phase B: relocate the target gPA range onto the run so it
@@ -842,7 +842,7 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
         if (nestedChangeHook)
             nestedChangeHook(gpa, PageSize::Size4K);
     }
-    _stats.counter("pages_migrated") += migrations;
+    _stats.pagesMigrated += migrations;
     return migrations;
 }
 

@@ -46,6 +46,17 @@ namespace emv::vmm {
 
 class Vmm;
 
+/** Why a VM exited to the VMM; each has a vm_exits_<reason> stat. */
+enum class ExitReason : std::uint8_t {
+    NestedRepair,
+    SwapIn,
+    NestedFault,
+    Balloon,
+    HotAdd,
+    HotRemove,
+    NumReasons,
+};
+
 /** Per-VM construction parameters. */
 struct VmConfig
 {
@@ -207,7 +218,7 @@ class Vm : public os::BalloonBackend
 
     /** @{ Accounting and wiring. */
     std::uint64_t vmExits() const
-    { return _stats.counterValue("vm_exits"); }
+    { return _stats.vmExits.value(); }
 
     /** Machine layer hook: nested mapping changed for a gPA page. */
     void setNestedChangeHook(
@@ -245,7 +256,45 @@ class Vm : public os::BalloonBackend
     /** Back a range eagerly; fatal on host exhaustion. */
     void backRange(Addr gpa, Addr bytes);
 
-    void countExit(const char *reason);
+    void countExit(ExitReason reason);
+
+    struct Stats : StatGroup
+    {
+        using StatGroup::StatGroup;
+        Counter vmExits{*this, "vm_exits"};
+        /** Indexed by ExitReason. */
+        Counter exitsByReason[static_cast<std::size_t>(
+            ExitReason::NumReasons)] = {
+            {*this, "vm_exits_nested_repair"},
+            {*this, "vm_exits_swap_in"},
+            {*this, "vm_exits_nested_fault"},
+            {*this, "vm_exits_balloon"},
+            {*this, "vm_exits_hot_add"},
+            {*this, "vm_exits_hot_remove"},
+        };
+        Counter contiguousReservations{*this, "contiguous_reservations"};
+        Counter nestedLeafSplits{*this, "nested_leaf_splits"};
+        Counter nestedMappingsRepaired{*this, "nested_mappings_repaired"};
+        Counter pagesSwappedIn{*this, "pages_swapped_in"};
+        Counter framesOfflined{*this, "frames_offlined"};
+        Counter nestedMappingsDropped{*this, "nested_mappings_dropped"};
+        Counter swapDeclined{*this, "swap_declined"};
+        Counter pagesSwappedOut{*this, "pages_swapped_out"};
+        Counter vmmSegmentFailures{*this, "vmm_segment_failures"};
+        Counter escapeRemaps{*this, "escape_remaps"};
+        Counter vmmSegmentsCreated{*this, "vmm_segments_created"};
+        Counter balloonPagesDeclined{*this, "balloon_pages_declined"};
+        Counter balloonPagesReclaimed{*this, "balloon_pages_reclaimed"};
+        Counter extensionFaultsInjected{*this, "extension_faults_injected"};
+        Counter extensionFailures{*this, "extension_failures"};
+        Counter extensionsGranted{*this, "extensions_granted"};
+        Counter extensionBytes{*this, "extension_bytes"};
+        Counter rangeReclaimedBytes{*this, "range_reclaimed_bytes"};
+        Counter compactionFaultsInjected{*this, "compaction_faults_injected"};
+        Counter compactionFailures{*this, "compaction_failures"};
+        Counter hostCompactions{*this, "host_compactions"};
+        Counter pagesMigrated{*this, "pages_migrated"};
+    };
 
     Vmm &_vmm;
     std::string _name;
@@ -271,7 +320,7 @@ class Vm : public os::BalloonBackend
     std::function<void(Addr, PageSize)> nestedChangeHook;
     std::function<bool()> extensionFaultHook;
     std::function<bool()> compactionFaultHook;
-    StatGroup _stats;
+    Stats _stats;
 };
 
 /** The hypervisor: host memory authority + VM factory. */
@@ -327,7 +376,13 @@ class Vmm
     IntervalSet unmovableSet;
     std::vector<Addr> retiredBadFrames;
     std::vector<Addr> tableFreeList;
-    StatGroup _stats{"vmm"};
+    struct Stats : StatGroup
+    {
+        Stats() : StatGroup("vmm") {}
+        Counter badFramesRetired{*this, "bad_frames_retired"};
+        Counter tableChunks{*this, "table_chunks"};
+    };
+    Stats _stats;
     /** Last member: Vm teardown frees table frames through the
      *  buddy and unmovable set above. */
     std::vector<std::unique_ptr<Vm>> _vms;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/ckpt.hh"
+#include "common/stats.hh"
 
 namespace emv::ckpt {
 namespace {
@@ -222,6 +223,48 @@ TEST(CkptTest, LoadFileReportsMissingFile)
     EXPECT_FALSE(reader.loadFile(testing::TempDir() +
                                  "/no_such_checkpoint.bin"));
     EXPECT_FALSE(reader.error().empty());
+}
+
+/** A component's stat group: two declared counters. */
+struct HitStats : StatGroup
+{
+    HitStats() : StatGroup("cache") {}
+    Counter hits{*this, "hits"};
+    Counter misses{*this, "misses"};
+};
+
+TEST(CkptTest, StatRestoreRejectsUndeclaredStat)
+{
+    StatGroup saved("cache");
+    Counter hits{saved, "hits"};
+    Counter retired{saved, "retired"};
+    retired += 4;
+    Encoder enc;
+    saved.serialize(enc);
+
+    HitStats restored;
+    Decoder dec(enc.buffer().data(), enc.buffer().size());
+    EXPECT_FALSE(restored.deserialize(dec));
+    EXPECT_FALSE(dec.ok());
+    EXPECT_NE(dec.error().find("retired"), std::string::npos)
+        << dec.error();
+}
+
+TEST(CkptTest, StatRestoreZeroesDeclaredStatMissingFromBytes)
+{
+    StatGroup saved("cache");
+    Counter hits{saved, "hits"};
+    hits += 9;
+    Encoder enc;
+    saved.serialize(enc);
+
+    HitStats restored;
+    ++restored.misses;
+    Decoder dec(enc.buffer().data(), enc.buffer().size());
+    ASSERT_TRUE(restored.deserialize(dec));
+    EXPECT_TRUE(dec.atEnd());
+    EXPECT_EQ(restored.hits.value(), 9u);
+    EXPECT_EQ(restored.misses.value(), 0u);
 }
 
 TEST(CkptTest, Crc32MatchesKnownVector)

@@ -56,9 +56,12 @@ TEST(StatExportTest, JsonRoundTripsCountersAndScalars)
 {
     StatGroup g("mmu");
     g.setParent("machine");
-    g.counter("l1_misses") += 42;
-    g.counter("walks") += 7;
-    g.scalar("walk_cycles") += 123.5;
+    Counter l1_misses{g, "l1_misses"};
+    Counter walks{g, "walks"};
+    Scalar walk_cycles{g, "walk_cycles"};
+    l1_misses += 42;
+    walks += 7;
+    walk_cycles += 123.5;
 
     std::ostringstream os;
     exportStatsJson(os, only({&g}));
@@ -92,7 +95,7 @@ TEST(StatExportTest, JsonRoundTripsCountersAndScalars)
 TEST(StatExportTest, JsonCarriesDistributionSummary)
 {
     StatGroup g("walkstats");
-    auto &d = g.distribution("cycles_per_walk");
+    Distribution d{g, "cycles_per_walk"};
     for (double v : {10.0, 20.0, 30.0, 40.0})
         d.sample(v);
 
@@ -118,8 +121,10 @@ TEST(StatExportTest, DuplicateGroupNamesBothExported)
     // an array, not a name-keyed object.
     StatGroup a("walkcache");
     StatGroup b("walkcache");
-    a.counter("hits") += 1;
-    b.counter("hits") += 2;
+    Counter a_hits{a, "hits"};
+    Counter b_hits{b, "hits"};
+    a_hits += 1;
+    b_hits += 2;
 
     std::ostringstream os;
     exportStatsJson(os, only({&a, &b}));
@@ -132,8 +137,10 @@ TEST(StatExportTest, DuplicateGroupNamesBothExported)
 TEST(StatExportTest, CsvHasHeaderAndOneRowPerStat)
 {
     StatGroup g("os");
-    g.counter("major_faults") += 3;
-    g.scalar("resident_bytes") += 4096.0;
+    Counter major_faults{g, "major_faults"};
+    Scalar resident_bytes{g, "resident_bytes"};
+    major_faults += 3;
+    resident_bytes += 4096.0;
 
     std::ostringstream os;
     exportStatsCsv(os, only({&g}));
@@ -166,7 +173,8 @@ TEST(StatRegistryTest, VisitorsMayReenterTheRegistry)
         {
             ++counters;
             StatGroup transient("reentrant_transient");
-            transient.counter("touch") += 1;
+            Counter touch{transient, "touch"};
+            touch += 1;
             EXPECT_GT(StatRegistry::instance().size(), 0u);
         }
         void visitScalar(const StatGroup &, const std::string &,
@@ -176,8 +184,10 @@ TEST(StatRegistryTest, VisitorsMayReenterTheRegistry)
     };
 
     StatGroup g("reentry_host");
-    g.counter("a") += 1;
-    g.counter("b") += 2;
+    Counter a{g, "a"};
+    Counter b{g, "b"};
+    a += 1;
+    b += 2;
     ReentrantVisitor visitor;
     StatRegistry::instance().visitAll(visitor);
     EXPECT_GE(visitor.counters, 2u);
@@ -204,7 +214,8 @@ TEST(StatRegistryTest, ConcurrentRegistrationIsRaceFree)
                     "mt_parent" + std::to_string(t));
                 StatGroup child("mt_child");
                 child.setParent(&parent);
-                child.counter("ops") += round;
+                Counter ops{child, "ops"};
+                ops += round;
                 // Reads interleave with other threads' add/remove;
                 // the snapshot just has to be internally
                 // consistent, never a crash or a race.
@@ -242,7 +253,7 @@ TEST(DistributionTest, PercentilesTrackPowerOfTwoBuckets)
 TEST(DistributionTest, DumpIncludesDistributionStats)
 {
     StatGroup g("grp");
-    auto &d = g.distribution("lat");
+    Distribution d{g, "lat"};
     d.sample(2.0);
     d.sample(6.0);
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/stats.hh"
 #include "../test_support.hh"
@@ -119,13 +122,23 @@ TEST(DistributionTest, PercentileSubUnitSamplesUseBucketZero)
 TEST(StatGroupTest, StableReferences)
 {
     StatGroup group("g");
-    Counter &a = group.counter("a");
-    // Adding more counters must not invalidate earlier references
-    // (the MMU binds counter pointers at construction).
-    for (int i = 0; i < 100; ++i)
-        group.counter("x" + std::to_string(i));
+    Counter a{group, "a"};
+    // Declaring more counters must not unbind earlier ones.
+    std::vector<std::unique_ptr<Counter>> more;
+    for (int i = 0; i < 100; ++i) {
+        more.push_back(std::make_unique<Counter>(
+            group, ("x" + std::to_string(i)).c_str()));
+    }
     ++a;
     EXPECT_EQ(group.counterValue("a"), 1u);
+    EXPECT_EQ(group.counterValue("x99"), 0u);
+}
+
+TEST(StatGroupTest, DeclaringANameTwicePanics)
+{
+    StatGroup group("g");
+    Counter a{group, "a"};
+    EXPECT_DEATH({ Scalar dup(group, "a"); }, "declared twice");
 }
 
 TEST(StatGroupTest, UnknownReadsZero)
@@ -135,25 +148,51 @@ TEST(StatGroupTest, UnknownReadsZero)
     EXPECT_DOUBLE_EQ(group.scalarValue("nope"), 0.0);
 }
 
+/** One stat of each kind, declared the way components declare them. */
+struct ThreeStats : StatGroup
+{
+    using StatGroup::StatGroup;
+    Counter c{*this, "c"};
+    Scalar s{*this, "s"};
+    Distribution d{*this, "d"};
+};
+
 TEST(StatGroupTest, ResetAll)
 {
-    StatGroup group("g");
-    ++group.counter("c");
-    group.scalar("s") += 2.0;
-    group.distribution("d").sample(1.0);
+    ThreeStats group("g");
+    ++group.c;
+    group.s += 2.0;
+    group.d.sample(1.0);
     group.resetAll();
     EXPECT_EQ(group.counterValue("c"), 0u);
     EXPECT_DOUBLE_EQ(group.scalarValue("s"), 0.0);
-    EXPECT_EQ(group.distribution("d").count(), 0u);
+    EXPECT_EQ(group.d.count(), 0u);
 }
 
 TEST(StatGroupTest, DumpFormat)
 {
-    StatGroup group("mmu");
-    group.counter("walks") += 3;
+    ThreeStats group("mmu");
+    group.c += 3;
     std::ostringstream os;
     group.dump(os);
-    EXPECT_NE(os.str().find("mmu.walks 3"), std::string::npos);
+    // Declared stats are listed from construction on, bumped or not.
+    EXPECT_NE(os.str().find("mmu.c 3\nmmu.s 0\nmmu.d.count 0\n"),
+              std::string::npos);
+}
+
+TEST(StatGroupTest, CopyValuesCopiesEveryKind)
+{
+    ThreeStats a("a");
+    a.c += 5;
+    a.s += 1.5;
+    a.d.sample(4.0);
+    ThreeStats b("b");
+    b.copyValues(a);
+    EXPECT_EQ(b.counterValue("c"), 5u);
+    EXPECT_DOUBLE_EQ(b.scalarValue("s"), 1.5);
+    EXPECT_EQ(b.d.count(), 1u);
+    ++b.c;  // b's stats stay its own.
+    EXPECT_EQ(a.counterValue("c"), 5u);
 }
 
 TEST(Confidence95Test, EmptyAndSingle)
@@ -207,30 +246,31 @@ TEST(DistributionTest, CheckpointRoundTrip)
 
 TEST(StatGroupTest, CheckpointRoundTripRebuildsByName)
 {
-    StatGroup g("ckpt_src");
-    g.counter("hits") += 7;
-    g.scalar("cycles") += 1.25;
-    g.distribution("lat").sample(3.0);
+    ThreeStats g("ckpt_src");
+    g.c += 7;
+    g.s += 1.25;
+    g.d.sample(3.0);
     const auto bytes = test::ckptBytes(g);
-    StatGroup r("ckpt_src");
+    ThreeStats r("ckpt_src");
     ASSERT_TRUE(test::ckptRestore(bytes, r));
     EXPECT_EQ(test::ckptBytes(r), bytes);
-    EXPECT_EQ(r.counterValue("hits"), 7u);
-    EXPECT_DOUBLE_EQ(r.scalarValue("cycles"), 1.25);
-    EXPECT_EQ(r.distribution("lat").count(), 1u);
+    EXPECT_EQ(r.counterValue("c"), 7u);
+    EXPECT_DOUBLE_EQ(r.scalarValue("s"), 1.25);
+    EXPECT_EQ(r.d.count(), 1u);
 }
 
 TEST(StatGroupTest, CheckpointRestoreResetsStaleStats)
 {
     StatGroup g("ckpt_reset");
-    g.counter("hits") += 3;
+    Counter hits{g, "hits"};
+    hits += 3;
     StatGroup r("ckpt_reset");
-    Counter &stale = r.counter("stale");
+    Counter restored_hits{r, "hits"};
+    Counter stale{r, "stale"};
     stale += 99;
     ASSERT_TRUE(test::ckptRestore(test::ckptBytes(g), r));
-    // Restore resets the whole group before rebuilding by name, and
-    // previously-bound references stay valid (node stability).
-    EXPECT_EQ(r.counterValue("hits"), 3u);
+    // Restore resets the whole group before restoring by name.
+    EXPECT_EQ(restored_hits.value(), 3u);
     EXPECT_EQ(stale.value(), 0u);
 }
 

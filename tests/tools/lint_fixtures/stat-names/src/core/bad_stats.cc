@@ -1,9 +1,9 @@
 namespace emv {
 
-void
-badStatName(StatGroup &group)
+struct BadStats : StatGroup
 {
-    group.counter("BadCamelName") += 1;
-}
+    BadStats() : StatGroup("bad") {}
+    Counter badName{*this, "BadCamelName"};
+};
 
 } // namespace emv

@@ -19,10 +19,11 @@
  *   test-coverage  every .cc in src/ has a matching test file under
  *                  tests/ (with a small alias table for aggregate
  *                  suites).
- *   stat-names     string literals passed to counter()/scalar()/
- *                  distribution()/StatGroup() are lower_snake_case
- *                  dotted paths, matching the exported
- *                  "machine.mmu.*" naming convention.
+ *   stat-names     string literals naming a group (StatGroup("os"))
+ *                  or declaring a stat (Counter hits{*this,
+ *                  "hits"}) are lower_snake_case dotted paths,
+ *                  matching the exported "machine.mmu.*" naming
+ *                  convention.
  *   no-fatal-recovery
  *                  no emv_fatal in recovery-path code (src/fault/
  *                  and sim/machine.cc) — faults there must degrade
@@ -36,17 +37,6 @@
  *                  round-trip) — state that can be saved but not
  *                  restored, or restored but never tested, silently
  *                  breaks crash-safe resume.
- *   hot-path-stat-lookup
- *                  no string-keyed StatRegistry lookups (counter(
- *                  "name") and friends) inside the Mmu::translate
- *                  call tree (the Mmu's translate methods, the
- *                  escape-filter probe, TLB and walk-cache lookup
- *                  and insert, PTE-line access and the radix walk) —
- *                  every translation pays for them, so the
- *                  constructor caches the pointers once and the hot
- *                  path bumps them directly; a map lookup per op
- *                  also skews the telemetry throughput meter it
- *                  feeds.
  *
  * Concurrency-safety rules (see DESIGN.md §12), ahead of the
  * in-process parallel engine:
@@ -444,92 +434,6 @@ finalizeCkptRoundTrip(const fs::path &root)
                    "serializable state with no save/restore "
                    "round-trip test; " + test.string() +
                        " must exercise deserialize()");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule: hot-path-stat-lookup
-// ---------------------------------------------------------------------
-
-void
-checkHotPathStatLookup(const fs::path &file, const std::string &rel,
-                       const std::string &stripped)
-{
-    // The translate call tree: everything a single translation can
-    // execute, by translation unit.  Cold control-plane methods
-    // (set*/flush*/fraction*) may look stats up by name; these may
-    // not.
-    struct HotFile
-    {
-        const char *rel;
-        std::vector<const char *> methods;
-    };
-    static const HotFile hotFiles[] = {
-        {"core/mmu.cc",
-         {"Mmu::translate", "Mmu::translateImpl", "Mmu::doWalk",
-          "Mmu::nestedToHost", "Mmu::segmentToHost",
-          "Mmu::priceTrace"}},
-        {"segment/escape_filter.cc", {"EscapeFilter::mayContain"}},
-        {"tlb/set_assoc.hh", {"SetAssoc::find", "SetAssoc::insert"}},
-        {"tlb/tlb.cc", {"Tlb::lookup", "Tlb::insert"}},
-        {"tlb/tlb_hierarchy.cc",
-         {"TlbHierarchy::lookupL1", "TlbHierarchy::lookupL2",
-          "TlbHierarchy::lookupNested", "TlbHierarchy::insertGuest",
-          "TlbHierarchy::insertNested"}},
-        {"tlb/walk_cache.cc",
-         {"WalkCache::lookup", "WalkCache::insert",
-          "LineCache::access"}},
-        {"paging/walker.hh", {"radixWalk"}},
-    };
-    const HotFile *hot = nullptr;
-    for (const auto &candidate : hotFiles) {
-        if (rel == candidate.rel)
-            hot = &candidate;
-    }
-    if (!hot)
-        return;
-    static const std::regex lookup(
-        R"((counter|scalar|distribution|counterValue|scalarValue)\s*\(\s*")");
-    for (const char *name : hot->methods) {
-        // \b: the name itself, not a longer identifier ending in it.
-        const std::regex def(R"(\b)" + std::string(name) +
-                             R"(\s*\()");
-        auto from = stripped.cbegin();
-        std::smatch m;
-        while (std::regex_search(from, stripped.cend(), m, def)) {
-            auto it = m[0].second;
-            // Find the body; a ';' first would mean a declaration.
-            while (it != stripped.cend() && *it != '{' && *it != ';')
-                ++it;
-            if (it == stripped.cend() || *it == ';') {
-                from = it;
-                continue;
-            }
-            int depth = 0;
-            const auto body_begin = it;
-            for (; it != stripped.cend(); ++it) {
-                if (*it == '{')
-                    ++depth;
-                else if (*it == '}' && --depth == 0)
-                    break;
-            }
-            const std::string body(body_begin, it);
-            std::smatch hit;
-            if (std::regex_search(body, hit, lookup)) {
-                const auto off = static_cast<std::size_t>(
-                    (body_begin - stripped.cbegin()) +
-                    hit.position());
-                const int line = 1 + static_cast<int>(std::count(
-                    stripped.begin(), stripped.begin() + off, '\n'));
-                report(file, line, "hot-path-stat-lookup",
-                       "string-keyed stat lookup inside " +
-                           std::string(name) +
-                           " (translate call tree); cache the "
-                           "counter/scalar pointer in the "
-                           "constructor and bump it directly");
-            }
-            from = it;
         }
     }
 }
@@ -952,15 +856,20 @@ checkStatNames(const fs::path &file, const std::string &text)
 {
     // Stat identifiers become "machine.mmu.walk_cycles"-style dotted
     // paths in the JSON export; enforce lower_snake_case components.
+    // A stat declaration, `Counter hits{*this, "hits"}` (also with
+    // an annotation before the braces, or as an array element
+    // `{*this, "name"}`), or a group name, `StatGroup("os")`.
     static const std::regex call(
-        R"((?:\.|->)(counter|scalar|distribution)\s*\(\s*"([^"]*)\")"
+        R"((?:(?:Counter|Scalar|Distribution)\s+[A-Za-z_]\w*)"
+        R"((?:\s+EMV_\w+\([^)]*\))?\s*[{(]\s*\*?\s*\w+|\{\s*\*this))"
+        R"(\s*,\s*"([^"]*)\")"
         R"(|StatGroup\s*(?:[A-Za-z_][A-Za-z0-9_]*\s*)?[({]\s*"([^"]*)\")");
     static const std::regex good(
         R"([a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*)");
     auto begin = std::sregex_iterator(text.begin(), text.end(), call);
     for (auto it = begin; it != std::sregex_iterator(); ++it) {
         const std::string name =
-            (*it)[2].matched ? (*it)[2].str() : (*it)[3].str();
+            (*it)[1].matched ? (*it)[1].str() : (*it)[2].str();
         if (name.empty())
             continue;  // Dynamic names checked at runtime.
         if (!std::regex_match(name, good)) {
@@ -1034,7 +943,6 @@ main(int argc, char **argv)
         checkRawOutput(path, rel, lines);
         checkNoFatalRecovery(path, rel, lines);
         checkCkptRoundTrip(path, rel, stripped);
-        checkHotPathStatLookup(path, rel, stripped);
         if (ext == ".hh")
             checkPragmaOnce(path, stripped);
         checkStatNames(path, text);
