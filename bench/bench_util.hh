@@ -125,9 +125,6 @@ runOverheadMatrix(const std::string &title,
     else
         emv_warn("cannot write %s", json_path.c_str());
 
-    if (!params.statsJsonPath.empty() &&
-        !sim::writeStatsJson(params.statsJsonPath))
-        emv_warn("cannot write %s", params.statsJsonPath.c_str());
     if (params.profile) {
         std::printf("\n");
         prof::report(std::cout);

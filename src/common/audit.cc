@@ -1,6 +1,5 @@
 #include "common/audit.hh"
 
-#include "common/thread_safety.hh"
 #include "common/trace.hh"
 
 namespace emv::audit {
@@ -10,35 +9,23 @@ namespace {
 std::atomic<bool> failFastFlag{false};
 
 /**
- * Counters live in a function-local StatGroup so the first audit use
- * (possibly from a static initializer in a test) still finds the
- * registry alive, and the group survives until process exit.
- *
- * The audit counters are the one stat group shared by every worker
- * thread, so their increments go through `mutex` (a leaf lock, per
- * thread_safety.hh: never held across emitRecord(), which takes the
- * trace sink lock).  Exporters read them through the registry
- * without this lock — only at quiescence, like all stat exports.
+ * The calling thread's "machine.audit" counters.  A machine is built,
+ * run and destroyed on one thread (DESIGN.md §12), so one thread's
+ * counts are one machine's counts: increments need no lock, and
+ * parallel drivers read each worker's counts before it exits.
  */
-struct AuditStats
+struct AuditStats : StatGroup
 {
-    // The group's *structure* (name, parent, counter set) is fixed
-    // during construction and never changes after; only the counter
-    // values move, and those go through the guarded counters below.
-    // Exporters read it registry-side at quiescence.
-    EMV_THREAD_CONFINED StatGroup group{"audit"};
-    Mutex mutex;
-    Counter checks EMV_GUARDED_BY(mutex){group, "checks"};
-    Counter failures EMV_GUARDED_BY(mutex){group, "failures"};
-    Counter mismatches EMV_GUARDED_BY(mutex){group, "mismatches"};
-
-    AuditStats() { group.setParent("machine"); }
+    AuditStats() : StatGroup("audit") { setParent("machine"); }
+    Counter checks{*this, "checks"};
+    Counter failures{*this, "failures"};
+    Counter mismatches{*this, "mismatches"};
 };
 
 AuditStats &
 auditStats()
 {
-    static AuditStats stats;
+    static thread_local AuditStats stats;
     return stats;
 }
 
@@ -61,20 +48,14 @@ std::atomic<std::uint32_t> auditMask{0};
 void
 countCheck()
 {
-    auto &stats = auditStats();
-    LockGuard lock(stats.mutex);
-    ++stats.checks;
+    ++auditStats().checks;
 }
 
 void
 failImpl(const char *kind, const char *expr, const char *file,
          int line, const std::string &msg)
 {
-    {
-        auto &stats = auditStats();
-        LockGuard lock(stats.mutex);
-        ++stats.failures;
-    }
+    ++auditStats().failures;
     const std::string record = emv::detail::format(
         "%s failed: %s (%s) at %s:%d", kind, msg.c_str(), expr, file,
         line);
@@ -90,8 +71,6 @@ setEnabled(bool on)
 {
     detail::auditMask.store(on ? 1u : 0u,
                             std::memory_order_relaxed);
-    if (on)
-        auditStats();  // Materialize machine.audit in the registry.
 }
 
 void
@@ -109,49 +88,37 @@ failFast()
 StatGroup &
 stats()
 {
-    return auditStats().group;
+    return auditStats();
 }
 
 std::uint64_t
 checkCount()
 {
-    auto &stats = auditStats();
-    LockGuard lock(stats.mutex);
-    return stats.checks.value();
+    return auditStats().checks.value();
 }
 
 std::uint64_t
 failureCount()
 {
-    auto &stats = auditStats();
-    LockGuard lock(stats.mutex);
-    return stats.failures.value();
+    return auditStats().failures.value();
 }
 
 std::uint64_t
 mismatchCount()
 {
-    auto &stats = auditStats();
-    LockGuard lock(stats.mutex);
-    return stats.mismatches.value();
+    return auditStats().mismatches.value();
 }
 
 void
 resetCounters()
 {
-    auto &stats = auditStats();
-    LockGuard lock(stats.mutex);
-    stats.group.resetAll();
+    auditStats().resetAll();
 }
 
 void
 reportMismatch(const std::string &msg)
 {
-    {
-        auto &stats = auditStats();
-        LockGuard lock(stats.mutex);
-        ++stats.mismatches;
-    }
+    ++auditStats().mismatches;
     emitRecord("mismatch: " + msg);
     if (failFastFlag.load(std::memory_order_relaxed))
         emv_panic("audit mismatch: %s", msg.c_str());

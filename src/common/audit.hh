@@ -18,8 +18,9 @@
  * predictable branch.  With auditing enabled (emvsim audit=1, or
  * audit::setEnabled(true) in tests) the condition is evaluated and
  * counted; failures are formatted, routed through the trace layer
- * (Flag::Audit) or warn(), and tallied in the process-wide
- * "machine.audit" stat group:
+ * (Flag::Audit) or warn(), and tallied in the calling thread's
+ * "machine.audit" stat group (one machine runs on one thread, so
+ * these are that machine's counts):
  *
  *   machine.audit.checks      — contracts evaluated;
  *   machine.audit.failures    — EMV_CHECK/EMV_INVARIANT violations;
@@ -48,7 +49,7 @@ namespace detail {
 /** Non-zero when auditing is on; tested before anything else.
  *  Atomic (relaxed) so the hot-path gate is race-free when worker
  *  threads audit while a driver thread toggles; the counters behind
- *  it are mutex-guarded in audit.cc. */
+ *  it are thread-local (audit.cc). */
 extern std::atomic<std::uint32_t> auditMask;
 
 /** Count one evaluated contract. */
@@ -74,16 +75,17 @@ void setEnabled(bool on);
 void setFailFast(bool on);
 bool failFast();
 
-/** The process-wide "machine.audit" stat group. */
+/** The calling thread's "machine.audit" stat group. */
 StatGroup &stats();
 
-/** @{ Counter accessors (mirrors of machine.audit.*). */
+/** @{ The calling thread's counts (mirrors of machine.audit.*). */
 std::uint64_t checkCount();
 std::uint64_t failureCount();
 std::uint64_t mismatchCount();
 /** @} */
 
-/** Zero the audit counters (between experiment phases / tests). */
+/** Zero the calling thread's audit counters (between experiment
+ *  phases / tests). */
 void resetCounters();
 
 /**

@@ -4,7 +4,6 @@
 
 #include "common/ckpt.hh"
 #include "common/logging.hh"
-#include "common/stat_registry.hh"
 
 namespace emv {
 
@@ -110,25 +109,6 @@ Distribution::deserialize(ckpt::Decoder &dec)
     return dec.ok();
 }
 
-Mutex &
-statRegistryMutex()
-{
-    // Leaked, like the registry: groups with static storage duration
-    // may deregister after normal static destruction would have run.
-    static Mutex *mutex = new Mutex;
-    return *mutex;
-}
-
-StatGroup::StatGroup(std::string name) : _name(std::move(name))
-{
-    StatRegistry::instance().add(this);
-}
-
-StatGroup::~StatGroup()
-{
-    StatRegistry::instance().remove(this);
-}
-
 template <typename Stat>
 void
 StatGroup::declare(std::map<std::string, Stat *> &kind, const char *name,
@@ -158,7 +138,6 @@ Distribution::Distribution(StatGroup &group, const char *name)
 void
 StatGroup::setParent(const std::string &prefix)
 {
-    LockGuard lock(statRegistryMutex());
     parentPrefix = prefix;
     parentGroup = nullptr;
 }
@@ -166,7 +145,6 @@ StatGroup::setParent(const std::string &prefix)
 void
 StatGroup::setParent(const StatGroup *group)
 {
-    LockGuard lock(statRegistryMutex());
     parentGroup = group;
     parentPrefix.clear();
 }
@@ -174,15 +152,8 @@ StatGroup::setParent(const StatGroup *group)
 std::string
 StatGroup::fullName() const
 {
-    LockGuard lock(statRegistryMutex());
-    return fullNameLocked();
-}
-
-std::string
-StatGroup::fullNameLocked() const
-{
     if (parentGroup)
-        return parentGroup->fullNameLocked() + "." + _name;
+        return parentGroup->fullName() + "." + _name;
     return parentPrefix.empty() ? _name : parentPrefix + "." + _name;
 }
 
@@ -220,6 +191,7 @@ StatGroup::copyValues(const StatGroup &other)
     const bool same_stats = deserialize(dec) && dec.atEnd();
     emv_assert(same_stats, "%s: copyValues from a group with other "
                "stats: %s", _name.c_str(), dec.error().c_str());
+    _name = other._name;
 }
 
 void

@@ -1,6 +1,7 @@
 /**
  * @file
- * Lightweight statistics registry.
+ * Lightweight statistics: counters, scalars and distributions
+ * declared in named groups.
  *
  * The paper's methodology is counter-driven (perf + BadgerTrap): TLB
  * misses, page-walk cycles, walk memory references.  Every simulated
@@ -18,11 +19,11 @@
  * base group is constructed first, so the stat set is fixed once the
  * owner is built: a bump is a member access, never a name lookup.
  *
- * Groups auto-register in the process-wide StatRegistry (see
- * stat_registry.hh) under hierarchical names: a group named "mmu"
- * reparented under "machine" exports as "machine.mmu.l1_misses".
- * Exporters walk groups through the StatVisitor interface, so text,
- * JSON and CSV output all read the same structure.
+ * Groups carry hierarchical names: a group named "mmu" reparented
+ * under "machine" exports as "machine.mmu.l1_misses".  Nothing
+ * tracks groups globally; their owner lists them for export (see
+ * sim::Machine::statGroups()), and exporters walk them through the
+ * StatVisitor interface (see stat_export.hh).
  */
 
 #pragma once
@@ -32,9 +33,8 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "common/thread_safety.hh"
 
 namespace emv {
 
@@ -44,13 +44,6 @@ class Decoder;
 } // namespace ckpt
 
 class StatGroup;
-
-/**
- * The stat registry's leaf lock (see StatRegistry).  It also guards
- * every group's parent link, which fullName() reads and setParent()
- * writes from different threads.
- */
-Mutex &statRegistryMutex();
 
 /** Monotonic event counter. */
 class Counter
@@ -154,8 +147,8 @@ class Distribution
 };
 
 /**
- * Visitor over a group's stats; the exporters (text/JSON/CSV) and
- * any future sink implement this.
+ * Visitor over a group's stats; the JSON exporter and any future
+ * sink implement this.
  */
 class StatVisitor
 {
@@ -179,22 +172,18 @@ class StatVisitor
  * A named collection of declared stats (see the file comment); it
  * reads stats by name but never hands out a mutable one, and holds
  * pointers to them, so it cannot be copied or moved.  dump() emits
- * "group.name value" lines.  Every live group is tracked by the
- * process-wide StatRegistry; setParent() prefixes the exported name
+ * "group.name value" lines; setParent() prefixes the exported name
  * ("machine" + "mmu" -> "machine.mmu").
  *
- * Thread-safety: registration/deregistration and the parent link go
- * through statRegistryMutex(), so groups may be constructed,
- * reparented and destroyed from any thread.  The stats *inside* a
- * group are plain counters owned by the component's thread;
- * cross-thread increments need an external lock (see audit.cc) and
- * exports run only at quiescence.
+ * Thread-safety: none needed.  A group and its stats belong to the
+ * thread that owns the component declaring them (a Machine is
+ * built, run and destroyed on one thread; DESIGN.md §12), and
+ * nothing outside the owner reaches a group.
  */
 class StatGroup
 {
   public:
-    explicit StatGroup(std::string name);
-    ~StatGroup();
+    explicit StatGroup(std::string name) : _name(std::move(name)) {}
 
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
@@ -210,24 +199,23 @@ class StatGroup
     /** Walk all stats through @p visitor (alphabetical per kind). */
     void visit(StatVisitor &visitor) const;
 
-    /** Copy every value from @p other, which declares the same
-     *  stats (e.g. the group of a copied component). */
+    /** Copy the name and every value from @p other, which declares
+     *  the same stats (e.g. the group of a copied component); the
+     *  parent link stays this group's own. */
     void copyValues(const StatGroup &other);
 
     const std::string &name() const { return _name; }
 
     /** Hierarchy prefix; fullName() becomes "<prefix>.<name>". */
-    void setParent(const std::string &prefix)
-        EMV_EXCLUDES(statRegistryMutex());
+    void setParent(const std::string &prefix);
     /**
      * Parent by group: fullName() recurses through @p group, so
      * reparenting an ancestor renames the whole subtree.  The parent
      * must outlive name queries on this group (member declaration
      * order gives this for the owner/child layout used here).
      */
-    void setParent(const StatGroup *group)
-        EMV_EXCLUDES(statRegistryMutex());
-    std::string fullName() const EMV_EXCLUDES(statRegistryMutex());
+    void setParent(const StatGroup *group);
+    std::string fullName() const;
 
     /**
      * Checkpoint every stat by name.  deserialize() resets the group
@@ -242,20 +230,15 @@ class StatGroup
     friend class Counter;
     friend class Scalar;
     friend class Distribution;
-    friend class StatRegistry;
 
     /** Register @p stat in @p kind (the declaring constructors). */
     template <typename Stat>
     void declare(std::map<std::string, Stat *> &kind, const char *name,
                  Stat &stat);
 
-    std::string fullNameLocked() const
-        EMV_REQUIRES(statRegistryMutex());
-
     std::string _name;
-    std::string parentPrefix EMV_GUARDED_BY(statRegistryMutex());
-    const StatGroup *parentGroup
-        EMV_GUARDED_BY(statRegistryMutex()) = nullptr;
+    std::string parentPrefix;
+    const StatGroup *parentGroup = nullptr;
     std::map<std::string, Counter *> counters;
     std::map<std::string, Scalar *> scalars;
     std::map<std::string, Distribution *> distributions;

@@ -3,8 +3,8 @@
  * Time-series telemetry: windowed metric snapshots and HDR-style
  * latency histograms.
  *
- * The stat registry (stats.hh) answers "what happened over the whole
- * run"; this layer answers "how did the run evolve".  Two pieces:
+ * Stat groups (stats.hh) answer "what happened over the whole run";
+ * this layer answers "how did the run evolve".  Two pieces:
  *
  *   LatencyHistogram — a log-bucketed histogram with 16 linear
  *   sub-buckets per power-of-two octave (HdrHistogram's trick).
@@ -211,9 +211,9 @@ struct TelemetryConfig
  * window indices.  Two caveats the annotations encode: (a) window
  * emission runs the registered source getters *under the lock*, so
  * getters must not call back into the recorder (they read counters
- * and atomics; the registry leaf-lock rule in thread_safety.hh
- * applies); (b) registration and deserialize() belong to the setup
- * phase, before the recorder is shared.
+ * and atomics; the leaf-lock rule in thread_safety.hh applies);
+ * (b) registration and deserialize() belong to the setup phase,
+ * before the recorder is shared.
  */
 class TelemetryRecorder
 {

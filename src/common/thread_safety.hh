@@ -4,10 +4,11 @@
  * mutex, ahead of the in-process parallel engine (ROADMAP item 1).
  *
  * The threaded shard runner will run one Machine per worker thread;
- * everything a Machine touches is thread-confined *except* the
- * process-wide services: the StatRegistry, the telemetry recorder
- * and its merge paths, the trace/logging sinks, the audit counters
- * and the profiler records.  This header gives those services a
+ * everything a Machine touches — its stat groups and its thread's
+ * audit counters included — is thread-confined *except* the
+ * process-wide services: the telemetry recorder and its merge
+ * paths, the trace/logging sinks and the profiler records.  This
+ * header gives those services a
  * vocabulary to *prove* their locking discipline at compile time
  * instead of asserting it in comments:
  *
@@ -34,12 +35,14 @@
  * Lock-ordering contract (enforced by annotation, documented here
  * once): every lock in this codebase is a *leaf* lock.  No code
  * holding one of these mutexes may call back into user-supplied
- * code (visitors, telemetry source getters, fault hooks) or acquire
- * a second emv lock.  Methods that run callbacks therefore snapshot
- * the guarded state under the lock, release it, and iterate the
- * snapshot (see StatRegistry::visitAll) — which is also why the
+ * code (visitors, fault hooks) or acquire a second emv lock.
+ * Methods that call out (or trace) therefore copy what they need
+ * under the lock and release it first (see
+ * FaultInjector::shouldFail) — which is also why the
  * public entry points carry EMV_EXCLUDES(mutex) rather than
- * EMV_REQUIRES(mutex).
+ * EMV_REQUIRES(mutex).  The one documented exception is the
+ * telemetry recorder, whose source getters run under its lock and
+ * must therefore only read counters and atomics.
  */
 
 #pragma once

@@ -67,13 +67,14 @@ Mmu::Mmu(mem::PhysMemory &host_mem, const MmuConfig &config)
       nestedPsc(kPscSets, kPscWays, "nested_psc"),
       pteLines(kPteLineSets, kPteLineWays),
       _vmmFilter(std::make_unique<segment::EscapeFilter>(
-          config.filterBits, config.filterHashes, config.filterSeed)),
+          config.filterBits, config.filterHashes, config.filterSeed,
+          "vmm_filter")),
       _guestFilter(std::make_unique<segment::EscapeFilter>(
           config.filterBits, config.filterHashes,
-          config.filterSeed ^ 0x9e3779b9ull))
+          config.filterSeed ^ 0x9e3779b9ull, "guest_filter"))
 {
-    // Child structures export under the MMU's name, so a registry
-    // dump reads "mmu.l1tlb4k.misses", "mmu.guest_psc.hits", ...
+    // Child structures export under the MMU's name, so an export
+    // reads "mmu.l1tlb4k.misses", "mmu.guest_psc.hits", ...
     tlbHier.setStatsParent(&_stats);
     guestPsc.stats().setParent(&_stats);
     nestedPsc.stats().setParent(&_stats);
@@ -83,6 +84,21 @@ Mmu::Mmu(mem::PhysMemory &host_mem, const MmuConfig &config)
 }
 
 Mmu::~Mmu() = default;
+
+std::vector<const StatGroup *>
+Mmu::statGroups()
+{
+    return {&_stats,
+            &tlbHier.l1For(PageSize::Size4K).stats(),
+            &tlbHier.l1For(PageSize::Size2M).stats(),
+            &tlbHier.l1For(PageSize::Size1G).stats(),
+            &tlbHier.l2().stats(),
+            &guestPsc.stats(),
+            &nestedPsc.stats(),
+            &pteLines.stats(),
+            &_vmmFilter->stats(),
+            &_guestFilter->stats()};
+}
 
 void
 Mmu::setMode(Mode mode)

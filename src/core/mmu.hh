@@ -35,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/telemetry.hh"
@@ -197,6 +198,8 @@ class Mmu
 
     tlb::TlbHierarchy &tlbs() { return tlbHier; }
     Stats &stats() { return _stats; }
+    /** This group plus its TLBs', walk caches' and filters'. */
+    std::vector<const StatGroup *> statGroups();
     const CostModel &costs() const { return config.costs; }
     const MmuConfig &configuration() const { return config; }
 

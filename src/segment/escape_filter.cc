@@ -25,9 +25,9 @@ log2Bits(unsigned bits)
 } // namespace
 
 EscapeFilter::EscapeFilter(unsigned bits, unsigned num_hashes,
-                           std::uint64_t seed)
+                           std::uint64_t seed, const char *name)
     : bits(bits), hashes(num_hashes, log2Bits(bits), seed),
-      words((bits + 63) / 64, 0)
+      words((bits + 63) / 64, 0), _stats(name)
 {
     emv_assert(bits >= 64 && (bits & (bits - 1)) == 0,
                "escape filter size must be a power of two >= 64");
@@ -36,7 +36,7 @@ EscapeFilter::EscapeFilter(unsigned bits, unsigned num_hashes,
 
 EscapeFilter::EscapeFilter(const EscapeFilter &other)
     : bits(other.bits), inserted(other.inserted), hashes(other.hashes),
-      words(other.words)
+      words(other.words), _stats(other._stats.name())
 {
     _stats.copyValues(other._stats);
 }

@@ -40,11 +40,15 @@ class EscapeFilter
      * @param bits       Filter size in bits (power of two; paper: 256).
      * @param num_hashes H3 hash functions (paper: 4).
      * @param seed       Seed for the H3 tables.
+     * @param name       Stat group name ("vmm_filter" and
+     *                   "guest_filter" in the MMU).
      */
     explicit EscapeFilter(unsigned bits = 256, unsigned num_hashes = 4,
-                          std::uint64_t seed = 0x1234);
+                          std::uint64_t seed = 0x1234,
+                          const char *name = "escape_filter");
 
-    /** Copies keep their own stat group and copy its values. */
+    /** Copies keep their own stat group (and its parent link) but
+     *  take the source's group name and stat values. */
     EscapeFilter(const EscapeFilter &other);
     EscapeFilter &operator=(const EscapeFilter &other);
 
@@ -101,7 +105,7 @@ class EscapeFilter
     std::vector<std::uint64_t> words;
     struct Stats : StatGroup
     {
-        Stats() : StatGroup("escape_filter") {}
+        using StatGroup::StatGroup;
         Counter inserts{*this, "inserts"};
         Counter positives{*this, "positives"};
     };

@@ -7,7 +7,7 @@
  *   "params"  — how to rebuild the run: workload, configuration
  *               label, scale, seeds, fault plan, and how far the
  *               run had progressed (warmup / measured op counts);
- *   "audit"   — the process-wide machine.audit counters;
+ *   "audit"   — the saving thread's machine.audit counters;
  *   "telemetry" (optional) — the TelemetryRecorder's window cursor
  *               and per-source baselines, present only when the run
  *               had a metrics sink attached;

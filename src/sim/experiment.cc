@@ -142,8 +142,6 @@ RunParams::parseArgs(int argc, char **argv)
             warmupOps = std::strtoull(arg + 7, nullptr, 10);
         else if (std::strncmp(arg, "seed=", 5) == 0)
             seed = std::strtoull(arg + 5, nullptr, 10);
-        else if (std::strncmp(arg, "statsjson=", 10) == 0)
-            statsJsonPath = arg + 10;
         else if (std::strncmp(arg, "trace=", 6) == 0)
             traceFlags = arg + 6;
         else if (std::strncmp(arg, "tracefile=", 10) == 0)

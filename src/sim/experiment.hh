@@ -60,7 +60,6 @@ struct RunParams
     std::uint64_t faultSeed = 7;  //!< Victim-selection seed.
 
     // Observability (see common/trace.hh, common/profile.hh).
-    std::string statsJsonPath;    //!< Dump registry JSON here.
     std::string traceFlags;       //!< CSV of flags, e.g. "Tlb,Walk".
     std::string traceFilePath;    //!< Trace sink file ("" = stderr).
     bool profile = false;         //!< Collect phase timings.
@@ -68,7 +67,7 @@ struct RunParams
 
     /**
      * Parse "scale=0.25 ops=1000000 warmup=100000 trace=Tlb,Walk
-     * tracefile=t.log statsjson=s.json profile=1" style argv.
+     * tracefile=t.log profile=1" style argv.
      */
     void parseArgs(int argc, char **argv);
 

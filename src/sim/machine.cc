@@ -413,6 +413,24 @@ Machine::serviceFault(const core::TranslationResult &result)
     return true;
 }
 
+std::vector<const StatGroup *>
+Machine::statGroups() const
+{
+    std::vector<const StatGroup *> groups = _mmu->statGroups();
+    groups.insert(groups.end(),
+                  {&_os->stats(), &_os->buddy().stats(),
+                   &_hostMem->stats(), &injector->stats()});
+    if (_vmm) {
+        groups.push_back(&_vmm->stats());
+        groups.push_back(&_vmm->hostBuddy().stats());
+    }
+    if (_vm)
+        groups.push_back(&_vm->stats());
+    if (shadow)
+        groups.push_back(&shadow->stats());
+    return groups;
+}
+
 void
 Machine::resetStats()
 {

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "core/mmu.hh"
@@ -170,9 +171,9 @@ struct RunResult
  * The machine.
  *
  * Thread-safety: a Machine and everything it owns (OS, VMM, MMU,
- * workload, RNG streams, per-machine stat groups) is confined to
- * one worker thread.  The only process-wide services it touches —
- * StatRegistry registration, audit counters, trace/log sinks, a
+ * workload, RNG streams, stat groups) is confined to one worker
+ * thread, and so are the audit counters it bumps (thread-local).
+ * The only process-wide services it touches — trace/log sinks, a
  * shared TelemetryRecorder — are internally synchronized (see
  * common/thread_safety.hh).  emvsim threads=N runs N machines on N
  * threads under exactly this contract.
@@ -192,6 +193,13 @@ class Machine
 
     /** Zero all statistics (end of warmup). */
     void resetStats();
+
+    /** Every stat group this machine owns, for export
+     *  (common/stat_export.hh): the MMU with its TLBs, walk caches
+     *  and filters, the OS with its buddy allocator, host memory,
+     *  the fault injector, and the VMM with its buddy allocator, the
+     *  VM and the shadow pager when built. */
+    std::vector<const StatGroup *> statGroups() const;
 
     /**
      * Measured result accumulated since the last resetStats(),

@@ -8,7 +8,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/profile.hh"
-#include "common/stat_registry.hh"
+#include "common/stat_export.hh"
 #include "sim/experiment.hh"
 
 namespace emv::sim {
@@ -92,20 +92,15 @@ bytesStr(std::uint64_t bytes)
     return buf;
 }
 
-void
-writeStatsJson(std::ostream &os)
-{
-    prof::Scope export_scope(prof::Phase::StatsExport);
-    exportStatsJson(os, StatRegistry::instance().groups());
-}
-
 bool
-writeStatsJson(const std::string &path)
+writeStatsJson(const std::string &path,
+               const std::vector<const StatGroup *> &groups)
 {
     std::ofstream out(path, std::ios::trunc);
     if (!out)
         return false;
-    writeStatsJson(out);
+    prof::Scope export_scope(prof::Phase::StatsExport);
+    exportStatsJson(out, groups);
     return static_cast<bool>(out);
 }
 

@@ -12,6 +12,10 @@
 #include <string>
 #include <vector>
 
+namespace emv {
+class StatGroup;
+} // namespace emv
+
 namespace emv::sim {
 
 /** Fixed-width text table. */
@@ -42,12 +46,12 @@ std::string bytesStr(std::uint64_t bytes);
 struct CellResult;
 
 /**
- * Dump every registered StatGroup as emv-stats-v1 JSON.  The path
- * variant truncates the file; @return false when it cannot be
- * opened.  Both run under the StatsExport profiling phase.
+ * Write @p groups (e.g. Machine::statGroups()) to @p path as
+ * emv-stats-v1 JSON, truncating the file, under the StatsExport
+ * profiling phase.  @return false when the file cannot be written.
  */
-void writeStatsJson(std::ostream &os);
-bool writeStatsJson(const std::string &path);
+bool writeStatsJson(const std::string &path,
+                    const std::vector<const StatGroup *> &groups);
 
 /**
  * Machine-readable companion to the bench bar charts: one object per

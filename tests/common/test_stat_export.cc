@@ -1,37 +1,17 @@
-/** @file Registry, hierarchy and JSON/CSV export tests. */
+/** @file Hierarchical names and emv-stats-v1 JSON export tests. */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
 #include <sstream>
-#include <thread>
 
 #include "common/json.hh"
-#include "common/stat_registry.hh"
+#include "common/stat_export.hh"
 #include "common/stats.hh"
 
 namespace emv {
 namespace {
 
-/** Registry entries for exactly the given groups, sorted by name. */
-std::vector<const StatGroup *>
-only(std::initializer_list<const StatGroup *> groups)
-{
-    return std::vector<const StatGroup *>(groups);
-}
-
-TEST(StatRegistryTest, GroupsAutoRegisterAndDeregister)
-{
-    const std::size_t before = StatRegistry::instance().size();
-    {
-        StatGroup g("transient");
-        EXPECT_EQ(StatRegistry::instance().size(), before + 1);
-    }
-    EXPECT_EQ(StatRegistry::instance().size(), before);
-}
-
-TEST(StatRegistryTest, ParentPrefixFormsHierarchicalNames)
+TEST(StatExportTest, ParentPrefixFormsHierarchicalNames)
 {
     StatGroup machine("machine");
     StatGroup mmu("mmu");
@@ -44,12 +24,29 @@ TEST(StatRegistryTest, ParentPrefixFormsHierarchicalNames)
 
     // Reparenting an ancestor renames the whole subtree.
     mmu.setParent("box0");
+    EXPECT_EQ(mmu.fullName(), "box0.mmu");
     EXPECT_EQ(tlb.fullName(), "box0.mmu.l1tlb4k");
+    EXPECT_EQ(machine.fullName(), "machine");
+}
 
-    auto under = StatRegistry::instance().groupsUnder("box0.mmu");
-    ASSERT_EQ(under.size(), 2u);
-    EXPECT_EQ(under[0]->fullName(), "box0.mmu");
-    EXPECT_EQ(under[1]->fullName(), "box0.mmu.l1tlb4k");
+TEST(StatExportTest, GroupsExportInFullNameOrder)
+{
+    StatGroup os_group("os");
+    os_group.setParent("machine");
+    StatGroup mmu("mmu");
+    mmu.setParent("machine");
+    StatGroup tlb("l1tlb4k");
+    tlb.setParent(&mmu);
+
+    std::ostringstream out;
+    exportStatsJson(out, {&tlb, &os_group, &mmu});
+    json::Value root;
+    ASSERT_TRUE(json::parse(out.str(), root));
+    const auto &groups = root.find("groups")->array;
+    ASSERT_EQ(groups.size(), 3u);
+    EXPECT_EQ(groups[0].find("name")->string, "machine.mmu");
+    EXPECT_EQ(groups[1].find("name")->string, "machine.mmu.l1tlb4k");
+    EXPECT_EQ(groups[2].find("name")->string, "machine.os");
 }
 
 TEST(StatExportTest, JsonRoundTripsCountersAndScalars)
@@ -64,7 +61,7 @@ TEST(StatExportTest, JsonRoundTripsCountersAndScalars)
     walk_cycles += 123.5;
 
     std::ostringstream os;
-    exportStatsJson(os, only({&g}));
+    exportStatsJson(os, {&g});
 
     json::Value root;
     ASSERT_TRUE(json::parse(os.str(), root));
@@ -100,7 +97,7 @@ TEST(StatExportTest, JsonCarriesDistributionSummary)
         d.sample(v);
 
     std::ostringstream os;
-    exportStatsJson(os, only({&g}));
+    exportStatsJson(os, {&g});
 
     json::Value root;
     ASSERT_TRUE(json::parse(os.str(), root));
@@ -127,109 +124,11 @@ TEST(StatExportTest, DuplicateGroupNamesBothExported)
     b_hits += 2;
 
     std::ostringstream os;
-    exportStatsJson(os, only({&a, &b}));
+    exportStatsJson(os, {&a, &b});
 
     json::Value root;
     ASSERT_TRUE(json::parse(os.str(), root));
     EXPECT_EQ(root.find("groups")->array.size(), 2u);
-}
-
-TEST(StatExportTest, CsvHasHeaderAndOneRowPerStat)
-{
-    StatGroup g("os");
-    Counter major_faults{g, "major_faults"};
-    Scalar resident_bytes{g, "resident_bytes"};
-    major_faults += 3;
-    resident_bytes += 4096.0;
-
-    std::ostringstream os;
-    exportStatsCsv(os, only({&g}));
-    std::istringstream lines(os.str());
-    std::string line;
-    ASSERT_TRUE(std::getline(lines, line));
-    EXPECT_EQ(line, "group,stat,kind,value");
-    ASSERT_TRUE(std::getline(lines, line));
-    EXPECT_EQ(line, "os,major_faults,counter,3");
-    ASSERT_TRUE(std::getline(lines, line));
-    EXPECT_EQ(line.substr(0, 26), "os,resident_bytes,scalar,4");
-}
-
-TEST(StatRegistryTest, VisitorsMayReenterTheRegistry)
-{
-    // Locking-contract regression (stat_registry.hh): visitAll()
-    // snapshots the entry list and releases the registry lock before
-    // visiting, so a visitor that re-enters the registry — creating
-    // and destroying a StatGroup, or querying size() — must not
-    // deadlock.  With a lock held across the callback this test
-    // would hang (and the thread-safety analysis would reject the
-    // code).
-    struct ReentrantVisitor : StatVisitor
-    {
-        std::size_t counters = 0;
-
-        void
-        visitCounter(const StatGroup &, const std::string &,
-                     const Counter &) override
-        {
-            ++counters;
-            StatGroup transient("reentrant_transient");
-            Counter touch{transient, "touch"};
-            touch += 1;
-            EXPECT_GT(StatRegistry::instance().size(), 0u);
-        }
-        void visitScalar(const StatGroup &, const std::string &,
-                         const Scalar &) override {}
-        void visitDistribution(const StatGroup &, const std::string &,
-                               const Distribution &) override {}
-    };
-
-    StatGroup g("reentry_host");
-    Counter a{g, "a"};
-    Counter b{g, "b"};
-    a += 1;
-    b += 2;
-    ReentrantVisitor visitor;
-    StatRegistry::instance().visitAll(visitor);
-    EXPECT_GE(visitor.counters, 2u);
-}
-
-TEST(StatRegistryTest, ConcurrentRegistrationIsRaceFree)
-{
-    // The threads=N lifecycle: worker threads construct and destroy
-    // whole StatGroup populations concurrently (machines are built
-    // in-thread) while other threads read the registry.  Run under
-    // the tsan preset this doubles as a data-race check on the
-    // add/remove/groups()/size() paths.
-    const std::size_t before = StatRegistry::instance().size();
-    constexpr unsigned kThreads = 4;
-    constexpr unsigned kRounds = 50;
-
-    std::atomic<bool> go{false};
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&go, t] {
-            while (!go.load(std::memory_order_acquire)) {}
-            for (unsigned round = 0; round < kRounds; ++round) {
-                StatGroup parent(
-                    "mt_parent" + std::to_string(t));
-                StatGroup child("mt_child");
-                child.setParent(&parent);
-                Counter ops{child, "ops"};
-                ops += round;
-                // Reads interleave with other threads' add/remove;
-                // the snapshot just has to be internally
-                // consistent, never a crash or a race.
-                const auto groups =
-                    StatRegistry::instance().groups();
-                EXPECT_GE(groups.size(), 2u);
-                EXPECT_GE(StatRegistry::instance().size(), 2u);
-            }
-        });
-    }
-    go.store(true, std::memory_order_release);
-    for (auto &worker : workers)
-        worker.join();
-    EXPECT_EQ(StatRegistry::instance().size(), before);
 }
 
 TEST(DistributionTest, PercentilesTrackPowerOfTwoBuckets)

@@ -188,6 +188,7 @@ TEST(StatGroupTest, CopyValuesCopiesEveryKind)
     a.d.sample(4.0);
     ThreeStats b("b");
     b.copyValues(a);
+    EXPECT_EQ(b.name(), "a");
     EXPECT_EQ(b.counterValue("c"), 5u);
     EXPECT_DOUBLE_EQ(b.scalarValue("s"), 1.5);
     EXPECT_EQ(b.d.count(), 1u);

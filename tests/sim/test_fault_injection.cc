@@ -12,7 +12,6 @@
 
 #include "common/audit.hh"
 #include "common/logging.hh"
-#include "common/stat_registry.hh"
 #include "sim/machine.hh"
 
 namespace emv::sim {
@@ -58,9 +57,9 @@ class FaultInjectionTest : public ::testing::Test
         return machine.faultInjector().stats().counterValue(name);
     }
 
-    /** "group.stat" for every stat of every registered group. */
+    /** "group.stat" for every stat of every group @p machine owns. */
     static std::vector<std::string>
-    declaredStatNames()
+    declaredStatNames(const Machine &machine)
     {
         struct Names : StatVisitor
         {
@@ -84,7 +83,8 @@ class FaultInjectionTest : public ::testing::Test
                                    const Distribution &) override
             { add(group, name); }
         } names;
-        StatRegistry::instance().visitAll(names);
+        for (const StatGroup *group : machine.statGroups())
+            group->visit(names);
         return names.out;
     }
 };
@@ -101,10 +101,10 @@ TEST_F(FaultInjectionTest, StatSetIsFixedAtConstruction)
         auto wl = makeWl();
         Machine machine(
             makeCfg(mode, "dram@1000x4,balloonfail@1500"), *wl);
-        const auto before = declaredStatNames();
+        const auto before = declaredStatNames(machine);
         EXPECT_TRUE(machine.run(4000).completed);
         EXPECT_GT(faultCounter(machine, "delivered_events"), 0u);
-        EXPECT_EQ(declaredStatNames(), before);
+        EXPECT_EQ(declaredStatNames(machine), before);
     }
 }
 

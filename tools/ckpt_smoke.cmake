@@ -6,7 +6,8 @@
 #
 # MODE=killresume  a run SIGKILLed mid-measurement and resumed from
 #                  its checkpoint must emit stats JSON byte-identical
-#                  to the uninterrupted control run.
+#                  to the uninterrupted control run, with and without
+#                  audit=1.
 # MODE=exitcodes   pins the emvsim exit-code contract: 0 completed,
 #                  1 usage error, 2 terminal fault, 3 interrupted.
 # MODE=fleet       emv_fleet must recover a deterministically
@@ -48,30 +49,34 @@ function(run_step name expect)
 endfunction()
 
 if(MODE STREQUAL "killresume")
-  # audit=1 keeps the differential auditor live across the resume
-  # and makes both runs register identical stat groups (a restored
-  # run always carries the checkpoint's audit counters).
-  run_step(control 0
-           ${EMVSIM} ${RUN_ARGS} audit=1
-           statsjson=${WORKDIR}/control.json)
+  # Once with audit=1, which keeps the differential auditor live
+  # across the resume and exports the restored machine.audit
+  # counters, and once without, where neither run exports them.
+  foreach(audit 1 0)
+    set(tag "audit${audit}")
+    run_step(${tag}_control 0
+             ${EMVSIM} ${RUN_ARGS} audit=${audit}
+             statsjson=${WORKDIR}/${tag}_control.json)
 
-  # crashafter raises SIGKILL mid-measurement; the periodic
-  # checkpoints written before the crash are the recovery point.
-  run_step(crashed nonzero
-           ${EMVSIM} ${RUN_ARGS} audit=1
-           ckpt=${WORKDIR}/run.ckpt ckptevery=25000
-           crashafter=50000)
-  if(NOT EXISTS "${WORKDIR}/run.ckpt")
-    message(FATAL_ERROR "no checkpoint survived the crash")
-  endif()
+    # crashafter raises SIGKILL mid-measurement; the periodic
+    # checkpoints written before the crash are the recovery point.
+    run_step(${tag}_crashed nonzero
+             ${EMVSIM} ${RUN_ARGS} audit=${audit}
+             ckpt=${WORKDIR}/${tag}.ckpt ckptevery=25000
+             crashafter=50000)
+    if(NOT EXISTS "${WORKDIR}/${tag}.ckpt")
+      message(FATAL_ERROR "${tag}: no checkpoint survived the crash")
+    endif()
 
-  run_step(resumed 0
-           ${EMVSIM} resume=${WORKDIR}/run.ckpt stats=0
-           statsjson=${WORKDIR}/resumed.json)
+    run_step(${tag}_resumed 0
+             ${EMVSIM} resume=${WORKDIR}/${tag}.ckpt stats=0
+             statsjson=${WORKDIR}/${tag}_resumed.json)
 
-  run_step(identical 0
-           ${CMAKE_COMMAND} -E compare_files
-           ${WORKDIR}/control.json ${WORKDIR}/resumed.json)
+    run_step(${tag}_identical 0
+             ${CMAKE_COMMAND} -E compare_files
+             ${WORKDIR}/${tag}_control.json
+             ${WORKDIR}/${tag}_resumed.json)
+  endforeach()
 
 elseif(MODE STREQUAL "exitcodes")
   run_step(usage_error 1 ${EMVSIM} workload=gups bogus=1)

@@ -13,8 +13,8 @@
  *                  runs are reproducible.
  *   raw-output     no std::cout/std::cerr/printf in src/ outside the
  *                  designated report/trace/logging translation
- *                  units — simulation results must go through the
- *                  stat registry or report layer, not ad-hoc prints.
+ *                  units — simulation results must go through stat
+ *                  groups or the report layer, not ad-hoc prints.
  *   pragma-once    every header in src/ uses #pragma once.
  *   test-coverage  every .cc in src/ has a matching test file under
  *                  tests/ (with a small alias table for aggregate
@@ -47,8 +47,6 @@
  *                  atomic, a Mutex, thread_local, or carry an
  *                  EMV_GUARDED_BY annotation; anything else is a
  *                  data race waiting for the threaded runner.
- *                  Audited singletons live in an explicit
- *                  "file:name" allowlist.
  *   unguarded-member
  *                  a class that owns a Mutex declares its locking
  *                  story for *every* mutable member: EMV_GUARDED_BY
@@ -648,19 +646,11 @@ isNonVariableStmt(const std::string &s)
 // ---------------------------------------------------------------------
 
 void
-checkSharedMutableState(const fs::path &file, const std::string &rel,
+checkSharedMutableState(const fs::path &file,
                         const std::vector<Stmt> &nsStmts,
                         const std::vector<TypeScope> &types,
                         const std::vector<Stmt> &fnStmts)
 {
-    // Audited process-wide singletons ("file:name"), each with an
-    // internally-synchronized implementation (DESIGN.md §12).
-    static const std::set<std::string> allowlist = {
-        // Leaked singleton; its entry list is Mutex-guarded.
-        "common/stat_registry.cc:registry",
-        // Function-local audit counters behind AuditStats::mutex.
-        "common/audit.cc:stats",
-    };
     auto flag = [&](const Stmt &stmt, const char *what) {
         const std::string bare = stripEmvAttrs(stmt.text);
         if (isNonVariableStmt(bare) ||
@@ -669,15 +659,11 @@ checkSharedMutableState(const fs::path &file, const std::string &rel,
         }
         if (allowedSharedDecl(stmt.text))
             return;
-        const std::string name = declaredName(bare);
-        if (allowlist.count(rel + ":" + name))
-            return;
         report(file, stmt.line, "shared-mutable-state",
-               std::string(what) + " '" + name +
+               std::string(what) + " '" + declaredName(bare) +
                    "' is mutable and unsynchronized; make it "
-                   "const/atomic, guard it with a Mutex + "
-                   "EMV_GUARDED_BY, or add it to the audited "
-                   "allowlist in emv_lint");
+                   "const/atomic/thread_local, or guard it with a "
+                   "Mutex + EMV_GUARDED_BY");
     };
     for (const Stmt &stmt : nsStmts)
         flag(stmt, "namespace-scope variable");
@@ -808,7 +794,6 @@ checkTestCoverage(const fs::path &root)
 {
     // Aggregate suites that intentionally cover several sources.
     static const std::map<std::string, std::string> aliases = {
-        {"common/stat_registry.cc", "common/test_stat_export.cc"},
         {"common/audit.cc", "common/test_audit.cc"},
         {"core/differential_auditor.cc",
          "core/test_differential_audit.cc"},
@@ -951,7 +936,7 @@ main(int argc, char **argv)
         std::vector<Stmt> nsStmts, fnStmts;
         std::vector<TypeScope> types;
         collectScopes(stripped, nsStmts, types, fnStmts);
-        checkSharedMutableState(path, rel, nsStmts, types, fnStmts);
+        checkSharedMutableState(path, nsStmts, types, fnStmts);
         checkUnguardedMember(path, rel, types);
     }
     checkTestCoverage(root);

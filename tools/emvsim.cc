@@ -56,7 +56,9 @@
  *      final checkpoint was flushed and the run can be resumed.
  *
  * Observability:
- *   statsjson=PATH   dump every stat group as emv-stats-v1 JSON.
+ *   statsjson=PATH   dump the machine's stat groups (plus
+ *                    machine.audit under audit=1) as emv-stats-v1
+ *                    JSON.
  *   metrics=PATH     stream emv-metrics-v1 windowed snapshots (one
  *                    JSON object per line) to PATH over the measured
  *                    interval: per-window counter deltas, wall-clock
@@ -80,18 +82,18 @@
  *                    compared.  Results appear as machine.audit.*
  *                    stats; any mismatch makes emvsim exit 1.
  *
- * Fault injection:
  * Parallel smoke:
  *   threads=N        run N independent machines on N worker threads
- *                    in one process, all sharing the stat registry,
- *                    audit counters and (with metrics=) one
+ *                    in one process, sharing (with metrics=) one
  *                    telemetry recorder.  Machine t runs the same
- *                    workload with seed+t.  This is the concurrency
+ *                    workload with seed+t; audit counts are summed
+ *                    over the machines.  This is the concurrency
  *                    smoke for the in-process parallel engine (run
  *                    it under the tsan preset); checkpoint/resume,
  *                    the interruption test knobs and statsjson= are
  *                    serial-only and rejected with threads>1.
  *
+ * Fault injection:
  *   faults=SPEC      schedule of mid-run faults at trace-op
  *                    granularity: "kind@op[xCOUNT],..." with kinds
  *                    dram guestpte nestedpte filtersat balloonfail
@@ -159,7 +161,8 @@ constexpr Knob kKnobs[] = {
     {"fragguest", "guest fragmentation: max free-run MB (0 = off)"},
     {"fraghost", "host fragmentation: max free-run MB (0 = off)"},
     {"stats", "print counter dumps (default 1)"},
-    {"statsjson", "dump every stat group as emv-stats-v1 JSON"},
+    {"statsjson", "dump the machine's stat groups as emv-stats-v1 "
+                  "JSON"},
     {"metrics", "stream emv-metrics-v1 windowed snapshots to this "
                 "JSONL path (tail with emv_top)"},
     {"window", "telemetry window size in measured trace ops "
@@ -183,7 +186,7 @@ constexpr Knob kKnobs[] = {
     {"crashafter", "raise SIGKILL at trace op N (test knob)"},
     {"hangafter", "stop progressing at trace op N (test knob)"},
     {"threads", "run N independent machines on N worker threads "
-                "sharing the registry/telemetry (concurrency smoke; "
+                "sharing one telemetry recorder (concurrency smoke; "
                 "default 1)"},
 };
 
@@ -297,14 +300,13 @@ stopRequested()
 
 /**
  * threads=N: run N independent machines on N worker threads in one
- * process.  Everything process-wide — the stat registry, the audit
- * counters, the trace sink, the telemetry recorder — is shared and
- * internally synchronized (thread_safety.hh documents the contract);
- * each Machine itself stays confined to its worker thread.
- *
- * Machines are constructed and destroyed *in-thread* so their stat
- * groups register with and retire from the shared registry
- * concurrently.  With metrics=, the driver owns the recorder's
+ * process.  The process-wide services — the trace sink and the
+ * telemetry recorder — are shared and internally synchronized
+ * (thread_safety.hh documents the contract); each Machine, with its
+ * stat groups and its thread's audit counters, stays confined to
+ * its worker thread, which is built, run and destroyed in-thread.
+ * Each worker reads its audit counts before it exits and the driver
+ * sums them.  With metrics=, the driver owns the recorder's
  * sources (per-machine source names would collide across N
  * machines): a race-free atomic op counter plus the shard count;
  * the machines only drive the shared window clock through
@@ -347,6 +349,9 @@ runParallel(unsigned nthreads, workload::WorkloadKind kind,
         sim::RunResult run;
         bool terminal = false;
         bool interrupted = false;
+        std::uint64_t auditChecks = 0;
+        std::uint64_t auditFailures = 0;
+        std::uint64_t auditMismatches = 0;
     };
     std::vector<Shard> shards(nthreads);
     std::vector<std::thread> workers;
@@ -354,6 +359,19 @@ runParallel(unsigned nthreads, workload::WorkloadKind kind,
     for (unsigned t = 0; t < nthreads; ++t) {
         workers.emplace_back([&, t] {
             Shard &shard = shards[t];
+            // This thread's audit counts are its machine's; read
+            // them however the run ends, after the machine (declared
+            // below) is destroyed.
+            struct AuditTally
+            {
+                Shard &shard;
+                ~AuditTally()
+                {
+                    shard.auditChecks = audit::checkCount();
+                    shard.auditFailures = audit::failureCount();
+                    shard.auditMismatches = audit::mismatchCount();
+                }
+            } tally{shard};
             sim::RunParams params = base_params;
             params.seed = base_params.seed + t;
             auto wl = workload::makeWorkload(kind, params.seed,
@@ -427,6 +445,9 @@ runParallel(unsigned nthreads, workload::WorkloadKind kind,
     std::uint64_t l1_misses = 0;
     std::uint64_t l2_misses = 0;
     std::uint64_t walks = 0;
+    std::uint64_t audit_checks = 0;
+    std::uint64_t audit_failures = 0;
+    std::uint64_t audit_mismatches = 0;
     std::printf("\n-- results (%u shards) --\n", nthreads);
     for (unsigned t = 0; t < nthreads; ++t) {
         const Shard &shard = shards[t];
@@ -442,6 +463,9 @@ runParallel(unsigned nthreads, workload::WorkloadKind kind,
         l1_misses += shard.run.l1Misses;
         l2_misses += shard.run.l2Misses;
         walks += shard.run.walks;
+        audit_checks += shard.auditChecks;
+        audit_failures += shard.auditFailures;
+        audit_mismatches += shard.auditMismatches;
     }
     std::printf("aggregate: L1 misses %llu, L2 misses %llu, "
                 "walks %llu\n",
@@ -457,16 +481,14 @@ runParallel(unsigned nthreads, workload::WorkloadKind kind,
     if (base_params.audit) {
         std::printf("audit checks:     %llu\n"
                     "audit mismatches: %llu\n",
-                    static_cast<unsigned long long>(
-                        audit::checkCount()),
-                    static_cast<unsigned long long>(
-                        audit::mismatchCount()));
+                    static_cast<unsigned long long>(audit_checks),
+                    static_cast<unsigned long long>(audit_mismatches));
     }
 
     if (terminal)
         return kExitTerminalFault;
-    if (base_params.audit && (audit::mismatchCount() != 0 ||
-                              audit::failureCount() != 0)) {
+    if (base_params.audit &&
+        (audit_mismatches != 0 || audit_failures != 0)) {
         return kExitUsageOrAudit;
     }
     return interrupted ? kExitInterrupted : kExitOk;
@@ -656,8 +678,7 @@ main(int argc, char **argv)
     params.faultPolicy = meta.faultPolicy;
     params.faultSeed = meta.faultSeed;
     params.audit = meta.audit;
-    if (const char *v = argValue(argc, argv, "statsjson"))
-        params.statsJsonPath = v;
+    const char *stats_json = argValue(argc, argv, "statsjson");
     if (const char *v = argValue(argc, argv, "trace"))
         params.traceFlags = v;
     if (const char *v = argValue(argc, argv, "tracefile"))
@@ -918,13 +939,14 @@ main(int argc, char **argv)
         }
     }
 
-    if (!params.statsJsonPath.empty()) {
-        if (sim::writeStatsJson(params.statsJsonPath)) {
-            std::printf("\nwrote %s\n",
-                        params.statsJsonPath.c_str());
+    if (stats_json && *stats_json) {
+        auto groups = machine.statGroups();
+        if (params.audit)
+            groups.push_back(&audit::stats());
+        if (sim::writeStatsJson(stats_json, groups)) {
+            std::printf("\nwrote %s\n", stats_json);
         } else {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         params.statsJsonPath.c_str());
+            std::fprintf(stderr, "cannot write '%s'\n", stats_json);
             return kExitUsageOrAudit;
         }
     }

@@ -12,8 +12,9 @@
  * A .json argument must parse as strict JSON and carry one of the
  * known schema tags, which selects the structural checks:
  *
- *   emv-stats-v1 — at least one named stat group with at least one
- *                  counter (the emvsim statsjson= contract);
+ *   emv-stats-v1 — at least one stat group, each with a distinct
+ *                  non-empty name, and at least one counter (the
+ *                  emvsim statsjson= contract);
  *   emv-bench-v1 — a non-empty title, a "cells" array (possibly
  *                  empty — a bench with no simulated cells still
  *                  reports) whose entries each name a workload, a
@@ -51,6 +52,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -122,7 +124,7 @@ allNumbersFinite(const emv::json::Value &v, const std::string &at,
     }
 }
 
-/** emv-stats-v1: named groups, at least one counter overall. */
+/** emv-stats-v1: uniquely named groups, at least one counter. */
 int
 checkStats(const std::string &path, const emv::json::Value &root)
 {
@@ -133,11 +135,17 @@ checkStats(const std::string &path, const emv::json::Value &root)
         return 1;
     }
     std::size_t counters = 0;
+    std::set<std::string> names;
     for (const auto &group : groups->array) {
         const emv::json::Value *name = group.find("name");
         if (!isString(name) || name->string.empty()) {
             std::fprintf(stderr, "json_check: %s: group without a "
                          "name\n", path.c_str());
+            return 1;
+        }
+        if (!names.insert(name->string).second) {
+            std::fprintf(stderr, "json_check: %s: duplicate group "
+                         "'%s'\n", path.c_str(), name->string.c_str());
             return 1;
         }
         if (const emv::json::Value *c = group.find("counters"))
