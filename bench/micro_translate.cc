@@ -2,14 +2,19 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot paths:
  * per-mode translation throughput of the Mmu, raw walker costs,
- * TLB lookups, and escape-filter probes.  These measure the
+ * TLB lookups, escape-filter probes, physical-memory loads and
+ * page-table range updates.  These measure the
  * *library's* speed (simulation throughput), complementing the
  * figure benches that measure the *modeled* cycles.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/logging.hh"
+#include "mem/phys_memory.hh"
+#include "paging/page_table.hh"
 #include "segment/escape_filter.hh"
 #include "sim/machine.hh"
 #include "tlb/tlb.hh"
@@ -120,6 +125,82 @@ BM_EscapeFilterProbe(benchmark::State &state)
     }
 }
 
+/** Size of a small cell's host memory. */
+constexpr Addr kCellMemBytes = 8 * GiB;
+
+void
+BM_PhysMemoryRead64(benchmark::State &state)
+{
+    // 4096 resident frames spread across the memory, read at
+    // pseudo-random words: every load finds a frame.
+    mem::PhysMemory mem(kCellMemBytes);
+    constexpr unsigned kFrames = 4096;
+    const Addr stride = kCellMemBytes / kFrames;
+    std::vector<Addr> addrs;
+    for (unsigned i = 0; i < kFrames; ++i) {
+        mem.write64(Addr{i} * stride, i);
+        addrs.push_back(Addr{(i * 2654435761u) % kFrames} * stride +
+                        (i % 512) * 8);
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(mem.read64(addrs[next]));
+        next = (next + 1) % kFrames;
+    }
+}
+
+/** Identity MemSpace over host memory, recycling table frames. */
+class HostSpace : public paging::MemSpace
+{
+  public:
+    explicit HostSpace(mem::PhysMemory &mem) : mem(mem) {}
+
+    std::uint64_t read64(Addr addr) const override
+    { return mem.read64(addr); }
+
+    void write64(Addr addr, std::uint64_t value) override
+    { mem.write64(addr, value); }
+
+    Addr
+    allocTableFrame() override
+    {
+        Addr frame = next;
+        if (pool.empty()) {
+            next += kPage4K;
+        } else {
+            frame = pool.back();
+            pool.pop_back();
+        }
+        mem.zeroFrame(frame);
+        return frame;
+    }
+
+    void freeTableFrame(Addr frame) override { pool.push_back(frame); }
+
+  private:
+    mem::PhysMemory &mem;
+    std::vector<Addr> pool;
+    Addr next = 0;
+};
+
+void
+BM_PageTableMapUnmap2M(benchmark::State &state)
+{
+    // One 2 MB run as 4K pages, mapped and unmapped through the range
+    // ops: the nested-table build and I/O-gap reclaim pattern.
+    mem::PhysMemory mem(kCellMemBytes);
+    HostSpace space(mem);
+    paging::PageTable table(space);
+    const Addr va = 1ull << 40;
+    const Addr pa = 1ull << 30;
+    for (auto _ : state) {
+        table.mapRange(va, pa, kPage2M, PageSize::Size4K);
+        benchmark::DoNotOptimize(
+            table.unmapRange(va, kPage2M, PageSize::Size4K));
+    }
+    state.SetItemsProcessed(state.iterations() * 512);
+}
+
 BENCHMARK(BM_TranslateNative);
 BENCHMARK(BM_TranslateBaseVirtualized);
 BENCHMARK(BM_TranslateVmmDirect);
@@ -128,6 +209,8 @@ BENCHMARK(BM_TranslateGuestDirect);
 BENCHMARK(BM_TranslateNativeDirect);
 BENCHMARK(BM_TlbLookupHit);
 BENCHMARK(BM_EscapeFilterProbe);
+BENCHMARK(BM_PhysMemoryRead64);
+BENCHMARK(BM_PageTableMapUnmap2M);
 
 } // namespace
 

@@ -1,6 +1,7 @@
 #include "mem/phys_memory.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "common/audit.hh"
 #include "common/ckpt.hh"
@@ -13,6 +14,21 @@ PhysMemory::PhysMemory(Addr size_bytes)
 {
     emv_assert(size_bytes > 0 && isAligned(size_bytes, kPage4K),
                "physical memory size must be a positive multiple of 4K");
+    blocks.resize(alignUp(size_bytes, kPage2M) / kPage2M);
+}
+
+PhysMemory::Frame &
+PhysMemory::makeFrame(std::uint64_t frame_no)
+{
+    auto &block = blocks[frame_no >> 9];
+    if (!block)
+        block = std::make_unique<Block>();
+    auto &slot = (*block)[frame_no & 511];
+    if (!slot) {
+        slot = std::make_unique<Frame>();
+        ++resident;
+    }
+    return *slot;
 }
 
 PhysMemory::Frame &
@@ -21,11 +37,7 @@ PhysMemory::frameFor(Addr addr)
     emv_assert(addr < sizeBytes,
                "physical access %s beyond memory size %s",
                hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-    const std::uint64_t frame_no = addr >> 12;
-    auto &slot = frames[frame_no];
-    if (!slot)
-        slot = std::make_unique<Frame>();
-    return *slot;
+    return makeFrame(addr >> 12);
 }
 
 const PhysMemory::Frame *
@@ -34,8 +46,8 @@ PhysMemory::frameForConst(Addr addr) const
     emv_assert(addr < sizeBytes,
                "physical access %s beyond memory size %s",
                hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-    auto it = frames.find(addr >> 12);
-    return it == frames.end() ? nullptr : it->second.get();
+    const Block *block = blocks[addr >> 21].get();
+    return block ? (*block)[(addr >> 12) & 511].get() : nullptr;
 }
 
 std::uint64_t
@@ -130,6 +142,8 @@ std::vector<Addr>
 PhysMemory::badFramesInRange(Addr base, Addr len) const
 {
     std::vector<Addr> out;
+    if (len == 0)
+        return out;
     const std::uint64_t lo = base >> 12;
     const std::uint64_t hi = (base + len - 1) >> 12;
     for (std::uint64_t frame : badFrames) {
@@ -145,6 +159,8 @@ PhysMemory::anyBadInRange(Addr base, Addr len) const
 {
     // The bad-frame set is tiny (a handful of hard faults); scan it
     // rather than the range.
+    if (len == 0)
+        return false;
     const std::uint64_t lo = base >> 12;
     const std::uint64_t hi = (base + len - 1) >> 12;
     for (std::uint64_t frame : badFrames) {
@@ -159,17 +175,18 @@ PhysMemory::serialize(ckpt::Encoder &enc) const
 {
     enc.u64(sizeBytes);
 
-    std::vector<std::uint64_t> keys;
-    keys.reserve(frames.size());
-    for (const auto &[index, frame] : frames)
-        keys.push_back(index);
-    std::sort(keys.begin(), keys.end());
-    enc.u64(keys.size());
-    for (std::uint64_t index : keys) {
-        enc.u64(index);
-        const Frame &frame = *frames.at(index);
-        for (std::uint64_t word : frame)
-            enc.u64(word);
+    enc.u64(resident);
+    for (std::uint64_t b = 0; b < blocks.size(); ++b) {
+        if (!blocks[b])
+            continue;
+        for (std::uint64_t i = 0; i < 512; ++i) {
+            const Frame *frame = (*blocks[b])[i].get();
+            if (!frame)
+                continue;
+            enc.u64(b << 9 | i);
+            for (std::uint64_t word : *frame)
+                enc.u64(word);
+        }
     }
 
     std::vector<std::uint64_t> bad(badFrames.begin(),
@@ -191,15 +208,28 @@ PhysMemory::deserialize(ckpt::Decoder &dec)
         return false;
     }
 
-    frames.clear();
+    for (auto &block : blocks)
+        block.reset();
+    resident = 0;
     const std::uint64_t nframes = dec.u64();
+    std::uint64_t prev_index = 0;
     for (std::uint64_t i = 0; dec.ok() && i < nframes; ++i) {
         const std::uint64_t index = dec.u64();
-        auto frame = std::make_unique<Frame>();
-        for (auto &word : *frame)
+        if (!dec.ok())
+            break;
+        if (index >= sizeBytes >> 12) {
+            dec.fail("physmem: frame index " + std::to_string(index) +
+                     " beyond memory size");
+            return false;
+        }
+        if (i > 0 && index <= prev_index) {
+            dec.fail("physmem: frame index " + std::to_string(index) +
+                     " does not ascend");
+            return false;
+        }
+        prev_index = index;
+        for (auto &word : makeFrame(index))
             word = dec.u64();
-        if (dec.ok())
-            frames.emplace(index, std::move(frame));
     }
 
     badFrames.clear();

@@ -8,9 +8,13 @@
  * headline count — up to 24 memory references per 2D walk (Fig. 2) —
  * an emergent property rather than an assertion.
  *
- * The store is sparse (4 KB frames materialized on first touch) so a
- * simulated multi-GB machine costs only what the page tables and
- * touched data actually occupy.  PhysMemory also owns the hard-fault
+ * Frames are indexed by frame number through a two-level radix: a
+ * top array with one slot per 2 MB of memory, each slot a lazily made
+ * block of 512 frame pointers.  A load is two array indexes, never a
+ * hash lookup.  Frames themselves stay sparse (4 KB materialized on
+ * first touch), so a simulated multi-GB machine costs only what the
+ * page tables and touched data occupy plus 8 bytes per 2 MB of size
+ * (300 KB at the paper's 75 GB).  PhysMemory also owns the hard-fault
  * model: frames can be marked bad (paper §V), and the escape filter
  * machinery consults that registry.
  */
@@ -20,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -37,8 +40,8 @@ class Decoder;
 namespace emv::mem {
 
 /**
- * Sparse word-addressable physical memory of a fixed size with a
- * bad-frame (hard fault) registry.
+ * Word-addressable physical memory of a fixed size, with frames made
+ * on first touch, and a bad-frame (hard fault) registry.
  */
 class PhysMemory
 {
@@ -72,31 +75,39 @@ class PhysMemory
     void clearBad(Addr addr);
     /** True if the frame containing @p addr is faulty. */
     bool isBad(Addr addr) const;
-    /** True if any 4 KB frame in [base, base+len) is faulty. */
+    /** True if any 4 KB frame in [base, base+len) is faulty; false
+     *  for an empty range. */
     bool anyBadInRange(Addr base, Addr len) const;
-    /** Frame bases of faulty frames in [base, base+len), sorted. */
+    /** Frame bases of faulty frames in [base, base+len), sorted;
+     *  empty for an empty range. */
     std::vector<Addr> badFramesInRange(Addr base, Addr len) const;
     /** Number of faulty frames. */
     std::size_t badFrameCount() const { return badFrames.size(); }
 
     /** Number of frames actually materialized. */
-    std::size_t residentFrames() const { return frames.size(); }
+    std::size_t residentFrames() const { return resident; }
 
     StatGroup &stats() { return _stats; }
 
     /**
-     * Checkpoint all resident frame contents plus the bad-frame
-     * registry (sorted, so files are byte-stable across runs).  This
-     * is the chunk that captures every page-table radix tree.
+     * Checkpoint all resident frame contents in ascending frame order
+     * plus the bad-frame registry (sorted, so files are byte-stable
+     * across runs).  This is the chunk that captures every page-table
+     * radix tree.  Restore rejects a frame index beyond size() and
+     * indexes that do not strictly ascend.
      */
     void serialize(ckpt::Encoder &enc) const;
     bool deserialize(ckpt::Decoder &dec);
 
   private:
     using Frame = std::array<std::uint64_t, 512>;
+    /** The frames of one 2 MB chunk, indexed by frame number. */
+    using Block = std::array<std::unique_ptr<Frame>, 512>;
 
     Frame &frameFor(Addr addr);
     const Frame *frameForConst(Addr addr) const;
+    /** Materialize (zeroed) the frame with number @p frame_no. */
+    Frame &makeFrame(std::uint64_t frame_no);
 
     Addr sizeBytes;
     struct Stats : StatGroup
@@ -108,7 +119,9 @@ class PhysMemory
     };
     /** Bumped by the const read path too. */
     mutable Stats _stats;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Frame>> frames;
+    /** One slot per 2 MB chunk; a block is made on first touch. */
+    std::vector<std::unique_ptr<Block>> blocks;
+    std::size_t resident = 0;
     std::unordered_set<std::uint64_t> badFrames;
 };
 

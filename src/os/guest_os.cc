@@ -225,12 +225,12 @@ GuestOs::defineRegion(Process &proc, std::string name, Addr va,
     proc.addRegion(region);
 }
 
-bool
+std::optional<PageSize>
 GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
 {
     auto &pt = proc.pageTable();
-    if (pt.translate(va_page))
-        return true;  // Raced / already mapped.
+    if (auto mapping = pt.translate(va_page))
+        return mapping->size;  // Raced / already mapped.
 
     // Segment-backed pages: compute the physical address from the
     // segment offset (§VI.B) unless the target frame is faulty.
@@ -244,19 +244,19 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
                 mappingHook(proc, va_page, kPage4K, PageSize::Size4K,
                             true);
             }
-            return true;
+            return PageSize::Size4K;
         }
         // Escape: remap the faulty page to a healthy frame.
         auto healthy = allocDataBlock(PageSize::Size4K);
         if (!healthy)
-            return false;
+            return std::nullopt;
         pt.map(va_page, *healthy, PageSize::Size4K);
         ++_stats.escapeRemaps;
         if (mappingHook) {
             mappingHook(proc, va_page, kPage4K, PageSize::Size4K,
                         true);
         }
-        return true;
+        return PageSize::Size4K;
     }
 
     PageSize size = region.pageSize;
@@ -276,7 +276,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
                     mappingHook(proc, base2m, kPage2M,
                                 PageSize::Size2M, true);
                 }
-                return true;
+                return PageSize::Size2M;
             }
         }
     }
@@ -295,11 +295,11 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
                     mappingHook(proc, base, pageBytes(size), size,
                                 true);
                 }
-                return true;
+                return size;
             }
         }
         if (size == PageSize::Size4K)
-            return false;
+            return std::nullopt;
         size = size == PageSize::Size1G ? PageSize::Size2M
                                         : PageSize::Size4K;
         ++_stats.sizeFallbacks;
@@ -340,12 +340,11 @@ GuestOs::populateRange(Process &proc, Addr va, Addr bytes)
         const Region *region = proc.findRegion(page);
         emv_assert(region, "populate outside any region at %s",
                    hexAddr(page).c_str());
-        if (!mapPage(proc, *region, page))
+        const auto size = mapPage(proc, *region, page);
+        if (!size)
             emv_fatal("out of memory populating %s",
                       hexAddr(page).c_str());
-        auto mapping = proc.pageTable().translate(page);
-        page = alignDown(page, pageBytes(mapping->size)) +
-               pageBytes(mapping->size);
+        page = alignDown(page, pageBytes(*size)) + pageBytes(*size);
     }
 }
 
@@ -354,34 +353,45 @@ GuestOs::unmapRange(Process &proc, Addr va, Addr bytes)
 {
     auto &pt = proc.pageTable();
     const auto &seg = proc.guestSegment();
-    const Addr end = va + bytes;
-    std::uint64_t unmapped = 0;
-    Addr page = alignDown(va, kPage4K);
-    while (page < end) {
-        auto mapping = pt.translate(page);
-        if (!mapping) {
-            page += kPage4K;
-            continue;
-        }
-        const Addr base = alignDown(page, pageBytes(mapping->size));
-        const Addr frame = mapping->pa & ~(pageBytes(mapping->size) - 1);
-        pt.unmap(base, mapping->size);
+    // Every leaf the range touches goes, including those that
+    // straddle its ends.
+    const Addr start = alignDown(va, kPage4K);
+    std::vector<paging::PageTable::Leaf> doomed;
+    pt.forEachLeafIn(start, va + bytes - start,
+                     [&](const paging::PageTable::Leaf &leaf) {
+                         doomed.push_back(leaf);
+                     });
+
+    // One range call per run of same-size leaves.  Doing all table
+    // work first changes no order anything observes: the tables it
+    // frees go only to the kernel pool, and the data frees and hooks
+    // below (which never read this table) keep their per-leaf order.
+    for (std::size_t i = 0; i < doomed.size();) {
+        std::size_t j = i + 1;
+        while (j < doomed.size() && doomed[j].size == doomed[i].size)
+            ++j;
+        const auto &last = doomed[j - 1];
+        pt.unmapRange(doomed[i].va,
+                      last.va + pageBytes(last.size) - doomed[i].va,
+                      doomed[i].size);
+        i = j;
+    }
+
+    for (const auto &leaf : doomed) {
         // Frames inside a segment reservation stay reserved; frames
         // the escape path allocated (or ordinary data frames) are
         // returned to the allocator.
         const bool segment_backed =
-            seg.contains(base) && frame == seg.translate(base);
+            seg.contains(leaf.va) && leaf.pa == seg.translate(leaf.va);
         if (!segment_backed)
-            freeDataBlock(frame, mapping->size);
+            freeDataBlock(leaf.pa, leaf.size);
         if (mappingHook) {
-            mappingHook(proc, base, pageBytes(mapping->size),
-                        mapping->size, false);
+            mappingHook(proc, leaf.va, pageBytes(leaf.size), leaf.size,
+                        false);
         }
-        ++unmapped;
         ++_stats.pagesUnmapped;
-        page = base + pageBytes(mapping->size);
     }
-    return unmapped;
+    return doomed.size();
 }
 
 std::optional<segment::SegmentRegs>

@@ -202,8 +202,13 @@ class GuestOs
   private:
     class OsMemSpace;
 
-    /** Map one page of @p region at @p va_page; true on success. */
-    bool mapPage(Process &proc, const Region &region, Addr va_page);
+    /**
+     * Map one page of @p region at @p va_page.
+     * @return the size of the leaf now covering @p va_page, or
+     *         nullopt when out of memory.
+     */
+    std::optional<PageSize> mapPage(Process &proc, const Region &region,
+                                    Addr va_page);
 
     mem::PhysAccessor &_phys;
     OsConfig config;

@@ -8,6 +8,26 @@
 
 namespace emv::paging {
 
+namespace {
+
+/** Bytes one entry of a level-@p level table covers. */
+constexpr Addr
+entryBytes(int level)
+{
+    return 1ull << (12 + 9 * (level - 1));
+}
+
+/** Offset just past @p pos within [0, @p bytes) where the naturally
+ *  aligned @p span block holding @p va + @p pos ends. */
+Addr
+blockEnd(Addr va, Addr pos, Addr bytes, Addr span)
+{
+    const Addr left = span - ((va + pos) & (span - 1));
+    return left >= bytes - pos ? bytes : pos + left;
+}
+
+} // namespace
+
 PageTable::PageTable(MemSpace &space)
     : space(space), rootFrame(space.allocTableFrame())
 {
@@ -53,121 +73,157 @@ PageTable::nodeEmpty(Addr table) const
     return live == 0;
 }
 
-void
-PageTable::map(Addr va, Addr pa, PageSize size, bool writable,
-               bool user_mode)
+int
+PageTable::descend(Addr va, int target, bool create, Path &path)
 {
-    emv_assert(isAligned(va, pageBytes(size)),
-               "map: va %s not aligned to %s page",
-               hexAddr(va).c_str(), pageSizeName(size));
-    emv_assert(isAligned(pa, pageBytes(size)),
-               "map: pa %s not aligned to %s page",
-               hexAddr(pa).c_str(), pageSizeName(size));
-
-    const int target = leafLevel(size);
-    Addr table = rootFrame;
+    path.depth = 0;
+    path.tables[0] = rootFrame;
     for (int level = kLevels; level > target; --level) {
+        const Addr table = path.tables[path.depth];
         const Addr entry_addr = table + 8ull * tableIndex(va, level);
         Pte pte{space.read64(entry_addr)};
-        if (!pte.present()) {
-            const Addr child = space.allocTableFrame();
+        Addr child;
+        if (pte.present() && !pte.pageSize()) {
+            child = pte.frame();
+        } else if (!create) {
+            return level;
+        } else {
+            emv_assert(!pte.present(),
+                       "map: %s page at va %s conflicts with an "
+                       "existing %s leaf",
+                       pageSizeName(leafSize(target)),
+                       hexAddr(va).c_str(),
+                       pageSizeName(leafSize(level)));
+            child = space.allocTableFrame();
             space.write64(entry_addr, Pte::makeTable(child));
             ++liveEntries[table];
             liveEntries.emplace(child, 0);
-            table = child;
-        } else {
-            emv_assert(!pte.pageSize(),
-                       "map: %s page at va %s conflicts with an "
-                       "existing %s leaf",
-                       pageSizeName(size), hexAddr(va).c_str(),
-                       pageSizeName(leafSize(level)));
-            table = pte.frame();
         }
+        path.entries[path.depth] = entry_addr;
+        path.tables[++path.depth] = child;
     }
-
-    const Addr entry_addr = table + 8ull * tableIndex(va, target);
-    Pte existing{space.read64(entry_addr)};
-    emv_assert(!existing.present(),
-               "map: va %s already mapped (unmap first)",
-               hexAddr(va).c_str());
-    space.write64(entry_addr,
-                  Pte::makeLeaf(pa, target, writable, user_mode));
-    ++liveEntries[table];
-    ++leaves;
-    ++updates;
-    EMV_CHECK([&] {
-                  auto readback = translate(va);
-                  return readback && readback->pa == pa &&
-                         readback->size == size;
-              }(),
-              "map: software readback of va %s disagrees with the "
-              "just-installed %s leaf at pa %s",
-              hexAddr(va).c_str(), pageSizeName(size),
-              hexAddr(pa).c_str());
-}
-
-bool
-PageTable::unmap(Addr va, PageSize size)
-{
-    emv_assert(isAligned(va, pageBytes(size)),
-               "unmap: va %s not aligned to %s page",
-               hexAddr(va).c_str(), pageSizeName(size));
-
-    const int target = leafLevel(size);
-    // Record the path so empty tables can be reclaimed bottom-up.
-    Addr path_tables[kLevels];
-    Addr path_entries[kLevels];
-    int depth = 0;
-
-    Addr table = rootFrame;
-    for (int level = kLevels; level > target; --level) {
-        const Addr entry_addr = table + 8ull * tableIndex(va, level);
-        Pte pte{space.read64(entry_addr)};
-        if (!pte.present() || pte.pageSize())
-            return false;
-        path_tables[depth] = table;
-        path_entries[depth] = entry_addr;
-        ++depth;
-        table = pte.frame();
-    }
-
-    const Addr entry_addr = table + 8ull * tableIndex(va, target);
-    Pte pte{space.read64(entry_addr)};
-    if (!pte.present())
-        return false;
-    const bool is_leaf_here = target > 1 ? pte.pageSize() : true;
-    if (!is_leaf_here)
-        return false;  // A smaller mapping exists below this level.
-    space.write64(entry_addr, 0);
-    --liveEntries[table];
-    --leaves;
-    ++updates;
-
-    // Reclaim now-empty intermediate tables (not the root).
-    Addr child = table;
-    for (int i = depth - 1; i >= 0; --i) {
-        if (child == rootFrame || !nodeEmpty(child))
-            break;
-        space.write64(path_entries[i], 0);
-        space.freeTableFrame(child);
-        liveEntries.erase(child);
-        --liveEntries[path_tables[i]];
-        child = path_tables[i];
-    }
-    return true;
+    return target;
 }
 
 void
-PageTable::visitLeaves(Addr table, int level, Addr va_prefix,
+PageTable::freeEmptyTables(const Path &path)
+{
+    for (int i = path.depth; i > 0; --i) {
+        const Addr child = path.tables[i];
+        if (!nodeEmpty(child))
+            break;
+        space.write64(path.entries[i - 1], 0);
+        space.freeTableFrame(child);
+        liveEntries.erase(child);
+        --liveEntries[path.tables[i - 1]];
+    }
+}
+
+void
+PageTable::mapRange(Addr va, Addr pa, Addr bytes, PageSize size,
+                    bool writable, bool user_mode)
+{
+    const Addr step = pageBytes(size);
+    emv_assert(isAligned(va, step), "map: va %s not aligned to %s page",
+               hexAddr(va).c_str(), pageSizeName(size));
+    emv_assert(isAligned(pa, step), "map: pa %s not aligned to %s page",
+               hexAddr(pa).c_str(), pageSizeName(size));
+    emv_assert(isAligned(bytes, step),
+               "map: length %s not a multiple of the %s page",
+               hexAddr(bytes).c_str(), pageSizeName(size));
+
+    const int target = leafLevel(size);
+    Path path;
+    for (Addr pos = 0; pos < bytes;) {
+        descend(va + pos, target, true, path);
+        const Addr table = path.tables[path.depth];
+        std::uint32_t &live = liveEntries.at(table);
+        const Addr end = blockEnd(va, pos, bytes, entryBytes(target + 1));
+        for (; pos < end; pos += step) {
+            const Addr page = va + pos;
+            const Addr entry_addr = table + 8ull * tableIndex(page, target);
+            Pte existing{space.read64(entry_addr)};
+            emv_assert(!existing.present(),
+                       "map: va %s already mapped (unmap first)",
+                       hexAddr(page).c_str());
+            space.write64(entry_addr, Pte::makeLeaf(pa + pos, target,
+                                                    writable, user_mode));
+            ++live;
+            ++leaves;
+            ++updates;
+            EMV_CHECK([&] {
+                          auto readback = translate(page);
+                          return readback && readback->pa == pa + pos &&
+                                 readback->size == size;
+                      }(),
+                      "map: software readback of va %s disagrees with "
+                      "the just-installed %s leaf at pa %s",
+                      hexAddr(page).c_str(), pageSizeName(size),
+                      hexAddr(pa + pos).c_str());
+        }
+    }
+}
+
+std::uint64_t
+PageTable::unmapRange(Addr va, Addr bytes, PageSize size)
+{
+    const Addr step = pageBytes(size);
+    emv_assert(isAligned(va, step),
+               "unmap: va %s not aligned to %s page",
+               hexAddr(va).c_str(), pageSizeName(size));
+    emv_assert(isAligned(bytes, step),
+               "unmap: length %s not a multiple of the %s page",
+               hexAddr(bytes).c_str(), pageSizeName(size));
+
+    const int target = leafLevel(size);
+    std::uint64_t removed = 0;
+    Path path;
+    for (Addr pos = 0; pos < bytes;) {
+        const int reached = descend(va + pos, target, false, path);
+        if (reached != target) {
+            // No table below this entry: skip all the pages it covers.
+            pos = blockEnd(va, pos, bytes, entryBytes(reached));
+            continue;
+        }
+        const Addr table = path.tables[path.depth];
+        std::uint32_t &live = liveEntries.at(table);
+        const Addr end = blockEnd(va, pos, bytes, entryBytes(target + 1));
+        std::uint64_t cleared = 0;
+        for (; pos < end; pos += step) {
+            const Addr entry_addr =
+                table + 8ull * tableIndex(va + pos, target);
+            Pte pte{space.read64(entry_addr)};
+            // Absent, or a table of smaller mappings below this level.
+            if (!pte.present() || (target > 1 && !pte.pageSize()))
+                continue;
+            space.write64(entry_addr, 0);
+            --live;
+            --leaves;
+            ++updates;
+            ++cleared;
+        }
+        if (cleared) {
+            removed += cleared;
+            freeEmptyTables(path);
+        }
+    }
+    return removed;
+}
+
+void
+PageTable::visitLeaves(Addr table, int level, Addr va_prefix, Addr first,
+                       Addr last,
                        const std::function<void(const Leaf &)> &fn)
     const
 {
-    const Addr step = 1ull << (12 + 9 * (level - 1));
+    const Addr step = entryBytes(level);
     for (int i = 0; i < kEntriesPerTable; ++i) {
+        const Addr va = va_prefix + static_cast<Addr>(i) * step;
+        if (va + (step - 1) < first || va > last)
+            continue;
         Pte pte{space.read64(table + 8ull * i)};
         if (!pte.present())
             continue;
-        const Addr va = va_prefix + static_cast<Addr>(i) * step;
         const bool leaf = level == 1 || pte.pageSize();
         if (leaf) {
             Leaf out;
@@ -177,7 +233,7 @@ PageTable::visitLeaves(Addr table, int level, Addr va_prefix,
             out.writable = pte.writable();
             fn(out);
         } else {
-            visitLeaves(pte.frame(), level - 1, va, fn);
+            visitLeaves(pte.frame(), level - 1, va, first, last, fn);
         }
     }
 }
@@ -186,7 +242,16 @@ void
 PageTable::forEachLeaf(const std::function<void(const Leaf &)> &fn)
     const
 {
-    visitLeaves(rootFrame, kLevels, 0, fn);
+    visitLeaves(rootFrame, kLevels, 0, 0, ~Addr{0}, fn);
+}
+
+void
+PageTable::forEachLeafIn(Addr va, Addr bytes,
+                         const std::function<void(const Leaf &)> &fn)
+    const
+{
+    if (bytes > 0)
+        visitLeaves(rootFrame, kLevels, 0, va, va + (bytes - 1), fn);
 }
 
 bool

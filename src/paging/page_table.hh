@@ -69,9 +69,11 @@ struct SoftTranslation
 /**
  * Four-level x86-64 page table.
  *
- * map()/unmap() maintain the radix tree; translate() is a software
- * walk used for correctness checks and by the shadow pager.  The
- * simulated, cycle-accounted walk is radixWalk() in walker.hh.
+ * mapRange()/unmapRange() maintain the radix tree one leaf table at
+ * a time; map()/unmap() are their one-page calls, so both share one
+ * descent.  translate() is a software walk used for correctness
+ * checks and by the shadow pager.  The simulated, cycle-accounted
+ * walk is radixWalk() in walker.hh.
  */
 class PageTable
 {
@@ -83,18 +85,43 @@ class PageTable
     PageTable &operator=(const PageTable &) = delete;
 
     /**
-     * Map the page of @p size containing @p va to the frame at
-     * @p pa.  Both must be size-aligned.  Panics on conflicting
+     * Map [@p va, @p va + @p bytes) to the frames from @p pa as pages
+     * of @p size; all three must be size-aligned.  Descends once per
+     * leaf table and writes up to 512 entries there, leaving every
+     * count, entry and table-frame allocation exactly as the per-page
+     * map() sequence over the range would.  Panics on conflicting
      * existing mappings (callers unmap first).
      */
-    void map(Addr va, Addr pa, PageSize size, bool writable = true,
-             bool user_mode = true);
+    void mapRange(Addr va, Addr pa, Addr bytes, PageSize size,
+                  bool writable = true, bool user_mode = true);
 
     /**
-     * Remove the mapping of the page of @p size at @p va.
-     * @return true if a mapping was removed.
+     * Remove the @p size leaves at the size-aligned pages of
+     * [@p va, @p va + @p bytes).  Pages without such a leaf (holes,
+     * larger leaves above, smaller mappings below) are skipped, as
+     * unmap() skips them.  Tables left empty are freed bottom-up once
+     * per leaf table, in the order the per-page sequence frees them.
+     * @return the number of leaves removed.
      */
-    bool unmap(Addr va, PageSize size);
+    std::uint64_t unmapRange(Addr va, Addr bytes, PageSize size);
+
+    /** Map one page: a one-page mapRange(). */
+    void
+    map(Addr va, Addr pa, PageSize size, bool writable = true,
+        bool user_mode = true)
+    {
+        mapRange(va, pa, pageBytes(size), size, writable, user_mode);
+    }
+
+    /**
+     * Remove the mapping of the page of @p size at @p va: a one-page
+     * unmapRange().  @return true if a mapping was removed.
+     */
+    bool
+    unmap(Addr va, PageSize size)
+    {
+        return unmapRange(va, pageBytes(size), size) != 0;
+    }
 
     /** Software walk; nullopt if not mapped. */
     std::optional<SoftTranslation> translate(Addr va) const;
@@ -113,6 +140,15 @@ class PageTable
      * construction for compaction and the shadow pager).
      */
     void forEachLeaf(const std::function<void(const Leaf &)> &fn) const;
+
+    /**
+     * Visit, in ascending VA order, every leaf that intersects
+     * [@p va, @p va + @p bytes) (low canonical half), reading only
+     * the entries that cover the range.
+     */
+    void forEachLeafIn(Addr va, Addr bytes,
+                       const std::function<void(const Leaf &)> &fn)
+        const;
 
     /** True if @p va has any mapping. */
     bool isMapped(Addr va) const { return translate(va).has_value(); }
@@ -150,11 +186,38 @@ class PageTable
     bool deserialize(ckpt::Decoder &dec);
 
   private:
+    /** The tables from the root down to one leaf table. */
+    struct Path
+    {
+        /** tables[0] is the root, tables[depth] the table reached. */
+        Addr tables[kLevels];
+        /** entries[i] is the entry in tables[i] that points to
+         *  tables[i + 1]. */
+        Addr entries[kLevels];
+        int depth = 0;
+    };
+
+    /**
+     * The one descent of map and unmap: walk from the root towards
+     * the level-@p target table that holds @p va's entry, recording
+     * the path.  With @p create, missing tables are allocated (a leaf
+     * on the way panics); otherwise the walk stops at a missing or
+     * leaf entry.
+     * @return the level of the last table reached: @p target unless
+     *         the walk stopped early.
+     */
+    int descend(Addr va, int target, bool create, Path &path);
+
+    /** Free the path's tables left empty, bottom-up (not the root). */
+    void freeEmptyTables(const Path &path);
+
     /** Recursively free an entire subtree. */
     void freeSubtree(Addr table, int level);
 
-    /** Recursive helper for forEachLeaf(). */
-    void visitLeaves(Addr table, int level, Addr va_prefix,
+    /** Recursive helper for forEachLeaf(): leaves intersecting
+     *  [first, last]. */
+    void visitLeaves(Addr table, int level, Addr va_prefix, Addr first,
+                     Addr last,
                      const std::function<void(const Leaf &)> &fn) const;
 
     /**

@@ -305,10 +305,9 @@ Vm::countExit(ExitReason reason)
 void
 Vm::mapNestedRange(Addr gpa, Addr bytes, Addr hpa)
 {
-    Addr pos = 0;
-    while (pos < bytes) {
+    // Largest granule that alignment and the remainder allow at pos.
+    const auto granule = [&](Addr pos) {
         PageSize size = cfg.nestedPageSize;
-        // Largest granule that alignment and the remainder allow.
         while (size != PageSize::Size4K &&
                (!isAligned(gpa + pos, pageBytes(size)) ||
                 !isAligned(hpa + pos, pageBytes(size)) ||
@@ -316,8 +315,17 @@ Vm::mapNestedRange(Addr gpa, Addr bytes, Addr hpa)
             size = size == PageSize::Size1G ? PageSize::Size2M
                                             : PageSize::Size4K;
         }
-        nestedPt->map(gpa + pos, hpa + pos, size);
-        pos += pageBytes(size);
+        return size;
+    };
+    // One range call per run of same-size granules.
+    Addr pos = 0;
+    while (pos < bytes) {
+        const PageSize size = granule(pos);
+        Addr end = pos + pageBytes(size);
+        while (end < bytes && granule(end) == size)
+            end += pageBytes(size);
+        nestedPt->mapRange(gpa + pos, hpa + pos, end - pos, size);
+        pos = end;
     }
 }
 
@@ -331,9 +339,7 @@ Vm::splitNestedLeaf(Addr gpa)
     const Addr gpa_base = alignDown(gpa, leaf_bytes);
     const Addr hpa_base = mapping->pa - (gpa - gpa_base);
     nestedPt->unmap(gpa_base, mapping->size);
-    for (Addr off = 0; off < leaf_bytes; off += kPage4K)
-        nestedPt->map(gpa_base + off, hpa_base + off,
-                      PageSize::Size4K);
+    nestedPt->mapRange(gpa_base, hpa_base, leaf_bytes, PageSize::Size4K);
     ++_stats.nestedLeafSplits;
 }
 
@@ -667,9 +673,16 @@ Vm::reclaimGuestRange(Addr base, Addr bytes)
     backing.forEachIn(base, bytes,
                       [&](const Extent &e) { doomed.push_back(e); });
     for (const auto &e : doomed) {
-        for (Addr off = 0; off < e.bytes; off += kPage4K) {
-            splitNestedLeaf(e.gpa + off);
-            nestedPt->unmap(e.gpa + off, PageSize::Size4K);
+        // A large nested leaf covers whole aligned 2M windows, so one
+        // split check at the first page of each window does what a
+        // check at every page would.
+        const Addr end = e.gpa + e.bytes;
+        for (Addr pos = e.gpa; pos < end;) {
+            const Addr next = std::min(alignDown(pos, kPage2M) + kPage2M,
+                                       end);
+            splitNestedLeaf(pos);
+            nestedPt->unmapRange(pos, next - pos, PageSize::Size4K);
+            pos = next;
         }
         // One free per extent.  The buddy allocator coalesces fully on
         // every insert, so its free lists end exactly as they would

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/ckpt.hh"
 #include "mem/phys_memory.hh"
 #include "../test_support.hh"
 
@@ -101,6 +104,17 @@ TEST(PhysMemoryTest, AnyBadInRange)
     EXPECT_FALSE(mem.anyBadInRange(0x41000, kPage4K));
 }
 
+TEST(PhysMemoryTest, EmptyRangeHasNoBadFrames)
+{
+    // The last frame of [0, 0) must not wrap to the top of memory.
+    PhysMemory mem(1 * MiB);
+    mem.markBad(0x5000);
+    EXPECT_FALSE(mem.anyBadInRange(0, 0));
+    EXPECT_TRUE(mem.badFramesInRange(0, 0).empty());
+    EXPECT_FALSE(mem.anyBadInRange(0x5000, 0));
+    EXPECT_TRUE(mem.badFramesInRange(0x5000, 0).empty());
+}
+
 TEST(PhysMemoryTest, BadFramesInRangeSorted)
 {
     PhysMemory mem(1 * MiB);
@@ -112,6 +126,21 @@ TEST(PhysMemoryTest, BadFramesInRangeSorted)
     EXPECT_EQ(bad[0], 0x3000u);
     EXPECT_EQ(bad[1], 0x6000u);
     EXPECT_EQ(bad[2], 0x9000u);
+}
+
+TEST(PhysMemoryTest, FramesAcrossChunksAndAtTheTop)
+{
+    // A size that is not a multiple of 2 MB: the top chunk is
+    // partial, and its last frame is still addressable.
+    PhysMemory mem(3 * MiB + kPage4K);
+    mem.write64(3 * MiB + 0xff8, 1);
+    mem.write64(2 * MiB - 8, 2);
+    mem.write64(2 * MiB, 3);
+    EXPECT_EQ(mem.read64(3 * MiB + 0xff8), 1u);
+    EXPECT_EQ(mem.read64(2 * MiB - 8), 2u);
+    EXPECT_EQ(mem.read64(2 * MiB), 3u);
+    EXPECT_EQ(mem.read64(3 * MiB), 0u);
+    EXPECT_EQ(mem.residentFrames(), 3u);
 }
 
 TEST(PhysMemoryTest, CountsAccesses)
@@ -158,6 +187,79 @@ TEST(PhysMemoryTest, CheckpointRejectsSizeMismatch)
     PhysMemory a(1 * MiB);
     PhysMemory b(2 * MiB);
     EXPECT_FALSE(test::ckptRestore(test::ckptBytes(a), b));
+}
+
+/** The checkpoint of @p mem with the frame index at byte @p offset
+ *  replaced by @p index. */
+std::vector<std::uint8_t>
+withFrameIndex(const PhysMemory &mem, std::size_t offset,
+               std::uint64_t index)
+{
+    auto bytes = test::ckptBytes(mem);
+    std::memcpy(bytes.data() + offset, &index, sizeof(index));
+    return bytes;
+}
+
+/** The decode error restoring @p bytes into @p mem; empty on success. */
+std::string
+restoreError(const std::vector<std::uint8_t> &bytes, PhysMemory &mem)
+{
+    ckpt::Decoder dec(bytes.data(), bytes.size());
+    return mem.deserialize(dec) ? "" : dec.error();
+}
+
+// Layout: size, frame count, then per frame its index and 512 words.
+constexpr std::size_t kFirstIndex = 16;
+constexpr std::size_t kSecondIndex = kFirstIndex + 8 + 8 * 512;
+
+TEST(PhysMemoryTest, CheckpointRejectsFrameBeyondSize)
+{
+    PhysMemory a(1 * MiB);
+    a.write64(0x1000, 5);
+    ASSERT_EQ(withFrameIndex(a, kFirstIndex, 1), test::ckptBytes(a));
+
+    PhysMemory b(1 * MiB);
+    const auto err =
+        restoreError(withFrameIndex(a, kFirstIndex, 1 * MiB >> 12), b);
+    EXPECT_NE(err.find("physmem: frame index"), std::string::npos)
+        << err;
+}
+
+TEST(PhysMemoryTest, CheckpointRejectsIndexesOutOfOrder)
+{
+    PhysMemory a(1 * MiB);
+    a.write64(0x2000, 5);
+    a.write64(0x3000, 6);
+    ASSERT_EQ(withFrameIndex(a, kSecondIndex, 3), test::ckptBytes(a));
+
+    PhysMemory b(1 * MiB);
+    for (std::uint64_t index : {2, 1}) {
+        const auto err =
+            restoreError(withFrameIndex(a, kSecondIndex, index), b);
+        EXPECT_NE(err.find("physmem: frame index"), std::string::npos)
+            << "index " << index << ": " << err;
+    }
+}
+
+TEST(PhysMemoryTest, CheckpointBytesArePinned)
+{
+    // emv-ckpt-v1 physmem chunk as the hash-map store wrote it:
+    // frames in ascending order whatever the touch order, untouched
+    // reads materialize nothing, bad frames sorted, then the stats.
+    PhysMemory mem(4 * MiB);
+    mem.write64(0x201000, 0x1122334455667788ull);
+    mem.write64(0x3000, 7);
+    mem.write64(0x3ff8, 9);
+    mem.write64(0x0, 1);
+    mem.read64(0x5000);
+    mem.markBad(0x3ff000);
+    mem.markBad(0x1000);
+    const auto bytes = test::ckptBytes(mem);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (std::uint8_t byte : bytes)
+        hash = (hash ^ byte) * 0x100000001b3ull;
+    EXPECT_EQ(bytes.size(), 12447u);
+    EXPECT_EQ(hash, 0xfb28a0b4714909e9ull);
 }
 
 } // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "mem/phys_accessor.hh"
 #include "os/guest_os.hh"
 #include "../test_support.hh"
@@ -284,6 +288,58 @@ TEST_F(GuestOsTest, MappingHookFires)
     os->unmapRange(proc, 1 * GiB, 2 * MiB);
     EXPECT_EQ(mapped, 512);
     EXPECT_EQ(unmapped, 512);
+}
+
+TEST_F(GuestOsTest, UnmapRangeDropsEveryTouchedLeafInOrder)
+{
+    // Half the 2M windows are THP leaves, the rest 4K pages.  An
+    // unaligned range drops every leaf it touches, the straddling
+    // ones included, with one hook per leaf in ascending order and
+    // every data frame back in the allocator.
+    OsConfig cfg;
+    cfg.thp = true;
+    cfg.thpCoverage = 0.5;
+    auto os = makeOs(cfg);
+    auto &proc = os->createProcess();
+    os->defineRegion(proc, "heap", 1 * GiB, 16 * MiB,
+                     PageSize::Size4K);
+    os->populateRange(proc, 1 * GiB, 16 * MiB);
+    const Addr va = 1 * GiB + 3 * MiB + 5 * kPage4K;
+    const Addr bytes = 9 * MiB;
+
+    std::vector<std::pair<Addr, PageSize>> expected;
+    Addr leaf_bytes = 0;
+    proc.pageTable().forEachLeaf([&](const paging::PageTable::Leaf &l) {
+        if (l.va + pageBytes(l.size) > alignDown(va, kPage4K) &&
+            l.va < va + bytes) {
+            expected.emplace_back(l.va, l.size);
+            leaf_bytes += pageBytes(l.size);
+        }
+    });
+    const auto thp = std::count_if(
+        expected.begin(), expected.end(),
+        [](const auto &leaf) { return leaf.second == PageSize::Size2M; });
+    ASSERT_GT(thp, 0);
+    ASSERT_LT(static_cast<std::size_t>(thp), expected.size());
+    std::vector<std::pair<Addr, PageSize>> hooked;
+    os->setMappingHook([&](Process &, Addr at, Addr, PageSize size,
+                           bool mapped) {
+        EXPECT_FALSE(mapped);
+        hooked.emplace_back(at, size);
+    });
+    const Addr free_before = os->buddy().freeBytes();
+    const Addr nodes_before = proc.pageTable().tableNodes();
+
+    EXPECT_EQ(os->unmapRange(proc, va, bytes), expected.size());
+    EXPECT_EQ(hooked, expected);
+    EXPECT_EQ(os->buddy().freeBytes(), free_before + leaf_bytes);
+    EXPECT_LT(proc.pageTable().tableNodes(), nodes_before);
+    for (const auto &[at, size] : expected)
+        EXPECT_FALSE(proc.pageTable().translate(at)) << at;
+    EXPECT_TRUE(proc.pageTable().translate(expected.front().first - 1));
+    EXPECT_TRUE(proc.pageTable().translate(expected.back().first +
+                                           pageBytes(
+                                               expected.back().second)));
 }
 
 TEST_F(GuestOsTest, RegionOverlapPanics)

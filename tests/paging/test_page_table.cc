@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "common/audit.hh"
@@ -285,6 +286,161 @@ TEST_F(PageTableTest, RandomizedMapUnmapConsistency)
     setQuietLogging(false);
 }
 
+/**
+ * MemSpace that recycles freed table frames last-in first-out (as
+ * the VMM and guest-OS pools do) and logs every allocation and free,
+ * so two tables built by different call sequences can be compared
+ * frame for frame.
+ */
+class LoggingMemSpace : public MemSpace
+{
+  public:
+    explicit LoggingMemSpace(mem::PhysMemory &mem) : mem(mem) {}
+
+    std::uint64_t read64(Addr addr) const override
+    { return mem.read64(addr); }
+
+    void write64(Addr addr, std::uint64_t value) override
+    { mem.write64(addr, value); }
+
+    Addr
+    allocTableFrame() override
+    {
+        Addr frame = next;
+        if (pool.empty()) {
+            next += kPage4K;
+        } else {
+            frame = pool.back();
+            pool.pop_back();
+        }
+        mem.zeroFrame(frame);
+        log.push_back(frame);
+        return frame;
+    }
+
+    void
+    freeTableFrame(Addr frame) override
+    {
+        pool.push_back(frame);
+        log.push_back(~frame);
+    }
+
+    /** Allocated frames, and the complement of freed ones, in order. */
+    std::vector<Addr> log;
+
+  private:
+    mem::PhysMemory &mem;
+    std::vector<Addr> pool;
+    Addr next = 0;
+};
+
+TEST(PageTableRangeTest, RangeOpsMatchPerPageSequence)
+{
+    // A seeded mix of mapRange/unmapRange on one table and the same
+    // pages through map/unmap on its twin.  The 4G window straddles
+    // a 512G (top-level entry) boundary, so runs cross leaf-table,
+    // 1G and top-level boundaries.  Auditing reads back every leaf
+    // and checks every node's live count against a rescan.
+    setQuietLogging(true);
+    audit::setEnabled(true);
+    audit::resetCounters();
+    mem::PhysMemory range_mem(64 * MiB), page_mem(64 * MiB);
+    LoggingMemSpace range_space(range_mem), page_space(page_mem);
+    PageTable range_pt(range_space), page_pt(page_space);
+    const Addr window = (512 * GiB) - 2 * GiB;
+    const Addr window_bytes = 4 * GiB;
+    constexpr PageSize kSizes[] = {PageSize::Size4K, PageSize::Size2M,
+                                   PageSize::Size1G};
+    Rng rng(2014);
+    std::uint64_t peak_leaves = 0, peak_nodes = 0;
+    for (int step = 0; step < 400; ++step) {
+        // 4K runs mostly; larger pages rarer so 4K mappings survive.
+        const unsigned pick = static_cast<unsigned>(rng.nextBelow(10));
+        const PageSize size = kSizes[pick < 7 ? 0 : pick < 9 ? 1 : 2];
+        const Addr page = pageBytes(size);
+        const Addr max_pages = size == PageSize::Size4K   ? 1536
+                               : size == PageSize::Size2M ? 700
+                                                          : 3;
+        const Addr va = window +
+                        rng.nextBelow(window_bytes / page) * page;
+        Addr pages = 1 + rng.nextBelow(max_pages);
+        pages = std::min(pages, (window + window_bytes - va) / page);
+
+        if (step % 100 == 99) {
+            // Sweep the window, a size at a time, from its middle: the
+            // tree empties bottom-up through every level.
+            for (const PageSize sweep : kSizes) {
+                const Addr sweep_page = pageBytes(sweep);
+                const Addr from = window + window_bytes / 2 -
+                                  (step / 100 % 2) * sweep_page;
+                const Addr bytes = window + window_bytes - from;
+                range_pt.unmapRange(from, bytes, sweep);
+                for (Addr off = 0; off < bytes; off += sweep_page)
+                    page_pt.unmap(from + off, sweep);
+                range_pt.unmapRange(window, from - window, sweep);
+                for (Addr off = 0; off < from - window; off += sweep_page)
+                    page_pt.unmap(window + off, sweep);
+            }
+        } else if (rng.nextBool(0.5)) {
+            // Map the longest prefix of the run that is free.
+            Addr free_pages = 0;
+            while (free_pages < pages &&
+                   !page_pt.leafRangeOccupied(va + free_pages * page,
+                                              size)) {
+                ++free_pages;
+            }
+            if (free_pages == 0)
+                continue;
+            const Addr pa = rng.nextBelow(1024) * kPage1G +
+                            rng.nextBelow(512) * kPage2M;
+            const Addr pa_base = alignDown(pa, page);
+            range_pt.mapRange(va, pa_base, free_pages * page, size);
+            for (Addr i = 0; i < free_pages; ++i)
+                page_pt.map(va + i * page, pa_base + i * page, size);
+        } else {
+            // Unmap runs are longer, so tables empty and get freed.
+            pages = std::min(pages * 3,
+                             (window + window_bytes - va) / page);
+            const auto removed =
+                range_pt.unmapRange(va, pages * page, size);
+            std::uint64_t expected = 0;
+            for (Addr i = 0; i < pages; ++i)
+                expected += page_pt.unmap(va + i * page, size);
+            ASSERT_EQ(removed, expected) << "step " << step;
+        }
+
+        ASSERT_EQ(range_mem.stats().counterValue("writes"),
+                  page_mem.stats().counterValue("writes"))
+            << "step " << step;
+        // Range calls read fewer entries; the reads are the only
+        // state allowed to differ.
+        range_mem.stats().resetAll();
+        page_mem.stats().resetAll();
+        ASSERT_EQ(test::ckptBytes(range_mem), test::ckptBytes(page_mem))
+            << "step " << step;
+        ASSERT_EQ(test::ckptBytes(range_pt), test::ckptBytes(page_pt))
+            << "step " << step;
+        ASSERT_EQ(range_pt.tableNodes(), page_pt.tableNodes());
+        ASSERT_EQ(range_pt.mappedLeaves(), page_pt.mappedLeaves());
+        ASSERT_EQ(range_pt.updateCount(), page_pt.updateCount());
+        ASSERT_EQ(range_space.log, page_space.log) << "step " << step;
+        peak_leaves = std::max(peak_leaves, page_pt.mappedLeaves());
+        peak_nodes = std::max(peak_nodes, page_pt.tableNodes());
+    }
+    // The tree grew through every level, and the last sweep freed
+    // it down to the root.
+    EXPECT_GT(peak_leaves, 1000u);
+    EXPECT_GT(peak_nodes, 8u);
+    EXPECT_EQ(page_pt.mappedLeaves(), 0u);
+    EXPECT_EQ(page_pt.tableNodes(), 1u);
+    EXPECT_GT(std::count_if(page_space.log.begin(), page_space.log.end(),
+                            [](Addr e) { return e >= 64 * MiB; }),
+              100);
+    EXPECT_EQ(audit::failureCount(), 0u);
+    audit::setEnabled(false);
+    setQuietLogging(false);
+}
+
 TEST_F(PageTableTest, RestoredLiveCountsReclaimNodes)
 {
     // Map a 2M range 4K at a time, checkpoint, restore into a second
@@ -328,6 +484,14 @@ TEST_F(PageTableDeathTest, ConflictingLeafLevelsPanic)
     pt.map(0x40000000, 0x200000, PageSize::Size2M);
     EXPECT_DEATH(pt.map(0x40000000, 0x1000, PageSize::Size4K),
                  "conflicts");
+}
+
+TEST_F(PageTableDeathTest, RangeOverExistingLeafPanics)
+{
+    pt.map(0x205000, 0x2000, PageSize::Size4K);
+    EXPECT_DEATH(pt.mapRange(0x200000, 0x10000000, 16 * kPage4K,
+                             PageSize::Size4K),
+                 "already mapped");
 }
 
 TEST_F(PageTableDeathTest, MisalignedMapPanics)

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "paging/pte.hh"
 #include "vmm/vmm.hh"
 #include "../test_support.hh"
 
@@ -325,6 +328,56 @@ TEST_F(VmmTest, ReclaimGuestRangeNotifiesEveryPage)
     EXPECT_FALSE(vm.gpaToHpa(base).has_value());
     EXPECT_FALSE(vm.gpaToHpa(base + bytes - kPage4K).has_value());
     EXPECT_TRUE(vm.gpaToHpa(base + bytes).has_value());
+}
+
+/** The nested leaf covering @p gpa (frame base and size), by a
+ *  software walk of the nested table in host memory. */
+std::optional<std::pair<Addr, PageSize>>
+nestedLeaf(const mem::PhysMemory &host, Addr root, Addr gpa)
+{
+    Addr table = root;
+    for (int level = paging::kLevels; level >= 1; --level) {
+        const paging::Pte pte{
+            host.read64(table + 8ull * paging::tableIndex(gpa, level))};
+        if (!pte.present())
+            return std::nullopt;
+        if (level == 1 || pte.pageSize())
+            return std::make_pair(pte.frame(), paging::leafSize(level));
+        table = pte.frame();
+    }
+    return std::nullopt;
+}
+
+TEST_F(VmmTest, ReclaimGuestRangeSplitsEveryLargeNestedLeaf)
+{
+    // 2M nested leaves; the range starts and ends inside a leaf and
+    // covers one whole leaf between.  Each of the three leaves is
+    // split to 4K, the range's pages lose their nested mapping, and
+    // the pages around it keep theirs.
+    auto cfg = smallVmConfig();
+    cfg.nestedPageSize = PageSize::Size2M;
+    auto &vm = vmm.createVm("a", cfg);
+    const Addr base = 8 * MiB + 3 * kPage4K;
+    const Addr bytes = 5 * MiB;
+    const Addr before = base - kPage4K;
+    const Addr after = base + bytes;
+    const Addr hpa_before = *vm.gpaToHpa(before);
+    const Addr hpa_after = *vm.gpaToHpa(after);
+    ASSERT_EQ(nestedLeaf(host, vm.nestedRoot(), 14 * MiB)->second,
+              PageSize::Size2M);
+
+    vm.reclaimGuestRange(base, bytes);
+
+    EXPECT_EQ(vm.stats().counterValue("nested_leaf_splits"), 3u);
+    for (Addr gpa = base; gpa < base + bytes; gpa += kPage4K)
+        ASSERT_FALSE(nestedLeaf(host, vm.nestedRoot(), gpa)) << gpa;
+    const auto left = nestedLeaf(host, vm.nestedRoot(), before);
+    const auto right = nestedLeaf(host, vm.nestedRoot(), after);
+    ASSERT_TRUE(left && right);
+    EXPECT_EQ(*left, std::make_pair(hpa_before, PageSize::Size4K));
+    EXPECT_EQ(*right, std::make_pair(hpa_after, PageSize::Size4K));
+    EXPECT_EQ(nestedLeaf(host, vm.nestedRoot(), 14 * MiB)->second,
+              PageSize::Size2M);
 }
 
 TEST_F(VmmTest, AllocHostBlockRetiresBadFrames)
