@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 
 #include "bench_util.hh"
 
@@ -35,17 +36,26 @@ main(int argc, char **argv)
                       "virt overhead (shared)",
                       "virt overhead (no NTLB)"});
 
-    bench::ThroughputMeter meter;
-    for (auto kind :
-         {WorkloadKind::Graph500, WorkloadKind::Memcached,
-          WorkloadKind::NpbCg, WorkloadKind::Canneal}) {
-        auto native = sim::runCell(kind, *sim::specFromLabel("4K"),
-                                   params);
+    const WorkloadKind kinds[] = {
+        WorkloadKind::Graph500, WorkloadKind::Memcached,
+        WorkloadKind::NpbCg, WorkloadKind::Canneal};
+    const auto spec = *sim::specFromLabel("4K+4K");
 
-        auto spec = *sim::specFromLabel("4K+4K");
-        auto shared_cell = sim::runCell(kind, spec, params);
-        meter.add(native);
-        meter.add(shared_cell);
+    // Per workload: native 4K, then 4K+4K with the shared L2 TLB.
+    std::vector<sim::Cell> cells;
+    for (auto kind : kinds) {
+        cells.push_back({kind, *sim::specFromLabel("4K"), params});
+        cells.push_back({kind, spec, params});
+    }
+    const auto results = bench::runCells(cells);
+
+    bench::ThroughputMeter meter;
+    for (const auto &cell : results)
+        meter.add(cell);
+    for (std::size_t k = 0; k < std::size(kinds); ++k) {
+        const auto kind = kinds[k];
+        const auto &native = results[2 * k];
+        const auto &shared_cell = results[2 * k + 1];
 
         auto wl = workload::makeWorkload(kind, params.seed,
                                          params.scale);
@@ -67,8 +77,6 @@ main(int argc, char **argv)
                       std::to_string(isolated.l2Misses),
                       sim::pct(shared_cell.run.totalOverhead()),
                       sim::pct(isolated.totalOverhead())});
-        std::fprintf(stderr, "%s done\n",
-                     workload::workloadName(kind));
     }
 
     std::printf("Ablation: shared vs dedicated nested-TLB capacity "

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -63,6 +64,22 @@ class ThroughputMeter
     std::uint64_t _ns = 0;
 };
 
+/** Worker threads for a sweep of @p cells cells: one per hardware
+ *  thread, at most one per cell (sim::matrixJobs). */
+inline unsigned
+sweepJobs(std::size_t cells)
+{
+    return sim::matrixJobs(std::thread::hardware_concurrency(), cells);
+}
+
+/** Run a bench's cell list on sweepJobs() workers; results come back
+ *  in cell order. */
+inline std::vector<sim::CellResult>
+runCells(const std::vector<sim::Cell> &cells)
+{
+    return sim::runMatrix(cells, sweepJobs(cells.size()));
+}
+
 /**
  * Write BENCH_<slug>.json for a bench without a cell matrix (the
  * matrix benches get throughput via runOverheadMatrix instead).
@@ -102,17 +119,22 @@ runOverheadMatrix(const std::string &title,
         headers.emplace_back(workload::workloadName(kind));
     sim::Table table(headers);
 
-    std::vector<sim::CellResult> cells;
+    std::vector<sim::Cell> matrix;
+    for (const auto &spec : configs) {
+        for (auto kind : kinds)
+            matrix.push_back({kind, spec, params});
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<sim::CellResult> cells = runCells(matrix);
+    const double wall_s =
+        static_cast<double>(ThroughputMeter::elapsedNs(t0)) * 1e-9;
+
+    auto next = cells.begin();
     for (const auto &spec : configs) {
         std::vector<std::string> row{spec.label};
-        for (auto kind : kinds) {
-            auto cell = sim::runCell(kind, spec, params);
-            row.push_back(sim::pct(cell.overhead()));
-            cells.push_back(std::move(cell));
-            std::fprintf(stderr, ".");
-        }
+        for (std::size_t k = 0; k < kinds.size(); ++k, ++next)
+            row.push_back(sim::pct(next->overhead()));
         table.addRow(std::move(row));
-        std::fprintf(stderr, " %s\n", spec.label.c_str());
     }
     table.print(std::cout);
 
@@ -126,7 +148,9 @@ runOverheadMatrix(const std::string &title,
         emv_warn("cannot write %s", json_path.c_str());
 
     if (params.profile) {
-        std::printf("\n");
+        // Phase totals below are summed over the worker threads.
+        std::printf("\nmatrix: %zu cells in %.3f s wall on %u jobs\n",
+                    cells.size(), wall_s, sweepJobs(cells.size()));
         prof::report(std::cout);
     }
 }

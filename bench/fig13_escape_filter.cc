@@ -41,7 +41,7 @@ main(int argc, char **argv)
         else if (std::strncmp(argv[i], "midrun=", 7) == 0)
             midrun = std::atoi(argv[i] + 7) != 0;
     }
-    params.parseArgs(argc, argv);
+    params.parseArgs(argc, argv, {"trials", "midrun"});
     const int kTrials = trials;
 
     // Evenly spaced mid-run DRAM fault schedule for `bad` faults.
@@ -74,22 +74,15 @@ main(int argc, char **argv)
     }
     sim::Table table(headers);
 
-    // Fault-free baselines.
-    bench::ThroughputMeter meter;
-    std::vector<double> baseline;
-    for (auto kind : kinds) {
-        auto cell = sim::runCell(kind, *sim::specFromLabel("DD"),
-                                 params);
-        meter.add(cell);
-        baseline.push_back(cell.run.execCycles());
-        std::fprintf(stderr, "baseline %s done\n",
-                     workload::workloadName(kind));
-    }
-
-    for (unsigned bad : {1u, 2u, 4u, 8u, 16u}) {
-        std::vector<std::string> row{std::to_string(bad)};
-        for (std::size_t k = 0; k < kinds.size(); ++k) {
-            std::vector<double> samples;
+    // Fault-free baselines first, then every (bad pages, workload,
+    // trial) cell in table order.
+    const auto dd = *sim::specFromLabel("DD");
+    const unsigned bad_counts[] = {1u, 2u, 4u, 8u, 16u};
+    std::vector<sim::Cell> cells;
+    for (auto kind : kinds)
+        cells.push_back({kind, dd, params});
+    for (unsigned bad : bad_counts) {
+        for (auto kind : kinds) {
             for (int trial = 0; trial < kTrials; ++trial) {
                 sim::RunParams p = params;
                 if (midrun) {
@@ -99,21 +92,32 @@ main(int argc, char **argv)
                     p.badFrames = bad;
                     p.badFrameSeed = 1000 + trial;
                 }
-                auto cell = sim::runCell(
-                    kinds[k], *sim::specFromLabel("DD"), p);
-                meter.add(cell);
-                samples.push_back(cell.run.execCycles() /
-                                  baseline[k]);
+                cells.push_back({kind, dd, p});
+            }
+        }
+    }
+    const auto results = bench::runCells(cells);
+
+    bench::ThroughputMeter meter;
+    for (const auto &cell : results)
+        meter.add(cell);
+    std::size_t next = kinds.size();
+    for (unsigned bad : bad_counts) {
+        std::vector<std::string> row{std::to_string(bad)};
+        for (std::size_t k = 0; k < kinds.size(); ++k) {
+            const double baseline = results[k].run.execCycles();
+            std::vector<double> samples;
+            for (int trial = 0; trial < kTrials; ++trial, ++next) {
+                samples.push_back(results[next].run.execCycles() /
+                                  baseline);
             }
             auto ci = confidence95(samples);
             char buf[64];
             std::snprintf(buf, sizeof(buf), "%.4f±%.4f", ci.mean,
                           ci.halfWidth);
             row.emplace_back(buf);
-            std::fprintf(stderr, ".");
         }
         table.addRow(std::move(row));
-        std::fprintf(stderr, " bad=%u\n", bad);
     }
     table.print(std::cout);
     std::printf("\nPaper: <=0.06%% slowdown at 16 faults (GUPS "

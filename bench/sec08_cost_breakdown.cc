@@ -53,21 +53,25 @@ main(int argc, char **argv)
         }
     };
 
-    bench::ThroughputMeter meter;
-    double ratio_sum44 = 0, ratio_sum42 = 0, ratio_sum41 = 0;
+    // Per workload: native 4K, then 4K+4K, 4K+2M and 4K+1G.
+    const char *const labels[] = {"4K", "4K+4K", "4K+2M", "4K+1G"};
+    std::vector<sim::Cell> cells;
     for (auto kind : kinds) {
-        auto native = sim::runCell(kind, *sim::specFromLabel("4K"),
-                                   params);
-        auto v44 = sim::runCell(kind, *sim::specFromLabel("4K+4K"),
-                                params);
-        auto v42 = sim::runCell(kind, *sim::specFromLabel("4K+2M"),
-                                params);
-        auto v41 = sim::runCell(kind, *sim::specFromLabel("4K+1G"),
-                                params);
-        meter.add(native);
-        meter.add(v44);
-        meter.add(v42);
-        meter.add(v41);
+        for (const char *label : labels)
+            cells.push_back({kind, *sim::specFromLabel(label), params});
+    }
+    const auto results = bench::runCells(cells);
+
+    bench::ThroughputMeter meter;
+    for (const auto &cell : results)
+        meter.add(cell);
+    double ratio_sum44 = 0, ratio_sum42 = 0, ratio_sum41 = 0;
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        const auto kind = kinds[k];
+        const auto &native = results[4 * k];
+        const auto &v44 = results[4 * k + 1];
+        const auto &v42 = results[4 * k + 2];
+        const auto &v41 = results[4 * k + 3];
 
         const double inflation =
             static_cast<double>(v44.run.l2Misses) /
@@ -95,8 +99,6 @@ main(int argc, char **argv)
                           sim::fmt(r42, 2) + "x",
                           sim::fmt(v41.run.cyclesPerWalk, 1),
                           sim::fmt(r41, 2) + "x"});
-        std::fprintf(stderr, "%s done\n",
-                     workload::workloadName(kind));
     }
 
     std::printf("Section VIII / IX.A: TLB miss inflation under "

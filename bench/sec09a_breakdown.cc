@@ -33,23 +33,26 @@ main(int argc, char **argv)
                       "GD C/miss", "vs native", "DD L2-miss cut",
                       "F_VD", "F_GD", "F_DD"});
 
+    // Per workload: native 4K, then 4K+4K, 4K+VD, 4K+GD and DD.
+    const char *const labels[] = {"4K", "4K+4K", "4K+VD", "4K+GD",
+                                  "DD"};
+    const auto kinds = workload::bigMemoryWorkloads();
+    std::vector<sim::Cell> cells;
+    for (auto kind : kinds) {
+        for (const char *label : labels)
+            cells.push_back({kind, *sim::specFromLabel(label), params});
+    }
+    const auto results = bench::runCells(cells);
+
     bench::ThroughputMeter meter;
-    for (auto kind : workload::bigMemoryWorkloads()) {
-        auto native = sim::runCell(kind, *sim::specFromLabel("4K"),
-                                   params);
-        auto bv = sim::runCell(kind, *sim::specFromLabel("4K+4K"),
-                               params);
-        auto vd = sim::runCell(kind, *sim::specFromLabel("4K+VD"),
-                               params);
-        auto gd = sim::runCell(kind, *sim::specFromLabel("4K+GD"),
-                               params);
-        auto dd = sim::runCell(kind, *sim::specFromLabel("DD"),
-                               params);
-        meter.add(native);
-        meter.add(bv);
-        meter.add(vd);
-        meter.add(gd);
-        meter.add(dd);
+    for (const auto &cell : results)
+        meter.add(cell);
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        const auto &native = results[5 * k];
+        const auto &bv = results[5 * k + 1];
+        const auto &vd = results[5 * k + 2];
+        const auto &gd = results[5 * k + 3];
+        const auto &dd = results[5 * k + 4];
 
         const double cn = native.run.cyclesPerWalk;
         const double cut =
@@ -58,7 +61,7 @@ main(int argc, char **argv)
                           1.0,
                           static_cast<double>(bv.run.l2Misses));
         table.addRow(
-            {workload::workloadName(kind), sim::fmt(cn, 1),
+            {workload::workloadName(kinds[k]), sim::fmt(cn, 1),
              sim::fmt(vd.run.cyclesPerWalk, 1),
              sim::fmt((vd.run.cyclesPerWalk / cn - 1.0) * 100.0, 1) +
                  "%",
@@ -68,8 +71,6 @@ main(int argc, char **argv)
              sim::pct(cut), sim::pct(vd.run.fractionVmmOnly),
              sim::pct(gd.run.fractionGuestOnly),
              sim::pct(dd.run.fractionBoth)});
-        std::fprintf(stderr, "%s done\n",
-                     workload::workloadName(kind));
     }
 
     std::printf("Section IX.A: per-design breakdown (paper: VD "

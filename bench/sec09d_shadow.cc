@@ -38,37 +38,36 @@ main(int argc, char **argv)
                       "shadow slowdown", "sync exits", "4K+VD",
                       "VD slowdown"});
 
-    bench::ThroughputMeter meter;
+    // Per workload: native 4K, then sh4K and 4K+VD.
+    const char *const labels[] = {"4K", "sh4K", "4K+VD"};
+    std::vector<sim::Cell> cells;
     for (auto kind : kinds) {
-        auto native = sim::runCell(kind, *sim::specFromLabel("4K"),
-                                   params);
-        auto shadow = sim::runCell(kind, *sim::specFromLabel("sh4K"),
-                                   params);
-        auto vd = sim::runCell(kind, *sim::specFromLabel("4K+VD"),
-                               params);
-        meter.add(native);
-        meter.add(shadow);
-        meter.add(vd);
+        for (const char *label : labels)
+            cells.push_back({kind, *sim::specFromLabel(label), params});
+    }
+    const auto results = bench::runCells(cells);
+
+    bench::ThroughputMeter meter;
+    for (const auto &cell : results)
+        meter.add(cell);
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        const auto &native = results[3 * k];
+        const auto &shadow = results[3 * k + 1];
+        const auto &vd = results[3 * k + 2];
 
         // Slowdown vs native execution time, the paper's metric.
         const double shadow_slow =
             shadow.run.execCycles() / native.run.execCycles() - 1.0;
         const double vd_slow =
             vd.run.execCycles() / native.run.execCycles() - 1.0;
-        const auto exits = static_cast<std::uint64_t>(
-            shadow.run.vmExitCycles /
-            1.0);  // cycles; exits printed below as cycles share
-        (void)exits;
         table.addRow(
-            {workload::workloadName(kind),
+            {workload::workloadName(kinds[k]),
              sim::pct(native.run.translationOverhead()),
              sim::pct(shadow.run.totalOverhead()),
              sim::pct(shadow_slow),
              sim::pct(shadow.run.vmExitCycles /
                       shadow.run.execCycles()),
              sim::pct(vd.run.totalOverhead()), sim::pct(vd_slow)});
-        std::fprintf(stderr, "%s done\n",
-                     workload::workloadName(kind));
     }
 
     std::printf("Section IX.D: shadow paging vs VMM Direct "

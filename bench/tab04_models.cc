@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 
 #include "bench_util.hh"
 #include "core/linear_model.hh"
@@ -32,14 +33,39 @@ main(int argc, char **argv)
     sim::Table table({"workload", "design", "model cycles/acc",
                       "simulated cycles/acc", "ratio"});
 
+    struct DesignRow
+    {
+        const char *label;
+        const char *name;
+    };
+    const DesignRow designs[] = {
+        {"DS", "Direct Segment"},
+        {"DD", "Dual Direct"},
+        {"4K+VD", "VMM Direct"},
+        {"4K+GD", "Guest Direct"},
+    };
+
+    // Per workload: native 4K, 4K+4K, then one cell per design.
+    const auto kinds = workload::bigMemoryWorkloads();
+    constexpr std::size_t kPerKind = 2 + std::size(designs);
+    std::vector<sim::Cell> cells;
+    for (auto kind : kinds) {
+        cells.push_back({kind, *sim::specFromLabel("4K"), params});
+        cells.push_back({kind, *sim::specFromLabel("4K+4K"), params});
+        for (const auto &design : designs) {
+            cells.push_back(
+                {kind, *sim::specFromLabel(design.label), params});
+        }
+    }
+    const auto results = bench::runCells(cells);
+
     bench::ThroughputMeter meter;
-    for (auto kind : workload::bigMemoryWorkloads()) {
-        auto native = sim::runCell(kind, *sim::specFromLabel("4K"),
-                                   params);
-        auto virt = sim::runCell(kind, *sim::specFromLabel("4K+4K"),
-                                 params);
-        meter.add(native);
-        meter.add(virt);
+    for (const auto &cell : results)
+        meter.add(cell);
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        const auto *group = &results[kPerKind * k];
+        const auto &native = group[0];
+        const auto &virt = group[1];
         const double accesses =
             static_cast<double>(native.run.accessOps);
 
@@ -48,22 +74,9 @@ main(int argc, char **argv)
         in.cyclesPerMissVirtualized = virt.run.cyclesPerWalk;
         in.missesNative = static_cast<double>(native.run.walks);
 
-        struct DesignRow
-        {
-            const char *label;
-            const char *name;
-        };
-        const DesignRow designs[] = {
-            {"DS", "Direct Segment"},
-            {"DD", "Dual Direct"},
-            {"4K+VD", "VMM Direct"},
-            {"4K+GD", "Guest Direct"},
-        };
-
-        for (const auto &design : designs) {
-            auto cell = sim::runCell(
-                kind, *sim::specFromLabel(design.label), params);
-            meter.add(cell);
+        for (std::size_t d = 0; d < std::size(designs); ++d) {
+            const auto &design = designs[d];
+            const auto &cell = group[2 + d];
             // Coverage fractions measured from the design run.
             core::ModelInputs mi = in;
             mi.fractionBoth = cell.run.fractionBoth;
@@ -90,13 +103,12 @@ main(int argc, char **argv)
                 static_cast<double>(cell.run.walks);
             const double model_pa = model_cycles / accesses;
             const double sim_pa = simulated / accesses;
-            table.addRow({workload::workloadName(kind), design.name,
-                          sim::fmt(model_pa, 3), sim::fmt(sim_pa, 3),
+            table.addRow({workload::workloadName(kinds[k]),
+                          design.name, sim::fmt(model_pa, 3),
+                          sim::fmt(sim_pa, 3),
                           sim::fmt(sim_pa / std::max(model_pa, 1e-9),
                                    2)});
-            std::fprintf(stderr, ".");
         }
-        std::fprintf(stderr, " %s\n", workload::workloadName(kind));
     }
 
     std::printf("Table IV: linear cycle models vs simulation "

@@ -12,7 +12,7 @@ std::atomic<bool> failFastFlag{false};
  * The calling thread's "machine.audit" counters.  A machine is built,
  * run and destroyed on one thread (DESIGN.md §12), so one thread's
  * counts are one machine's counts: increments need no lock, and
- * parallel drivers read each worker's counts before it exits.
+ * sim::runCell() reports the change over its cell.
  */
 struct AuditStats : StatGroup
 {

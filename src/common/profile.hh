@@ -9,6 +9,11 @@
  * profiling was enabled (one branch otherwise, so `profile=0` runs
  * are unaffected).  report() prints calls / total ms / ns per call
  * for every phase that ran.
+ *
+ * The records are process-wide, so a phase's totals are summed over
+ * every thread that ran it: under sim::runMatrix() with several
+ * workers, machine_build's total ms sums the workers' times and
+ * can exceed the sweep's wall time.
  */
 
 #pragma once

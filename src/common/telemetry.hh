@@ -142,12 +142,11 @@ class LatencyHistogram
 };
 
 /**
- * A latency histogram shared between threads: the merge path of the
- * in-process parallel engine.  Worker threads run thread-confined
- * LatencyHistograms on their hot paths (record() stays lock-free)
- * and merge() them here at batch boundaries; readers take a
- * snapshot() for windowing or reporting.  The lock is a leaf lock:
- * merge/snapshot never call out while holding it.
+ * A latency histogram shared between threads.  Worker threads run
+ * thread-confined LatencyHistograms on their hot paths (record()
+ * stays lock-free) and merge() them here at batch boundaries;
+ * readers take a snapshot() for windowing or reporting.  The lock is
+ * a leaf lock: merge/snapshot never call out while holding it.
  */
 class SharedLatencyHistogram
 {
@@ -205,10 +204,11 @@ struct TelemetryConfig
  * registered (names are matched) and before openSink().
  *
  * Thread safety: the recorder is internally synchronized — every
- * public method takes the leaf `mutex`, so N worker threads may
- * tick onOp()/event() against one shared recorder and each JSONL
- * record is still a single atomic line with strictly increasing
- * window indices.  Two caveats the annotations encode: (a) window
+ * public method takes the leaf `mutex`, so threads may tick
+ * onOp()/event() against one shared recorder and each JSONL record
+ * is still a single atomic line with strictly increasing window
+ * indices.  (In the simulator a recorder belongs to one machine,
+ * whose sources it reads: Machine::attachTelemetry.)  Two caveats the annotations encode: (a) window
  * emission runs the registered source getters *under the lock*, so
  * getters must not call back into the recorder (they read counters
  * and atomics; the leaf-lock rule in thread_safety.hh applies);

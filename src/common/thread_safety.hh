@@ -1,9 +1,9 @@
 /**
  * @file
  * Clang thread-safety (capability) annotations and an annotated
- * mutex, ahead of the in-process parallel engine (ROADMAP item 1).
+ * mutex for the services worker threads share.
  *
- * The threaded shard runner will run one Machine per worker thread;
+ * sim::runMatrix() runs one Machine at a time per worker thread;
  * everything a Machine touches — its stat groups and its thread's
  * audit counters included — is thread-confined *except* the
  * process-wide services: the telemetry recorder and its merge

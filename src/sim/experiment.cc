@@ -1,9 +1,13 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <thread>
 
 #include "common/audit.hh"
 #include "common/logging.hh"
@@ -105,6 +109,18 @@ fromLabels(const std::vector<std::string> &labels)
     return out;
 }
 
+/** True when @p arg is "key=..." for one of @p keys. */
+bool
+hasKey(const char *arg, std::initializer_list<const char *> keys)
+{
+    for (const char *key : keys) {
+        const std::size_t len = std::strlen(key);
+        if (std::strncmp(arg, key, len) == 0 && arg[len] == '=')
+            return true;
+    }
+    return false;
+}
+
 } // namespace
 
 std::vector<ConfigSpec>
@@ -130,7 +146,8 @@ figure1Configs()
 }
 
 void
-RunParams::parseArgs(int argc, char **argv)
+RunParams::parseArgs(int argc, char **argv,
+                     std::initializer_list<const char *> extraKeys)
 {
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -156,8 +173,18 @@ RunParams::parseArgs(int argc, char **argv)
             faultPolicy = arg + 7;
         else if (std::strncmp(arg, "faultseed=", 10) == 0)
             faultSeed = std::strtoull(arg + 10, nullptr, 10);
-        else
-            emv_warn("ignoring unknown argument '%s'", arg);
+        else if (!hasKey(arg, extraKeys)) {
+            std::fprintf(stderr,
+                         "%s: unknown argument '%s'\nknown: scale= "
+                         "ops= warmup= seed= trace= tracefile= "
+                         "profile= audit= faults= policy= "
+                         "faultseed=",
+                         argv[0], arg);
+            for (const char *key : extraKeys)
+                std::fprintf(stderr, " %s=", key);
+            std::fprintf(stderr, "\n");
+            std::exit(1);
+        }
     }
     emv_assert(scale > 0.0, "scale must be positive");
 }
@@ -213,27 +240,83 @@ CellResult
 runCell(workload::WorkloadKind kind, const ConfigSpec &spec,
         const RunParams &params)
 {
-    std::unique_ptr<workload::Workload> wl;
-    {
-        prof::Scope gen_scope(prof::Phase::WorkloadGen);
-        wl = workload::makeWorkload(kind, params.seed, params.scale);
-    }
-    const MachineConfig cfg = makeMachineConfig(spec, params);
-    Machine machine(cfg, *wl);
-    machine.run(params.warmupOps);
-    machine.resetStats();
-
     CellResult cell;
     cell.workload = workload::workloadName(kind);
     cell.config = spec.label;
-    const auto t0 = std::chrono::steady_clock::now();
-    cell.run = machine.run(params.measureOps);
-    cell.hostNs = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    cell.measuredOps = params.measureOps;
+    const std::uint64_t checks0 = audit::checkCount();
+    const std::uint64_t failures0 = audit::failureCount();
+    const std::uint64_t mismatches0 = audit::mismatchCount();
+    {
+        std::unique_ptr<workload::Workload> wl;
+        {
+            prof::Scope gen_scope(prof::Phase::WorkloadGen);
+            wl = workload::makeWorkload(kind, params.seed,
+                                        params.scale);
+        }
+        const MachineConfig cfg = makeMachineConfig(spec, params);
+        Machine machine(cfg, *wl);
+        machine.run(params.warmupOps);
+        machine.resetStats();
+
+        const auto t0 = std::chrono::steady_clock::now();
+        cell.run = machine.run(params.measureOps);
+        cell.hostNs = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+        cell.measuredOps = params.measureOps;
+    }
+    cell.auditChecks = audit::checkCount() - checks0;
+    cell.auditFailures = audit::failureCount() - failures0;
+    cell.auditMismatches = audit::mismatchCount() - mismatches0;
     return cell;
+}
+
+unsigned
+matrixJobs(unsigned jobs, std::size_t cells)
+{
+    if (!trace::enabledFlags().empty())
+        return 1;
+    const std::size_t most = std::max<std::size_t>(cells, 1);
+    return static_cast<unsigned>(
+        std::clamp<std::size_t>(jobs, 1, most));
+}
+
+std::vector<CellResult>
+runMatrix(const std::vector<Cell> &cells, unsigned jobs)
+{
+    const unsigned n = matrixJobs(jobs, cells.size());
+    std::vector<CellResult> results(cells.size());
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> next{0};
+    // Each result slot is written by exactly one worker and read
+    // only after the workers are joined, so the slots need no lock.
+    // A worker that throws parks the exception, stops the others at
+    // their next cell, and the first one is rethrown here.
+    const auto work = [&](unsigned t) {
+        try {
+            for (std::size_t i = next.fetch_add(1); i < cells.size();
+                 i = next.fetch_add(1)) {
+                const Cell &cell = cells[i];
+                results[i] =
+                    runCell(cell.kind, cell.spec, cell.params);
+            }
+        } catch (...) {
+            errors[t] = std::current_exception();
+            next.store(cells.size());
+        }
+    };
+    {
+        std::vector<std::jthread> workers;
+        workers.reserve(n);
+        for (unsigned t = 0; t < n; ++t)
+            workers.emplace_back(work, t);
+    } // jthread joins on destruction, exception paths included.
+    for (const auto &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+    return results;
 }
 
 } // namespace emv::sim

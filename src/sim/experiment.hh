@@ -1,7 +1,8 @@
 /**
  * @file
  * Experiment descriptors: the paper's configuration bars and the
- * machinery to run one (workload, configuration) cell.
+ * machinery to run (workload, configuration) cells, one at a time
+ * (runCell) or a whole sweep on worker threads (runMatrix).
  *
  * Labels follow the paper's figures: "4K" / "2M" / "1G" are native
  * page sizes; "A+B" is guest size A with VMM size B; "THP" enables
@@ -12,6 +13,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -67,9 +70,14 @@ struct RunParams
 
     /**
      * Parse "scale=0.25 ops=1000000 warmup=100000 trace=Tlb,Walk
-     * tracefile=t.log profile=1" style argv.
+     * tracefile=t.log profile=1" style argv.  @p extraKeys name the
+     * keys the caller reads itself (fig13's "trials", "midrun").
+     * Any other argument is a usage error: it is reported on stderr
+     * (quiet logging would swallow a warning) and the process exits
+     * with status 1.
      */
-    void parseArgs(int argc, char **argv);
+    void parseArgs(int argc, char **argv,
+                   std::initializer_list<const char *> extraKeys = {});
 
     /**
      * Push the trace/profile options into the global facilities.
@@ -107,6 +115,14 @@ struct CellResult
     }
     /** @} */
 
+    /** @{ This cell's audit checks, failures and mismatches: the
+     * change in its thread's audit counts while it ran (zero unless
+     * auditing is enabled). */
+    std::uint64_t auditChecks = 0;
+    std::uint64_t auditFailures = 0;
+    std::uint64_t auditMismatches = 0;
+    /** @} */
+
     /** The paper's y-axis: execution-time overhead vs T_2Mideal. */
     double overhead() const { return run.totalOverhead(); }
 };
@@ -118,6 +134,34 @@ MachineConfig makeMachineConfig(const ConfigSpec &spec,
 /** Run one (workload, config) cell: build, warm up, measure. */
 CellResult runCell(workload::WorkloadKind kind,
                    const ConfigSpec &spec, const RunParams &params);
+
+/** One cell of a sweep, with its own parameters (fig13's trials
+ *  differ only in badFrames / faultSpec and their seeds). */
+struct Cell
+{
+    workload::WorkloadKind kind;
+    ConfigSpec spec;
+    RunParams params;
+};
+
+/**
+ * Worker threads runMatrix() uses for @p cells cells when asked for
+ * @p jobs: at least 1, at most one per cell, and 1 while any trace
+ * flag is set (trace records carry no cell id, so they stay in cell
+ * order).
+ */
+unsigned matrixJobs(unsigned jobs, std::size_t cells);
+
+/**
+ * Run every cell through runCell() on matrixJobs(jobs) worker
+ * threads, which take the next cell index from one atomic counter;
+ * each Machine is built, run and destroyed on its worker (DESIGN.md
+ * §12).  Results come back in cell order and do not depend on
+ * @p jobs.  The calling thread's audit counts are left untouched:
+ * each cell's own counts are in its CellResult.
+ */
+std::vector<CellResult> runMatrix(const std::vector<Cell> &cells,
+                                  unsigned jobs);
 
 } // namespace emv::sim
 

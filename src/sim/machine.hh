@@ -173,10 +173,10 @@ struct RunResult
  * Thread-safety: a Machine and everything it owns (OS, VMM, MMU,
  * workload, RNG streams, stat groups) is confined to one worker
  * thread, and so are the audit counters it bumps (thread-local).
- * The only process-wide services it touches — trace/log sinks, a
- * shared TelemetryRecorder — are internally synchronized (see
- * common/thread_safety.hh).  emvsim threads=N runs N machines on N
- * threads under exactly this contract.
+ * The only process-wide services it touches — trace/log sinks and
+ * the profiler — are internally synchronized (see
+ * common/thread_safety.hh).  sim::runMatrix() runs a sweep's
+ * machines on worker threads under exactly this contract.
  */
 class Machine
 {
@@ -259,18 +259,12 @@ class Machine
      * starts ticking it once per trace op; mode transitions and
      * injected faults are marked as window events.  Call after the
      * warmup-boundary resetStats() so window deltas reconcile with
-     * the measured-interval aggregates.  Pass nullptr to detach. */
+     * the measured-interval aggregates.  The recorder is one
+     * machine's: its sources read this machine's counters, so it is
+     * ticked from this machine's thread only.  Pass nullptr to
+     * detach. */
     void attachTelemetry(telemetry::TelemetryRecorder *recorder);
     telemetry::TelemetryRecorder *telemetry() { return telem; }
-
-    /** Tick @p recorder once per trace op WITHOUT registering this
-     *  machine's metric sources.  For threads=N runs that share one
-     *  internally-synchronized recorder: per-machine source names
-     *  would collide across machines (duplicate JSON keys), so the
-     *  driver registers race-free aggregate sources itself and each
-     *  machine only drives the shared window clock. */
-    void attachTelemetryTicker(telemetry::TelemetryRecorder *recorder)
-    { telem = recorder; }
     /** @} */
 
     /** @{ Fault injection and reporting. */

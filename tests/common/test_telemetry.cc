@@ -477,11 +477,10 @@ TEST(SharedLatencyHistogram, ConcurrentMergeLosesNoSamples)
 
 TEST(TelemetryRecorder, ConcurrentTicksEmitOrderedUntornWindows)
 {
-    // N threads tick one shared recorder (the threads=N emvsim
-    // configuration).  Every JSONL line must still be a complete
-    // record (no torn writes), window indices must be strictly
-    // sequential, and the per-window deltas of the atomic op
-    // counter must reconcile with the total.
+    // N threads tick one shared recorder.  Every JSONL line must
+    // still be a complete record (no torn writes), window indices
+    // must be strictly sequential, and the per-window deltas of the
+    // atomic op counter must reconcile with the total.
     const std::string path = tempPath("telemetry_mt.jsonl");
     TelemetryConfig config;
     config.path = path;

@@ -1,8 +1,7 @@
 # Checkpoint/resume smoke harness, run as a CTest via `cmake -P`.
 #
-#   cmake -DMODE=<killresume|exitcodes|fleet> -DEMVSIM=<path>
-#         -DWORKDIR=<scratch dir> [-DEMV_FLEET=<path>]
-#         [-DJSON_CHECK=<path>] -P ckpt_smoke.cmake
+#   cmake -DMODE=<killresume|exitcodes> -DEMVSIM=<path>
+#         -DWORKDIR=<work dir> -P ckpt_smoke.cmake
 #
 # MODE=killresume  a run SIGKILLed mid-measurement and resumed from
 #                  its checkpoint must emit stats JSON byte-identical
@@ -10,9 +9,6 @@
 #                  audit=1.
 # MODE=exitcodes   pins the emvsim exit-code contract: 0 completed,
 #                  1 usage error, 2 terminal fault, 3 interrupted.
-# MODE=fleet       emv_fleet must recover a deterministically
-#                  crashing shard by retrying from its checkpoint and
-#                  produce a valid emv-fleet-v1 report.
 
 foreach(var MODE EMVSIM WORKDIR)
   if(NOT DEFINED ${var})
@@ -90,32 +86,6 @@ elseif(MODE STREQUAL "exitcodes")
 
   run_step(completed 0
            ${EMVSIM} resume=${WORKDIR}/stop.ckpt stats=0)
-
-elseif(MODE STREQUAL "fleet")
-  foreach(var EMV_FLEET JSON_CHECK)
-    if(NOT DEFINED ${var})
-      message(FATAL_ERROR "ckpt_smoke.cmake: ${var} is required "
-                          "for MODE=fleet")
-    endif()
-  endforeach()
-
-  # The shard's first attempt crashes deterministically at op 50000;
-  # the supervisor must retry it, resume from the op-25000/50000
-  # checkpoint, and finish with every shard completed.
-  run_step(fleet 0
-           ${EMV_FLEET} emvsim=${EMVSIM} outdir=${WORKDIR}/fleet
-           workloads=gups configs=4K+4K seeds=42 jobs=1
-           scale=0.05 ops=60000 warmup=20000 ckptevery=25000
-           crashafter=50000 timeout=60 retries=2 backoffms=50)
-
-  run_step(fleet_report_valid 0
-           ${JSON_CHECK} ${WORKDIR}/fleet/fleet.json)
-
-  file(READ "${WORKDIR}/fleet/fleet.json" report)
-  if(NOT report MATCHES "\"retried\": *[1-9]")
-    message(FATAL_ERROR "fleet report does not record the retry:\n"
-                        "${report}")
-  endif()
 
 else()
   message(FATAL_ERROR "ckpt_smoke.cmake: unknown MODE '${MODE}'")

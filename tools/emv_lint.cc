@@ -38,15 +38,15 @@
  *                  restored, or restored but never tested, silently
  *                  breaks crash-safe resume.
  *
- * Concurrency-safety rules (see DESIGN.md §12), ahead of the
- * in-process parallel engine:
+ * Concurrency-safety rules (see DESIGN.md §12), which keep the
+ * library safe to run on sim::runMatrix() worker threads:
  *
  *   shared-mutable-state
  *                  namespace-scope variables, mutable static locals
  *                  and static data members must be const/constexpr,
  *                  atomic, a Mutex, thread_local, or carry an
  *                  EMV_GUARDED_BY annotation; anything else is a
- *                  data race waiting for the threaded runner.
+ *                  data race between runMatrix() workers.
  *   unguarded-member
  *                  a class that owns a Mutex declares its locking
  *                  story for *every* mutable member: EMV_GUARDED_BY

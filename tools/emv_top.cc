@@ -1,13 +1,13 @@
 /**
  * @file
- * emv_top — live fleet monitor over emv-metrics-v1 JSONL streams.
+ * emv_top — live monitor over emv-metrics-v1 JSONL streams.
  *
- * Tails one metrics file per shard (each written by `emvsim
+ * Tails one or more metrics files (each written by `emvsim
  * metrics=...`, one atomically-flushed JSON object per window) and
- * renders a refreshing one-line-per-shard view:
+ * renders a refreshing one-line-per-stream view:
  *
- *   SHARD                WIN        OPS    OPS/SEC      P99     P999  FILL  MODE
- *   fleet-out/shard-0      4     500000   12.3M/s        38       72  0.02  Dual Direct
+ *   STREAM               WIN        OPS    OPS/SEC      P99     P999  FILL  MODE
+ *   runs/dd-gups           4     500000   12.3M/s        38       72  0.02  Dual Direct
  *
  * Columns: last closed window index, cumulative ops, wall-clock
  * simulation rate of the last window, modeled-latency tail cycles
@@ -46,7 +46,7 @@
 namespace {
 
 /** What one rendered row needs from the newest window record. */
-struct ShardView
+struct StreamView
 {
     std::string path;
     bool valid = false;
@@ -89,10 +89,10 @@ numberOr(const emv::json::Value *v, double fallback)
                                                           : fallback;
 }
 
-ShardView
-readShard(const std::string &path)
+StreamView
+readStream(const std::string &path)
 {
-    ShardView view;
+    StreamView view;
     view.path = path;
     const std::string line = lastCompleteLine(path);
     if (line.empty())
@@ -142,16 +142,16 @@ rateStr(double ops_per_sec)
     return buf;
 }
 
-/** One frame: header + one row per shard.  @return rows with data. */
+/** One frame: header + one row per stream.  @return rows with data. */
 unsigned
 render(const std::vector<std::string> &paths)
 {
     unsigned live = 0;
-    std::printf("%-28s %6s %10s %10s %8s %8s %6s  %s\n", "SHARD",
+    std::printf("%-28s %6s %10s %10s %8s %8s %6s  %s\n", "STREAM",
                 "WIN", "OPS", "OPS/SEC", "P99", "P999", "FILL",
                 "MODE");
     for (const auto &path : paths) {
-        const ShardView view = readShard(path);
+        const StreamView view = readStream(path);
         if (!view.valid) {
             std::printf("%-28s %s\n", path.c_str(), "(no data)");
             continue;

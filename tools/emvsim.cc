@@ -12,7 +12,7 @@
  *          [tracefile=trace.log] [profile=1] [audit=1]
  *          [faults=dram@5000x8] [policy=degrade] [faultseed=7]
  *          [ckpt=run.ckpt] [ckptevery=100000] [resume=run.ckpt]
- *          [stopafter=N] [crashafter=N] [hangafter=N] [threads=N]
+ *          [stopafter=N] [crashafter=N]
  *
  * Arguments are strictly validated: anything that is not a known
  * `key=value` pair (a typo like `tracefil=t.log`, a bare word, an
@@ -44,8 +44,6 @@
  *                    flush a final checkpoint (when ckpt= is set)
  *                    and exit 3.
  *   crashafter=N     raise SIGKILL at op N (simulated hard crash).
- *   hangafter=N      stop making progress at op N (simulated hang;
- *                    for watchdog tests).
  *
  * Exit codes:
  *   0  run completed; no audit mismatches.
@@ -82,17 +80,6 @@
  *                    compared.  Results appear as machine.audit.*
  *                    stats; any mismatch makes emvsim exit 1.
  *
- * Parallel smoke:
- *   threads=N        run N independent machines on N worker threads
- *                    in one process, sharing (with metrics=) one
- *                    telemetry recorder.  Machine t runs the same
- *                    workload with seed+t; audit counts are summed
- *                    over the machines.  This is the concurrency
- *                    smoke for the in-process parallel engine (run
- *                    it under the tsan preset); checkpoint/resume,
- *                    the interruption test knobs and statsjson= are
- *                    serial-only and rejected with threads>1.
- *
  * Fault injection:
  *   faults=SPEC      schedule of mid-run faults at trace-op
  *                    granularity: "kind@op[xCOUNT],..." with kinds
@@ -111,10 +98,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
-#include <vector>
-
-#include <unistd.h>
 
 #include "common/audit.hh"
 #include "common/logging.hh"
@@ -184,16 +167,6 @@ constexpr Knob kKnobs[] = {
     {"stopafter", "stop at trace op N as if SIGTERM arrived: flush "
                   "checkpoint, exit 3 (test knob)"},
     {"crashafter", "raise SIGKILL at trace op N (test knob)"},
-    {"hangafter", "stop progressing at trace op N (test knob)"},
-    {"threads", "run N independent machines on N worker threads "
-                "sharing one telemetry recorder (concurrency smoke; "
-                "default 1)"},
-};
-
-/** Serial-only knobs, rejected when threads>1. */
-constexpr const char *kSerialOnlyKeys[] = {
-    "ckpt", "ckptevery", "resume", "stopafter", "crashafter",
-    "hangafter", "statsjson",
 };
 
 /** Identity knobs come from the checkpoint on resume. */
@@ -201,7 +174,7 @@ constexpr const char *kIdentityKeys[] = {
     "workload", "config",    "scale",     "ops",
     "warmup",   "seed",      "badframes", "fragguest",
     "fraghost", "faults",    "policy",    "faultseed",
-    "audit",    "stopafter", "crashafter", "hangafter",
+    "audit",    "stopafter", "crashafter",
 };
 
 void
@@ -281,9 +254,7 @@ workloadByName(const std::string &name)
     return std::nullopt;
 }
 
-// Atomic (not volatile sig_atomic_t) so threads=N workers can poll
-// it without a data race; a lock-free atomic store is async-signal
-// safe.
+// A lock-free atomic store is async-signal safe.
 std::atomic<int> gStopRequested{0};
 
 void
@@ -296,202 +267,6 @@ bool
 stopRequested()
 {
     return gStopRequested.load(std::memory_order_relaxed) != 0;
-}
-
-/**
- * threads=N: run N independent machines on N worker threads in one
- * process.  The process-wide services — the trace sink and the
- * telemetry recorder — are shared and internally synchronized
- * (thread_safety.hh documents the contract); each Machine, with its
- * stat groups and its thread's audit counters, stays confined to
- * its worker thread, which is built, run and destroyed in-thread.
- * Each worker reads its audit counts before it exits and the driver
- * sums them.  With metrics=, the driver owns the recorder's
- * sources (per-machine source names would collide across N
- * machines): a race-free atomic op counter plus the shard count;
- * the machines only drive the shared window clock through
- * Machine::attachTelemetryTicker().
- */
-int
-runParallel(unsigned nthreads, workload::WorkloadKind kind,
-            const sim::ConfigSpec &spec,
-            const sim::CheckpointMeta &meta,
-            const sim::RunParams &base_params,
-            const std::string &metrics_path,
-            std::uint64_t window_ops)
-{
-    std::optional<telemetry::TelemetryRecorder> recorder;
-    std::atomic<std::uint64_t> ops_done{0};
-    if (!metrics_path.empty()) {
-        telemetry::TelemetryConfig tcfg;
-        tcfg.path = metrics_path;
-        tcfg.windowOps = window_ops;
-        recorder.emplace(tcfg);
-        recorder->addCounter("ops", [&ops_done] {
-            return ops_done.load(std::memory_order_relaxed);
-        });
-        recorder->addGauge("threads", [nthreads] {
-            return static_cast<double>(nthreads);
-        });
-        recorder->setModeSource(
-            [label = spec.label] { return label; });
-        std::string error;
-        if (!recorder->openSink(&error)) {
-            std::fprintf(stderr,
-                         "emvsim: cannot write metrics '%s': %s\n",
-                         metrics_path.c_str(), error.c_str());
-            return kExitUsageOrAudit;
-        }
-    }
-
-    struct Shard
-    {
-        sim::RunResult run;
-        bool terminal = false;
-        bool interrupted = false;
-        std::uint64_t auditChecks = 0;
-        std::uint64_t auditFailures = 0;
-        std::uint64_t auditMismatches = 0;
-    };
-    std::vector<Shard> shards(nthreads);
-    std::vector<std::thread> workers;
-    workers.reserve(nthreads);
-    for (unsigned t = 0; t < nthreads; ++t) {
-        workers.emplace_back([&, t] {
-            Shard &shard = shards[t];
-            // This thread's audit counts are its machine's; read
-            // them however the run ends, after the machine (declared
-            // below) is destroyed.
-            struct AuditTally
-            {
-                Shard &shard;
-                ~AuditTally()
-                {
-                    shard.auditChecks = audit::checkCount();
-                    shard.auditFailures = audit::failureCount();
-                    shard.auditMismatches = audit::mismatchCount();
-                }
-            } tally{shard};
-            sim::RunParams params = base_params;
-            params.seed = base_params.seed + t;
-            auto wl = workload::makeWorkload(kind, params.seed,
-                                             params.scale);
-            auto cfg = sim::makeMachineConfig(spec, params);
-            if (meta.fragGuestBytes) {
-                cfg.guestFragmentation.enabled = true;
-                cfg.guestFragmentation.maxRunBytes =
-                    meta.fragGuestBytes;
-            }
-            if (meta.fragHostBytes) {
-                cfg.hostFragmentation.enabled = true;
-                cfg.hostFragmentation.maxRunBytes =
-                    meta.fragHostBytes;
-                cfg.contiguousHostReservation = false;
-            }
-            sim::Machine machine(cfg, *wl);
-
-            std::uint64_t done = 0;
-            while (done < params.warmupOps) {
-                if (stopRequested()) {
-                    shard.interrupted = true;
-                    return;
-                }
-                const std::uint64_t slice =
-                    std::min(params.warmupOps - done, kSubChunkOps);
-                if (!machine.run(slice).completed) {
-                    shard.terminal = true;
-                    return;
-                }
-                done += slice;
-            }
-            // The warmup-boundary reset runs before the ticker is
-            // attached, so the shared recorder's op space is exactly
-            // the union of the measured intervals (and no worker
-            // rebases the shared baselines mid-run).
-            machine.resetStats();
-            if (recorder)
-                machine.attachTelemetryTicker(&*recorder);
-            done = 0;
-            while (done < params.measureOps) {
-                if (stopRequested()) {
-                    shard.interrupted = true;
-                    break;
-                }
-                const std::uint64_t slice =
-                    std::min(params.measureOps - done, kSubChunkOps);
-                // Accounted at dispatch: every recorder tick inside
-                // run() then happens-after its slice's add, so the
-                // window deltas reconcile exactly with the
-                // recorder's op space (a terminal fault mid-slice
-                // overcounts by at most one slice).
-                ops_done.fetch_add(slice,
-                                   std::memory_order_relaxed);
-                if (!machine.run(slice).completed) {
-                    shard.terminal = true;
-                    break;
-                }
-                done += slice;
-            }
-            shard.run = machine.measuredResult();
-        });
-    }
-    for (auto &worker : workers)
-        worker.join();
-    if (recorder)
-        recorder->finish();
-
-    bool terminal = false;
-    bool interrupted = false;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
-    std::uint64_t walks = 0;
-    std::uint64_t audit_checks = 0;
-    std::uint64_t audit_failures = 0;
-    std::uint64_t audit_mismatches = 0;
-    std::printf("\n-- results (%u shards) --\n", nthreads);
-    for (unsigned t = 0; t < nthreads; ++t) {
-        const Shard &shard = shards[t];
-        std::printf("shard %u: translation %s, total %s, "
-                    "walks %llu%s%s\n",
-                    t, sim::pct(shard.run.translationOverhead()).c_str(),
-                    sim::pct(shard.run.totalOverhead()).c_str(),
-                    static_cast<unsigned long long>(shard.run.walks),
-                    shard.terminal ? " [terminal fault]" : "",
-                    shard.interrupted ? " [interrupted]" : "");
-        terminal = terminal || shard.terminal;
-        interrupted = interrupted || shard.interrupted;
-        l1_misses += shard.run.l1Misses;
-        l2_misses += shard.run.l2Misses;
-        walks += shard.run.walks;
-        audit_checks += shard.auditChecks;
-        audit_failures += shard.auditFailures;
-        audit_mismatches += shard.auditMismatches;
-    }
-    std::printf("aggregate: L1 misses %llu, L2 misses %llu, "
-                "walks %llu\n",
-                static_cast<unsigned long long>(l1_misses),
-                static_cast<unsigned long long>(l2_misses),
-                static_cast<unsigned long long>(walks));
-    if (recorder) {
-        std::printf("metrics:   %s (%llu windows)\n",
-                    metrics_path.c_str(),
-                    static_cast<unsigned long long>(
-                        recorder->windowsEmitted()));
-    }
-    if (base_params.audit) {
-        std::printf("audit checks:     %llu\n"
-                    "audit mismatches: %llu\n",
-                    static_cast<unsigned long long>(audit_checks),
-                    static_cast<unsigned long long>(audit_mismatches));
-    }
-
-    if (terminal)
-        return kExitTerminalFault;
-    if (base_params.audit &&
-        (audit_mismatches != 0 || audit_failures != 0)) {
-        return kExitUsageOrAudit;
-    }
-    return interrupted ? kExitInterrupted : kExitOk;
 }
 
 } // namespace
@@ -512,27 +287,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "\n");
         printUsage(stderr);
         return kExitUsageOrAudit;
-    }
-
-    unsigned nthreads = 1;
-    if (const char *v = argValue(argc, argv, "threads")) {
-        const int n = std::atoi(v);
-        if (n < 1) {
-            std::fprintf(stderr, "emvsim: threads= must be a "
-                         "positive thread count\n");
-            return kExitUsageOrAudit;
-        }
-        nthreads = static_cast<unsigned>(n);
-    }
-    if (nthreads > 1) {
-        for (const char *key : kSerialOnlyKeys) {
-            if (argValue(argc, argv, key)) {
-                std::fprintf(stderr, "emvsim: '%s' cannot be "
-                             "combined with threads=%u (serial-only "
-                             "knob)\n", key, nthreads);
-                return kExitUsageOrAudit;
-            }
-        }
     }
 
     const char *resume_path = argValue(argc, argv, "resume");
@@ -604,7 +358,6 @@ main(int argc, char **argv)
     std::uint64_t ckpt_every = 0;
     std::uint64_t stop_after = 0;
     std::uint64_t crash_after = 0;
-    std::uint64_t hang_after = 0;
     if (const char *v = argValue(argc, argv, "ckpt"))
         ckpt_path = v;
     if (const char *v = argValue(argc, argv, "ckptevery"))
@@ -613,8 +366,6 @@ main(int argc, char **argv)
         stop_after = std::strtoull(v, nullptr, 10);
     if (const char *v = argValue(argc, argv, "crashafter"))
         crash_after = std::strtoull(v, nullptr, 10);
-    if (const char *v = argValue(argc, argv, "hangafter"))
-        hang_after = std::strtoull(v, nullptr, 10);
     if (ckpt_every && ckpt_path.empty()) {
         std::fprintf(stderr,
                      "emvsim: ckptevery= requires ckpt=\n");
@@ -686,22 +437,6 @@ main(int argc, char **argv)
     if (const char *v = argValue(argc, argv, "profile"))
         params.profile = std::atoi(v) != 0;
     params.applyObservability();
-
-    if (nthreads > 1) {
-        std::printf("emvsim: %s under %s x%u threads "
-                    "(scale=%.3g)\n",
-                    meta.workload.c_str(), meta.configLabel.c_str(),
-                    nthreads, params.scale);
-        if (!params.faultSpec.empty()) {
-            std::printf("fault plan: %s (policy=%s, per shard)\n",
-                        params.faultSpec.c_str(),
-                        params.faultPolicy.c_str());
-        }
-        std::signal(SIGTERM, onStopSignal);
-        std::signal(SIGINT, onStopSignal);
-        return runParallel(nthreads, *kind, *spec, meta, params,
-                           metrics_path, window_ops);
-    }
 
     auto wl = workload::makeWorkload(*kind, params.seed,
                                      params.scale);
@@ -831,8 +566,6 @@ main(int argc, char **argv)
             boundAt(stop_after);
         if (crash_after)
             boundAt(crash_after);
-        if (hang_after)
-            boundAt(hang_after);
 
         const auto result = machine.run(slice);
         if (!result.completed) {
@@ -855,10 +588,6 @@ main(int argc, char **argv)
             meta.warmupDone + meta.measuredOps;
         if (crash_after && total >= crash_after)
             raise(SIGKILL);
-        if (hang_after && total >= hang_after) {
-            for (;;)
-                sleep(3600);
-        }
         const bool want_stop =
             stopRequested() || (stop_after && total >= stop_after);
         if (want_stop || (ckpt_every && since_ckpt >= ckpt_every)) {

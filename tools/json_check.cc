@@ -5,7 +5,6 @@
  * Usage:
  *   json_check <stats.json> [trace.log]
  *   json_check <bench.json>
- *   json_check <fleet.json>
  *   json_check <metrics.jsonl>
  *   json_check <directory>
  *
@@ -21,12 +20,7 @@
  *                  config, and a finite numeric overhead, and a
  *                  "throughput" object carrying ops/host_ns plus the
  *                  derived ops_per_sec / host_ns_per_op (the
- *                  BENCH_*.json contract from bench/bench_util.hh);
- *   emv-fleet-v1 — the emv_fleet shard report: a jobs count, a
- *                  non-empty "shards" array whose entries carry the
- *                  per-shard identity, status and retry bookkeeping,
- *                  and a "summary" rollup consistent with the shard
- *                  list.
+ *                  BENCH_*.json contract from bench/bench_util.hh).
  *
  * A .jsonl argument is an emv-metrics-v1 telemetry stream (emvsim
  * metrics=): every line must be a strict, duplicate-key-free JSON
@@ -34,8 +28,7 @@
  * (a resumed stream starts at its checkpointed index, not zero),
  * op_start chaining to the previous op_end, op_end > op_start,
  * non-negative deltas, and finite rate members — the
- * contract that lets emv_top and the fleet rollup trust the last
- * line of a live stream.
+ * contract that lets emv_top trust the last line of a live stream.
  *
  * All schemas additionally reject documents containing duplicate
  * object keys or non-finite numbers (strtod happily parses "1e999"
@@ -333,99 +326,6 @@ checkMetricsJsonl(const std::string &path)
     return 0;
 }
 
-/** emv-fleet-v1: jobs count, shard entries, consistent summary. */
-int
-checkFleet(const std::string &path, const emv::json::Value &root)
-{
-    const emv::json::Value *jobs = root.find("jobs");
-    if (!isFiniteNumber(jobs) || jobs->number < 1) {
-        std::fprintf(stderr, "json_check: %s: missing jobs count\n",
-                     path.c_str());
-        return 1;
-    }
-    const emv::json::Value *shards = root.find("shards");
-    if (!shards || !shards->isArray() || shards->array.empty()) {
-        std::fprintf(stderr, "json_check: %s: no shards\n",
-                     path.c_str());
-        return 1;
-    }
-    unsigned completed = 0, terminal = 0, quarantined = 0;
-    unsigned retried = 0;
-    for (std::size_t i = 0; i < shards->array.size(); ++i) {
-        const emv::json::Value &shard = shards->array[i];
-        if (!isString(shard.find("workload")) ||
-            !isString(shard.find("config")) ||
-            !isFiniteNumber(shard.find("id")) ||
-            !isFiniteNumber(shard.find("seed"))) {
-            std::fprintf(stderr, "json_check: %s: shard %zu lacks "
-                         "id/workload/config/seed\n", path.c_str(),
-                         i);
-            return 1;
-        }
-        const emv::json::Value *status = shard.find("status");
-        if (!isString(status) ||
-            (status->string != "completed" &&
-             status->string != "terminal" &&
-             status->string != "quarantined" &&
-             status->string != "pending" &&
-             status->string != "running")) {
-            std::fprintf(stderr, "json_check: %s: shard %zu has an "
-                         "invalid status\n", path.c_str(), i);
-            return 1;
-        }
-        for (const char *counter :
-             {"attempts", "hangs", "resumes", "exit_code"}) {
-            if (!isFiniteNumber(shard.find(counter))) {
-                std::fprintf(stderr, "json_check: %s: shard %zu "
-                             "lacks a numeric %s\n", path.c_str(), i,
-                             counter);
-                return 1;
-            }
-        }
-        if (!isString(shard.find("stats_json")) ||
-            !isString(shard.find("log"))) {
-            std::fprintf(stderr, "json_check: %s: shard %zu lacks "
-                         "stats_json/log paths\n", path.c_str(), i);
-            return 1;
-        }
-        completed += status->string == "completed";
-        terminal += status->string == "terminal";
-        quarantined += status->string == "quarantined";
-        retried += shard.find("attempts")->number > 1;
-    }
-    const emv::json::Value *summary = root.find("summary");
-    if (!summary || !summary->isObject()) {
-        std::fprintf(stderr, "json_check: %s: missing summary\n",
-                     path.c_str());
-        return 1;
-    }
-    const struct { const char *name; unsigned expect; } rollup[] = {
-        {"total", static_cast<unsigned>(shards->array.size())},
-        {"completed", completed},
-        {"terminal", terminal},
-        {"quarantined", quarantined},
-        {"retried", retried},
-    };
-    for (const auto &field : rollup) {
-        const emv::json::Value *v = summary->find(field.name);
-        if (!isFiniteNumber(v)) {
-            std::fprintf(stderr, "json_check: %s: summary lacks a "
-                         "numeric %s\n", path.c_str(), field.name);
-            return 1;
-        }
-        if (v->number != static_cast<double>(field.expect)) {
-            std::fprintf(stderr, "json_check: %s: summary.%s is %g "
-                         "but the shard list implies %u\n",
-                         path.c_str(), field.name, v->number,
-                         field.expect);
-            return 1;
-        }
-    }
-    std::printf("json_check: %s ok (%zu shards, %u completed)\n",
-                path.c_str(), shards->array.size(), completed);
-    return 0;
-}
-
 int
 checkJsonFile(const std::string &path)
 {
@@ -472,8 +372,6 @@ checkJsonFile(const std::string &path)
         return checkStats(path, root);
     if (schema->string == "emv-bench-v1")
         return checkBench(path, root);
-    if (schema->string == "emv-fleet-v1")
-        return checkFleet(path, root);
     std::fprintf(stderr, "json_check: %s: unknown schema \"%s\"\n",
                  path.c_str(), schema->string.c_str());
     return 1;
@@ -517,7 +415,7 @@ main(int argc, char **argv)
 {
     if (argc < 2 || argc > 3) {
         std::fprintf(stderr, "usage: json_check <stats.json|"
-                     "bench.json|fleet.json|metrics.jsonl|dir> "
+                     "bench.json|metrics.jsonl|dir> "
                      "[trace.log]\n");
         return 2;
     }
