@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/profile.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "workload/workload.hh"
@@ -106,7 +105,6 @@ runOverheadMatrix(const std::string &title,
                   const std::vector<sim::ConfigSpec> &configs,
                   const sim::RunParams &params)
 {
-    params.applyObservability();
     std::printf("%s\n", title.c_str());
     std::printf("(scale=%.3g warmup=%llu ops=%llu seed=%llu)\n\n",
                 params.scale,
@@ -148,10 +146,9 @@ runOverheadMatrix(const std::string &title,
         emv_warn("cannot write %s", json_path.c_str());
 
     if (params.profile) {
-        // Phase totals below are summed over the worker threads.
+        // The phase table printed at exit sums over the workers.
         std::printf("\nmatrix: %zu cells in %.3f s wall on %u jobs\n",
                     cells.size(), wall_s, sweepJobs(cells.size()));
-        prof::report(std::cout);
     }
 }
 

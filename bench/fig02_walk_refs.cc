@@ -33,9 +33,16 @@ struct ModeRow
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     setQuietLogging(true);
+
+    sim::RunParams params;
+    params.scale = 0.02;
+    params.seed = 1;
+    params.warmupOps = 0;
+    params.measureOps = 50000;
+    params.parseArgs(argc, argv);
 
     const ModeRow rows[] = {
         {"native 1D", core::Mode::Native},
@@ -53,7 +60,7 @@ main()
     bench::ThroughputMeter meter;
     for (const auto &row : rows) {
         auto wl = workload::makeWorkload(workload::WorkloadKind::Gups,
-                                         1, 0.02);
+                                         params.seed, params.scale);
         sim::MachineConfig cfg;
         cfg.mode = row.mode;
         // Cold hardware: no MMU caches, no nested TLB, so every
@@ -61,7 +68,11 @@ main()
         cfg.mmu.walkCachesEnabled = false;
         cfg.mmu.nestedTlbShared = false;
         sim::Machine machine(cfg, *wl);
-        meter.run(machine, 50000);
+        if (params.warmupOps) {
+            machine.run(params.warmupOps);
+            machine.resetStats();
+        }
+        meter.run(machine, params.measureOps);
 
         const auto &stats = machine.mmu().stats();
         const double walks = static_cast<double>(

@@ -12,6 +12,8 @@
  * would (unique data in the heap, a common "kernel image" in low
  * memory, untouched free pages), scan, and report the reclaimable
  * fraction of *used* (non-zero) memory and of total memory.
+ * scale= sizes the workload data; nothing here runs trace ops, so
+ * ops= and warmup= have no effect.
  */
 
 #include <chrono>
@@ -36,7 +38,7 @@ constexpr Addr kKernelImage = 24 * MiB;
 
 /** Fill a VM the way its workload would occupy memory. */
 void
-fillVm(vmm::Vm &vm, WorkloadKind kind, std::uint64_t seed)
+fillVm(vmm::Vm &vm, WorkloadKind kind, std::uint64_t seed, double scale)
 {
     Rng rng(seed);
     // Shared kernel image at the bottom of guest memory.
@@ -45,7 +47,7 @@ fillVm(vmm::Vm &vm, WorkloadKind kind, std::uint64_t seed)
 
     // Workload data: unique content across VMs, sized like a
     // scaled-down footprint, in the high range.
-    auto wl = workload::makeWorkload(kind, seed, 0.04);
+    auto wl = workload::makeWorkload(kind, seed, scale);
     Addr bytes =
         std::min<Addr>(wl->info().footprintBytes, 320 * MiB);
     const Addr base = 4 * GiB;
@@ -77,9 +79,13 @@ usedFrames(vmm::Vmm &vmm, vmm::Vm &vm)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     setQuietLogging(true);
+
+    sim::RunParams params;
+    params.scale = 0.04;
+    params.parseArgs(argc, argv);
 
     const std::vector<WorkloadKind> kinds =
         workload::bigMemoryWorkloads();
@@ -100,8 +106,8 @@ main()
             // Put high RAM right above a "gap" at 4 GB for realism.
             auto &a = vmm.createVm("a", cfg);
             auto &b = vmm.createVm("b", cfg);
-            fillVm(a, kinds[i], 1);
-            fillVm(b, kinds[j], 2);
+            fillVm(a, kinds[i], 1, params.scale);
+            fillVm(b, kinds[j], 2, params.scale);
 
             vmm::PageSharing sharing(vmm);
             // Throughput here meters the scan itself: one "op" per

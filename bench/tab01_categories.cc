@@ -22,12 +22,19 @@
 using namespace emv;
 
 int
-main()
+main(int argc, char **argv)
 {
     setQuietLogging(true);
 
-    auto wl = workload::makeWorkload(workload::WorkloadKind::Gups, 7,
-                                     0.05);
+    sim::RunParams params;
+    params.scale = 0.05;
+    params.seed = 7;
+    params.warmupOps = 50000;
+    params.measureOps = 400000;
+    params.parseArgs(argc, argv);
+
+    auto wl = workload::makeWorkload(workload::WorkloadKind::Gups,
+                                     params.seed, params.scale);
     sim::MachineConfig cfg;
     cfg.mode = core::Mode::DualDirect;
     cfg.mmu.walkCachesEnabled = false;  // Show raw step counts.
@@ -35,9 +42,9 @@ main()
     cfg.badFrames = 12;  // Forces some Guest-only escapes.
     sim::Machine machine(cfg, *wl);
     bench::ThroughputMeter meter;
-    machine.run(50000);
+    machine.run(params.warmupOps);
     machine.resetStats();
-    meter.run(machine, 400000);
+    meter.run(machine, params.measureOps);
 
     const auto &stats = machine.mmu().stats();
     const auto both = stats.counterValue("cat_both");

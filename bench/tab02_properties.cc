@@ -2,7 +2,9 @@
  * @file
  * Table II: properties of the virtualized modes, printed from the
  * mode-traits database that drives the simulator (so any drift
- * between documentation and implementation shows up here).
+ * between documentation and implementation shows up here).  No
+ * simulation runs, so only the observability arguments matter; the
+ * rest are parsed (and checked) like every bench's.
  */
 
 #include <iostream>
@@ -15,8 +17,11 @@ using namespace emv;
 using core::Mode;
 
 int
-main()
+main(int argc, char **argv)
 {
+    sim::RunParams params;
+    params.parseArgs(argc, argv);
+
     const Mode modes[] = {Mode::BaseVirtualized, Mode::DualDirect,
                           Mode::VmmDirect, Mode::GuestDirect};
 

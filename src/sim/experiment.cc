@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <iostream>
 #include <thread>
 
 #include "common/audit.hh"
@@ -187,6 +188,9 @@ RunParams::parseArgs(int argc, char **argv,
         }
     }
     emv_assert(scale > 0.0, "scale must be positive");
+    applyObservability();
+    if (profile)
+        std::atexit([] { prof::report(std::cout); });
 }
 
 void

@@ -74,14 +74,18 @@ struct RunParams
      * keys the caller reads itself (fig13's "trials", "midrun").
      * Any other argument is a usage error: it is reported on stderr
      * (quiet logging would swallow a warning) and the process exits
-     * with status 1.
+     * with status 1.  The observability options are applied here
+     * (applyObservability()), and under profile=1 the phase table is
+     * printed to stdout when the process exits, so no program that
+     * parses its arguments here can accept them and do nothing.
      */
     void parseArgs(int argc, char **argv,
                    std::initializer_list<const char *> extraKeys = {});
 
     /**
-     * Push the trace/profile options into the global facilities.
-     * Call once after parseArgs, before building machines.
+     * Push the trace/profile/audit options into the global
+     * facilities, before building machines.  parseArgs() calls it;
+     * programs with their own parser call it themselves.
      */
     void applyObservability() const;
 };

@@ -17,6 +17,7 @@
 
 #include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
+#include "../test_support.hh"
 
 namespace emv::sim {
 namespace {
@@ -280,6 +281,92 @@ TEST_F(CheckpointFileTest, CrossConfigRestoreFailsStructured)
     auto other = buildCell("DD");
     EXPECT_FALSE(restoreMachine(loaded, *other.machine, error));
     EXPECT_FALSE(error.empty());
+}
+
+/** FNV-1a digest of one layer's checkpoint bytes. */
+std::uint64_t
+digest(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (std::uint8_t byte : bytes)
+        hash = (hash ^ byte) * 0x100000001b3ull;
+    return hash;
+}
+
+/** A cell whose guest and host allocator bytes are pinned. */
+struct PinnedBuddy
+{
+    workload::WorkloadKind kind;
+    const char *label;
+    unsigned badFrames;
+    bool fragmented;  //!< Host and guest fragmentation (Table III).
+    std::uint64_t guest;
+    std::uint64_t host;   //!< 0 for native cells.
+};
+
+/**
+ * Guest and host BuddyAllocator checkpoint bytes after build and a
+ * short run, pinned as digests.  Every frame the allocators hand out
+ * and every free list they keep show up in these bytes, so a faster
+ * allocation or populate path must leave them exactly as the digests
+ * say.  The cells cover extent populate (4K guest pages), 2M pages,
+ * THP, shadow paging, run-time slab remaps (memcached), segment
+ * escapes around bad frames, and fragmentation with compaction.
+ */
+TEST(BuddyCheckpointBytesTest, MatchPinnedDigests)
+{
+    using K = workload::WorkloadKind;
+    const PinnedBuddy cells[] = {
+        {K::Gups, "4K+4K", 0, false,
+         0x5c8326e580c61091ull, 0xba80deed0e1bfed3ull},
+        {K::Gups, "4K", 0, false,
+         0xbcbdfc5f612a7930ull, 0},
+        {K::Graph500, "4K+2M", 0, false,
+         0xb6f567010eac9642ull, 0x2653b4a3288e3b00ull},
+        {K::Graph500, "2M+2M", 0, false,
+         0x491cda0936ec3220ull, 0x2653b4a3288e3b00ull},
+        {K::Gups, "THP", 0, false,
+         0x5fc424b936b3b32aull, 0},
+        {K::Memcached, "4K+4K", 0, false,
+         0x1ae128c3093f1d5bull, 0x93051f6a36b5cbf7ull},
+        {K::Memcached, "sh4K", 0, false,
+         0x1ae128c3093f1d5bull, 0x93051f6a36b5cbf7ull},
+        {K::Graph500, "DS", 16, false,
+         0xc7358efd25290bbbull, 0},
+        {K::Gups, "4K+VD", 16, false,
+         0xcedbc0a248fed2b4ull, 0xaab92000350f5b37ull},
+        {K::Gups, "4K+GD", 0, true,
+         0xe539a9cb0769f87bull, 0x21b564071498ea37ull},
+    };
+    for (const auto &pin : cells) {
+        auto spec = specFromLabel(pin.label);
+        ASSERT_TRUE(spec.has_value()) << pin.label;
+        RunParams params = smallParams();
+        params.badFrames = pin.badFrames;
+        MachineConfig cfg = makeMachineConfig(*spec, params);
+        if (pin.fragmented) {
+            cfg.contiguousHostReservation = false;
+            cfg.hostFragmentation.enabled = true;
+            cfg.hostFragmentation.maxRunBytes = 64 * MiB;
+            cfg.guestFragmentation.enabled = true;
+            cfg.guestFragmentation.maxRunBytes = 16 * MiB;
+        }
+        auto wl = workload::makeWorkload(pin.kind, 42, kScale);
+        Machine machine(cfg, *wl);
+        machine.run(kWarmup);
+        const std::uint64_t guest =
+            digest(test::ckptBytes(machine.os().buddy()));
+        const std::uint64_t host =
+            machine.vmm()
+                ? digest(test::ckptBytes(machine.vmm()->hostBuddy()))
+                : 0;
+        EXPECT_EQ(guest, pin.guest)
+            << workload::workloadName(pin.kind) << " " << pin.label << std::hex
+            << " guest digest 0x" << guest;
+        EXPECT_EQ(host, pin.host)
+            << workload::workloadName(pin.kind) << " " << pin.label << std::hex
+            << " host digest 0x" << host;
+    }
 }
 
 } // namespace
