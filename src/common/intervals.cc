@@ -6,12 +6,31 @@
 
 namespace emv {
 
+namespace {
+
+/** IntervalSet::threadWork(). */
+thread_local std::uint64_t steps = 0;
+
+} // namespace
+
+std::uint64_t
+IntervalSet::threadWork()
+{
+    return steps;
+}
+
 void
 IntervalSet::auditInvariants(const char *what) const
 {
     Addr prev_end = 0;
     bool first = true;
+    Addr covered = 0;
     for (const auto &[start, end] : byStart) {
+        covered += end - start;
+        EMV_INVARIANT(byLength.count({end - start, start}) == 1,
+                      "%s: [%s, %s) missing from the length index",
+                      what, hexAddr(start).c_str(),
+                      hexAddr(end).c_str());
         EMV_INVARIANT(end > start,
                       "%s: empty interval [%s, %s)", what,
                       hexAddr(start).c_str(), hexAddr(end).c_str());
@@ -23,6 +42,43 @@ IntervalSet::auditInvariants(const char *what) const
         prev_end = end;
         first = false;
     }
+    EMV_INVARIANT(byLength.size() == byStart.size() && covered == total,
+                  "%s: length index holds %zu of %zu intervals, total "
+                  "%llu of %llu bytes", what, byLength.size(),
+                  byStart.size(), static_cast<unsigned long long>(total),
+                  static_cast<unsigned long long>(covered));
+}
+
+IntervalSet::IntervalSet(const std::vector<Interval> &runs)
+{
+    for (const Interval &run : runs)
+        add(run.start, run.end);
+}
+
+void
+IntervalSet::add(Addr start, Addr end)
+{
+    ++steps;
+    byStart.emplace(start, end);
+    byLength.emplace(end - start, start);
+    total += end - start;
+}
+
+IntervalSet::StartMap::iterator
+IntervalSet::remove(StartMap::iterator it)
+{
+    ++steps;
+    byLength.erase({it->second - it->first, it->first});
+    total -= it->second - it->first;
+    return byStart.erase(it);
+}
+
+void
+IntervalSet::clear()
+{
+    byStart.clear();
+    byLength.clear();
+    total = 0;
 }
 
 void
@@ -39,14 +95,14 @@ IntervalSet::insert(Addr start, Addr end)
         if (prev->second >= start) {
             start = prev->first;
             end = std::max(end, prev->second);
-            it = byStart.erase(prev);
+            it = remove(prev);
         }
     }
     while (it != byStart.end() && it->first <= end) {
         end = std::max(end, it->second);
-        it = byStart.erase(it);
+        it = remove(it);
     }
-    byStart.emplace(start, end);
+    add(start, end);
     if (audit::enabled())
         auditInvariants();
 }
@@ -66,11 +122,11 @@ IntervalSet::erase(Addr start, Addr end)
     while (it != byStart.end() && it->first < end) {
         const Addr is = it->first;
         const Addr ie = it->second;
-        it = byStart.erase(it);
+        it = remove(it);
         if (is < start)
-            byStart.emplace(is, start);
+            add(is, start);
         if (ie > end) {
-            byStart.emplace(end, ie);
+            add(end, ie);
             break;
         }
     }
@@ -81,6 +137,7 @@ IntervalSet::erase(Addr start, Addr end)
 bool
 IntervalSet::contains(Addr addr) const
 {
+    ++steps;
     auto it = byStart.upper_bound(addr);
     if (it == byStart.begin())
         return false;
@@ -93,6 +150,7 @@ IntervalSet::containsRange(Addr start, Addr end) const
 {
     if (end <= start)
         return true;
+    ++steps;
     auto it = byStart.upper_bound(start);
     if (it == byStart.begin())
         return false;
@@ -105,6 +163,7 @@ IntervalSet::intersectsRange(Addr start, Addr end) const
 {
     if (end <= start)
         return false;
+    ++steps;
     auto it = byStart.lower_bound(start);
     if (it != byStart.begin()) {
         auto prev = std::prev(it);
@@ -124,6 +183,7 @@ IntervalSet::coveredBytesInRange(Addr start, Addr end) const
     if (it != byStart.begin())
         --it;
     for (; it != byStart.end() && it->first < end; ++it) {
+        ++steps;
         const Addr lo = std::max(it->first, start);
         const Addr hi = std::min(it->second, end);
         if (hi > lo)
@@ -132,24 +192,31 @@ IntervalSet::coveredBytesInRange(Addr start, Addr end) const
     return covered;
 }
 
-Addr
-IntervalSet::totalLength() const
-{
-    Addr total = 0;
-    for (const auto &[start, end] : byStart)
-        total += end - start;
-    return total;
-}
-
 std::optional<Interval>
 IntervalSet::largest() const
 {
-    std::optional<Interval> best;
-    for (const auto &[start, end] : byStart) {
-        if (!best || end - start > best->length())
-            best = Interval{start, end};
+    if (byLength.empty())
+        return std::nullopt;
+    ++steps;
+    // The lowest start among the longest.
+    const auto it =
+        byLength.lower_bound({byLength.rbegin()->first, 0});
+    return Interval{it->second, it->second + it->first};
+}
+
+std::vector<Interval>
+IntervalSet::highest(Addr bytes) const
+{
+    std::vector<Interval> out;
+    if (bytes == 0 || bytes > total)
+        return out;
+    for (auto it = byStart.rbegin(); bytes > 0; ++it) {
+        ++steps;
+        const Addr take = std::min(bytes, it->second - it->first);
+        out.push_back(Interval{it->second - take, it->second});
+        bytes -= take;
     }
-    return best;
+    return out;
 }
 
 std::optional<Interval>
@@ -157,18 +224,18 @@ IntervalSet::findFit(Addr length, Addr align) const
 {
     emv_assert(align != 0 && (align & (align - 1)) == 0,
                "findFit alignment must be a power of two");
-    std::optional<Interval> best;
-    for (const auto &[start, end] : byStart) {
+    // Shortest first, lowest first among equals: the first interval
+    // whose aligned part still fits is the best fit.
+    for (auto it = byLength.lower_bound({length, 0});
+         it != byLength.end(); ++it) {
+        ++steps;
+        const Addr start = it->second;
+        const Addr end = start + it->first;
         const Addr aligned = alignUp(start, align);
-        if (aligned >= end || end - aligned < length)
-            continue;
-        if (!best || end - start < best->length())
-            best = Interval{start, end};
+        if (aligned < end && end - aligned >= length)
+            return Interval{aligned, aligned + length};
     }
-    if (!best)
-        return std::nullopt;
-    const Addr aligned = alignUp(best->start, align);
-    return Interval{aligned, aligned + length};
+    return std::nullopt;
 }
 
 std::optional<Interval>
@@ -177,6 +244,7 @@ IntervalSet::findFitHigh(Addr length, Addr align) const
     emv_assert(align != 0 && (align & (align - 1)) == 0,
                "findFitHigh alignment must be a power of two");
     for (auto it = byStart.rbegin(); it != byStart.rend(); ++it) {
+        ++steps;
         const Addr start = it->first;
         const Addr end = it->second;
         if (end - start < length)
@@ -196,6 +264,7 @@ IntervalSet::findFitLowAbove(Addr length, Addr align,
                "findFitLowAbove alignment must be a power of two");
     std::optional<Interval> fallback;
     for (const auto &[start, end] : byStart) {
+        ++steps;
         // Preferred placement: at or above min_start.
         const Addr placed = alignUp(std::max(start, min_start), align);
         if (placed < end && end - placed >= length)
@@ -215,6 +284,7 @@ IntervalSet::intervals() const
 {
     std::vector<Interval> out;
     out.reserve(byStart.size());
+    steps += byStart.size();
     for (const auto &[start, end] : byStart)
         out.push_back(Interval{start, end});
     return out;
@@ -233,13 +303,13 @@ IntervalSet::serialize(ckpt::Encoder &enc) const
 bool
 IntervalSet::deserialize(ckpt::Decoder &dec)
 {
-    byStart.clear();
+    clear();
     const std::uint64_t n = dec.u64();
     for (std::uint64_t i = 0; dec.ok() && i < n; ++i) {
         const Addr start = dec.u64();
         const Addr end = dec.u64();
         if (dec.ok())
-            byStart[start] = end;
+            add(start, end);
     }
     return dec.ok();
 }

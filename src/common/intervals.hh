@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -40,10 +42,24 @@ struct Interval
 /**
  * Set of disjoint half-open intervals with coalescing insert and
  * splitting erase.
+ *
+ * Besides the intervals by start it keeps them by length and their
+ * total, so largest(), findFit() and totalLength() cost O(log n) or
+ * less instead of a scan: the buddy allocator's free-run index is
+ * queried after every fragmenter pin and compaction step.
  */
 class IntervalSet
 {
   public:
+    IntervalSet() = default;
+
+    /**
+     * The set of @p runs, which must ascend, be disjoint and not
+     * touch (as intervals() returns them).  No audit runs, so a
+     * restore can rebuild a set without counting checks.
+     */
+    explicit IntervalSet(const std::vector<Interval> &runs);
+
     /** Insert [start, end), merging with any overlapping/adjacent. */
     void insert(Addr start, Addr end);
 
@@ -63,14 +79,22 @@ class IntervalSet
     Addr coveredBytesInRange(Addr start, Addr end) const;
 
     /** Total bytes covered. */
-    Addr totalLength() const;
+    Addr totalLength() const { return total; }
 
-    /** Largest single interval, if any. */
+    /** Largest single interval (the lowest of equals), if any. */
     std::optional<Interval> largest() const;
 
     /**
+     * The highest @p bytes the set covers, as intervals from the top
+     * down (the last one trimmed to fit); empty when the set covers
+     * fewer bytes.
+     */
+    std::vector<Interval> highest(Addr bytes) const;
+
+    /**
      * Smallest interval of at least @p length bytes whose start is
-     * aligned to @p align; best-fit to limit fragmentation.
+     * aligned to @p align; best-fit to limit fragmentation.  Of
+     * equally long intervals the lowest wins.
      */
     std::optional<Interval> findFit(Addr length, Addr align = 1) const;
 
@@ -93,23 +117,42 @@ class IntervalSet
 
     /**
      * Audit-mode structural check (EMV_INVARIANT): every interval is
-     * non-empty and the set is disjoint *and* coalesced (no two
-     * intervals touch).  @p what names the owner in failure records.
+     * non-empty, the set is disjoint *and* coalesced (no two
+     * intervals touch), and the length index and total agree with
+     * the intervals.  @p what names the owner in failure records.
      * Called automatically by insert()/erase() under auditing.
      */
     void auditInvariants(const char *what = "intervals") const;
 
     bool empty() const { return byStart.empty(); }
     std::size_t count() const { return byStart.size(); }
-    void clear() { byStart.clear(); }
+    void clear();
+
+    /**
+     * Intervals examined or changed so far by every set on the
+     * calling thread: a host-work count, so a test can check that a
+     * caller's queries scale with the intervals they touch rather
+     * than with a set, also when a set is built just to be queried.
+     */
+    static std::uint64_t threadWork();
 
     /** Checkpoint the interval list (replaces contents on restore). */
     void serialize(ckpt::Encoder &enc) const;
     bool deserialize(ckpt::Decoder &dec);
 
   private:
+    using StartMap = std::map<Addr, Addr>;
+
+    /** Add [start, end), which touches no interval of the set. */
+    void add(Addr start, Addr end);
+    /** Remove one interval; @return the next one by start. */
+    StartMap::iterator remove(StartMap::iterator it);
+
     /** start -> end. */
-    std::map<Addr, Addr> byStart;
+    StartMap byStart;
+    /** (length, start) of every interval. */
+    std::set<std::pair<Addr, Addr>> byLength;
+    Addr total = 0;
 };
 
 } // namespace emv

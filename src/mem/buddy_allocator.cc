@@ -1,5 +1,7 @@
 #include "mem/buddy_allocator.hh"
 
+#include <algorithm>
+
 #include "common/audit.hh"
 #include "common/ckpt.hh"
 #include "common/logging.hh"
@@ -49,18 +51,7 @@ BuddyAllocator::BuddyAllocator(Addr base, Addr size_bytes)
         freeLists[order].insert(base + offset);
         offset += orderBytes(order);
     }
-}
-
-bool
-BuddyAllocator::splitTo(unsigned order)
-{
-    // Retained for API compatibility: true if allocate(order) could
-    // succeed.
-    for (unsigned k = order; k <= kMaxOrder; ++k) {
-        if (!freeLists[k].empty())
-            return true;
-    }
-    return false;
+    freeRuns.insert(base, base + size_bytes);
 }
 
 std::optional<Addr>
@@ -99,10 +90,30 @@ BuddyAllocator::allocate(unsigned order)
         freeLists[k].insert(block);
         block += orderBytes(k);
     }
+    freeRuns.erase(block, block + orderBytes(order));
     ++_stats.allocations;
     if (audit::enabled())
         auditInvariants();
     return block;
+}
+
+bool
+BuddyAllocator::allocateRun(std::uint64_t frames, std::vector<Addr> &out)
+{
+    // allocate(0) returns the highest free frame, so a run of them is
+    // the top of the free set, handed out from the top down.
+    const std::vector<Interval> runs = nextRun(frames);
+    if (runs.empty())
+        return frames == 0;
+    for (const Interval &run : runs) {
+        carve(run.start, run.end);
+        for (Addr frame = run.end; frame > run.start;)
+            out.push_back(frame -= kPage4K);
+    }
+    _stats.allocations += frames;
+    if (audit::enabled())
+        auditInvariants();
+    return true;
 }
 
 std::optional<Addr>
@@ -139,6 +150,7 @@ BuddyAllocator::free(Addr block, unsigned order)
                hexAddr(block).c_str());
     ++_stats.frees;
     insertFree(block, order);
+    freeRuns.insert(block, block + orderBytes(order));
     if (audit::enabled())
         auditInvariants();
 }
@@ -146,7 +158,44 @@ BuddyAllocator::free(Addr block, unsigned order)
 bool
 BuddyAllocator::rangeFree(Addr start, Addr length) const
 {
-    return freeIntervals().containsRange(start, start + length);
+    return freeRuns.containsRange(start, start + length);
+}
+
+void
+BuddyAllocator::carve(Addr start, Addr end)
+{
+    // The blocks of each order that intersect [start, end): those
+    // that start before end but less than one block before start.
+    struct Piece { Addr base; unsigned order; };
+    std::vector<Piece> work;
+    for (unsigned order = 0; order <= kMaxOrder; ++order) {
+        auto &list = freeLists[order];
+        const Addr reach = orderBytes(order) - 1;
+        for (auto it = list.lower_bound(start - std::min(start, reach));
+             it != list.end() && *it < end;) {
+            work.push_back({*it, order});
+            it = list.erase(it);
+        }
+    }
+    // Split them: pieces inside the range are taken, pieces outside
+    // go back on the lists (where they stay: their buddies are split
+    // or taken).
+    while (!work.empty()) {
+        const Piece p = work.back();
+        work.pop_back();
+        const Addr pend = p.base + orderBytes(p.order);
+        if (p.base >= start && pend <= end)
+            continue;
+        if (pend <= start || p.base >= end) {
+            insertFree(p.base, p.order);
+            continue;
+        }
+        emv_assert(p.order > 0, "carve reached order 0 straddle");
+        const unsigned h = p.order - 1;
+        work.push_back({p.base, h});
+        work.push_back({p.base + orderBytes(h), h});
+    }
+    freeRuns.erase(start, end);
 }
 
 bool
@@ -160,42 +209,7 @@ BuddyAllocator::allocateRange(Addr start, Addr length)
         return false;
     if (!rangeFree(start, length))
         return false;
-
-    const Addr end = start + length;
-    // Carve every free block that intersects [start, end): split
-    // blocks recursively; pieces fully inside are consumed, pieces
-    // outside go back on the free lists.
-    for (unsigned order = 0; order <= kMaxOrder; ++order) {
-        auto &list = freeLists[order];
-        for (auto it = list.begin(); it != list.end();) {
-            const Addr bstart = *it;
-            const Addr bend = bstart + orderBytes(order);
-            if (bend <= start || bstart >= end) {
-                ++it;
-                continue;
-            }
-            it = list.erase(it);
-            // Split this block into 4K pieces lazily: push halves
-            // that straddle the boundary back through the same logic.
-            struct Piece { Addr base; unsigned order; };
-            std::vector<Piece> work{{bstart, order}};
-            while (!work.empty()) {
-                Piece p = work.back();
-                work.pop_back();
-                const Addr pend = p.base + orderBytes(p.order);
-                if (p.base >= start && pend <= end)
-                    continue;  // Fully consumed by the reservation.
-                if (pend <= start || p.base >= end) {
-                    insertFree(p.base, p.order);
-                    continue;
-                }
-                emv_assert(p.order > 0, "carve reached order 0 straddle");
-                const unsigned h = p.order - 1;
-                work.push_back({p.base, h});
-                work.push_back({p.base + orderBytes(h), h});
-            }
-        }
-    }
+    carve(start, start + length);
     ++_stats.rangeAllocations;
     if (audit::enabled())
         auditInvariants();
@@ -203,13 +217,43 @@ BuddyAllocator::allocateRange(Addr start, Addr length)
 }
 
 void
+BuddyAllocator::freeFrames(std::vector<Addr> frames)
+{
+    std::sort(frames.begin(), frames.end());
+    for (std::size_t i = 0; i < frames.size();) {
+        std::size_t j = i + 1;
+        while (j < frames.size() && frames[j] == frames[j - 1] + kPage4K)
+            ++j;
+        const Addr end = frames[j - 1] + kPage4K;
+        emv_assert(isAligned(frames[i], kPage4K) &&
+                   frames[i] >= rangeBase &&
+                   end <= rangeBase + rangeSize,
+                   "freed frames [%s, %s) outside managed range",
+                   hexAddr(frames[i]).c_str(), hexAddr(end).c_str());
+        insertRange(frames[i], end);
+        i = j;
+    }
+    _stats.frees += frames.size();
+    if (audit::enabled())
+        auditInvariants();
+}
+
+void
 BuddyAllocator::freeRange(Addr start, Addr length)
 {
     emv_assert(isAligned(start, kPage4K) && isAligned(length, kPage4K),
                "freeRange arguments must be 4K aligned");
+    insertRange(start, start + length);
+    ++_stats.rangeFrees;
+    if (audit::enabled())
+        auditInvariants();
+}
+
+void
+BuddyAllocator::insertRange(Addr start, Addr end)
+{
     // Return the range as order-0..n blocks with natural alignment.
     Addr addr = start;
-    const Addr end = start + length;
     while (addr < end) {
         unsigned order = 0;
         const Addr offset = addr - rangeBase;
@@ -221,9 +265,7 @@ BuddyAllocator::freeRange(Addr start, Addr length)
         insertFree(addr, order);
         addr += orderBytes(order);
     }
-    ++_stats.rangeFrees;
-    if (audit::enabled())
-        auditInvariants();
+    freeRuns.insert(start, end);
 }
 
 void
@@ -255,12 +297,22 @@ BuddyAllocator::auditInvariants() const
     }
     // If any block sat on two lists or two blocks overlapped, the
     // coalesced interval coverage would be short of the list total.
-    EMV_INVARIANT(freeIntervals().totalLength() == freeBytes(),
+    const IntervalSet coverage = listCoverage();
+    EMV_INVARIANT(coverage.totalLength() == freeBytes(),
                   "buddy: free-list accounting mismatch (%llu "
                   "interval bytes vs %llu list bytes)",
                   static_cast<unsigned long long>(
-                      freeIntervals().totalLength()),
+                      coverage.totalLength()),
                   static_cast<unsigned long long>(freeBytes()));
+    EMV_INVARIANT(coverage.intervals() == freeRuns.intervals(),
+                  "buddy: free-run index (%zu runs, %llu bytes) "
+                  "disagrees with the free lists (%zu runs, %llu "
+                  "bytes)", freeRuns.count(),
+                  static_cast<unsigned long long>(
+                      freeRuns.totalLength()),
+                  coverage.count(),
+                  static_cast<unsigned long long>(
+                      coverage.totalLength()));
 }
 
 Addr
@@ -273,20 +325,31 @@ BuddyAllocator::freeBytes() const
 }
 
 IntervalSet
-BuddyAllocator::freeIntervals() const
+BuddyAllocator::listCoverage() const
 {
-    IntervalSet set;
+    std::vector<Interval> blocks;
     for (unsigned order = 0; order <= kMaxOrder; ++order) {
         for (Addr block : freeLists[order])
-            set.insert(block, block + orderBytes(order));
+            blocks.push_back({block, block + orderBytes(order)});
     }
-    return set;
+    std::sort(blocks.begin(), blocks.end(),
+              [](const Interval &a, const Interval &b) {
+                  return a.start < b.start;
+              });
+    std::vector<Interval> runs;
+    for (const Interval &block : blocks) {
+        if (!runs.empty() && runs.back().end >= block.start)
+            runs.back().end = std::max(runs.back().end, block.end);
+        else
+            runs.push_back(block);
+    }
+    return IntervalSet(runs);
 }
 
 Addr
 BuddyAllocator::largestFreeRun() const
 {
-    auto largest = freeIntervals().largest();
+    auto largest = freeRuns.largest();
     return largest ? largest->length() : 0;
 }
 
@@ -339,6 +402,7 @@ BuddyAllocator::deserialize(ckpt::Decoder &dec)
     }
     if (!_stats.deserialize(dec))
         return false;
+    freeRuns = listCoverage();
     return dec.ok();
 }
 

@@ -11,6 +11,14 @@
  * operations on the free-frame map.  A Linux-style buddy system (
  * orders 0..18, i.e. 4 KB to 1 GB blocks) gives them an honest
  * substrate.
+ *
+ * Blocks always coalesce with a free buddy, so the free lists are a
+ * function of the set of free frames.  That makes batch operations
+ * exact: allocateRun() and allocateRange() only have to take the same
+ * frames as the per-block calls they replace.  Beside the lists the
+ * allocator keeps the free frames as an IntervalSet of runs, updated
+ * by every operation, which the planners (fragmenter, compaction,
+ * segment and pool placement) query without a rebuild.
  */
 
 #pragma once
@@ -58,6 +66,23 @@ class BuddyAllocator
      */
     std::optional<Addr> allocate(unsigned order);
 
+    /**
+     * Allocate @p frames 4 KB frames: the ones, in the order, that
+     * @p frames calls of allocate(0) would return (the highest free
+     * frames, descending), appended to @p out, and counted as that
+     * many allocations.  The cost follows the blocks taken, not the
+     * frames.  @return false, changing nothing, when fewer frames are
+     * free.
+     */
+    bool allocateRun(std::uint64_t frames, std::vector<Addr> &out);
+
+    /**
+     * The frames allocateRun(@p frames) would take, as runs from the
+     * highest down; empty when fewer frames are free.
+     */
+    std::vector<Interval> nextRun(std::uint64_t frames) const
+    { return freeRuns.highest(frames * kPage4K); }
+
     /** Allocate @p bytes of contiguous memory (rounded to a block). */
     std::optional<Addr> allocateBytes(Addr bytes);
 
@@ -70,6 +95,13 @@ class BuddyAllocator
 
     /** Free a block previously returned by allocate(). */
     void free(Addr block, unsigned order);
+
+    /**
+     * Free 4 KB frames given in any order: the lists, the run index
+     * and the stats end as one free(frame, 0) per frame would leave
+     * them.  The work follows the contiguous runs among the frames.
+     */
+    void freeFrames(std::vector<Addr> frames);
 
     /** Free a specific range previously reserved. */
     void freeRange(Addr start, Addr length);
@@ -87,8 +119,9 @@ class BuddyAllocator
     const std::set<Addr> &freeBlocks(unsigned order) const
     { return freeLists.at(order); }
 
-    /** Free memory as a coalesced interval set (for planners). */
-    IntervalSet freeIntervals() const;
+    /** Free memory as a coalesced interval set (for planners),
+     *  maintained by every operation. */
+    const IntervalSet &freeIntervals() const { return freeRuns; }
 
     /**
      * Fraction of free memory NOT in the largest free run — a
@@ -104,9 +137,10 @@ class BuddyAllocator
     /**
      * Audit-mode structural check (EMV_INVARIANT): every free block
      * is naturally aligned and inside the managed range, no two
-     * buddies sit uncoalesced on the same free list, and the free
-     * lists' byte accounting matches their coalesced interval
-     * coverage (i.e. no block is on two lists and none overlap).
+     * buddies sit uncoalesced on the same free list, the free lists'
+     * byte accounting matches their coalesced interval coverage
+     * (i.e. no block is on two lists and none overlap), and that
+     * coverage is exactly the maintained free-run index.
      * Called automatically by the allocation paths under auditing.
      */
     void auditInvariants() const;
@@ -119,16 +153,28 @@ class BuddyAllocator
     bool deserialize(ckpt::Decoder &dec);
 
   private:
-    /** Split blocks down until a block of @p order is available. */
-    bool splitTo(unsigned order);
-
     /** Insert a free block and coalesce with its buddy upward. */
     void insertFree(Addr block, unsigned order);
+
+    /** Return [start, end) to the lists and the run index. */
+    void insertRange(Addr start, Addr end);
+
+    /**
+     * Take the free range [start, end) off the free lists and the
+     * run index: each block it intersects is split, and the pieces
+     * outside go back on the lists.
+     */
+    void carve(Addr start, Addr end);
+
+    /** The free lists' coverage, rebuilt (audit only). */
+    IntervalSet listCoverage() const;
 
     Addr rangeBase;
     Addr rangeSize;
     /** freeLists[n] holds bases of free blocks of order n. */
     std::vector<std::set<Addr>> freeLists;
+    /** The free frames as coalesced runs. */
+    IntervalSet freeRuns;
     struct Stats : StatGroup
     {
         Stats() : StatGroup("buddy") {}

@@ -68,8 +68,7 @@ Fragmenter::pinFraction(BuddyAllocator &buddy, double fraction,
     Addr pinned = 0;
 
     while (pinned + pin_bytes <= target) {
-        auto free_set = buddy.freeIntervals();
-        auto ivs = free_set.intervals();
+        const auto ivs = buddy.freeIntervals().intervals();
         if (ivs.empty())
             break;
         // Pick a random interval weighted by index, then a random

@@ -27,6 +27,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/audit.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -54,8 +56,23 @@ class PhysMemory
 
     Addr size() const { return sizeBytes; }
 
-    /** Load a naturally aligned 64-bit word. */
-    std::uint64_t read64(Addr addr) const;
+    /**
+     * Load a naturally aligned 64-bit word.  Inline: every walk step
+     * and page-table descent is one of these.
+     */
+    std::uint64_t
+    read64(Addr addr) const
+    {
+        emv_assert(isAligned(addr, 8), "misaligned 64-bit read at %s",
+                   hexAddr(addr).c_str());
+        EMV_CHECK(addr < sizeBytes, "read of %s beyond physical size %s",
+                  hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
+        ++_stats.reads;
+        const Frame *frame = frameForConst(addr);
+        if (!frame)
+            return 0;  // Untouched memory reads as zero.
+        return (*frame)[(addr & (kPage4K - 1)) >> 3];
+    }
 
     /** Store a naturally aligned 64-bit word. */
     void write64(Addr addr, std::uint64_t value);
@@ -105,7 +122,17 @@ class PhysMemory
     using Block = std::array<std::unique_ptr<Frame>, 512>;
 
     Frame &frameFor(Addr addr);
-    const Frame *frameForConst(Addr addr) const;
+
+    const Frame *
+    frameForConst(Addr addr) const
+    {
+        emv_assert(addr < sizeBytes,
+                   "physical access %s beyond memory size %s",
+                   hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
+        const Block *block = blocks[addr >> 21].get();
+        return block ? (*block)[(addr >> 12) & 511].get() : nullptr;
+    }
+
     /** Materialize (zeroed) the frame with number @p frame_no. */
     Frame &makeFrame(std::uint64_t frame_no);
 

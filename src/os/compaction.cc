@@ -19,7 +19,7 @@ CompactionDaemon::CompactionDaemon(GuestOs &os, RemapHook on_remap)
 std::optional<CompactionDaemon::Window>
 CompactionDaemon::bestWindow(Addr bytes) const
 {
-    const IntervalSet free_set = os.buddy().freeIntervals();
+    const IntervalSet &free_set = os.buddy().freeIntervals();
     const IntervalSet &unmovable = os.unmovable();
 
     std::optional<Window> best;
@@ -90,8 +90,9 @@ CompactionDaemon::createFreeRun(Addr bytes, std::uint64_t
     auto &buddy = os.buddy();
 
     // 1. Reserve every currently free piece of the window so the
-    //    migration targets we allocate land outside it.
-    const auto free_pieces = buddy.freeIntervals();
+    //    migration targets we allocate land outside it.  A copy:
+    //    the abort path below needs the pieces as they were.
+    const IntervalSet free_pieces = buddy.freeIntervals();
     for (const auto &piece : free_pieces.intervals()) {
         const Addr lo = std::max(piece.start, wstart);
         const Addr hi = std::min(piece.end, wend);

@@ -1,5 +1,7 @@
 #include "os/guest_os.hh"
 
+#include <algorithm>
+
 #include "common/ckpt.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -331,6 +333,49 @@ GuestOs::handleFault(Process &proc, Addr gva)
     return outcome;
 }
 
+bool
+GuestOs::mapWindow(Process &proc, const Region &region, Addr va,
+                   Addr end)
+{
+    // Pages that could map differently from each other take the
+    // per-page path: other page sizes, THP draws, segment offsets.
+    const auto &seg = proc.guestSegment();
+    if (region.pageSize != PageSize::Size4K || config.thp ||
+        (seg.enabled() && va < seg.base() + seg.length() &&
+         end > seg.base())) {
+        return false;
+    }
+    // The per-page path makes the window's tables after its first
+    // data frame.  Tables from the pool keep the buddy out of that,
+    // so the order cannot matter; a pool that may have to grow
+    // cannot promise it.
+    if (kernelFreeList.size() < std::size_t{paging::kLevels - 1})
+        return false;
+
+    const std::uint64_t pages = (end - va) / kPage4K;
+    std::vector<Addr> frames;
+    const bool mapped = proc.pageTable().mapIfUnmapped(
+        va, end - va, PageSize::Size4K, [&]() -> const Addr * {
+            // allocDataBlock() would retire a bad frame and take
+            // another: leave such a window to it.
+            for (const Interval &run : _buddy->nextRun(pages)) {
+                if (_phys.anyBadInRange(run.start, run.length()))
+                    return nullptr;
+            }
+            frames.reserve(pages);
+            return _buddy->allocateRun(pages, frames) ? frames.data()
+                                                      : nullptr;
+        });
+    if (!mapped)
+        return false;
+    _stats.pagesMapped += pages;
+    if (mappingHook) {
+        for (Addr page = va; page < end; page += kPage4K)
+            mappingHook(proc, page, kPage4K, PageSize::Size4K, true);
+    }
+    return true;
+}
+
 void
 GuestOs::populateRange(Process &proc, Addr va, Addr bytes)
 {
@@ -340,11 +385,20 @@ GuestOs::populateRange(Process &proc, Addr va, Addr bytes)
         const Region *region = proc.findRegion(page);
         emv_assert(region, "populate outside any region at %s",
                    hexAddr(page).c_str());
-        const auto size = mapPage(proc, *region, page);
-        if (!size)
-            emv_fatal("out of memory populating %s",
-                      hexAddr(page).c_str());
-        page = alignDown(page, pageBytes(*size)) + pageBytes(*size);
+        const Addr window_end =
+            std::min({alignDown(page, kPage2M) + kPage2M,
+                      alignUp(end, kPage4K), region->end()});
+        if (mapWindow(proc, *region, page, window_end)) {
+            page = window_end;
+            continue;
+        }
+        while (page < window_end) {
+            const auto size = mapPage(proc, *region, page);
+            if (!size)
+                emv_fatal("out of memory populating %s",
+                          hexAddr(page).c_str());
+            page = alignDown(page, pageBytes(*size)) + pageBytes(*size);
+        }
     }
 }
 
@@ -377,20 +431,29 @@ GuestOs::unmapRange(Process &proc, Addr va, Addr bytes)
         i = j;
     }
 
+    // 4K data frames go back in one call after the loop: the free
+    // lists depend only on which frames are free, and the hook never
+    // touches this allocator.
+    std::vector<Addr> frames;
     for (const auto &leaf : doomed) {
         // Frames inside a segment reservation stay reserved; frames
         // the escape path allocated (or ordinary data frames) are
         // returned to the allocator.
         const bool segment_backed =
             seg.contains(leaf.va) && leaf.pa == seg.translate(leaf.va);
-        if (!segment_backed)
-            freeDataBlock(leaf.pa, leaf.size);
+        if (!segment_backed) {
+            if (leaf.size == PageSize::Size4K)
+                frames.push_back(leaf.pa);
+            else
+                freeDataBlock(leaf.pa, leaf.size);
+        }
         if (mappingHook) {
             mappingHook(proc, leaf.va, pageBytes(leaf.size), leaf.size,
                         false);
         }
         ++_stats.pagesUnmapped;
     }
+    _buddy->freeFrames(std::move(frames));
     return doomed.size();
 }
 

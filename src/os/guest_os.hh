@@ -110,7 +110,15 @@ class GuestOs
     /** Demand-page the address @p gva (guest page-fault handler). */
     FaultOutcome handleFault(Process &proc, Addr gva);
 
-    /** Eagerly populate [va, va+bytes) of a defined region. */
+    /**
+     * Eagerly populate [va, va+bytes) of defined regions, one 2 MB
+     * window at a time.  A window of 4K pages that is unmapped, not
+     * THP-managed, not segment-backed and whose frames would all be
+     * healthy gets its frames as one buddy run and one page-table
+     * call, when the kernel pool can supply its tables; any other
+     * window is faulted in page by page.  Either way every frame,
+     * table and hook call is the per-page one.
+     */
     void populateRange(Process &proc, Addr va, Addr bytes);
 
     /**
@@ -209,6 +217,15 @@ class GuestOs
      */
     std::optional<PageSize> mapPage(Process &proc, const Region &region,
                                     Addr va_page);
+
+    /**
+     * populateRange()'s extent path: map the 4K pages of [@p va,
+     * @p end), inside one 2 MB window of @p region, exactly as
+     * mapPage() would one by one, if the window qualifies.
+     * @return false, changing nothing, when it does not.
+     */
+    bool mapWindow(Process &proc, const Region &region, Addr va,
+                   Addr end);
 
     mem::PhysAccessor &_phys;
     OsConfig config;

@@ -74,11 +74,14 @@ PageTable::nodeEmpty(Addr table) const
 }
 
 int
-PageTable::descend(Addr va, int target, bool create, Path &path)
+PageTable::descend(Addr va, int target, bool create, Path &path,
+                   bool resume)
 {
-    path.depth = 0;
-    path.tables[0] = rootFrame;
-    for (int level = kLevels; level > target; --level) {
+    if (!resume) {
+        path.depth = 0;
+        path.tables[0] = rootFrame;
+    }
+    for (int level = kLevels - path.depth; level > target; --level) {
         const Addr table = path.tables[path.depth];
         const Addr entry_addr = table + 8ull * tableIndex(va, level);
         Pte pte{space.read64(entry_addr)};
@@ -86,6 +89,7 @@ PageTable::descend(Addr va, int target, bool create, Path &path)
         if (pte.present() && !pte.pageSize()) {
             child = pte.frame();
         } else if (!create) {
+            path.stop = pte;
             return level;
         } else {
             emv_assert(!pte.present(),
@@ -119,6 +123,46 @@ PageTable::freeEmptyTables(const Path &path)
     }
 }
 
+template <typename FrameAt>
+void
+PageTable::mapLeaves(Addr va, Addr bytes, PageSize size, bool writable,
+                     bool user_mode, FrameAt frame_at, Path &path,
+                     bool resume)
+{
+    const Addr step = pageBytes(size);
+    const int target = leafLevel(size);
+    for (Addr pos = 0; pos < bytes; resume = false) {
+        descend(va + pos, target, true, path, resume);
+        const Addr table = path.tables[path.depth];
+        std::uint32_t &live = liveEntries.at(table);
+        // An empty table has no entry to collide with.
+        const bool fresh = live == 0;
+        const Addr end = blockEnd(va, pos, bytes, entryBytes(target + 1));
+        for (; pos < end; pos += step) {
+            const Addr page = va + pos;
+            const Addr pa = frame_at(pos);
+            const Addr entry_addr = table + 8ull * tableIndex(page, target);
+            emv_assert(fresh || !Pte{space.read64(entry_addr)}.present(),
+                       "map: va %s already mapped (unmap first)",
+                       hexAddr(page).c_str());
+            space.write64(entry_addr, Pte::makeLeaf(pa, target,
+                                                    writable, user_mode));
+            ++live;
+            ++leaves;
+            ++updates;
+            EMV_CHECK([&] {
+                          auto readback = translate(page);
+                          return readback && readback->pa == pa &&
+                                 readback->size == size;
+                      }(),
+                      "map: software readback of va %s disagrees with "
+                      "the just-installed %s leaf at pa %s",
+                      hexAddr(page).c_str(), pageSizeName(size),
+                      hexAddr(pa).c_str());
+        }
+    }
+}
+
 void
 PageTable::mapRange(Addr va, Addr pa, Addr bytes, PageSize size,
                     bool writable, bool user_mode)
@@ -131,37 +175,38 @@ PageTable::mapRange(Addr va, Addr pa, Addr bytes, PageSize size,
     emv_assert(isAligned(bytes, step),
                "map: length %s not a multiple of the %s page",
                hexAddr(bytes).c_str(), pageSizeName(size));
-
-    const int target = leafLevel(size);
     Path path;
-    for (Addr pos = 0; pos < bytes;) {
-        descend(va + pos, target, true, path);
-        const Addr table = path.tables[path.depth];
-        std::uint32_t &live = liveEntries.at(table);
-        const Addr end = blockEnd(va, pos, bytes, entryBytes(target + 1));
-        for (; pos < end; pos += step) {
-            const Addr page = va + pos;
-            const Addr entry_addr = table + 8ull * tableIndex(page, target);
-            Pte existing{space.read64(entry_addr)};
-            emv_assert(!existing.present(),
-                       "map: va %s already mapped (unmap first)",
-                       hexAddr(page).c_str());
-            space.write64(entry_addr, Pte::makeLeaf(pa + pos, target,
-                                                    writable, user_mode));
-            ++live;
-            ++leaves;
-            ++updates;
-            EMV_CHECK([&] {
-                          auto readback = translate(page);
-                          return readback && readback->pa == pa + pos &&
-                                 readback->size == size;
-                      }(),
-                      "map: software readback of va %s disagrees with "
-                      "the just-installed %s leaf at pa %s",
-                      hexAddr(page).c_str(), pageSizeName(size),
-                      hexAddr(pa + pos).c_str());
-        }
+    mapLeaves(va, bytes, size, writable, user_mode,
+              [pa](Addr pos) { return pa + pos; }, path, false);
+}
+
+bool
+PageTable::mapIfUnmapped(Addr va, Addr bytes, PageSize size,
+                         const std::function<const Addr *()> &frames)
+{
+    const Addr step = pageBytes(size);
+    const int target = leafLevel(size);
+    const Addr span = entryBytes(target + 1);
+    emv_assert(isAligned(va, step) && isAligned(bytes, step) &&
+                   bytes > 0 &&
+                   alignDown(va, span) == alignDown(va + bytes - 1, span),
+               "mapIfUnmapped: [%s, +%s) is not %s pages inside one "
+               "leaf table", hexAddr(va).c_str(), hexAddr(bytes).c_str(),
+               pageSizeName(size));
+    Path path;
+    if (descend(va, target, false, path) == target) {
+        if (liveEntries.at(path.tables[path.depth]) != 0)
+            return false;
+    } else if (path.stop.present()) {
+        return false;  // A larger leaf covers the span.
     }
+    const Addr *pa = frames();
+    if (!pa)
+        return false;
+    mapLeaves(va, bytes, size, true, true,
+              [pa, step](Addr pos) { return pa[pos / step]; }, path,
+              true);
+    return true;
 }
 
 std::uint64_t

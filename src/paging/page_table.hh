@@ -70,10 +70,11 @@ struct SoftTranslation
  * Four-level x86-64 page table.
  *
  * mapRange()/unmapRange() maintain the radix tree one leaf table at
- * a time; map()/unmap() are their one-page calls, so both share one
- * descent.  translate() is a software walk used for correctness
- * checks and by the shadow pager.  The simulated, cycle-accounted
- * walk is radixWalk() in walker.hh.
+ * a time; map()/unmap() are their one-page calls, and
+ * mapIfUnmapped() is populate's check-then-map of one leaf table, so
+ * all of them share one descent.  translate() is a software walk
+ * used for correctness checks and by the shadow pager.  The
+ * simulated, cycle-accounted walk is radixWalk() in walker.hh.
  */
 class PageTable
 {
@@ -94,6 +95,22 @@ class PageTable
      */
     void mapRange(Addr va, Addr pa, Addr bytes, PageSize size,
                   bool writable = true, bool user_mode = true);
+
+    /**
+     * Map the @p size pages of [@p va, @p va + @p bytes), all inside
+     * one leaf table's span, to the frames @p frames supplies, one
+     * per page in ascending VA order, but only if none of the span's
+     * leaf table is mapped (no larger leaf covers it and the table
+     * is absent or empty).  One descent makes the check; @p frames
+     * then runs, before any table is made, and may decline by
+     * returning nullptr; the descent then resumes to make the
+     * missing tables, and the entries are written without reading
+     * them back.  Tables, counts and entries end as the per-page
+     * map() sequence would leave them.
+     * @return true if the span was mapped; false changes nothing.
+     */
+    bool mapIfUnmapped(Addr va, Addr bytes, PageSize size,
+                       const std::function<const Addr *()> &frames);
 
     /**
      * Remove the @p size leaves at the size-aligned pages of
@@ -195,6 +212,8 @@ class PageTable
          *  tables[i + 1]. */
         Addr entries[kLevels];
         int depth = 0;
+        /** The entry the walk stopped at when it stopped early. */
+        Pte stop{0};
     };
 
     /**
@@ -202,11 +221,24 @@ class PageTable
      * the level-@p target table that holds @p va's entry, recording
      * the path.  With @p create, missing tables are allocated (a leaf
      * on the way panics); otherwise the walk stops at a missing or
-     * leaf entry.
+     * leaf entry.  With @p resume the walk continues from the last
+     * table @p path reached instead of the root.
      * @return the level of the last table reached: @p target unless
      *         the walk stopped early.
      */
-    int descend(Addr va, int target, bool create, Path &path);
+    int descend(Addr va, int target, bool create, Path &path,
+                bool resume = false);
+
+    /**
+     * The loop of mapRange() and mapIfUnmapped(): write the leaves of
+     * [@p va, @p va + @p bytes), page i to frame_at(i * page), one
+     * leaf table at a time.  The first descent resumes @p path when
+     * @p resume is set.
+     */
+    template <typename FrameAt>
+    void mapLeaves(Addr va, Addr bytes, PageSize size, bool writable,
+                   bool user_mode, FrameAt frame_at, Path &path,
+                   bool resume);
 
     /** Free the path's tables left empty, bottom-up (not the root). */
     void freeEmptyTables(const Path &path);

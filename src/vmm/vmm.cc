@@ -732,7 +732,8 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
         run = Interval{fit->start, fit->start + bytes};
     } else {
         // Compact: pick the host window needing the least migration.
-        const auto free_set = buddy.freeIntervals();
+        // A copy: the abort path below needs the pieces as they were.
+        const IntervalSet free_set = buddy.freeIntervals();
         const auto &unmovable = _vmm.hostUnmovable();
         std::optional<Addr> best;
         Addr best_alloc = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "common/intervals.hh"
 #include "common/rng.hh"
 #include "../test_support.hh"
@@ -201,6 +204,93 @@ TEST(IntervalSetTest, CheckpointRoundTripReplacesContents)
     EXPECT_TRUE(restored.containsRange(10, 20));
     EXPECT_TRUE(restored.containsRange(40, 60));
     EXPECT_FALSE(restored.contains(30));
+}
+
+TEST(IntervalSetTest, LargestPrefersLowestOfEquals)
+{
+    IntervalSet set;
+    set.insert(300, 350);
+    set.insert(100, 150);
+    set.insert(200, 220);
+    EXPECT_EQ(set.largest(), (Interval{100, 150}));
+    set.erase(100, 150);
+    EXPECT_EQ(set.largest(), (Interval{300, 350}));
+}
+
+TEST(IntervalSetTest, FindFitPrefersLowestOfEquallyShort)
+{
+    IntervalSet set;
+    set.insert(0x300000, 0x302000);
+    set.insert(0x100000, 0x102000);
+    set.insert(0x0, 0x10000);
+    EXPECT_EQ(set.findFit(0x2000, 0x1000),
+              (Interval{0x100000, 0x102000}));
+    // Alignment can disqualify a short interval; the next shortest
+    // that still fits wins.
+    set.insert(0x200800, 0x203000);
+    EXPECT_EQ(set.findFit(0x2000, 0x1000),
+              (Interval{0x100000, 0x102000}));
+    EXPECT_EQ(set.findFit(0x2000, 0x200000), (Interval{0x0, 0x2000}));
+}
+
+TEST(IntervalSetTest, HighestTakesFromTheTopDown)
+{
+    IntervalSet set;
+    set.insert(0, 10);
+    set.insert(20, 30);
+    set.insert(40, 45);
+    EXPECT_EQ(set.highest(3), (std::vector<Interval>{{42, 45}}));
+    EXPECT_EQ(set.highest(12),
+              (std::vector<Interval>{{40, 45}, {23, 30}}));
+    EXPECT_EQ(set.highest(25).size(), 3u);
+    EXPECT_TRUE(set.highest(26).empty());
+    EXPECT_TRUE(set.highest(0).empty());
+}
+
+TEST(IntervalSetTest, TotalLengthFollowsEveryEdit)
+{
+    Rng rng(11);
+    IntervalSet set;
+    for (int i = 0; i < 500; ++i) {
+        const Addr start = rng.nextBelow(1000);
+        const Addr end = start + 1 + rng.nextBelow(50);
+        if (rng.nextBool(0.6))
+            set.insert(start, end);
+        else
+            set.erase(start, end);
+        Addr covered = 0;
+        for (const auto &iv : set.intervals())
+            covered += iv.length();
+        ASSERT_EQ(set.totalLength(), covered);
+        std::optional<Interval> longest;
+        for (const auto &iv : set.intervals()) {
+            if (!longest || iv.length() > longest->length())
+                longest = iv;
+        }
+        ASSERT_EQ(set.largest(), longest);
+    }
+}
+
+TEST(IntervalSetTest, BuildsFromCoalescedRuns)
+{
+    const std::vector<Interval> runs{{0, 10}, {20, 35}};
+    const IntervalSet set(runs);
+    EXPECT_EQ(set.intervals(), runs);
+    EXPECT_EQ(set.totalLength(), 25u);
+    EXPECT_EQ(set.largest(), (Interval{20, 35}));
+}
+
+TEST(IntervalSetTest, WorkCountsIntervalsTouched)
+{
+    IntervalSet set;
+    for (Addr i = 0; i < 100; ++i)
+        set.insert(10 * i, 10 * i + 5);
+    const std::uint64_t before = IntervalSet::threadWork();
+    (void)set.largest();
+    (void)set.containsRange(30, 35);
+    EXPECT_EQ(IntervalSet::threadWork() - before, 2u);
+    (void)set.intervals();
+    EXPECT_EQ(IntervalSet::threadWork() - before, 102u);
 }
 
 } // namespace

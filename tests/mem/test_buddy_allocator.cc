@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "common/audit.hh"
 #include "common/rng.hh"
 #include "mem/buddy_allocator.hh"
 #include "../test_support.hh"
@@ -305,6 +306,154 @@ TEST(BuddyTest, CheckpointRejectsRangeMismatch)
     BuddyAllocator a(0, 16 * MiB);
     BuddyAllocator b(0, 8 * MiB);
     EXPECT_FALSE(test::ckptRestore(test::ckptBytes(a), b));
+}
+
+/** A buddy with blocks of several orders taken, ranges reserved and
+ *  some of them returned, so runs cross many block boundaries. */
+void
+scatter(BuddyAllocator &buddy, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::pair<Addr, unsigned>> live;
+    for (int i = 0; i < 400; ++i) {
+        const unsigned order = static_cast<unsigned>(rng.nextBelow(5));
+        if (auto block = buddy.allocate(order))
+            live.push_back({*block, order});
+        const Addr frame =
+            buddy.base() + rng.nextBelow(buddy.size() / kPage4K) * kPage4K;
+        if (buddy.rangeFree(frame, kPage4K))
+            buddy.allocateRange(frame, kPage4K);
+    }
+    for (std::size_t i = 0; i < live.size(); i += 3)
+        buddy.free(live[i].first, live[i].second);
+}
+
+TEST(BuddyTest, AllocateRunMatchesRepeatedAllocate)
+{
+    for (std::uint64_t frames : {1u, 7u, 512u, 1000u, 5000u}) {
+        // A base that is no multiple of a large block, too.
+        BuddyAllocator run(3 * kPage4K, 64 * MiB);
+        BuddyAllocator paged(3 * kPage4K, 64 * MiB);
+        scatter(run, frames);
+        scatter(paged, frames);
+        std::vector<Addr> got;
+        ASSERT_TRUE(run.allocateRun(frames, got));
+        std::vector<Addr> want;
+        for (std::uint64_t i = 0; i < frames; ++i)
+            want.push_back(*paged.allocate(0));
+        EXPECT_EQ(got, want) << frames << " frames";
+        // Same free lists, same stats: byte-identical checkpoints.
+        EXPECT_EQ(test::ckptBytes(run), test::ckptBytes(paged))
+            << frames << " frames";
+        EXPECT_EQ(run.freeIntervals().intervals(),
+                  paged.freeIntervals().intervals());
+    }
+}
+
+TEST(BuddyTest, FreeFramesMatchesPerFrameFrees)
+{
+    // Frames from several runs, freed in a scrambled order: one call
+    // ends like one free(frame, 0) per frame.
+    BuddyAllocator batch(3 * kPage4K, 64 * MiB);
+    BuddyAllocator paged(3 * kPage4K, 64 * MiB);
+    scatter(batch, 6);
+    scatter(paged, 6);
+    std::vector<Addr> frames;
+    ASSERT_TRUE(batch.allocateRun(3000, frames));
+    for (std::size_t i = 0; i < frames.size(); ++i)
+        ASSERT_EQ(paged.allocate(0), frames[i]);
+    Rng rng(8);
+    std::vector<Addr> freed;
+    for (Addr frame : frames) {
+        if (rng.nextBool(0.7))
+            freed.push_back(frame);
+    }
+    for (std::size_t i = freed.size(); i > 1; --i)
+        std::swap(freed[i - 1], freed[rng.nextBelow(i)]);
+    batch.freeFrames(freed);
+    for (Addr frame : freed)
+        paged.free(frame, 0);
+    EXPECT_EQ(test::ckptBytes(batch), test::ckptBytes(paged));
+    EXPECT_EQ(batch.freeIntervals().intervals(),
+              paged.freeIntervals().intervals());
+}
+
+TEST(BuddyTest, AllocateRunFailsWhenShortWithoutChange)
+{
+    BuddyAllocator buddy(0, 4 * MiB);
+    scatter(buddy, 3);
+    const auto before = test::ckptBytes(buddy);
+    const std::uint64_t free_frames = buddy.freeBytes() / kPage4K;
+    std::vector<Addr> out;
+    EXPECT_TRUE(buddy.nextRun(free_frames + 1).empty());
+    EXPECT_FALSE(buddy.allocateRun(free_frames + 1, out));
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(test::ckptBytes(buddy), before);
+    EXPECT_TRUE(buddy.allocateRun(0, out));
+    EXPECT_EQ(test::ckptBytes(buddy), before);
+}
+
+TEST(BuddyTest, NextRunNamesTheFramesAllocateRunTakes)
+{
+    BuddyAllocator buddy(0, 16 * MiB);
+    scatter(buddy, 9);
+    const auto runs = buddy.nextRun(700);
+    std::vector<Addr> frames;
+    ASSERT_TRUE(buddy.allocateRun(700, frames));
+    std::vector<Addr> named;
+    for (const auto &run : runs) {
+        for (Addr frame = run.end; frame > run.start;)
+            named.push_back(frame -= kPage4K);
+    }
+    EXPECT_EQ(frames, named);
+}
+
+TEST(BuddyTest, FreeRunIndexFollowsEveryOperation)
+{
+    // The index must equal the free lists' coverage after each kind
+    // of operation (the audit compares them on every call).
+    audit::setEnabled(true);
+    audit::resetCounters();
+    BuddyAllocator buddy(0, 32 * MiB);
+    scatter(buddy, 4);
+    std::vector<Addr> frames;
+    ASSERT_TRUE(buddy.allocateRun(300, frames));
+    buddy.freeRange(frames.back(), 100 * kPage4K);
+    ASSERT_TRUE(buddy.allocateRange(frames.back(), 50 * kPage4K));
+    EXPECT_GT(audit::checkCount(), 0u);
+    EXPECT_EQ(audit::failureCount(), 0u);
+    audit::setEnabled(false);
+    EXPECT_EQ(buddy.freeIntervals().totalLength(), buddy.freeBytes());
+}
+
+TEST(BuddyAllocatorTest, QueriesDoNotRebuild)
+{
+    // Pin N scattered frames with allocateRange and query the free
+    // runs after each pin, as the fragmenter does.  The interval work
+    // over the whole sequence must grow as N log N; a free set
+    // rebuilt per query would grow as N^2.
+    const auto work_for = [](std::uint64_t pins) {
+        BuddyAllocator buddy(0, 1 * GiB);
+        Rng rng(5);
+        const IntervalSet &runs = buddy.freeIntervals();
+        const std::uint64_t before = IntervalSet::threadWork();
+        for (std::uint64_t i = 0; i < pins; ++i) {
+            const Addr frame = rng.nextBelow(1 * GiB / kPage4K) * kPage4K;
+            if (buddy.rangeFree(frame, kPage4K)) {
+                EXPECT_TRUE(buddy.allocateRange(frame, kPage4K));
+            }
+            EXPECT_GT(buddy.largestFreeRun(), 0u);
+            EXPECT_GT(buddy.fragmentationIndex(), 0.0);
+        }
+        // One index, kept up to date, never replaced.
+        EXPECT_EQ(&runs, &buddy.freeIntervals());
+        return IntervalSet::threadWork() - before;
+    };
+    const std::uint64_t small = work_for(2048);
+    const std::uint64_t large = work_for(8192);
+    EXPECT_LE(large, 8192u * 13u);  // N log2 N
+    // Quadrupling N: ~4.7x for N log N, 16x for N^2.
+    EXPECT_LT(large, 6 * small);
 }
 
 } // namespace

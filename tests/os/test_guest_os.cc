@@ -110,6 +110,43 @@ TEST_F(GuestOsTest, PopulateRangeMapsEverything)
         ASSERT_TRUE(proc.pageTable().translate(1 * GiB + off));
 }
 
+TEST_F(GuestOsTest, PopulateDescendsOncePerLeafTable)
+{
+    // 64 MB of 4K pages is 32 leaf tables.  Populate checks each
+    // window and maps it with one descent: at most four entry reads
+    // per leaf table.  Faulting the same pages in one at a time (the
+    // per-page path) reads about eight per page: a translate, then
+    // map's descent and its entry.  Both take the same frames.
+    constexpr Addr kBytes = 64 * MiB;
+    auto os = makeOs();
+    auto &proc = os->createProcess();
+    os->defineRegion(proc, "heap", 1 * GiB, kBytes, PageSize::Size4K);
+    const std::uint64_t reads0 = mem.stats().counterValue("reads");
+    os->populateRange(proc, 1 * GiB, kBytes);
+    const std::uint64_t reads = mem.stats().counterValue("reads") - reads0;
+    EXPECT_LE(reads, 4 * (kBytes / kPage2M));
+
+    mem::PhysMemory paged_mem(kSpan);
+    mem::HostPhysAccessor paged_accessor(paged_mem);
+    GuestOs paged(paged_accessor, kSpan, {{0, kSpan}});
+    auto &paged_proc = paged.createProcess();
+    paged.defineRegion(paged_proc, "heap", 1 * GiB, kBytes,
+                       PageSize::Size4K);
+    const std::uint64_t paged0 = paged_mem.stats().counterValue("reads");
+    for (Addr off = 0; off < kBytes; off += kPage4K)
+        ASSERT_TRUE(paged.handleFault(paged_proc, 1 * GiB + off).ok);
+    const std::uint64_t paged_reads =
+        paged_mem.stats().counterValue("reads") - paged0;
+    EXPECT_GE(paged_reads, 7 * (kBytes / kPage4K));
+
+    EXPECT_EQ(os->stats().counterValue("pages_mapped"),
+              paged.stats().counterValue("pages_mapped"));
+    EXPECT_EQ(os->buddy().stats().counterValue("allocations"),
+              paged.buddy().stats().counterValue("allocations"));
+    EXPECT_EQ(test::ckptBytes(os->buddy()),
+              test::ckptBytes(paged.buddy()));
+}
+
 TEST_F(GuestOsTest, PreferredPageSizeHonored)
 {
     auto os = makeOs();

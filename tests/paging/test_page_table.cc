@@ -441,6 +441,78 @@ TEST(PageTableRangeTest, RangeOpsMatchPerPageSequence)
     setQuietLogging(false);
 }
 
+TEST(PageTableRangeTest, MapIfUnmappedMatchesPerPageMaps)
+{
+    // Windows of scattered frames mapped by one call on one table
+    // and page by page on its twin: whole and partial leaf tables,
+    // and windows that need new upper tables.  Entries, table frames
+    // and their order, and counts all agree, and each call reads at
+    // most four entries: the check's descent plus one on resuming.
+    mem::PhysMemory one_mem(64 * MiB), paged_mem(64 * MiB);
+    LoggingMemSpace one_space(one_mem), paged_space(paged_mem);
+    PageTable one(one_space), paged(paged_space);
+    Rng rng(3);
+    struct Window { Addr va; Addr bytes; };
+    const Window windows[] = {
+        {1 * GiB, kPage2M},
+        {1 * GiB + kPage2M + 3 * kPage4K, 10 * kPage4K},
+        {512 * GiB - kPage2M, kPage2M},
+        {1 * GiB + 3 * kPage2M - kPage4K, kPage4K},
+        {512 * GiB + 7 * GiB, 300 * kPage4K},
+    };
+    for (const auto &w : windows) {
+        std::vector<Addr> frames;
+        for (Addr off = 0; off < w.bytes; off += kPage4K)
+            frames.push_back(rng.nextBelow(1u << 20) * kPage4K);
+        const std::uint64_t reads0 = one_mem.stats().counterValue("reads");
+        ASSERT_TRUE(one.mapIfUnmapped(w.va, w.bytes, PageSize::Size4K,
+                                      [&] { return frames.data(); }));
+        EXPECT_LE(one_mem.stats().counterValue("reads") - reads0, 4u);
+        for (std::size_t i = 0; i < frames.size(); ++i)
+            paged.map(w.va + i * kPage4K, frames[i], PageSize::Size4K);
+        EXPECT_EQ(one_space.log, paged_space.log);
+        EXPECT_EQ(test::ckptBytes(one), test::ckptBytes(paged));
+        for (Addr frame : one_space.log)
+            EXPECT_EQ(one_mem.hashFrame(frame), paged_mem.hashFrame(frame));
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+            auto t = one.translate(w.va + i * kPage4K);
+            ASSERT_TRUE(t.has_value());
+            EXPECT_EQ(t->pa, frames[i]);
+        }
+    }
+}
+
+TEST_F(PageTableTest, MapIfUnmappedDeclinesMappedSpans)
+{
+    bool asked = false;
+    const auto decline = [&]() -> const Addr * {
+        asked = true;
+        return nullptr;
+    };
+    // Another page of the leaf table is mapped.
+    pt.map(0x405000, 0x9000, PageSize::Size4K);
+    EXPECT_FALSE(pt.mapIfUnmapped(0x400000, 0x4000, PageSize::Size4K,
+                                  decline));
+    // A 2M leaf covers the span.
+    pt.map(0x800000, 0x200000, PageSize::Size2M);
+    EXPECT_FALSE(pt.mapIfUnmapped(0x801000, 0x1000, PageSize::Size4K,
+                                  decline));
+    EXPECT_FALSE(asked);
+
+    // An unmapped span whose supplier declines: nothing changes, not
+    // even the missing tables.
+    const auto nodes = pt.tableNodes();
+    const auto leaves = pt.mappedLeaves();
+    const auto updates = pt.updateCount();
+    EXPECT_FALSE(pt.mapIfUnmapped(1 * GiB, 0x2000, PageSize::Size4K,
+                                  decline));
+    EXPECT_TRUE(asked);
+    EXPECT_EQ(pt.tableNodes(), nodes);
+    EXPECT_EQ(pt.mappedLeaves(), leaves);
+    EXPECT_EQ(pt.updateCount(), updates);
+    EXPECT_FALSE(pt.translate(1 * GiB).has_value());
+}
+
 TEST_F(PageTableTest, RestoredLiveCountsReclaimNodes)
 {
     // Map a 2M range 4K at a time, checkpoint, restore into a second
