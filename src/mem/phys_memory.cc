@@ -40,6 +40,30 @@ PhysMemory::frameFor(Addr addr)
     return makeFrame(addr >> 12);
 }
 
+const PhysMemory::Frame *
+PhysMemory::frameForConst(Addr addr) const
+{
+    emv_assert(addr < sizeBytes,
+               "physical access %s beyond memory size %s",
+               hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
+    const Block *block = blocks[addr >> 21].get();
+    return block ? (*block)[(addr >> 12) & 511].get() : nullptr;
+}
+
+std::uint64_t
+PhysMemory::read64Checked(Addr addr) const
+{
+    emv_assert(isAligned(addr, 8), "misaligned 64-bit read at %s",
+               hexAddr(addr).c_str());
+    EMV_CHECK(addr < sizeBytes, "read of %s beyond physical size %s",
+              hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
+    ++_stats.reads;
+    const Frame *frame = frameForConst(addr);
+    if (!frame)
+        return 0;  // Untouched memory reads as zero.
+    return (*frame)[(addr & (kPage4K - 1)) >> 3];
+}
+
 void
 PhysMemory::write64(Addr addr, std::uint64_t value)
 {

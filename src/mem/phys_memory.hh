@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/audit.hh"
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -57,21 +56,24 @@ class PhysMemory
     Addr size() const { return sizeBytes; }
 
     /**
-     * Load a naturally aligned 64-bit word.  Inline: every walk step
-     * and page-table descent is one of these.
+     * Load a naturally aligned 64-bit word.  Every walk step and
+     * page-table descent is one of these, so an aligned, in-range
+     * load with auditing off is inline; any other goes through
+     * read64Checked().
      */
     std::uint64_t
     read64(Addr addr) const
     {
-        emv_assert(isAligned(addr, 8), "misaligned 64-bit read at %s",
-                   hexAddr(addr).c_str());
-        EMV_CHECK(addr < sizeBytes, "read of %s beyond physical size %s",
-                  hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
+        if (!isAligned(addr, 8) || addr >= sizeBytes || audit::enabled())
+            [[unlikely]] {
+            return read64Checked(addr);
+        }
         ++_stats.reads;
-        const Frame *frame = frameForConst(addr);
-        if (!frame)
-            return 0;  // Untouched memory reads as zero.
-        return (*frame)[(addr & (kPage4K - 1)) >> 3];
+        const Block *block = blocks[addr >> 21].get();
+        const Frame *frame =
+            block ? (*block)[(addr >> 12) & 511].get() : nullptr;
+        // Untouched memory reads as zero.
+        return frame ? (*frame)[(addr & (kPage4K - 1)) >> 3] : 0;
     }
 
     /** Store a naturally aligned 64-bit word. */
@@ -122,16 +124,11 @@ class PhysMemory
     using Block = std::array<std::unique_ptr<Frame>, 512>;
 
     Frame &frameFor(Addr addr);
+    const Frame *frameForConst(Addr addr) const;
 
-    const Frame *
-    frameForConst(Addr addr) const
-    {
-        emv_assert(addr < sizeBytes,
-                   "physical access %s beyond memory size %s",
-                   hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-        const Block *block = blocks[addr >> 21].get();
-        return block ? (*block)[(addr >> 12) & 511].get() : nullptr;
-    }
+    /** read64() with its alignment assert, audit check and bounds
+     *  assert. */
+    std::uint64_t read64Checked(Addr addr) const;
 
     /** Materialize (zeroed) the frame with number @p frame_no. */
     Frame &makeFrame(std::uint64_t frame_no);
