@@ -135,8 +135,9 @@ PageTable::mapLeaves(Addr va, Addr bytes, PageSize size, bool writable,
         descend(va + pos, target, true, path, resume);
         const Addr table = path.tables[path.depth];
         std::uint32_t &live = liveEntries.at(table);
-        // An empty table has no entry to collide with.
-        const bool fresh = live == 0;
+        // An empty table has no entry to collide with, and a resumed
+        // descent's span was checked clear.
+        const bool fresh = resume || live == 0;
         const Addr end = blockEnd(va, pos, bytes, entryBytes(target + 1));
         for (; pos < end; pos += step) {
             const Addr page = va + pos;
@@ -195,8 +196,16 @@ PageTable::mapIfUnmapped(Addr va, Addr bytes, PageSize size,
                pageSizeName(size));
     Path path;
     if (descend(va, target, false, path) == target) {
-        if (liveEntries.at(path.tables[path.depth]) != 0)
-            return false;
+        // The leaf table exists: unless it is empty, read the span.
+        const Addr table = path.tables[path.depth];
+        if (liveEntries.at(table) != 0) {
+            for (Addr pos = 0; pos < bytes; pos += step) {
+                const Addr entry_addr =
+                    table + 8ull * tableIndex(va + pos, target);
+                if (Pte{space.read64(entry_addr)}.present())
+                    return false;
+            }
+        }
     } else if (path.stop.present()) {
         return false;  // A larger leaf covers the span.
     }

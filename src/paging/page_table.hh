@@ -99,13 +99,14 @@ class PageTable
     /**
      * Map the @p size pages of [@p va, @p va + @p bytes), all inside
      * one leaf table's span, to the frames @p frames supplies, one
-     * per page in ascending VA order, but only if none of the span's
-     * leaf table is mapped (no larger leaf covers it and the table
-     * is absent or empty).  One descent makes the check; @p frames
+     * per page in ascending VA order, but only if none of them is
+     * mapped: no larger leaf covers the span, and its leaf table is
+     * absent, empty, or holds none of the span's entries (read only
+     * in that last case).  One descent makes the check; @p frames
      * then runs, before any table is made, and may decline by
      * returning nullptr; the descent then resumes to make the
      * missing tables, and the entries are written without reading
-     * them back.  Tables, counts and entries end as the per-page
+     * them again.  Tables, counts and entries end as the per-page
      * map() sequence would leave them.
      * @return true if the span was mapped; false changes nothing.
      */
@@ -232,8 +233,9 @@ class PageTable
     /**
      * The loop of mapRange() and mapIfUnmapped(): write the leaves of
      * [@p va, @p va + @p bytes), page i to frame_at(i * page), one
-     * leaf table at a time.  The first descent resumes @p path when
-     * @p resume is set.
+     * leaf table at a time.  With @p resume the first descent resumes
+     * @p path, whose span was checked clear, so its entries are not
+     * read.
      */
     template <typename FrameAt>
     void mapLeaves(Addr va, Addr bytes, PageSize size, bool writable,

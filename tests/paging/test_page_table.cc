@@ -482,6 +482,36 @@ TEST(PageTableRangeTest, MapIfUnmappedMatchesPerPageMaps)
     }
 }
 
+TEST(PageTableRangeTest, MapIfUnmappedFillsAroundMappedPages)
+{
+    // Spans beside mapped pages of the same leaf table: each call
+    // reads the span's entries, maps it, and ends as map() per page.
+    mem::PhysMemory one_mem(64 * MiB), paged_mem(64 * MiB);
+    LoggingMemSpace one_space(one_mem), paged_space(paged_mem);
+    PageTable one(one_space), paged(paged_space);
+    for (PageTable *pt : {&one, &paged}) {
+        pt->map(1 * GiB + 0x5000, 0x9000, PageSize::Size4K);
+        pt->map(1 * GiB + 0x100000, 0xa000, PageSize::Size4K);
+    }
+    const std::vector<Addr> frames{0x20000, 0x31000, 0x22000, 0x13000,
+                                   0x44000};
+    const Addr spans[] = {1 * GiB, 1 * GiB + 0x6000, 1 * GiB + 0xfb000};
+    for (Addr va : spans) {
+        ASSERT_TRUE(one.mapIfUnmapped(va, 5 * kPage4K, PageSize::Size4K,
+                                      [&] { return frames.data(); }));
+        for (std::size_t i = 0; i < frames.size(); ++i)
+            paged.map(va + i * kPage4K, frames[i], PageSize::Size4K);
+    }
+    EXPECT_EQ(one_space.log, paged_space.log);
+    EXPECT_EQ(test::ckptBytes(one), test::ckptBytes(paged));
+    for (Addr frame : one_space.log)
+        EXPECT_EQ(one_mem.hashFrame(frame), paged_mem.hashFrame(frame));
+    // Overlapping a mapped page declines.
+    EXPECT_FALSE(one.mapIfUnmapped(1 * GiB + 0x3000, 2 * kPage4K,
+                                   PageSize::Size4K,
+                                   [&] { return frames.data(); }));
+}
+
 TEST_F(PageTableTest, MapIfUnmappedDeclinesMappedSpans)
 {
     bool asked = false;
@@ -489,9 +519,9 @@ TEST_F(PageTableTest, MapIfUnmappedDeclinesMappedSpans)
         asked = true;
         return nullptr;
     };
-    // Another page of the leaf table is mapped.
+    // A page of the span is mapped.
     pt.map(0x405000, 0x9000, PageSize::Size4K);
-    EXPECT_FALSE(pt.mapIfUnmapped(0x400000, 0x4000, PageSize::Size4K,
+    EXPECT_FALSE(pt.mapIfUnmapped(0x400000, 0x8000, PageSize::Size4K,
                                   decline));
     // A 2M leaf covers the span.
     pt.map(0x800000, 0x200000, PageSize::Size2M);
