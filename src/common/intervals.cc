@@ -74,6 +74,26 @@ IntervalSet::remove(StartMap::iterator it)
 }
 
 void
+IntervalSet::reshape(StartMap::iterator it, Addr start, Addr end)
+{
+    ++steps;
+    const Addr old_length = it->second - it->first;
+    auto length_node = byLength.extract({old_length, it->first});
+    length_node.value() = {end - start, start};
+    byLength.insert(std::move(length_node));
+    total = total - old_length + (end - start);
+    if (start == it->first) {
+        it->second = end;
+        return;
+    }
+    const auto hint = std::next(it);
+    auto start_node = byStart.extract(it);
+    start_node.key() = start;
+    start_node.mapped() = end;
+    byStart.insert(hint, std::move(start_node));
+}
+
+void
 IntervalSet::clear()
 {
     byStart.clear();
@@ -87,22 +107,25 @@ IntervalSet::insert(Addr start, Addr end)
     if (end <= start)
         return;
 
-    // Find the first interval that could merge: the one whose start
-    // is <= end and whose end >= start.
+    // The first interval that could merge: the one before start if
+    // it reaches start, else the first one after it.
     auto it = byStart.upper_bound(start);
-    if (it != byStart.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second >= start) {
-            start = prev->first;
-            end = std::max(end, prev->second);
-            it = remove(prev);
+    if (it != byStart.begin() && std::prev(it)->second >= start)
+        --it;
+    if (it == byStart.end() || it->first > end) {
+        add(start, end);
+    } else {
+        // Grow the first merging interval over the others.
+        const auto keep = it;
+        start = std::min(start, keep->first);
+        end = std::max(end, keep->second);
+        for (it = std::next(keep);
+             it != byStart.end() && it->first <= end;) {
+            end = std::max(end, it->second);
+            it = remove(it);
         }
+        reshape(keep, start, end);
     }
-    while (it != byStart.end() && it->first <= end) {
-        end = std::max(end, it->second);
-        it = remove(it);
-    }
-    add(start, end);
     if (audit::enabled())
         auditInvariants();
 }
@@ -114,20 +137,25 @@ IntervalSet::erase(Addr start, Addr end)
         return;
 
     auto it = byStart.upper_bound(start);
-    if (it != byStart.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second > start)
-            it = prev;
-    }
+    if (it != byStart.begin() && std::prev(it)->second > start)
+        --it;
     while (it != byStart.end() && it->first < end) {
         const Addr is = it->first;
         const Addr ie = it->second;
-        it = remove(it);
-        if (is < start)
-            add(is, start);
-        if (ie > end) {
-            add(end, ie);
+        if (is < start) {
+            // Keep the part below start in place; only a split of
+            // one interval in two adds a node.
+            reshape(it, is, start);
+            if (ie > end) {
+                add(end, ie);
+                break;
+            }
+            ++it;
+        } else if (ie > end) {
+            reshape(it, end, ie);
             break;
+        } else {
+            it = remove(it);
         }
     }
     if (audit::enabled())

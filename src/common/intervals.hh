@@ -147,6 +147,11 @@ class IntervalSet
     void add(Addr start, Addr end);
     /** Remove one interval; @return the next one by start. */
     StartMap::iterator remove(StartMap::iterator it);
+    /**
+     * Make @p it the interval [start, end), which touches no other
+     * interval, by editing its index nodes in place: no allocation.
+     */
+    void reshape(StartMap::iterator it, Addr start, Addr end);
 
     /** start -> end. */
     StartMap byStart;

@@ -30,8 +30,8 @@ class Decoder;
  * stream owned by exactly one component (machine, workload,
  * injector) and advanced only from that owner's thread; sharing a
  * stream across threads would make the draw order — and therefore
- * every checkpoint — schedule-dependent.  The threaded runner gives
- * each Machine its own seed instead of sharing streams.
+ * every checkpoint — schedule-dependent.  sim::runMatrix() gives
+ * each cell's Machine its own seed instead of sharing streams.
  */
 class Rng
 {

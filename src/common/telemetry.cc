@@ -223,7 +223,6 @@ TelemetryRecorder::TelemetryRecorder(const TelemetryConfig &config,
 
 TelemetryRecorder::~TelemetryRecorder()
 {
-    LockGuard lock(mutex);
     if (sink)
         std::fclose(sink);
 }
@@ -232,7 +231,6 @@ void
 TelemetryRecorder::addCounter(const std::string &name,
                               std::function<std::uint64_t()> get)
 {
-    LockGuard lock(mutex);
     counterBase.push_back(get ? get() : 0);
     counters.emplace_back(name, std::move(get));
 }
@@ -241,7 +239,6 @@ void
 TelemetryRecorder::addScalar(const std::string &name,
                              std::function<double()> get)
 {
-    LockGuard lock(mutex);
     scalarBase.push_back(get ? get() : 0.0);
     scalars.emplace_back(name, std::move(get));
 }
@@ -250,14 +247,12 @@ void
 TelemetryRecorder::addGauge(const std::string &name,
                             std::function<double()> get)
 {
-    LockGuard lock(mutex);
     gauges.emplace_back(name, std::move(get));
 }
 
 void
 TelemetryRecorder::setLatencySource(const LatencyHistogram *hist)
 {
-    LockGuard lock(mutex);
     latencySource = hist;
     if (hist)
         latencyBase = *hist;
@@ -266,14 +261,12 @@ TelemetryRecorder::setLatencySource(const LatencyHistogram *hist)
 void
 TelemetryRecorder::setModeSource(std::function<std::string()> get)
 {
-    LockGuard lock(mutex);
     modeSource = std::move(get);
 }
 
 bool
 TelemetryRecorder::openSink(std::string *error)
 {
-    LockGuard lock(mutex);
     if (sink) {
         std::fclose(sink);
         sink = nullptr;
@@ -284,7 +277,7 @@ TelemetryRecorder::openSink(std::string *error)
             *error = "cannot create '" + config.path + "'";
         return false;
     }
-    markNs = now();
+    markNs = clock();
     markValid = true;
     return true;
 }
@@ -292,25 +285,22 @@ TelemetryRecorder::openSink(std::string *error)
 void
 TelemetryRecorder::onOp()
 {
-    LockGuard lock(mutex);
     ++opsSeen;
     if (opsSeen - windowStartOp >= config.windowOps)
-        closeWindow(false);
+        closeWindow();
 }
 
 void
 TelemetryRecorder::event(const std::string &kind,
                          const std::string &detail)
 {
-    LockGuard lock(mutex);
     pendingEvents.push_back({opsSeen, kind, detail});
 }
 
 void
 TelemetryRecorder::finish()
 {
-    LockGuard lock(mutex);
-    closeWindow(true);
+    closeWindow();
     if (sink) {
         std::fflush(sink);
         std::fclose(sink);
@@ -321,7 +311,6 @@ TelemetryRecorder::finish()
 void
 TelemetryRecorder::rebase()
 {
-    LockGuard lock(mutex);
     for (std::size_t i = 0; i < counters.size(); ++i)
         counterBase[i] = counters[i].second();
     for (std::size_t i = 0; i < scalars.size(); ++i)
@@ -330,43 +319,15 @@ TelemetryRecorder::rebase()
         latencyBase = *latencySource;
 }
 
-std::uint64_t
-TelemetryRecorder::windowIndex() const
-{
-    LockGuard lock(mutex);
-    return _windowIndex;
-}
-
-std::uint64_t
-TelemetryRecorder::opsObserved() const
-{
-    LockGuard lock(mutex);
-    return opsSeen;
-}
-
-std::uint64_t
-TelemetryRecorder::windowsEmitted() const
-{
-    LockGuard lock(mutex);
-    return emitted;
-}
-
-std::uint64_t
-TelemetryRecorder::now() const
-{
-    return clock();
-}
-
 void
-TelemetryRecorder::closeWindow(bool final_window)
+TelemetryRecorder::closeWindow()
 {
     const std::uint64_t ops_in_window = opsSeen - windowStartOp;
     if (ops_in_window == 0)
         return;
-    (void)final_window;
 
     if (markValid) {
-        const std::uint64_t n = now();
+        const std::uint64_t n = clock();
         windowWallNs += n >= markNs ? n - markNs : 0;
         markNs = n;
     }
@@ -467,7 +428,6 @@ TelemetryRecorder::closeWindow(bool final_window)
 void
 TelemetryRecorder::serialize(ckpt::Encoder &enc) const
 {
-    LockGuard lock(mutex);
     enc.u32(1);  // Telemetry chunk layout version.
     enc.u64(config.windowOps);
     enc.u64(opsSeen);
@@ -478,7 +438,7 @@ TelemetryRecorder::serialize(ckpt::Encoder &enc) const
     // window accounts the pre-interruption host time it consumed.
     std::uint64_t wall = windowWallNs;
     if (markValid) {
-        const std::uint64_t n = now();
+        const std::uint64_t n = clock();
         wall += n >= markNs ? n - markNs : 0;
     }
     enc.u64(wall);
@@ -506,7 +466,6 @@ TelemetryRecorder::serialize(ckpt::Encoder &enc) const
 bool
 TelemetryRecorder::deserialize(ckpt::Decoder &dec)
 {
-    LockGuard lock(mutex);
     const std::uint32_t version = dec.u32();
     if (dec.ok() && version != 1) {
         dec.fail("telemetry: unsupported chunk version " +

@@ -55,8 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_safety.hh"
-
 namespace emv {
 namespace ckpt {
 class Encoder;
@@ -141,51 +139,6 @@ class LatencyHistogram
         std::vector<std::uint64_t>(kBucketCount, 0);
 };
 
-/**
- * A latency histogram shared between threads.  Worker threads run
- * thread-confined LatencyHistograms on their hot paths (record()
- * stays lock-free) and merge() them here at batch boundaries;
- * readers take a snapshot() for windowing or reporting.  The lock is
- * a leaf lock: merge/snapshot never call out while holding it.
- */
-class SharedLatencyHistogram
-{
-  public:
-    /** Fold a worker's (thread-confined) histogram in. */
-    void
-    merge(const LatencyHistogram &other) EMV_EXCLUDES(mutex)
-    {
-        LockGuard lock(mutex);
-        hist.merge(other);
-    }
-
-    /** Consistent copy for windowing / percentile queries. */
-    LatencyHistogram
-    snapshot() const EMV_EXCLUDES(mutex)
-    {
-        LockGuard lock(mutex);
-        return hist;
-    }
-
-    std::uint64_t
-    count() const EMV_EXCLUDES(mutex)
-    {
-        LockGuard lock(mutex);
-        return hist.count();
-    }
-
-    void
-    reset() EMV_EXCLUDES(mutex)
-    {
-        LockGuard lock(mutex);
-        hist.reset();
-    }
-
-  private:
-    mutable Mutex mutex;
-    LatencyHistogram hist EMV_GUARDED_BY(mutex);
-};
-
 /** Construction knobs for a TelemetryRecorder. */
 struct TelemetryConfig
 {
@@ -203,17 +156,10 @@ struct TelemetryConfig
  * For checkpoint/resume, deserialize() after the sources are
  * registered (names are matched) and before openSink().
  *
- * Thread safety: the recorder is internally synchronized — every
- * public method takes the leaf `mutex`, so threads may tick
- * onOp()/event() against one shared recorder and each JSONL record
- * is still a single atomic line with strictly increasing window
- * indices.  (In the simulator a recorder belongs to one machine,
- * whose sources it reads: Machine::attachTelemetry.)  Two caveats the annotations encode: (a) window
- * emission runs the registered source getters *under the lock*, so
- * getters must not call back into the recorder (they read counters
- * and atomics; the leaf-lock rule in thread_safety.hh applies);
- * (b) registration and deserialize() belong to the setup phase,
- * before the recorder is shared.
+ * A recorder belongs to one machine and reads that machine's
+ * counters (Machine::attachTelemetry), so like the machine it is
+ * used from one thread only and takes no lock.  Registration and
+ * deserialize() belong to the setup phase, before the first onOp().
  */
 class TelemetryRecorder
 {
@@ -230,58 +176,49 @@ class TelemetryRecorder
     TelemetryRecorder &operator=(const TelemetryRecorder &) = delete;
 
     /** @{ Source registration (setup phase: before openSink /
-     * deserialize, and before the recorder is shared).  Counter and
-     * scalar sources are delta'd per window; gauges are sampled at
-     * window close.  Names become JSON member names.  Getters run
-     * under the recorder lock at window close: they must not call
+     * deserialize).  Counter and scalar sources are delta'd per
+     * window; gauges are sampled at window close.  Names become JSON
+     * member names.  Getters run at window close: they must not call
      * back into the recorder. */
     void addCounter(const std::string &name,
-                    std::function<std::uint64_t()> get)
-        EMV_EXCLUDES(mutex);
-    void addScalar(const std::string &name,
-                   std::function<double()> get) EMV_EXCLUDES(mutex);
-    void addGauge(const std::string &name,
-                  std::function<double()> get) EMV_EXCLUDES(mutex);
+                    std::function<std::uint64_t()> get);
+    void addScalar(const std::string &name, std::function<double()> get);
+    void addGauge(const std::string &name, std::function<double()> get);
     /** Cumulative per-translation latency histogram to window. */
-    void setLatencySource(const LatencyHistogram *hist)
-        EMV_EXCLUDES(mutex);
+    void setLatencySource(const LatencyHistogram *hist);
     /** Current translation mode, emitted per window. */
-    void setModeSource(std::function<std::string()> get)
-        EMV_EXCLUDES(mutex);
+    void setModeSource(std::function<std::string()> get);
     /** @} */
 
     /**
      * Open (truncate) the JSONL sink and start the wall clock.
      * False with @p error set when the file cannot be created.
      */
-    bool openSink(std::string *error = nullptr) EMV_EXCLUDES(mutex);
+    bool openSink(std::string *error = nullptr);
 
-    /** Advance one trace op; emits a record at window boundaries.
-     *  Safe from any thread; one uncontended lock per op (the
-     *  batched engine will tick once per decoded block instead). */
-    void onOp() EMV_EXCLUDES(mutex);
+    /** Advance one trace op; emits a record at window boundaries. */
+    void onOp();
 
     /** Mark an event (mode transition, fault) in the current window. */
-    void event(const std::string &kind, const std::string &detail)
-        EMV_EXCLUDES(mutex);
+    void event(const std::string &kind, const std::string &detail);
 
     /** Emit the final partial window (if non-empty) and flush. */
-    void finish() EMV_EXCLUDES(mutex);
+    void finish();
 
     /** Re-baseline every source without emitting (stat reset). */
-    void rebase() EMV_EXCLUDES(mutex);
+    void rebase();
 
-    std::uint64_t windowIndex() const EMV_EXCLUDES(mutex);
-    std::uint64_t opsObserved() const EMV_EXCLUDES(mutex);
-    std::uint64_t windowsEmitted() const EMV_EXCLUDES(mutex);
+    std::uint64_t windowIndex() const { return _windowIndex; }
+    std::uint64_t opsObserved() const { return opsSeen; }
+    std::uint64_t windowsEmitted() const { return emitted; }
 
     /**
      * Checkpoint the window cursor, baseline snapshots, pending
      * events and accumulated wall time.  deserialize() validates
      * that the registered source names match the saved ones.
      */
-    void serialize(ckpt::Encoder &enc) const EMV_EXCLUDES(mutex);
-    bool deserialize(ckpt::Decoder &dec) EMV_EXCLUDES(mutex);
+    void serialize(ckpt::Encoder &enc) const;
+    bool deserialize(ckpt::Decoder &dec);
 
   private:
     struct PendingEvent
@@ -291,46 +228,38 @@ class TelemetryRecorder
         std::string detail;
     };
 
-    void closeWindow(bool final_window) EMV_REQUIRES(mutex);
-    std::uint64_t now() const;
-
-    /** Leaf lock over all recorder state (see class comment). */
-    mutable Mutex mutex;
+    void closeWindow();
 
     const TelemetryConfig config;
     const ClockFn clock;
-    std::FILE *sink EMV_GUARDED_BY(mutex) = nullptr;
+    std::FILE *sink = nullptr;
 
     std::vector<std::pair<std::string,
-                          std::function<std::uint64_t()>>> counters
-        EMV_GUARDED_BY(mutex);
+                          std::function<std::uint64_t()>>> counters;
     std::vector<std::pair<std::string,
-                          std::function<double()>>> scalars
-        EMV_GUARDED_BY(mutex);
+                          std::function<double()>>> scalars;
     std::vector<std::pair<std::string,
-                          std::function<double()>>> gauges
-        EMV_GUARDED_BY(mutex);
-    const LatencyHistogram *latencySource EMV_GUARDED_BY(mutex) =
-        nullptr;
-    std::function<std::string()> modeSource EMV_GUARDED_BY(mutex);
+                          std::function<double()>>> gauges;
+    const LatencyHistogram *latencySource = nullptr;
+    std::function<std::string()> modeSource;
 
     /** Baselines at the current window's open. */
-    std::vector<std::uint64_t> counterBase EMV_GUARDED_BY(mutex);
-    std::vector<double> scalarBase EMV_GUARDED_BY(mutex);
-    LatencyHistogram latencyBase EMV_GUARDED_BY(mutex);
+    std::vector<std::uint64_t> counterBase;
+    std::vector<double> scalarBase;
+    LatencyHistogram latencyBase;
 
-    std::uint64_t opsSeen EMV_GUARDED_BY(mutex) = 0;
-    std::uint64_t windowStartOp EMV_GUARDED_BY(mutex) = 0;
-    std::uint64_t _windowIndex EMV_GUARDED_BY(mutex) = 0;
-    std::uint64_t emitted EMV_GUARDED_BY(mutex) = 0;
+    std::uint64_t opsSeen = 0;
+    std::uint64_t windowStartOp = 0;
+    std::uint64_t _windowIndex = 0;
+    std::uint64_t emitted = 0;
 
     /** Wall time attributed to the open window before the current
      *  mark (survives checkpoints); markNs is live-process only. */
-    std::uint64_t windowWallNs EMV_GUARDED_BY(mutex) = 0;
-    std::uint64_t markNs EMV_GUARDED_BY(mutex) = 0;
-    bool markValid EMV_GUARDED_BY(mutex) = false;
+    std::uint64_t windowWallNs = 0;
+    std::uint64_t markNs = 0;
+    bool markValid = false;
 
-    std::vector<PendingEvent> pendingEvents EMV_GUARDED_BY(mutex);
+    std::vector<PendingEvent> pendingEvents;
 };
 
 } // namespace emv::telemetry

@@ -3,8 +3,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-
-#include "common/thread_safety.hh"
+#include <mutex>
 
 namespace emv::trace {
 
@@ -14,23 +13,45 @@ std::atomic<std::uint32_t> mask{0};
 
 namespace {
 
-/** Leaf lock over the sink configuration and the stream itself:
- *  emitImpl() formats outside, then writes each record as one
- *  locked insertion so concurrent tracers never interleave lines. */
-Mutex sinkMutex;
-
-std::unique_ptr<std::ofstream> traceFile EMV_GUARDED_BY(sinkMutex);
-std::ostream *overrideSink EMV_GUARDED_BY(sinkMutex) = nullptr;
-
-std::ostream &
-sink() EMV_REQUIRES(sinkMutex)
+/** The process-wide record sink: a test stream, a trace file, or
+ *  stderr.  Its lock is a leaf lock over the configuration and the
+ *  stream itself, so concurrent tracers never interleave lines. */
+class Sink
 {
-    if (overrideSink)
-        return *overrideSink;
-    if (traceFile && traceFile->is_open())
-        return *traceFile;
-    return std::cerr;
-}
+  public:
+    void
+    write(const std::string &line)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (stream)
+            *stream << line;
+        else if (file && file->is_open())
+            *file << line;
+        else
+            std::cerr << line;
+    }
+
+    void
+    setFile(std::unique_ptr<std::ofstream> next)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        file = std::move(next);
+    }
+
+    void
+    setStream(std::ostream *os)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        stream = os;
+    }
+
+  private:
+    std::mutex mutex;
+    std::unique_ptr<std::ofstream> file;
+    std::ostream *stream = nullptr;
+};
+
+Sink sink;
 
 } // namespace
 
@@ -43,8 +64,7 @@ emitImpl(Flag flag, const std::string &msg)
     line += ": ";
     line += msg;
     line += '\n';
-    LockGuard lock(sinkMutex);
-    sink() << line;
+    sink.write(line);
 }
 
 } // namespace detail
@@ -142,24 +162,21 @@ bool
 openTraceFile(const std::string &path)
 {
     if (path.empty()) {
-        LockGuard lock(detail::sinkMutex);
-        detail::traceFile.reset();
+        detail::sink.setFile(nullptr);
         return true;
     }
     auto file = std::make_unique<std::ofstream>(
         path, std::ios::out | std::ios::trunc);
     if (!file->is_open())
         return false;
-    LockGuard lock(detail::sinkMutex);
-    detail::traceFile = std::move(file);
+    detail::sink.setFile(std::move(file));
     return true;
 }
 
 void
 setSink(std::ostream *os)
 {
-    LockGuard lock(detail::sinkMutex);
-    detail::overrideSink = os;
+    detail::sink.setStream(os);
 }
 
 } // namespace emv::trace

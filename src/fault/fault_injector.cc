@@ -50,10 +50,7 @@ FaultInjector::eventsDue(std::uint64_t op)
 void
 FaultInjector::armFailures(FaultPoint point, unsigned count)
 {
-    {
-        LockGuard lock(hookMutex);
-        armed[static_cast<std::size_t>(point)] += count;
-    }
+    armed[static_cast<std::size_t>(point)] += count;
     _stats.armedFailures += count;
     EMV_TRACE(Fault, "armed %u %s request failure(s)", count,
               faultPointName(point));
@@ -62,25 +59,14 @@ FaultInjector::armFailures(FaultPoint point, unsigned count)
 bool
 FaultInjector::shouldFail(FaultPoint point)
 {
-    unsigned remaining;
-    {
-        LockGuard lock(hookMutex);
-        unsigned &slot = armed[static_cast<std::size_t>(point)];
-        if (slot == 0)
-            return false;
-        remaining = --slot;
-    }
+    unsigned &slot = armed[static_cast<std::size_t>(point)];
+    if (slot == 0)
+        return false;
+    --slot;
     ++_stats.injectedRequestFailures;
     EMV_TRACE(Fault, "%s request failure injected (%u left)",
-              faultPointName(point), remaining);
+              faultPointName(point), slot);
     return true;
-}
-
-unsigned
-FaultInjector::armedFailures(FaultPoint point) const
-{
-    LockGuard lock(hookMutex);
-    return armed[static_cast<std::size_t>(point)];
 }
 
 void
@@ -88,11 +74,8 @@ FaultInjector::serialize(ckpt::Encoder &enc) const
 {
     enc.u64(events.size());
     enc.u64(cursor);
-    {
-        LockGuard lock(hookMutex);
-        for (unsigned count : armed)
-            enc.u32(count);
-    }
+    for (unsigned count : armed)
+        enc.u32(count);
     _rng.serialize(enc);
     _stats.serialize(enc);
 }
@@ -111,11 +94,8 @@ FaultInjector::deserialize(ckpt::Decoder &dec)
         dec.fail("fault: cursor out of range");
         return false;
     }
-    {
-        LockGuard lock(hookMutex);
-        for (auto &count : armed)
-            count = dec.u32();
-    }
+    for (auto &count : armed)
+        count = dec.u32();
     if (!_rng.deserialize(dec) || !_stats.deserialize(dec))
         return false;
     return dec.ok();

@@ -21,7 +21,6 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "common/thread_safety.hh"
 #include "fault/fault_plan.hh"
 
 namespace emv {
@@ -46,13 +45,10 @@ const char *faultPointName(FaultPoint point);
 /**
  * Drives one machine's fault schedule.
  *
- * Thread-safety: the injector is owned by one Machine and its event
- * delivery (eventsDue, serialize) is thread-confined to that
- * machine's worker thread.  The armed-failure hooks are the
- * exception — components capture `[&] { return inj.shouldFail(p); }`
- * and such a hook may outlive the wiring thread, so the armed
- * counts sit behind `hookMutex` (a leaf lock: never held across the
- * trace sink or any other emv lock).
+ * The injector belongs to one Machine and, like everything else the
+ * machine owns, is used from that machine's thread only: event
+ * delivery and the armed-failure hooks the machine wires into its
+ * components all run there, so nothing here takes a lock.
  */
 class FaultInjector
 {
@@ -72,14 +68,13 @@ class FaultInjector
     bool exhausted() const { return cursor >= events.size(); }
 
     /** @{ Armed request failures, consumed through shouldFail().
-     * Components wire `[&] { return inj.shouldFail(point); }` into
-     * their request entry points; each armed failure makes exactly
-     * one request fail. */
-    void armFailures(FaultPoint point, unsigned count)
-        EMV_EXCLUDES(hookMutex);
-    bool shouldFail(FaultPoint point) EMV_EXCLUDES(hookMutex);
+     * The machine wires `[this] { return injector->shouldFail(point); }`
+     * into its components' request entry points; each armed failure
+     * makes exactly one request fail. */
+    void armFailures(FaultPoint point, unsigned count);
+    bool shouldFail(FaultPoint point);
     unsigned armedFailures(FaultPoint point) const
-        EMV_EXCLUDES(hookMutex);
+    { return armed[static_cast<std::size_t>(point)]; }
     /** @} */
 
     /** Victim selection and noise generation (seeded, so a plan
@@ -117,19 +112,17 @@ class FaultInjector
      * The event list itself is rebuilt from the FaultPlan at
      * construction (deterministic), so only progress is stored.
      */
-    void serialize(ckpt::Encoder &enc) const
-        EMV_EXCLUDES(hookMutex);
-    bool deserialize(ckpt::Decoder &dec) EMV_EXCLUDES(hookMutex);
+    void serialize(ckpt::Encoder &enc) const;
+    bool deserialize(ckpt::Decoder &dec);
 
   private:
-    EMV_THREAD_CONFINED std::vector<FaultEvent> events;
-    EMV_THREAD_CONFINED std::size_t cursor = 0;
-    mutable Mutex hookMutex;
+    std::vector<FaultEvent> events;
+    std::size_t cursor = 0;
     std::array<unsigned,
                static_cast<std::size_t>(FaultPoint::NumPoints)>
-        armed EMV_GUARDED_BY(hookMutex){};
-    EMV_THREAD_CONFINED Rng _rng;
-    EMV_THREAD_CONFINED Stats _stats;
+        armed{};
+    Rng _rng;
+    Stats _stats;
 };
 
 } // namespace emv::fault

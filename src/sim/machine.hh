@@ -170,13 +170,14 @@ struct RunResult
 /**
  * The machine.
  *
- * Thread-safety: a Machine and everything it owns (OS, VMM, MMU,
- * workload, RNG streams, stat groups) is confined to one worker
- * thread, and so are the audit counters it bumps (thread-local).
- * The only process-wide services it touches — trace/log sinks and
- * the profiler — are internally synchronized (see
- * common/thread_safety.hh).  sim::runMatrix() runs a sweep's
- * machines on worker threads under exactly this contract.
+ * Threads: a Machine is built, run and destroyed on one thread,
+ * and everything it owns (OS, VMM, MMU, workload, RNG streams, stat
+ * groups, fault injector, telemetry recorder) stays there, as do the
+ * audit counters it bumps (thread-local); none of it takes a lock.
+ * It shares only the trace sink (locked), the trace, audit and
+ * logging gate flags and the profiler phase totals (atomics).  sim::runMatrix()
+ * runs a sweep's machines on worker threads under exactly this
+ * contract (DESIGN.md §12).
  */
 class Machine
 {

@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/audit.hh"
 #include "common/intervals.hh"
 #include "common/rng.hh"
 #include "../test_support.hh"
@@ -291,6 +292,41 @@ TEST(IntervalSetTest, WorkCountsIntervalsTouched)
     EXPECT_EQ(IntervalSet::threadWork() - before, 2u);
     (void)set.intervals();
     EXPECT_EQ(IntervalSet::threadWork() - before, 102u);
+}
+
+TEST(IntervalSetTest, EndEditsTouchOneInterval)
+{
+    // Growing or shrinking an interval at either end edits its index
+    // nodes in place (one interval of work, no remove and re-add);
+    // the audit checks both indexes and the total after every edit.
+    audit::setEnabled(true);
+    audit::resetCounters();
+    IntervalSet set;
+    set.insert(100, 200);
+    set.insert(300, 400);
+    const auto work = [&set](auto edit) {
+        const std::uint64_t before = IntervalSet::threadWork();
+        edit(set);
+        return IntervalSet::threadWork() - before;
+    };
+    EXPECT_EQ(work([](IntervalSet &s) { s.insert(200, 201); }), 1u);
+    EXPECT_EQ(work([](IntervalSet &s) { s.insert(99, 100); }), 1u);
+    EXPECT_EQ(work([](IntervalSet &s) { s.erase(200, 201); }), 1u);
+    EXPECT_EQ(work([](IntervalSet &s) { s.erase(99, 101); }), 1u);
+    EXPECT_EQ(work([](IntervalSet &s) { s.insert(250, 300); }), 1u);
+    EXPECT_EQ(set.intervals(),
+              (std::vector<Interval>{{101, 200}, {250, 400}}));
+    // Bridging two intervals removes one and grows the other; a split
+    // is the one edit that adds a node.
+    EXPECT_EQ(work([](IntervalSet &s) { s.insert(150, 260); }), 2u);
+    EXPECT_EQ(work([](IntervalSet &s) { s.erase(200, 210); }), 2u);
+    EXPECT_EQ(set.intervals(),
+              (std::vector<Interval>{{101, 200}, {210, 400}}));
+    EXPECT_EQ(set.totalLength(), 289u);
+    EXPECT_EQ(set.largest(), (Interval{210, 400}));
+    EXPECT_GT(audit::checkCount(), 0u);
+    EXPECT_EQ(audit::failureCount(), 0u);
+    audit::setEnabled(false);
 }
 
 } // namespace

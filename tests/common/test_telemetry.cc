@@ -9,14 +9,11 @@
  * stream relies on.
  */
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -424,123 +421,4 @@ TEST(TelemetryRecorder, WindowSizeChangeAcrossResumeRejected)
     rig.attachSources(other);
     ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
     EXPECT_FALSE(other.deserialize(dec) && dec.ok());
-}
-
-// ---------------------------------------------------------------------
-// Concurrency (run these under the tsan preset; DESIGN.md §12)
-// ---------------------------------------------------------------------
-
-TEST(SharedLatencyHistogram, ConcurrentMergeLosesNoSamples)
-{
-    // The parallel-engine merge path: workers record into
-    // thread-confined histograms and fold them into one shared
-    // histogram at batch boundaries, while snapshot() readers
-    // interleave.  Merges are atomic, so every snapshot must see a
-    // whole number of batches, and the final count/sum must
-    // reconcile exactly.
-    telemetry::SharedLatencyHistogram shared;
-    constexpr unsigned kThreads = 4;
-    constexpr unsigned kBatches = 64;
-    constexpr unsigned kPerBatch = 100;
-
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&shared, t] {
-            for (unsigned b = 0; b < kBatches; ++b) {
-                LatencyHistogram local;
-                for (unsigned i = 0; i < kPerBatch; ++i)
-                    local.record(t * 1000 + i);
-                shared.merge(local);
-                const LatencyHistogram snap = shared.snapshot();
-                EXPECT_EQ(snap.count() % kPerBatch, 0u);
-                EXPECT_LE(snap.count(),
-                          std::uint64_t{kThreads} * kBatches *
-                              kPerBatch);
-            }
-        });
-    }
-    for (auto &worker : workers)
-        worker.join();
-
-    std::uint64_t expected_sum = 0;
-    for (unsigned t = 0; t < kThreads; ++t)
-        for (unsigned i = 0; i < kPerBatch; ++i)
-            expected_sum += std::uint64_t{kBatches} * (t * 1000 + i);
-    const LatencyHistogram final_snap = shared.snapshot();
-    EXPECT_EQ(final_snap.count(),
-              std::uint64_t{kThreads} * kBatches * kPerBatch);
-    EXPECT_EQ(final_snap.sum(), expected_sum);
-    EXPECT_EQ(final_snap.min(), 0u);
-    EXPECT_EQ(final_snap.max(),
-              std::uint64_t{(kThreads - 1) * 1000 + kPerBatch - 1});
-}
-
-TEST(TelemetryRecorder, ConcurrentTicksEmitOrderedUntornWindows)
-{
-    // N threads tick one shared recorder.  Every JSONL line must
-    // still be a complete record (no torn writes), window indices
-    // must be strictly sequential, and the per-window deltas of the
-    // atomic op counter must reconcile with the total.
-    const std::string path = tempPath("telemetry_mt.jsonl");
-    TelemetryConfig config;
-    config.path = path;
-    config.windowOps = 1000;
-    std::atomic<std::uint64_t> ops{0};
-    TelemetryRecorder rec(config);
-    rec.addCounter("ops", [&ops] {
-        return ops.load(std::memory_order_relaxed);
-    });
-    rec.setModeSource([] { return std::string("parallel"); });
-    ASSERT_TRUE(rec.openSink());
-
-    constexpr unsigned kThreads = 4;
-    constexpr std::uint64_t kOpsPerThread = 5000;
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&rec, &ops, t] {
-            rec.event("shard", std::to_string(t));
-            for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
-                ops.fetch_add(1, std::memory_order_relaxed);
-                rec.onOp();
-            }
-        });
-    }
-    for (auto &worker : workers)
-        worker.join();
-    rec.finish();
-
-    const std::uint64_t total = kThreads * kOpsPerThread;
-    EXPECT_EQ(rec.opsObserved(), total);
-    // The op count is window-aligned, so finish() has no partial
-    // window to add.
-    ASSERT_EQ(rec.windowsEmitted(), total / config.windowOps);
-
-    const auto lines = readLines(path);
-    ASSERT_EQ(lines.size(), total / config.windowOps);
-    std::uint64_t delta_sum = 0;
-    std::size_t events_seen = 0;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        json::Value record;
-        // A torn or interleaved line would fail to parse (or parse
-        // with duplicate keys).
-        ASSERT_TRUE(json::parse(lines[i], record,
-                                /*rejectDuplicateKeys=*/true))
-            << lines[i];
-        EXPECT_EQ(record.find("schema")->string, "emv-metrics-v1");
-        EXPECT_EQ(record.find("window")->number,
-                  static_cast<double>(i));
-        EXPECT_EQ(record.find("op_start")->number,
-                  static_cast<double>(i * config.windowOps));
-        EXPECT_EQ(record.find("op_end")->number,
-                  static_cast<double>((i + 1) * config.windowOps));
-        delta_sum += static_cast<std::uint64_t>(
-            record.find("deltas")->find("ops")->number);
-        events_seen += record.find("events")->array.size();
-    }
-    // Lock ordering inside onOp() guarantees every fetch_add that
-    // precedes the closing tick is visible to the close, so the
-    // deltas reconcile exactly — no ops lost at window seams.
-    EXPECT_EQ(delta_sum, total);
-    // Each thread's one event landed in exactly one window.
-    EXPECT_EQ(events_seen, kThreads);
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/trace.hh"
 
@@ -99,6 +104,45 @@ TEST_F(TraceTest, FlagNamesRoundTrip)
     EXPECT_FALSE(trace::flagByName("NotAFlag").has_value());
     EXPECT_NE(trace::allFlagNames().find("Walk"),
               std::string::npos);
+}
+
+// The trace sink is the one lock the library keeps (DESIGN.md §12);
+// run this under the tsan preset to check it.
+TEST_F(TraceTest, ConcurrentEmitKeepsLinesWhole)
+{
+    ASSERT_TRUE(trace::setFlags("Walk"));
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kRecords = 2000;
+    // A long payload and a common start make an unlocked stream
+    // interleave or lose records visibly.
+    const std::string pad(200, 'x');
+    std::latch start(kThreads);
+    {
+        std::vector<std::jthread> workers;
+        for (unsigned t = 0; t < kThreads; ++t) {
+            workers.emplace_back([t, &pad, &start] {
+                start.arrive_and_wait();
+                for (unsigned i = 0; i < kRecords; ++i)
+                    EMV_TRACE(Walk, "t=%u i=%u %s", t, i, pad.c_str());
+            });
+        }
+    }
+
+    // Every record arrives exactly once, as one whole line.
+    std::vector<std::string> expected, lines;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        for (unsigned i = 0; i < kRecords; ++i) {
+            expected.push_back("Walk: t=" + std::to_string(t) +
+                               " i=" + std::to_string(i) + " " + pad);
+        }
+    }
+    std::istringstream in(captured.str());
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), expected.size());
+    std::sort(expected.begin(), expected.end());
+    std::sort(lines.begin(), lines.end());
+    EXPECT_TRUE(lines == expected);
 }
 
 } // namespace

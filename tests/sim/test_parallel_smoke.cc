@@ -3,10 +3,9 @@
  * In-process parallel smoke over sim::runMatrix: worker threads each
  * build, run and destroy independent Machines, with their stat groups
  * and their thread's audit counts, and the results must not depend on
- * how many workers ran them.  This is the concurrency contract the
- * thread-safety annotations (common/thread_safety.hh) promise; run it
- * under the tsan preset to turn the contract into a checked property
- * (DESIGN.md §12).
+ * how many workers ran them.  This is the one-machine-per-worker
+ * contract of DESIGN.md §12; run it under the tsan preset to turn the
+ * contract into a checked property.
  */
 
 #include <gtest/gtest.h>

@@ -4,18 +4,18 @@ namespace emv {
 
 inline constexpr unsigned kCleanAnswer = 42;
 
-/** Annotated shared cache: every member declares its locking
- *  story, so unguarded-member stays quiet. */
+/** A process-wide cache that locks itself, so shared-mutable-state
+ *  accepts a namespace-scope object of it. */
 class CleanCache
 {
   public:
-    unsigned value() const;
+    unsigned value();
 
   private:
-    mutable Mutex mutex;
-    unsigned cached EMV_GUARDED_BY(mutex) = 0;
-    EMV_THREAD_CONFINED unsigned scratch = 0;
-    const unsigned limit = 8;
+    std::mutex mutex;
+    unsigned cached = 0;
 };
+
+CleanCache cleanCache;
 
 } // namespace emv

@@ -44,15 +44,10 @@
  *   shared-mutable-state
  *                  namespace-scope variables, mutable static locals
  *                  and static data members must be const/constexpr,
- *                  atomic, a Mutex, thread_local, or carry an
- *                  EMV_GUARDED_BY annotation; anything else is a
- *                  data race between runMatrix() workers.
- *   unguarded-member
- *                  a class that owns a Mutex declares its locking
- *                  story for *every* mutable member: EMV_GUARDED_BY
- *                  / EMV_PT_GUARDED_BY for lock-protected state,
- *                  EMV_THREAD_CONFINED for owner-thread state, or a
- *                  const/atomic type.
+ *                  atomic, thread_local, a std::mutex, or an object
+ *                  of a class defined in the same file that owns a
+ *                  std::mutex (and so locks itself); anything else
+ *                  is a data race between runMatrix() workers.
  *   nondeterministic-source
  *                  no wall-clock reads (std::chrono clocks, time(),
  *                  clock_gettime, gettimeofday), std::random_device,
@@ -437,8 +432,7 @@ finalizeCkptRoundTrip(const fs::path &root)
 }
 
 // ---------------------------------------------------------------------
-// Scope-aware declaration scan, shared by shared-mutable-state and
-// unguarded-member.
+// Scope-aware declaration scan for shared-mutable-state.
 // ---------------------------------------------------------------------
 
 struct Stmt
@@ -475,7 +469,7 @@ collectScopes(const std::string &stripped,
     static const std::regex typeRe(R"(\b(class|struct|union|enum)\b)");
     static const std::regex typeNameRe(
         R"((?:class|struct|union|enum)(?:\s+class)?)"
-        R"((?:\s+EMV_[A-Z_]+\s*\([^()]*\))?\s+([A-Za-z_][A-Za-z0-9_]*))");
+        R"(\s+([A-Za-z_][A-Za-z0-9_]*))");
     static const std::regex tmplParams(R"(template\s*<[^<>]*>)");
 
     std::vector<ScopeKind> stack;
@@ -590,27 +584,39 @@ collectScopes(const std::string &stripped,
     }
 }
 
-/** EMV_*(...) attribute macros (and the bare EMV_THREAD_CONFINED)
- *  removed, so leftover parentheses mean "function-like". */
-std::string
-stripEmvAttrs(const std::string &s)
-{
-    static const std::regex attr(R"(EMV_[A-Z_]+\s*\([^()]*\))");
-    static const std::regex bare(R"(EMV_THREAD_CONFINED)");
-    return std::regex_replace(std::regex_replace(s, attr, ""), bare,
-                              "");
-}
-
-/** Types/annotations under which shared state is race-free. */
+/** Types under which shared state is race-free. */
 bool
 allowedSharedDecl(const std::string &s)
 {
     static const std::regex allowed(
         R"(^(extern\s+)?(static\s+)?(inline\s+)?(mutable\s+)?const(expr)?\b)"
         R"(|\bconstexpr\b|thread_local|std::atomic|\bAtomic[A-Za-z0-9_]*)"
-        R"(|\bMutex\b|std::mutex|std::once_flag)"
-        R"(|EMV_GUARDED_BY|EMV_PT_GUARDED_BY)");
+        R"(|std::mutex|std::once_flag)");
     return std::regex_search(s, allowed);
+}
+
+/** Declared type of @p stmt (storage specifiers skipped) names one
+ *  of the file's classes that owns a std::mutex member. */
+bool
+selfLockingDecl(const std::string &stmt,
+                const std::vector<TypeScope> &types)
+{
+    static const std::regex ownsMutex(
+        R"((^|\s)(mutable\s+)?std::mutex\s+[A-Za-z_][A-Za-z0-9_]*$)");
+    static const std::regex typeName(
+        R"(^(?:(?:static|inline)\s+)*([A-Za-z_][A-Za-z0-9_]*))");
+    std::smatch m;
+    if (!std::regex_search(stmt, m, typeName))
+        return false;
+    return std::any_of(types.begin(), types.end(),
+                       [&](const TypeScope &type) {
+        return type.name == m[1].str() &&
+               std::any_of(type.members.begin(), type.members.end(),
+                           [](const Stmt &member) {
+                               return std::regex_search(member.text,
+                                                        ownsMutex);
+                           });
+    });
 }
 
 /** Last identifier of the declarator (initializer stripped). */
@@ -652,18 +658,19 @@ checkSharedMutableState(const fs::path &file,
                         const std::vector<Stmt> &fnStmts)
 {
     auto flag = [&](const Stmt &stmt, const char *what) {
-        const std::string bare = stripEmvAttrs(stmt.text);
-        if (isNonVariableStmt(bare) ||
-            bare.find('(') != std::string::npos) {
+        if (isNonVariableStmt(stmt.text) ||
+            stmt.text.find('(') != std::string::npos) {
             return;  // Function/type/alias declaration, not state.
         }
-        if (allowedSharedDecl(stmt.text))
+        if (allowedSharedDecl(stmt.text) ||
+            selfLockingDecl(stmt.text, types)) {
             return;
+        }
         report(file, stmt.line, "shared-mutable-state",
-               std::string(what) + " '" + declaredName(bare) +
+               std::string(what) + " '" + declaredName(stmt.text) +
                    "' is mutable and unsynchronized; make it "
-                   "const/atomic/thread_local, or guard it with a "
-                   "Mutex + EMV_GUARDED_BY");
+                   "const/atomic/thread_local, or wrap it in a class "
+                   "that owns a std::mutex and locks its accessors");
     };
     for (const Stmt &stmt : nsStmts)
         flag(stmt, "namespace-scope variable");
@@ -673,53 +680,6 @@ checkSharedMutableState(const fs::path &file,
         for (const Stmt &stmt : type.members) {
             if (stmt.text.rfind("static ", 0) == 0)
                 flag(stmt, "static data member");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule: unguarded-member
-// ---------------------------------------------------------------------
-
-void
-checkUnguardedMember(const fs::path &file, const std::string &rel,
-                     const std::vector<TypeScope> &types)
-{
-    (void)rel;
-    static const std::regex ownsMutex(
-        R"((^|\s)(mutable\s+)?Mutex\s+[A-Za-z_][A-Za-z0-9_]*\s*$)");
-    static const std::regex annotated(
-        R"(EMV_GUARDED_BY|EMV_PT_GUARDED_BY|EMV_THREAD_CONFINED)");
-    for (const TypeScope &type : types) {
-        const bool owner = std::any_of(
-            type.members.begin(), type.members.end(),
-            [](const Stmt &m) {
-                return std::regex_search(stripEmvAttrs(m.text),
-                                         ownsMutex);
-            });
-        if (!owner)
-            continue;
-        for (const Stmt &member : type.members) {
-            if (std::regex_search(member.text, annotated))
-                continue;
-            const std::string bare = stripEmvAttrs(member.text);
-            if (std::regex_search(bare, ownsMutex))
-                continue;  // The lock itself.
-            if (isNonVariableStmt(bare) ||
-                bare.find('(') != std::string::npos) {
-                continue;  // Methods, nested types, aliases.
-            }
-            if (bare.rfind("static ", 0) == 0)
-                continue;  // shared-mutable-state's business.
-            if (allowedSharedDecl(member.text))
-                continue;
-            report(file, member.line, "unguarded-member",
-                   "class " + type.name +
-                       " owns a Mutex but member '" +
-                       declaredName(bare) +
-                       "' declares no locking story; annotate it "
-                       "EMV_GUARDED_BY(mutex), EMV_THREAD_CONFINED, "
-                       "or make it const/atomic");
         }
     }
 }
@@ -937,7 +897,6 @@ main(int argc, char **argv)
         std::vector<TypeScope> types;
         collectScopes(stripped, nsStmts, types, fnStmts);
         checkSharedMutableState(path, nsStmts, types, fnStmts);
-        checkUnguardedMember(path, rel, types);
     }
     checkTestCoverage(root);
     finalizeCkptRoundTrip(root);
