@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot paths:
  * per-mode translation throughput of the Mmu, raw walker costs,
- * TLB lookups, escape-filter probes, physical-memory loads and
+ * TLB and TLB-hierarchy lookups, PTE-line cache accesses,
+ * escape-filter probes, physical-memory loads and
  * page-table range updates.  These measure the
  * *library's* speed (simulation throughput), complementing the
  * figure benches that measure the *modeled* cycles.
@@ -18,6 +19,8 @@
 #include "segment/escape_filter.hh"
 #include "sim/machine.hh"
 #include "tlb/tlb.hh"
+#include "tlb/tlb_hierarchy.hh"
+#include "tlb/walk_cache.hh"
 #include "workload/workload.hh"
 
 using namespace emv;
@@ -109,6 +112,47 @@ BM_TlbLookupHit(benchmark::State &state)
         auto hit = tlb.lookup(tlb::EntryKind::Guest, 0x1abc,
                               PageSize::Size4K);
         benchmark::DoNotOptimize(hit);
+    }
+}
+
+void
+BM_TlbHierarchyL1Hit4K(benchmark::State &state)
+{
+    // Only 4K guest entries live, as in every walk-2d L1 hit: the
+    // 1G and 2M L1s hold nothing.  64 pages fill the 4K L1 exactly.
+    tlb::TlbHierarchy tlbs;
+    constexpr unsigned kPages = 64;
+    for (unsigned i = 0; i < kPages; ++i) {
+        tlbs.insertGuest(Addr{i} << 12, Addr{0x100000 + i} << 12,
+                         PageSize::Size4K);
+    }
+    unsigned next = 0;
+    for (auto _ : state) {
+        auto hit = tlbs.lookupL1((Addr{next} << 12) | 0xabc);
+        benchmark::DoNotOptimize(hit);
+        next = (next + 1) % kPages;
+    }
+}
+
+void
+BM_LineCacheAccess(benchmark::State &state)
+{
+    // The Mmu's PTE-line geometry (512 sets x 8 ways), touched at
+    // pseudo-random lines over a 1 MiB span: 16384 lines against
+    // 4096 ways, so hits and misses both occur.
+    tlb::LineCache lines(512, 8);
+    constexpr unsigned kAddrs = 1u << 16;
+    constexpr Addr kSpan = 1 * MiB;
+    std::vector<Addr> addrs;
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (unsigned i = 0; i < kAddrs; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        addrs.push_back((x >> 20) % kSpan);
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(lines.access(addrs[next]));
+        next = (next + 1) % kAddrs;
     }
 }
 
@@ -208,6 +252,8 @@ BENCHMARK(BM_TranslateDualDirect);
 BENCHMARK(BM_TranslateGuestDirect);
 BENCHMARK(BM_TranslateNativeDirect);
 BENCHMARK(BM_TlbLookupHit);
+BENCHMARK(BM_TlbHierarchyL1Hit4K);
+BENCHMARK(BM_LineCacheAccess);
 BENCHMARK(BM_EscapeFilterProbe);
 BENCHMARK(BM_PhysMemoryRead64);
 BENCHMARK(BM_PageTableMapUnmap2M);

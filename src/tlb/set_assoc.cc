@@ -1,34 +1,41 @@
 #include "tlb/set_assoc.hh"
 
+#include <algorithm>
+
 #include "common/ckpt.hh"
 #include "common/logging.hh"
 
 namespace emv::tlb {
 
 SetAssoc::SetAssoc(unsigned sets, unsigned ways)
-    : numSets(sets), numWays(ways), entries(sets * ways)
+    : numSets(sets), numWays(ways), tags(sets * ways),
+      values(sets * ways), stamps(sets * ways), valid(sets * ways)
 {
     emv_assert(sets > 0 && (sets & (sets - 1)) == 0,
                "set-associative array sets must be a power of two");
     emv_assert(ways > 0, "set-associative array needs at least one way");
 }
 
-void
+bool
 SetAssoc::erase(std::uint64_t tag)
 {
-    Entry *set = setOf(tag);
-    for (unsigned w = 0; w < numWays; ++w) {
-        if (set[w].tag == tag)
-            set[w].valid = false;
+    const std::size_t base = setBase(tag);
+    bool dropped = false;
+    for (std::size_t i = base; i < base + numWays; ++i) {
+        if (tags[i] == tag) {
+            dropped = dropped || valid[i];
+            valid[i] = 0;
+        }
     }
+    return dropped;
 }
 
 void
 SetAssoc::eraseIf(const TagPredicate &pred)
 {
-    for (auto &e : entries) {
-        if (e.valid && pred(e.tag))
-            e.valid = false;
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        if (valid[i] && pred(tags[i]))
+            valid[i] = 0;
     }
 }
 
@@ -36,16 +43,15 @@ std::size_t
 SetAssoc::countIf(const TagPredicate &pred) const
 {
     std::size_t n = 0;
-    for (const auto &e : entries)
-        n += e.valid && pred(e.tag);
+    for (std::size_t i = 0; i < tags.size(); ++i)
+        n += valid[i] && pred(tags[i]);
     return n;
 }
 
 void
 SetAssoc::clear()
 {
-    for (auto &e : entries)
-        e.valid = false;
+    std::fill(valid.begin(), valid.end(), 0);
 }
 
 void
@@ -54,12 +60,12 @@ SetAssoc::serialize(ckpt::Encoder &enc) const
     enc.u32(numSets);
     enc.u32(numWays);
     enc.u64(tick);
-    enc.u64(entries.size());
-    for (const auto &e : entries) {
-        enc.u64(e.tag);
-        enc.u64(e.value);
-        enc.u64(e.lru);
-        enc.u8(e.valid ? 1 : 0);
+    enc.u64(tags.size());
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        enc.u64(tags[i]);
+        enc.u64(values[i]);
+        enc.u64(stamps[i]);
+        enc.u8(valid[i] ? 1 : 0);
     }
 }
 
@@ -74,16 +80,15 @@ SetAssoc::deserialize(ckpt::Decoder &dec, const std::string &owner)
     }
     tick = dec.u64();
     const std::uint64_t n = dec.u64();
-    if (dec.ok() && n != entries.size()) {
+    if (dec.ok() && n != tags.size()) {
         dec.fail(owner + ": entry count mismatch");
         return false;
     }
-    for (std::uint64_t i = 0; dec.ok() && i < n; ++i) {
-        Entry &e = entries[static_cast<std::size_t>(i)];
-        e.tag = dec.u64();
-        e.value = dec.u64();
-        e.lru = dec.u64();
-        e.valid = dec.u8() != 0;
+    for (std::size_t i = 0; dec.ok() && i < n; ++i) {
+        tags[i] = dec.u64();
+        values[i] = dec.u64();
+        stamps[i] = dec.u64();
+        valid[i] = dec.u8() != 0 ? 1 : 0;
     }
     return dec.ok();
 }

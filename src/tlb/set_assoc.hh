@@ -3,7 +3,8 @@
  * One set-associative LRU array: the storage behind every MMU cache
  * (the TLBs, the paging-structure caches and the PTE-line cache).
  *
- * An entry is a 64-bit tag, a 64-bit value and a 64-bit LRU stamp.
+ * An entry is a 64-bit tag, a 64-bit value and a 64-bit LRU stamp,
+ * each kept in its own array (plus one of valid bytes).
  * Users pack everything a lookup must match into the tag, so each
  * way costs one compare.  The set index is mix(tag) & (sets - 1).
  * Stamps come from one tick per array, so among valid entries they
@@ -49,6 +50,7 @@ class SetAssoc
     {
         bool present = false;  //!< The tag was cached (value updated).
         bool evicted = false;  //!< A valid entry made room for it.
+        std::uint64_t evictedTag = 0;  //!< Its tag, when evicted.
     };
 
     using TagPredicate = std::function<bool(std::uint64_t tag)>;
@@ -61,8 +63,8 @@ class SetAssoc
     /** Cache @p value under @p tag, replacing the set's victim. */
     InsertResult insert(std::uint64_t tag, std::uint64_t value);
 
-    /** Invalidate @p tag if cached. */
-    void erase(std::uint64_t tag);
+    /** Invalidate @p tag if cached; @return true if it was. */
+    bool erase(std::uint64_t tag);
 
     /** Invalidate every entry whose tag satisfies @p pred. */
     void eraseIf(const TagPredicate &pred);
@@ -77,43 +79,41 @@ class SetAssoc
     unsigned ways() const { return numWays; }
 
     /**
-     * Checkpoint geometry, LRU clock and entries.  deserialize()
-     * fails (structured, naming @p owner) if the saved geometry or
-     * entry count differs.
+     * Checkpoint geometry, LRU clock and entries, each entry as
+     * tag, value, stamp, valid.  deserialize() fails (structured,
+     * naming @p owner) if the saved geometry or entry count differs.
      */
     void serialize(ckpt::Encoder &enc) const;
     bool deserialize(ckpt::Decoder &dec, const std::string &owner);
 
   private:
-    struct Entry
+    /** Index of the first way of @p tag's set. */
+    std::size_t
+    setBase(std::uint64_t tag) const
     {
-        std::uint64_t tag = 0;
-        std::uint64_t value = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    Entry *
-    setOf(std::uint64_t tag)
-    {
-        return &entries[(mix(tag) & (numSets - 1)) * numWays];
+        return (mix(tag) & (numSets - 1)) * numWays;
     }
 
     unsigned numSets;
     unsigned numWays;
     std::uint64_t tick = 0;
-    std::vector<Entry> entries;
+    // One array per field, indexed set * ways + way, so a probe
+    // scans one set's tags contiguously.  An invalidated way keeps
+    // its tag, value and stamp.
+    std::vector<std::uint64_t> tags;
+    std::vector<std::uint64_t> values;
+    std::vector<std::uint64_t> stamps;
+    std::vector<std::uint8_t> valid;
 };
 
 inline std::optional<std::uint64_t>
 SetAssoc::find(std::uint64_t tag)
 {
-    Entry *set = setOf(tag);
-    for (unsigned w = 0; w < numWays; ++w) {
-        Entry &e = set[w];
-        if (e.valid && e.tag == tag) {
-            e.lru = ++tick;
-            return e.value;
+    const std::size_t base = setBase(tag);
+    for (std::size_t i = base; i < base + numWays; ++i) {
+        if (tags[i] == tag && valid[i]) {
+            stamps[i] = ++tick;
+            return values[i];
         }
     }
     return std::nullopt;
@@ -122,32 +122,39 @@ SetAssoc::find(std::uint64_t tag)
 inline SetAssoc::InsertResult
 SetAssoc::insert(std::uint64_t tag, std::uint64_t value)
 {
-    Entry *set = setOf(tag);
-    Entry *victim = nullptr;
-    for (unsigned w = 0; w < numWays; ++w) {
-        Entry &e = set[w];
-        if (!e.valid) {
-            if (!victim || victim->valid)
-                victim = &e;
-        } else if (e.tag == tag) {
-            e.value = value;
-            e.lru = ++tick;
+    const std::size_t base = setBase(tag);
+    std::size_t victim = base;
+    bool victimValid = true;  // Until an invalid way turns up.
+    for (std::size_t i = base; i < base + numWays; ++i) {
+        if (!valid[i]) {
+            if (victimValid) {
+                victim = i;
+                victimValid = false;
+            }
+        } else if (tags[i] == tag) {
+            values[i] = value;
+            stamps[i] = ++tick;
             return {true, false};
-        } else if (!victim || (victim->valid && e.lru < victim->lru)) {
-            victim = &e;
+        } else if (victimValid &&
+                   (i == base || stamps[i] < stamps[victim])) {
+            victim = i;
         }
     }
-    const bool evicted = victim->valid;
-    *victim = Entry{tag, value, ++tick, true};
+    const InsertResult result{false, victimValid,
+                              victimValid ? tags[victim] : 0};
+    tags[victim] = tag;
+    values[victim] = value;
+    stamps[victim] = ++tick;
+    valid[victim] = 1;
     EMV_INVARIANT([&] {
                       unsigned copies = 0;
-                      for (unsigned w = 0; w < numWays; ++w)
-                          copies += set[w].valid && set[w].tag == tag;
+                      for (std::size_t i = base; i < base + numWays; ++i)
+                          copies += valid[i] && tags[i] == tag;
                       return copies == 1;
                   }(),
                   "set-associative array: tag %s stored twice",
                   hexAddr(tag).c_str());
-    return {false, evicted};
+    return result;
 }
 
 } // namespace emv::tlb

@@ -1,6 +1,8 @@
 #include "tlb/tlb.hh"
 
-#include "common/logging.hh"
+#include <algorithm>
+
+#include "common/audit.hh"
 
 namespace emv::tlb {
 
@@ -22,55 +24,56 @@ Tlb::Tlb(std::string name, unsigned sets, unsigned ways)
 {
 }
 
-std::optional<TlbHit>
-Tlb::lookup(EntryKind kind, Addr addr, PageSize size)
-{
-    if (auto frame = array.find(tagOf(kind, addr, size))) {
-        ++_stats.hits;
-        return TlbHit{*frame, size};
-    }
-    ++_stats.misses;
-    return std::nullopt;
-}
-
-void
-Tlb::insert(EntryKind kind, Addr addr, Addr frame, PageSize size)
-{
-    emv_assert(isAligned(frame, pageBytes(size)),
-               "TLB insert: frame %s not aligned to %s",
-               hexAddr(frame).c_str(), pageSizeName(size));
-    const auto found = array.insert(tagOf(kind, addr, size), frame);
-    if (found.present)
-        return;
-    ++_stats.inserts;
-    if (found.evicted)
-        ++_stats.evictions;
-}
-
 void
 Tlb::flushPage(EntryKind kind, Addr addr, PageSize size)
 {
-    array.erase(tagOf(kind, addr, size));
+    const std::uint64_t tag = tagOf(kind, addr, size);
+    if (array.erase(tag))
+        --live[tag & 15];
 }
 
 void
 Tlb::flushKind(EntryKind kind)
 {
     array.eraseIf(ofKind(kind));
+    const std::size_t first = static_cast<std::size_t>(kind) << 2;
+    std::fill(live.begin() + first, live.begin() + first + 4, 0);
     ++_stats.kindFlushes;
+    checkCounts();
 }
 
 void
 Tlb::flushAll()
 {
     array.clear();
+    live.fill(0);
     ++_stats.fullFlushes;
+    checkCounts();
 }
 
 std::size_t
 Tlb::occupancy(EntryKind kind) const
 {
     return array.countIf(ofKind(kind));
+}
+
+Tlb::ClassCounts
+Tlb::recount() const
+{
+    ClassCounts counts{};
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+        counts[c] = static_cast<std::uint32_t>(array.countIf(
+            [c](std::uint64_t tag) { return (tag & 15) == c; }));
+    }
+    return counts;
+}
+
+void
+Tlb::checkCounts() const
+{
+    EMV_INVARIANT(live == recount(),
+                  "%s: live class counts differ from the array",
+                  _stats.name().c_str());
 }
 
 void
@@ -83,8 +86,10 @@ Tlb::serialize(ckpt::Encoder &enc) const
 bool
 Tlb::deserialize(ckpt::Decoder &dec)
 {
-    return array.deserialize(dec, _stats.name()) &&
-           _stats.deserialize(dec);
+    if (!array.deserialize(dec, _stats.name()))
+        return false;
+    live = recount();
+    return _stats.deserialize(dec);
 }
 
 } // namespace emv::tlb

@@ -16,10 +16,12 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "tlb/set_assoc.hh"
@@ -41,8 +43,11 @@ struct TlbHit
 
 /**
  * A single set-associative translation buffer.  Entries carry their
- * page size; lookups probe one size class at a time (the caller
- * decides which classes this structure holds).
+ * page size; lookups probe one class (kind and size) at a time, the
+ * caller deciding which classes this structure holds.  A live-entry
+ * count per class lets a probe of a class with no entries count its
+ * miss without touching the array: a tag only ever matches its own
+ * class, so hits, misses, LRU stamps and victims are unchanged.
  */
 class Tlb
 {
@@ -84,6 +89,9 @@ class Tlb
     bool deserialize(ckpt::Decoder &dec);
 
   private:
+    /** Live entries per class, indexed by tag & 15. */
+    using ClassCounts = std::array<std::uint32_t, 16>;
+
     /** The array tag: vpn << 4 | kind << 2 | size. */
     static std::uint64_t
     tagOf(EntryKind kind, Addr addr, PageSize size)
@@ -104,8 +112,47 @@ class Tlb
         Counter fullFlushes{*this, "full_flushes"};
     };
 
+    /** Count the array's valid entries per class. */
+    ClassCounts recount() const;
+
+    /** Audit: the maintained counts match the array. */
+    void checkCounts() const;
+
     SetAssoc array;
+    ClassCounts live{};
     Stats _stats;
 };
+
+inline std::optional<TlbHit>
+Tlb::lookup(EntryKind kind, Addr addr, PageSize size)
+{
+    const std::uint64_t tag = tagOf(kind, addr, size);
+    if (live[tag & 15] != 0) {
+        if (auto frame = array.find(tag)) {
+            ++_stats.hits;
+            return TlbHit{*frame, size};
+        }
+    }
+    ++_stats.misses;
+    return std::nullopt;
+}
+
+inline void
+Tlb::insert(EntryKind kind, Addr addr, Addr frame, PageSize size)
+{
+    emv_assert(isAligned(frame, pageBytes(size)),
+               "TLB insert: frame %s not aligned to %s",
+               hexAddr(frame).c_str(), pageSizeName(size));
+    const std::uint64_t tag = tagOf(kind, addr, size);
+    const auto found = array.insert(tag, frame);
+    if (found.present)
+        return;
+    ++live[tag & 15];
+    ++_stats.inserts;
+    if (found.evicted) {
+        --live[found.evictedTag & 15];
+        ++_stats.evictions;
+    }
+}
 
 } // namespace emv::tlb

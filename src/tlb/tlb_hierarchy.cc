@@ -21,74 +21,6 @@ TlbHierarchy::setStatsParent(const StatGroup *parent)
     l2Tlb.stats().setParent(parent);
 }
 
-Tlb &
-TlbHierarchy::l1For(PageSize size)
-{
-    switch (size) {
-      case PageSize::Size4K: return l1Tlb4K;
-      case PageSize::Size2M: return l1Tlb2M;
-      case PageSize::Size1G: return l1Tlb1G;
-    }
-    return l1Tlb4K;
-}
-
-std::optional<TlbHit>
-TlbHierarchy::lookupL1(Addr gva)
-{
-    // The split L1s are probed in parallel in hardware; at most one
-    // can match because a virtual page has a single mapping size.
-    if (auto hit = l1Tlb1G.lookup(EntryKind::Guest, gva,
-                                  PageSize::Size1G)) {
-        return hit;
-    }
-    if (auto hit = l1Tlb2M.lookup(EntryKind::Guest, gva,
-                                  PageSize::Size2M)) {
-        return hit;
-    }
-    return l1Tlb4K.lookup(EntryKind::Guest, gva, PageSize::Size4K);
-}
-
-std::optional<TlbHit>
-TlbHierarchy::lookupL2(Addr gva)
-{
-    // Table VI: the unified L2 holds 4K translations only; 2M
-    // entries live solely in the 32-entry L1 and 1G entries in the
-    // 4-entry L1.  This is why large pages reduce misses through
-    // *reach*, not capacity — and why 1G pages can hurt (§VIII).
-    return l2Tlb.lookup(EntryKind::Guest, gva, PageSize::Size4K);
-}
-
-std::optional<TlbHit>
-TlbHierarchy::lookupNested(Addr gpa)
-{
-    if (auto hit = l2Tlb.lookup(EntryKind::Nested, gpa,
-                                PageSize::Size2M)) {
-        return hit;
-    }
-    return l2Tlb.lookup(EntryKind::Nested, gpa, PageSize::Size4K);
-}
-
-void
-TlbHierarchy::insertGuest(Addr gva, Addr hframe, PageSize size)
-{
-    EMV_TRACE(Tlb, "fill guest gva=%s frame=%s size=%s",
-              hexAddr(gva).c_str(), hexAddr(hframe).c_str(),
-              pageSizeName(size));
-    l1For(size).insert(EntryKind::Guest, gva, hframe, size);
-    if (size == PageSize::Size4K)
-        l2Tlb.insert(EntryKind::Guest, gva, hframe, size);
-}
-
-void
-TlbHierarchy::insertNested(Addr gpa, Addr hframe, PageSize size)
-{
-    EMV_TRACE(Tlb, "fill nested gpa=%s frame=%s size=%s",
-              hexAddr(gpa).c_str(), hexAddr(hframe).c_str(),
-              pageSizeName(size));
-    if (size != PageSize::Size1G)
-        l2Tlb.insert(EntryKind::Nested, gpa, hframe, size);
-}
-
 void
 TlbHierarchy::flushGuest()
 {

@@ -11,17 +11,6 @@ WalkCache::WalkCache(unsigned sets, unsigned ways, std::string name)
 {
 }
 
-std::optional<Addr>
-WalkCache::lookup(std::uint64_t key)
-{
-    if (auto next_table = array.find(key)) {
-        ++_stats.hits;
-        return *next_table;
-    }
-    ++_stats.misses;
-    return std::nullopt;
-}
-
 void
 WalkCache::insert(std::uint64_t key, Addr next_table)
 {
@@ -55,14 +44,6 @@ WalkCache::deserialize(ckpt::Decoder &dec)
 LineCache::LineCache(unsigned sets, unsigned ways, std::string name)
     : array(sets, ways), _stats(std::move(name))
 {
-}
-
-bool
-LineCache::access(Addr pa)
-{
-    const bool hit = array.insert(pa >> 6, 0).present;
-    ++(hit ? _stats.hits : _stats.misses);
-    return hit;
 }
 
 void

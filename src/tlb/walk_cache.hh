@@ -101,5 +101,24 @@ class LineCache
     CacheStats _stats;
 };
 
+inline std::optional<Addr>
+WalkCache::lookup(std::uint64_t key)
+{
+    if (auto next_table = array.find(key)) {
+        ++_stats.hits;
+        return *next_table;
+    }
+    ++_stats.misses;
+    return std::nullopt;
+}
+
+inline bool
+LineCache::access(Addr pa)
+{
+    const bool hit = array.insert(pa >> 6, 0).present;
+    ++(hit ? _stats.hits : _stats.misses);
+    return hit;
+}
+
 } // namespace emv::tlb
 

@@ -369,5 +369,50 @@ TEST(BuddyCheckpointBytesTest, MatchPinnedDigests)
     }
 }
 
+/** A cell whose MMU checkpoint bytes are pinned. */
+struct PinnedMmu
+{
+    workload::WorkloadKind kind;
+    const char *label;
+    unsigned badFrames;
+    std::uint64_t mmu;
+};
+
+/**
+ * Mmu checkpoint bytes after build and a short run, pinned as
+ * digests.  The bytes hold all four TLBs, both paging-structure
+ * caches and the PTE-line cache way by way, including the stale
+ * tag, value and LRU stamp an invalidated way keeps, so a faster
+ * lookup path or a new array layout must leave every way exactly
+ * where the digests say.  The cells cover 4K-only and 2M classes on
+ * both levels, the direct-segment fast paths with escapes, and
+ * shadow paging under run-time slab remaps.
+ */
+TEST(MmuCheckpointBytesTest, MatchPinnedDigests)
+{
+    using K = workload::WorkloadKind;
+    const PinnedMmu cells[] = {
+        {K::Gups, "4K+4K", 0, 0xc284b4c18cb36dc7ull},
+        {K::Graph500, "4K+2M", 0, 0x858c50685749556aull},
+        {K::Graph500, "2M+2M", 0, 0xaff87d06c40387d7ull},
+        {K::Gups, "DD", 0, 0x080c4389365f6837ull},
+        {K::Graph500, "DS", 16, 0x76e0ba4aefb7aaf0ull},
+        {K::Memcached, "sh4K", 0, 0xcdc72edf2e07c20bull},
+    };
+    for (const auto &pin : cells) {
+        auto spec = specFromLabel(pin.label);
+        ASSERT_TRUE(spec.has_value()) << pin.label;
+        RunParams params = smallParams();
+        params.badFrames = pin.badFrames;
+        auto wl = workload::makeWorkload(pin.kind, 42, kScale);
+        Machine machine(makeMachineConfig(*spec, params), *wl);
+        machine.run(kWarmup);
+        const std::uint64_t mmu = digest(test::ckptBytes(machine.mmu()));
+        EXPECT_EQ(mmu, pin.mmu)
+            << workload::workloadName(pin.kind) << " " << pin.label << std::hex
+            << " mmu digest 0x" << mmu;
+    }
+}
+
 } // namespace
 } // namespace emv::sim
