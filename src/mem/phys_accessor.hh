@@ -27,6 +27,24 @@ class PhysAccessor
     virtual std::uint64_t read64(Addr pa) const = 0;
     virtual void write64(Addr pa, std::uint64_t value) = 0;
 
+    /** Load @p n consecutive words inside one 4 KB frame (default:
+     *  word by word). */
+    virtual void
+    readRun(Addr pa, unsigned n, std::uint64_t *out) const
+    {
+        for (unsigned i = 0; i < n; ++i)
+            out[i] = read64(pa + 8ull * i);
+    }
+
+    /** Store @p n consecutive words inside one 4 KB frame (default:
+     *  word by word). */
+    virtual void
+    writeRun(Addr pa, unsigned n, const std::uint64_t *values)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            write64(pa + 8ull * i, values[i]);
+    }
+
     /** Zero a 4 KB frame (default: 512 word writes). */
     virtual void
     zeroFrame(Addr frame_base)
@@ -74,6 +92,18 @@ class HostPhysAccessor : public PhysAccessor
     write64(Addr pa, std::uint64_t value) override
     {
         mem.write64(pa, value);
+    }
+
+    void
+    readRun(Addr pa, unsigned n, std::uint64_t *out) const override
+    {
+        mem.readRun(pa, n, out);
+    }
+
+    void
+    writeRun(Addr pa, unsigned n, const std::uint64_t *values) override
+    {
+        mem.writeRun(pa, n, values);
     }
 
     void

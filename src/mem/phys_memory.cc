@@ -76,6 +76,41 @@ PhysMemory::write64(Addr addr, std::uint64_t value)
 }
 
 void
+PhysMemory::checkRun(Addr addr, unsigned n, const char *op) const
+{
+    emv_assert(isAligned(addr, 8) && n > 0 &&
+                   (addr & (kPage4K - 1)) + 8ull * n <= kPage4K,
+               "%s of %u words at %s is misaligned, empty or crosses a "
+               "4K frame", op, n, hexAddr(addr).c_str());
+    EMV_CHECK(addr < sizeBytes, "%s at %s beyond physical size %s", op,
+              hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
+}
+
+void
+PhysMemory::readRun(Addr addr, unsigned n, std::uint64_t *out) const
+{
+    checkRun(addr, n, "read run");
+    _stats.reads += n;
+    const Frame *frame = frameForConst(addr);
+    if (!frame) {
+        std::fill(out, out + n, 0);  // Untouched memory reads as zero.
+        return;
+    }
+    const std::uint64_t *words =
+        frame->data() + ((addr & (kPage4K - 1)) >> 3);
+    std::copy(words, words + n, out);
+}
+
+void
+PhysMemory::writeRun(Addr addr, unsigned n, const std::uint64_t *values)
+{
+    checkRun(addr, n, "write run");
+    _stats.writes += n;
+    std::copy(values, values + n,
+              frameFor(addr).data() + ((addr & (kPage4K - 1)) >> 3));
+}
+
+void
 PhysMemory::zeroFrame(Addr frame_base)
 {
     emv_assert(isAligned(frame_base, kPage4K),

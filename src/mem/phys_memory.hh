@@ -79,6 +79,18 @@ class PhysMemory
     /** Store a naturally aligned 64-bit word. */
     void write64(Addr addr, std::uint64_t value);
 
+    /**
+     * Load the @p n (1..512) consecutive words at @p addr into
+     * @p out: one alignment assert, one bounds check and one frame
+     * lookup for the run, which must not cross a 4 KB frame.  Counts
+     * @p n reads and, like read64(), makes no frame.
+     */
+    void readRun(Addr addr, unsigned n, std::uint64_t *out) const;
+
+    /** Store @p n consecutive words inside one 4 KB frame, counting
+     *  @p n writes: the run form of write64(). */
+    void writeRun(Addr addr, unsigned n, const std::uint64_t *values);
+
     /** Zero a whole 4 KB frame (used for fresh page tables). */
     void zeroFrame(Addr frame_base);
 
@@ -129,6 +141,9 @@ class PhysMemory
     /** read64() with its alignment assert, audit check and bounds
      *  assert. */
     std::uint64_t read64Checked(Addr addr) const;
+
+    /** The asserts of readRun() and writeRun(). */
+    void checkRun(Addr addr, unsigned n, const char *op) const;
 
     /** Materialize (zeroed) the frame with number @p frame_no. */
     Frame &makeFrame(std::uint64_t frame_no);

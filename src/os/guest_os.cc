@@ -45,6 +45,18 @@ class GuestOs::OsMemSpace : public paging::MemSpace
         os._phys.write64(addr, value);
     }
 
+    void
+    readRun(Addr addr, unsigned n, std::uint64_t *out) const override
+    {
+        os._phys.readRun(addr, n, out);
+    }
+
+    void
+    writeRun(Addr addr, unsigned n, const std::uint64_t *values) override
+    {
+        os._phys.writeRun(addr, n, values);
+    }
+
     Addr
     allocTableFrame() override
     {

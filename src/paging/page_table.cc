@@ -17,6 +17,9 @@ entryBytes(int level)
     return 1ull << (12 + 9 * (level - 1));
 }
 
+/** The zeros unmapRange() writes over a run of cleared leaves. */
+constexpr std::uint64_t kZeroRun[kEntriesPerTable] = {};
+
 /** Offset just past @p pos within [0, @p bytes) where the naturally
  *  aligned @p span block holding @p va + @p pos ends. */
 Addr
@@ -43,8 +46,10 @@ void
 PageTable::freeSubtree(Addr table, int level)
 {
     if (level > 1) {
-        for (int i = 0; i < kEntriesPerTable; ++i) {
-            Pte pte{space.read64(table + 8ull * i)};
+        std::uint64_t entries[kEntriesPerTable];
+        space.readRun(table, kEntriesPerTable, entries);
+        for (const std::uint64_t raw : entries) {
+            const Pte pte{raw};
             if (pte.present() && !pte.pageSize())
                 freeSubtree(pte.frame(), level - 1);
         }
@@ -56,9 +61,11 @@ PageTable::freeSubtree(Addr table, int level)
 std::uint32_t
 PageTable::scanPresent(Addr table) const
 {
+    std::uint64_t entries[kEntriesPerTable];
+    space.readRun(table, kEntriesPerTable, entries);
     std::uint32_t present = 0;
-    for (int i = 0; i < kEntriesPerTable; ++i)
-        present += Pte{space.read64(table + 8ull * i)}.present();
+    for (const std::uint64_t raw : entries)
+        present += Pte{raw}.present();
     return present;
 }
 
@@ -131,26 +138,38 @@ PageTable::mapLeaves(Addr va, Addr bytes, PageSize size, bool writable,
 {
     const Addr step = pageBytes(size);
     const int target = leafLevel(size);
+    std::uint64_t run[kEntriesPerTable];
     for (Addr pos = 0; pos < bytes; resume = false) {
         descend(va + pos, target, true, path, resume);
         const Addr table = path.tables[path.depth];
         std::uint32_t &live = liveEntries.at(table);
+        const Addr first = va + pos;
+        const Addr end = blockEnd(va, pos, bytes, entryBytes(target + 1));
+        const auto n = static_cast<unsigned>((end - pos) / step);
+        const Addr run_addr = table + 8ull * tableIndex(first, target);
         // An empty table has no entry to collide with, and a resumed
         // descent's span was checked clear.
-        const bool fresh = resume || live == 0;
-        const Addr end = blockEnd(va, pos, bytes, entryBytes(target + 1));
-        for (; pos < end; pos += step) {
-            const Addr page = va + pos;
-            const Addr pa = frame_at(pos);
-            const Addr entry_addr = table + 8ull * tableIndex(page, target);
-            emv_assert(fresh || !Pte{space.read64(entry_addr)}.present(),
-                       "map: va %s already mapped (unmap first)",
-                       hexAddr(page).c_str());
-            space.write64(entry_addr, Pte::makeLeaf(pa, target,
-                                                    writable, user_mode));
-            ++live;
-            ++leaves;
-            ++updates;
+        if (!resume && live != 0) {
+            space.readRun(run_addr, n, run);
+            for (unsigned i = 0; i < n; ++i) {
+                emv_assert(!Pte{run[i]}.present(),
+                           "map: va %s already mapped (unmap first)",
+                           hexAddr(first + i * step).c_str());
+            }
+        }
+        for (unsigned i = 0; i < n; ++i, pos += step)
+            run[i] = Pte::makeLeaf(frame_at(pos), target, writable,
+                                   user_mode);
+        space.writeRun(run_addr, n, run);
+        live += n;
+        leaves += n;
+        updates += n;
+        // Under audit, read every installed leaf back.
+        if (!audit::enabled())
+            continue;
+        for (unsigned i = 0; i < n; ++i) {
+            const Addr page = first + i * step;
+            const Addr pa = Pte{run[i]}.frame();
             EMV_CHECK([&] {
                           auto readback = translate(page);
                           return readback && readback->pa == pa &&
@@ -199,10 +218,12 @@ PageTable::mapIfUnmapped(Addr va, Addr bytes, PageSize size,
         // The leaf table exists: unless it is empty, read the span.
         const Addr table = path.tables[path.depth];
         if (liveEntries.at(table) != 0) {
-            for (Addr pos = 0; pos < bytes; pos += step) {
-                const Addr entry_addr =
-                    table + 8ull * tableIndex(va + pos, target);
-                if (Pte{space.read64(entry_addr)}.present())
+            const auto n = static_cast<unsigned>(bytes / step);
+            std::uint64_t entries[kEntriesPerTable];
+            space.readRun(table + 8ull * tableIndex(va, target), n,
+                          entries);
+            for (unsigned i = 0; i < n; ++i) {
+                if (Pte{entries[i]}.present())
                     return false;
             }
         }
@@ -240,23 +261,34 @@ PageTable::unmapRange(Addr va, Addr bytes, PageSize size)
             continue;
         }
         const Addr table = path.tables[path.depth];
-        std::uint32_t &live = liveEntries.at(table);
         const Addr end = blockEnd(va, pos, bytes, entryBytes(target + 1));
-        std::uint64_t cleared = 0;
-        for (; pos < end; pos += step) {
-            const Addr entry_addr =
-                table + 8ull * tableIndex(va + pos, target);
-            Pte pte{space.read64(entry_addr)};
-            // Absent, or a table of smaller mappings below this level.
-            if (!pte.present() || (target > 1 && !pte.pageSize()))
+        const auto n = static_cast<unsigned>((end - pos) / step);
+        const Addr run_addr = table + 8ull * tableIndex(va + pos, target);
+        pos = end;
+        std::uint64_t entries[kEntriesPerTable];
+        space.readRun(run_addr, n, entries);
+        // Skip absent entries and tables of smaller mappings.
+        const auto is_leaf = [&](unsigned i) {
+            const Pte pte{entries[i]};
+            return pte.present() && (target == 1 || pte.pageSize());
+        };
+        unsigned cleared = 0;
+        for (unsigned i = 0; i < n;) {
+            if (!is_leaf(i)) {
+                ++i;
                 continue;
-            space.write64(entry_addr, 0);
-            --live;
-            --leaves;
-            ++updates;
-            ++cleared;
+            }
+            unsigned j = i + 1;
+            while (j < n && is_leaf(j))
+                ++j;
+            space.writeRun(run_addr + 8ull * i, j - i, kZeroRun);
+            cleared += j - i;
+            i = j;
         }
         if (cleared) {
+            liveEntries.at(table) -= cleared;
+            leaves -= cleared;
+            updates += cleared;
             removed += cleared;
             freeEmptyTables(path);
         }

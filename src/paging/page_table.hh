@@ -51,6 +51,27 @@ class MemSpace
     /** Store a 64-bit word at an address in this space. */
     virtual void write64(Addr addr, std::uint64_t value) = 0;
 
+    /**
+     * Load the @p n consecutive words at @p addr into @p out.  A run
+     * stays inside one 4 KB frame, so a space that maps frames can
+     * translate it once.  The default loads word by word.
+     */
+    virtual void
+    readRun(Addr addr, unsigned n, std::uint64_t *out) const
+    {
+        for (unsigned i = 0; i < n; ++i)
+            out[i] = read64(addr + 8ull * i);
+    }
+
+    /** Store @p n consecutive words at @p addr, inside one 4 KB
+     *  frame.  The default stores word by word. */
+    virtual void
+    writeRun(Addr addr, unsigned n, const std::uint64_t *values)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            write64(addr + 8ull * i, values[i]);
+    }
+
     /** Allocate and zero a 4 KB frame for a table node. */
     virtual Addr allocTableFrame() = 0;
 
@@ -88,10 +109,10 @@ class PageTable
     /**
      * Map [@p va, @p va + @p bytes) to the frames from @p pa as pages
      * of @p size; all three must be size-aligned.  Descends once per
-     * leaf table and writes up to 512 entries there, leaving every
-     * count, entry and table-frame allocation exactly as the per-page
-     * map() sequence over the range would.  Panics on conflicting
-     * existing mappings (callers unmap first).
+     * leaf table and writes up to 512 entries there as one run,
+     * leaving every count, entry and table-frame allocation exactly
+     * as the per-page map() sequence over the range would.  Panics
+     * on conflicting existing mappings (callers unmap first).
      */
     void mapRange(Addr va, Addr pa, Addr bytes, PageSize size,
                   bool writable = true, bool user_mode = true);

@@ -6,46 +6,10 @@
 
 namespace emv::vmm {
 
-/** Shadow tables live in host memory, allocated from the host buddy. */
-class ShadowPager::ShadowTableSpace : public paging::MemSpace
-{
-  public:
-    explicit ShadowTableSpace(Vmm &vmm) : vmm(vmm) {}
-
-    std::uint64_t
-    read64(Addr addr) const override
-    {
-        return vmm.hostMem().read64(addr);
-    }
-
-    void
-    write64(Addr addr, std::uint64_t value) override
-    {
-        vmm.hostMem().write64(addr, value);
-    }
-
-    Addr
-    allocTableFrame() override
-    {
-        const Addr frame = vmm.allocTableFrameHost();
-        vmm.hostMem().zeroFrame(frame);
-        return frame;
-    }
-
-    void
-    freeTableFrame(Addr frame) override
-    {
-        vmm.freeTableFrameHost(frame);
-    }
-
-  private:
-    Vmm &vmm;
-};
-
 ShadowPager::ShadowPager(Vm &vm, os::Process &proc)
     : vm(vm), proc(proc),
-      space(std::make_unique<ShadowTableSpace>(vm.vmm())),
-      shadowPt(std::make_unique<paging::PageTable>(*space))
+      shadowPt(std::make_unique<paging::PageTable>(
+          vm.vmm().tableSpace()))
 {
 }
 
@@ -99,7 +63,7 @@ void
 ShadowPager::rebuildAll()
 {
     // Rebuild into a fresh table (CR3-write semantics).
-    shadowPt = std::make_unique<paging::PageTable>(*space);
+    shadowPt = std::make_unique<paging::PageTable>(vm.vmm().tableSpace());
     proc.pageTable().forEachLeaf(
         [&](const paging::PageTable::Leaf &leaf) {
             syncLeaf(leaf.va);

@@ -73,14 +73,11 @@ class ShadowPager
     bool deserialize(ckpt::Decoder &dec);
 
   private:
-    class ShadowTableSpace;
-
     /** Sync one guest leaf into the shadow; true if synced. */
     bool syncLeaf(Addr gva);
 
     Vm &vm;
     os::Process &proc;
-    std::unique_ptr<ShadowTableSpace> space;
     std::unique_ptr<paging::PageTable> shadowPt;
     struct Stats : StatGroup
     {

@@ -26,41 +26,19 @@ constexpr Addr kGuestHvaBase = 0x7f0000000000ull;
 
 } // namespace
 
-/** Nested/shadow tables live directly in host memory. */
-class Vm::HostTableSpace : public paging::MemSpace
+Addr
+HostTableSpace::allocTableFrame()
 {
-  public:
-    explicit HostTableSpace(Vmm &vmm) : vmm(vmm) {}
+    const Addr frame = vmm.allocTableFrameHost();
+    mem.zeroFrame(frame);
+    return frame;
+}
 
-    std::uint64_t
-    read64(Addr addr) const override
-    {
-        return vmm.hostMem().read64(addr);
-    }
-
-    void
-    write64(Addr addr, std::uint64_t value) override
-    {
-        vmm.hostMem().write64(addr, value);
-    }
-
-    Addr
-    allocTableFrame() override
-    {
-        const Addr frame = vmm.allocTableFrameHost();
-        vmm.hostMem().zeroFrame(frame);
-        return frame;
-    }
-
-    void
-    freeTableFrame(Addr frame) override
-    {
-        vmm.freeTableFrameHost(frame);
-    }
-
-  private:
-    Vmm &vmm;
-};
+void
+HostTableSpace::freeTableFrame(Addr frame)
+{
+    vmm.freeTableFrameHost(frame);
+}
 
 /** The guest's view of its physical memory. */
 class Vm::GuestPhysAccessor : public mem::PhysAccessor
@@ -80,39 +58,44 @@ class Vm::GuestPhysAccessor : public mem::PhysAccessor
     void
     write64(Addr gpa, std::uint64_t value) override
     {
+        vm._vmm.hostMem().write64(backedHpa(gpa), value);
+    }
+
+    // A 4 KB guest frame is contiguous in host memory, so a run
+    // translates once.
+    void
+    readRun(Addr gpa, unsigned n, std::uint64_t *out) const override
+    {
         auto hpa = vm.backing.toHpa(gpa);
         if (!hpa) {
-            if (!vm.ensureBacked(gpa))
-                emv_fatal("guest write to unbackable gPA %s",
-                          hexAddr(gpa).c_str());
-            hpa = vm.backing.toHpa(gpa);
+            std::fill(out, out + n, 0);
+            return;
         }
-        vm._vmm.hostMem().write64(*hpa, value);
+        vm._vmm.hostMem().readRun(*hpa, n, out);
+    }
+
+    void
+    writeRun(Addr gpa, unsigned n, const std::uint64_t *values) override
+    {
+        vm._vmm.hostMem().writeRun(backedHpa(gpa), n, values);
     }
 
     void
     zeroFrame(Addr frame_base) override
     {
-        if (!vm.backing.toHpa(frame_base) &&
-            !vm.ensureBacked(frame_base)) {
-            emv_fatal("guest zeroFrame of unbackable gPA %s",
-                      hexAddr(frame_base).c_str());
-        }
-        vm._vmm.hostMem().zeroFrame(*vm.backing.toHpa(frame_base));
+        vm._vmm.hostMem().zeroFrame(backedHpa(frame_base));
     }
 
     void
     copyFrame(Addr dst_base, Addr src_base) override
     {
-        if (!vm.backing.toHpa(dst_base) && !vm.ensureBacked(dst_base))
-            emv_fatal("guest copyFrame to unbackable gPA");
+        const Addr dst = backedHpa(dst_base);
         auto src = vm.backing.toHpa(src_base);
-        auto dst = vm.backing.toHpa(dst_base);
         if (!src) {
-            vm._vmm.hostMem().zeroFrame(*dst);
+            vm._vmm.hostMem().zeroFrame(dst);
             return;
         }
-        vm._vmm.hostMem().copyFrame(*dst, *src);
+        vm._vmm.hostMem().copyFrame(dst, *src);
     }
 
     /** The VMM hides host hard faults from the guest. */
@@ -120,6 +103,19 @@ class Vm::GuestPhysAccessor : public mem::PhysAccessor
     bool anyBadInRange(Addr, Addr) const override { return false; }
 
   private:
+    /** The host address of @p gpa, backing its page on demand. */
+    Addr
+    backedHpa(Addr gpa)
+    {
+        auto hpa = vm.backing.toHpa(gpa);
+        if (hpa)
+            return *hpa;
+        if (!vm.ensureBacked(gpa))
+            emv_fatal("guest access to unbackable gPA %s",
+                      hexAddr(gpa).c_str());
+        return *vm.backing.toHpa(gpa);
+    }
+
     Vm &vm;
 };
 
@@ -243,8 +239,7 @@ Vm::Vm(Vmm &vmm, std::string name, const VmConfig &config)
                    high_ram + cfg.extensionReserve,
                    kGuestHvaBase + cfg.ioGapEnd);
 
-    tableSpace = std::make_unique<HostTableSpace>(vmm);
-    nestedPt = std::make_unique<paging::PageTable>(*tableSpace);
+    nestedPt = std::make_unique<paging::PageTable>(vmm.tableSpace());
     accessor = std::make_unique<GuestPhysAccessor>(*this);
 
     if (cfg.eagerBacking) {

@@ -46,6 +46,39 @@ namespace emv::vmm {
 
 class Vmm;
 
+/**
+ * The memory space of every nested and shadow page table: its words
+ * live in host physical memory, and its table frames come from the
+ * VMM's pooled, unmovable table area.
+ */
+class HostTableSpace final : public paging::MemSpace
+{
+  public:
+    HostTableSpace(Vmm &vmm, mem::PhysMemory &mem) : vmm(vmm), mem(mem)
+    {
+    }
+
+    std::uint64_t read64(Addr addr) const override
+    { return mem.read64(addr); }
+
+    void write64(Addr addr, std::uint64_t value) override
+    { mem.write64(addr, value); }
+
+    void readRun(Addr addr, unsigned n, std::uint64_t *out) const override
+    { mem.readRun(addr, n, out); }
+
+    void
+    writeRun(Addr addr, unsigned n, const std::uint64_t *values) override
+    { mem.writeRun(addr, n, values); }
+
+    Addr allocTableFrame() override;
+    void freeTableFrame(Addr frame) override;
+
+  private:
+    Vmm &vmm;
+    mem::PhysMemory &mem;
+};
+
 /** Why a VM exited to the VMM; each has a vm_exits_<reason> stat. */
 enum class ExitReason : std::uint8_t {
     NestedRepair,
@@ -242,7 +275,6 @@ class Vm : public os::BalloonBackend
 
   private:
     friend class Vmm;
-    class HostTableSpace;
     class GuestPhysAccessor;
 
     /** Map [gpa, gpa+bytes) -> [hpa, ...) in the nested table using
@@ -301,7 +333,6 @@ class Vm : public os::BalloonBackend
     VmConfig cfg;
     MemorySlots _slots;
     BackingMap backing;
-    std::unique_ptr<HostTableSpace> tableSpace;
     std::unique_ptr<paging::PageTable> nestedPt;
     std::unique_ptr<GuestPhysAccessor> accessor;
     Addr extensionCursor = 0;
@@ -345,6 +376,9 @@ class Vmm
     Addr allocTableFrameHost();
     void freeTableFrameHost(Addr frame);
 
+    /** The space every nested and shadow page table lives in. */
+    HostTableSpace &tableSpace() { return _tableSpace; }
+
     /** Reserve a specific host range (must be free). */
     bool reserveHostRange(Addr base, Addr bytes);
 
@@ -376,6 +410,7 @@ class Vmm
     IntervalSet unmovableSet;
     std::vector<Addr> retiredBadFrames;
     std::vector<Addr> tableFreeList;
+    HostTableSpace _tableSpace{*this, _hostMem};
     struct Stats : StatGroup
     {
         Stats() : StatGroup("vmm") {}

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/ckpt.hh"
 #include "mem/phys_memory.hh"
@@ -151,6 +152,47 @@ TEST(PhysMemoryTest, CountsAccesses)
     mem.write64(16, 1);
     EXPECT_EQ(mem.stats().counterValue("reads"), 2u);
     EXPECT_EQ(mem.stats().counterValue("writes"), 1u);
+}
+
+TEST(PhysMemoryTest, WriteRunMatchesWordWrites)
+{
+    PhysMemory run(1 * MiB), words(1 * MiB);
+    std::vector<std::uint64_t> values(40);
+    for (std::size_t i = 0; i < values.size(); ++i)
+        values[i] = 0x1000 * i + 7;
+    const Addr base = 0x3000 + 8 * 100;
+    run.writeRun(base, 40, values.data());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        words.write64(base + 8 * i, values[i]);
+    EXPECT_EQ(run.stats().counterValue("writes"), 40u);
+    EXPECT_EQ(run.stats().counterValue("writes"),
+              words.stats().counterValue("writes"));
+    EXPECT_EQ(run.residentFrames(), words.residentFrames());
+    EXPECT_EQ(run.hashFrame(0x3000), words.hashFrame(0x3000));
+    EXPECT_EQ(test::ckptBytes(run), test::ckptBytes(words));
+
+    std::vector<std::uint64_t> back(40);
+    run.readRun(base, 40, back.data());
+    EXPECT_EQ(back, values);
+    EXPECT_EQ(run.stats().counterValue("reads"), 40u);
+}
+
+TEST(PhysMemoryTest, ReadRunOfUntouchedFrameIsZeroAndMakesNoFrame)
+{
+    PhysMemory mem(1 * MiB);
+    std::vector<std::uint64_t> out(512, ~0ull);
+    mem.readRun(0x7000, 512, out.data());
+    EXPECT_EQ(out, std::vector<std::uint64_t>(512, 0));
+    EXPECT_EQ(mem.stats().counterValue("reads"), 512u);
+    EXPECT_EQ(mem.residentFrames(), 0u);
+}
+
+TEST(PhysMemoryDeathTest, RunAcrossFramePanics)
+{
+    PhysMemory mem(1 * MiB);
+    std::uint64_t words[2] = {1, 2};
+    EXPECT_DEATH(mem.writeRun(0x1ff8, 2, words), "crosses a 4K frame");
+    EXPECT_DEATH(mem.readRun(0x1ff8, 2, words), "crosses a 4K frame");
 }
 
 TEST(PhysMemoryDeathTest, OutOfBoundsPanics)

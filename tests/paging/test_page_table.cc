@@ -512,6 +512,95 @@ TEST(PageTableRangeTest, MapIfUnmappedFillsAroundMappedPages)
                                    [&] { return frames.data(); }));
 }
 
+/**
+ * Identity MemSpace that logs how each word reaches memory: every
+ * write64() address, and every writeRun() as its address and length.
+ */
+class RunLoggingMemSpace : public test::BumpMemSpace
+{
+  public:
+    using BumpMemSpace::BumpMemSpace;
+
+    struct Run
+    {
+        Addr addr;
+        unsigned n;
+        bool operator==(const Run &) const = default;
+    };
+
+    void
+    write64(Addr addr, std::uint64_t value) override
+    {
+        words.push_back(addr);
+        BumpMemSpace::write64(addr, value);
+    }
+
+    void
+    writeRun(Addr addr, unsigned n, const std::uint64_t *values) override
+    {
+        runs.push_back({addr, n});
+        for (unsigned i = 0; i < n; ++i)
+            BumpMemSpace::write64(addr + 8ull * i, values[i]);
+    }
+
+    std::vector<Addr> words;
+    std::vector<Run> runs;
+};
+
+TEST(PageTableRunTest, MapWritesALeafTableAsOneRun)
+{
+    // One 2M window of 4K pages into a fresh tree: the descent makes
+    // three tables with one entry write each, and all 512 leaves go
+    // in as one run over the whole leaf table.
+    mem::PhysMemory mem(64 * MiB);
+    RunLoggingMemSpace space(mem, 32 * MiB);
+    PageTable pt(space);
+    const Addr va = 5 * GiB;
+    pt.mapRange(va, 1 * GiB, kPage2M, PageSize::Size4K);
+    ASSERT_EQ(space.runs.size(), 1u);
+    const Addr leaf_table = space.runs[0].addr;
+    EXPECT_TRUE(isAligned(leaf_table, kPage4K));
+    EXPECT_EQ(space.runs[0].n, 512u);
+    EXPECT_EQ(space.words.size(), 3u);
+    for (Addr addr : space.words)
+        EXPECT_NE(alignDown(addr, kPage4K), leaf_table);
+    EXPECT_EQ(mem.stats().counterValue("writes"), 3u + 512u);
+    EXPECT_EQ(pt.mappedLeaves(), 512u);
+    EXPECT_EQ(pt.translate(va + 7 * kPage4K)->pa, 1 * GiB + 7 * kPage4K);
+}
+
+TEST(PageTableRunTest, UnmapClearsEachPresentRunWithOneWrite)
+{
+    // A full leaf table with holes at entries 100 and 300 holds three
+    // runs of leaves; unmapping the window clears each with one run
+    // of zeros, and then frees the tables with one entry write each.
+    mem::PhysMemory mem(64 * MiB);
+    RunLoggingMemSpace space(mem, 32 * MiB);
+    PageTable pt(space);
+    const Addr va = 5 * GiB;
+    pt.mapRange(va, 1 * GiB, kPage2M, PageSize::Size4K);
+    pt.unmap(va + 100 * kPage4K, PageSize::Size4K);
+    pt.unmap(va + 300 * kPage4K, PageSize::Size4K);
+    const Addr leaf_table = space.runs[0].addr;
+    space.runs.clear();
+    space.words.clear();
+    const std::uint64_t writes0 = mem.stats().counterValue("writes");
+
+    EXPECT_EQ(pt.unmapRange(va, kPage2M, PageSize::Size4K), 510u);
+    const std::vector<RunLoggingMemSpace::Run> want{
+        {leaf_table, 100},
+        {leaf_table + 8 * 101, 199},
+        {leaf_table + 8 * 301, 211},
+    };
+    EXPECT_EQ(space.runs, want);
+    EXPECT_EQ(space.words.size(), 3u);
+    for (Addr addr : space.words)
+        EXPECT_NE(alignDown(addr, kPage4K), leaf_table);
+    EXPECT_EQ(mem.stats().counterValue("writes") - writes0, 513u);
+    EXPECT_EQ(pt.mappedLeaves(), 0u);
+    EXPECT_EQ(pt.tableNodes(), 1u);
+}
+
 TEST_F(PageTableTest, MapIfUnmappedDeclinesMappedSpans)
 {
     bool asked = false;

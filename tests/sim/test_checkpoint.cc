@@ -17,6 +17,7 @@
 
 #include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
+#include "workload/memcached.hh"
 #include "../test_support.hh"
 
 namespace emv::sim {
@@ -411,6 +412,71 @@ TEST(MmuCheckpointBytesTest, MatchPinnedDigests)
         EXPECT_EQ(mmu, pin.mmu)
             << workload::workloadName(pin.kind) << " " << pin.label << std::hex
             << " mmu digest 0x" << mmu;
+    }
+}
+
+/** A cell whose whole-machine checkpoint bytes are pinned. */
+struct PinnedMachine
+{
+    workload::WorkloadKind kind;
+    const char *label;
+    unsigned badFrames;
+    std::uint64_t churnPeriod;  //!< memcached slab remaps; 0 = none.
+    std::uint64_t built;        //!< Digest right after build.
+    std::uint64_t ran;          //!< Digest after kWarmup ops.
+};
+
+/** FNV-1a digest of a machine's whole checkpoint container. */
+std::uint64_t
+machineDigest(const Machine &machine)
+{
+    ckpt::Writer writer;
+    machine.serialize(writer);
+    return digest(writer.serialize());
+}
+
+/**
+ * Machine::serialize bytes right after build and after a short run,
+ * pinned as digests.  The physmem chunk holds every page-table byte
+ * of every dimension plus the host-work read and write counters, so
+ * a faster way to build, populate or unmap tables must write the
+ * same entries with the same counts.  The cells cover I/O-gap
+ * reclaim (DD), VMM-segment escapes (4K+VD), 2D tables (4K+4K),
+ * shadow paging under slab remaps, and guest-segment escapes (DS).
+ */
+TEST(MachineCheckpointBytesTest, MatchPinnedDigests)
+{
+    using K = workload::WorkloadKind;
+    const PinnedMachine cells[] = {
+        {K::Graph500, "DD", 0, 0,
+         0x9af8c69d9d0c0c51ull, 0x2917a31d63593f70ull},
+        {K::Gups, "4K+VD", 16, 0,
+         0x75fc9fc9664a1945ull, 0xeeb7310809f25882ull},
+        {K::Gups, "4K+4K", 0, 0,
+         0x31846682af1c51f8ull, 0xd2686d8cc0141bb7ull},
+        {K::Memcached, "sh4K", 0, 4000,
+         0x286eab89397716beull, 0xf51a51570520c754ull},
+        {K::Graph500, "DS", 16, 0,
+         0xda66d3695dada10full, 0xf837779e5c330a50ull},
+    };
+    for (const auto &pin : cells) {
+        auto spec = specFromLabel(pin.label);
+        ASSERT_TRUE(spec.has_value()) << pin.label;
+        RunParams params = smallParams();
+        params.badFrames = pin.badFrames;
+        auto wl = pin.churnPeriod
+                      ? workload::makeMemcached(42, kScale, pin.churnPeriod)
+                      : workload::makeWorkload(pin.kind, 42, kScale);
+        Machine machine(makeMachineConfig(*spec, params), *wl);
+        const std::uint64_t built = machineDigest(machine);
+        machine.run(kWarmup);
+        const std::uint64_t ran = machineDigest(machine);
+        EXPECT_EQ(built, pin.built)
+            << workload::workloadName(pin.kind) << " " << pin.label << std::hex
+            << " build digest 0x" << built;
+        EXPECT_EQ(ran, pin.ran)
+            << workload::workloadName(pin.kind) << " " << pin.label << std::hex
+            << " run digest 0x" << ran;
     }
 }
 
