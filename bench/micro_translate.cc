@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot paths:
  * per-mode translation throughput of the Mmu, raw walker costs,
- * TLB and TLB-hierarchy lookups, PTE-line cache accesses,
- * escape-filter probes, physical-memory loads and
+ * TLB and TLB-hierarchy lookups, TLB fills that evict, PTE-line
+ * cache accesses, escape-filter probes, physical-memory loads and
  * page-table range updates.  These measure the
  * *library's* speed (simulation throughput), complementing the
  * figure benches that measure the *modeled* cycles.
@@ -132,6 +132,27 @@ BM_TlbHierarchyL1Hit4K(benchmark::State &state)
         benchmark::DoNotOptimize(hit);
         next = (next + 1) % kPages;
     }
+}
+
+void
+BM_TlbInsertMiss(benchmark::State &state)
+{
+    // The L2 TLB's geometry (128 sets x 4 ways), full, fed a cycle of
+    // 65536 pages: each set sees about 512 of them in turn, so every
+    // insert misses and evicts the set's LRU way.
+    tlb::Tlb tlb("bench", 128, 4);
+    constexpr unsigned kPages = 1u << 16;
+    for (unsigned i = 0; i < kPages; ++i) {
+        tlb.insert(tlb::EntryKind::Guest, Addr{i} << 12,
+                   Addr{0x100000 + i} << 12, PageSize::Size4K);
+    }
+    unsigned next = 0;
+    for (auto _ : state) {
+        tlb.insert(tlb::EntryKind::Guest, Addr{next} << 12,
+                   Addr{0x100000 + next} << 12, PageSize::Size4K);
+        next = (next + 1) % kPages;
+    }
+    benchmark::DoNotOptimize(tlb.occupancy(tlb::EntryKind::Guest));
 }
 
 void
@@ -279,6 +300,7 @@ BENCHMARK(BM_TranslateGuestDirect);
 BENCHMARK(BM_TranslateNativeDirect);
 BENCHMARK(BM_TlbLookupHit);
 BENCHMARK(BM_TlbHierarchyL1Hit4K);
+BENCHMARK(BM_TlbInsertMiss);
 BENCHMARK(BM_LineCacheAccess);
 BENCHMARK(BM_EscapeFilterProbe);
 BENCHMARK(BM_PhysMemoryRead64);

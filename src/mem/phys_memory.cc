@@ -116,7 +116,10 @@ PhysMemory::zeroFrame(Addr frame_base)
     emv_assert(isAligned(frame_base, kPage4K),
                "zeroFrame base %s not 4K aligned",
                hexAddr(frame_base).c_str());
-    frameFor(frame_base).fill(0);
+    const std::size_t residentBefore = resident;
+    Frame &frame = frameFor(frame_base);
+    if (resident == residentBefore)
+        frame.fill(0);  // A frame made just now is already zero.
 }
 
 void

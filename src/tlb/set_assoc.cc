@@ -89,6 +89,11 @@ SetAssoc::deserialize(ckpt::Decoder &dec, const std::string &owner)
         values[i] = dec.u64();
         stamps[i] = dec.u64();
         valid[i] = dec.u8() != 0 ? 1 : 0;
+        // insert() relies on this bound to pick its victim.
+        if (dec.ok() && valid[i] && (stamps[i] == 0 || stamps[i] > tick)) {
+            dec.fail(owner + ": LRU stamp out of range");
+            return false;
+        }
     }
     return dec.ok();
 }

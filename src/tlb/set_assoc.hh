@@ -8,8 +8,9 @@
  * Users pack everything a lookup must match into the tag, so each
  * way costs one compare.  The set index is mix(tag) & (sets - 1).
  * Stamps come from one tick per array, so among valid entries they
- * are unique and the LRU order is total.  The victim is the first
- * invalid way, else the way with the smallest stamp.
+ * are unique, lie in [1, tick], and the LRU order is total.  The
+ * victim is the first invalid way, else the way with the smallest
+ * stamp.
  */
 
 #pragma once
@@ -81,7 +82,8 @@ class SetAssoc
     /**
      * Checkpoint geometry, LRU clock and entries, each entry as
      * tag, value, stamp, valid.  deserialize() fails (structured,
-     * naming @p owner) if the saved geometry or entry count differs.
+     * naming @p owner) if the saved geometry or entry count differs,
+     * or if a valid entry's stamp lies outside [1, tick].
      */
     void serialize(ckpt::Encoder &enc) const;
     bool deserialize(ckpt::Decoder &dec, const std::string &owner);
@@ -123,23 +125,26 @@ inline SetAssoc::InsertResult
 SetAssoc::insert(std::uint64_t tag, std::uint64_t value)
 {
     const std::size_t base = setBase(tag);
+    // The victim is the first minimum of key = valid ? stamp : 0.  An
+    // invalid way keys 0 and every valid stamp is at least 1, so this
+    // is the first invalid way, else the least recently used one.
+    // The key is a mask and the selects compile to conditional moves,
+    // so the only branch per way is the (rarely taken) tag match.
     std::size_t victim = base;
-    bool victimValid = true;  // Until an invalid way turns up.
+    std::uint64_t victimKey = ~std::uint64_t{0};
     for (std::size_t i = base; i < base + numWays; ++i) {
-        if (!valid[i]) {
-            if (victimValid) {
-                victim = i;
-                victimValid = false;
-            }
-        } else if (tags[i] == tag) {
+        const std::uint64_t live = valid[i];
+        if ((tags[i] == tag) & (live != 0)) {
             values[i] = value;
             stamps[i] = ++tick;
             return {true, false};
-        } else if (victimValid &&
-                   (i == base || stamps[i] < stamps[victim])) {
-            victim = i;
         }
+        const std::uint64_t key = stamps[i] & (0 - live);
+        const bool older = key < victimKey;
+        victim = older ? i : victim;
+        victimKey = older ? key : victimKey;
     }
+    const bool victimValid = valid[victim] != 0;
     const InsertResult result{false, victimValid,
                               victimValid ? tags[victim] : 0};
     tags[victim] = tag;

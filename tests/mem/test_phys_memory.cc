@@ -47,6 +47,17 @@ TEST(PhysMemoryTest, ZeroFrame)
     EXPECT_EQ(mem.read64(0x2ff8), 0u);
 }
 
+TEST(PhysMemoryTest, ZeroFrameMakesAnUntouchedFrameResident)
+{
+    PhysMemory mem(1 * MiB);
+    mem.zeroFrame(0x4000);
+    EXPECT_EQ(mem.residentFrames(), 1u);
+    EXPECT_EQ(mem.read64(0x4000), 0u);
+    EXPECT_EQ(mem.read64(0x4ff8), 0u);
+    mem.zeroFrame(0x4000);
+    EXPECT_EQ(mem.residentFrames(), 1u);
+}
+
 TEST(PhysMemoryTest, CopyFrame)
 {
     PhysMemory mem(1 * MiB);

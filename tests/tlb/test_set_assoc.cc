@@ -54,11 +54,14 @@ class LruModel
             set.splice(set.begin(), set, it);
             return {true, false};
         }
-        const bool evicted = set.size() == ways;
-        if (evicted)
+        SetAssoc::InsertResult result;
+        if (set.size() == ways) {
+            result.evicted = true;
+            result.evictedTag = set.back().first;
             set.pop_back();
+        }
         set.emplace_front(tag, value);
-        return {false, evicted};
+        return result;
     }
 
     void
@@ -157,6 +160,7 @@ runAgainstModel(SetAssoc &array, LruModel &model, Rng &rng, int ops)
             const auto want = model.insert(tag, value);
             ASSERT_EQ(got.present, want.present) << "op " << i;
             ASSERT_EQ(got.evicted, want.evicted) << "op " << i;
+            ASSERT_EQ(got.evictedTag, want.evictedTag) << "op " << i;
         } else if (op < 990) {
             array.erase(tag);
             model.erase(tag);
@@ -232,6 +236,101 @@ TEST(SetAssocTest, GeometryMismatchFailsStructurally)
     SetAssoc moreWays(16, 8);
     EXPECT_FALSE(restore(bytes, moreWays, &error));
     EXPECT_EQ(error, "owner: geometry mismatch");
+}
+
+/** One entry as serialize() writes it. */
+struct SavedEntry
+{
+    std::uint64_t tag = 0;
+    std::uint64_t value = 0;
+    std::uint64_t stamp = 0;
+    bool valid = false;
+};
+
+/** The entries in @p array's checkpoint bytes, in way order. */
+std::vector<SavedEntry>
+savedEntries(const SetAssoc &array)
+{
+    const auto bytes = test::ckptBytes(array);
+    ckpt::Decoder dec(bytes.data(), bytes.size());
+    dec.u32();  // sets
+    dec.u32();  // ways
+    dec.u64();  // tick
+    std::vector<SavedEntry> entries(dec.u64());
+    for (auto &entry : entries) {
+        entry.tag = dec.u64();
+        entry.value = dec.u64();
+        entry.stamp = dec.u64();
+        entry.valid = dec.u8() != 0;
+    }
+    EXPECT_TRUE(dec.ok() && dec.atEnd());
+    return entries;
+}
+
+TEST(SetAssocTest, InsertFillsTheFirstInvalidWay)
+{
+    // One set, so every tag lands in it.
+    SetAssoc array(1, 4);
+    for (std::uint64_t tag = 10; tag < 14; ++tag)
+        EXPECT_FALSE(array.insert(tag, tag * 10).evicted);
+    auto entries = savedEntries(array);
+    ASSERT_EQ(entries.size(), 4u);
+    for (unsigned way = 0; way < 4; ++way)
+        EXPECT_EQ(entries[way].tag, 10u + way);
+    ASSERT_TRUE(array.erase(11));  // Way 1.
+    ASSERT_TRUE(array.erase(13));  // Way 3.
+
+    // Both holes beat every valid way; the first of them is way 1.
+    EXPECT_FALSE(array.insert(20, 200).evicted);
+    entries = savedEntries(array);
+    EXPECT_EQ(entries[1].tag, 20u);
+    EXPECT_TRUE(entries[1].valid);
+    EXPECT_FALSE(entries[3].valid);
+
+    EXPECT_FALSE(array.insert(21, 210).evicted);
+    entries = savedEntries(array);
+    EXPECT_EQ(entries[3].tag, 21u);
+    EXPECT_TRUE(entries[3].valid);
+    EXPECT_EQ(entries[0].tag, 10u);
+    EXPECT_EQ(entries[2].tag, 12u);
+
+    // Full again: the next insert evicts way 0, the least recent.
+    const auto result = array.insert(22, 220);
+    EXPECT_TRUE(result.evicted);
+    EXPECT_EQ(result.evictedTag, 10u);
+    EXPECT_EQ(savedEntries(array)[0].tag, 22u);
+}
+
+/** Checkpoint bytes of a 1x2 array at @p tick with way 0 valid. */
+std::vector<std::uint8_t>
+craftedBytes(std::uint64_t tick, std::uint64_t stamp0)
+{
+    ckpt::Encoder enc;
+    enc.u32(1);
+    enc.u32(2);
+    enc.u64(tick);
+    enc.u64(2);
+    const std::uint64_t stamps[] = {stamp0, 0};
+    for (unsigned way = 0; way < 2; ++way) {
+        enc.u64(100 + way);  // tag
+        enc.u64(7);          // value
+        enc.u64(stamps[way]);
+        enc.u8(way == 0 ? 1 : 0);  // Way 1 is invalid with stamp 0.
+    }
+    return enc.buffer();
+}
+
+TEST(SetAssocTest, ValidStampOutsideOneToTickFailsStructurally)
+{
+    SetAssoc array(1, 2);
+    std::string error;
+    EXPECT_TRUE(restore(craftedBytes(5, 5), array, &error)) << error;
+    EXPECT_TRUE(restore(craftedBytes(5, 1), array, &error)) << error;
+
+    EXPECT_FALSE(restore(craftedBytes(5, 0), array, &error));
+    EXPECT_EQ(error, "owner: LRU stamp out of range");
+    EXPECT_FALSE(restore(craftedBytes(5, 6), array, &error));
+    EXPECT_EQ(error, "owner: LRU stamp out of range");
 }
 
 TEST(SetAssocTest, OwnersNameTheirGeometryMismatch)
