@@ -32,7 +32,9 @@ main(int argc, char **argv)
     params.measureOps = 300000;
     params.parseArgs(argc, argv);
 
-    sim::Table table({"free-run cap", "mechanism", "pages copied",
+    sim::Table table("Ablation: self-ballooning vs guest compaction "
+                     "(§IV)",
+                     {"free-run cap", "mechanism", "pages copied",
                       "segment", "DD overhead after"});
 
     bench::ThroughputMeter meter;
@@ -50,9 +52,7 @@ main(int argc, char **argv)
                 wl->info().footprintBytes + 64 * MiB, kPage2M);
             sim::Machine machine(cfg, *wl);
             const bool ok = machine.selfBalloonGuestSegment();
-            machine.run(params.warmupOps);
-            machine.resetStats();
-            auto run = meter.run(machine, params.measureOps);
+            auto run = meter.measure(machine, params);
             table.addRow(
                 {std::to_string(cap_mb) + " MB", "self-balloon",
                  "0 (no data moved)", ok ? "created" : "FAILED",
@@ -87,9 +87,7 @@ main(int argc, char **argv)
                     segment_ok = true;
                 }
             }
-            machine.run(params.warmupOps);
-            machine.resetStats();
-            auto run = meter.run(machine, params.measureOps);
+            auto run = meter.measure(machine, params);
             table.addRow({std::to_string(cap_mb) + " MB",
                           "guest compaction",
                           std::to_string(daemon.migratedPages()),
@@ -100,8 +98,6 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(cap_mb));
     }
 
-    std::printf("Ablation: self-ballooning vs guest compaction "
-                "(§IV)\n\n");
     table.print(std::cout);
     std::printf("\nBoth end at Dual Direct performance; the "
                 "difference is the work column —\nballooning "
@@ -109,6 +105,7 @@ main(int argc, char **argv)
                 "(and the fragmentation\ncap barely matters for "
                 "ballooning, while compaction's cost scales with "
                 "it).\n");
-    bench::writeBenchJson("Ablation balloon vs compaction", meter);
+    bench::writeBenchJson("Ablation balloon vs compaction", meter,
+                          {&table});
     return 0;
 }

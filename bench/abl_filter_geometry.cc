@@ -29,10 +29,9 @@ main(int argc, char **argv)
     params.measureOps = 250000;
     params.parseArgs(argc, argv);
 
-    std::printf("Ablation: escape-filter geometry, 16 faulty pages "
-                "inserted\n\n");
-
-    sim::Table table({"bits", "hashes", "analytic FP", "measured FP",
+    sim::Table table("Ablation: escape-filter geometry, 16 faulty pages "
+                     "inserted",
+                     {"bits", "hashes", "analytic FP", "measured FP",
                       "DD overhead w/ 16 faults"});
 
     bench::ThroughputMeter meter;
@@ -62,9 +61,7 @@ main(int argc, char **argv)
             cfg.mmu.filterBits = bits;
             cfg.mmu.filterHashes = hashes;
             sim::Machine machine(cfg, *wl);
-            machine.run(p.warmupOps);
-            machine.resetStats();
-            auto run = meter.run(machine, p.measureOps);
+            auto run = meter.measure(machine, p);
 
             table.addRow(
                 {std::to_string(bits), std::to_string(hashes),
@@ -79,6 +76,6 @@ main(int argc, char **argv)
     std::printf("\nThe paper's 256-bit / 4-hash point should show "
                 "~0.2%% false positives and\nnear-zero overhead; "
                 "64-bit filters saturate and leak walks.\n");
-    bench::writeBenchJson("Ablation filter geometry", meter);
+    bench::writeBenchJson("Ablation filter geometry", meter, {&table});
     return 0;
 }

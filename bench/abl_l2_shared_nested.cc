@@ -30,7 +30,9 @@ main(int argc, char **argv)
     params.measureOps = 600000;
     params.parseArgs(argc, argv);
 
-    sim::Table table({"workload", "native misses",
+    sim::Table table("Ablation: shared vs dedicated nested-TLB "
+                     "capacity (the §IX.A inflation mechanism)",
+                     {"workload", "native misses",
                       "virt misses (shared)", "inflation",
                       "virt misses (no NTLB)",
                       "virt overhead (shared)",
@@ -50,8 +52,6 @@ main(int argc, char **argv)
     const auto results = bench::runCells(cells);
 
     bench::ThroughputMeter meter;
-    for (const auto &cell : results)
-        meter.add(cell);
     for (std::size_t k = 0; k < std::size(kinds); ++k) {
         const auto kind = kinds[k];
         const auto &native = results[2 * k];
@@ -62,9 +62,7 @@ main(int argc, char **argv)
         auto cfg = sim::makeMachineConfig(spec, params);
         cfg.mmu.nestedTlbShared = false;
         sim::Machine machine(cfg, *wl);
-        machine.run(params.warmupOps);
-        machine.resetStats();
-        auto isolated = meter.run(machine, params.measureOps);
+        auto isolated = meter.measure(machine, params);
 
         const double inflation =
             static_cast<double>(shared_cell.run.l2Misses) /
@@ -79,14 +77,13 @@ main(int argc, char **argv)
                       sim::pct(isolated.totalOverhead())});
     }
 
-    std::printf("Ablation: shared vs dedicated nested-TLB capacity "
-                "(the §IX.A inflation mechanism)\n\n");
     table.print(std::cout);
     std::printf("\nWithout sharing, guest L2 misses drop back "
                 "toward native counts, but every\nnested lookup "
                 "walks the nested table, so per-miss cost rises — "
                 "the design\ntension real NTLBs resolve with "
                 "dedicated capacity.\n");
-    bench::writeBenchJson("Ablation L2 shared nested", meter);
+    bench::writeBenchJson("Ablation L2 shared nested", meter, {&table},
+                          results);
     return 0;
 }

@@ -30,7 +30,8 @@ main(int argc, char **argv)
     params.measureOps = 600000;
     params.parseArgs(argc, argv);
 
-    sim::Table table({"workload", "config", "PSC", "refs/walk",
+    sim::Table table("Ablation: paging-structure caches on/off",
+                     {"workload", "config", "PSC", "refs/walk",
                       "cycles/walk", "overhead"});
 
     bench::ThroughputMeter meter;
@@ -43,9 +44,7 @@ main(int argc, char **argv)
                     *sim::specFromLabel(label), params);
                 cfg.mmu.walkCachesEnabled = psc;
                 sim::Machine machine(cfg, *wl);
-                machine.run(params.warmupOps);
-                machine.resetStats();
-                auto run = meter.run(machine, params.measureOps);
+                auto run = meter.measure(machine, params);
 
                 const auto &stats = machine.mmu().stats();
                 const double refs = static_cast<double>(
@@ -68,12 +67,11 @@ main(int argc, char **argv)
                      workload::workloadName(kind));
     }
 
-    std::printf("Ablation: paging-structure caches on/off\n\n");
     table.print(std::cout);
     std::printf("\n4K+4K without PSCs approaches the Fig. 2 "
                 "worst case; the proposed modes\nare largely "
                 "insensitive because they bypass the cached "
                 "levels entirely.\n");
-    bench::writeBenchJson("Ablation walk cache", meter);
+    bench::writeBenchJson("Ablation walk cache", meter, {&table});
     return 0;
 }

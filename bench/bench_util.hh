@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -24,19 +25,18 @@ namespace emv::bench {
 class ThroughputMeter
 {
   public:
-    /** Run @p ops trace ops on @p machine, timing the call. */
+    /** Warm @p machine up for params.warmupOps, reset its stats,
+     *  then run params.measureOps trace ops, timing only those. */
     sim::RunResult
-    run(sim::Machine &machine, std::uint64_t ops)
+    measure(sim::Machine &machine, const sim::RunParams &params)
     {
+        machine.run(params.warmupOps);
+        machine.resetStats();
         const auto t0 = std::chrono::steady_clock::now();
-        auto result = machine.run(ops);
-        add(ops, elapsedNs(t0));
+        auto result = machine.run(params.measureOps);
+        add(params.measureOps, elapsedNs(t0));
         return result;
     }
-
-    /** Fold in a cell measured by sim::runCell. */
-    void add(const sim::CellResult &cell)
-    { add(cell.measuredOps, cell.hostNs); }
 
     /** Fold in externally timed work. */
     void
@@ -80,15 +80,20 @@ runCells(const std::vector<sim::Cell> &cells)
 }
 
 /**
- * Write BENCH_<slug>.json for a bench without a cell matrix (the
- * matrix benches get throughput via runOverheadMatrix instead).
+ * Write BENCH_<slug>.json: every table the bench printed, the cells
+ * it ran (if it holds them), and the throughput of those cells plus
+ * the runs @p meter timed.
  */
 inline void
-writeBenchJson(const std::string &title, const ThroughputMeter &meter)
+writeBenchJson(const std::string &title, const ThroughputMeter &meter,
+               const std::vector<const sim::Table *> &tables,
+               const std::vector<sim::CellResult> &cells = {})
 {
     const std::string path = "BENCH_" + sim::slugify(title) + ".json";
-    if (sim::writeBenchThroughputJson(path, title, meter.ops(),
-                                      meter.hostNs()))
+    std::ofstream out(path, std::ios::trunc);
+    sim::writeBenchJson(out, title, tables, cells, meter.ops(),
+                        meter.hostNs());
+    if (out)
         std::printf("\nwrote %s\n", path.c_str());
     else
         emv_warn("cannot write %s", path.c_str());
@@ -105,17 +110,10 @@ runOverheadMatrix(const std::string &title,
                   const std::vector<sim::ConfigSpec> &configs,
                   const sim::RunParams &params)
 {
-    std::printf("%s\n", title.c_str());
-    std::printf("(scale=%.3g warmup=%llu ops=%llu seed=%llu)\n\n",
-                params.scale,
-                static_cast<unsigned long long>(params.warmupOps),
-                static_cast<unsigned long long>(params.measureOps),
-                static_cast<unsigned long long>(params.seed));
-
     std::vector<std::string> headers{"config"};
     for (auto kind : kinds)
         headers.emplace_back(workload::workloadName(kind));
-    sim::Table table(headers);
+    sim::Table table(title, headers);
 
     std::vector<sim::Cell> matrix;
     for (const auto &spec : configs) {
@@ -135,15 +133,13 @@ runOverheadMatrix(const std::string &title,
         table.addRow(std::move(row));
     }
     table.print(std::cout);
+    std::printf("\n(scale=%.3g warmup=%llu ops=%llu seed=%llu)\n",
+                params.scale,
+                static_cast<unsigned long long>(params.warmupOps),
+                static_cast<unsigned long long>(params.measureOps),
+                static_cast<unsigned long long>(params.seed));
 
-    // Machine-readable companion next to the text table, so plots
-    // never have to scrape stdout.
-    const std::string json_path =
-        "BENCH_" + sim::slugify(title) + ".json";
-    if (sim::writeCellMatrixJson(json_path, title, cells))
-        std::printf("\nwrote %s\n", json_path.c_str());
-    else
-        emv_warn("cannot write %s", json_path.c_str());
+    writeBenchJson(title, {}, {&table}, cells);
 
     if (params.profile) {
         // The phase table printed at exit sums over the workers.

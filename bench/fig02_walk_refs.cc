@@ -52,9 +52,9 @@ main(int argc, char **argv)
         {"Dual Direct", core::Mode::DualDirect},
     };
 
-    std::printf("Figure 2 / Table II: memory references per cold "
-                "page walk\n\n");
-    sim::Table table({"mode", "refs/walk (cold)", "calcs/walk",
+    sim::Table table("Figure 2 / Table II: memory references per cold "
+                     "page walk",
+                     {"mode", "refs/walk (cold)", "calcs/walk",
                       "paper says"});
 
     bench::ThroughputMeter meter;
@@ -68,11 +68,7 @@ main(int argc, char **argv)
         cfg.mmu.walkCachesEnabled = false;
         cfg.mmu.nestedTlbShared = false;
         sim::Machine machine(cfg, *wl);
-        if (params.warmupOps) {
-            machine.run(params.warmupOps);
-            machine.resetStats();
-        }
-        meter.run(machine, params.measureOps);
+        meter.measure(machine, params);
 
         const auto &stats = machine.mmu().stats();
         const double walks = static_cast<double>(
@@ -102,6 +98,6 @@ main(int argc, char **argv)
     std::printf("\nNote: Dual Direct resolves most misses without "
                 "invoking the walker at all;\nits refs/walk average "
                 "includes the rare escape/fallback walks only.\n");
-    bench::writeBenchJson("Figure 2 walk refs", meter);
+    bench::writeBenchJson("Figure 2 walk refs", meter, {&table});
     return 0;
 }

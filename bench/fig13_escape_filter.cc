@@ -16,7 +16,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_util.hh"
@@ -33,16 +32,11 @@ main(int argc, char **argv)
     params.scale = 0.15;
     params.warmupOps = 80000;
     params.measureOps = 300000;
-    int trials = 10;  // The paper used 30: pass trials=30.
-    bool midrun = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "trials=", 7) == 0)
-            trials = std::atoi(argv[i] + 7);
-        else if (std::strncmp(argv[i], "midrun=", 7) == 0)
-            midrun = std::atoi(argv[i] + 7) != 0;
-    }
-    params.parseArgs(argc, argv, {"trials", "midrun"});
-    const int kTrials = trials;
+    std::uint64_t trials = 10;  // The paper used 30: pass trials=30.
+    std::uint64_t midrun = 0;
+    params.parseArgs(argc, argv,
+                     {{"trials", &trials, 1, UINT64_MAX},
+                      {"midrun", &midrun, 0, 1}});
 
     // Evenly spaced mid-run DRAM fault schedule for `bad` faults.
     auto midrunSpec = [&params](unsigned bad) {
@@ -61,18 +55,18 @@ main(int argc, char **argv)
     const std::vector<workload::WorkloadKind> kinds =
         workload::bigMemoryWorkloads();
 
-    std::printf("Figure 13: execution time with %s bad pages, "
-                "normalized to fault-free Dual Direct\n",
-                midrun ? "mid-run" : "boot-time");
-    std::printf("(%d random fault placements per point, 95%% CI)\n\n",
-                kTrials);
-
     std::vector<std::string> headers{"bad pages"};
     for (auto kind : kinds) {
         headers.emplace_back(std::string(workload::workloadName(kind)) +
                              " mean±ci");
     }
-    sim::Table table(headers);
+    sim::Table table(std::string("Figure 13: execution time with ") +
+                         (midrun ? "mid-run" : "boot-time") +
+                         " bad pages, normalized to fault-free Dual "
+                         "Direct (" +
+                         std::to_string(trials) +
+                         " random fault placements per point, 95% CI)",
+                     headers);
 
     // Fault-free baselines first, then every (bad pages, workload,
     // trial) cell in table order.
@@ -83,7 +77,7 @@ main(int argc, char **argv)
         cells.push_back({kind, dd, params});
     for (unsigned bad : bad_counts) {
         for (auto kind : kinds) {
-            for (int trial = 0; trial < kTrials; ++trial) {
+            for (std::uint64_t trial = 0; trial < trials; ++trial) {
                 sim::RunParams p = params;
                 if (midrun) {
                     p.faultSpec = midrunSpec(bad);
@@ -98,16 +92,14 @@ main(int argc, char **argv)
     }
     const auto results = bench::runCells(cells);
 
-    bench::ThroughputMeter meter;
-    for (const auto &cell : results)
-        meter.add(cell);
     std::size_t next = kinds.size();
     for (unsigned bad : bad_counts) {
         std::vector<std::string> row{std::to_string(bad)};
         for (std::size_t k = 0; k < kinds.size(); ++k) {
             const double baseline = results[k].run.execCycles();
             std::vector<double> samples;
-            for (int trial = 0; trial < kTrials; ++trial, ++next) {
+            for (std::uint64_t trial = 0; trial < trials;
+                 ++trial, ++next) {
                 samples.push_back(results[next].run.execCycles() /
                                   baseline);
             }
@@ -122,6 +114,7 @@ main(int argc, char **argv)
     table.print(std::cout);
     std::printf("\nPaper: <=0.06%% slowdown at 16 faults (GUPS "
                 "0.5%%); values of ~1.00 reproduce it.\n");
-    bench::writeBenchJson("Figure 13 escape filter", meter);
+    bench::writeBenchJson("Figure 13 escape filter", {}, {&table},
+                          results);
     return 0;
 }

@@ -35,10 +35,14 @@ main(int argc, char **argv)
         WorkloadKind::Canneal,  WorkloadKind::Streamcluster,
     };
 
-    sim::Table miss_table({"workload", "native L2 misses",
+    sim::Table miss_table("Section VIII / IX.A: TLB miss inflation "
+                          "under virtualization",
+                          {"workload", "native L2 misses",
                            "virt L2 misses", "inflation",
                            "paper (where given)"});
-    sim::Table cpm_table({"workload", "C_n (4K)", "C_v (4K+4K)",
+    sim::Table cpm_table("Cycles per TLB miss (paper avg growth: 2.4x "
+                         "4K+4K, 1.5x 4K+2M, 1.6x 4K+1G)",
+                         {"workload", "C_n (4K)", "C_v (4K+4K)",
                           "C_v/C_n", "C_v (4K+2M)", "ratio",
                           "C_v (4K+1G)", "ratio"});
 
@@ -62,9 +66,6 @@ main(int argc, char **argv)
     }
     const auto results = bench::runCells(cells);
 
-    bench::ThroughputMeter meter;
-    for (const auto &cell : results)
-        meter.add(cell);
     double ratio_sum44 = 0, ratio_sum42 = 0, ratio_sum41 = 0;
     for (std::size_t k = 0; k < kinds.size(); ++k) {
         const auto kind = kinds[k];
@@ -101,16 +102,19 @@ main(int argc, char **argv)
                           sim::fmt(r41, 2) + "x"});
     }
 
-    std::printf("Section VIII / IX.A: TLB miss inflation under "
-                "virtualization\n\n");
-    miss_table.print(std::cout);
-    std::printf("\nCycles per TLB miss (paper avg growth: 2.4x "
-                "4K+4K, 1.5x 4K+2M, 1.6x 4K+1G)\n\n");
-    cpm_table.print(std::cout);
     const double n = static_cast<double>(kinds.size());
-    std::printf("\nMeasured average growth: %.2fx (4K+4K)  %.2fx "
-                "(4K+2M)  %.2fx (4K+1G)\n",
-                ratio_sum44 / n, ratio_sum42 / n, ratio_sum41 / n);
-    bench::writeBenchJson("Section 8 cost breakdown", meter);
+    sim::Table growth("Measured average growth of cycles per TLB miss",
+                      {"config", "C_v/C_n"});
+    growth.addRow({"4K+4K", sim::fmt(ratio_sum44 / n, 2) + "x"});
+    growth.addRow({"4K+2M", sim::fmt(ratio_sum42 / n, 2) + "x"});
+    growth.addRow({"4K+1G", sim::fmt(ratio_sum41 / n, 2) + "x"});
+
+    miss_table.print(std::cout);
+    std::printf("\n");
+    cpm_table.print(std::cout);
+    std::printf("\n");
+    growth.print(std::cout);
+    bench::writeBenchJson("Section 8 cost breakdown", {},
+                          {&miss_table, &cpm_table, &growth}, results);
     return 0;
 }

@@ -16,7 +16,6 @@
 #include "bench_util.hh"
 
 using namespace emv;
-using workload::WorkloadKind;
 
 int
 main(int argc, char **argv)
@@ -29,7 +28,8 @@ main(int argc, char **argv)
     params.measureOps = 800000;
     params.parseArgs(argc, argv);
 
-    sim::Table table({"workload", "C_n", "VD C/miss", "vs native",
+    sim::Table table("Section IX.A: per-design breakdown",
+                     {"workload", "C_n", "VD C/miss", "vs native",
                       "GD C/miss", "vs native", "DD L2-miss cut",
                       "F_VD", "F_GD", "F_DD"});
 
@@ -44,9 +44,6 @@ main(int argc, char **argv)
     }
     const auto results = bench::runCells(cells);
 
-    bench::ThroughputMeter meter;
-    for (const auto &cell : results)
-        meter.add(cell);
     for (std::size_t k = 0; k < kinds.size(); ++k) {
         const auto &native = results[5 * k];
         const auto &bv = results[5 * k + 1];
@@ -73,10 +70,10 @@ main(int argc, char **argv)
              sim::pct(dd.run.fractionBoth)});
     }
 
-    std::printf("Section IX.A: per-design breakdown (paper: VD "
-                "+13%%, GD +3%% cycles per miss;\nDD removes "
-                "~99.9%% of L2 misses)\n\n");
     table.print(std::cout);
-    bench::writeBenchJson("Section 9a breakdown", meter);
+    std::printf("\nPaper: VD +13%%, GD +3%% cycles per miss; DD "
+                "removes ~99.9%% of L2 misses.\n");
+    bench::writeBenchJson("Section 9a breakdown", {}, {&table},
+                          results);
     return 0;
 }

@@ -34,7 +34,9 @@ main(int argc, char **argv)
         WorkloadKind::Mcf,       WorkloadKind::Streamcluster,
     };
 
-    sim::Table table({"workload", "native", "shadow 4K",
+    sim::Table table("Section IX.D: shadow paging vs VMM Direct "
+                     "(slowdown vs native)",
+                     {"workload", "native", "shadow 4K",
                       "shadow slowdown", "sync exits", "4K+VD",
                       "VD slowdown"});
 
@@ -47,9 +49,6 @@ main(int argc, char **argv)
     }
     const auto results = bench::runCells(cells);
 
-    bench::ThroughputMeter meter;
-    for (const auto &cell : results)
-        meter.add(cell);
     for (std::size_t k = 0; k < kinds.size(); ++k) {
         const auto &native = results[3 * k];
         const auto &shadow = results[3 * k + 1];
@@ -70,13 +69,11 @@ main(int argc, char **argv)
              sim::pct(vd.run.totalOverhead()), sim::pct(vd_slow)});
     }
 
-    std::printf("Section IX.D: shadow paging vs VMM Direct "
-                "(slowdown vs native)\n\n");
     table.print(std::cout);
     std::printf("\nExpected shape: allocation-churn workloads "
                 "(memcached, omnetpp) pay\nVM-exit costs under "
                 "shadow paging; static workloads do not; VMM Direct "
                 "is\nuniformly close to native.\n");
-    bench::writeBenchJson("Section 9d shadow", meter);
+    bench::writeBenchJson("Section 9d shadow", {}, {&table}, results);
     return 0;
 }

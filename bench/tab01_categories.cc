@@ -42,9 +42,7 @@ main(int argc, char **argv)
     cfg.badFrames = 12;  // Forces some Guest-only escapes.
     sim::Machine machine(cfg, *wl);
     bench::ThroughputMeter meter;
-    machine.run(params.warmupOps);
-    machine.resetStats();
-    meter.run(machine, params.measureOps);
+    meter.measure(machine, params);
 
     const auto &stats = machine.mmu().stats();
     const auto both = stats.counterValue("cat_both");
@@ -53,9 +51,9 @@ main(int argc, char **argv)
     const auto neither = stats.counterValue("cat_neither");
     const auto total = both + vmm_only + guest_only + neither;
 
-    std::printf("Table I: Dual Direct translation categories "
-                "(measured mix)\n\n");
-    sim::Table table({"category", "share", "walk refs (Table I)",
+    sim::Table table("Table I: Dual Direct translation categories "
+                     "(measured mix)",
+                     {"category", "share", "walk refs (Table I)",
                       "calcs (Table I)"});
     auto share = [&](std::uint64_t n) {
         return sim::pct(total ? static_cast<double>(n) /
@@ -69,24 +67,25 @@ main(int argc, char **argv)
     table.addRow({"Neither (2D)", share(neither), "24", "0"});
     table.print(std::cout);
 
-    std::printf("\nMeasured micro-checks (cold hardware):\n");
-    std::printf("  dd fast hits (Both):          %llu\n",
-                static_cast<unsigned long long>(
-                    stats.counterValue("dd_fast_hits")));
-    std::printf("  escape slow paths:            %llu\n",
-                static_cast<unsigned long long>(
-                    stats.counterValue("escape_slow_paths")));
-    std::printf("  walks:                        %llu\n",
-                static_cast<unsigned long long>(
-                    stats.counterValue("walks")));
-    std::printf("  refs per walk (non-Both avg): %.2f\n",
-                stats.counterValue("walks")
-                    ? static_cast<double>(
-                          stats.counterValue("guest_refs") +
-                          stats.counterValue("nested_refs")) /
-                          static_cast<double>(
-                              stats.counterValue("walks"))
-                    : 0.0);
-    bench::writeBenchJson("Table 1 categories", meter);
+    const auto walks = stats.counterValue("walks");
+    const auto walk_refs = stats.counterValue("guest_refs") +
+                           stats.counterValue("nested_refs");
+    sim::Table checks("Measured micro-checks (cold hardware)",
+                      {"counter", "value"});
+    checks.addRow({"dd fast hits (Both)",
+                   std::to_string(stats.counterValue("dd_fast_hits"))});
+    checks.addRow(
+        {"escape slow paths",
+         std::to_string(stats.counterValue("escape_slow_paths"))});
+    checks.addRow({"walks", std::to_string(walks)});
+    checks.addRow({"refs per walk (non-Both avg)",
+                   sim::fmt(walks ? static_cast<double>(walk_refs) /
+                                        static_cast<double>(walks)
+                                  : 0.0,
+                            2)});
+    std::printf("\n");
+    checks.print(std::cout);
+    bench::writeBenchJson("Table 1 categories", meter,
+                          {&table, &checks});
     return 0;
 }

@@ -25,7 +25,8 @@ main(int argc, char **argv)
     const Mode modes[] = {Mode::BaseVirtualized, Mode::DualDirect,
                           Mode::VmmDirect, Mode::GuestDirect};
 
-    sim::Table table({"property", "Base Virtualized", "Dual Direct",
+    sim::Table table("Table II: tradeoffs among translation modes",
+                     {"property", "Base Virtualized", "Dual Direct",
                       "VMM Direct", "Guest Direct"});
 
     auto row = [&](const char *name, auto getter) {
@@ -67,11 +68,10 @@ main(int argc, char **argv)
         return std::string(core::supportName(t.vmmSwapping));
     });
 
-    std::cout << "Table II: tradeoffs among translation modes\n\n";
     table.print(std::cout);
     // No simulation runs here (the table reads the traits database),
     // so the throughput section is an explicit zero, not an omission.
     bench::writeBenchJson("Table 2 properties",
-                          bench::ThroughputMeter());
+                          bench::ThroughputMeter(), {&table});
     return 0;
 }

@@ -17,50 +17,38 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
-#include "sim/experiment.hh"
-#include "sim/report.hh"
 
 using namespace emv;
-using core::Mode;
 using workload::WorkloadKind;
-
-namespace {
-
-sim::RunParams gParams;
-bench::ThroughputMeter gMeter;
-
-double
-measure(sim::Machine &machine)
-{
-    machine.run(gParams.warmupOps);
-    machine.resetStats();
-    return gMeter.run(machine, gParams.measureOps)
-        .translationOverhead();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
-    gParams.scale = 0.15;
-    gParams.warmupOps = 100000;
-    gParams.measureOps = 400000;
-    gParams.parseArgs(argc, argv);
+    sim::RunParams params;
+    params.scale = 0.15;
+    params.warmupOps = 100000;
+    params.measureOps = 400000;
+    params.parseArgs(argc, argv);
+    bench::ThroughputMeter meter;
+    auto measure = [&](sim::Machine &machine) {
+        return meter.measure(machine, params).translationOverhead();
+    };
 
-    sim::Table table({"scenario", "initial mode", "overhead before",
+    sim::Table table("Table III: fragmented-system recovery flows",
+                     {"scenario", "initial mode", "overhead before",
                       "mechanism", "work", "final mode",
                       "overhead after"});
+    sim::Table interim("Scenario 3 after self-ballooning, before host "
+                       "compaction",
+                       {"scenario", "mode", "overhead"});
 
     // --- Scenario 1: host physical memory fragmented.
     {
         auto wl = workload::makeWorkload(WorkloadKind::Gups,
-                                         gParams.seed,
-                                         gParams.scale);
+                                         params.seed, params.scale);
         auto cfg = sim::makeMachineConfig(
-            *sim::specFromLabel("4K+GD"), gParams);
+            *sim::specFromLabel("4K+GD"), params);
         cfg.contiguousHostReservation = false;
         cfg.hostFragmentation.enabled = true;
         cfg.hostFragmentation.maxRunBytes = 64 * MiB;
@@ -81,10 +69,9 @@ main(int argc, char **argv)
     // --- Scenario 2: guest physical memory fragmented.
     {
         auto wl = workload::makeWorkload(WorkloadKind::Gups,
-                                         gParams.seed,
-                                         gParams.scale);
+                                         params.seed, params.scale);
         auto cfg = sim::makeMachineConfig(*sim::specFromLabel("DD"),
-                                          gParams);
+                                          params);
         cfg.guestFragmentation.enabled = true;
         cfg.guestFragmentation.maxRunBytes = 16 * MiB;
         cfg.extensionReserve =
@@ -103,10 +90,9 @@ main(int argc, char **argv)
     // --- Scenario 3: both fragmented.
     {
         auto wl = workload::makeWorkload(WorkloadKind::Gups,
-                                         gParams.seed,
-                                         gParams.scale);
+                                         params.seed, params.scale);
         auto cfg = sim::makeMachineConfig(
-            *sim::specFromLabel("4K+GD"), gParams);
+            *sim::specFromLabel("4K+GD"), params);
         cfg.contiguousHostReservation = false;
         cfg.hostFragmentation.enabled = true;
         cfg.hostFragmentation.maxRunBytes = 64 * MiB;
@@ -130,14 +116,15 @@ main(int argc, char **argv)
                       "self-balloon, then compaction", work,
                       core::modeName(machine.config().mode),
                       sim::pct(after)});
-        std::printf("  (scenario 3 intermediate, Guest Direct after "
-                    "self-balloon: %s)\n",
-                    sim::pct(mid).c_str());
+        interim.addRow(
+            {"host+guest fragmented", "Guest Direct", sim::pct(mid)});
         std::fprintf(stderr, "scenario 3 done\n");
     }
 
-    std::printf("\nTable III: fragmented-system recovery flows\n\n");
     table.print(std::cout);
-    bench::writeBenchJson("Table 3 fragmentation", gMeter);
+    std::printf("\n");
+    interim.print(std::cout);
+    bench::writeBenchJson("Table 3 fragmentation", meter,
+                          {&table, &interim});
     return 0;
 }

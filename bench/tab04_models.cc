@@ -17,7 +17,6 @@
 #include "core/linear_model.hh"
 
 using namespace emv;
-using workload::WorkloadKind;
 
 int
 main(int argc, char **argv)
@@ -30,7 +29,9 @@ main(int argc, char **argv)
     params.measureOps = 600000;
     params.parseArgs(argc, argv);
 
-    sim::Table table({"workload", "design", "model cycles/acc",
+    sim::Table table("Table IV: linear cycle models vs simulation "
+                     "(walk cycles per access)",
+                     {"workload", "design", "model cycles/acc",
                       "simulated cycles/acc", "ratio"});
 
     struct DesignRow
@@ -59,9 +60,6 @@ main(int argc, char **argv)
     }
     const auto results = bench::runCells(cells);
 
-    bench::ThroughputMeter meter;
-    for (const auto &cell : results)
-        meter.add(cell);
     for (std::size_t k = 0; k < kinds.size(); ++k) {
         const auto *group = &results[kPerKind * k];
         const auto &native = group[0];
@@ -111,13 +109,11 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("Table IV: linear cycle models vs simulation "
-                "(walk cycles per access)\n\n");
     table.print(std::cout);
     std::printf("\nRatios near 1 mean the analytic model and the "
                 "structural simulation agree;\nDS/DD rows compare "
                 "against near-zero quantities, so small absolute\n"
                 "differences can produce large ratios there.\n");
-    bench::writeBenchJson("Table 4 models", meter);
+    bench::writeBenchJson("Table 4 models", {}, {&table}, results);
     return 0;
 }

@@ -33,11 +33,10 @@ main(int argc, char **argv)
 
     auto probe = workload::makeWorkload(
         workload::WorkloadKind::Memcached, params.seed, params.scale);
-    std::printf("Scenario: memcached-like cache, %s footprint, "
-                "Zipf-skewed GETs with slab churn\n\n",
-                sim::bytesStr(probe->info().footprintBytes).c_str());
-
-    sim::Table table({"config", "translation", "VM exits", "total",
+    sim::Table table("Scenario: memcached-like cache, " +
+                         sim::bytesStr(probe->info().footprintBytes) +
+                         " footprint, Zipf-skewed GETs with slab churn",
+                     {"config", "translation", "VM exits", "total",
                       "L2 misses", "cyc/walk", "F_VD", "F_GD",
                       "F_DD"});
 

@@ -24,9 +24,6 @@ int
 main()
 {
     setQuietLogging(true);
-    std::printf("emv quickstart: one workload, six translation "
-                "modes\n\n");
-
     const std::vector<std::string> labels = {
         "4K",     // native paging
         "DS",     // native direct segment
@@ -41,7 +38,9 @@ main()
     params.warmupOps = 200000;
     params.measureOps = 500000;
 
-    sim::Table table({"config", "mode", "overhead", "walks",
+    sim::Table table("emv quickstart: one workload, six translation "
+                     "modes",
+                     {"config", "mode", "overhead", "walks",
                       "cycles/walk", "refs/walk"});
 
     for (const auto &label : labels) {

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <iterator>
 #include <thread>
 
 #include "common/audit.hh"
@@ -110,16 +113,15 @@ fromLabels(const std::vector<std::string> &labels)
     return out;
 }
 
-/** True when @p arg is "key=..." for one of @p keys. */
+/** @p text, all of it, as a T: false on empty text, a sign where
+ *  T is unsigned, or anything left over ("3e6" is not an integer). */
+template <typename T>
 bool
-hasKey(const char *arg, std::initializer_list<const char *> keys)
+parseWhole(const char *text, T &out)
 {
-    for (const char *key : keys) {
-        const std::size_t len = std::strlen(key);
-        if (std::strncmp(arg, key, len) == 0 && arg[len] == '=')
-            return true;
-    }
-    return false;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 } // namespace
@@ -148,46 +150,59 @@ figure1Configs()
 
 void
 RunParams::parseArgs(int argc, char **argv,
-                     std::initializer_list<const char *> extraKeys)
+                     std::initializer_list<ExtraArg> extra)
 {
+    constexpr std::uint64_t kAny = UINT64_MAX;
+    std::uint64_t profile_on = profile;
+    std::uint64_t audit_on = audit;
+    std::vector<ExtraArg> numbers{
+        {"ops", &measureOps, 0, kAny},     {"warmup", &warmupOps, 0, kAny},
+        {"seed", &seed, 0, kAny},          {"faultseed", &faultSeed, 0, kAny},
+        {"profile", &profile_on, 0, kAny}, {"audit", &audit_on, 0, kAny}};
+    numbers.insert(numbers.end(), extra);
+    const std::pair<const char *, std::string *> strings[] = {
+        {"trace", &traceFlags}, {"tracefile", &traceFilePath},
+        {"faults", &faultSpec}, {"policy", &faultPolicy}};
+
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strncmp(arg, "scale=", 6) == 0)
-            scale = std::atof(arg + 6);
-        else if (std::strncmp(arg, "ops=", 4) == 0)
-            measureOps = std::strtoull(arg + 4, nullptr, 10);
-        else if (std::strncmp(arg, "warmup=", 7) == 0)
-            warmupOps = std::strtoull(arg + 7, nullptr, 10);
-        else if (std::strncmp(arg, "seed=", 5) == 0)
-            seed = std::strtoull(arg + 5, nullptr, 10);
-        else if (std::strncmp(arg, "trace=", 6) == 0)
-            traceFlags = arg + 6;
-        else if (std::strncmp(arg, "tracefile=", 10) == 0)
-            traceFilePath = arg + 10;
-        else if (std::strncmp(arg, "profile=", 8) == 0)
-            profile = std::atoi(arg + 8) != 0;
-        else if (std::strncmp(arg, "audit=", 6) == 0)
-            audit = std::atoi(arg + 6) != 0;
-        else if (std::strncmp(arg, "faults=", 7) == 0)
-            faultSpec = arg + 7;
-        else if (std::strncmp(arg, "policy=", 7) == 0)
-            faultPolicy = arg + 7;
-        else if (std::strncmp(arg, "faultseed=", 10) == 0)
-            faultSeed = std::strtoull(arg + 10, nullptr, 10);
-        else if (!hasKey(arg, extraKeys)) {
-            std::fprintf(stderr,
-                         "%s: unknown argument '%s'\nknown: scale= "
-                         "ops= warmup= seed= trace= tracefile= "
-                         "profile= audit= faults= policy= "
-                         "faultseed=",
-                         argv[0], arg);
-            for (const char *key : extraKeys)
-                std::fprintf(stderr, " %s=", key);
+        const char *eq = std::strchr(arg, '=');
+        const std::string key(arg, eq ? eq : arg + std::strlen(arg));
+        const char *val = eq ? eq + 1 : "";
+        const auto number =
+            std::find_if(numbers.begin(), numbers.end(),
+                         [&](const auto &n) { return key == n.key; });
+        const auto text =
+            std::find_if(std::begin(strings), std::end(strings),
+                         [&](const auto &s) { return key == s.first; });
+        bool ok = true;
+        if (key == "scale") {
+            ok = parseWhole(val, scale) && std::isfinite(scale) &&
+                 scale > 0.0;
+        } else if (number != numbers.end()) {
+            ok = parseWhole(val, *number->value) &&
+                 *number->value >= number->min &&
+                 *number->value <= number->max;
+        } else if (text != std::end(strings)) {
+            *text->second = val;
+        } else {
+            std::fprintf(stderr, "%s: unknown argument '%s'\nknown: "
+                         "scale=", argv[0], arg);
+            for (const auto &n : numbers)
+                std::fprintf(stderr, " %s=", n.key);
+            for (const auto &s : strings)
+                std::fprintf(stderr, " %s=", s.first);
             std::fprintf(stderr, "\n");
             std::exit(1);
         }
+        if (!ok) {
+            std::fprintf(stderr, "%s: bad value in '%s'\n", argv[0],
+                         arg);
+            std::exit(1);
+        }
     }
-    emv_assert(scale > 0.0, "scale must be positive");
+    profile = profile_on != 0;
+    audit = audit_on != 0;
     applyObservability();
     if (profile)
         std::atexit([] { prof::report(std::cout); });

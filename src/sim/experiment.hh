@@ -68,19 +68,30 @@ struct RunParams
     bool profile = false;         //!< Collect phase timings.
     bool audit = false;           //!< Differential audit (audit.hh).
 
+    /** A key one program reads itself (fig13's "trials"): an
+     *  unsigned integer in [min, max], stored through @p value. */
+    struct ExtraArg
+    {
+        const char *key;
+        std::uint64_t *value;
+        std::uint64_t min;
+        std::uint64_t max;
+    };
+
     /**
      * Parse "scale=0.25 ops=1000000 warmup=100000 trace=Tlb,Walk
-     * tracefile=t.log profile=1" style argv.  @p extraKeys name the
-     * keys the caller reads itself (fig13's "trials", "midrun").
-     * Any other argument is a usage error: it is reported on stderr
-     * (quiet logging would swallow a warning) and the process exits
-     * with status 1.  The observability options are applied here
+     * tracefile=t.log profile=1" style argv, plus the keys in
+     * @p extra.  A number must be the whole value ("ops=3e6" is not
+     * an integer) and scale= finite and positive.  An unknown key or
+     * a bad value is a usage error: it is reported on stderr (quiet
+     * logging would swallow a warning) and the process exits with
+     * status 1.  The observability options are applied here
      * (applyObservability()), and under profile=1 the phase table is
      * printed to stdout when the process exits, so no program that
      * parses its arguments here can accept them and do nothing.
      */
     void parseArgs(int argc, char **argv,
-                   std::initializer_list<const char *> extraKeys = {});
+                   std::initializer_list<ExtraArg> extra = {});
 
     /**
      * Push the trace/profile/audit options into the global
@@ -101,22 +112,6 @@ struct CellResult
      * simulator itself ran, as opposed to the modeled cycles). */
     std::uint64_t measuredOps = 0;  //!< Trace ops measured.
     std::uint64_t hostNs = 0;       //!< Host wall time of those ops.
-
-    double
-    opsPerSec() const
-    {
-        return hostNs ? static_cast<double>(measuredOps) * 1e9 /
-                            static_cast<double>(hostNs)
-                      : 0.0;
-    }
-
-    double
-    hostNsPerOp() const
-    {
-        return measuredOps ? static_cast<double>(hostNs) /
-                                 static_cast<double>(measuredOps)
-                           : 0.0;
-    }
     /** @} */
 
     /** @{ This cell's audit checks, failures and mismatches: the

@@ -13,8 +13,8 @@
 
 namespace emv::sim {
 
-Table::Table(std::vector<std::string> headers)
-    : head(std::move(headers))
+Table::Table(std::string title, std::vector<std::string> headers)
+    : title(std::move(title)), head(std::move(headers))
 {
 }
 
@@ -27,26 +27,66 @@ Table::addRow(std::vector<std::string> cells)
     body.push_back(std::move(cells));
 }
 
+namespace {
+
+/** Printed width of @p s: its UTF-8 code points ("±" is one). */
+std::size_t
+displayWidth(const std::string &s)
+{
+    return static_cast<std::size_t>(
+        std::count_if(s.begin(), s.end(), [](char ch) {
+            return (static_cast<unsigned char>(ch) & 0xc0) != 0x80;
+        }));
+}
+
+void
+writeStrings(json::Writer &w, const std::vector<std::string> &strings)
+{
+    w.beginArray();
+    for (const auto &s : strings)
+        w.value(s);
+    w.endArray();
+}
+
+/** @p ops trace ops in @p host_ns and the rates they give. */
+void
+writeRates(json::Writer &w, std::uint64_t ops, std::uint64_t host_ns)
+{
+    w.member("ops", ops);
+    w.member("host_ns", host_ns);
+    w.member("ops_per_sec",
+             host_ns ? static_cast<double>(ops) * 1e9 /
+                           static_cast<double>(host_ns)
+                     : 0.0);
+    w.member("host_ns_per_op",
+             ops ? static_cast<double>(host_ns) /
+                       static_cast<double>(ops)
+                 : 0.0);
+}
+
+} // namespace
+
 void
 Table::print(std::ostream &os) const
 {
     std::vector<std::size_t> widths(head.size());
     for (std::size_t c = 0; c < head.size(); ++c)
-        widths[c] = head[c].size();
+        widths[c] = displayWidth(head[c]);
     for (const auto &row : body) {
         for (std::size_t c = 0; c < row.size(); ++c)
-            widths[c] = std::max(widths[c], row[c].size());
+            widths[c] = std::max(widths[c], displayWidth(row[c]));
     }
 
     auto emit_row = [&](const std::vector<std::string> &row) {
         for (std::size_t c = 0; c < row.size(); ++c) {
             os << (c == 0 ? "" : "  ");
             os << row[c];
-            os << std::string(widths[c] - row[c].size(), ' ');
+            os << std::string(widths[c] - displayWidth(row[c]), ' ');
         }
         os << '\n';
     };
 
+    os << title << "\n\n";
     emit_row(head);
     std::size_t total = head.size() ? 2 * (head.size() - 1) : 0;
     for (auto w : widths)
@@ -54,6 +94,21 @@ Table::print(std::ostream &os) const
     os << std::string(total, '-') << '\n';
     for (const auto &row : body)
         emit_row(row);
+}
+
+void
+Table::writeJson(json::Writer &w) const
+{
+    w.beginObject();
+    w.member("title", title);
+    w.key("headers");
+    writeStrings(w, head);
+    w.key("rows");
+    w.beginArray();
+    for (const auto &row : body)
+        writeStrings(w, row);
+    w.endArray();
+    w.endObject();
 }
 
 std::string
@@ -104,33 +159,11 @@ writeStatsJson(const std::string &path,
     return static_cast<bool>(out);
 }
 
-namespace {
-
-/** The "throughput" object shared by both emv-bench-v1 writers. */
 void
-writeThroughputObject(json::Writer &w, std::uint64_t ops,
-                      std::uint64_t host_ns)
-{
-    w.key("throughput");
-    w.beginObject();
-    w.member("ops", ops);
-    w.member("host_ns", host_ns);
-    w.member("ops_per_sec",
-             host_ns ? static_cast<double>(ops) * 1e9 /
-                           static_cast<double>(host_ns)
-                     : 0.0);
-    w.member("host_ns_per_op",
-             ops ? static_cast<double>(host_ns) /
-                       static_cast<double>(ops)
-                 : 0.0);
-    w.endObject();
-}
-
-} // namespace
-
-void
-writeCellMatrixJson(std::ostream &os, const std::string &title,
-                    const std::vector<CellResult> &cells)
+writeBenchJson(std::ostream &os, const std::string &title,
+               const std::vector<const Table *> &tables,
+               const std::vector<CellResult> &cells,
+               std::uint64_t ops, std::uint64_t host_ns)
 {
     prof::Scope export_scope(prof::Phase::StatsExport);
     json::Writer w(os);
@@ -139,8 +172,6 @@ writeCellMatrixJson(std::ostream &os, const std::string &title,
     w.member("title", title);
     w.key("cells");
     w.beginArray();
-    std::uint64_t total_ops = 0;
-    std::uint64_t total_ns = 0;
     for (const auto &cell : cells) {
         w.beginObject();
         w.member("workload", cell.workload);
@@ -158,57 +189,23 @@ writeCellMatrixJson(std::ostream &os, const std::string &title,
         w.member("l2_misses", cell.run.l2Misses);
         w.member("walks", cell.run.walks);
         w.member("cycles_per_walk", cell.run.cyclesPerWalk);
-        w.member("ops", cell.measuredOps);
-        w.member("host_ns", cell.hostNs);
-        w.member("ops_per_sec", cell.opsPerSec());
-        w.member("host_ns_per_op", cell.hostNsPerOp());
+        writeRates(w, cell.measuredOps, cell.hostNs);
         w.endObject();
-        total_ops += cell.measuredOps;
-        total_ns += cell.hostNs;
+        ops += cell.measuredOps;
+        host_ns += cell.hostNs;
     }
     w.endArray();
-    writeThroughputObject(w, total_ops, total_ns);
-    w.endObject();
-    w.finish();
-}
-
-bool
-writeCellMatrixJson(const std::string &path, const std::string &title,
-                    const std::vector<CellResult> &cells)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return false;
-    writeCellMatrixJson(out, title, cells);
-    return static_cast<bool>(out);
-}
-
-void
-writeBenchThroughputJson(std::ostream &os, const std::string &title,
-                         std::uint64_t ops, std::uint64_t host_ns)
-{
-    json::Writer w(os);
-    w.beginObject();
-    w.member("schema", "emv-bench-v1");
-    w.member("title", title);
-    w.key("cells");
+    w.key("tables");
     w.beginArray();
+    for (const Table *table : tables)
+        table->writeJson(w);
     w.endArray();
-    writeThroughputObject(w, ops, host_ns);
+    w.key("throughput");
+    w.beginObject();
+    writeRates(w, ops, host_ns);
+    w.endObject();
     w.endObject();
     w.finish();
-}
-
-bool
-writeBenchThroughputJson(const std::string &path,
-                         const std::string &title, std::uint64_t ops,
-                         std::uint64_t host_ns)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return false;
-    writeBenchThroughputJson(out, title, ops, host_ns);
-    return static_cast<bool>(out);
 }
 
 std::string

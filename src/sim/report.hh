@@ -14,22 +14,32 @@
 
 namespace emv {
 class StatGroup;
+namespace json {
+class Writer;
+} // namespace json
 } // namespace emv
 
 namespace emv::sim {
 
-/** Fixed-width text table. */
+/** Titled fixed-width text table. */
 class Table
 {
   public:
-    explicit Table(std::vector<std::string> headers);
+    Table(std::string title, std::vector<std::string> headers);
 
     void addRow(std::vector<std::string> cells);
+
+    /** The title, a blank line, then the columns padded to their
+     *  widest cell, counted in UTF-8 code points. */
     void print(std::ostream &os) const;
+
+    /** {"title", "headers", "rows"}: the strings print() shows. */
+    void writeJson(json::Writer &w) const;
 
     std::size_t rows() const { return body.size(); }
 
   private:
+    std::string title;
     std::vector<std::string> head;
     std::vector<std::vector<std::string>> body;
 };
@@ -54,31 +64,15 @@ bool writeStatsJson(const std::string &path,
                     const std::vector<const StatGroup *> &groups);
 
 /**
- * Machine-readable companion to the bench bar charts: one object per
- * (workload, config) cell with overheads, misses, walk costs and
- * wall-clock throughput (ops_per_sec / host_ns_per_op), plus a
- * top-level "throughput" object aggregated over every cell.
- * Schema "emv-bench-v1".
+ * Write a bench's emv-bench-v1 JSON: every cell of @p cells (may be
+ * empty) with its modeled fields and wall-clock throughput, every
+ * table of @p tables as printed, and a "throughput" object summing
+ * the cells and @p ops further trace ops that took @p host_ns.
  */
-void writeCellMatrixJson(std::ostream &os, const std::string &title,
-                         const std::vector<CellResult> &cells);
-bool writeCellMatrixJson(const std::string &path,
-                         const std::string &title,
-                         const std::vector<CellResult> &cells);
-
-/**
- * emv-bench-v1 output for a bench with no cell matrix: an empty
- * "cells" array plus the "throughput" object for @p ops trace ops
- * that took @p host_ns of wall time.
- */
-void writeBenchThroughputJson(std::ostream &os,
-                              const std::string &title,
-                              std::uint64_t ops,
-                              std::uint64_t host_ns);
-bool writeBenchThroughputJson(const std::string &path,
-                              const std::string &title,
-                              std::uint64_t ops,
-                              std::uint64_t host_ns);
+void writeBenchJson(std::ostream &os, const std::string &title,
+                    const std::vector<const Table *> &tables,
+                    const std::vector<CellResult> &cells,
+                    std::uint64_t ops, std::uint64_t host_ns);
 
 /** "Fig. 11: Big-memory" -> "fig_11_big_memory" (for file names). */
 std::string slugify(const std::string &title);

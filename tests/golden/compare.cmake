@@ -1,20 +1,18 @@
-# Golden check for a matrix bench, run as a CTest via `cmake -P`.
+# Golden check for a bench, run as a CTest via `cmake -P`.
 #
-#   cmake -DACTUAL=<BENCH_*.json> -DGOLDEN=<tests/golden/NAME.json>
-#         -DOUT=<NAME.actual> -P compare.cmake
+#   cmake -DDIR=<bench output dir> -DGOLDEN=<tests/golden/BENCH.json>
+#         -DOUT=<BENCH.actual> -P compare.cmake
 #
-# Compares the modeled fields of every cell of an emv-bench-v1 file,
-# in order, with the golden: workload, config, overheads, cycle
-# pools, access ops, misses, walks and cycles per walk.  Host-time
-# fields (ops, host_ns, ops_per_sec, host_ns_per_op, throughput) are
-# left out.  Numbers compare as the 17-significant-digit text CMake's
-# JSON reader prints for them, so equal text means equal doubles.
-#
-# On a mismatch the script names the first differing cell and field
-# and writes the actual modeled fields to OUT in the golden's layout
-# (one cell per line); copy OUT over the golden to accept the change.
+# Compares DIR/BENCH_<slug>.json (<slug> is the golden's title as
+# sim::slugify spells it) with the golden: every cell's modeled fields
+# (no host-time fields) and every table's title, headers and rows as
+# printed.  Numbers compare as the 17-significant-digit text CMake's
+# JSON reader prints, so equal text means equal doubles.  On a
+# mismatch it names the first difference (cell and field, or table,
+# row and column) and writes the actual file to OUT in the golden's
+# layout; copy OUT over the golden to accept the change.
 
-foreach(var ACTUAL GOLDEN OUT)
+foreach(var DIR GOLDEN OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "compare.cmake: ${var} is required")
   endif()
@@ -24,70 +22,157 @@ set(FIELDS workload config overhead translation_overhead base_cycles
     translation_cycles fault_cycles vmexit_cycles shootdown_cycles
     access_ops l1_misses l2_misses walks cycles_per_walk)
 
-file(READ "${ACTUAL}" actual)
+get_filename_component(bench "${GOLDEN}" NAME_WE)
 file(READ "${GOLDEN}" golden)
-string(JSON actual_cells LENGTH "${actual}" cells)
-string(JSON golden_cells LENGTH "${golden}" cells)
-string(JSON title GET "${actual}" title)
+string(JSON title GET "${golden}" title)
+string(TOLOWER "${title}" slug)
+string(REGEX REPLACE "[^a-z0-9]+" "_" slug "${slug}")
+string(REGEX REPLACE "^_|_$" "" slug "${slug}")
+set(ACTUAL "${DIR}/BENCH_${slug}.json")
+if(NOT EXISTS "${ACTUAL}")
+  message(FATAL_ERROR "${bench}: no ${ACTUAL} for the golden's title "
+                      "\"${title}\"")
+endif()
+file(READ "${ACTUAL}" actual)
 
-# Field NAME of the JSON object CELL, quoted when a string.
-function(field_text out cell name)
-  string(JSON type TYPE "${cell}" ${name})
-  string(JSON value GET "${cell}" ${name})
+# Read element PATH... of the JSON document DOC into the caller's
+# `value` as JSON text (strings quoted and escaped, numbers as CMake's
+# reader prints them) and append it, found at PLACE, to the caller's
+# compared values.  The lists hold ";" as "<sc>", so a cell that
+# contains one stays one element.
+function(take place doc)
+  string(JSON type TYPE "${doc}" ${ARGN})
+  string(JSON value GET "${doc}" ${ARGN})
   if(type STREQUAL "STRING")
+    string(REPLACE "\\" "\\\\" value "${value}")
+    string(REPLACE "\"" "\\\"" value "${value}")
     set(value "\"${value}\"")
   endif()
-  set(${out} "${value}" PARENT_SCOPE)
+  string(REPLACE ";" "<sc>" escaped "${value}")
+  list(APPEND values "${escaped}")
+  string(REPLACE ";" "<sc>" place "${place}")
+  list(APPEND where "${place}")
+  set(value "${value}" PARENT_SCOPE)
+  set(values "${values}" PARENT_SCOPE)
+  set(where "${where}" PARENT_SCOPE)
 endfunction()
 
-# The actual file's modeled fields, one cell per line.
-set(rows "")
-set(first_diff "")
-if(NOT actual_cells EQUAL golden_cells)
-  string(CONCAT first_diff "cell count: golden ${golden_cells}, "
-                "actual ${actual_cells}")
-endif()
-if(actual_cells GREATER 0)
-  math(EXPR last "${actual_cells} - 1")
-  foreach(cell RANGE ${last})
-    # Pull each cell out once: fields are then read from the small
-    # cell object instead of re-parsing the whole document.
-    string(JSON actual_cell GET "${actual}" cells ${cell})
-    set(golden_cell "")
-    if(first_diff STREQUAL "" AND cell LESS golden_cells)
-      string(JSON golden_cell GET "${golden}" cells ${cell})
-    endif()
-    set(members "")
-    foreach(name ${FIELDS})
-      field_text(value "${actual_cell}" ${name})
-      list(APPEND members "\"${name}\": ${value}")
-      if(first_diff STREQUAL "" AND NOT golden_cell STREQUAL "")
-        field_text(expected "${golden_cell}" ${name})
-        if(NOT value STREQUAL expected)
-          string(JSON wl GET "${actual_cell}" workload)
-          string(JSON cfg GET "${actual_cell}" config)
-          string(CONCAT first_diff "cell ${cell} (${wl} ${cfg}) "
-                 "field ${name}: golden ${expected}, actual ${value}")
-        endif()
-      endif()
-    endforeach()
-    list(JOIN members ", " row)
-    if(cell LESS last)
-      string(APPEND rows "    {${row}},\n")
-    else()
-      string(APPEND rows "    {${row}}\n")
-    endif()
+# Append the JSON string array ARRAY, one string per column of HEADERS,
+# to the caller's text as "[...]" and to its compared values, each
+# found at PLACE and its column.
+function(add_array place array headers)
+  string(JSON n LENGTH "${headers}")
+  math(EXPR last "${n} - 1")
+  set(sep "[")
+  foreach(c RANGE ${last})
+    string(JSON column GET "${headers}" ${c})
+    take("${place} column \"${column}\"" "${array}" ${c})
+    string(APPEND text "${sep}${value}")
+    set(sep ", ")
   endforeach()
-endif()
+  string(APPEND text "]")
+  set(text "${text}" PARENT_SCOPE)
+  set(values "${values}" PARENT_SCOPE)
+  set(where "${where}" PARENT_SCOPE)
+endfunction()
 
-if(first_diff STREQUAL "")
-  message(STATUS "${ACTUAL}: ${actual_cells} cells match ${GOLDEN}")
+# Render DOC in the golden layout as <prefix>_text, and list every
+# compared value in <prefix>_values with where it sits in
+# <prefix>_where.
+function(render prefix doc)
+  set(values "")
+  set(where "")
+  take("title" "${doc}" title)
+  set(text "{\n  \"title\": ${value},\n  \"cells\": [")
+  string(JSON n LENGTH "${doc}" cells)
+  set(sep "\n")
+  if(n GREATER 0)
+    math(EXPR last "${n} - 1")
+    foreach(i RANGE ${last})
+      # Read fields from the small cell object, not the whole file.
+      string(JSON cell GET "${doc}" cells ${i})
+      string(JSON wl GET "${cell}" workload)
+      string(JSON cfg GET "${cell}" config)
+      set(members "")
+      foreach(name ${FIELDS})
+        take("cell ${i} (${wl} ${cfg}) field ${name}" "${cell}" ${name})
+        list(APPEND members "\"${name}\": ${value}")
+      endforeach()
+      list(JOIN members ", " members)
+      string(APPEND text "${sep}    {${members}}")
+      set(sep ",\n")
+    endforeach()
+    string(APPEND text "\n  ")
+  endif()
+
+  string(APPEND text "],\n  \"tables\": [")
+  string(JSON n LENGTH "${doc}" tables)
+  set(sep "\n")
+  if(n GREATER 0)
+    math(EXPR last "${n} - 1")
+    foreach(t RANGE ${last})
+      string(JSON table GET "${doc}" tables ${t})
+      string(JSON table_title GET "${table}" title)
+      set(at "table ${t} \"${table_title}\"")
+      take("${at} title" "${table}" title)
+      string(APPEND text "${sep}    {\"title\": ${value}, \"headers\": ")
+      string(JSON headers GET "${table}" headers)
+      add_array("${at} header" "${headers}" "${headers}")
+      string(APPEND text ", \"rows\": [")
+      string(JSON n_rows LENGTH "${table}" rows)
+      set(row_sep "\n")
+      if(n_rows GREATER 0)
+        math(EXPR last_row "${n_rows} - 1")
+        foreach(r RANGE ${last_row})
+          string(JSON row GET "${table}" rows ${r})
+          string(JSON row_name GET "${row}" 0)
+          string(APPEND text "${row_sep}      ")
+          add_array("${at} row ${r} (${row_name})" "${row}" "${headers}")
+          set(row_sep ",\n")
+        endforeach()
+      endif()
+      string(APPEND text "\n    ]}")
+      set(sep ",\n")
+    endforeach()
+    string(APPEND text "\n  ")
+  endif()
+  string(APPEND text "]\n}\n")
+  set(${prefix}_text "${text}" PARENT_SCOPE)
+  set(${prefix}_values "${values}" PARENT_SCOPE)
+  set(${prefix}_where "${where}" PARENT_SCOPE)
+endfunction()
+
+render(actual "${actual}")
+render(golden "${golden}")
+list(LENGTH actual_values n_actual)
+if(actual_text STREQUAL golden_text)
+  message(STATUS "${bench}: ${n_actual} values match ${GOLDEN}")
   return()
 endif()
 
-file(WRITE "${OUT}"
-     "{\n  \"title\": \"${title}\",\n  \"cells\": [\n${rows}  ]\n}\n")
-message(FATAL_ERROR "${ACTUAL} differs from ${GOLDEN}\n"
+# Name the first value that differs, or else the first one only the
+# actual file has.
+list(LENGTH golden_values n_golden)
+set(first_diff "golden has ${n_golden} values, actual ${n_actual}")
+if(n_actual GREATER n_golden)
+  list(GET actual_where ${n_golden} at)
+  string(APPEND first_diff " (first extra: ${at})")
+endif()
+set(i 0)
+while(i LESS n_actual AND i LESS n_golden)
+  list(GET actual_values ${i} a)
+  list(GET golden_values ${i} g)
+  if(NOT a STREQUAL g)
+    list(GET actual_where ${i} at)
+    set(first_diff "${at}: golden ${g}, actual ${a}")
+    break()
+  endif()
+  math(EXPR i "${i} + 1")
+endwhile()
+string(REPLACE "<sc>" ";" first_diff "${first_diff}")
+
+file(WRITE "${OUT}" "${actual_text}")
+message(FATAL_ERROR "${bench}: ${ACTUAL} differs from ${GOLDEN}\n"
                     "first difference: ${first_diff}\n"
                     "wrote ${OUT}; copy it over the golden to accept "
                     "the change")

@@ -108,6 +108,38 @@ TEST(RunParamsTest, ParseArgs)
     EXPECT_EQ(params.seed, 7u);
 }
 
+/** parseArgs on one argument; exits 1 on a usage error. */
+void
+parseOne(const char *arg, std::uint64_t *trials = nullptr)
+{
+    RunParams params;
+    std::string copy(arg);
+    char a0[] = "bench";
+    char *argv[] = {a0, copy.data()};
+    std::uint64_t ignored = 1;
+    params.parseArgs(2, argv,
+                     {{"trials", trials ? trials : &ignored, 1, 30}});
+}
+
+TEST(RunParamsDeathTest, RejectsNumbersWithTextLeftOver)
+{
+    for (const char *arg :
+         {"ops=3e6", "ops=abc", "ops=", "warmup=-1", "seed=7x",
+          "scale=abc", "scale=0", "scale=-1", "scale=inf",
+          "scale=nan", "profile=yes", "trials=0", "trials=31",
+          "trials=2.5"}) {
+        EXPECT_EXIT(parseOne(arg), testing::ExitedWithCode(1),
+                    "bad value in") << arg;
+    }
+}
+
+TEST(RunParamsTest, ParsesExtraArgs)
+{
+    std::uint64_t trials = 1;
+    parseOne("trials=30", &trials);
+    EXPECT_EQ(trials, 30u);
+}
+
 TEST(RunCellTest, ProducesComparableCells)
 {
     setQuietLogging(true);

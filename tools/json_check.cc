@@ -17,7 +17,10 @@
  *   emv-bench-v1 — a non-empty title, a "cells" array (possibly
  *                  empty — a bench with no simulated cells still
  *                  reports) whose entries each name a workload, a
- *                  config, and a finite numeric overhead, and a
+ *                  config, and a finite numeric overhead, a
+ *                  "tables" array whose entries each carry a string
+ *                  title, a non-empty array of string headers and
+ *                  rows of exactly that many strings, and a
  *                  "throughput" object carrying ops/host_ns plus the
  *                  derived ops_per_sec / host_ns_per_op (the
  *                  BENCH_*.json contract from bench/bench_util.hh).
@@ -42,6 +45,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -55,6 +59,19 @@
 namespace {
 
 namespace fs = std::filesystem;
+
+/** Print "json_check: <where>: <message>" on stderr; @return 1. */
+[[gnu::format(printf, 2, 3)]] int
+fail(const std::string &where, const char *format, ...)
+{
+    std::fprintf(stderr, "json_check: %s: ", where.c_str());
+    va_list args;
+    va_start(args, format);
+    std::vfprintf(stderr, format, args);
+    va_end(args);
+    std::fputc('\n', stderr);
+    return 1;
+}
 
 bool
 readFile(const std::string &path, std::string &out)
@@ -122,92 +139,93 @@ int
 checkStats(const std::string &path, const emv::json::Value &root)
 {
     const emv::json::Value *groups = root.find("groups");
-    if (!groups || !groups->isArray() || groups->array.empty()) {
-        std::fprintf(stderr, "json_check: %s: no stat groups\n",
-                     path.c_str());
-        return 1;
-    }
+    if (!groups || !groups->isArray() || groups->array.empty())
+        return fail(path, "no stat groups");
     std::size_t counters = 0;
     std::set<std::string> names;
     for (const auto &group : groups->array) {
         const emv::json::Value *name = group.find("name");
-        if (!isString(name) || name->string.empty()) {
-            std::fprintf(stderr, "json_check: %s: group without a "
-                         "name\n", path.c_str());
-            return 1;
-        }
-        if (!names.insert(name->string).second) {
-            std::fprintf(stderr, "json_check: %s: duplicate group "
-                         "'%s'\n", path.c_str(), name->string.c_str());
-            return 1;
-        }
+        if (!isString(name) || name->string.empty())
+            return fail(path, "group without a name");
+        if (!names.insert(name->string).second)
+            return fail(path, "duplicate group '%s'",
+                        name->string.c_str());
         if (const emv::json::Value *c = group.find("counters"))
             counters += c->object.size();
     }
-    if (counters == 0) {
-        std::fprintf(stderr, "json_check: %s: no counters in any "
-                     "group\n", path.c_str());
-        return 1;
-    }
+    if (counters == 0)
+        return fail(path, "no counters in any group");
     std::printf("json_check: %s ok (%zu groups, %zu counters)\n",
                 path.c_str(), groups->array.size(), counters);
     return 0;
 }
 
-/** emv-bench-v1: titled cells + mandatory throughput section. */
+/** True when @p v is an array of strings. */
+bool
+isStringArray(const emv::json::Value *v)
+{
+    return v && v->isArray() &&
+           std::all_of(v->array.begin(), v->array.end(),
+                       [](const emv::json::Value &e) {
+                           return isString(&e);
+                       });
+}
+
+/** emv-bench-v1: titled cells, tables and throughput section. */
 int
 checkBench(const std::string &path, const emv::json::Value &root)
 {
     const emv::json::Value *title = root.find("title");
-    if (!isString(title) || title->string.empty()) {
-        std::fprintf(stderr, "json_check: %s: missing title\n",
-                     path.c_str());
-        return 1;
-    }
+    if (!isString(title) || title->string.empty())
+        return fail(path, "missing title");
     // An empty cells array is legal (tab02 reports on a static
     // traits table, running no cells), but the member must exist —
     // and every bench must meter its wall-clock throughput.
     const emv::json::Value *cells = root.find("cells");
-    if (!cells || !cells->isArray()) {
-        std::fprintf(stderr, "json_check: %s: missing cells array\n",
-                     path.c_str());
-        return 1;
+    if (!cells || !cells->isArray())
+        return fail(path, "missing cells array");
+    const emv::json::Value *tables = root.find("tables");
+    if (!tables || !tables->isArray())
+        return fail(path, "missing tables array");
+    for (std::size_t t = 0; t < tables->array.size(); ++t) {
+        const emv::json::Value &table = tables->array[t];
+        const emv::json::Value *headers = table.find("headers");
+        const emv::json::Value *rows = table.find("rows");
+        if (!isString(table.find("title")) ||
+            !isStringArray(headers) || headers->array.empty() ||
+            !rows || !rows->isArray())
+            return fail(path, "table %zu lacks a title, headers or rows",
+                        t);
+        for (std::size_t r = 0; r < rows->array.size(); ++r) {
+            const emv::json::Value &row = rows->array[r];
+            if (!isStringArray(&row) ||
+                row.array.size() != headers->array.size())
+                return fail(path, "table %zu row %zu is not %zu strings",
+                            t, r, headers->array.size());
+        }
     }
     const emv::json::Value *tp = root.find("throughput");
-    if (!tp || !tp->isObject()) {
-        std::fprintf(stderr, "json_check: %s: missing throughput "
-                     "section\n", path.c_str());
-        return 1;
-    }
+    if (!tp || !tp->isObject())
+        return fail(path, "missing throughput section");
     for (const char *field :
          {"ops", "host_ns", "ops_per_sec", "host_ns_per_op"}) {
         const emv::json::Value *v = tp->find(field);
-        if (!isFiniteNumber(v) || v->number < 0) {
-            std::fprintf(stderr, "json_check: %s: throughput lacks "
-                         "a finite non-negative %s\n", path.c_str(),
-                         field);
-            return 1;
-        }
+        if (!isFiniteNumber(v) || v->number < 0)
+            return fail(path, "throughput lacks a finite non-negative "
+                        "%s", field);
     }
     for (std::size_t i = 0; i < cells->array.size(); ++i) {
         const emv::json::Value &cell = cells->array[i];
         if (!isString(cell.find("workload")) ||
-            !isString(cell.find("config"))) {
-            std::fprintf(stderr, "json_check: %s: cell %zu lacks "
-                         "workload/config\n", path.c_str(), i);
-            return 1;
-        }
+            !isString(cell.find("config")))
+            return fail(path, "cell %zu lacks workload/config", i);
         const emv::json::Value *overhead = cell.find("overhead");
-        if (!overhead || !overhead->isNumber() ||
-            !std::isfinite(overhead->number)) {
-            std::fprintf(stderr, "json_check: %s: cell %zu lacks a "
-                         "finite overhead\n", path.c_str(), i);
-            return 1;
-        }
+        if (!isFiniteNumber(overhead))
+            return fail(path, "cell %zu lacks a finite overhead", i);
     }
-    std::printf("json_check: %s ok (%zu cells, %.0f ops)\n",
+    std::printf("json_check: %s ok (%zu cells, %zu tables, %.0f ops)\n",
                 path.c_str(), cells->array.size(),
-                tp->find("ops")->number);
+                tables->array.size(), tp->find("ops")->number);
     return 0;
 }
 
@@ -220,11 +238,8 @@ int
 checkMetricsJsonl(const std::string &path)
 {
     std::string text;
-    if (!readFile(path, text)) {
-        std::fprintf(stderr, "json_check: cannot read '%s'\n",
-                     path.c_str());
-        return 1;
-    }
+    if (!readFile(path, text))
+        return fail(path, "cannot read");
 
     std::size_t lineno = 0;
     std::size_t windows = 0;
@@ -239,62 +254,51 @@ checkMetricsJsonl(const std::string &path)
         ++lineno;
         if (line.empty())
             continue;
-        const auto fail = [&](const char *what) {
-            std::fprintf(stderr, "json_check: %s:%zu: %s\n",
-                         path.c_str(), lineno, what);
-            return 1;
-        };
+        const std::string at = path + ":" + std::to_string(lineno);
         emv::json::Value rec;
         if (!emv::json::parse(line, rec,
                               /*rejectDuplicateKeys=*/true))
-            return fail("not a strict JSON object line");
+            return fail(at, "not a strict JSON object line");
         std::string non_finite_at;
-        if (!allNumbersFinite(rec, "", non_finite_at)) {
-            std::fprintf(stderr, "json_check: %s:%zu: non-finite "
-                         "number at %s\n", path.c_str(), lineno,
-                         non_finite_at.c_str());
-            return 1;
-        }
+        if (!allNumbersFinite(rec, "", non_finite_at))
+            return fail(at, "non-finite number at %s",
+                        non_finite_at.c_str());
         if (!rec.isObject())
-            return fail("line is not an object");
+            return fail(at, "line is not an object");
         const emv::json::Value *schema = rec.find("schema");
         if (!isString(schema) ||
             schema->string != "emv-metrics-v1")
-            return fail("missing emv-metrics-v1 schema tag");
+            return fail(at, "missing emv-metrics-v1 schema tag");
 
         const emv::json::Value *window = rec.find("window");
         const emv::json::Value *op_start = rec.find("op_start");
         const emv::json::Value *op_end = rec.find("op_end");
         if (!isFiniteNumber(window) || !isFiniteNumber(op_start) ||
             !isFiniteNumber(op_end))
-            return fail("missing window/op_start/op_end");
+            return fail(at, "missing window/op_start/op_end");
         if (expect_window >= 0 && window->number != expect_window)
-            return fail("window index does not increase by one");
+            return fail(at, "window index does not increase by one");
         if (window->number < 0)
-            return fail("negative window index");
+            return fail(at, "negative window index");
         if (prev_op_end >= 0 && op_start->number != prev_op_end)
-            return fail("op_start does not chain to the previous "
-                        "window's op_end");
+            return fail(at, "op_start does not chain to the "
+                        "previous window's op_end");
         if (op_end->number <= op_start->number)
-            return fail("op_end must exceed op_start");
+            return fail(at, "op_end must exceed op_start");
 
         const emv::json::Value *rate = rec.find("rate");
         if (!rate || !rate->isObject() ||
             !isFiniteNumber(rate->find("ops_per_sec")) ||
             !isFiniteNumber(rate->find("host_ns_per_op")))
-            return fail("missing rate.ops_per_sec / "
+            return fail(at, "missing rate.ops_per_sec / "
                         "rate.host_ns_per_op");
 
         const emv::json::Value *deltas = rec.find("deltas");
         if (!deltas || !deltas->isObject())
-            return fail("missing deltas object");
+            return fail(at, "missing deltas object");
         for (const auto &[name, v] : deltas->object) {
-            if (!v.isNumber() || v.number < 0) {
-                std::fprintf(stderr, "json_check: %s:%zu: negative "
-                             "delta '%s'\n", path.c_str(), lineno,
-                             name.c_str());
-                return 1;
-            }
+            if (!v.isNumber() || v.number < 0)
+                return fail(at, "negative delta '%s'", name.c_str());
         }
 
         // The latency block is optional (no latency source
@@ -305,10 +309,10 @@ checkMetricsJsonl(const std::string &path)
             const emv::json::Value *p999 = lat->find("p999");
             if (!isFiniteNumber(p50) || !isFiniteNumber(p99) ||
                 !isFiniteNumber(p999))
-                return fail("latency block lacks p50/p99/p999");
+                return fail(at, "latency block lacks p50/p99/p999");
             if (p50->number > p99->number ||
                 p99->number > p999->number)
-                return fail("latency percentiles are not "
+                return fail(at, "latency percentiles are not "
                             "monotonic");
         }
 
@@ -316,11 +320,8 @@ checkMetricsJsonl(const std::string &path)
         prev_op_end = op_end->number;
         ++windows;
     }
-    if (windows == 0) {
-        std::fprintf(stderr, "json_check: %s: no window records\n",
-                     path.c_str());
-        return 1;
-    }
+    if (windows == 0)
+        return fail(path, "no window records");
     std::printf("json_check: %s ok (%zu windows, %.0f ops)\n",
                 path.c_str(), windows, prev_op_end);
     return 0;
@@ -330,11 +331,8 @@ int
 checkJsonFile(const std::string &path)
 {
     std::string text;
-    if (!readFile(path, text)) {
-        std::fprintf(stderr, "json_check: cannot read '%s'\n",
-                     path.c_str());
-        return 1;
-    }
+    if (!readFile(path, text))
+        return fail(path, "cannot read");
 
     emv::json::Value root;
     if (!emv::json::parse(text, root,
@@ -342,39 +340,24 @@ checkJsonFile(const std::string &path)
         // Distinguish "duplicate keys" (a lenient parse succeeds)
         // from outright malformed JSON in the diagnostic.
         emv::json::Value ignored;
-        std::fprintf(stderr,
-                     emv::json::parse(text, ignored)
-                         ? "json_check: '%s' has duplicate object "
-                           "keys\n"
-                         : "json_check: '%s' is not well-formed "
-                           "JSON\n",
-                     path.c_str());
-        return 1;
+        return fail(path, emv::json::parse(text, ignored)
+                              ? "has duplicate object keys"
+                              : "is not well-formed JSON");
     }
     std::string non_finite_at;
-    if (!allNumbersFinite(root, "", non_finite_at)) {
-        std::fprintf(stderr, "json_check: %s: non-finite number at "
-                     "%s\n", path.c_str(), non_finite_at.c_str());
-        return 1;
-    }
-    if (!root.isObject()) {
-        std::fprintf(stderr, "json_check: %s: top level is not an "
-                     "object\n", path.c_str());
-        return 1;
-    }
+    if (!allNumbersFinite(root, "", non_finite_at))
+        return fail(path, "non-finite number at %s",
+                    non_finite_at.c_str());
+    if (!root.isObject())
+        return fail(path, "top level is not an object");
     const emv::json::Value *schema = root.find("schema");
-    if (!isString(schema)) {
-        std::fprintf(stderr, "json_check: %s: missing schema tag\n",
-                     path.c_str());
-        return 1;
-    }
+    if (!isString(schema))
+        return fail(path, "missing schema tag");
     if (schema->string == "emv-stats-v1")
         return checkStats(path, root);
     if (schema->string == "emv-bench-v1")
         return checkBench(path, root);
-    std::fprintf(stderr, "json_check: %s: unknown schema \"%s\"\n",
-                 path.c_str(), schema->string.c_str());
-    return 1;
+    return fail(path, "unknown schema \"%s\"", schema->string.c_str());
 }
 
 /** Validate every BENCH_*.json under @p dir; fail when none exist. */
@@ -391,16 +374,10 @@ checkBenchDir(const std::string &dir)
             found.push_back(entry.path().string());
         }
     }
-    if (ec) {
-        std::fprintf(stderr, "json_check: cannot scan '%s': %s\n",
-                     dir.c_str(), ec.message().c_str());
-        return 1;
-    }
-    if (found.empty()) {
-        std::fprintf(stderr, "json_check: no BENCH_*.json under "
-                     "'%s'\n", dir.c_str());
-        return 1;
-    }
+    if (ec)
+        return fail(dir, "cannot scan: %s", ec.message().c_str());
+    if (found.empty())
+        return fail(dir, "no BENCH_*.json");
     std::sort(found.begin(), found.end());
     int rc = 0;
     for (const auto &path : found)
@@ -432,11 +409,8 @@ main(int argc, char **argv)
 
     if (argc == 3) {
         std::string trace_text;
-        if (!readFile(argv[2], trace_text) || trace_text.empty()) {
-            std::fprintf(stderr, "json_check: trace file '%s' "
-                         "missing or empty\n", argv[2]);
-            return 1;
-        }
+        if (!readFile(argv[2], trace_text) || trace_text.empty())
+            return fail(argv[2], "trace file missing or empty");
     }
     return 0;
 }
