@@ -34,48 +34,44 @@ main(int argc, char **argv)
                      {"bits", "hashes", "analytic FP", "measured FP",
                       "DD overhead w/ 16 faults"});
 
-    bench::ThroughputMeter meter;
+    // End-to-end: Dual Direct with each filter and 16 faults.
+    std::vector<sim::Cell> cells;
     for (unsigned bits : {64u, 128u, 256u, 512u, 1024u}) {
         for (unsigned hashes : {2u, 4u}) {
-            // Stand-alone false-positive measurement.
-            segment::EscapeFilter filter(bits, hashes, 0xabc);
-            Rng rng(5);
-            for (int i = 0; i < 16; ++i)
-                filter.insertPage(rng.nextBelow(1ull << 36) << 12);
-            std::uint64_t fp = 0;
-            const std::uint64_t probes = 200000;
-            for (std::uint64_t i = 0; i < probes; ++i)
-                fp += filter.mayContain(((1ull << 41) + i) << 12);
-            const double measured =
-                static_cast<double>(fp) /
-                static_cast<double>(probes);
-
-            // End-to-end: Dual Direct with this filter and 16
-            // faults.
-            sim::RunParams p = params;
-            p.badFrames = 16;
-            auto spec = *sim::specFromLabel("DD");
-            auto wl = workload::makeWorkload(
-                workload::WorkloadKind::Gups, p.seed, p.scale);
-            auto cfg = sim::makeMachineConfig(spec, p);
-            cfg.mmu.filterBits = bits;
-            cfg.mmu.filterHashes = hashes;
-            sim::Machine machine(cfg, *wl);
-            auto run = meter.measure(machine, p);
-
-            table.addRow(
-                {std::to_string(bits), std::to_string(hashes),
-                 sim::pct(filter.expectedFalsePositiveRate()),
-                 sim::pct(measured),
-                 sim::pct(run.translationOverhead())});
-            std::fprintf(stderr, ".");
+            cells.push_back({workload::WorkloadKind::Gups,
+                             *sim::specFromLabel("DD"), params});
+            cells.back().config.badFrames = 16;
+            cells.back().config.mmu.filterBits = bits;
+            cells.back().config.mmu.filterHashes = hashes;
         }
     }
-    std::fprintf(stderr, "\n");
+    const auto results = bench::runCells(cells);
+
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const unsigned bits = cells[i].config.mmu.filterBits;
+        const unsigned hashes = cells[i].config.mmu.filterHashes;
+        // Stand-alone false-positive measurement.
+        segment::EscapeFilter filter(bits, hashes, 0xabc);
+        Rng rng(5);
+        for (int f = 0; f < 16; ++f)
+            filter.insertPage(rng.nextBelow(1ull << 36) << 12);
+        std::uint64_t fp = 0;
+        const std::uint64_t probes = 200000;
+        for (std::uint64_t p = 0; p < probes; ++p)
+            fp += filter.mayContain(((1ull << 41) + p) << 12);
+        const double measured =
+            static_cast<double>(fp) / static_cast<double>(probes);
+
+        table.addRow({std::to_string(bits), std::to_string(hashes),
+                      sim::pct(filter.expectedFalsePositiveRate()),
+                      sim::pct(measured),
+                      sim::pct(results[i].run.translationOverhead())});
+    }
     table.print(std::cout);
     std::printf("\nThe paper's 256-bit / 4-hash point should show "
                 "~0.2%% false positives and\nnear-zero overhead; "
                 "64-bit filters saturate and leak walks.\n");
-    bench::writeBenchJson("Ablation filter geometry", meter, {&table});
+    bench::writeBenchJson("Ablation filter geometry",
+                          bench::ThroughputMeter(results), {&table});
     return 0;
 }

@@ -34,37 +34,29 @@ main(int argc, char **argv)
                      {"workload", "config", "PSC", "refs/walk",
                       "cycles/walk", "overhead"});
 
-    bench::ThroughputMeter meter;
+    std::vector<sim::Cell> cells;
     for (auto kind : {WorkloadKind::Gups, WorkloadKind::Graph500}) {
         for (const char *label : {"4K", "4K+4K", "4K+VD", "DD"}) {
             for (bool psc : {true, false}) {
-                auto wl = workload::makeWorkload(kind, params.seed,
-                                                 params.scale);
-                auto cfg = sim::makeMachineConfig(
-                    *sim::specFromLabel(label), params);
-                cfg.mmu.walkCachesEnabled = psc;
-                sim::Machine machine(cfg, *wl);
-                auto run = meter.measure(machine, params);
-
-                const auto &stats = machine.mmu().stats();
-                const double refs = static_cast<double>(
-                    stats.counterValue("guest_refs") +
-                    stats.counterValue("nested_refs") +
-                    stats.counterValue("native_refs"));
-                const double walks = std::max<double>(
-                    1.0,
-                    static_cast<double>(
-                        stats.counterValue("walks")));
-                table.addRow({workload::workloadName(kind), label,
-                              psc ? "on" : "off",
-                              sim::fmt(refs / walks, 2),
-                              sim::fmt(run.cyclesPerWalk, 1),
-                              sim::pct(run.translationOverhead())});
-                std::fprintf(stderr, ".");
+                cells.push_back({kind, *sim::specFromLabel(label), params});
+                cells.back().config.mmu.walkCachesEnabled = psc;
             }
         }
-        std::fprintf(stderr, " %s done\n",
-                     workload::workloadName(kind));
+    }
+    const auto results = bench::runCells(cells);
+
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &result = results[i];
+        const double walks = std::max<double>(
+            1.0, static_cast<double>(bench::mmuCounter(result, "walks")));
+        table.addRow(
+            {result.workload, result.config,
+             cells[i].config.mmu.walkCachesEnabled ? "on" : "off",
+             sim::fmt(static_cast<double>(bench::walkRefs(result)) /
+                          walks,
+                      2),
+             sim::fmt(result.run.cyclesPerWalk, 1),
+             sim::pct(result.run.translationOverhead())});
     }
 
     table.print(std::cout);
@@ -72,6 +64,7 @@ main(int argc, char **argv)
                 "worst case; the proposed modes\nare largely "
                 "insensitive because they bypass the cached "
                 "levels entirely.\n");
-    bench::writeBenchJson("Ablation walk cache", meter, {&table});
+    bench::writeBenchJson("Ablation walk cache",
+                          bench::ThroughputMeter(results), {&table});
     return 0;
 }

@@ -25,8 +25,19 @@ namespace emv::bench {
 class ThroughputMeter
 {
   public:
+    ThroughputMeter() = default;
+
+    /** The measure phases of cells a bench keeps out of its json. */
+    explicit ThroughputMeter(const std::vector<sim::CellResult> &cells)
+    {
+        for (const auto &cell : cells)
+            add(cell.measuredOps, cell.hostNs);
+    }
+
     /** Warm @p machine up for params.warmupOps, reset its stats,
-     *  then run params.measureOps trace ops, timing only those. */
+     *  then run params.measureOps trace ops, timing only those.
+     *  Only tab03 and abl_balloon_vs_compaction, which measure one
+     *  machine across a mode transition, need this. */
     sim::RunResult
     measure(sim::Machine &machine, const sim::RunParams &params)
     {
@@ -62,6 +73,22 @@ class ThroughputMeter
     std::uint64_t _ops = 0;
     std::uint64_t _ns = 0;
 };
+
+/** The cell's MMU counter @p name ("walks"). */
+inline std::uint64_t
+mmuCounter(const sim::CellResult &cell, const char *name)
+{
+    return cell.counters.at(std::string("machine.mmu.") + name);
+}
+
+/** Memory references the cell's page walks made. */
+inline std::uint64_t
+walkRefs(const sim::CellResult &cell)
+{
+    return mmuCounter(cell, "guest_refs") +
+           mmuCounter(cell, "nested_refs") +
+           mmuCounter(cell, "native_refs");
+}
 
 /** Worker threads for a sweep of @p cells cells: one per hardware
  *  thread, at most one per cell (sim::matrixJobs). */

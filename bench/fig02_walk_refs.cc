@@ -14,23 +14,8 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
-#include "core/mmu.hh"
-#include "sim/machine.hh"
-#include "sim/report.hh"
-#include "workload/workload.hh"
 
 using namespace emv;
-
-namespace {
-
-struct ModeRow
-{
-    const char *label;
-    core::Mode mode;
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -44,12 +29,18 @@ main(int argc, char **argv)
     params.measureOps = 50000;
     params.parseArgs(argc, argv);
 
-    const ModeRow rows[] = {
-        {"native 1D", core::Mode::Native},
-        {"base virtualized 2D", core::Mode::BaseVirtualized},
-        {"VMM Direct", core::Mode::VmmDirect},
-        {"Guest Direct", core::Mode::GuestDirect},
-        {"Dual Direct", core::Mode::DualDirect},
+    struct Row
+    {
+        const char *label;
+        core::Mode mode;
+        const char *paper;
+    };
+    const Row rows[] = {
+        {"native 1D", core::Mode::Native, "4"},
+        {"base virtualized 2D", core::Mode::BaseVirtualized, "24"},
+        {"VMM Direct", core::Mode::VmmDirect, "4 (+5 calcs)"},
+        {"Guest Direct", core::Mode::GuestDirect, "4 (+1 calc)"},
+        {"Dual Direct", core::Mode::DualDirect, "0 (+1 calc)"},
     };
 
     sim::Table table("Figure 2 / Table II: memory references per cold "
@@ -57,47 +48,40 @@ main(int argc, char **argv)
                      {"mode", "refs/walk (cold)", "calcs/walk",
                       "paper says"});
 
-    bench::ThroughputMeter meter;
+    std::vector<sim::Cell> cells;
     for (const auto &row : rows) {
-        auto wl = workload::makeWorkload(workload::WorkloadKind::Gups,
-                                         params.seed, params.scale);
         sim::MachineConfig cfg;
         cfg.mode = row.mode;
         // Cold hardware: no MMU caches, no nested TLB, so every
         // walk shows its full reference count.
         cfg.mmu.walkCachesEnabled = false;
         cfg.mmu.nestedTlbShared = false;
-        sim::Machine machine(cfg, *wl);
-        meter.measure(machine, params);
+        cells.push_back({workload::WorkloadKind::Gups, row.label, cfg,
+                         params});
+    }
+    const auto results = bench::runCells(cells);
 
-        const auto &stats = machine.mmu().stats();
-        const double walks = static_cast<double>(
-            stats.counterValue("walks"));
-        const double dd_hits = static_cast<double>(
-            stats.counterValue("dd_fast_hits") +
-            stats.counterValue("ds_fast_hits"));
-        const double refs = static_cast<double>(
-            stats.counterValue("guest_refs") +
-            stats.counterValue("nested_refs") +
-            stats.counterValue("native_refs"));
-        const double calcs =
-            static_cast<double>(stats.counterValue("calculations"));
-        const double denom = std::max(walks + dd_hits, 1.0);
-
-        const char *expect =
-            row.mode == core::Mode::Native ? "4"
-            : row.mode == core::Mode::BaseVirtualized ? "24"
-            : row.mode == core::Mode::VmmDirect ? "4 (+5 calcs)"
-            : row.mode == core::Mode::GuestDirect ? "4 (+1 calc)"
-                                                  : "0 (+1 calc)";
-        table.addRow({row.label, sim::fmt(refs / denom, 2),
-                      sim::fmt(calcs / std::max(walks, 1.0), 2),
-                      expect});
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto mmu = [&](const char *name) {
+            return static_cast<double>(
+                bench::mmuCounter(results[i], name));
+        };
+        const double walks = mmu("walks");
+        const double refs =
+            static_cast<double>(bench::walkRefs(results[i]));
+        const double denom = std::max(
+            walks + mmu("dd_fast_hits") + mmu("ds_fast_hits"), 1.0);
+        table.addRow({rows[i].label, sim::fmt(refs / denom, 2),
+                      sim::fmt(mmu("calculations") /
+                                   std::max(walks, 1.0),
+                               2),
+                      rows[i].paper});
     }
     table.print(std::cout);
     std::printf("\nNote: Dual Direct resolves most misses without "
                 "invoking the walker at all;\nits refs/walk average "
                 "includes the rare escape/fallback walks only.\n");
-    bench::writeBenchJson("Figure 2 walk refs", meter, {&table});
+    bench::writeBenchJson("Figure 2 walk refs",
+                          bench::ThroughputMeter(results), {&table});
     return 0;
 }

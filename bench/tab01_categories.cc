@@ -14,10 +14,6 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
-#include "sim/machine.hh"
-#include "sim/report.hh"
-#include "workload/workload.hh"
 
 using namespace emv;
 
@@ -33,22 +29,21 @@ main(int argc, char **argv)
     params.measureOps = 400000;
     params.parseArgs(argc, argv);
 
-    auto wl = workload::makeWorkload(workload::WorkloadKind::Gups,
-                                     params.seed, params.scale);
     sim::MachineConfig cfg;
     cfg.mode = core::Mode::DualDirect;
     cfg.mmu.walkCachesEnabled = false;  // Show raw step counts.
     cfg.mmu.nestedTlbShared = false;
     cfg.badFrames = 12;  // Forces some Guest-only escapes.
-    sim::Machine machine(cfg, *wl);
-    bench::ThroughputMeter meter;
-    meter.measure(machine, params);
+    const sim::CellResult cell =
+        sim::runCell({workload::WorkloadKind::Gups, "DD", cfg, params});
+    const auto mmu = [&cell](const char *name) {
+        return bench::mmuCounter(cell, name);
+    };
 
-    const auto &stats = machine.mmu().stats();
-    const auto both = stats.counterValue("cat_both");
-    const auto vmm_only = stats.counterValue("cat_vmm_only");
-    const auto guest_only = stats.counterValue("cat_guest_only");
-    const auto neither = stats.counterValue("cat_neither");
+    const auto both = mmu("cat_both");
+    const auto vmm_only = mmu("cat_vmm_only");
+    const auto guest_only = mmu("cat_guest_only");
+    const auto neither = mmu("cat_neither");
     const auto total = both + vmm_only + guest_only + neither;
 
     sim::Table table("Table I: Dual Direct translation categories "
@@ -67,16 +62,14 @@ main(int argc, char **argv)
     table.addRow({"Neither (2D)", share(neither), "24", "0"});
     table.print(std::cout);
 
-    const auto walks = stats.counterValue("walks");
-    const auto walk_refs = stats.counterValue("guest_refs") +
-                           stats.counterValue("nested_refs");
+    const auto walks = mmu("walks");
+    const auto walk_refs = mmu("guest_refs") + mmu("nested_refs");
     sim::Table checks("Measured micro-checks (cold hardware)",
                       {"counter", "value"});
     checks.addRow({"dd fast hits (Both)",
-                   std::to_string(stats.counterValue("dd_fast_hits"))});
-    checks.addRow(
-        {"escape slow paths",
-         std::to_string(stats.counterValue("escape_slow_paths"))});
+                   std::to_string(mmu("dd_fast_hits"))});
+    checks.addRow({"escape slow paths",
+                   std::to_string(mmu("escape_slow_paths"))});
     checks.addRow({"walks", std::to_string(walks)});
     checks.addRow({"refs per walk (non-Both avg)",
                    sim::fmt(walks ? static_cast<double>(walk_refs) /
@@ -85,7 +78,8 @@ main(int argc, char **argv)
                             2)});
     std::printf("\n");
     checks.print(std::cout);
-    bench::writeBenchJson("Table 1 categories", meter,
+    bench::writeBenchJson("Table 1 categories",
+                          bench::ThroughputMeter({cell}),
                           {&table, &checks});
     return 0;
 }

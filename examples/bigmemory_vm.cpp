@@ -42,8 +42,8 @@ main(int argc, char **argv)
 
     for (const char *label : {"4K", "2M", "DS", "4K+4K", "4K+2M",
                               "sh4K", "4K+VD", "4K+GD", "DD"}) {
-        auto cell = sim::runCell(workload::WorkloadKind::Memcached,
-                                 *sim::specFromLabel(label), params);
+        auto cell = sim::runCell({workload::WorkloadKind::Memcached,
+                                  *sim::specFromLabel(label), params});
         const auto &r = cell.run;
         table.addRow({label, sim::pct(r.translationOverhead()),
                       sim::pct(r.vmExitCycles / r.baseCycles),

@@ -10,11 +10,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <thread>
 
 #include "common/logging.hh"
 #include "core/mode.hh"
 #include "sim/experiment.hh"
-#include "sim/machine.hh"
 #include "sim/report.hh"
 #include "workload/workload.hh"
 
@@ -43,25 +43,27 @@ main()
                      {"config", "mode", "overhead", "walks",
                       "cycles/walk", "refs/walk"});
 
+    std::vector<sim::Cell> cells;
     for (const auto &label : labels) {
-        auto spec = sim::specFromLabel(label);
-        auto wl = workload::makeWorkload(
-            workload::WorkloadKind::Gups, params.seed, params.scale);
-        sim::Machine machine(sim::makeMachineConfig(*spec, params),
-                             *wl);
-        machine.run(params.warmupOps);
-        machine.resetStats();
-        auto run = machine.run(params.measureOps);
+        cells.push_back({workload::WorkloadKind::Gups,
+                         *sim::specFromLabel(label), params});
+    }
+    // One worker thread per core; each builds and runs its own
+    // machine, and the results come back in cell order.
+    const auto results =
+        sim::runMatrix(cells, std::thread::hardware_concurrency());
 
-        const auto &stats = machine.mmu().stats();
-        const double refs =
-            static_cast<double>(stats.counterValue("guest_refs") +
-                                stats.counterValue("nested_refs") +
-                                stats.counterValue("native_refs"));
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const sim::RunResult &run = results[i].run;
+        const auto &counters = results[i].counters;
+        const double refs = static_cast<double>(
+            counters.at("machine.mmu.guest_refs") +
+            counters.at("machine.mmu.nested_refs") +
+            counters.at("machine.mmu.native_refs"));
         const double refs_per_walk =
             run.walks ? refs / static_cast<double>(run.walks) : 0.0;
 
-        table.addRow({label, core::modeName(spec->mode),
+        table.addRow({labels[i], core::modeName(cells[i].config.mode),
                       sim::pct(run.translationOverhead()),
                       std::to_string(run.walks),
                       sim::fmt(run.cyclesPerWalk, 1),

@@ -11,11 +11,14 @@
 #include <exception>
 #include <iostream>
 #include <iterator>
+#include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/audit.hh"
 #include "common/logging.hh"
 #include "common/profile.hh"
+#include "common/stats.hh"
 #include "common/trace.hh"
 
 namespace emv::sim {
@@ -124,6 +127,23 @@ parseWhole(const char *text, T &out)
     return ec == std::errc() && ptr == end;
 }
 
+/** Copies every counter it visits under its dotted full name. */
+struct CounterCopy : StatVisitor
+{
+    void
+    visitCounter(const StatGroup &group, const std::string &name,
+                 const Counter &counter) override
+    {
+        counters[group.fullName() + "." + name] = counter.value();
+    }
+    void visitScalar(const StatGroup &, const std::string &,
+                     const Scalar &) override {}
+    void visitDistribution(const StatGroup &, const std::string &,
+                           const Distribution &) override {}
+
+    std::map<std::string, std::uint64_t> counters;
+};
+
 } // namespace
 
 std::vector<ConfigSpec>
@@ -160,20 +180,34 @@ RunParams::parseArgs(int argc, char **argv,
         {"seed", &seed, 0, kAny},          {"faultseed", &faultSeed, 0, kAny},
         {"profile", &profile_on, 0, kAny}, {"audit", &audit_on, 0, kAny}};
     numbers.insert(numbers.end(), extra);
-    const std::pair<const char *, std::string *> strings[] = {
-        {"trace", &traceFlags}, {"tracefile", &traceFilePath},
-        {"faults", &faultSpec}, {"policy", &faultPolicy}};
+    parseKeyValues(argc, argv, numbers,
+                   {{"trace", &traceFlags}, {"tracefile", &traceFilePath},
+                    {"faults", &faultSpec}, {"policy", &faultPolicy}},
+                   scale);
+    profile = profile_on != 0;
+    audit = audit_on != 0;
+    applyObservability();
+    if (profile)
+        std::atexit([] { prof::report(std::cout); });
+}
 
+void
+parseKeyValues(
+    int argc, char **argv, const std::vector<RunParams::ExtraArg> &numbers,
+    const std::vector<std::pair<const char *, std::string *>> &strings,
+    double &scale)
+{
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         const char *eq = std::strchr(arg, '=');
-        const std::string key(arg, eq ? eq : arg + std::strlen(arg));
+        // A bare word matches no key.
+        const std::string key = eq ? std::string(arg, eq) : "";
         const char *val = eq ? eq + 1 : "";
         const auto number =
             std::find_if(numbers.begin(), numbers.end(),
                          [&](const auto &n) { return key == n.key; });
         const auto text =
-            std::find_if(std::begin(strings), std::end(strings),
+            std::find_if(strings.begin(), strings.end(),
                          [&](const auto &s) { return key == s.first; });
         bool ok = true;
         if (key == "scale") {
@@ -183,7 +217,7 @@ RunParams::parseArgs(int argc, char **argv,
             ok = parseWhole(val, *number->value) &&
                  *number->value >= number->min &&
                  *number->value <= number->max;
-        } else if (text != std::end(strings)) {
+        } else if (text != strings.end()) {
             *text->second = val;
         } else {
             std::fprintf(stderr, "%s: unknown argument '%s'\nknown: "
@@ -201,11 +235,6 @@ RunParams::parseArgs(int argc, char **argv,
             std::exit(1);
         }
     }
-    profile = profile_on != 0;
-    audit = audit_on != 0;
-    applyObservability();
-    if (profile)
-        std::atexit([] { prof::report(std::cout); });
 }
 
 void
@@ -256,12 +285,12 @@ makeMachineConfig(const ConfigSpec &spec, const RunParams &params)
 }
 
 CellResult
-runCell(workload::WorkloadKind kind, const ConfigSpec &spec,
-        const RunParams &params)
+runCell(const Cell &cell)
 {
-    CellResult cell;
-    cell.workload = workload::workloadName(kind);
-    cell.config = spec.label;
+    const RunParams &params = cell.params;
+    CellResult result;
+    result.workload = workload::workloadName(cell.kind);
+    result.config = cell.label;
     const std::uint64_t checks0 = audit::checkCount();
     const std::uint64_t failures0 = audit::failureCount();
     const std::uint64_t mismatches0 = audit::mismatchCount();
@@ -269,26 +298,37 @@ runCell(workload::WorkloadKind kind, const ConfigSpec &spec,
         std::unique_ptr<workload::Workload> wl;
         {
             prof::Scope gen_scope(prof::Phase::WorkloadGen);
-            wl = workload::makeWorkload(kind, params.seed,
+            wl = workload::makeWorkload(cell.kind, params.seed,
                                         params.scale);
         }
-        const MachineConfig cfg = makeMachineConfig(spec, params);
-        Machine machine(cfg, *wl);
+        Machine machine(cell.config, *wl);
         machine.run(params.warmupOps);
         machine.resetStats();
 
         const auto t0 = std::chrono::steady_clock::now();
-        cell.run = machine.run(params.measureOps);
-        cell.hostNs = static_cast<std::uint64_t>(
+        result.run = machine.run(params.measureOps);
+        result.hostNs = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
                 .count());
-        cell.measuredOps = params.measureOps;
+        result.measuredOps = params.measureOps;
+
+        CounterCopy copy;
+        for (const StatGroup *group : machine.statGroups())
+            group->visit(copy);
+        result.counters = std::move(copy.counters);
+        std::ostringstream dump;
+        machine.mmu().stats().dump(dump);
+        result.mmuHash = 0xcbf29ce484222325ull;  // 64-bit FNV-1a
+        for (const unsigned char c : dump.str())
+            result.mmuHash = (result.mmuHash ^ c) * 0x100000001b3ull;
+        if (const FaultReport *fault = machine.terminalFault())
+            result.terminalFault = *fault;
     }
-    cell.auditChecks = audit::checkCount() - checks0;
-    cell.auditFailures = audit::failureCount() - failures0;
-    cell.auditMismatches = audit::mismatchCount() - mismatches0;
-    return cell;
+    result.auditChecks = audit::checkCount() - checks0;
+    result.auditFailures = audit::failureCount() - failures0;
+    result.auditMismatches = audit::mismatchCount() - mismatches0;
+    return result;
 }
 
 unsigned
@@ -316,9 +356,7 @@ runMatrix(const std::vector<Cell> &cells, unsigned jobs)
         try {
             for (std::size_t i = next.fetch_add(1); i < cells.size();
                  i = next.fetch_add(1)) {
-                const Cell &cell = cells[i];
-                results[i] =
-                    runCell(cell.kind, cell.spec, cell.params);
+                results[i] = runCell(cells[i]);
             }
         } catch (...) {
             errors[t] = std::current_exception();

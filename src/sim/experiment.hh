@@ -15,8 +15,10 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/machine.hh"
@@ -68,8 +70,9 @@ struct RunParams
     bool profile = false;         //!< Collect phase timings.
     bool audit = false;           //!< Differential audit (audit.hh).
 
-    /** A key one program reads itself (fig13's "trials"): an
-     *  unsigned integer in [min, max], stored through @p value. */
+    /** A number key (fig13's "trials", every number
+     *  parseKeyValues() reads): an unsigned integer in [min, max],
+     *  stored through @p value. */
     struct ExtraArg
     {
         const char *key;
@@ -81,14 +84,11 @@ struct RunParams
     /**
      * Parse "scale=0.25 ops=1000000 warmup=100000 trace=Tlb,Walk
      * tracefile=t.log profile=1" style argv, plus the keys in
-     * @p extra.  A number must be the whole value ("ops=3e6" is not
-     * an integer) and scale= finite and positive.  An unknown key or
-     * a bad value is a usage error: it is reported on stderr (quiet
-     * logging would swallow a warning) and the process exits with
-     * status 1.  The observability options are applied here
-     * (applyObservability()), and under profile=1 the phase table is
-     * printed to stdout when the process exits, so no program that
-     * parses its arguments here can accept them and do nothing.
+     * @p extra, through parseKeyValues().  The observability options
+     * are applied here (applyObservability()), and under profile=1
+     * the phase table is printed to stdout when the process exits,
+     * so no program that parses its arguments here can accept them
+     * and do nothing.
      */
     void parseArgs(int argc, char **argv,
                    std::initializer_list<ExtraArg> extra = {});
@@ -99,6 +99,51 @@ struct RunParams
      * programs with their own parser call it themselves.
      */
     void applyObservability() const;
+};
+
+/**
+ * Parse "key=value" argv against @p numbers, @p strings and
+ * "scale=".  A number must be the whole value ("ops=3e6" is not an
+ * integer) within its [min, max], and scale= finite and positive.
+ * An unknown key or a bad value is a usage error: it is reported on
+ * stderr (quiet logging would swallow a warning) and the process
+ * exits with status 1.  The one argument parser of the benches,
+ * emvsim and emv_soak.
+ */
+void parseKeyValues(
+    int argc, char **argv,
+    const std::vector<RunParams::ExtraArg> &numbers,
+    const std::vector<std::pair<const char *, std::string *>> &strings,
+    double &scale);
+
+/** Build a MachineConfig for a bar. */
+MachineConfig makeMachineConfig(const ConfigSpec &spec,
+                                const RunParams &params);
+
+/**
+ * One cell of a sweep.  params supplies the workload seed and scale
+ * and the warmup and measure op counts; config is the machine, used
+ * as given.
+ */
+struct Cell
+{
+    /** A bar: config = makeMachineConfig(spec, params), labelled
+     *  spec.label.  An experiment that changes a machine field edits
+     *  config afterwards. */
+    Cell(workload::WorkloadKind kind, const ConfigSpec &spec,
+         const RunParams &params)
+        : Cell(kind, spec.label, makeMachineConfig(spec, params), params)
+    {}
+    Cell(workload::WorkloadKind kind, std::string label,
+         MachineConfig config, RunParams params)
+        : kind(kind), label(std::move(label)), config(std::move(config)),
+          params(std::move(params))
+    {}
+
+    workload::WorkloadKind kind;
+    std::string label;  //!< The CellResult's config name.
+    MachineConfig config;
+    RunParams params;
 };
 
 /** One measured cell. */
@@ -122,26 +167,26 @@ struct CellResult
     std::uint64_t auditMismatches = 0;
     /** @} */
 
+    /** Every counter of Machine::statGroups() after the measure
+     * phase, by its emv-stats-v1 dotted name ("machine.mmu.walks",
+     * as emvsim statsjson= writes it).  Only the MMU's were reset
+     * before the measure phase. */
+    std::map<std::string, std::uint64_t> counters;
+
+    /** 64-bit FNV-1a of the MMU stat dump after the measure phase
+     *  (the text perfbench's fingerprint hashes). */
+    std::uint64_t mmuHash = 0;
+
+    /** The unrecoverable fault that ended the run, if one did. */
+    std::optional<FaultReport> terminalFault;
+
     /** The paper's y-axis: execution-time overhead vs T_2Mideal. */
     double overhead() const { return run.totalOverhead(); }
 };
 
-/** Build a MachineConfig for a bar. */
-MachineConfig makeMachineConfig(const ConfigSpec &spec,
-                                const RunParams &params);
-
-/** Run one (workload, config) cell: build, warm up, measure. */
-CellResult runCell(workload::WorkloadKind kind,
-                   const ConfigSpec &spec, const RunParams &params);
-
-/** One cell of a sweep, with its own parameters (fig13's trials
- *  differ only in badFrames / faultSpec and their seeds). */
-struct Cell
-{
-    workload::WorkloadKind kind;
-    ConfigSpec spec;
-    RunParams params;
-};
+/** Run one cell: build its workload and Machine, warm up for
+ *  params.warmupOps, reset the stats, measure params.measureOps. */
+CellResult runCell(const Cell &cell);
 
 /**
  * Worker threads runMatrix() uses for @p cells cells when asked for

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 
@@ -189,6 +190,10 @@ writeBenchJson(std::ostream &os, const std::string &title,
         w.member("l2_misses", cell.run.l2Misses);
         w.member("walks", cell.run.walks);
         w.member("cycles_per_walk", cell.run.cyclesPerWalk);
+        char mmu_hash[17];
+        std::snprintf(mmu_hash, sizeof(mmu_hash), "%016" PRIx64,
+                      cell.mmuHash);
+        w.member("mmu_hash", mmu_hash);
         writeRates(w, cell.measuredOps, cell.hostNs);
         w.endObject();
         ops += cell.measuredOps;

@@ -65,7 +65,8 @@ bool writeStatsJson(const std::string &path,
 
 /**
  * Write a bench's emv-bench-v1 JSON: every cell of @p cells (may be
- * empty) with its modeled fields and wall-clock throughput, every
+ * empty) with its modeled fields, its MMU stat hash as 16 hex
+ * digits ("mmu_hash") and its wall-clock throughput, every
  * table of @p tables as printed, and a "throughput" object summing
  * the cells and @p ops further trace ops that took @p host_ns.
  */

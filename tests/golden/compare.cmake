@@ -20,7 +20,7 @@ endforeach()
 
 set(FIELDS workload config overhead translation_overhead base_cycles
     translation_cycles fault_cycles vmexit_cycles shootdown_cycles
-    access_ops l1_misses l2_misses walks cycles_per_walk)
+    access_ops l1_misses l2_misses walks cycles_per_walk mmu_hash)
 
 get_filename_component(bench "${GOLDEN}" NAME_WE)
 file(READ "${GOLDEN}" golden)
@@ -37,12 +37,17 @@ file(READ "${ACTUAL}" actual)
 
 # Read element PATH... of the JSON document DOC into the caller's
 # `value` as JSON text (strings quoted and escaped, numbers as CMake's
-# reader prints them) and append it, found at PLACE, to the caller's
-# compared values.  The lists hold ";" as "<sc>", so a cell that
-# contains one stays one element.
+# reader prints them; a missing element as the bare word "missing",
+# which no JSON value equals) and append it, found at PLACE, to the
+# caller's compared values.  The lists hold ";" as "<sc>", so a cell
+# that contains one stays one element.
 function(take place doc)
-  string(JSON type TYPE "${doc}" ${ARGN})
-  string(JSON value GET "${doc}" ${ARGN})
+  string(JSON type ERROR_VARIABLE missing TYPE "${doc}" ${ARGN})
+  if(missing)
+    set(value "missing")
+  else()
+    string(JSON value GET "${doc}" ${ARGN})
+  endif()
   if(type STREQUAL "STRING")
     string(REPLACE "\\" "\\\\" value "${value}")
     string(REPLACE "\"" "\\\"" value "${value}")

@@ -133,6 +133,15 @@ TEST(RunParamsDeathTest, RejectsNumbersWithTextLeftOver)
     }
 }
 
+TEST(RunParamsDeathTest, RejectsUnknownKeysAndBareWords)
+{
+    // A bare word is no key, not a key with an empty value.
+    for (const char *arg : {"bogus=1", "trace", "ops", "scale"}) {
+        EXPECT_EXIT(parseOne(arg), testing::ExitedWithCode(1),
+                    "unknown argument") << arg;
+    }
+}
+
 TEST(RunParamsTest, ParsesExtraArgs)
 {
     std::uint64_t trials = 1;
@@ -147,12 +156,12 @@ TEST(RunCellTest, ProducesComparableCells)
     params.scale = 0.02;
     params.warmupOps = 3000;
     params.measureOps = 15000;
-    auto native = runCell(workload::WorkloadKind::Gups,
-                          *specFromLabel("4K"), params);
-    auto virt = runCell(workload::WorkloadKind::Gups,
-                        *specFromLabel("4K+4K"), params);
-    auto dd = runCell(workload::WorkloadKind::Gups,
-                      *specFromLabel("DD"), params);
+    auto native = runCell(
+        {workload::WorkloadKind::Gups, *specFromLabel("4K"), params});
+    auto virt = runCell(
+        {workload::WorkloadKind::Gups, *specFromLabel("4K+4K"), params});
+    auto dd = runCell(
+        {workload::WorkloadKind::Gups, *specFromLabel("DD"), params});
     EXPECT_EQ(native.workload, "gups");
     EXPECT_EQ(native.config, "4K");
     // The headline ordering of the paper.

@@ -31,7 +31,7 @@ class IntegrationTest : public ::testing::Test
     CellResult
     cell(WorkloadKind kind, const char *label)
     {
-        return runCell(kind, *specFromLabel(label), params);
+        return runCell({kind, *specFromLabel(label), params});
     }
 
     RunParams params;

@@ -28,8 +28,8 @@ class PageSizeTestM : public ::testing::Test
     CellResult
     cell(const char *label)
     {
-        return runCell(WorkloadKind::Gups, *specFromLabel(label),
-                       params);
+        return runCell({WorkloadKind::Gups, *specFromLabel(label),
+                        params});
     }
 
     RunParams params;

@@ -7,17 +7,22 @@
  * request failures, slot revocations, the odd filter saturation),
  * replay it under policy=degrade with the differential auditor
  * enabled, and demand that every run completes with zero audit
- * mismatches.  Exit 0 only when the whole matrix is clean.
+ * mismatches.  The (config, seed) runs are sim::runMatrix cells on
+ * one worker per hardware thread; each run's audit counts are its
+ * own.  Exit 0 only when the whole matrix is clean.
  *
  * Usage:
  *   emv_soak [seeds=5] [ops=20000] [warmup=4000] [scale=0.05]
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <thread>
+#include <vector>
 
-#include "common/audit.hh"
 #include "common/logging.hh"
 #include "fault/fault_plan.hh"
 #include "sim/experiment.hh"
@@ -30,16 +35,6 @@ namespace {
 const char *const kConfigs[] = {"4K",    "DS",    "4K+4K",
                                 "DD",    "4K+VD", "4K+GD"};
 
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(out,
-                 "usage: emv_soak [seeds=N] [ops=N] [warmup=N] "
-                 "[scale=F]\n"
-                 "exit codes: 0 all runs clean, 1 usage error or "
-                 "failing runs\n");
-}
-
 } // namespace
 
 int
@@ -47,105 +42,83 @@ main(int argc, char **argv)
 {
     setQuietLogging(true);
 
-    unsigned seeds = 5;
-    std::uint64_t ops = 20000;
-    std::uint64_t warmup = 4000;
-    double scale = 0.05;
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 ||
-            std::strcmp(arg, "-h") == 0) {
-            printUsage(stdout);
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0) {
+            std::printf("usage: emv_soak [seeds=N] [ops=N] [warmup=N] "
+                        "[scale=F]\nexit codes: 0 all runs clean, 1 "
+                        "usage error or failing runs\n");
             return 0;
         }
-        if (std::strncmp(arg, "seeds=", 6) == 0)
-            seeds = static_cast<unsigned>(std::atoi(arg + 6));
-        else if (std::strncmp(arg, "ops=", 4) == 0)
-            ops = std::strtoull(arg + 4, nullptr, 10);
-        else if (std::strncmp(arg, "warmup=", 7) == 0)
-            warmup = std::strtoull(arg + 7, nullptr, 10);
-        else if (std::strncmp(arg, "scale=", 6) == 0)
-            scale = std::atof(arg + 6);
-        else {
-            std::fprintf(stderr, "emv_soak: unknown argument '%s'\n",
-                         arg);
-            printUsage(stderr);
-            return 1;
-        }
     }
-    if (seeds == 0 || ops + warmup < 100 || scale <= 0.0) {
+    sim::RunParams params;
+    params.scale = 0.05;
+    params.warmupOps = 4000;
+    params.measureOps = 20000;
+    params.audit = true;
+    std::uint64_t seeds = 5;
+    sim::parseKeyValues(argc, argv,
+                        {{"seeds", &seeds, 1, UINT_MAX},
+                         {"ops", &params.measureOps, 0, UINT64_MAX},
+                         {"warmup", &params.warmupOps, 0, UINT64_MAX}},
+                        {}, params.scale);
+    const std::uint64_t ops = params.warmupOps + params.measureOps;
+    if (ops < 100) {
         std::fprintf(stderr, "emv_soak: bad parameters\n");
         return 1;
     }
-
-    sim::RunParams params;
-    params.scale = scale;
-    params.warmupOps = warmup;
-    params.measureOps = ops;
-    params.audit = true;
     params.applyObservability();
+
+    // One cell per (config, seed), each with its own fault plan.
+    std::vector<sim::Cell> cells;
+    for (const char *label : kConfigs) {
+        for (unsigned s = 0; s < seeds; ++s) {
+            params.seed = 42 + s;
+            cells.push_back({workload::WorkloadKind::Gups,
+                             *sim::specFromLabel(label), params});
+            cells.back().config.faultPlan = fault::FaultPlan::random(
+                1000ull * (s + 1) + std::strlen(label), ops);
+            cells.back().config.faultSeed = 100 + s;
+        }
+    }
+    const auto results =
+        sim::runMatrix(cells, std::thread::hardware_concurrency());
 
     std::printf("emv_soak: %zu configs x %u seeds, %llu+%llu ops, "
                 "scale=%.3g\n\n",
-                std::size(kConfigs), seeds,
-                static_cast<unsigned long long>(warmup),
-                static_cast<unsigned long long>(ops), scale);
+                std::size(kConfigs), static_cast<unsigned>(seeds),
+                static_cast<unsigned long long>(params.warmupOps),
+                static_cast<unsigned long long>(params.measureOps),
+                params.scale);
     std::printf("%-6s %-5s %-9s %-6s %-7s %-7s %s\n", "config",
                 "seed", "done", "downgr", "mismat", "events",
                 "plan");
 
     unsigned bad = 0;
-    for (const char *label : kConfigs) {
-        auto spec = sim::specFromLabel(label);
-        if (!spec) {
-            std::fprintf(stderr, "bad config label '%s'\n", label);
-            return 1;
-        }
-        for (unsigned s = 0; s < seeds; ++s) {
-            params.seed = 42 + s;
-            const std::uint64_t plan_seed =
-                1000ull * (s + 1) + std::strlen(label);
-            auto plan =
-                fault::FaultPlan::random(plan_seed, warmup + ops);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const sim::CellResult &result = results[i];
+        const std::uint64_t mismatches =
+            result.auditMismatches + result.auditFailures;
+        const bool ok = result.run.completed &&
+                        !result.terminalFault && mismatches == 0;
+        if (!ok)
+            ++bad;
 
-            auto wl = workload::makeWorkload(
-                workload::WorkloadKind::Gups, params.seed,
-                params.scale);
-            auto cfg = sim::makeMachineConfig(*spec, params);
-            cfg.faultPlan = plan;
-            cfg.faultSeed = 100 + s;
-
-            audit::resetCounters();
-            sim::Machine machine(cfg, *wl);
-            machine.run(params.warmupOps);
-            machine.resetStats();
-            auto run = machine.run(params.measureOps);
-
-            const std::uint64_t mismatches =
-                audit::mismatchCount() + audit::failureCount();
-            const std::uint64_t downgrades =
-                machine.faultInjector().stats().counterValue(
-                    "downgrades");
-            const std::uint64_t delivered =
-                machine.faultInjector().stats().counterValue(
-                    "delivered_events");
-            const bool terminal =
-                machine.terminalFault() != nullptr;
-            const bool ok =
-                run.completed && !terminal && mismatches == 0;
-            if (!ok)
-                ++bad;
-
-            std::printf("%-6s %-5u %-9s %-6llu %-7llu %-7llu %s\n",
-                        label, s, ok ? "ok" : "FAIL",
-                        static_cast<unsigned long long>(downgrades),
-                        static_cast<unsigned long long>(mismatches),
-                        static_cast<unsigned long long>(delivered),
-                        plan.toString().c_str());
-            if (terminal) {
-                std::printf("       terminal fault: %s\n",
-                            machine.terminalFault()->reason.c_str());
-            }
+        const auto fault = [&result](const char *name) {
+            return static_cast<unsigned long long>(
+                result.counters.at(std::string("machine.fault.") +
+                                   name));
+        };
+        std::printf("%-6s %-5u %-9s %-6llu %-7llu %-7llu %s\n",
+                    result.config.c_str(),
+                    static_cast<unsigned>(i % seeds),
+                    ok ? "ok" : "FAIL", fault("downgrades"),
+                    static_cast<unsigned long long>(mismatches),
+                    fault("delivered_events"),
+                    cells[i].config.faultPlan.toString().c_str());
+        if (result.terminalFault) {
+            std::printf("       terminal fault: %s\n",
+                        result.terminalFault->reason.c_str());
         }
     }
 

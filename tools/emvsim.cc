@@ -14,9 +14,11 @@
  *          [ckpt=run.ckpt] [ckptevery=100000] [resume=run.ckpt]
  *          [stopafter=N] [crashafter=N]
  *
- * Arguments are strictly validated: anything that is not a known
- * `key=value` pair (a typo like `tracefil=t.log`, a bare word, an
- * unknown key) is a usage error.  `--help` lists every knob.
+ * Arguments are strictly validated (sim::parseKeyValues): anything
+ * that is not a known `key=value` pair (a typo like
+ * `tracefil=t.log`, a bare word, an unknown key) is a usage error,
+ * and so is a number with text left over (`ops=3e6`) or out of range
+ * (`scale=0`).  `--help` lists every knob.
  *
  * `config` accepts the paper's labels: 4K 2M 1G THP, A+B combos,
  * DS DD 4K+VD 4K+GD 2M+VD THP+VD sh4K sh2M ...
@@ -93,6 +95,7 @@
  */
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -193,38 +196,6 @@ printUsage(std::FILE *out)
                  "checkpoint flushed when ckpt= is set\n");
 }
 
-bool
-knownKey(const std::string &key)
-{
-    for (const auto &knob : kKnobs) {
-        if (key == knob.key)
-            return true;
-    }
-    return false;
-}
-
-/** Reject anything that is not `known_key=value`. */
-bool
-validateArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos) {
-            std::fprintf(stderr, "emvsim: malformed argument '%s' "
-                         "(expected key=value)\n", arg.c_str());
-            return false;
-        }
-        const std::string key = arg.substr(0, eq);
-        if (!knownKey(key)) {
-            std::fprintf(stderr, "emvsim: unknown argument '%s'\n",
-                         key.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
 const char *
 argValue(int argc, char **argv, const char *key)
 {
@@ -283,16 +254,41 @@ main(int argc, char **argv)
             return kExitOk;
         }
     }
-    if (!validateArgs(argc, argv)) {
-        std::fprintf(stderr, "\n");
-        printUsage(stderr);
-        return kExitUsageOrAudit;
-    }
-
-    const char *resume_path = argValue(argc, argv, "resume");
+    // Every knob, parsed whole (sim::parseKeyValues; "ops=3e6" or a
+    // typo'd key is a usage error, exit 1).
     sim::CheckpointMeta meta;
+    meta.scale = 0.25;
+    meta.warmupOps = 200000;
+    meta.measureOps = 1000000;
+    sim::RunParams params;
+    std::string resume_path, stats_json, ckpt_path, metrics_path;
+    std::uint64_t bad_frames = 0, frag_guest_mb = 0, frag_host_mb = 0;
+    std::uint64_t audit_on = 0, profile_on = 0, stats_on = 1;
+    std::uint64_t ckpt_every = 0, stop_after = 0, crash_after = 0;
+    std::uint64_t window_ops = 100000;
+    constexpr std::uint64_t kAny = UINT64_MAX;
+    sim::parseKeyValues(
+        argc, argv,
+        {{"ops", &meta.measureOps, 0, kAny},
+         {"warmup", &meta.warmupOps, 0, kAny}, {"seed", &meta.seed, 0, kAny},
+         {"badframes", &bad_frames, 0, UINT_MAX},
+         {"fragguest", &frag_guest_mb, 0, kAny / MiB},
+         {"fraghost", &frag_host_mb, 0, kAny / MiB},
+         {"stats", &stats_on, 0, kAny}, {"window", &window_ops, 1, kAny},
+         {"profile", &profile_on, 0, kAny}, {"audit", &audit_on, 0, kAny},
+         {"faultseed", &meta.faultSeed, 0, kAny},
+         {"ckptevery", &ckpt_every, 0, kAny},
+         {"stopafter", &stop_after, 0, kAny},
+         {"crashafter", &crash_after, 0, kAny}},
+        {{"workload", &meta.workload}, {"config", &meta.configLabel},
+         {"statsjson", &stats_json}, {"metrics", &metrics_path},
+         {"trace", &params.traceFlags}, {"tracefile", &params.traceFilePath},
+         {"faults", &meta.faultSpec}, {"policy", &meta.faultPolicy},
+         {"ckpt", &ckpt_path}, {"resume", &resume_path}},
+        meta.scale);
 
-    if (resume_path) {
+    const bool resuming = argValue(argc, argv, "resume") != nullptr;
+    if (resuming) {
         // The checkpoint is the single source of truth for the
         // run's identity; conflicting knobs are a usage error, not
         // a silent override.
@@ -304,99 +300,40 @@ main(int argc, char **argv)
                 return kExitUsageOrAudit;
             }
         }
-    } else {
-        meta.scale = 0.25;
-        meta.warmupOps = 200000;
-        meta.measureOps = 1000000;
-        if (const char *v = argValue(argc, argv, "workload"))
-            meta.workload = v;
-        if (const char *v = argValue(argc, argv, "config"))
-            meta.configLabel = v;
-        if (const char *v = argValue(argc, argv, "scale"))
-            meta.scale = std::atof(v);
-        if (const char *v = argValue(argc, argv, "ops"))
-            meta.measureOps = std::strtoull(v, nullptr, 10);
-        if (const char *v = argValue(argc, argv, "warmup"))
-            meta.warmupOps = std::strtoull(v, nullptr, 10);
-        if (const char *v = argValue(argc, argv, "seed"))
-            meta.seed = std::strtoull(v, nullptr, 10);
-        if (const char *v = argValue(argc, argv, "badframes"))
-            meta.badFrames = static_cast<unsigned>(std::atoi(v));
-        if (const char *v = argValue(argc, argv, "fragguest")) {
-            if (std::atoi(v) > 0)
-                meta.fragGuestBytes =
-                    static_cast<Addr>(std::atoi(v)) * MiB;
-        }
-        if (const char *v = argValue(argc, argv, "fraghost")) {
-            if (std::atoi(v) > 0)
-                meta.fragHostBytes =
-                    static_cast<Addr>(std::atoi(v)) * MiB;
-        }
-        if (const char *v = argValue(argc, argv, "audit"))
-            meta.audit = std::atoi(v) != 0;
-        if (const char *v = argValue(argc, argv, "faults")) {
-            if (!fault::FaultPlan::parse(v)) {
-                std::fprintf(stderr, "emvsim: bad fault spec '%s' "
-                             "(expected kind@op[xCOUNT],...)\n", v);
-                return kExitUsageOrAudit;
-            }
-            meta.faultSpec = v;
-        }
-        if (const char *v = argValue(argc, argv, "policy")) {
-            if (!fault::faultPolicyByName(v)) {
-                std::fprintf(stderr, "emvsim: bad fault policy '%s' "
-                             "(degrade or failfast)\n", v);
-                return kExitUsageOrAudit;
-            }
-            meta.faultPolicy = v;
-        }
-        if (const char *v = argValue(argc, argv, "faultseed"))
-            meta.faultSeed = std::strtoull(v, nullptr, 10);
     }
-
-    std::string ckpt_path;
-    std::uint64_t ckpt_every = 0;
-    std::uint64_t stop_after = 0;
-    std::uint64_t crash_after = 0;
-    if (const char *v = argValue(argc, argv, "ckpt"))
-        ckpt_path = v;
-    if (const char *v = argValue(argc, argv, "ckptevery"))
-        ckpt_every = std::strtoull(v, nullptr, 10);
-    if (const char *v = argValue(argc, argv, "stopafter"))
-        stop_after = std::strtoull(v, nullptr, 10);
-    if (const char *v = argValue(argc, argv, "crashafter"))
-        crash_after = std::strtoull(v, nullptr, 10);
+    if (argValue(argc, argv, "faults") &&
+        !fault::FaultPlan::parse(meta.faultSpec)) {
+        std::fprintf(stderr, "emvsim: bad fault spec '%s' "
+                     "(expected kind@op[xCOUNT],...)\n",
+                     meta.faultSpec.c_str());
+        return kExitUsageOrAudit;
+    }
+    if (!fault::faultPolicyByName(meta.faultPolicy)) {
+        std::fprintf(stderr, "emvsim: bad fault policy '%s' "
+                     "(degrade or failfast)\n",
+                     meta.faultPolicy.c_str());
+        return kExitUsageOrAudit;
+    }
+    meta.badFrames = static_cast<unsigned>(bad_frames);
+    meta.fragGuestBytes = frag_guest_mb * MiB;
+    meta.fragHostBytes = frag_host_mb * MiB;
+    meta.audit = audit_on != 0;
     if (ckpt_every && ckpt_path.empty()) {
         std::fprintf(stderr,
                      "emvsim: ckptevery= requires ckpt=\n");
         return kExitUsageOrAudit;
     }
-
-    std::string metrics_path;
-    std::uint64_t window_ops = 100000;
-    if (const char *v = argValue(argc, argv, "metrics"))
-        metrics_path = v;
-    if (const char *v = argValue(argc, argv, "window")) {
-        if (metrics_path.empty()) {
-            std::fprintf(stderr,
-                         "emvsim: window= requires metrics=\n");
-            return kExitUsageOrAudit;
-        }
-        window_ops = std::strtoull(v, nullptr, 10);
-        if (window_ops == 0) {
-            std::fprintf(stderr,
-                         "emvsim: window= must be a positive op "
-                         "count\n");
-            return kExitUsageOrAudit;
-        }
+    if (argValue(argc, argv, "window") && metrics_path.empty()) {
+        std::fprintf(stderr, "emvsim: window= requires metrics=\n");
+        return kExitUsageOrAudit;
     }
 
     sim::LoadedCheckpoint loaded;
-    if (resume_path) {
+    if (resuming) {
         std::string error;
         if (!sim::loadCheckpoint(resume_path, loaded, error)) {
             std::fprintf(stderr, "emvsim: cannot resume '%s': %s\n",
-                         resume_path, error.c_str());
+                         resume_path.c_str(), error.c_str());
             return kExitUsageOrAudit;
         }
         meta = loaded.meta;
@@ -418,7 +355,6 @@ main(int argc, char **argv)
         return kExitUsageOrAudit;
     }
 
-    sim::RunParams params;
     params.scale = meta.scale;
     params.measureOps = meta.measureOps;
     params.warmupOps = meta.warmupOps;
@@ -429,13 +365,7 @@ main(int argc, char **argv)
     params.faultPolicy = meta.faultPolicy;
     params.faultSeed = meta.faultSeed;
     params.audit = meta.audit;
-    const char *stats_json = argValue(argc, argv, "statsjson");
-    if (const char *v = argValue(argc, argv, "trace"))
-        params.traceFlags = v;
-    if (const char *v = argValue(argc, argv, "tracefile"))
-        params.traceFilePath = v;
-    if (const char *v = argValue(argc, argv, "profile"))
-        params.profile = std::atoi(v) != 0;
+    params.profile = profile_on != 0;
     params.applyObservability();
 
     auto wl = workload::makeWorkload(*kind, params.seed,
@@ -485,7 +415,7 @@ main(int argc, char **argv)
         if (from_checkpoint &&
             !sim::restoreTelemetry(loaded, *recorder, error)) {
             std::fprintf(stderr, "emvsim: cannot resume '%s': %s\n",
-                         resume_path, error.c_str());
+                         resume_path.c_str(), error.c_str());
             return false;
         }
         if (!recorder->openSink(&error)) {
@@ -498,11 +428,11 @@ main(int argc, char **argv)
     };
 
     bool did_reset = false;
-    if (resume_path) {
+    if (resuming) {
         std::string error;
         if (!sim::restoreMachine(loaded, machine, error)) {
             std::fprintf(stderr, "emvsim: cannot resume '%s': %s\n",
-                         resume_path, error.c_str());
+                         resume_path.c_str(), error.c_str());
             return kExitUsageOrAudit;
         }
         // A checkpoint taken at or past the warmup boundary was
@@ -511,7 +441,7 @@ main(int argc, char **argv)
         if (did_reset && !attachTelemetry(true))
             return kExitUsageOrAudit;
         std::printf("resumed from %s (warmup %llu/%llu, measured "
-                    "%llu/%llu)\n", resume_path,
+                    "%llu/%llu)\n", resume_path.c_str(),
                     static_cast<unsigned long long>(meta.warmupDone),
                     static_cast<unsigned long long>(meta.warmupOps),
                     static_cast<unsigned long long>(meta.measuredOps),
@@ -652,8 +582,7 @@ main(int argc, char **argv)
                     core::modeName(machine.config().mode));
     }
 
-    const char *stats_arg = argValue(argc, argv, "stats");
-    if (!stats_arg || std::atoi(stats_arg) != 0) {
+    if (stats_on != 0) {
         std::printf("\n-- mmu counters --\n");
         machine.mmu().stats().dump(std::cout);
         if (machine.vm()) {
@@ -668,14 +597,15 @@ main(int argc, char **argv)
         }
     }
 
-    if (stats_json && *stats_json) {
+    if (!stats_json.empty()) {
         auto groups = machine.statGroups();
         if (params.audit)
             groups.push_back(&audit::stats());
         if (sim::writeStatsJson(stats_json, groups)) {
-            std::printf("\nwrote %s\n", stats_json);
+            std::printf("\nwrote %s\n", stats_json.c_str());
         } else {
-            std::fprintf(stderr, "cannot write '%s'\n", stats_json);
+            std::fprintf(stderr, "cannot write '%s'\n",
+                         stats_json.c_str());
             return kExitUsageOrAudit;
         }
     }
