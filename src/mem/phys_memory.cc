@@ -17,37 +17,83 @@ PhysMemory::PhysMemory(Addr size_bytes)
     blocks.resize(alignUp(size_bytes, kPage2M) / kPage2M);
 }
 
-PhysMemory::Frame &
-PhysMemory::makeFrame(std::uint64_t frame_no)
+const PhysMemory::Slot &
+PhysMemory::slotAt(Addr addr) const
 {
-    auto &block = blocks[frame_no >> 9];
-    if (!block)
-        block = std::make_unique<Block>();
-    auto &slot = (*block)[frame_no & 511];
-    if (!slot) {
-        slot = std::make_unique<Frame>();
-        ++resident;
-    }
-    return *slot;
-}
-
-PhysMemory::Frame &
-PhysMemory::frameFor(Addr addr)
-{
-    emv_assert(addr < sizeBytes,
-               "physical access %s beyond memory size %s",
-               hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
-    return makeFrame(addr >> 12);
-}
-
-const PhysMemory::Frame *
-PhysMemory::frameForConst(Addr addr) const
-{
+    static const Slot untouched;
     emv_assert(addr < sizeBytes,
                "physical access %s beyond memory size %s",
                hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
     const Block *block = blocks[addr >> 21].get();
-    return block ? (*block)[(addr >> 12) & 511].get() : nullptr;
+    return block ? (*block)[(addr >> 12) & 511] : untouched;
+}
+
+PhysMemory::Slot &
+PhysMemory::slotFor(Addr addr)
+{
+    emv_assert(addr < sizeBytes,
+               "physical access %s beyond memory size %s",
+               hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
+    auto &block = blocks[addr >> 21];
+    if (!block)
+        block = std::make_unique<Block>();
+    Slot &slot = (*block)[(addr >> 12) & 511];
+    if (!slot.made) {
+        slot.made = true;
+        ++resident;
+    }
+    return slot;
+}
+
+PhysMemory::Frame &
+PhysMemory::materialize(Slot &slot)
+{
+    if (!slot.words) {
+        auto words = std::make_unique<Frame>();
+        copyWords(slot, 0, 512, words->data());
+        slot.words = std::move(words);
+        ++stored;
+    }
+    return *slot.words;
+}
+
+void
+PhysMemory::setLinear(Slot &slot, std::uint64_t first,
+                      std::uint64_t stride)
+{
+    if (slot.words) {
+        slot.words.reset();
+        --stored;
+    }
+    slot.first = first;
+    slot.stride = stride;
+}
+
+void
+PhysMemory::storeFrame(Slot &slot, const std::uint64_t *words)
+{
+    const std::uint64_t first = words[0];
+    const std::uint64_t stride = words[1] - words[0];
+    unsigned i = 2;
+    while (i < 512 && words[i] == first + i * stride)
+        ++i;
+    if (i == 512)
+        setLinear(slot, first, stride);
+    else
+        std::copy(words, words + 512, materialize(slot).data());
+}
+
+void
+PhysMemory::copyWords(const Slot &slot, unsigned from, unsigned n,
+                      std::uint64_t *out)
+{
+    if (slot.words) {
+        std::copy(slot.words->data() + from,
+                  slot.words->data() + from + n, out);
+        return;
+    }
+    for (unsigned i = 0; i < n; ++i)
+        out[i] = slot.first + (from + i) * slot.stride;
 }
 
 std::uint64_t
@@ -58,10 +104,9 @@ PhysMemory::read64Checked(Addr addr) const
     EMV_CHECK(addr < sizeBytes, "read of %s beyond physical size %s",
               hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
     ++_stats.reads;
-    const Frame *frame = frameForConst(addr);
-    if (!frame)
-        return 0;  // Untouched memory reads as zero.
-    return (*frame)[(addr & (kPage4K - 1)) >> 3];
+    std::uint64_t word;
+    copyWords(slotAt(addr), (addr & (kPage4K - 1)) >> 3, 1, &word);
+    return word;
 }
 
 void
@@ -72,7 +117,7 @@ PhysMemory::write64(Addr addr, std::uint64_t value)
     EMV_CHECK(addr < sizeBytes, "write of %s beyond physical size %s",
               hexAddr(addr).c_str(), hexAddr(sizeBytes).c_str());
     ++_stats.writes;
-    frameFor(addr)[(addr & (kPage4K - 1)) >> 3] = value;
+    materialize(slotFor(addr))[(addr & (kPage4K - 1)) >> 3] = value;
 }
 
 void
@@ -91,14 +136,7 @@ PhysMemory::readRun(Addr addr, unsigned n, std::uint64_t *out) const
 {
     checkRun(addr, n, "read run");
     _stats.reads += n;
-    const Frame *frame = frameForConst(addr);
-    if (!frame) {
-        std::fill(out, out + n, 0);  // Untouched memory reads as zero.
-        return;
-    }
-    const std::uint64_t *words =
-        frame->data() + ((addr & (kPage4K - 1)) >> 3);
-    std::copy(words, words + n, out);
+    copyWords(slotAt(addr), (addr & (kPage4K - 1)) >> 3, n, out);
 }
 
 void
@@ -106,8 +144,13 @@ PhysMemory::writeRun(Addr addr, unsigned n, const std::uint64_t *values)
 {
     checkRun(addr, n, "write run");
     _stats.writes += n;
+    Slot &slot = slotFor(addr);
+    if (n == 512) {
+        storeFrame(slot, values);
+        return;
+    }
     std::copy(values, values + n,
-              frameFor(addr).data() + ((addr & (kPage4K - 1)) >> 3));
+              materialize(slot).data() + ((addr & (kPage4K - 1)) >> 3));
 }
 
 void
@@ -116,10 +159,7 @@ PhysMemory::zeroFrame(Addr frame_base)
     emv_assert(isAligned(frame_base, kPage4K),
                "zeroFrame base %s not 4K aligned",
                hexAddr(frame_base).c_str());
-    const std::size_t residentBefore = resident;
-    Frame &frame = frameFor(frame_base);
-    if (resident == residentBefore)
-        frame.fill(0);  // A frame made just now is already zero.
+    setLinear(slotFor(frame_base), 0, 0);
 }
 
 void
@@ -129,12 +169,14 @@ PhysMemory::copyFrame(Addr dst_base, Addr src_base)
                isAligned(src_base, kPage4K),
                "copyFrame bases must be 4K aligned");
     ++_stats.frameCopies;
-    const Frame *src = frameForConst(src_base);
-    if (!src) {
-        zeroFrame(dst_base);
+    const Slot &src = slotAt(src_base);
+    Slot &dst = slotFor(dst_base);
+    if (&dst == &src)
         return;
-    }
-    frameFor(dst_base) = *src;
+    if (src.words)
+        materialize(dst) = *src.words;
+    else
+        setLinear(dst, src.first, src.stride);
 }
 
 std::uint64_t
@@ -143,16 +185,11 @@ PhysMemory::hashFrame(Addr frame_base) const
     emv_assert(isAligned(frame_base, kPage4K),
                "hashFrame base %s not 4K aligned",
                hexAddr(frame_base).c_str());
-    const Frame *frame = frameForConst(frame_base);
+    Frame words;
+    copyWords(slotAt(frame_base), 0, 512, words.data());
     std::uint64_t hash = 0xcbf29ce484222325ull;
     constexpr std::uint64_t prime = 0x100000001b3ull;
-    if (!frame) {
-        // All-zero frame: hash 512 zero words.
-        for (int i = 0; i < 512; ++i)
-            hash = (hash ^ 0) * prime;
-        return hash;
-    }
-    for (std::uint64_t word : *frame)
+    for (std::uint64_t word : words)
         hash = (hash ^ word) * prime;
     return hash;
 }
@@ -214,15 +251,17 @@ PhysMemory::serialize(ckpt::Encoder &enc) const
     enc.u64(sizeBytes);
 
     enc.u64(resident);
+    Frame words;
     for (std::uint64_t b = 0; b < blocks.size(); ++b) {
         if (!blocks[b])
             continue;
         for (std::uint64_t i = 0; i < 512; ++i) {
-            const Frame *frame = (*blocks[b])[i].get();
-            if (!frame)
+            const Slot &slot = (*blocks[b])[i];
+            if (!slot.made)
                 continue;
             enc.u64(b << 9 | i);
-            for (std::uint64_t word : *frame)
+            copyWords(slot, 0, 512, words.data());
+            for (std::uint64_t word : words)
                 enc.u64(word);
         }
     }
@@ -249,6 +288,7 @@ PhysMemory::deserialize(ckpt::Decoder &dec)
     for (auto &block : blocks)
         block.reset();
     resident = 0;
+    stored = 0;
     const std::uint64_t nframes = dec.u64();
     std::uint64_t prev_index = 0;
     for (std::uint64_t i = 0; dec.ok() && i < nframes; ++i) {
@@ -266,8 +306,10 @@ PhysMemory::deserialize(ckpt::Decoder &dec)
             return false;
         }
         prev_index = index;
-        for (auto &word : makeFrame(index))
+        Frame words;
+        for (auto &word : words)
             word = dec.u64();
+        storeFrame(slotFor(index << 12), words.data());
     }
 
     badFrames.clear();

@@ -10,13 +10,19 @@
  *
  * Frames are indexed by frame number through a two-level radix: a
  * top array with one slot per 2 MB of memory, each slot a lazily made
- * block of 512 frame pointers.  A load is two array indexes, never a
- * hash lookup.  Frames themselves stay sparse (4 KB materialized on
- * first touch), so a simulated multi-GB machine costs only what the
- * page tables and touched data occupy plus 8 bytes per 2 MB of size
- * (300 KB at the paper's 75 GB).  PhysMemory also owns the hard-fault
- * model: frames can be marked bad (paper §V), and the escape filter
- * machinery consults that registry.
+ * block of 512 frame slots.  A load is two array indexes, never a
+ * hash lookup.  A frame is either materialized (4 KB of words) or
+ * linear: word i is first + i * stride (mod 2^64), with no storage.
+ * Untouched memory and zeroed frames are linear (0, 0), and a
+ * whole-frame writeRun() whose words step evenly stores only its
+ * (first, stride).  The VMM backs guest memory with large contiguous
+ * host regions, so almost every leaf table the model builds holds
+ * base + i * 4K | flags and costs nothing; a single-word write makes
+ * a frame materialized.  A simulated multi-GB machine costs only its
+ * materialized frames plus 8 bytes per 2 MB of size (300 KB at the
+ * paper's 75 GB) and 16 KB per touched 2 MB chunk.  PhysMemory also
+ * owns the hard-fault model: frames can be marked bad (paper §V), and
+ * the escape filter machinery consults that registry.
  */
 
 #pragma once
@@ -42,7 +48,8 @@ namespace emv::mem {
 
 /**
  * Word-addressable physical memory of a fixed size, with frames made
- * on first touch, and a bad-frame (hard fault) registry.
+ * on first touch and stored linear or materialized, and a bad-frame
+ * (hard fault) registry.
  */
 class PhysMemory
 {
@@ -70,10 +77,11 @@ class PhysMemory
         }
         ++_stats.reads;
         const Block *block = blocks[addr >> 21].get();
-        const Frame *frame =
-            block ? (*block)[(addr >> 12) & 511].get() : nullptr;
-        // Untouched memory reads as zero.
-        return frame ? (*frame)[(addr & (kPage4K - 1)) >> 3] : 0;
+        if (!block)
+            return 0;  // Untouched memory reads as zero.
+        const Slot &slot = (*block)[(addr >> 12) & 511];
+        const std::uint64_t i = (addr & (kPage4K - 1)) >> 3;
+        return slot.words ? (*slot.words)[i] : slot.first + i * slot.stride;
     }
 
     /** Store a naturally aligned 64-bit word. */
@@ -88,10 +96,12 @@ class PhysMemory
     void readRun(Addr addr, unsigned n, std::uint64_t *out) const;
 
     /** Store @p n consecutive words inside one 4 KB frame, counting
-     *  @p n writes: the run form of write64(). */
+     *  @p n writes: the run form of write64().  A whole frame whose
+     *  words step evenly is stored linear. */
     void writeRun(Addr addr, unsigned n, const std::uint64_t *values);
 
-    /** Zero a whole 4 KB frame (used for fresh page tables). */
+    /** Zero a whole 4 KB frame (used for fresh page tables); the
+     *  frame becomes linear (0, 0) and holds no storage. */
     void zeroFrame(Addr frame_base);
 
     /** Copy a 4 KB frame (compaction / page migration). */
@@ -115,28 +125,59 @@ class PhysMemory
     /** Number of faulty frames. */
     std::size_t badFrameCount() const { return badFrames.size(); }
 
-    /** Number of frames actually materialized. */
+    /** Number of frames made (touched by a write, zeroFrame() or
+     *  copyFrame()), linear or not. */
     std::size_t residentFrames() const { return resident; }
+    /** Number of made frames that hold 4 KB of words. */
+    std::size_t storedFrames() const { return stored; }
 
     StatGroup &stats() { return _stats; }
 
     /**
-     * Checkpoint all resident frame contents in ascending frame order
-     * plus the bad-frame registry (sorted, so files are byte-stable
-     * across runs).  This is the chunk that captures every page-table
-     * radix tree.  Restore rejects a frame index beyond size() and
-     * indexes that do not strictly ascend.
+     * Checkpoint all resident frame contents (512 words each, linear
+     * or not) in ascending frame order plus the bad-frame registry
+     * (sorted, so files are byte-stable across runs).  This is the
+     * chunk that captures every page-table radix tree.  Restore stores
+     * evenly stepping frames linear again, and rejects a frame index
+     * beyond size() and indexes that do not strictly ascend.
      */
     void serialize(ckpt::Encoder &enc) const;
     bool deserialize(ckpt::Decoder &dec);
 
   private:
     using Frame = std::array<std::uint64_t, 512>;
+    /** One 4 KB frame: @c words when materialized, otherwise linear
+     *  with word i = first + i * stride. */
+    struct alignas(32) Slot
+    {
+        std::unique_ptr<Frame> words;
+        std::uint64_t first = 0;
+        std::uint64_t stride = 0;
+        /** Touched by a write, zeroFrame() or copyFrame(). */
+        bool made = false;
+    };
     /** The frames of one 2 MB chunk, indexed by frame number. */
-    using Block = std::array<std::unique_ptr<Frame>, 512>;
+    using Block = std::array<Slot, 512>;
 
-    Frame &frameFor(Addr addr);
-    const Frame *frameForConst(Addr addr) const;
+    /** The slot of the frame containing @p addr; an untouched chunk's
+     *  frames read as the linear (0, 0) slot. */
+    const Slot &slotAt(Addr addr) const;
+
+    /** The slot of the frame containing @p addr, marked made; its
+     *  words are unchanged (zero if untouched). */
+    Slot &slotFor(Addr addr);
+
+    /** The words of @p slot, made into storage first if linear. */
+    Frame &materialize(Slot &slot);
+    /** Store the 512 @p words in @p slot: linear if they step evenly,
+     *  else materialized. */
+    void storeFrame(Slot &slot, const std::uint64_t *words);
+    /** Make @p slot linear (@p first, @p stride), freeing any storage. */
+    void setLinear(Slot &slot, std::uint64_t first, std::uint64_t stride);
+
+    /** Words [from, from + n) of @p slot into @p out. */
+    static void copyWords(const Slot &slot, unsigned from, unsigned n,
+                          std::uint64_t *out);
 
     /** read64() with its alignment assert, audit check and bounds
      *  assert. */
@@ -144,9 +185,6 @@ class PhysMemory
 
     /** The asserts of readRun() and writeRun(). */
     void checkRun(Addr addr, unsigned n, const char *op) const;
-
-    /** Materialize (zeroed) the frame with number @p frame_no. */
-    Frame &makeFrame(std::uint64_t frame_no);
 
     Addr sizeBytes;
     struct Stats : StatGroup
@@ -161,6 +199,7 @@ class PhysMemory
     /** One slot per 2 MB chunk; a block is made on first touch. */
     std::vector<std::unique_ptr<Block>> blocks;
     std::size_t resident = 0;
+    std::size_t stored = 0;
     std::unordered_set<std::uint64_t> badFrames;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -114,17 +113,6 @@ fromLabels(const std::vector<std::string> &labels)
         out.push_back(*spec);
     }
     return out;
-}
-
-/** @p text, all of it, as a T: false on empty text, a sign where
- *  T is unsigned, or anything left over ("3e6" is not an integer). */
-template <typename T>
-bool
-parseWhole(const char *text, T &out)
-{
-    const char *end = text + std::strlen(text);
-    const auto [ptr, ec] = std::from_chars(text, end, out);
-    return ec == std::errc() && ptr == end;
 }
 
 /** Copies every counter it visits under its dotted full name. */

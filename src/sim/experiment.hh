@@ -13,7 +13,9 @@
 
 #pragma once
 
+#include <charconv>
 #include <cstddef>
+#include <cstring>
 #include <initializer_list>
 #include <map>
 #include <optional>
@@ -100,6 +102,21 @@ struct RunParams
      */
     void applyObservability() const;
 };
+
+/**
+ * @p text, all of it, as a T: false on empty text, a sign where T is
+ * unsigned, or anything left over ("3e6" is not an integer, "2x" is
+ * not a number).  The number reader of parseKeyValues() and of every
+ * tool that reads a number itself.
+ */
+template <typename T>
+bool
+parseWhole(const char *text, T &out)
+{
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    return ec == std::errc() && ptr == end;
+}
 
 /**
  * Parse "key=value" argv against @p numbers, @p strings and

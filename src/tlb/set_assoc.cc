@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/audit.hh"
 #include "common/ckpt.hh"
 #include "common/logging.hh"
 
@@ -14,6 +15,19 @@ SetAssoc::SetAssoc(unsigned sets, unsigned ways)
     emv_assert(sets > 0 && (sets & (sets - 1)) == 0,
                "set-associative array sets must be a power of two");
     emv_assert(ways > 0, "set-associative array needs at least one way");
+}
+
+void
+SetAssoc::checkSingleCopy(std::size_t base, std::uint64_t tag) const
+{
+    EMV_INVARIANT([&] {
+                      unsigned copies = 0;
+                      for (std::size_t i = base; i < base + numWays; ++i)
+                          copies += valid[i] && tags[i] == tag;
+                      return copies == 1;
+                  }(),
+                  "set-associative array: tag %s stored twice",
+                  hexAddr(tag).c_str());
 }
 
 bool

@@ -89,6 +89,11 @@ class SetAssoc
     bool deserialize(ckpt::Decoder &dec, const std::string &owner);
 
   private:
+    /** Audit, kept out of line so insert() stays small: @p tag is
+     *  stored in exactly one way of the set at @p base. */
+    [[gnu::cold]] void checkSingleCopy(std::size_t base,
+                                       std::uint64_t tag) const;
+
     /** Index of the first way of @p tag's set. */
     std::size_t
     setBase(std::uint64_t tag) const
@@ -151,14 +156,8 @@ SetAssoc::insert(std::uint64_t tag, std::uint64_t value)
     values[victim] = value;
     stamps[victim] = ++tick;
     valid[victim] = 1;
-    EMV_INVARIANT([&] {
-                      unsigned copies = 0;
-                      for (std::size_t i = base; i < base + numWays; ++i)
-                          copies += valid[i] && tags[i] == tag;
-                      return copies == 1;
-                  }(),
-                  "set-associative array: tag %s stored twice",
-                  hexAddr(tag).c_str());
+    if (audit::enabled()) [[unlikely]]
+        checkSingleCopy(base, tag);
     return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/audit.hh"
+#include "common/logging.hh"
 
 namespace emv::tlb {
 
@@ -22,6 +23,13 @@ ofKind(EntryKind kind)
 Tlb::Tlb(std::string name, unsigned sets, unsigned ways)
     : array(sets, ways), _stats(std::move(name))
 {
+}
+
+void
+Tlb::misalignedFrame(Addr frame, PageSize size)
+{
+    emv_panic("TLB insert: frame %s not aligned to %s",
+              hexAddr(frame).c_str(), pageSizeName(size));
 }
 
 void

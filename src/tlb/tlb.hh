@@ -21,7 +21,6 @@
 #include <optional>
 #include <string>
 
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "tlb/set_assoc.hh"
@@ -112,6 +111,10 @@ class Tlb
         Counter fullFlushes{*this, "full_flushes"};
     };
 
+    /** Panic: insert() got a @p frame not aligned to @p size. */
+    [[noreturn, gnu::cold]] static void misalignedFrame(Addr frame,
+                                                        PageSize size);
+
     /** Count the array's valid entries per class. */
     ClassCounts recount() const;
 
@@ -140,9 +143,8 @@ Tlb::lookup(EntryKind kind, Addr addr, PageSize size)
 inline void
 Tlb::insert(EntryKind kind, Addr addr, Addr frame, PageSize size)
 {
-    emv_assert(isAligned(frame, pageBytes(size)),
-               "TLB insert: frame %s not aligned to %s",
-               hexAddr(frame).c_str(), pageSizeName(size));
+    if (!isAligned(frame, pageBytes(size))) [[unlikely]]
+        misalignedFrame(frame, size);
     const std::uint64_t tag = tagOf(kind, addr, size);
     const auto found = array.insert(tag, frame);
     if (found.present)

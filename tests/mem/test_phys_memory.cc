@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -196,6 +197,99 @@ TEST(PhysMemoryTest, ReadRunOfUntouchedFrameIsZeroAndMakesNoFrame)
     EXPECT_EQ(out, std::vector<std::uint64_t>(512, 0));
     EXPECT_EQ(mem.stats().counterValue("reads"), 512u);
     EXPECT_EQ(mem.residentFrames(), 0u);
+}
+
+/** 512 words first + i * stride (mod 2^64). */
+std::vector<std::uint64_t>
+steppedWords(std::uint64_t first, std::uint64_t stride)
+{
+    std::vector<std::uint64_t> words(512);
+    for (std::size_t i = 0; i < words.size(); ++i)
+        words[i] = first + i * stride;
+    return words;
+}
+
+TEST(PhysMemoryTest, SteppingFrameRunIsStoredLinear)
+{
+    PhysMemory mem(1 * MiB);
+    // A leaf table mapping contiguous 4K pages, and a stride that
+    // wraps past 2^64.
+    for (const auto &words : {steppedWords(0x40000007, kPage4K),
+                              steppedWords(~0ull - 700, 3)}) {
+        mem.writeRun(0x5000, 512, words.data());
+        for (unsigned i = 0; i < 512; ++i)
+            ASSERT_EQ(mem.read64(0x5000 + 8 * i), words[i]) << i;
+        std::vector<std::uint64_t> back(40);
+        mem.readRun(0x5000 + 8 * 300, 40, back.data());
+        EXPECT_TRUE(std::equal(back.begin(), back.end(),
+                               words.begin() + 300));
+        EXPECT_EQ(mem.residentFrames(), 1u);
+        EXPECT_EQ(mem.storedFrames(), 0u);
+    }
+}
+
+TEST(PhysMemoryTest, WordWriteMaterializesLinearFrameKeepingItsWords)
+{
+    const auto words = steppedWords(0x200003, kPage4K);
+    PhysMemory one(1 * MiB), run(1 * MiB);
+    one.writeRun(0x3000, 512, words.data());
+    run.writeRun(0x3000, 512, words.data());
+    one.write64(0x3000 + 8 * 7, 99);
+    const std::uint64_t three[3] = {1, 2, 3};
+    run.writeRun(0x3000 + 8 * 500, 3, three);
+    for (PhysMemory *mem : {&one, &run}) {
+        EXPECT_EQ(mem->residentFrames(), 1u);
+        EXPECT_EQ(mem->storedFrames(), 1u);
+    }
+    for (unsigned i = 0; i < 512; ++i) {
+        EXPECT_EQ(one.read64(0x3000 + 8 * i), i == 7 ? 99 : words[i])
+            << i;
+        EXPECT_EQ(run.read64(0x3000 + 8 * i),
+                  i >= 500 && i < 503 ? three[i - 500] : words[i])
+            << i;
+    }
+}
+
+TEST(PhysMemoryTest, CopyAndZeroKeepFramesLinear)
+{
+    const auto words = steppedWords(0x7, 2 * MiB);
+    PhysMemory mem(1 * MiB);
+    mem.writeRun(0x1000, 512, words.data());
+    mem.copyFrame(0x9000, 0x1000);
+    for (unsigned i = 0; i < 512; ++i)
+        ASSERT_EQ(mem.read64(0x9000 + 8 * i), words[i]) << i;
+    EXPECT_EQ(mem.residentFrames(), 2u);
+    EXPECT_EQ(mem.storedFrames(), 0u);
+
+    mem.write64(0x4000, 5);
+    EXPECT_EQ(mem.storedFrames(), 1u);
+    mem.zeroFrame(0x4000);
+    EXPECT_EQ(mem.storedFrames(), 0u);
+    EXPECT_EQ(mem.residentFrames(), 3u);
+    EXPECT_EQ(mem.read64(0x4000), 0u);
+}
+
+TEST(PhysMemoryTest, LinearAndMaterializedFramesHashAndSaveAlike)
+{
+    const auto words = steppedWords(0x1000003, kPage4K);
+    PhysMemory linear(1 * MiB), stored(1 * MiB);
+    linear.writeRun(0x6000, 512, words.data());
+    for (unsigned i = 0; i < 512; ++i)
+        stored.write64(0x6000 + 8 * i, words[i]);
+    stored.write64(0x8000, 1);  // A frame that stays materialized.
+    linear.write64(0x8000, 1);
+    EXPECT_EQ(linear.storedFrames(), 1u);
+    EXPECT_EQ(stored.storedFrames(), 2u);
+    EXPECT_EQ(linear.hashFrame(0x6000), stored.hashFrame(0x6000));
+    const auto bytes = test::ckptBytes(stored);
+    EXPECT_EQ(test::ckptBytes(linear), bytes);
+
+    // A restore stores the stepping frame linear again.
+    PhysMemory restored(1 * MiB);
+    ASSERT_TRUE(test::ckptRestore(bytes, restored));
+    EXPECT_EQ(restored.storedFrames(), linear.storedFrames());
+    EXPECT_EQ(restored.residentFrames(), 2u);
+    EXPECT_EQ(test::ckptBytes(restored), bytes);
 }
 
 TEST(PhysMemoryDeathTest, RunAcrossFramePanics)

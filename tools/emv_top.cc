@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "sim/experiment.hh"
 
 namespace {
 
@@ -187,8 +188,8 @@ main(int argc, char **argv)
         if (arg == "--once") {
             once = true;
         } else if (arg.rfind("--interval=", 0) == 0) {
-            interval = std::atof(arg.c_str() + 11);
-            if (interval <= 0.0) {
+            if (!emv::sim::parseWhole(arg.c_str() + 11, interval) ||
+                !std::isfinite(interval) || interval <= 0.0) {
                 std::fprintf(stderr,
                              "emv_top: bad interval '%s'\n",
                              arg.c_str());

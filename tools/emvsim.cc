@@ -75,7 +75,9 @@
  *                    Segment, Filter, Balloon, Compaction, Vmm,
  *                    Hotplug, Fault, or All).
  *   tracefile=PATH   send trace records to PATH instead of stderr.
- *   profile=1        print a phase-timing summary (RAII timers).
+ *   profile=1        print a phase-timing summary (RAII timers),
+ *                    the host memory's resident and stored frames
+ *                    and the process's peak RSS.
  *   audit=1          enable runtime invariants plus the differential
  *                    auditor: every MMU translation is re-derived
  *                    through the reference 2D nested walk and
@@ -101,6 +103,8 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+
+#include <sys/resource.h>
 
 #include "common/audit.hh"
 #include "common/logging.hh"
@@ -155,7 +159,8 @@ constexpr Knob kKnobs[] = {
                "(default 100000; requires metrics=)"},
     {"trace", "debug-trace flags, e.g. Tlb,Walk or All"},
     {"tracefile", "send trace records to this file"},
-    {"profile", "print a phase-timing summary (default 0)"},
+    {"profile", "print phase timings, host frames and peak RSS "
+                "(default 0)"},
     {"audit", "differential audit; mismatches exit 1 (default 0)"},
     {"faults", "mid-run fault schedule, e.g. "
                "dram@5000x8,balloonfail@7000,filtersat@9000"},
@@ -612,6 +617,13 @@ main(int argc, char **argv)
     if (params.profile) {
         std::printf("\n");
         prof::report(std::cout);
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        std::printf("host memory: %zu frames resident, %zu stored\n"
+                    "peak RSS:    %.1f MiB\n",
+                    machine.hostMem().residentFrames(),
+                    machine.hostMem().storedFrames(),
+                    static_cast<double>(usage.ru_maxrss) / 1024.0);
     }
     if (params.audit) {
         std::printf("\naudit checks:     %llu\n"
