@@ -16,9 +16,9 @@ AtomicPhaseRecord records[static_cast<unsigned>(Phase::NumPhases)];
 namespace {
 
 constexpr const char *kPhaseNames[] = {
-    "workload_gen", "machine_build", "translate",
-    "fault_service", "balloon",      "compaction",
-    "fragmentation", "stats_export",
+    "workload_gen",  "machine_build", "translate",
+    "remap",         "fault_service", "balloon",
+    "compaction",    "fragmentation", "stats_export",
 };
 static_assert(std::size(kPhaseNames) ==
               static_cast<unsigned>(Phase::NumPhases));

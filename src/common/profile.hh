@@ -30,6 +30,7 @@ enum class Phase : unsigned {
     WorkloadGen,    //!< Workload construction / trace generation.
     MachineBuild,   //!< Machine assembly (OS, VMM, tables, segments).
     Translate,      //!< Mmu::translate calls from the run loop.
+    Remap,          //!< Run-time unmap + populate of a remap op.
     FaultService,   //!< Guest/nested fault handling.
     Balloon,        //!< Balloon inflate / self-balloon.
     Compaction,     //!< Compaction free-run creation.

@@ -381,10 +381,8 @@ GuestOs::mapWindow(Process &proc, const Region &region, Addr va,
     if (!mapped)
         return false;
     _stats.pagesMapped += pages;
-    if (mappingHook) {
-        for (Addr page = va; page < end; page += kPage4K)
-            mappingHook(proc, page, kPage4K, PageSize::Size4K, true);
-    }
+    if (mappingHook)
+        mappingHook(proc, va, end - va, PageSize::Size4K, true);
     return true;
 }
 
@@ -428,24 +426,29 @@ GuestOs::unmapRange(Process &proc, Addr va, Addr bytes)
                          doomed.push_back(leaf);
                      });
 
-    // One range call per run of same-size leaves.  Doing all table
-    // work first changes no order anything observes: the tables it
-    // frees go only to the kernel pool, and the data frees and hooks
-    // below (which never read this table) keep their per-leaf order.
+    // One table call and one hook call per run of VA-contiguous,
+    // same-size leaves; a hole or a size change ends a run.  Doing
+    // the table work before the data frees changes no order anything
+    // observes: the tables it frees go only to the kernel pool, and
+    // the hook never reads this table or touches this allocator.
     for (std::size_t i = 0; i < doomed.size();) {
+        const PageSize size = doomed[i].size;
+        const Addr run_va = doomed[i].va;
+        Addr run_bytes = pageBytes(size);
         std::size_t j = i + 1;
-        while (j < doomed.size() && doomed[j].size == doomed[i].size)
+        while (j < doomed.size() && doomed[j].size == size &&
+               doomed[j].va == run_va + run_bytes) {
+            run_bytes += pageBytes(size);
             ++j;
-        const auto &last = doomed[j - 1];
-        pt.unmapRange(doomed[i].va,
-                      last.va + pageBytes(last.size) - doomed[i].va,
-                      doomed[i].size);
+        }
+        pt.unmapRange(run_va, run_bytes, size);
+        if (mappingHook)
+            mappingHook(proc, run_va, run_bytes, size, false);
         i = j;
     }
 
     // 4K data frames go back in one call after the loop: the free
-    // lists depend only on which frames are free, and the hook never
-    // touches this allocator.
+    // lists depend only on which frames are free.
     std::vector<Addr> frames;
     for (const auto &leaf : doomed) {
         // Frames inside a segment reservation stay reserved; frames
@@ -458,10 +461,6 @@ GuestOs::unmapRange(Process &proc, Addr va, Addr bytes)
                 frames.push_back(leaf.pa);
             else
                 freeDataBlock(leaf.pa, leaf.size);
-        }
-        if (mappingHook) {
-            mappingHook(proc, leaf.va, pageBytes(leaf.size), leaf.size,
-                        false);
         }
         ++_stats.pagesUnmapped;
     }

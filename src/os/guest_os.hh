@@ -114,10 +114,11 @@ class GuestOs
      * Eagerly populate [va, va+bytes) of defined regions, one 2 MB
      * window at a time.  A window of 4K pages that is unmapped, not
      * THP-managed, not segment-backed and whose frames would all be
-     * healthy gets its frames as one buddy run and one page-table
-     * call, when the kernel pool can supply its tables; any other
-     * window is faulted in page by page.  Either way every frame,
-     * table and hook call is the per-page one.
+     * healthy gets its frames as one buddy run, one page-table call
+     * and one mapping-hook call, when the kernel pool can supply its
+     * tables; any other window is faulted in page by page.  Either
+     * way every frame and table is the per-page one, and the hook
+     * hears of the same pages in the same order.
      */
     void populateRange(Process &proc, Addr va, Addr bytes);
 
@@ -187,9 +188,16 @@ class GuestOs
     /** @} */
 
     /**
-     * Observer of mapping changes: fired after a page is mapped
-     * (mapped=true) or unmapped (mapped=false).  The machine layer
-     * uses it for TLB invalidation and shadow-table coherence.
+     * Observer of mapping changes: fired after a run of leaves is
+     * mapped (mapped=true) or unmapped (mapped=false).  A run is
+     * [va, va+bytes) of VA-contiguous leaves of one @p size, and runs
+     * arrive in ascending VA order within one call of the OS: a
+     * populated 2 MB window is one run, an unmapped range one run per
+     * stretch without a hole or a size change, and a page mapped on
+     * its own (a fault, a page of a window populate leaves to the
+     * fault path) is a run of one.  The machine layer uses it for
+     * TLB invalidation (per leaf) and shadow-table coherence (per
+     * run).
      */
     using MappingHook = std::function<void(
         Process &, Addr va, Addr bytes, PageSize size, bool mapped)>;

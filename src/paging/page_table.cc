@@ -302,12 +302,20 @@ PageTable::visitLeaves(Addr table, int level, Addr va_prefix, Addr first,
                        const std::function<void(const Leaf &)> &fn)
     const
 {
+    // Read the entries that intersect [first, last] as one run.
     const Addr step = entryBytes(level);
-    for (int i = 0; i < kEntriesPerTable; ++i) {
+    const Addr span_last = va_prefix + (kEntriesPerTable * step - 1);
+    if (last < va_prefix || first > span_last)
+        return;
+    const auto lo = static_cast<unsigned>(
+        first > va_prefix ? (first - va_prefix) / step : 0);
+    const auto hi = static_cast<unsigned>(
+        (std::min(last, span_last) - va_prefix) / step);
+    std::uint64_t entries[kEntriesPerTable];
+    space.readRun(table + 8ull * lo, hi - lo + 1, entries);
+    for (unsigned i = lo; i <= hi; ++i) {
         const Addr va = va_prefix + static_cast<Addr>(i) * step;
-        if (va + (step - 1) < first || va > last)
-            continue;
-        Pte pte{space.read64(table + 8ull * i)};
+        Pte pte{entries[i - lo]};
         if (!pte.present())
             continue;
         const bool leaf = level == 1 || pte.pageSize();

@@ -355,9 +355,12 @@ Machine::wireMmu()
             if (shadow)
                 shadow->onGuestMapped(va, bytes);
         } else {
-            _mmu->invalidateGuestPage(va, size);
-            shootdownCyclesPool += static_cast<double>(
-                cfg.mmu.costs.shootdownCycles);
+            // One INVLPG and one shootdown per leaf of the run.
+            for (Addr at = va; at < va + bytes; at += pageBytes(size)) {
+                _mmu->invalidateGuestPage(at, size);
+                shootdownCyclesPool += static_cast<double>(
+                    cfg.mmu.costs.shootdownCycles);
+            }
             if (shadow)
                 shadow->onGuestUnmapped(va, bytes);
         }
@@ -548,6 +551,7 @@ Machine::run(std::uint64_t ops)
         const auto op = wl.next();
         ++opCursor;
         if (op.kind == workload::Op::Kind::Remap) {
+            prof::Scope remap_scope(prof::Phase::Remap);
             ++remapCount;
             _os->unmapRange(*proc, op.va, op.bytes);
             _os->populateRange(*proc, op.va, op.bytes);

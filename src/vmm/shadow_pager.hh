@@ -49,11 +49,14 @@ class ShadowPager
 
     /**
      * Guest mapped [gva, gva+bytes): sync the shadow.  Each synced
-     * leaf costs one VM exit (write-protected guest PT trap).
+     * guest leaf costs one VM exit (write-protected guest PT trap).
      */
     void onGuestMapped(Addr gva, Addr bytes);
 
-    /** Guest unmapped [gva, gva+bytes). */
+    /**
+     * Guest unmapped [gva, gva+bytes): drop every shadow leaf the
+     * range touches, one VM exit each.
+     */
     void onGuestUnmapped(Addr gva, Addr bytes);
 
     /** Nested mapping changed under a gPA: drop affected entries. */
@@ -73,8 +76,47 @@ class ShadowPager
     bool deserialize(ckpt::Decoder &dec);
 
   private:
-    /** Sync one guest leaf into the shadow; true if synced. */
-    bool syncLeaf(Addr gva);
+    /**
+     * Writable 4K guest leaves at consecutive VAs inside one 2 MB
+     * span, waiting to go into one shadow leaf table.
+     */
+    struct Run
+    {
+        Addr va = 0;          //!< First page.
+        unsigned pages = 0;
+        Addr gpaLo = 0;       //!< Lowest gPA of the run's pages.
+        Addr gpaHi = 0;       //!< Highest gPA of the run's pages.
+        /** gPA per page; flush() turns them into hPAs. */
+        Addr frames[paging::kEntriesPerTable] = {};
+    };
+
+    /** Add one guest leaf to @p run, or flush the run and sync the
+     *  leaf alone when it cannot join one. */
+    void sync(const paging::PageTable::Leaf &guest, Run &run);
+
+    /**
+     * Translate @p run's gPAs and map each stretch of backed pages
+     * with mapRun(); an unbacked page goes through syncLeaf().
+     * Empties the run.
+     */
+    void flush(Run &run);
+
+    /**
+     * Map the 4K pages from @p gva to the frames @p hpa with one
+     * mapIfUnmapped(); when a shadow mapping is already in the span,
+     * page by page as syncLeaf() would.
+     */
+    void mapRun(Addr gva, const Addr *hpa, unsigned pages);
+
+    /** Sync one guest leaf into the shadow on its own. */
+    void syncLeaf(const paging::PageTable::Leaf &guest);
+
+    /**
+     * Remove every shadow leaf that intersects [@p gva, @p gva +
+     * @p bytes), one unmapRange() per run of VA-contiguous leaves of
+     * one size.  @return the number of leaves removed.
+     */
+    std::uint64_t dropShadow(Addr gva, Addr bytes);
 
     Vm &vm;
     os::Process &proc;

@@ -316,23 +316,24 @@ TEST_F(GuestOsTest, MappingHookFires)
     auto &proc = os->createProcess();
     os->defineRegion(proc, "heap", 1 * GiB, 2 * MiB,
                      PageSize::Size4K);
-    int mapped = 0, unmapped = 0;
-    os->setMappingHook([&](Process &, Addr, Addr, PageSize,
+    // One count per page the hook's runs cover.
+    Addr mapped = 0, unmapped = 0;
+    os->setMappingHook([&](Process &, Addr, Addr bytes, PageSize size,
                            bool is_map) {
-        (is_map ? mapped : unmapped) += 1;
+        (is_map ? mapped : unmapped) += bytes / pageBytes(size);
     });
     os->populateRange(proc, 1 * GiB, 2 * MiB);
     os->unmapRange(proc, 1 * GiB, 2 * MiB);
-    EXPECT_EQ(mapped, 512);
-    EXPECT_EQ(unmapped, 512);
+    EXPECT_EQ(mapped, 512u);
+    EXPECT_EQ(unmapped, 512u);
 }
 
 TEST_F(GuestOsTest, UnmapRangeDropsEveryTouchedLeafInOrder)
 {
     // Half the 2M windows are THP leaves, the rest 4K pages.  An
     // unaligned range drops every leaf it touches, the straddling
-    // ones included, with one hook per leaf in ascending order and
-    // every data frame back in the allocator.
+    // ones included, with hook runs that cover every leaf in
+    // ascending order and every data frame back in the allocator.
     OsConfig cfg;
     cfg.thp = true;
     cfg.thpCoverage = 0.5;
@@ -359,10 +360,11 @@ TEST_F(GuestOsTest, UnmapRangeDropsEveryTouchedLeafInOrder)
     ASSERT_GT(thp, 0);
     ASSERT_LT(static_cast<std::size_t>(thp), expected.size());
     std::vector<std::pair<Addr, PageSize>> hooked;
-    os->setMappingHook([&](Process &, Addr at, Addr, PageSize size,
-                           bool mapped) {
+    os->setMappingHook([&](Process &, Addr at, Addr run_bytes,
+                           PageSize size, bool mapped) {
         EXPECT_FALSE(mapped);
-        hooked.emplace_back(at, size);
+        for (Addr off = 0; off < run_bytes; off += pageBytes(size))
+            hooked.emplace_back(at + off, size);
     });
     const Addr free_before = os->buddy().freeBytes();
     const Addr nodes_before = proc.pageTable().tableNodes();

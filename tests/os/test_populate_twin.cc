@@ -8,10 +8,10 @@
  * seeded mix of allocator calls, populates and unmaps runs on two
  * identical machines under audit, and after every step the free
  * lists, the page-table bytes and table-frame order, the kernel pool,
- * the retired bad frames and the mapping-hook log must agree.  The
- * regions cover 4K, 2M and segment-backed pages, windows shared by
- * two regions, bad frames in the data runs and in the segment, and
- * (in the THP instance) THP draws.
+ * the retired bad frames and the mapping-hook log (expanded into
+ * leaves) must agree.  The regions cover 4K, 2M and segment-backed
+ * pages, windows shared by two regions, bad frames in the data runs
+ * and in the segment, and (in the THP instance) THP draws.
  */
 
 #include <gtest/gtest.h>
@@ -70,9 +70,13 @@ struct Side
           os(accessor, kSpan, {{0, kSpan}}, cfg),
           proc(os.createProcess())
     {
+        // The log holds one call per leaf: the extent path reports a
+        // window as one run, the per-page path page by page.
         os.setMappingHook([this](Process &, Addr va, Addr bytes,
                                  PageSize size, bool mapped) {
-            hooks.push_back({va, bytes, size, mapped});
+            const Addr step = pageBytes(size);
+            for (Addr off = 0; off < bytes; off += step)
+                hooks.push_back({va + off, step, size, mapped});
         });
     }
 

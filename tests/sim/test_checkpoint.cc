@@ -455,7 +455,7 @@ TEST(MachineCheckpointBytesTest, MatchPinnedDigests)
         {K::Gups, "4K+4K", 0, 0,
          0x31846682af1c51f8ull, 0xd2686d8cc0141bb7ull},
         {K::Memcached, "sh4K", 0, 4000,
-         0x286eab89397716beull, 0xf51a51570520c754ull},
+         0x20dbe7835c411ac7ull, 0xb57fce54e1d1126cull},
         {K::Graph500, "DS", 16, 0,
          0xda66d3695dada10full, 0xf837779e5c330a50ull},
     };
