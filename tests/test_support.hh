@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/ckpt.hh"
@@ -32,6 +33,21 @@ ckptRestore(const std::vector<std::uint8_t> &bytes, T &obj)
 {
     ckpt::Decoder dec(bytes.data(), bytes.size());
     return obj.deserialize(dec) && dec.ok() && dec.atEnd();
+}
+
+/**
+ * Restore @p obj from @p bytes and return the decoder's error, or
+ * "trailing bytes" when the restore left part of the payload unread;
+ * empty on a clean restore.
+ */
+template <typename T>
+std::string
+ckptRestoreError(const std::vector<std::uint8_t> &bytes, T &obj)
+{
+    ckpt::Decoder dec(bytes.data(), bytes.size());
+    if (!obj.deserialize(dec) || !dec.ok())
+        return dec.error();
+    return dec.atEnd() ? "" : "trailing bytes";
 }
 
 /**
