@@ -45,22 +45,9 @@ crc32(const void *data, std::size_t len, std::uint32_t seed)
 // --------------------------------------------------------------- Encoder
 
 void
-Encoder::u8(std::uint8_t v)
+Encoder::put(std::uint64_t v, unsigned width)
 {
-    buf.push_back(v);
-}
-
-void
-Encoder::u32(std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-Encoder::u64(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
+    for (unsigned i = 0; i < width; ++i)
         buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
@@ -344,6 +331,16 @@ std::vector<std::string>
 Reader::tags() const
 {
     return order;
+}
+
+bool
+Reader::finish(const std::string &tag, Decoder &dec, std::string &error)
+{
+    if (dec.ok() && !dec.atEnd())
+        dec.fail("unread trailing bytes");
+    if (!dec.ok())
+        error = "chunk '" + tag + "': " + dec.error();
+    return dec.ok();
 }
 
 } // namespace emv::ckpt

@@ -318,28 +318,25 @@ IntervalSet::intervals() const
     return out;
 }
 
+template <class Ar>
 void
-IntervalSet::serialize(ckpt::Encoder &enc) const
+IntervalSet::persist(Ar &ar)
 {
-    enc.u64(byStart.size());
-    for (const auto &[start, end] : byStart) {
-        enc.u64(start);
-        enc.u64(end);
+    std::vector<std::pair<Addr, Addr>> runs;
+    if constexpr (!Ar::loading)
+        runs.assign(byStart.begin(), byStart.end());
+    ar.seq(runs, [&](auto &run) {
+        ar.u64(run.first);
+        ar.u64(run.second);
+    });
+    if constexpr (Ar::loading) {
+        clear();
+        for (const auto &[start, end] : runs)
+            add(start, end);
     }
 }
 
-bool
-IntervalSet::deserialize(ckpt::Decoder &dec)
-{
-    clear();
-    const std::uint64_t n = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < n; ++i) {
-        const Addr start = dec.u64();
-        const Addr end = dec.u64();
-        if (dec.ok())
-            add(start, end);
-    }
-    return dec.ok();
-}
+template void IntervalSet::persist(ckpt::Encoder &);
+template void IntervalSet::persist(ckpt::Decoder &);
 
 } // namespace emv

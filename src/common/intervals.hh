@@ -137,8 +137,8 @@ class IntervalSet
     static std::uint64_t threadWork();
 
     /** Checkpoint the interval list (replaces contents on restore). */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     using StartMap = std::map<Addr, Addr>;

@@ -112,31 +112,21 @@ Rng::nextZipf(std::uint64_t n, double theta)
     return rank >= zipfN ? zipfN - 1 : rank;
 }
 
+template <class Ar>
 void
-Rng::serialize(ckpt::Encoder &enc) const
+Rng::persist(Ar &ar)
 {
-    for (std::uint64_t s : state)
-        enc.u64(s);
-    enc.u64(zipfN);
-    enc.f64(zipfTheta);
-    enc.f64(zipfZetaN);
-    enc.f64(zipfAlpha);
-    enc.f64(zipfEta);
-    enc.f64(zipfZeta2);
+    for (std::uint64_t &s : state)
+        ar.u64(s);
+    ar.u64(zipfN);
+    ar.f64(zipfTheta);
+    ar.f64(zipfZetaN);
+    ar.f64(zipfAlpha);
+    ar.f64(zipfEta);
+    ar.f64(zipfZeta2);
 }
 
-bool
-Rng::deserialize(ckpt::Decoder &dec)
-{
-    for (auto &s : state)
-        s = dec.u64();
-    zipfN = dec.u64();
-    zipfTheta = dec.f64();
-    zipfZetaN = dec.f64();
-    zipfAlpha = dec.f64();
-    zipfEta = dec.f64();
-    zipfZeta2 = dec.f64();
-    return dec.ok();
-}
+template void Rng::persist(ckpt::Encoder &);
+template void Rng::persist(ckpt::Decoder &);
 
 } // namespace emv

@@ -64,8 +64,8 @@ class Rng
      * Checkpoint the full generator state (xoshiro words + cached
      * Zipf parameters) so a restored stream continues bit-exactly.
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     std::uint64_t state[4];

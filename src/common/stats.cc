@@ -82,55 +82,46 @@ Distribution::stddev() const
     return std::sqrt(variance());
 }
 
+template <class Ar>
 void
-Distribution::serialize(ckpt::Encoder &enc) const
+Distribution::persist(Ar &ar)
 {
-    enc.u64(_count);
-    enc.f64(_sum);
-    enc.f64(_min);
-    enc.f64(_max);
-    enc.f64(_mean);
-    enc.f64(_m2);
-    for (std::uint64_t b : _buckets)
-        enc.u64(b);
+    ar.u64(_count);
+    ar.f64(_sum);
+    ar.f64(_min);
+    ar.f64(_max);
+    ar.f64(_mean);
+    ar.f64(_m2);
+    for (std::uint64_t &b : _buckets)
+        ar.u64(b);
 }
 
-bool
-Distribution::deserialize(ckpt::Decoder &dec)
-{
-    _count = dec.u64();
-    _sum = dec.f64();
-    _min = dec.f64();
-    _max = dec.f64();
-    _mean = dec.f64();
-    _m2 = dec.f64();
-    for (auto &b : _buckets)
-        b = dec.u64();
-    return dec.ok();
-}
+template void Distribution::persist(ckpt::Encoder &);
+template void Distribution::persist(ckpt::Decoder &);
 
 template <typename Stat>
 void
-StatGroup::declare(std::map<std::string, Stat *> &kind, const char *name,
+StatGroup::declare(std::map<std::string, Stat *> &kind, StatName name,
                    Stat &stat)
 {
-    emv_assert(!counters.count(name) && !scalars.count(name) &&
-                   !distributions.count(name),
-               "stat %s.%s declared twice", _name.c_str(), name);
-    kind.emplace(name, &stat);
+    const std::string key = name.c_str();
+    emv_assert(!counters.count(key) && !scalars.count(key) &&
+                   !distributions.count(key),
+               "stat %s.%s declared twice", _name.c_str(), key.c_str());
+    kind.emplace(key, &stat);
 }
 
-Counter::Counter(StatGroup &group, const char *name)
+Counter::Counter(StatGroup &group, StatName name)
 {
     group.declare(group.counters, name, *this);
 }
 
-Scalar::Scalar(StatGroup &group, const char *name)
+Scalar::Scalar(StatGroup &group, StatName name)
 {
     group.declare(group.scalars, name, *this);
 }
 
-Distribution::Distribution(StatGroup &group, const char *name)
+Distribution::Distribution(StatGroup &group, StatName name)
 {
     group.declare(group.distributions, name, *this);
 }
@@ -186,9 +177,9 @@ void
 StatGroup::copyValues(const StatGroup &other)
 {
     ckpt::Encoder enc;
-    other.serialize(enc);
+    ckpt::save(enc, other);
     ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
-    const bool same_stats = deserialize(dec) && dec.atEnd();
+    const bool same_stats = ckpt::load(dec, *this) && dec.atEnd();
     emv_assert(same_stats, "%s: copyValues from a group with other "
                "stats: %s", _name.c_str(), dec.error().c_str());
     _name = other._name;
@@ -224,47 +215,44 @@ StatGroup::dump(std::ostream &os) const
     }
 }
 
+template <class Ar, typename Stat, class F>
 void
-StatGroup::serialize(ckpt::Encoder &enc) const
+StatGroup::persistKind(Ar &ar, std::map<std::string, Stat *> &kind,
+                       F &&field)
 {
-    enc.u64(counters.size());
-    for (const auto &[name, c] : counters) {
-        enc.str(name);
-        enc.u64(c->value());
-    }
-    enc.u64(scalars.size());
-    for (const auto &[name, s] : scalars) {
-        enc.str(name);
-        enc.f64(s->value());
-    }
-    enc.u64(distributions.size());
-    for (const auto &[name, d] : distributions) {
-        enc.str(name);
-        d->serialize(enc);
+    std::uint64_t n = kind.size();
+    ar.u64(n);
+    auto it = kind.begin();
+    for (std::uint64_t i = 0; ar.ok() && i < n; ++i) {
+        std::string name;
+        if constexpr (!Ar::loading)
+            name = it->first;
+        ar.str(name);
+        if constexpr (Ar::loading) {
+            it = kind.find(name);
+            if (!ar.check(it != kind.end(),
+                          "unknown stat " + _name + "." + name))
+                return;
+        }
+        field(*it->second);
+        ++it;
     }
 }
 
-bool
-StatGroup::deserialize(ckpt::Decoder &dec)
+template <class Ar>
+void
+StatGroup::persist(Ar &ar)
 {
-    resetAll();
-    // Restore each saved stat into the declared one of its name.
-    const auto restore = [&](auto &kind, auto &&read) {
-        const std::uint64_t n = dec.u64();
-        for (std::uint64_t i = 0; dec.ok() && i < n; ++i) {
-            const std::string name = dec.str();
-            const auto it = kind.find(name);
-            if (it == kind.end())
-                dec.fail("unknown stat " + _name + "." + name);
-            else
-                read(*it->second);
-        }
-    };
-    restore(counters, [&](Counter &c) { c += dec.u64(); });
-    restore(scalars, [&](Scalar &s) { s.set(dec.f64()); });
-    restore(distributions, [&](Distribution &d) { d.deserialize(dec); });
-    return dec.ok();
+    if constexpr (Ar::loading)
+        resetAll();
+    persistKind(ar, counters, [&](Counter &c) { ar.u64(c._value); });
+    persistKind(ar, scalars, [&](Scalar &s) { ar.f64(s._value); });
+    persistKind(ar, distributions,
+                [&](Distribution &d) { d.persist(ar); });
 }
+
+template void StatGroup::persist(ckpt::Encoder &);
+template void StatGroup::persist(ckpt::Decoder &);
 
 ConfidenceInterval
 confidence95(const std::vector<double> &samples)

@@ -33,6 +33,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,13 +46,52 @@ class Decoder;
 
 class StatGroup;
 
+/**
+ * A stat or group name: lower_snake_case components joined by dots
+ * ("hits", "vm_exits_nested_repair", "vm.vm0"), the exported
+ * "machine.mmu.*" convention.  The constructor is consteval, so a
+ * name that breaks the rule does not compile.
+ */
+class StatName
+{
+  public:
+    static constexpr bool
+    valid(std::string_view name)
+    {
+        bool component_start = true;
+        for (const char c : name) {
+            if (c == '.' && !component_start) {
+                component_start = true;
+                continue;
+            }
+            const bool lower = c >= 'a' && c <= 'z';
+            const bool tail = c == '_' || (c >= '0' && c <= '9');
+            if (!lower && (component_start || !tail))
+                return false;
+            component_start = false;
+        }
+        return !component_start;
+    }
+
+    consteval StatName(const char *name) : _name(name)
+    {
+        if (!valid(name))
+            throw "stat name is not a lower_snake_case dotted path";
+    }
+
+    const char *c_str() const { return _name; }
+
+  private:
+    const char *_name;
+};
+
 /** Monotonic event counter. */
 class Counter
 {
   public:
     Counter() = default;
     /** Declare this counter as @p group's stat @p name. */
-    Counter(StatGroup &group, const char *name);
+    Counter(StatGroup &group, StatName name);
 
     Counter &operator++() { ++_value; return *this; }
     Counter &operator+=(std::uint64_t delta)
@@ -61,6 +101,8 @@ class Counter
     void reset() { _value = 0; }
 
   private:
+    friend class StatGroup;  // Checkpoints the value.
+
     std::uint64_t _value = 0;
 };
 
@@ -70,7 +112,7 @@ class Scalar
   public:
     Scalar() = default;
     /** Declare this scalar as @p group's stat @p name. */
-    Scalar(StatGroup &group, const char *name);
+    Scalar(StatGroup &group, StatName name);
 
     Scalar &operator+=(double delta) { _value += delta; return *this; }
     void set(double value) { _value = value; }
@@ -79,6 +121,8 @@ class Scalar
     void reset() { _value = 0.0; }
 
   private:
+    friend class StatGroup;  // Checkpoints the value.
+
     double _value = 0.0;
 };
 
@@ -97,7 +141,7 @@ class Distribution
 
     Distribution() = default;
     /** Declare this distribution as @p group's stat @p name. */
-    Distribution(StatGroup &group, const char *name);
+    Distribution(StatGroup &group, StatName name);
 
     void sample(double value);
     void reset();
@@ -131,8 +175,8 @@ class Distribution
     { return _buckets; }
 
     /** Checkpoint all running moments + buckets bit-exactly. */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     static unsigned bucketIndex(double value);
@@ -183,7 +227,12 @@ class StatVisitor
 class StatGroup
 {
   public:
-    explicit StatGroup(std::string name) : _name(std::move(name)) {}
+    explicit StatGroup(StatName name) : _name(name.c_str()) {}
+    /** A group named "<prefix>.<name>" (one per VM: "vm.vm0"). */
+    StatGroup(StatName prefix, StatName name)
+        : _name(std::string(prefix.c_str()) + "." + name.c_str())
+    {
+    }
 
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
@@ -218,13 +267,13 @@ class StatGroup
     std::string fullName() const;
 
     /**
-     * Checkpoint every stat by name.  deserialize() resets the group
-     * first and restores each saved value into the declared stat of
-     * that name: a declared stat missing from the bytes stays zero,
-     * and a saved name the group does not declare fails the decoder.
+     * Checkpoint every stat by name.  A load resets the group first
+     * and restores each saved value into the declared stat of that
+     * name: a declared stat missing from the bytes stays zero, and a
+     * saved name the group does not declare fails the decoder.
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     friend class Counter;
@@ -233,8 +282,13 @@ class StatGroup
 
     /** Register @p stat in @p kind (the declaring constructors). */
     template <typename Stat>
-    void declare(std::map<std::string, Stat *> &kind, const char *name,
+    void declare(std::map<std::string, Stat *> &kind, StatName name,
                  Stat &stat);
+
+    /** Persist the stats of @p kind by name through @p field. */
+    template <class Ar, typename Stat, class F>
+    void persistKind(Ar &ar, std::map<std::string, Stat *> &kind,
+                     F &&field);
 
     std::string _name;
     std::string parentPrefix;

@@ -157,45 +157,37 @@ LatencyHistogram::delta(const LatencyHistogram &now,
     return out;
 }
 
+template <class Ar>
 void
-LatencyHistogram::serialize(ckpt::Encoder &enc) const
+LatencyHistogram::persist(Ar &ar)
 {
-    enc.u64(_count);
-    enc.u64(_sum);
-    enc.u64(_min);
-    enc.u64(_max);
+    if constexpr (Ar::loading)
+        reset();
+    ar.u64(_count);
+    ar.u64(_sum);
+    ar.u64(_min);
+    ar.u64(_max);
+    // Occupied buckets only, as (index, count) pairs.
     std::uint32_t occupied = 0;
     for (unsigned b = 0; b < kBucketCount; ++b)
         occupied += _buckets[b] != 0;
-    enc.u32(occupied);
-    for (unsigned b = 0; b < kBucketCount; ++b) {
-        if (_buckets[b] != 0) {
-            enc.u32(b);
-            enc.u64(_buckets[b]);
+    ar.u32(occupied);
+    std::uint32_t b = 0;
+    for (std::uint32_t i = 0; ar.ok() && i < occupied; ++i, ++b) {
+        if constexpr (!Ar::loading) {
+            while (_buckets[b] == 0)
+                ++b;
         }
+        ar.u32(b);
+        if (!ar.check(b < kBucketCount,
+                      "latency histogram: bucket index out of range"))
+            return;
+        ar.u64(_buckets[b]);
     }
 }
 
-bool
-LatencyHistogram::deserialize(ckpt::Decoder &dec)
-{
-    reset();
-    _count = dec.u64();
-    _sum = dec.u64();
-    _min = dec.u64();
-    _max = dec.u64();
-    const std::uint32_t occupied = dec.u32();
-    for (std::uint32_t i = 0; i < occupied && dec.ok(); ++i) {
-        const std::uint32_t b = dec.u32();
-        const std::uint64_t n = dec.u64();
-        if (b >= kBucketCount) {
-            dec.fail("latency histogram: bucket index out of range");
-            return false;
-        }
-        _buckets[b] = n;
-    }
-    return dec.ok();
-}
+template void LatencyHistogram::persist(ckpt::Encoder &);
+template void LatencyHistogram::persist(ckpt::Decoder &);
 
 // ---------------------------------------------------------------------
 // TelemetryRecorder
@@ -425,112 +417,76 @@ TelemetryRecorder::closeWindow()
     pendingEvents.clear();
 }
 
+template <class Ar>
 void
-TelemetryRecorder::serialize(ckpt::Encoder &enc) const
+TelemetryRecorder::persist(Ar &ar)
 {
-    enc.u32(1);  // Telemetry chunk layout version.
-    enc.u64(config.windowOps);
-    enc.u64(opsSeen);
-    enc.u64(windowStartOp);
-    enc.u64(_windowIndex);
-    enc.u64(emitted);
+    std::uint32_t version = 1;  // Telemetry chunk layout version.
+    ar.u32(version);
+    if (!ar.check(version == 1, [&] {
+            return "telemetry: unsupported chunk version " +
+                   std::to_string(version);
+        }))
+        return;
+    std::uint64_t window_ops = config.windowOps;
+    ar.u64(window_ops);
+    if (!ar.check(window_ops == config.windowOps, [&] {
+            return "telemetry: window size changed across resume (" +
+                   std::to_string(window_ops) + " vs " +
+                   std::to_string(config.windowOps) + ")";
+        }))
+        return;
+    ar.u64(opsSeen);
+    ar.u64(windowStartOp);
+    ar.u64(_windowIndex);
+    ar.u64(emitted);
     // Fold the live mark into the persisted wall time so a resumed
     // window accounts the pre-interruption host time it consumed.
     std::uint64_t wall = windowWallNs;
-    if (markValid) {
+    if (!Ar::loading && markValid) {
         const std::uint64_t n = clock();
         wall += n >= markNs ? n - markNs : 0;
     }
-    enc.u64(wall);
+    ar.u64(wall);
+    if constexpr (Ar::loading) {
+        windowWallNs = wall;
+        markValid = false;  // openSink() restarts the live mark.
+    }
 
-    enc.u32(static_cast<std::uint32_t>(counters.size()));
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-        enc.str(counters[i].first);
-        enc.u64(counterBase[i]);
-    }
-    enc.u32(static_cast<std::uint32_t>(scalars.size()));
-    for (std::size_t i = 0; i < scalars.size(); ++i) {
-        enc.str(scalars[i].first);
-        enc.f64(scalarBase[i]);
-    }
-    latencyBase.serialize(enc);
+    // Baselines per source, checked against the registered names.
+    const auto bases = [&](const char *kind, const auto &sources,
+                           auto &base, auto &&field) {
+        std::uint32_t n = static_cast<std::uint32_t>(sources.size());
+        ar.u32(n);
+        if (!ar.check(n == sources.size(), [&] {
+                return std::string("telemetry: ") + kind +
+                       " source count mismatch";
+            }))
+            return;
+        for (std::size_t i = 0; ar.ok() && i < sources.size(); ++i) {
+            std::string name = sources[i].first;
+            ar.str(name);
+            field(base[i]);
+            ar.check(name == sources[i].first, [&] {
+                return std::string("telemetry: ") + kind + " source '" +
+                       sources[i].first + "' was '" + name +
+                       "' at save time";
+            });
+        }
+    };
+    bases("counter", counters, counterBase,
+          [&](std::uint64_t &v) { ar.u64(v); });
+    bases("scalar", scalars, scalarBase, [&](double &v) { ar.f64(v); });
+    latencyBase.persist(ar);
 
-    enc.u32(static_cast<std::uint32_t>(pendingEvents.size()));
-    for (const auto &ev : pendingEvents) {
-        enc.u64(ev.op);
-        enc.str(ev.kind);
-        enc.str(ev.detail);
-    }
+    ar.seq32(pendingEvents, [&](auto &ev) {
+        ar.u64(ev.op);
+        ar.str(ev.kind);
+        ar.str(ev.detail);
+    });
 }
 
-bool
-TelemetryRecorder::deserialize(ckpt::Decoder &dec)
-{
-    const std::uint32_t version = dec.u32();
-    if (dec.ok() && version != 1) {
-        dec.fail("telemetry: unsupported chunk version " +
-                 std::to_string(version));
-        return false;
-    }
-    const std::uint64_t saved_window_ops = dec.u64();
-    if (dec.ok() && saved_window_ops != config.windowOps) {
-        dec.fail("telemetry: window size changed across resume (" +
-                 std::to_string(saved_window_ops) + " vs " +
-                 std::to_string(config.windowOps) + ")");
-        return false;
-    }
-    opsSeen = dec.u64();
-    windowStartOp = dec.u64();
-    _windowIndex = dec.u64();
-    emitted = dec.u64();
-    windowWallNs = dec.u64();
-    markValid = false;  // openSink() restarts the live mark.
-
-    const std::uint32_t n_counters = dec.u32();
-    if (dec.ok() && n_counters != counters.size()) {
-        dec.fail("telemetry: counter source count mismatch");
-        return false;
-    }
-    for (std::uint32_t i = 0; i < n_counters && dec.ok(); ++i) {
-        const std::string name = dec.str();
-        const std::uint64_t base = dec.u64();
-        if (dec.ok() && name != counters[i].first) {
-            dec.fail("telemetry: counter source '" +
-                     counters[i].first + "' was '" + name +
-                     "' at save time");
-            return false;
-        }
-        counterBase[i] = base;
-    }
-    const std::uint32_t n_scalars = dec.u32();
-    if (dec.ok() && n_scalars != scalars.size()) {
-        dec.fail("telemetry: scalar source count mismatch");
-        return false;
-    }
-    for (std::uint32_t i = 0; i < n_scalars && dec.ok(); ++i) {
-        const std::string name = dec.str();
-        const double base = dec.f64();
-        if (dec.ok() && name != scalars[i].first) {
-            dec.fail("telemetry: scalar source '" +
-                     scalars[i].first + "' was '" + name +
-                     "' at save time");
-            return false;
-        }
-        scalarBase[i] = base;
-    }
-    if (!latencyBase.deserialize(dec))
-        return false;
-
-    pendingEvents.clear();
-    const std::uint32_t n_events = dec.u32();
-    for (std::uint32_t i = 0; i < n_events && dec.ok(); ++i) {
-        PendingEvent ev;
-        ev.op = dec.u64();
-        ev.kind = dec.str();
-        ev.detail = dec.str();
-        pendingEvents.push_back(std::move(ev));
-    }
-    return dec.ok();
-}
+template void TelemetryRecorder::persist(ckpt::Encoder &);
+template void TelemetryRecorder::persist(ckpt::Decoder &);
 
 } // namespace emv::telemetry

@@ -42,7 +42,7 @@
  * any, is emitted by finish() with op_end < (K+1)*N.
  *
  * The recorder checkpoints its window cursor, baseline snapshots
- * and pending events (serialize()/deserialize()), so a resumed run
+ * and pending events (persist()), so a resumed run
  * continues with the next window index and — under a deterministic
  * clock — byte-identical subsequent windows.
  */
@@ -127,8 +127,8 @@ class LatencyHistogram
     static std::uint64_t bucketWidth(unsigned index);
 
     /** Checkpoint bit-exactly (sparse: only occupied buckets). */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     std::uint64_t _count = 0;
@@ -153,13 +153,14 @@ struct TelemetryConfig
  * Lifecycle: construct, register sources (addCounter/addScalar/
  * addGauge/setLatencySource/setModeSource), openSink(), then call
  * onOp() once per trace op and finish() at the end of the run.
- * For checkpoint/resume, deserialize() after the sources are
+ * For checkpoint/resume, load (persist()) after the sources are
  * registered (names are matched) and before openSink().
  *
  * A recorder belongs to one machine and reads that machine's
  * counters (Machine::attachTelemetry), so like the machine it is
  * used from one thread only and takes no lock.  Registration and
- * deserialize() belong to the setup phase, before the first onOp().
+ * the checkpoint load belong to the setup phase, before the first
+ * onOp().
  */
 class TelemetryRecorder
 {
@@ -175,8 +176,8 @@ class TelemetryRecorder
     TelemetryRecorder(const TelemetryRecorder &) = delete;
     TelemetryRecorder &operator=(const TelemetryRecorder &) = delete;
 
-    /** @{ Source registration (setup phase: before openSink /
-     * deserialize).  Counter and scalar sources are delta'd per
+    /** @{ Source registration (setup phase: before openSink and
+     * the checkpoint load).  Counter and scalar sources are delta'd per
      * window; gauges are sampled at window close.  Names become JSON
      * member names.  Getters run at window close: they must not call
      * back into the recorder. */
@@ -214,11 +215,11 @@ class TelemetryRecorder
 
     /**
      * Checkpoint the window cursor, baseline snapshots, pending
-     * events and accumulated wall time.  deserialize() validates
-     * that the registered source names match the saved ones.
+     * events and accumulated wall time.  A load checks that the
+     * registered source names match the saved ones.
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     struct PendingEvent

@@ -68,10 +68,10 @@ Mmu::Mmu(mem::PhysMemory &host_mem, const MmuConfig &config)
       pteLines(kPteLineSets, kPteLineWays),
       _vmmFilter(std::make_unique<segment::EscapeFilter>(
           config.filterBits, config.filterHashes, config.filterSeed,
-          "vmm_filter")),
+          StatName("vmm_filter"))),
       _guestFilter(std::make_unique<segment::EscapeFilter>(
           config.filterBits, config.filterHashes,
-          config.filterSeed ^ 0x9e3779b9ull, "guest_filter"))
+          config.filterSeed ^ 0x9e3779b9ull, StatName("guest_filter")))
 {
     // Child structures export under the MMU's name, so an export
     // reads "mmu.l1tlb4k.misses", "mmu.guest_psc.hits", ...
@@ -570,73 +570,44 @@ Mmu::fractionGuestOnly() const
     return categoryFraction(_stats.catGuestOnly);
 }
 
+template <class Ar>
 void
-Mmu::serialize(ckpt::Encoder &enc) const
+Mmu::persist(Ar &ar)
 {
-    enc.u8(static_cast<std::uint8_t>(_mode));
-    enc.u64(nativeRoot);
-    enc.u64(guestRoot);
-    enc.u64(nestedRoot);
-    enc.u8(nativeRootValid ? 1 : 0);
-    enc.u8(guestRootValid ? 1 : 0);
-    enc.u8(nestedRootValid ? 1 : 0);
-    enc.u64(guestSeg.base());
-    enc.u64(guestSeg.limit());
-    enc.u64(guestSeg.offset());
-    enc.u64(vmmSeg.base());
-    enc.u64(vmmSeg.limit());
-    enc.u64(vmmSeg.offset());
-    _vmmFilter->serialize(enc);
-    _guestFilter->serialize(enc);
-    tlbHier.serialize(enc);
-    guestPsc.serialize(enc);
-    nestedPsc.serialize(enc);
-    pteLines.serialize(enc);
-    _stats.serialize(enc);
-    translationLatencyHist.serialize(enc);
+    ar.u8(_mode);
+    ar.u64(nativeRoot);
+    ar.u64(guestRoot);
+    ar.u64(nestedRoot);
+    ar.u8(nativeRootValid);
+    ar.u8(guestRootValid);
+    ar.u8(nestedRootValid);
+    guestSeg.persist(ar);
+    vmmSeg.persist(ar);
+    _vmmFilter->persist(ar);
+    _guestFilter->persist(ar);
+    tlbHier.persist(ar);
+    guestPsc.persist(ar);
+    nestedPsc.persist(ar);
+    pteLines.persist(ar);
+    _stats.persist(ar);
+    translationLatencyHist.persist(ar);
+    if constexpr (Ar::loading) {
+        validate(ar);
+        // Scratch fault state never survives a translate() call;
+        // clear it so a restore mid-run starts from a clean slate.
+        pendingFaultSpace = FaultSpace::None;
+        pendingFaultAddr = 0;
+        walkSideCycles = 0;
+    }
 }
 
-bool
-Mmu::deserialize(ckpt::Decoder &dec)
+template void Mmu::persist(ckpt::Encoder &);
+template void Mmu::persist(ckpt::Decoder &);
+
+void
+Mmu::validate(ckpt::Decoder &dec) const
 {
-    const std::uint8_t savedMode = dec.u8();
-    if (dec.ok() && savedMode > static_cast<std::uint8_t>(
-                                    Mode::GuestDirect)) {
-        dec.fail("mmu: invalid mode value");
-        return false;
-    }
-    _mode = static_cast<Mode>(savedMode);
-    nativeRoot = dec.u64();
-    guestRoot = dec.u64();
-    nestedRoot = dec.u64();
-    nativeRootValid = dec.u8() != 0;
-    guestRootValid = dec.u8() != 0;
-    nestedRootValid = dec.u8() != 0;
-    {
-        const Addr base = dec.u64();
-        const Addr limit = dec.u64();
-        const std::uint64_t offset = dec.u64();
-        guestSeg = segment::SegmentRegs(base, limit, offset);
-    }
-    {
-        const Addr base = dec.u64();
-        const Addr limit = dec.u64();
-        const std::uint64_t offset = dec.u64();
-        vmmSeg = segment::SegmentRegs(base, limit, offset);
-    }
-    if (!_vmmFilter->deserialize(dec) ||
-        !_guestFilter->deserialize(dec) ||
-        !tlbHier.deserialize(dec) || !guestPsc.deserialize(dec) ||
-        !nestedPsc.deserialize(dec) || !pteLines.deserialize(dec) ||
-        !_stats.deserialize(dec) ||
-        !translationLatencyHist.deserialize(dec))
-        return false;
-    // Scratch fault state never survives a translate() call; clear
-    // it so a restore mid-run starts from a clean slate.
-    pendingFaultSpace = FaultSpace::None;
-    pendingFaultAddr = 0;
-    walkSideCycles = 0;
-    return dec.ok();
+    dec.check(_mode <= Mode::GuestDirect, "mmu: invalid mode value");
 }
 
 } // namespace emv::core

@@ -228,10 +228,13 @@ class Mmu
      * PTE-line cache and stats.  (Table contents live in PhysMemory;
      * the auditor is stateless and rebuilt lazily.)
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
+    /** Post-load check: the mode is one of the six. */
+    void validate(ckpt::Decoder &dec) const;
+
     friend class DifferentialAuditor;
 
     /** translate() minus the audit hook (all the real work). */

@@ -69,36 +69,22 @@ FaultInjector::shouldFail(FaultPoint point)
     return true;
 }
 
+template <class Ar>
 void
-FaultInjector::serialize(ckpt::Encoder &enc) const
+FaultInjector::persist(Ar &ar)
 {
-    enc.u64(events.size());
-    enc.u64(cursor);
-    for (unsigned count : armed)
-        enc.u32(count);
-    _rng.serialize(enc);
-    _stats.serialize(enc);
+    if (!ar.fixed(events, "fault: event count mismatch (restore "
+                          "requires the same fault plan)"))
+        return;
+    ar.u64(cursor);
+    ar.check(cursor <= events.size(), "fault: cursor out of range");
+    for (unsigned &count : armed)
+        ar.u32(count);
+    _rng.persist(ar);
+    _stats.persist(ar);
 }
 
-bool
-FaultInjector::deserialize(ckpt::Decoder &dec)
-{
-    const std::uint64_t nevents = dec.u64();
-    if (dec.ok() && nevents != events.size()) {
-        dec.fail("fault: event count mismatch (restore requires "
-                 "the same fault plan)");
-        return false;
-    }
-    cursor = static_cast<std::size_t>(dec.u64());
-    if (dec.ok() && cursor > events.size()) {
-        dec.fail("fault: cursor out of range");
-        return false;
-    }
-    for (auto &count : armed)
-        count = dec.u32();
-    if (!_rng.deserialize(dec) || !_stats.deserialize(dec))
-        return false;
-    return dec.ok();
-}
+template void FaultInjector::persist(ckpt::Encoder &);
+template void FaultInjector::persist(ckpt::Decoder &);
 
 } // namespace emv::fault

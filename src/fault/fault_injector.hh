@@ -112,8 +112,8 @@ class FaultInjector
      * The event list itself is rebuilt from the FaultPlan at
      * construction (deterministic), so only progress is stored.
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     std::vector<FaultEvent> events;

@@ -364,46 +364,26 @@ BuddyAllocator::fragmentationIndex() const
                  static_cast<double>(free_total);
 }
 
+template <class Ar>
 void
-BuddyAllocator::serialize(ckpt::Encoder &enc) const
+BuddyAllocator::persist(Ar &ar)
 {
-    enc.u64(rangeBase);
-    enc.u64(rangeSize);
-    enc.u64(freeLists.size());
-    for (const auto &list : freeLists) {
-        enc.u64(list.size());
-        for (Addr block : list)
-            enc.u64(block);
-    }
-    _stats.serialize(enc);
+    Addr base = rangeBase;
+    Addr size = rangeSize;
+    ar.u64(base);
+    ar.u64(size);
+    ar.check(base == rangeBase && size == rangeSize,
+             "buddy: managed range mismatch");
+    if (!ar.fixed(freeLists, "buddy: order count mismatch"))
+        return;
+    for (auto &list : freeLists)
+        ar.u64s(list);
+    _stats.persist(ar);
+    if constexpr (Ar::loading)
+        freeRuns = listCoverage();
 }
 
-bool
-BuddyAllocator::deserialize(ckpt::Decoder &dec)
-{
-    const Addr savedBase = dec.u64();
-    const Addr savedSize = dec.u64();
-    if (dec.ok() &&
-        (savedBase != rangeBase || savedSize != rangeSize)) {
-        dec.fail("buddy: managed range mismatch");
-        return false;
-    }
-    const std::uint64_t norders = dec.u64();
-    if (dec.ok() && norders != freeLists.size()) {
-        dec.fail("buddy: order count mismatch");
-        return false;
-    }
-    for (std::uint64_t o = 0; dec.ok() && o < norders; ++o) {
-        auto &list = freeLists[static_cast<std::size_t>(o)];
-        list.clear();
-        const std::uint64_t n = dec.u64();
-        for (std::uint64_t i = 0; dec.ok() && i < n; ++i)
-            list.insert(dec.u64());
-    }
-    if (!_stats.deserialize(dec))
-        return false;
-    freeRuns = listCoverage();
-    return dec.ok();
-}
+template void BuddyAllocator::persist(ckpt::Encoder &);
+template void BuddyAllocator::persist(ckpt::Decoder &);
 
 } // namespace emv::mem

@@ -149,8 +149,8 @@ class BuddyAllocator
     static unsigned orderForBytes(Addr bytes);
 
     /** Checkpoint the free lists and stats. */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     /** Insert a free block and coalesce with its buddy upward. */

@@ -245,81 +245,70 @@ PhysMemory::anyBadInRange(Addr base, Addr len) const
     return false;
 }
 
+template <class Ar>
 void
-PhysMemory::serialize(ckpt::Encoder &enc) const
+PhysMemory::persist(Ar &ar)
 {
-    enc.u64(sizeBytes);
+    Addr size = sizeBytes;
+    ar.u64(size);
+    ar.check(size == sizeBytes, "physmem: size mismatch");
 
-    enc.u64(resident);
+    std::vector<std::uint64_t> made;  // Frame indexes, ascending.
+    if constexpr (!Ar::loading) {
+        made.reserve(resident);
+        for (std::uint64_t b = 0; b < blocks.size(); ++b) {
+            for (std::uint64_t i = 0; blocks[b] && i < 512; ++i) {
+                if ((*blocks[b])[i].made)
+                    made.push_back(b << 9 | i);
+            }
+        }
+    } else {
+        for (auto &block : blocks)
+            block.reset();
+        resident = 0;
+        stored = 0;
+    }
+    std::uint64_t nframes = made.size();
+    ar.u64(nframes);
     Frame words;
-    for (std::uint64_t b = 0; b < blocks.size(); ++b) {
-        if (!blocks[b])
-            continue;
-        for (std::uint64_t i = 0; i < 512; ++i) {
-            const Slot &slot = (*blocks[b])[i];
-            if (!slot.made)
-                continue;
-            enc.u64(b << 9 | i);
-            copyWords(slot, 0, 512, words.data());
-            for (std::uint64_t word : words)
-                enc.u64(word);
+    std::uint64_t prev = 0;
+    for (std::uint64_t i = 0; ar.ok() && i < nframes; ++i) {
+        std::uint64_t index = Ar::loading ? 0 : made[i];
+        ar.u64(index);
+        if constexpr (Ar::loading) {
+            // Checked before the frame is stored: slotFor() indexes
+            // by it.
+            const std::string at =
+                "physmem: frame index " + std::to_string(index);
+            if (!ar.check(index < sizeBytes >> 12,
+                          at + " beyond memory size") ||
+                !ar.check(i == 0 || index > prev,
+                          at + " does not ascend"))
+                return;
+            prev = index;
+        } else {
+            copyWords((*blocks[index >> 9])[index & 511], 0, 512,
+                      words.data());
         }
+        for (std::uint64_t &word : words)
+            ar.u64(word);
+        if constexpr (Ar::loading)
+            storeFrame(slotFor(index << 12), words.data());
     }
 
-    std::vector<std::uint64_t> bad(badFrames.begin(),
-                                   badFrames.end());
-    std::sort(bad.begin(), bad.end());
-    enc.u64(bad.size());
-    for (std::uint64_t frame : bad)
-        enc.u64(frame);
+    std::vector<std::uint64_t> bad;
+    if constexpr (!Ar::loading) {
+        bad.assign(badFrames.begin(), badFrames.end());
+        std::sort(bad.begin(), bad.end());
+    }
+    ar.u64s(bad);
+    if constexpr (Ar::loading)
+        badFrames = {bad.begin(), bad.end()};
 
-    _stats.serialize(enc);
+    _stats.persist(ar);
 }
 
-bool
-PhysMemory::deserialize(ckpt::Decoder &dec)
-{
-    const Addr savedSize = dec.u64();
-    if (dec.ok() && savedSize != sizeBytes) {
-        dec.fail("physmem: size mismatch");
-        return false;
-    }
-
-    for (auto &block : blocks)
-        block.reset();
-    resident = 0;
-    stored = 0;
-    const std::uint64_t nframes = dec.u64();
-    std::uint64_t prev_index = 0;
-    for (std::uint64_t i = 0; dec.ok() && i < nframes; ++i) {
-        const std::uint64_t index = dec.u64();
-        if (!dec.ok())
-            break;
-        if (index >= sizeBytes >> 12) {
-            dec.fail("physmem: frame index " + std::to_string(index) +
-                     " beyond memory size");
-            return false;
-        }
-        if (i > 0 && index <= prev_index) {
-            dec.fail("physmem: frame index " + std::to_string(index) +
-                     " does not ascend");
-            return false;
-        }
-        prev_index = index;
-        Frame words;
-        for (auto &word : words)
-            word = dec.u64();
-        storeFrame(slotFor(index << 12), words.data());
-    }
-
-    badFrames.clear();
-    const std::uint64_t nbad = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < nbad; ++i)
-        badFrames.insert(dec.u64());
-
-    if (!_stats.deserialize(dec))
-        return false;
-    return dec.ok();
-}
+template void PhysMemory::persist(ckpt::Encoder &);
+template void PhysMemory::persist(ckpt::Decoder &);
 
 } // namespace emv::mem

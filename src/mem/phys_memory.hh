@@ -137,12 +137,12 @@ class PhysMemory
      * Checkpoint all resident frame contents (512 words each, linear
      * or not) in ascending frame order plus the bad-frame registry
      * (sorted, so files are byte-stable across runs).  This is the
-     * chunk that captures every page-table radix tree.  Restore stores
+     * chunk that captures every page-table radix tree.  A load stores
      * evenly stepping frames linear again, and rejects a frame index
      * beyond size() and indexes that do not strictly ascend.
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     using Frame = std::array<std::uint64_t, 512>;

@@ -68,24 +68,15 @@ BalloonDriver::selfBalloon(Addr bytes)
     return Interval{*base, *base + bytes};
 }
 
+template <class Ar>
 void
-BalloonDriver::serialize(ckpt::Encoder &enc) const
+BalloonDriver::persist(Ar &ar)
 {
-    enc.u64(pinned.size());
-    for (Addr page : pinned)
-        enc.u64(page);
-    enc.u64(_inflatedBytes);
+    ar.u64s(pinned);
+    ar.u64(_inflatedBytes);
 }
 
-bool
-BalloonDriver::deserialize(ckpt::Decoder &dec)
-{
-    pinned.clear();
-    const std::uint64_t n = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < n; ++i)
-        pinned.push_back(dec.u64());
-    _inflatedBytes = dec.u64();
-    return dec.ok();
-}
+template void BalloonDriver::persist(ckpt::Encoder &);
+template void BalloonDriver::persist(ckpt::Decoder &);
 
 } // namespace emv::os

@@ -90,8 +90,8 @@ class BalloonDriver
     { requestFaultHook = std::move(hook); }
 
     /** Checkpoint the pinned-page list and inflated byte count. */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     GuestOs &os;

@@ -184,17 +184,14 @@ CompactionDaemon::createFreeRun(Addr bytes, std::uint64_t
     return Interval{wstart, wend};
 }
 
+template <class Ar>
 void
-CompactionDaemon::serialize(ckpt::Encoder &enc) const
+CompactionDaemon::persist(Ar &ar)
 {
-    enc.u64(migrated);
+    ar.u64(migrated);
 }
 
-bool
-CompactionDaemon::deserialize(ckpt::Decoder &dec)
-{
-    migrated = dec.u64();
-    return dec.ok();
-}
+template void CompactionDaemon::persist(ckpt::Encoder &);
+template void CompactionDaemon::persist(ckpt::Decoder &);
 
 } // namespace emv::os

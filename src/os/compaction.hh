@@ -69,8 +69,8 @@ class CompactionDaemon
     { faultHook = std::move(hook); }
 
     /** Checkpoint the lifetime migration counter. */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     /** One candidate window and its cost. */

@@ -512,55 +512,26 @@ GuestOs::releaseGuestSegment(Process &proc)
     ++_stats.segmentsReleased;
 }
 
+template <class Ar>
 void
-GuestOs::serialize(ckpt::Encoder &enc) const
+GuestOs::persist(Ar &ar)
 {
-    ramSet.serialize(enc);
-    _buddy->serialize(enc);
-    enc.u64(processes.size());
-    for (const auto &proc : processes)
-        proc->serialize(enc);
-    enc.u64(badPages.size());
-    for (Addr page : badPages)
-        enc.u64(page);
-    unmovableSet.serialize(enc);
-    enc.u64(kernelFreeList.size());
-    for (Addr frame : kernelFreeList)
-        enc.u64(frame);
-    thpRng.serialize(enc);
-    _stats.serialize(enc);
-    enc.u32(static_cast<std::uint32_t>(nextPid));
+    ramSet.persist(ar);
+    _buddy->persist(ar);
+    if (!ar.fixed(processes, "os: process count mismatch (restore "
+                             "requires the same boot configuration)"))
+        return;
+    for (auto &proc : processes)
+        proc->persist(ar);
+    ar.u64s(badPages);
+    unmovableSet.persist(ar);
+    ar.u64s(kernelFreeList);
+    thpRng.persist(ar);
+    _stats.persist(ar);
+    ar.u32(nextPid);
 }
 
-bool
-GuestOs::deserialize(ckpt::Decoder &dec)
-{
-    if (!ramSet.deserialize(dec) || !_buddy->deserialize(dec))
-        return false;
-    const std::uint64_t nprocs = dec.u64();
-    if (dec.ok() && nprocs != processes.size()) {
-        dec.fail("os: process count mismatch (restore requires the "
-                 "same boot configuration)");
-        return false;
-    }
-    for (std::uint64_t i = 0; dec.ok() && i < nprocs; ++i) {
-        if (!processes[static_cast<std::size_t>(i)]->deserialize(dec))
-            return false;
-    }
-    badPages.clear();
-    const std::uint64_t nbad = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < nbad; ++i)
-        badPages.push_back(dec.u64());
-    if (!unmovableSet.deserialize(dec))
-        return false;
-    kernelFreeList.clear();
-    const std::uint64_t nkernel = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < nkernel; ++i)
-        kernelFreeList.push_back(dec.u64());
-    if (!thpRng.deserialize(dec) || !_stats.deserialize(dec))
-        return false;
-    nextPid = static_cast<int>(dec.u32());
-    return dec.ok();
-}
+template void GuestOs::persist(ckpt::Encoder &);
+template void GuestOs::persist(ckpt::Decoder &);
 
 } // namespace emv::os

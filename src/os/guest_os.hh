@@ -209,11 +209,11 @@ class GuestOs
     /**
      * Checkpoint RAM layout, buddy state, every process (by index —
      * the roster is fixed after boot), bad pages, unmovable set,
-     * kernel pool, THP RNG and stats.  Hooks are not serialized;
+     * kernel pool, THP RNG and stats.  Hooks are not checkpointed;
      * owners re-wire them after restore.
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     class OsMemSpace;

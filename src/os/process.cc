@@ -57,52 +57,27 @@ Process::primaryRegion() const
     return nullptr;
 }
 
+template <class Ar>
 void
-Process::serialize(ckpt::Encoder &enc) const
+Process::persist(Ar &ar)
 {
-    enc.u32(static_cast<std::uint32_t>(_pid));
-    pt->serialize(enc);
-    enc.u64(_regions.size());
-    for (const auto &region : _regions) {
-        enc.str(region.name);
-        enc.u64(region.base);
-        enc.u64(region.bytes);
-        enc.u8(region.primary ? 1 : 0);
-        enc.u8(static_cast<std::uint8_t>(region.pageSize));
-    }
-    enc.u64(_guestSegment.base());
-    enc.u64(_guestSegment.limit());
-    enc.u64(_guestSegment.offset());
+    int pid = _pid;
+    ar.u32(pid);
+    if (!ar.check(pid == _pid, "process: pid mismatch (restore "
+                               "requires the same boot configuration)"))
+        return;
+    pt->persist(ar);
+    ar.seq(_regions, [&](auto &region) {
+        ar.str(region.name);
+        ar.u64(region.base);
+        ar.u64(region.bytes);
+        ar.u8(region.primary);
+        ar.u8(region.pageSize);
+    });
+    _guestSegment.persist(ar);
 }
 
-bool
-Process::deserialize(ckpt::Decoder &dec)
-{
-    const int savedPid = static_cast<int>(dec.u32());
-    if (dec.ok() && savedPid != _pid) {
-        dec.fail("process: pid mismatch (restore requires the same "
-                 "boot configuration)");
-        return false;
-    }
-    if (!pt->deserialize(dec))
-        return false;
-    _regions.clear();
-    const std::uint64_t nregions = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < nregions; ++i) {
-        Region region;
-        region.name = dec.str();
-        region.base = dec.u64();
-        region.bytes = dec.u64();
-        region.primary = dec.u8() != 0;
-        region.pageSize = static_cast<PageSize>(dec.u8());
-        if (dec.ok())
-            _regions.push_back(std::move(region));
-    }
-    const Addr base = dec.u64();
-    const Addr limit = dec.u64();
-    const std::uint64_t offset = dec.u64();
-    _guestSegment = segment::SegmentRegs(base, limit, offset);
-    return dec.ok();
-}
+template void Process::persist(ckpt::Encoder &);
+template void Process::persist(ckpt::Decoder &);
 
 } // namespace emv::os

@@ -70,8 +70,8 @@ class Process
     void clearGuestSegment() { _guestSegment.clear(); }
 
     /** Checkpoint page-table metadata, regions and segment regs. */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     int _pid;

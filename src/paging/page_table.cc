@@ -390,48 +390,43 @@ PageTable::translate(Addr va) const
     return std::nullopt;
 }
 
+template <class Ar>
 void
-PageTable::serialize(ckpt::Encoder &enc) const
+PageTable::persist(Ar &ar)
 {
-    enc.u64(rootFrame);
-    enc.u64(leaves);
-    enc.u64(updates);
+    // The entries themselves are restored with physical memory; only
+    // the tree metadata lives here.  A load supersedes the
+    // constructor-allocated root with the saved one (its frame is
+    // accounted for by the restored allocator state).  The live
+    // counts are restored too, so the tree is never read back
+    // through the MemSpace.
+    ar.u64(rootFrame);
+    ar.u64(leaves);
+    ar.u64(updates);
 
-    std::vector<std::pair<Addr, std::uint32_t>> counts(
-        liveEntries.begin(), liveEntries.end());
-    std::sort(counts.begin(), counts.end());
-    enc.u64(counts.size());
-    for (const auto &[node, live] : counts) {
-        enc.u64(node);
-        enc.u32(live);
+    std::vector<std::pair<Addr, std::uint32_t>> counts;
+    if constexpr (!Ar::loading) {
+        counts.assign(liveEntries.begin(), liveEntries.end());
+        std::sort(counts.begin(), counts.end());
+    }
+    ar.seq(counts, [&](auto &count) {
+        ar.u64(count.first);
+        ar.u32(count.second);
+    });
+    if constexpr (Ar::loading) {
+        liveEntries = {counts.begin(), counts.end()};
+        validate(ar);
     }
 }
 
-bool
-PageTable::deserialize(ckpt::Decoder &dec)
-{
-    // The entries themselves are restored with physical memory; only
-    // the tree metadata lives here.  The constructor-allocated root
-    // is superseded by the saved root (its frame is accounted for by
-    // the restored allocator state).  The live counts are restored
-    // too, so the tree is never read back through the MemSpace.
-    rootFrame = dec.u64();
-    leaves = dec.u64();
-    updates = dec.u64();
+template void PageTable::persist(ckpt::Encoder &);
+template void PageTable::persist(ckpt::Decoder &);
 
-    liveEntries.clear();
-    const std::uint64_t ncounts = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < ncounts; ++i) {
-        const Addr node = dec.u64();
-        const std::uint32_t live = dec.u32();
-        if (dec.ok())
-            liveEntries.emplace(node, live);
-    }
-    if (dec.ok() && !liveEntries.count(rootFrame)) {
-        dec.fail("page table: no live count for the root");
-        return false;
-    }
-    return dec.ok();
+void
+PageTable::validate(ckpt::Decoder &dec) const
+{
+    dec.check(liveEntries.count(rootFrame) != 0,
+              "page table: no live count for the root");
 }
 
 } // namespace emv::paging

@@ -221,10 +221,13 @@ class PageTable
      * memory and are captured by the PhysMemory chunk, so restore
      * never reads the tree.
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
+    /** Post-load check: the root has a live count. */
+    void validate(ckpt::Decoder &dec) const;
+
     /** The tables from the root down to one leaf table. */
     struct Path
     {

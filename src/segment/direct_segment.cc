@@ -1,5 +1,6 @@
 #include "segment/direct_segment.hh"
 
+#include "common/ckpt.hh"
 #include "common/logging.hh"
 
 namespace emv::segment {
@@ -13,5 +14,17 @@ SegmentRegs::toString() const
                           hexAddr(_limit).c_str(),
                           hexAddr(_offset).c_str());
 }
+
+template <class Ar>
+void
+SegmentRegs::persist(Ar &ar)
+{
+    ar.u64(_base);
+    ar.u64(_limit);
+    ar.u64(_offset);
+}
+
+template void SegmentRegs::persist(ckpt::Encoder &);
+template void SegmentRegs::persist(ckpt::Decoder &);
 
 } // namespace emv::segment

@@ -71,6 +71,10 @@ class SegmentRegs
 
     std::string toString() const;
 
+    /** Checkpoint BASE, LIMIT and OFFSET. */
+    template <class Ar>
+    void persist(Ar &ar);
+
     constexpr bool operator==(const SegmentRegs &) const = default;
 
   private:

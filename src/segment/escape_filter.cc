@@ -25,7 +25,7 @@ log2Bits(unsigned bits)
 } // namespace
 
 EscapeFilter::EscapeFilter(unsigned bits, unsigned num_hashes,
-                           std::uint64_t seed, const char *name)
+                           std::uint64_t seed, StatName name)
     : bits(bits), hashes(num_hashes, log2Bits(bits), seed),
       words((bits + 63) / 64, 0), _stats(name)
 {
@@ -36,7 +36,7 @@ EscapeFilter::EscapeFilter(unsigned bits, unsigned num_hashes,
 
 EscapeFilter::EscapeFilter(const EscapeFilter &other)
     : bits(other.bits), inserted(other.inserted), hashes(other.hashes),
-      words(other.words), _stats(other._stats.name())
+      words(other.words), _stats("escape_filter")
 {
     _stats.copyValues(other._stats);
 }
@@ -130,36 +130,22 @@ EscapeFilter::expectedFalsePositiveRate() const
     return std::pow(fill, k);
 }
 
+template <class Ar>
 void
-EscapeFilter::serialize(ckpt::Encoder &enc) const
+EscapeFilter::persist(Ar &ar)
 {
-    enc.u32(bits);
-    enc.u32(inserted);
-    enc.u64(words.size());
-    for (std::uint64_t w : words)
-        enc.u64(w);
-    _stats.serialize(enc);
+    unsigned saved_bits = bits;
+    ar.u32(saved_bits);
+    ar.check(saved_bits == bits, "escape_filter: size mismatch");
+    ar.u32(inserted);
+    if (!ar.fixed(words, "escape_filter: word count mismatch"))
+        return;
+    for (std::uint64_t &w : words)
+        ar.u64(w);
+    _stats.persist(ar);
 }
 
-bool
-EscapeFilter::deserialize(ckpt::Decoder &dec)
-{
-    const unsigned savedBits = dec.u32();
-    if (dec.ok() && savedBits != bits) {
-        dec.fail("escape_filter: size mismatch");
-        return false;
-    }
-    inserted = dec.u32();
-    const std::uint64_t n = dec.u64();
-    if (dec.ok() && n != words.size()) {
-        dec.fail("escape_filter: word count mismatch");
-        return false;
-    }
-    for (auto &w : words)
-        w = dec.u64();
-    if (!_stats.deserialize(dec))
-        return false;
-    return dec.ok();
-}
+template void EscapeFilter::persist(ckpt::Encoder &);
+template void EscapeFilter::persist(ckpt::Decoder &);
 
 } // namespace emv::segment

@@ -45,7 +45,7 @@ class EscapeFilter
      */
     explicit EscapeFilter(unsigned bits = 256, unsigned num_hashes = 4,
                           std::uint64_t seed = 0x1234,
-                          const char *name = "escape_filter");
+                          StatName name = "escape_filter");
 
     /** Copies keep their own stat group (and its parent link) but
      *  take the source's group name and stat values. */
@@ -95,8 +95,8 @@ class EscapeFilter
      * tables are rebuilt deterministically from the construction
      * seed and are intentionally not stored.
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     unsigned bits;

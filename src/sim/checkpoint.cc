@@ -11,43 +11,47 @@ constexpr std::uint32_t kMetaVersion = 1;
 
 } // namespace
 
+template <class Ar>
+void
+CheckpointMeta::persist(Ar &ar)
+{
+    std::uint32_t version = kMetaVersion;
+    ar.u32(version);
+    ar.check(version == kMetaVersion, [&] {
+        return "params: unsupported meta version " +
+               std::to_string(version);
+    });
+    ar.str(workload);
+    ar.str(configLabel);
+    ar.f64(scale);
+    ar.u64(seed);
+    ar.u64(warmupOps);
+    ar.u64(measureOps);
+    ar.u32(badFrames);
+    ar.u64(badFrameSeed);
+    ar.str(faultSpec);
+    ar.str(faultPolicy);
+    ar.u64(faultSeed);
+    ar.u64(fragGuestBytes);
+    ar.u64(fragHostBytes);
+    ar.u8(audit);
+    ar.u64(warmupDone);
+    ar.u64(measuredOps);
+}
+
+template void CheckpointMeta::persist(ckpt::Encoder &);
+template void CheckpointMeta::persist(ckpt::Decoder &);
+
 bool
 saveCheckpoint(const std::string &path, const CheckpointMeta &meta,
                const Machine &machine, std::string &error,
                const telemetry::TelemetryRecorder *recorder)
 {
     ckpt::Writer writer;
-
-    ckpt::Encoder p;
-    p.u32(kMetaVersion);
-    p.str(meta.workload);
-    p.str(meta.configLabel);
-    p.f64(meta.scale);
-    p.u64(meta.seed);
-    p.u64(meta.warmupOps);
-    p.u64(meta.measureOps);
-    p.u32(meta.badFrames);
-    p.u64(meta.badFrameSeed);
-    p.str(meta.faultSpec);
-    p.str(meta.faultPolicy);
-    p.u64(meta.faultSeed);
-    p.u64(meta.fragGuestBytes);
-    p.u64(meta.fragHostBytes);
-    p.u8(meta.audit ? 1 : 0);
-    p.u64(meta.warmupDone);
-    p.u64(meta.measuredOps);
-    writer.chunk("params", p);
-
-    ckpt::Encoder a;
-    audit::stats().serialize(a);
-    writer.chunk("audit", a);
-
-    if (recorder) {
-        ckpt::Encoder t;
-        recorder->serialize(t);
-        writer.chunk("telemetry", t);
-    }
-
+    writer.save("params", meta);
+    writer.save("audit", audit::stats());
+    if (recorder)
+        writer.save("telemetry", *recorder);
     machine.serialize(writer);
     return writer.writeFile(path, &error);
 }
@@ -60,33 +64,9 @@ loadCheckpoint(const std::string &path, LoadedCheckpoint &out,
         error = out.reader.error();
         return false;
     }
-    ckpt::Decoder dec = out.reader.chunk("params");
-    const std::uint32_t meta_version = dec.u32();
-    if (dec.ok() && meta_version != kMetaVersion) {
-        dec.fail("params: unsupported meta version " +
-                 std::to_string(meta_version));
-    }
-    CheckpointMeta &meta = out.meta;
-    meta.workload = dec.str();
-    meta.configLabel = dec.str();
-    meta.scale = dec.f64();
-    meta.seed = dec.u64();
-    meta.warmupOps = dec.u64();
-    meta.measureOps = dec.u64();
-    meta.badFrames = dec.u32();
-    meta.badFrameSeed = dec.u64();
-    meta.faultSpec = dec.str();
-    meta.faultPolicy = dec.str();
-    meta.faultSeed = dec.u64();
-    meta.fragGuestBytes = dec.u64();
-    meta.fragHostBytes = dec.u64();
-    meta.audit = dec.u8() != 0;
-    meta.warmupDone = dec.u64();
-    meta.measuredOps = dec.u64();
-    if (!dec.ok()) {
-        error = "chunk 'params': " + dec.error();
+    const CheckpointMeta &meta = out.meta;
+    if (!out.reader.load("params", out.meta, error))
         return false;
-    }
     if (meta.warmupDone > meta.warmupOps ||
         meta.measuredOps > meta.measureOps) {
         error = "chunk 'params': progress exceeds requested ops";
@@ -99,14 +79,8 @@ bool
 restoreMachine(const LoadedCheckpoint &file, Machine &machine,
                std::string &error)
 {
-    ckpt::Decoder a = file.reader.chunk("audit");
-    if (!audit::stats().deserialize(a) || !a.ok()) {
-        error = "chunk 'audit': " +
-                (a.error().empty() ? std::string("malformed payload")
-                                   : a.error());
-        return false;
-    }
-    return machine.deserialize(file.reader, error);
+    return file.reader.load("audit", audit::stats(), error) &&
+           machine.deserialize(file.reader, error);
 }
 
 bool
@@ -114,16 +88,8 @@ restoreTelemetry(const LoadedCheckpoint &file,
                  telemetry::TelemetryRecorder &recorder,
                  std::string &error)
 {
-    if (!file.reader.hasChunk("telemetry"))
-        return true;
-    ckpt::Decoder t = file.reader.chunk("telemetry");
-    if (!recorder.deserialize(t) || !t.ok()) {
-        error = "chunk 'telemetry': " +
-                (t.error().empty() ? std::string("malformed payload")
-                                   : t.error());
-        return false;
-    }
-    return true;
+    return !file.reader.hasChunk("telemetry") ||
+           file.reader.load("telemetry", recorder, error);
 }
 
 } // namespace emv::sim

@@ -15,7 +15,7 @@
  *
  * Restore is construct-then-overwrite: the driver rebuilds the
  * workload and Machine from the params chunk exactly as a fresh run
- * would, then deserializes every mutable layer on top.  Because the
+ * would, then loads every mutable layer on top.  Because the
  * RNG streams, stat registries and cycle pools are restored
  * bit-exactly, a resumed run finishes with output identical to the
  * uninterrupted run.
@@ -56,6 +56,10 @@ struct CheckpointMeta
     std::uint64_t warmupDone = 0;   //!< Warmup ops completed.
     std::uint64_t measuredOps = 0;  //!< Measure ops completed.
     /** @} */
+
+    /** The "params" chunk, behind its own layout version. */
+    template <class Ar>
+    void persist(Ar &ar);
 };
 
 /** A parsed and CRC-validated checkpoint plus its decoded meta. */

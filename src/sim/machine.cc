@@ -665,93 +665,21 @@ Machine::measuredResult() const
 void
 Machine::serialize(ckpt::Writer &writer) const
 {
-    ckpt::Encoder m;
-    m.u8(static_cast<std::uint8_t>(cfg.mode));
-    m.u64(opCursor);
-    m.f64(faultCyclesPool);
-    m.f64(shootdownCyclesPool);
-    m.f64(baseCyclesPool);
-    m.u64(guestFaultCount);
-    m.u64(remapCount);
-    m.u64(accessCount);
-    m.u64(vmExitBase);
-    m.u64(shadowExitBase);
-
-    m.u8(_terminalFault ? 1 : 0);
-    if (_terminalFault) {
-        m.str(_terminalFault->reason);
-        m.u8(static_cast<std::uint8_t>(_terminalFault->space));
-        m.u64(_terminalFault->addr);
-        m.u64(_terminalFault->opIndex);
-    }
-
-    m.u8(vmmSegmentInfo ? 1 : 0);
-    if (vmmSegmentInfo) {
-        m.u64(vmmSegmentInfo->regs.base());
-        m.u64(vmmSegmentInfo->regs.limit());
-        m.u64(vmmSegmentInfo->regs.offset());
-        m.u64(vmmSegmentInfo->escapedGpas.size());
-        for (Addr gpa : vmmSegmentInfo->escapedGpas)
-            m.u64(gpa);
-    }
-
-    // The balloon driver and compaction daemon are created lazily
-    // mid-run; an existence flag lets restore recreate them.
-    m.u8(balloon ? 1 : 0);
-    if (balloon)
-        balloon->serialize(m);
-    m.u8(compactor ? 1 : 0);
-    if (compactor)
-        compactor->serialize(m);
-    writer.chunk("machine", m);
-
-    ckpt::Encoder w;
-    wl.serialize(w);
-    writer.chunk("workload", w);
-
-    ckpt::Encoder pm;
-    _hostMem->serialize(pm);
-    writer.chunk("physmem", pm);
-
-    if (_vmm) {
-        ckpt::Encoder v;
-        _vmm->serialize(v);
-        writer.chunk("vmm", v);
-    }
-
-    ckpt::Encoder o;
-    _os->serialize(o);
-    writer.chunk("os", o);
-
-    ckpt::Encoder mmu_enc;
-    _mmu->serialize(mmu_enc);
-    writer.chunk("mmu", mmu_enc);
-
-    if (shadow) {
-        ckpt::Encoder s;
-        shadow->serialize(s);
-        writer.chunk("shadow", s);
-    }
-
-    ckpt::Encoder f;
-    injector->serialize(f);
-    writer.chunk("fault", f);
+    writer.save("machine", *this);
+    writer.save("workload", wl);
+    writer.save("physmem", *_hostMem);
+    if (_vmm)
+        writer.save("vmm", *_vmm);
+    writer.save("os", *_os);
+    writer.save("mmu", *_mmu);
+    if (shadow)
+        writer.save("shadow", *shadow);
+    writer.save("fault", *injector);
 }
 
 bool
 Machine::deserialize(const ckpt::Reader &reader, std::string &error)
 {
-    const auto restore = [&](const char *tag, auto &&fn) {
-        ckpt::Decoder dec = reader.chunk(tag);
-        if (!fn(dec) || !dec.ok()) {
-            error = std::string("chunk '") + tag + "': " +
-                    (dec.error().empty() ? "malformed payload"
-                                         : dec.error());
-            return false;
-        }
-        return true;
-    };
-
     // Presence of the optional layers is fixed at construction, so
     // a mismatch means the checkpoint was taken under a different
     // boot configuration.
@@ -768,111 +696,81 @@ Machine::deserialize(const ckpt::Reader &reader, std::string &error)
 
     // Physical memory first: it holds every page-table node the
     // later layers' roots point into.
-    if (!restore("physmem", [&](ckpt::Decoder &d) {
-            return _hostMem->deserialize(d);
-        }))
-        return false;
-    if (_vmm && !restore("vmm", [&](ckpt::Decoder &d) {
-            return _vmm->deserialize(d);
-        }))
-        return false;
-    if (!restore("os", [&](ckpt::Decoder &d) {
-            return _os->deserialize(d);
-        }))
-        return false;
-    if (!restore("mmu", [&](ckpt::Decoder &d) {
-            return _mmu->deserialize(d);
-        }))
-        return false;
-    if (shadow && !restore("shadow", [&](ckpt::Decoder &d) {
-            return shadow->deserialize(d);
-        }))
-        return false;
-    if (!restore("fault", [&](ckpt::Decoder &d) {
-            return injector->deserialize(d);
-        }))
-        return false;
-    if (!restore("workload", [&](ckpt::Decoder &d) {
-            return wl.deserialize(d);
-        }))
-        return false;
+    return reader.load("physmem", *_hostMem, error) &&
+           (!_vmm || reader.load("vmm", *_vmm, error)) &&
+           reader.load("os", *_os, error) &&
+           reader.load("mmu", *_mmu, error) &&
+           (!shadow || reader.load("shadow", *shadow, error)) &&
+           reader.load("fault", *injector, error) &&
+           reader.load("workload", wl, error) &&
+           reader.load("machine", *this, error);
+}
 
-    return restore("machine", [&](ckpt::Decoder &d) {
-        const std::uint8_t mode = d.u8();
-        if (d.ok() &&
-            mode > static_cast<std::uint8_t>(Mode::GuestDirect)) {
-            d.fail("machine: invalid mode value");
-            return false;
-        }
-        cfg.mode = static_cast<Mode>(mode);
-        opCursor = d.u64();
-        faultCyclesPool = d.f64();
-        shootdownCyclesPool = d.f64();
-        baseCyclesPool = d.f64();
-        guestFaultCount = d.u64();
-        remapCount = d.u64();
-        accessCount = d.u64();
-        vmExitBase = d.u64();
-        shadowExitBase = d.u64();
-
-        if (d.u8() != 0) {
-            FaultReport report;
-            report.reason = d.str();
-            const std::uint8_t space = d.u8();
-            if (d.ok() && space > static_cast<std::uint8_t>(
-                              FaultSpace::Nested)) {
-                d.fail("machine: invalid fault space");
-                return false;
-            }
-            report.space = static_cast<FaultSpace>(space);
-            report.addr = d.u64();
-            report.opIndex = d.u64();
-            if (d.ok())
-                _terminalFault = report;
-        } else {
-            _terminalFault.reset();
-        }
-
-        if (d.u8() != 0) {
-            vmm::VmmSegmentInfo info;
-            const Addr seg_base = d.u64();
-            const Addr seg_limit = d.u64();
-            const Addr seg_offset = d.u64();
-            info.regs = segment::SegmentRegs(seg_base, seg_limit,
-                                             seg_offset);
-            const std::uint64_t n = d.u64();
-            for (std::uint64_t i = 0; d.ok() && i < n; ++i)
-                info.escapedGpas.push_back(d.u64());
-            if (d.ok())
-                vmmSegmentInfo = info;
-        } else {
-            vmmSegmentInfo.reset();
-        }
-
-        if (d.u8() != 0) {
-            if (!_vm) {
-                d.fail("machine: balloon state without a VM");
-                return false;
-            }
-            if (!balloon) {
-                balloon =
-                    std::make_unique<os::BalloonDriver>(*_os, *_vm);
-            }
-            if (!balloon->deserialize(d))
-                return false;
-        } else {
-            balloon.reset();
-        }
-
-        if (d.u8() != 0) {
-            compactionDaemon();
-            if (!compactor->deserialize(d))
-                return false;
-        } else {
-            compactor.reset();
-        }
-        return d.ok();
+template <class Ar>
+void
+Machine::persist(Ar &ar)
+{
+    ar.u8(cfg.mode);
+    ar.u64(opCursor);
+    ar.f64(faultCyclesPool);
+    ar.f64(shootdownCyclesPool);
+    ar.f64(baseCyclesPool);
+    ar.u64(guestFaultCount);
+    ar.u64(remapCount);
+    ar.u64(accessCount);
+    ar.u64(vmExitBase);
+    ar.u64(shadowExitBase);
+    ar.opt(_terminalFault, [&](auto &fault) {
+        ar.str(fault.reason);
+        ar.u8(fault.space);
+        ar.u64(fault.addr);
+        ar.u64(fault.opIndex);
     });
+    ar.opt(vmmSegmentInfo, [&](auto &info) {
+        info.regs.persist(ar);
+        ar.u64s(info.escapedGpas);
+    });
+
+    // The balloon driver and compaction daemon are created lazily
+    // mid-run; an existence flag lets restore recreate them.
+    bool has_balloon = static_cast<bool>(balloon);
+    ar.u8(has_balloon);
+    if constexpr (Ar::loading) {
+        if (!has_balloon)
+            balloon.reset();
+        else if (!ar.check(_vm != nullptr,
+                           "machine: balloon state without a VM"))
+            return;
+        else if (!balloon)
+            balloon = std::make_unique<os::BalloonDriver>(*_os, *_vm);
+    }
+    if (has_balloon)
+        balloon->persist(ar);
+    bool has_compactor = static_cast<bool>(compactor);
+    ar.u8(has_compactor);
+    if constexpr (Ar::loading) {
+        if (has_compactor)
+            compactionDaemon();
+        else
+            compactor.reset();
+    }
+    if (has_compactor)
+        compactor->persist(ar);
+    if constexpr (Ar::loading)
+        validate(ar);
+}
+
+template void Machine::persist(ckpt::Encoder &);
+template void Machine::persist(ckpt::Decoder &);
+
+void
+Machine::validate(ckpt::Decoder &dec) const
+{
+    dec.check(cfg.mode <= Mode::GuestDirect,
+              "machine: invalid mode value");
+    dec.check(!_terminalFault ||
+                  _terminalFault->space <= FaultSpace::Nested,
+              "machine: invalid fault space");
 }
 
 std::optional<std::uint64_t>

@@ -212,14 +212,19 @@ class Machine
     RunResult measuredResult() const;
 
     /** @{ Crash-safe checkpointing (emv-ckpt-v1).
-     * serialize() packs every mutable layer into tagged chunks;
-     * deserialize() overwrites the state of a machine that was
+     * serialize() saves every mutable layer's persist() as a tagged
+     * chunk; deserialize() loads each chunk into a machine that was
      * *constructed from the same configuration and workload* (same
      * seeds, sizes, fault plan — geometry mismatches are structured
      * errors).  Hooks, H3 filter matrices and the differential
      * auditor are deterministic or lazily rebuilt, not stored. */
     void serialize(ckpt::Writer &writer) const;
     bool deserialize(const ckpt::Reader &reader, std::string &error);
+    /** The "machine" chunk: mode, run cursors and cycle pools, the
+     *  terminal fault, VMM-segment info and the lazily created
+     *  balloon driver and compaction daemon. */
+    template <class Ar>
+    void persist(Ar &ar);
     /** @} */
 
     /** @{ Table III mode transitions. */
@@ -293,6 +298,8 @@ class Machine
     /** @} */
 
   private:
+    /** Post-load checks of the "machine" chunk's enum values. */
+    void validate(ckpt::Decoder &dec) const;
     void buildNative();
     void buildVirtualized();
     void applyGuestFragmentation();

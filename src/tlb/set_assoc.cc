@@ -68,48 +68,44 @@ SetAssoc::clear()
     std::fill(valid.begin(), valid.end(), 0);
 }
 
+template <class Ar>
 void
-SetAssoc::serialize(ckpt::Encoder &enc) const
+SetAssoc::persist(Ar &ar, const std::string &owner)
 {
-    enc.u32(numSets);
-    enc.u32(numWays);
-    enc.u64(tick);
-    enc.u64(tags.size());
+    unsigned sets = numSets;
+    unsigned ways = numWays;
+    ar.u32(sets);
+    ar.u32(ways);
+    ar.check(sets == numSets && ways == numWays,
+             [&] { return owner + ": geometry mismatch"; });
+    ar.u64(tick);
+    if (!ar.fixed(tags, [&] { return owner + ": entry count mismatch"; }))
+        return;
     for (std::size_t i = 0; i < tags.size(); ++i) {
-        enc.u64(tags[i]);
-        enc.u64(values[i]);
-        enc.u64(stamps[i]);
-        enc.u8(valid[i] ? 1 : 0);
+        ar.u64(tags[i]);
+        ar.u64(values[i]);
+        ar.u64(stamps[i]);
+        bool is_valid = valid[i];
+        ar.u8(is_valid);
+        if constexpr (Ar::loading)
+            valid[i] = is_valid;
     }
+    if constexpr (Ar::loading)
+        validate(ar, owner);
 }
 
-bool
-SetAssoc::deserialize(ckpt::Decoder &dec, const std::string &owner)
+template void SetAssoc::persist(ckpt::Encoder &, const std::string &);
+template void SetAssoc::persist(ckpt::Decoder &, const std::string &);
+
+void
+SetAssoc::validate(ckpt::Decoder &dec, const std::string &owner) const
 {
-    const unsigned savedSets = dec.u32();
-    const unsigned savedWays = dec.u32();
-    if (dec.ok() && (savedSets != numSets || savedWays != numWays)) {
-        dec.fail(owner + ": geometry mismatch");
-        return false;
-    }
-    tick = dec.u64();
-    const std::uint64_t n = dec.u64();
-    if (dec.ok() && n != tags.size()) {
-        dec.fail(owner + ": entry count mismatch");
-        return false;
-    }
-    for (std::size_t i = 0; dec.ok() && i < n; ++i) {
-        tags[i] = dec.u64();
-        values[i] = dec.u64();
-        stamps[i] = dec.u64();
-        valid[i] = dec.u8() != 0 ? 1 : 0;
-        // insert() relies on this bound to pick its victim.
-        if (dec.ok() && valid[i] && (stamps[i] == 0 || stamps[i] > tick)) {
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        if (valid[i] && (stamps[i] == 0 || stamps[i] > tick)) {
             dec.fail(owner + ": LRU stamp out of range");
-            return false;
+            return;
         }
     }
-    return dec.ok();
 }
 
 } // namespace emv::tlb

@@ -81,14 +81,18 @@ class SetAssoc
 
     /**
      * Checkpoint geometry, LRU clock and entries, each entry as
-     * tag, value, stamp, valid.  deserialize() fails (structured,
-     * naming @p owner) if the saved geometry or entry count differs,
-     * or if a valid entry's stamp lies outside [1, tick].
+     * tag, value, stamp, valid.  A load fails (structured, naming
+     * @p owner) if the saved geometry or entry count differs, or if
+     * a valid entry's stamp lies outside [1, tick].
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec, const std::string &owner);
+    template <class Ar>
+    void persist(Ar &ar, const std::string &owner = "set_assoc");
 
   private:
+    /** Post-load check: insert() relies on valid stamps lying in
+     *  [1, tick] to pick its victim. */
+    void validate(ckpt::Decoder &dec, const std::string &owner) const;
+
     /** Audit, kept out of line so insert() stays small: @p tag is
      *  stored in exactly one way of the set at @p base. */
     [[gnu::cold]] void checkSingleCopy(std::size_t base,

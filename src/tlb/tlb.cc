@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/audit.hh"
+#include "common/ckpt.hh"
 #include "common/logging.hh"
 
 namespace emv::tlb {
@@ -20,8 +21,8 @@ ofKind(EntryKind kind)
 
 } // namespace
 
-Tlb::Tlb(std::string name, unsigned sets, unsigned ways)
-    : array(sets, ways), _stats(std::move(name))
+Tlb::Tlb(StatName name, unsigned sets, unsigned ways)
+    : array(sets, ways), _stats(name)
 {
 }
 
@@ -84,20 +85,17 @@ Tlb::checkCounts() const
                   _stats.name().c_str());
 }
 
+template <class Ar>
 void
-Tlb::serialize(ckpt::Encoder &enc) const
+Tlb::persist(Ar &ar)
 {
-    array.serialize(enc);
-    _stats.serialize(enc);
+    array.persist(ar, _stats.name());
+    if constexpr (Ar::loading)
+        live = recount();
+    _stats.persist(ar);
 }
 
-bool
-Tlb::deserialize(ckpt::Decoder &dec)
-{
-    if (!array.deserialize(dec, _stats.name()))
-        return false;
-    live = recount();
-    return _stats.deserialize(dec);
-}
+template void Tlb::persist(ckpt::Encoder &);
+template void Tlb::persist(ckpt::Decoder &);
 
 } // namespace emv::tlb

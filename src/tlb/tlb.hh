@@ -51,7 +51,7 @@ struct TlbHit
 class Tlb
 {
   public:
-    Tlb(std::string name, unsigned sets, unsigned ways);
+    Tlb(StatName name, unsigned sets, unsigned ways);
 
     /**
      * Probe for the page of @p size containing @p addr.
@@ -81,11 +81,11 @@ class Tlb
     StatGroup &stats() { return _stats; }
 
     /**
-     * Checkpoint entries, LRU clock and stats.  deserialize() fails
+     * Checkpoint entries, LRU clock and stats.  A load fails
      * (structured, no UB) if the saved geometry differs.
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     /** Live entries per class, indexed by tag & 15. */

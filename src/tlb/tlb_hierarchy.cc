@@ -1,5 +1,6 @@
 #include "tlb/tlb_hierarchy.hh"
 
+#include "common/ckpt.hh"
 #include "common/trace.hh"
 
 namespace emv::tlb {
@@ -58,20 +59,17 @@ TlbHierarchy::flushNestedPage(Addr gpa, PageSize size)
     l2Tlb.flushPage(EntryKind::Nested, gpa, size);
 }
 
+template <class Ar>
 void
-TlbHierarchy::serialize(ckpt::Encoder &enc) const
+TlbHierarchy::persist(Ar &ar)
 {
-    l1Tlb4K.serialize(enc);
-    l1Tlb2M.serialize(enc);
-    l1Tlb1G.serialize(enc);
-    l2Tlb.serialize(enc);
+    l1Tlb4K.persist(ar);
+    l1Tlb2M.persist(ar);
+    l1Tlb1G.persist(ar);
+    l2Tlb.persist(ar);
 }
 
-bool
-TlbHierarchy::deserialize(ckpt::Decoder &dec)
-{
-    return l1Tlb4K.deserialize(dec) && l1Tlb2M.deserialize(dec) &&
-           l1Tlb1G.deserialize(dec) && l2Tlb.deserialize(dec);
-}
+template void TlbHierarchy::persist(ckpt::Encoder &);
+template void TlbHierarchy::persist(ckpt::Decoder &);
 
 } // namespace emv::tlb

@@ -79,8 +79,8 @@ class TlbHierarchy
     void setStatsParent(const StatGroup *parent);
 
     /** Checkpoint all four TLBs. */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     Tlb l1Tlb4K;

@@ -3,11 +3,12 @@
 #include <utility>
 
 #include "common/audit.hh"
+#include "common/ckpt.hh"
 
 namespace emv::tlb {
 
-WalkCache::WalkCache(unsigned sets, unsigned ways, std::string name)
-    : array(sets, ways), _stats(std::move(name))
+WalkCache::WalkCache(unsigned sets, unsigned ways, StatName name)
+    : array(sets, ways), _stats(name)
 {
 }
 
@@ -27,22 +28,19 @@ WalkCache::flush()
     ++_stats.flushes;
 }
 
+template <class Ar>
 void
-WalkCache::serialize(ckpt::Encoder &enc) const
+WalkCache::persist(Ar &ar)
 {
-    array.serialize(enc);
-    _stats.serialize(enc);
+    array.persist(ar, _stats.name());
+    _stats.persist(ar);
 }
 
-bool
-WalkCache::deserialize(ckpt::Decoder &dec)
-{
-    return array.deserialize(dec, _stats.name()) &&
-           _stats.deserialize(dec);
-}
+template void WalkCache::persist(ckpt::Encoder &);
+template void WalkCache::persist(ckpt::Decoder &);
 
-LineCache::LineCache(unsigned sets, unsigned ways, std::string name)
-    : array(sets, ways), _stats(std::move(name))
+LineCache::LineCache(unsigned sets, unsigned ways, StatName name)
+    : array(sets, ways), _stats(name)
 {
 }
 
@@ -53,18 +51,15 @@ LineCache::flush()
     ++_stats.flushes;
 }
 
+template <class Ar>
 void
-LineCache::serialize(ckpt::Encoder &enc) const
+LineCache::persist(Ar &ar)
 {
-    array.serialize(enc);
-    _stats.serialize(enc);
+    array.persist(ar, _stats.name());
+    _stats.persist(ar);
 }
 
-bool
-LineCache::deserialize(ckpt::Decoder &dec)
-{
-    return array.deserialize(dec, _stats.name()) &&
-           _stats.deserialize(dec);
-}
+template void LineCache::persist(ckpt::Encoder &);
+template void LineCache::persist(ckpt::Decoder &);
 
 } // namespace emv::tlb

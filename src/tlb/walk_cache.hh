@@ -46,7 +46,7 @@ class WalkCache
 {
   public:
     WalkCache(unsigned sets, unsigned ways,
-              std::string name = "walkcache");
+              StatName name = "walkcache");
 
     /** Compose the lookup key for @p level and address @p va. */
     static std::uint64_t
@@ -67,8 +67,8 @@ class WalkCache
     StatGroup &stats() { return _stats; }
 
     /** Checkpoint entries, LRU clock and stats. */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     SetAssoc array;
@@ -84,7 +84,7 @@ class LineCache
 {
   public:
     LineCache(unsigned sets, unsigned ways,
-              std::string name = "linecache");
+              StatName name = "linecache");
 
     /** Touch the line containing @p pa; @return true on hit. */
     bool access(Addr pa);
@@ -93,8 +93,8 @@ class LineCache
     StatGroup &stats() { return _stats; }
 
     /** Checkpoint entries, LRU clock and stats. */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     SetAssoc array;

@@ -198,30 +198,23 @@ BackingMap::totalBytes() const
     return total;
 }
 
+template <class Ar>
 void
-BackingMap::serialize(ckpt::Encoder &enc) const
+BackingMap::persist(Ar &ar)
 {
-    enc.u64(byGpa.size());
-    for (const auto &[gpa, value] : byGpa) {
-        enc.u64(gpa);
-        enc.u64(value.bytes);
-        enc.u64(value.hpa);
-    }
+    std::vector<std::pair<Addr, Value>> extents;
+    if constexpr (!Ar::loading)
+        extents.assign(byGpa.begin(), byGpa.end());
+    ar.seq(extents, [&](auto &extent) {
+        ar.u64(extent.first);
+        ar.u64(extent.second.bytes);
+        ar.u64(extent.second.hpa);
+    });
+    if constexpr (Ar::loading)
+        byGpa = {extents.begin(), extents.end()};
 }
 
-bool
-BackingMap::deserialize(ckpt::Decoder &dec)
-{
-    byGpa.clear();
-    const std::uint64_t n = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < n; ++i) {
-        const Addr gpa = dec.u64();
-        const Addr bytes = dec.u64();
-        const Addr hpa = dec.u64();
-        if (dec.ok())
-            byGpa[gpa] = Value{bytes, hpa};
-    }
-    return dec.ok();
-}
+template void BackingMap::persist(ckpt::Encoder &);
+template void BackingMap::persist(ckpt::Decoder &);
 
 } // namespace emv::vmm

@@ -88,8 +88,8 @@ class BackingMap
     void auditInvariants() const;
 
     /** Checkpoint the extent map (replaces contents on restore). */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     struct Value

@@ -70,33 +70,19 @@ MemorySlots::find(const std::string &name) const
     return nullptr;
 }
 
+template <class Ar>
 void
-MemorySlots::serialize(ckpt::Encoder &enc) const
+MemorySlots::persist(Ar &ar)
 {
-    enc.u64(table.size());
-    for (const auto &slot : table) {
-        enc.str(slot.name);
-        enc.u64(slot.gpaBase);
-        enc.u64(slot.bytes);
-        enc.u64(slot.hvaBase);
-    }
+    ar.seq(table, [&](auto &slot) {
+        ar.str(slot.name);
+        ar.u64(slot.gpaBase);
+        ar.u64(slot.bytes);
+        ar.u64(slot.hvaBase);
+    });
 }
 
-bool
-MemorySlots::deserialize(ckpt::Decoder &dec)
-{
-    table.clear();
-    const std::uint64_t n = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < n; ++i) {
-        MemorySlot slot;
-        slot.name = dec.str();
-        slot.gpaBase = dec.u64();
-        slot.bytes = dec.u64();
-        slot.hvaBase = dec.u64();
-        if (dec.ok())
-            table.push_back(std::move(slot));
-    }
-    return dec.ok();
-}
+template void MemorySlots::persist(ckpt::Encoder &);
+template void MemorySlots::persist(ckpt::Decoder &);
 
 } // namespace emv::vmm

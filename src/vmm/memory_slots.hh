@@ -61,8 +61,8 @@ class MemorySlots
     const MemorySlot *find(const std::string &name) const;
 
     /** Checkpoint the slot table (replaces contents on restore). */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     std::vector<MemorySlot> table;

@@ -198,19 +198,15 @@ ShadowPager::onBackingChanged(Addr gpa, Addr bytes)
     rebuildAll();
 }
 
+template <class Ar>
 void
-ShadowPager::serialize(ckpt::Encoder &enc) const
+ShadowPager::persist(Ar &ar)
 {
-    shadowPt->serialize(enc);
-    _stats.serialize(enc);
+    shadowPt->persist(ar);
+    _stats.persist(ar);
 }
 
-bool
-ShadowPager::deserialize(ckpt::Decoder &dec)
-{
-    if (!shadowPt->deserialize(dec) || !_stats.deserialize(dec))
-        return false;
-    return dec.ok();
-}
+template void ShadowPager::persist(ckpt::Encoder &);
+template void ShadowPager::persist(ckpt::Decoder &);
 
 } // namespace emv::vmm

@@ -72,8 +72,8 @@ class ShadowPager
      * Checkpoint shadow-table metadata and stats (the table nodes
      * live in host physical memory and travel with that chunk).
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     /**

@@ -129,10 +129,9 @@ Vmm::Vmm(mem::PhysMemory &host_mem, Addr host_ram_bytes)
 }
 
 Vm &
-Vmm::createVm(std::string name, const VmConfig &config)
+Vmm::createVm(StatName name, const VmConfig &config)
 {
-    _vms.push_back(
-        std::make_unique<Vm>(*this, std::move(name), config));
+    _vms.push_back(std::make_unique<Vm>(*this, name, config));
     EMV_TRACE(Vmm, "created VM \"%s\" ram=%llu nested=%s",
               _vms.back()->name().c_str(),
               static_cast<unsigned long long>(config.ramBytes),
@@ -218,9 +217,8 @@ Vmm::vms()
     return out;
 }
 
-Vm::Vm(Vmm &vmm, std::string name, const VmConfig &config)
-    : _vmm(vmm), _name(std::move(name)), cfg(config),
-      _stats("vm." + _name)
+Vm::Vm(Vmm &vmm, StatName name, const VmConfig &config)
+    : _vmm(vmm), _name(name.c_str()), cfg(config), _stats("vm", name)
 {
     emv_assert(cfg.ramBytes > cfg.lowRamBytes,
                "VM needs RAM above the I/O gap");
@@ -855,103 +853,59 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
     return migrations;
 }
 
+template <class Ar>
 void
-Vm::serialize(ckpt::Encoder &enc) const
+Vm::persist(Ar &ar)
 {
-    _slots.serialize(enc);
-    backing.serialize(enc);
-    nestedPt->serialize(enc);
-    enc.u64(extensionCursor);
-    enc.u64(extensionHostBase);
-    enc.u64(segmentRegion.start);
-    enc.u64(segmentRegion.end);
+    _slots.persist(ar);
+    backing.persist(ar);
+    nestedPt->persist(ar);
+    ar.u64(extensionCursor);
+    ar.u64(extensionHostBase);
+    ar.u64(segmentRegion.start);
+    ar.u64(segmentRegion.end);
 
-    std::vector<Addr> swapped;
-    swapped.reserve(swapStore.size());
-    for (const auto &[gpa, frame] : swapStore)
-        swapped.push_back(gpa);
-    std::sort(swapped.begin(), swapped.end());
-    enc.u64(swapped.size());
-    for (Addr gpa : swapped) {
-        enc.u64(gpa);
-        for (std::uint64_t word : swapStore.at(gpa))
-            enc.u64(word);
+    std::vector<Addr> swapped;  // gPA page bases, ascending.
+    if constexpr (!Ar::loading) {
+        for (const auto &entry : swapStore)
+            swapped.push_back(entry.first);
+        std::sort(swapped.begin(), swapped.end());
+    } else {
+        swapStore.clear();
+    }
+    std::uint64_t nswapped = swapped.size();
+    ar.u64(nswapped);
+    for (std::uint64_t i = 0; ar.ok() && i < nswapped; ++i) {
+        Addr gpa = Ar::loading ? 0 : swapped[i];
+        ar.u64(gpa);
+        // A save finds the page; a load inserts it.
+        for (std::uint64_t &word : swapStore[gpa])
+            ar.u64(word);
     }
 
-    _stats.serialize(enc);
+    _stats.persist(ar);
 }
 
-bool
-Vm::deserialize(ckpt::Decoder &dec)
-{
-    if (!_slots.deserialize(dec) || !backing.deserialize(dec) ||
-        !nestedPt->deserialize(dec))
-        return false;
-    extensionCursor = dec.u64();
-    extensionHostBase = dec.u64();
-    segmentRegion.start = dec.u64();
-    segmentRegion.end = dec.u64();
+template void Vm::persist(ckpt::Encoder &);
+template void Vm::persist(ckpt::Decoder &);
 
-    swapStore.clear();
-    const std::uint64_t nswapped = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < nswapped; ++i) {
-        const Addr gpa = dec.u64();
-        std::array<std::uint64_t, 512> frame;
-        for (auto &word : frame)
-            word = dec.u64();
-        if (dec.ok())
-            swapStore.emplace(gpa, frame);
-    }
-
-    if (!_stats.deserialize(dec))
-        return false;
-    return dec.ok();
-}
-
+template <class Ar>
 void
-Vmm::serialize(ckpt::Encoder &enc) const
+Vmm::persist(Ar &ar)
 {
-    _hostBuddy->serialize(enc);
-    unmovableSet.serialize(enc);
-    enc.u64(retiredBadFrames.size());
-    for (Addr frame : retiredBadFrames)
-        enc.u64(frame);
-    enc.u64(tableFreeList.size());
-    for (Addr frame : tableFreeList)
-        enc.u64(frame);
-    _stats.serialize(enc);
-    enc.u64(_vms.size());
-    for (const auto &vm : _vms)
-        vm->serialize(enc);
+    _hostBuddy->persist(ar);
+    unmovableSet.persist(ar);
+    ar.u64s(retiredBadFrames);
+    ar.u64s(tableFreeList);
+    _stats.persist(ar);
+    if (!ar.fixed(_vms, "vmm: VM count mismatch (restore requires "
+                        "the same boot configuration)"))
+        return;
+    for (auto &vm : _vms)
+        vm->persist(ar);
 }
 
-bool
-Vmm::deserialize(ckpt::Decoder &dec)
-{
-    if (!_hostBuddy->deserialize(dec) ||
-        !unmovableSet.deserialize(dec))
-        return false;
-    retiredBadFrames.clear();
-    const std::uint64_t nretired = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < nretired; ++i)
-        retiredBadFrames.push_back(dec.u64());
-    tableFreeList.clear();
-    const std::uint64_t nfree = dec.u64();
-    for (std::uint64_t i = 0; dec.ok() && i < nfree; ++i)
-        tableFreeList.push_back(dec.u64());
-    if (!_stats.deserialize(dec))
-        return false;
-    const std::uint64_t nvms = dec.u64();
-    if (dec.ok() && nvms != _vms.size()) {
-        dec.fail("vmm: VM count mismatch (restore requires the "
-                 "same boot configuration)");
-        return false;
-    }
-    for (std::uint64_t i = 0; dec.ok() && i < nvms; ++i) {
-        if (!_vms[static_cast<std::size_t>(i)]->deserialize(dec))
-            return false;
-    }
-    return dec.ok();
-}
+template void Vmm::persist(ckpt::Encoder &);
+template void Vmm::persist(ckpt::Decoder &);
 
 } // namespace emv::vmm

@@ -129,7 +129,7 @@ struct VmmSegmentInfo
 class Vm : public os::BalloonBackend
 {
   public:
-    Vm(Vmm &vmm, std::string name, const VmConfig &config);
+    Vm(Vmm &vmm, StatName name, const VmConfig &config);
     ~Vm() override;
 
     Vm(const Vm &) = delete;
@@ -270,8 +270,8 @@ class Vm : public os::BalloonBackend
      * store and stats.  (Nested table *contents* travel with host
      * physical memory; hooks are re-wired by the owner.)
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     friend class Vmm;
@@ -364,7 +364,7 @@ class Vmm
      */
     Vmm(mem::PhysMemory &host_mem, Addr host_ram_bytes);
 
-    Vm &createVm(std::string name, const VmConfig &config);
+    Vm &createVm(StatName name, const VmConfig &config);
 
     /** Allocate a host block, retiring faulty frames. */
     std::optional<Addr> allocHostBlock(PageSize size);
@@ -401,8 +401,8 @@ class Vmm
      * the VM roster itself is fixed at boot and rebuilt by
      * deterministic construction before restore).
      */
-    void serialize(ckpt::Encoder &enc) const;
-    bool deserialize(ckpt::Decoder &dec);
+    template <class Ar>
+    void persist(Ar &ar);
 
   private:
     mem::PhysMemory &_hostMem;

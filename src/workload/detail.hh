@@ -11,11 +11,20 @@
 
 namespace emv::workload {
 
-/** Base class handling region specs and binding. */
+/**
+ * Base class handling region specs and binding.  @p Derived lists
+ * its cursor fields once, in a public `template <class Ar> void
+ * fields(Ar &ar)`, which both checkpoint archives run after the RNG
+ * stream.
+ */
+template <class Derived>
 class BasicWorkload : public Workload
 {
   public:
     explicit BasicWorkload(std::uint64_t seed) : Workload(seed) {}
+
+    void persist(ckpt::Encoder &ar) override { persistAll(ar); }
+    void persist(ckpt::Decoder &ar) override { persistAll(ar); }
 
     const WorkloadInfo &
     info() const override
@@ -84,6 +93,15 @@ class BasicWorkload : public Workload
     WorkloadInfo _info;
     std::vector<RegionSpec> specs;
     std::vector<Addr> bases;
+
+  private:
+    template <class Ar>
+    void
+    persistAll(Ar &ar)
+    {
+        rng.persist(ar);
+        static_cast<Derived &>(*this).fields(ar);
+    }
 };
 
 } // namespace emv::workload

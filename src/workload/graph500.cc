@@ -19,7 +19,7 @@ namespace emv::workload {
 
 namespace {
 
-class Graph500Workload : public BasicWorkload
+class Graph500Workload : public BasicWorkload<Graph500Workload>
 {
   public:
     Graph500Workload(std::uint64_t seed, double scale)
@@ -73,26 +73,14 @@ class Graph500Workload : public BasicWorkload
         return next();
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u64(scanPos);
-        enc.u64(scanLeft);
-        enc.u64(burstLeft);
-        enc.u64(burstPos);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        scanPos = dec.u64();
-        scanLeft = dec.u64();
-        burstLeft = dec.u64();
-        burstPos = dec.u64();
-        return dec.ok();
+        ar.u64(scanPos);
+        ar.u64(scanLeft);
+        ar.u64(burstLeft);
+        ar.u64(burstPos);
     }
 
   private:

@@ -14,7 +14,7 @@ namespace emv::workload {
 
 namespace {
 
-class GupsWorkload : public BasicWorkload
+class GupsWorkload : public BasicWorkload<GupsWorkload>
 {
   public:
     GupsWorkload(std::uint64_t seed, double scale)
@@ -52,26 +52,14 @@ class GupsWorkload : public BasicWorkload
         return Op{Op::Kind::Read, pendingVa, 0};
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u64(pendingVa);
-        enc.u8(pendingWrite ? 1 : 0);
-        enc.u64(streamPos);
-        enc.u64(tick);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        pendingVa = dec.u64();
-        pendingWrite = dec.u8() != 0;
-        streamPos = dec.u64();
-        tick = dec.u64();
-        return dec.ok();
+        ar.u64(pendingVa);
+        ar.u8(pendingWrite);
+        ar.u64(streamPos);
+        ar.u64(tick);
     }
 
   private:

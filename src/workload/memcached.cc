@@ -21,7 +21,7 @@ namespace emv::workload {
 
 namespace {
 
-class MemcachedWorkload : public BasicWorkload
+class MemcachedWorkload : public BasicWorkload<MemcachedWorkload>
 {
   public:
     MemcachedWorkload(std::uint64_t seed, double scale,
@@ -74,24 +74,13 @@ class MemcachedWorkload : public BasicWorkload
         }
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u64(tick);
-        enc.u32(phase);
-        enc.u64(currentItem);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        tick = dec.u64();
-        phase = dec.u32();
-        currentItem = dec.u64();
-        return dec.ok();
+        ar.u64(tick);
+        ar.u32(phase);
+        ar.u64(currentItem);
     }
 
   private:

@@ -17,7 +17,7 @@ namespace emv::workload {
 
 namespace {
 
-class NpbCgWorkload : public BasicWorkload
+class NpbCgWorkload : public BasicWorkload<NpbCgWorkload>
 {
   public:
     NpbCgWorkload(std::uint64_t seed, double scale)
@@ -54,22 +54,12 @@ class NpbCgWorkload : public BasicWorkload
         return Op{Op::Kind::Read, va, 0};
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u64(sweepPos);
-        enc.u64(phase);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        sweepPos = dec.u64();
-        phase = dec.u64();
-        return dec.ok();
+        ar.u64(sweepPos);
+        ar.u64(phase);
     }
 
   private:

@@ -18,7 +18,7 @@ namespace emv::workload {
 
 namespace {
 
-class CannealWorkload : public BasicWorkload
+class CannealWorkload : public BasicWorkload<CannealWorkload>
 {
   public:
     CannealWorkload(std::uint64_t seed, double scale)
@@ -50,22 +50,12 @@ class CannealWorkload : public BasicWorkload
                   randomIn(0), 0};
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u64(localPos);
-        enc.u64(localLeft);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        localPos = dec.u64();
-        localLeft = dec.u64();
-        return dec.ok();
+        ar.u64(localPos);
+        ar.u64(localLeft);
     }
 
   private:
@@ -73,7 +63,7 @@ class CannealWorkload : public BasicWorkload
     std::uint64_t localLeft = 0;
 };
 
-class StreamclusterWorkload : public BasicWorkload
+class StreamclusterWorkload : public BasicWorkload<StreamclusterWorkload>
 {
   public:
     StreamclusterWorkload(std::uint64_t seed, double scale)
@@ -100,22 +90,12 @@ class StreamclusterWorkload : public BasicWorkload
         return Op{Op::Kind::Read, base(0) + pos, 0};
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u64(pos);
-        enc.u64(tick);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        pos = dec.u64();
-        tick = dec.u64();
-        return dec.ok();
+        ar.u64(pos);
+        ar.u64(tick);
     }
 
   private:

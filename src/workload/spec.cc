@@ -23,7 +23,7 @@ namespace emv::workload {
 
 namespace {
 
-class CactusWorkload : public BasicWorkload
+class CactusWorkload : public BasicWorkload<CactusWorkload>
 {
   public:
     CactusWorkload(std::uint64_t seed, double scale)
@@ -56,22 +56,12 @@ class CactusWorkload : public BasicWorkload
         return Op{write ? Op::Kind::Write : Op::Kind::Read, va, 0};
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u64(z);
-        enc.u64(pencil);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        z = dec.u64();
-        pencil = dec.u64();
-        return dec.ok();
+        ar.u64(z);
+        ar.u64(pencil);
     }
 
   private:
@@ -79,7 +69,7 @@ class CactusWorkload : public BasicWorkload
     Addr pencil = 0;
 };
 
-class GemsWorkload : public BasicWorkload
+class GemsWorkload : public BasicWorkload<GemsWorkload>
 {
   public:
     GemsWorkload(std::uint64_t seed, double scale)
@@ -113,24 +103,13 @@ class GemsWorkload : public BasicWorkload
         return Op{s == 0 ? Op::Kind::Write : Op::Kind::Read, va, 0};
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u32(stream);
-        enc.u64(pos);
-        enc.u64(zpos);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        stream = dec.u32();
-        pos = dec.u64();
-        zpos = dec.u64();
-        return dec.ok();
+        ar.u32(stream);
+        ar.u64(pos);
+        ar.u64(zpos);
     }
 
   private:
@@ -140,7 +119,7 @@ class GemsWorkload : public BasicWorkload
     Addr zpos = 0;
 };
 
-class McfWorkload : public BasicWorkload
+class McfWorkload : public BasicWorkload<McfWorkload>
 {
   public:
     McfWorkload(std::uint64_t seed, double scale)
@@ -171,27 +150,18 @@ class McfWorkload : public BasicWorkload
                   base(0) + cursor, 0};
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u64(cursor);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        cursor = dec.u64();
-        return dec.ok();
+        ar.u64(cursor);
     }
 
   private:
     Addr cursor = 0;
 };
 
-class OmnetppWorkload : public BasicWorkload
+class OmnetppWorkload : public BasicWorkload<OmnetppWorkload>
 {
   public:
     OmnetppWorkload(std::uint64_t seed, double scale,
@@ -225,20 +195,11 @@ class OmnetppWorkload : public BasicWorkload
                   va, 0};
     }
 
+    template <class Ar>
     void
-    serialize(ckpt::Encoder &enc) const override
+    fields(Ar &ar)
     {
-        Workload::serialize(enc);
-        enc.u64(tick);
-    }
-
-    bool
-    deserialize(ckpt::Decoder &dec) override
-    {
-        if (!Workload::deserialize(dec))
-            return false;
-        tick = dec.u64();
-        return dec.ok();
+        ar.u64(tick);
     }
 
   private:

@@ -1,6 +1,5 @@
 #include "workload/workload.hh"
 
-#include "common/ckpt.hh"
 #include "common/logging.hh"
 #include "workload/graph500.hh"
 #include "workload/gups.hh"
@@ -10,18 +9,6 @@
 #include "workload/spec.hh"
 
 namespace emv::workload {
-
-void
-Workload::serialize(ckpt::Encoder &enc) const
-{
-    rng.serialize(enc);
-}
-
-bool
-Workload::deserialize(ckpt::Decoder &dec)
-{
-    return rng.deserialize(dec);
-}
 
 const char *
 workloadName(WorkloadKind kind)

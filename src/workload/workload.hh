@@ -90,13 +90,13 @@ class Workload
     virtual Op next() = 0;
 
     /**
-     * Checkpoint the generator cursor state.  The base class covers
-     * the RNG stream; generators with private cursors override and
-     * call the base first.  Region specs, bases and info are
+     * Checkpoint the generator cursor state: the RNG stream, then
+     * the generator's private cursors (BasicWorkload routes both
+     * archives to one field list).  Region specs, bases and info are
      * reconstructed from (kind, seed, scale) and are not stored.
      */
-    virtual void serialize(ckpt::Encoder &enc) const;
-    virtual bool deserialize(ckpt::Decoder &dec);
+    virtual void persist(ckpt::Encoder &ar) = 0;
+    virtual void persist(ckpt::Decoder &ar) = 0;
 
   protected:
     Rng rng;

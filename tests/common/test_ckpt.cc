@@ -240,11 +240,11 @@ TEST(CkptTest, StatRestoreRejectsUndeclaredStat)
     Counter retired{saved, "retired"};
     retired += 4;
     Encoder enc;
-    saved.serialize(enc);
+    save(enc, saved);
 
     HitStats restored;
     Decoder dec(enc.buffer().data(), enc.buffer().size());
-    EXPECT_FALSE(restored.deserialize(dec));
+    EXPECT_FALSE(load(dec, restored));
     EXPECT_FALSE(dec.ok());
     EXPECT_NE(dec.error().find("retired"), std::string::npos)
         << dec.error();
@@ -256,12 +256,12 @@ TEST(CkptTest, StatRestoreZeroesDeclaredStatMissingFromBytes)
     Counter hits{saved, "hits"};
     hits += 9;
     Encoder enc;
-    saved.serialize(enc);
+    save(enc, saved);
 
     HitStats restored;
     ++restored.misses;
     Decoder dec(enc.buffer().data(), enc.buffer().size());
-    ASSERT_TRUE(restored.deserialize(dec));
+    ASSERT_TRUE(load(dec, restored));
     EXPECT_TRUE(dec.atEnd());
     EXPECT_EQ(restored.hits.value(), 9u);
     EXPECT_EQ(restored.misses.value(), 0u);

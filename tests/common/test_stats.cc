@@ -14,6 +14,18 @@
 namespace emv {
 namespace {
 
+// Stat names are checked when they are compiled (StatName is
+// consteval); stat_name_rejects_camel_case proves a bad literal does
+// not build.
+static_assert(StatName::valid("hits"));
+static_assert(StatName::valid("vm_exits_nested_repair"));
+static_assert(StatName::valid("vm.vm0"));
+static_assert(!StatName::valid("BadCamelName"));
+static_assert(!StatName::valid(""));
+static_assert(!StatName::valid("1x"));
+static_assert(!StatName::valid("a..b"));
+static_assert(!StatName::valid("trailing."));
+
 TEST(CounterTest, IncrementAndAdd)
 {
     Counter c;
@@ -123,15 +135,19 @@ TEST(StatGroupTest, StableReferences)
 {
     StatGroup group("g");
     Counter a{group, "a"};
-    // Declaring more counters must not unbind earlier ones.
+    // Declaring more counters must not unbind earlier ones.  Stat
+    // names are checked at compile time, so these are literals too.
+    static constexpr StatName kMore[] = {
+        "x0",  "x1",  "x2",  "x3",  "x4",  "x5",  "x6",  "x7",
+        "x8",  "x9",  "x10", "x11", "x12", "x13", "x14", "x15",
+        "x16", "x17", "x18", "x19", "x20", "x21", "x22", "x23",
+    };
     std::vector<std::unique_ptr<Counter>> more;
-    for (int i = 0; i < 100; ++i) {
-        more.push_back(std::make_unique<Counter>(
-            group, ("x" + std::to_string(i)).c_str()));
-    }
+    for (const StatName name : kMore)
+        more.push_back(std::make_unique<Counter>(group, name));
     ++a;
     EXPECT_EQ(group.counterValue("a"), 1u);
-    EXPECT_EQ(group.counterValue("x99"), 0u);
+    EXPECT_EQ(group.counterValue("x23"), 0u);
 }
 
 TEST(StatGroupTest, DeclaringANameTwicePanics)

@@ -180,10 +180,10 @@ TEST(LatencyHistogram, CheckpointRoundTrip)
             h.record(v);
 
     ckpt::Encoder enc;
-    h.serialize(enc);
+    ckpt::save(enc, h);
     ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
     LatencyHistogram restored;
-    ASSERT_TRUE(restored.deserialize(dec));
+    ASSERT_TRUE(ckpt::load(dec, restored));
     ASSERT_TRUE(dec.ok()) << dec.error();
 
     EXPECT_EQ(restored.count(), h.count());
@@ -202,7 +202,7 @@ TEST(LatencyHistogram, DeserializeRejectsGarbage)
     enc.u64(~0ull);
     ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
     LatencyHistogram h;
-    EXPECT_FALSE(h.deserialize(dec) && dec.ok());
+    EXPECT_FALSE(ckpt::load(dec, h) && dec.ok());
 }
 
 // ---------------------------------------------------------------------
@@ -357,7 +357,7 @@ TEST(TelemetryRecorder, ResumeContinuesByteIdentically)
         twin.step(static_cast<std::uint64_t>(i % 37));
 
     ckpt::Encoder enc;
-    twin.recorder->serialize(enc);
+    ckpt::save(enc, *twin.recorder);
 
     const std::string post_path = tempPath("telemetry_post.jsonl");
     TelemetryConfig config;
@@ -367,7 +367,7 @@ TEST(TelemetryRecorder, ResumeContinuesByteIdentically)
                               [&twin] { return twin.fakeNowNs; });
     twin.attachSources(resumed);
     ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
-    ASSERT_TRUE(resumed.deserialize(dec));
+    ASSERT_TRUE(ckpt::load(dec, resumed));
     ASSERT_TRUE(dec.ok()) << dec.error();
     EXPECT_EQ(resumed.opsObserved(), 150u);
     EXPECT_EQ(resumed.windowIndex(), 1u);
@@ -397,7 +397,7 @@ TEST(TelemetryRecorder, DeserializeRejectsSourceMismatch)
 {
     Rig rig(tempPath("telemetry_mismatch.jsonl"));
     ckpt::Encoder enc;
-    rig.recorder->serialize(enc);
+    ckpt::save(enc, *rig.recorder);
 
     TelemetryConfig config;
     config.path = tempPath("telemetry_mismatch2.jsonl");
@@ -405,14 +405,14 @@ TEST(TelemetryRecorder, DeserializeRejectsSourceMismatch)
     TelemetryRecorder other(config);
     other.addCounter("renamed", [] { return 0ull; });
     ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
-    EXPECT_FALSE(other.deserialize(dec) && dec.ok());
+    EXPECT_FALSE(ckpt::load(dec, other) && dec.ok());
 }
 
 TEST(TelemetryRecorder, WindowSizeChangeAcrossResumeRejected)
 {
     Rig rig(tempPath("telemetry_winsize.jsonl"), 100);
     ckpt::Encoder enc;
-    rig.recorder->serialize(enc);
+    ckpt::save(enc, *rig.recorder);
 
     TelemetryConfig config;
     config.path = tempPath("telemetry_winsize2.jsonl");
@@ -420,5 +420,5 @@ TEST(TelemetryRecorder, WindowSizeChangeAcrossResumeRejected)
     TelemetryRecorder other(config);
     rig.attachSources(other);
     ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
-    EXPECT_FALSE(other.deserialize(dec) && dec.ok());
+    EXPECT_FALSE(ckpt::load(dec, other) && dec.ok());
 }

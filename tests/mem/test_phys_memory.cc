@@ -352,7 +352,7 @@ std::string
 restoreError(const std::vector<std::uint8_t> &bytes, PhysMemory &mem)
 {
     ckpt::Decoder dec(bytes.data(), bytes.size());
-    return mem.deserialize(dec) ? "" : dec.error();
+    return ckpt::load(dec, mem) ? "" : dec.error();
 }
 
 // Layout: size, frame count, then per frame its index and 512 words.

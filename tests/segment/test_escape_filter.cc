@@ -84,7 +84,7 @@ std::vector<std::uint64_t>
 filterWords(const EscapeFilter &filter)
 {
     ckpt::Encoder enc;
-    filter.serialize(enc);
+    ckpt::save(enc, filter);
     ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
     dec.u32();  // Size in bits.
     dec.u32();  // Inserted pages.

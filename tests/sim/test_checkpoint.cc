@@ -284,6 +284,49 @@ TEST_F(CheckpointFileTest, CrossConfigRestoreFailsStructured)
     EXPECT_FALSE(error.empty());
 }
 
+/** Rewrite the checkpoint at @p path with one extra byte at the end
+ *  of chunk @p tag; the CRC covers the longer payload. */
+void
+padChunk(const std::string &path, const std::string &tag)
+{
+    ckpt::Reader reader;
+    ASSERT_TRUE(reader.loadFile(path)) << reader.error();
+    ckpt::Writer writer;
+    for (const std::string &t : reader.tags()) {
+        ckpt::Decoder dec = reader.chunk(t);
+        std::vector<std::uint8_t> payload(dec.remaining());
+        dec.bytes(payload.data(), payload.size());
+        if (t == tag)
+            payload.push_back(0);
+        ckpt::Encoder enc;
+        enc.bytes(payload.data(), payload.size());
+        writer.chunk(t, enc);
+    }
+    std::string error;
+    ASSERT_TRUE(writer.writeFile(path, &error)) << error;
+}
+
+TEST_F(CheckpointFileTest, UnreadTrailingBytesAreRejected)
+{
+    // A layer chunk with a byte its fields do not cover.
+    const std::string path = makeCheckpoint("4K+4K", "trailing-mmu");
+    padChunk(path, "mmu");
+    LoadedCheckpoint loaded;
+    std::string error;
+    ASSERT_TRUE(loadCheckpoint(path, loaded, error)) << error;
+    auto cell = buildCell("4K+4K");
+    EXPECT_FALSE(restoreMachine(loaded, *cell.machine, error));
+    EXPECT_EQ(error, "chunk 'mmu': unread trailing bytes");
+
+    // The params chunk is read exactly too.
+    const std::string params =
+        makeCheckpoint("4K+4K", "trailing-params");
+    padChunk(params, "params");
+    LoadedCheckpoint padded;
+    EXPECT_FALSE(loadCheckpoint(params, padded, error));
+    EXPECT_EQ(error, "chunk 'params': unread trailing bytes");
+}
+
 /** FNV-1a digest of one layer's checkpoint bytes. */
 std::uint64_t
 digest(const std::vector<std::uint8_t> &bytes)

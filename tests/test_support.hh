@@ -18,21 +18,20 @@ std::vector<std::uint8_t>
 ckptBytes(const T &obj)
 {
     ckpt::Encoder enc;
-    obj.serialize(enc);
+    ckpt::save(enc, obj);
     return enc.buffer();
 }
 
 /**
- * Restore @p obj from @p bytes; true only when deserialize succeeds
- * and consumes the payload exactly (trailing bytes would mean the
- * save and restore paths disagree about the layout).
+ * Restore @p obj from @p bytes; true only when the load succeeds
+ * and consumes the payload exactly.
  */
 template <typename T>
 bool
 ckptRestore(const std::vector<std::uint8_t> &bytes, T &obj)
 {
     ckpt::Decoder dec(bytes.data(), bytes.size());
-    return obj.deserialize(dec) && dec.ok() && dec.atEnd();
+    return ckpt::load(dec, obj) && dec.atEnd();
 }
 
 /**
@@ -45,7 +44,7 @@ std::string
 ckptRestoreError(const std::vector<std::uint8_t> &bytes, T &obj)
 {
     ckpt::Decoder dec(bytes.data(), bytes.size());
-    if (!obj.deserialize(dec) || !dec.ok())
+    if (!ckpt::load(dec, obj))
         return dec.error();
     return dec.atEnd() ? "" : "trailing bytes";
 }

@@ -137,7 +137,8 @@ restore(const std::vector<std::uint8_t> &bytes, SetAssoc &array,
         std::string *error = nullptr)
 {
     ckpt::Decoder dec(bytes.data(), bytes.size());
-    const bool ok = array.deserialize(dec, "owner") && dec.atEnd();
+    array.persist(dec, "owner");
+    const bool ok = dec.ok() && dec.atEnd();
     if (error)
         *error = dec.error();
     return ok;
@@ -337,10 +338,10 @@ TEST(SetAssocTest, OwnersNameTheirGeometryMismatch)
 {
     Tlb tlb("l2tlb", 128, 4);
     ckpt::Encoder enc;
-    tlb.serialize(enc);
+    ckpt::save(enc, tlb);
     Tlb smaller("l2tlb", 64, 4);
     ckpt::Decoder dec(enc.buffer().data(), enc.buffer().size());
-    EXPECT_FALSE(smaller.deserialize(dec));
+    EXPECT_FALSE(ckpt::load(dec, smaller));
     EXPECT_EQ(dec.error(), "l2tlb: geometry mismatch");
 }
 

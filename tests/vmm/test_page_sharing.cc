@@ -16,7 +16,7 @@ class PageSharingTest : public ::testing::Test
     PageSharingTest() : host(kHostRam), vmm(host, kHostRam) {}
 
     Vm &
-    makeVm(const char *name)
+    makeVm(StatName name)
     {
         VmConfig cfg;
         cfg.ramBytes = 64 * MiB;

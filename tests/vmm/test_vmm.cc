@@ -399,7 +399,7 @@ class SwapTest : public ::testing::Test
     SwapTest() : host(kHostRam), vmm(host, kHostRam) {}
 
     Vm &
-    makeVm(const char *name)
+    makeVm(StatName name)
     {
         VmConfig cfg;
         cfg.ramBytes = 128 * MiB;

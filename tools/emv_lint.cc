@@ -19,24 +19,16 @@
  *   test-coverage  every .cc in src/ has a matching test file under
  *                  tests/ (with a small alias table for aggregate
  *                  suites).
- *   stat-names     string literals naming a group (StatGroup("os"))
- *                  or declaring a stat (Counter hits{*this,
- *                  "hits"}) are lower_snake_case dotted paths,
- *                  matching the exported "machine.mmu.*" naming
- *                  convention.
  *   no-fatal-recovery
  *                  no emv_fatal in recovery-path code (src/fault/
  *                  and sim/machine.cc) — faults there must degrade
  *                  gracefully or produce a structured FaultReport,
  *                  never abort the process.
- *   ckpt-round-trip
- *                  every class exposing a checkpoint serialize()
- *                  must declare the matching deserialize(), and the
- *                  translation unit's test file under tests/ must
- *                  exercise deserialization (a save/restore
- *                  round-trip) — state that can be saved but not
- *                  restored, or restored but never tested, silently
- *                  breaks crash-safe resume.
+ *
+ * Two conventions are left to the compiler instead: each checkpointed
+ * class lists its fields once, in a persist() that both saves and
+ * loads, and stat names are StatName values whose consteval
+ * constructor rejects a name that is not lower_snake_case.
  *
  * Concurrency-safety rules (see DESIGN.md §12), which keep the
  * library safe to run on sim::runMatrix() worker threads:
@@ -306,127 +298,6 @@ checkNoFatalRecovery(const fs::path &file, const std::string &rel,
                    "emv_fatal in recovery-path code; degrade "
                    "gracefully (downgrade/retry/offline) or record "
                    "a structured FaultReport instead of aborting");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule: ckpt-round-trip
-// ---------------------------------------------------------------------
-
-/** Test files (relative to tests/) that must contain a round-trip,
- *  keyed by the source file (relative to src/) that demanded one. */
-std::map<std::string, std::string> ckptTestsWanted;
-
-/** tests/ file covering @p rel for checkpoint round-trip purposes. */
-std::string
-ckptTestFor(const std::string &rel)
-{
-    // Aggregate suites mirroring the test-coverage alias table: the
-    // workload generators share one suite, Process is covered by the
-    // guest-OS suite, and the whole-Machine round trip lives with
-    // the checkpoint tests rather than the machine behavior tests.
-    if (rel.rfind("workload/", 0) == 0)
-        return "workload/test_workloads.cc";
-    if (rel.rfind("os/process.", 0) == 0)
-        return "os/test_guest_os.cc";
-    if (rel.rfind("sim/machine.", 0) == 0)
-        return "sim/test_checkpoint.cc";
-    const fs::path p(rel);
-    return (p.parent_path() /
-            ("test_" + p.stem().string() + ".cc")).generic_string();
-}
-
-void
-checkCkptRoundTrip(const fs::path &file, const std::string &rel,
-                   const std::string &stripped)
-{
-    // Checkpoint entry points: declarations or definitions taking a
-    // ckpt:: stream type.  Call sites pass variables, not qualified
-    // types, so they do not match.
-    static const std::regex method(
-        R"((?:([A-Za-z_][A-Za-z0-9_]*)\s*::\s*)?(de)?serialize\s*\()"
-        R"(\s*(?:const\s+)?(?:emv::)?ckpt::(Encoder|Decoder|Writer|Reader))");
-    static const std::regex classDecl(
-        R"((?:class|struct)\s+([A-Za-z_][A-Za-z0-9_]*))");
-
-    // Class/struct name positions, for attributing in-class
-    // declarations to their owner.
-    std::vector<std::pair<std::size_t, std::string>> owners;
-    for (auto it = std::sregex_iterator(stripped.begin(),
-                                        stripped.end(), classDecl);
-         it != std::sregex_iterator(); ++it) {
-        owners.emplace_back(static_cast<std::size_t>(it->position()),
-                            (*it)[1].str());
-    }
-
-    struct Halves { bool ser = false; bool deser = false; int line = 0; };
-    std::map<std::string, Halves> classes;
-    for (auto it = std::sregex_iterator(stripped.begin(),
-                                        stripped.end(), method);
-         it != std::sregex_iterator(); ++it) {
-        const auto pos = static_cast<std::size_t>(it->position());
-        std::string owner = (*it)[1].str();
-        if (owner.empty()) {
-            // In-class declaration: nearest preceding class name.
-            for (const auto &[at, name] : owners) {
-                if (at > pos)
-                    break;
-                owner = name;
-            }
-            if (owner.empty())
-                continue;  // Free function; not a class contract.
-        }
-        Halves &h = classes[owner];
-        if ((*it)[2].matched)
-            h.deser = true;
-        else
-            h.ser = true;
-        if (h.line == 0) {
-            h.line = 1 + static_cast<int>(std::count(
-                stripped.begin(), stripped.begin() + pos, '\n'));
-        }
-    }
-
-    bool any_serialize = false;
-    for (const auto &[name, h] : classes) {
-        any_serialize |= h.ser;
-        if (h.ser && !h.deser) {
-            report(file, h.line, "ckpt-round-trip",
-                   "class " + name + " exposes serialize() without "
-                   "a matching deserialize(); checkpoints it writes "
-                   "could never be restored");
-        } else if (h.deser && !h.ser) {
-            report(file, h.line, "ckpt-round-trip",
-                   "class " + name + " exposes deserialize() "
-                   "without a matching serialize()");
-        }
-    }
-    if (any_serialize)
-        ckptTestsWanted.emplace(ckptTestFor(rel), rel);
-}
-
-/** After the scan: every demanded test file must restore state. */
-void
-finalizeCkptRoundTrip(const fs::path &root)
-{
-    for (const auto &[test_rel, src_rel] : ckptTestsWanted) {
-        const fs::path test = root / "tests" / test_rel;
-        bool restores = false;
-        if (fs::exists(test)) {
-            const std::string text = readFile(test);
-            // Either a direct deserialize() call or the shared
-            // test_support.hh ckptRestore() helper counts.
-            restores =
-                text.find("deserialize") != std::string::npos ||
-                text.find("ckptRestore") != std::string::npos ||
-                text.find("restoreMachine") != std::string::npos;
-        }
-        if (!restores) {
-            report(root / "src" / src_rel, 1, "ckpt-round-trip",
-                   "serializable state with no save/restore "
-                   "round-trip test; " + test.string() +
-                       " must exercise deserialize()");
         }
     }
 }
@@ -792,43 +663,6 @@ checkTestCoverage(const fs::path &root)
     }
 }
 
-// ---------------------------------------------------------------------
-// Rule: stat-names
-// ---------------------------------------------------------------------
-
-void
-checkStatNames(const fs::path &file, const std::string &text)
-{
-    // Stat identifiers become "machine.mmu.walk_cycles"-style dotted
-    // paths in the JSON export; enforce lower_snake_case components.
-    // A stat declaration, `Counter hits{*this, "hits"}` (also with
-    // an annotation before the braces, or as an array element
-    // `{*this, "name"}`), or a group name, `StatGroup("os")`.
-    static const std::regex call(
-        R"((?:(?:Counter|Scalar|Distribution)\s+[A-Za-z_]\w*)"
-        R"((?:\s+EMV_\w+\([^)]*\))?\s*[{(]\s*\*?\s*\w+|\{\s*\*this))"
-        R"(\s*,\s*"([^"]*)\")"
-        R"(|StatGroup\s*(?:[A-Za-z_][A-Za-z0-9_]*\s*)?[({]\s*"([^"]*)\")");
-    static const std::regex good(
-        R"([a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*)");
-    auto begin = std::sregex_iterator(text.begin(), text.end(), call);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-        const std::string name =
-            (*it)[1].matched ? (*it)[1].str() : (*it)[2].str();
-        if (name.empty())
-            continue;  // Dynamic names checked at runtime.
-        if (!std::regex_match(name, good)) {
-            const auto off = static_cast<std::size_t>(it->position());
-            const int line = 1 + static_cast<int>(std::count(
-                text.begin(), text.begin() + off, '\n'));
-            report(file, line, "stat-names",
-                   "stat name \"" + name +
-                       "\" is not a lower_snake_case dotted path "
-                       "(convention: machine.mmu.*)");
-        }
-    }
-}
-
 } // namespace
 
 int
@@ -887,10 +721,8 @@ main(int argc, char **argv)
         checkRawRng(path, rel, lines);
         checkRawOutput(path, rel, lines);
         checkNoFatalRecovery(path, rel, lines);
-        checkCkptRoundTrip(path, rel, stripped);
         if (ext == ".hh")
             checkPragmaOnce(path, stripped);
-        checkStatNames(path, text);
         checkNondeterministicSource(path, rel, lines);
 
         std::vector<Stmt> nsStmts, fnStmts;
@@ -899,7 +731,6 @@ main(int argc, char **argv)
         checkSharedMutableState(path, nsStmts, types, fnStmts);
     }
     checkTestCoverage(root);
-    finalizeCkptRoundTrip(root);
 
     std::sort(violations.begin(), violations.end(),
               [](const Violation &a, const Violation &b) {
