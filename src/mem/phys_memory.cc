@@ -154,6 +154,29 @@ PhysMemory::writeRun(Addr addr, unsigned n, const std::uint64_t *values)
 }
 
 void
+PhysMemory::writeStep(Addr frame_base, std::uint64_t first,
+                      std::uint64_t stride)
+{
+    checkRun(frame_base, 512, "write step");
+    _stats.writes += 512;
+    setLinear(slotFor(frame_base), first, stride);
+}
+
+bool
+PhysMemory::readStep(Addr frame_base, std::uint64_t &first,
+                     std::uint64_t &stride) const
+{
+    checkRun(frame_base, 512, "read step");
+    const Slot &slot = slotAt(frame_base);
+    if (slot.words)
+        return false;
+    _stats.reads += 512;
+    first = slot.first;
+    stride = slot.stride;
+    return true;
+}
+
+void
 PhysMemory::zeroFrame(Addr frame_base)
 {
     emv_assert(isAligned(frame_base, kPage4K),

@@ -15,14 +15,16 @@
  * linear: word i is first + i * stride (mod 2^64), with no storage.
  * Untouched memory and zeroed frames are linear (0, 0), and a
  * whole-frame writeRun() whose words step evenly stores only its
- * (first, stride).  The VMM backs guest memory with large contiguous
- * host regions, so almost every leaf table the model builds holds
- * base + i * 4K | flags and costs nothing; a single-word write makes
- * a frame materialized.  A simulated multi-GB machine costs only its
- * materialized frames plus 8 bytes per 2 MB of size (300 KB at the
- * paper's 75 GB) and 16 KB per touched 2 MB chunk.  PhysMemory also
- * owns the hard-fault model: frames can be marked bad (paper §V), and
- * the escape filter machinery consults that registry.
+ * (first, stride); a writer that knows the step passes it to
+ * writeStep() and makes no words at all.  The VMM backs guest
+ * memory with large contiguous host regions, so almost every leaf
+ * table the model builds holds base + i * 4K | flags and costs
+ * nothing; a single-word write makes a frame materialized.  A
+ * simulated multi-GB machine costs only its materialized frames plus
+ * 8 bytes per 2 MB of size (300 KB at the paper's 75 GB) and 16 KB
+ * per touched 2 MB chunk.  PhysMemory also owns the hard-fault model:
+ * frames can be marked bad (paper §V), and the escape filter
+ * machinery consults that registry.
  */
 
 #pragma once
@@ -99,6 +101,24 @@ class PhysMemory
      *  @p n writes: the run form of write64().  A whole frame whose
      *  words step evenly is stored linear. */
     void writeRun(Addr addr, unsigned n, const std::uint64_t *values);
+
+    /**
+     * Store the whole 4 KB frame at @p frame_base as word i =
+     * @p first + i * @p stride (mod 2^64), counting 512 writes: the
+     * frame a 512-word writeRun() of those words leaves, stored
+     * linear without making the words.
+     */
+    void writeStep(Addr frame_base, std::uint64_t first,
+                   std::uint64_t stride);
+
+    /**
+     * If the 4 KB frame at @p frame_base is linear (an untouched one
+     * is (0, 0)), set @p first and @p stride to its step, count 512
+     * reads and return true.  A materialized frame returns false and
+     * counts nothing.
+     */
+    bool readStep(Addr frame_base, std::uint64_t &first,
+                  std::uint64_t &stride) const;
 
     /** Zero a whole 4 KB frame (used for fresh page tables); the
      *  frame becomes linear (0, 0) and holds no storage. */
@@ -183,7 +203,7 @@ class PhysMemory
      *  assert. */
     std::uint64_t read64Checked(Addr addr) const;
 
-    /** The asserts of readRun() and writeRun(). */
+    /** The asserts of the run and step calls. */
     void checkRun(Addr addr, unsigned n, const char *op) const;
 
     Addr sizeBytes;

@@ -133,8 +133,8 @@ PageTable::freeEmptyTables(const Path &path)
 template <typename FrameAt>
 void
 PageTable::mapLeaves(Addr va, Addr bytes, PageSize size, bool writable,
-                     bool user_mode, FrameAt frame_at, Path &path,
-                     bool resume)
+                     bool user_mode, FrameAt frame_at, bool stepping,
+                     Path &path, bool resume)
 {
     const Addr step = pageBytes(size);
     const int target = leafLevel(size);
@@ -157,10 +157,20 @@ PageTable::mapLeaves(Addr va, Addr bytes, PageSize size, bool writable,
                            hexAddr(first + i * step).c_str());
             }
         }
-        for (unsigned i = 0; i < n; ++i, pos += step)
-            run[i] = Pte::makeLeaf(frame_at(pos), target, writable,
-                                   user_mode);
-        space.writeRun(run_addr, n, run);
+        if (stepping && n == kEntriesPerTable) {
+            // Frames below 2^52 that step by the page size make
+            // entries that step by it too.
+            space.writeStep(run_addr,
+                            Pte::makeLeaf(frame_at(pos), target,
+                                          writable, user_mode),
+                            step);
+            pos += n * step;
+        } else {
+            for (unsigned i = 0; i < n; ++i, pos += step)
+                run[i] = Pte::makeLeaf(frame_at(pos), target, writable,
+                                       user_mode);
+            space.writeRun(run_addr, n, run);
+        }
         live += n;
         leaves += n;
         updates += n;
@@ -169,7 +179,7 @@ PageTable::mapLeaves(Addr va, Addr bytes, PageSize size, bool writable,
             continue;
         for (unsigned i = 0; i < n; ++i) {
             const Addr page = first + i * step;
-            const Addr pa = Pte{run[i]}.frame();
+            const Addr pa = frame_at(page - va);
             EMV_CHECK([&] {
                           auto readback = translate(page);
                           return readback && readback->pa == pa &&
@@ -195,9 +205,12 @@ PageTable::mapRange(Addr va, Addr pa, Addr bytes, PageSize size,
     emv_assert(isAligned(bytes, step),
                "map: length %s not a multiple of the %s page",
                hexAddr(bytes).c_str(), pageSizeName(size));
+    emv_assert(bytes == 0 || (pa + bytes - 1) >> 52 == 0,
+               "map: frames [%s, +%s) reach past 2^52",
+               hexAddr(pa).c_str(), hexAddr(bytes).c_str());
     Path path;
     mapLeaves(va, bytes, size, writable, user_mode,
-              [pa](Addr pos) { return pa + pos; }, path, false);
+              [pa](Addr pos) { return pa + pos; }, true, path, false);
 }
 
 bool
@@ -234,8 +247,8 @@ PageTable::mapIfUnmapped(Addr va, Addr bytes, PageSize size,
     if (!pa)
         return false;
     mapLeaves(va, bytes, size, true, true,
-              [pa, step](Addr pos) { return pa[pos / step]; }, path,
-              true);
+              [pa, step](Addr pos) { return pa[pos / step]; }, false,
+              path, true);
     return true;
 }
 
@@ -265,25 +278,42 @@ PageTable::unmapRange(Addr va, Addr bytes, PageSize size)
         const auto n = static_cast<unsigned>((end - pos) / step);
         const Addr run_addr = table + 8ull * tableIndex(va + pos, target);
         pos = end;
-        std::uint64_t entries[kEntriesPerTable];
-        space.readRun(run_addr, n, entries);
         // Skip absent entries and tables of smaller mappings.
-        const auto is_leaf = [&](unsigned i) {
-            const Pte pte{entries[i]};
+        const auto is_leaf = [target](std::uint64_t raw) {
+            const Pte pte{raw};
             return pte.present() && (target == 1 || pte.pageSize());
         };
+        std::uint64_t first = 0, stride = 0;
+        const bool linear = n == kEntriesPerTable &&
+                            space.readStep(run_addr, first, stride);
         unsigned cleared = 0;
-        for (unsigned i = 0; i < n;) {
-            if (!is_leaf(i)) {
-                ++i;
-                continue;
+        if (linear && (stride & (kPage4K - 1)) == 0) {
+            // Every entry has the flag bits of the first: the table
+            // is all leaves or has none.
+            if (is_leaf(first)) {
+                space.writeStep(run_addr, 0, 0);
+                cleared = n;
             }
-            unsigned j = i + 1;
-            while (j < n && is_leaf(j))
-                ++j;
-            space.writeRun(run_addr + 8ull * i, j - i, kZeroRun);
-            cleared += j - i;
-            i = j;
+        } else {
+            std::uint64_t entries[kEntriesPerTable];
+            if (linear) {
+                for (unsigned i = 0; i < n; ++i)
+                    entries[i] = first + i * stride;
+            } else {
+                space.readRun(run_addr, n, entries);
+            }
+            for (unsigned i = 0; i < n;) {
+                if (!is_leaf(entries[i])) {
+                    ++i;
+                    continue;
+                }
+                unsigned j = i + 1;
+                while (j < n && is_leaf(entries[j]))
+                    ++j;
+                space.writeRun(run_addr + 8ull * i, j - i, kZeroRun);
+                cleared += j - i;
+                i = j;
+            }
         }
         if (cleared) {
             liveEntries.at(table) -= cleared;

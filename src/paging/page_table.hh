@@ -72,6 +72,33 @@ class MemSpace
             write64(addr + 8ull * i, values[i]);
     }
 
+    /**
+     * Store the whole 4 KB table frame at @p table as entry i =
+     * @p first + i * @p stride (mod 2^64).  The default stores the
+     * 512 entries as one writeRun().
+     */
+    virtual void
+    writeStep(Addr table, std::uint64_t first, std::uint64_t stride)
+    {
+        std::uint64_t entries[kEntriesPerTable];
+        for (unsigned i = 0; i < kEntriesPerTable; ++i)
+            entries[i] = first + i * stride;
+        writeRun(table, kEntriesPerTable, entries);
+    }
+
+    /**
+     * If the space stores the 4 KB table frame at @p table as entry
+     * i = first + i * stride, set @p first and @p stride, count its
+     * 512 loads and return true; otherwise load nothing and return
+     * false.  The default returns false, so callers load the words.
+     */
+    virtual bool
+    readStep(Addr /*table*/, std::uint64_t & /*first*/,
+             std::uint64_t & /*stride*/) const
+    {
+        return false;
+    }
+
     /** Allocate and zero a 4 KB frame for a table node. */
     virtual Addr allocTableFrame() = 0;
 
@@ -108,8 +135,9 @@ class PageTable
 
     /**
      * Map [@p va, @p va + @p bytes) to the frames from @p pa as pages
-     * of @p size; all three must be size-aligned.  Descends once per
-     * leaf table and writes up to 512 entries there as one run,
+     * of @p size; all three must be size-aligned, and the frames
+     * below 2^52.  Descends once per leaf table and writes up to 512
+     * entries there as one run (a whole table as one writeStep()),
      * leaving every count, entry and table-frame allocation exactly
      * as the per-page map() sequence over the range would.  Panics
      * on conflicting existing mappings (callers unmap first).
@@ -138,8 +166,10 @@ class PageTable
      * Remove the @p size leaves at the size-aligned pages of
      * [@p va, @p va + @p bytes).  Pages without such a leaf (holes,
      * larger leaves above, smaller mappings below) are skipped, as
-     * unmap() skips them.  Tables left empty are freed bottom-up once
-     * per leaf table, in the order the per-page sequence frees them.
+     * unmap() skips them.  A whole leaf table the space holds as a
+     * step descriptor is read and cleared as one (readStep(),
+     * writeStep()).  Tables left empty are freed bottom-up once per
+     * leaf table, in the order the per-page sequence frees them.
      * @return the number of leaves removed.
      */
     std::uint64_t unmapRange(Addr va, Addr bytes, PageSize size);
@@ -257,14 +287,15 @@ class PageTable
     /**
      * The loop of mapRange() and mapIfUnmapped(): write the leaves of
      * [@p va, @p va + @p bytes), page i to frame_at(i * page), one
-     * leaf table at a time.  With @p resume the first descent resumes
-     * @p path, whose span was checked clear, so its entries are not
-     * read.
+     * leaf table at a time.  With @p stepping, frame_at(pos) is
+     * frame_at(0) + pos, so a whole leaf table is one writeStep().
+     * With @p resume the first descent resumes @p path, whose span
+     * was checked clear, so its entries are not read.
      */
     template <typename FrameAt>
     void mapLeaves(Addr va, Addr bytes, PageSize size, bool writable,
-                   bool user_mode, FrameAt frame_at, Path &path,
-                   bool resume);
+                   bool user_mode, FrameAt frame_at, bool stepping,
+                   Path &path, bool resume);
 
     /** Free the path's tables left empty, bottom-up (not the root). */
     void freeEmptyTables(const Path &path);

@@ -296,11 +296,12 @@ Vm::countExit(ExitReason reason)
 }
 
 void
-Vm::mapNestedRange(Addr gpa, Addr bytes, Addr hpa)
+forEachGranuleRun(Addr gpa, Addr bytes, Addr hpa, PageSize nested,
+                  const std::function<void(Addr, Addr, PageSize)> &run)
 {
     // Largest granule that alignment and the remainder allow at pos.
     const auto granule = [&](Addr pos) {
-        PageSize size = cfg.nestedPageSize;
+        PageSize size = nested;
         while (size != PageSize::Size4K &&
                (!isAligned(gpa + pos, pageBytes(size)) ||
                 !isAligned(hpa + pos, pageBytes(size)) ||
@@ -310,16 +311,35 @@ Vm::mapNestedRange(Addr gpa, Addr bytes, Addr hpa)
         }
         return size;
     };
-    // One range call per run of same-size granules.
-    Addr pos = 0;
-    while (pos < bytes) {
+    // A run ends at its last whole granule, or earlier at the first
+    // boundary of a larger size that gpa - hpa is aligned to, if that
+    // size fits there.
+    for (Addr pos = 0; pos < bytes;) {
         const PageSize size = granule(pos);
-        Addr end = pos + pageBytes(size);
-        while (end < bytes && granule(end) == size)
-            end += pageBytes(size);
-        nestedPt->mapRange(gpa + pos, hpa + pos, end - pos, size);
+        const Addr page = pageBytes(size);
+        Addr end = pos + (bytes - pos) / page * page;
+        for (const PageSize larger : {PageSize::Size2M, PageSize::Size1G}) {
+            const Addr big = pageBytes(larger);
+            if (big <= page || big > pageBytes(nested) ||
+                !isAligned(gpa - hpa, big))
+                continue;
+            const Addr next = alignDown(gpa + pos, big) + big - gpa;
+            if (next + big <= bytes)
+                end = std::min(end, next);
+        }
+        run(pos, end - pos, size);
         pos = end;
     }
+}
+
+void
+Vm::mapNestedRange(Addr gpa, Addr bytes, Addr hpa)
+{
+    forEachGranuleRun(gpa, bytes, hpa, cfg.nestedPageSize,
+                      [&](Addr pos, Addr run_bytes, PageSize size) {
+                          nestedPt->mapRange(gpa + pos, hpa + pos,
+                                             run_bytes, size);
+                      });
 }
 
 void
@@ -357,17 +377,20 @@ Vm::backRange(Addr gpa, Addr bytes)
                  _name.c_str(),
                  static_cast<unsigned long long>(bytes));
     }
-    // Paged backing: block-by-block at the nested granularity.
-    const Addr step = pageBytes(cfg.nestedPageSize);
-    for (Addr pos = 0; pos < bytes; pos += step) {
-        const Addr chunk = std::min(step, bytes - pos);
-        auto block = _vmm.allocHostBlock(
-            chunk == step ? cfg.nestedPageSize : PageSize::Size4K);
+    // Paged backing: block-by-block at the nested granularity, and a
+    // tail shorter than that in the largest blocks that fit.
+    for (Addr pos = 0; pos < bytes;) {
+        PageSize size = cfg.nestedPageSize;
+        while (size != PageSize::Size4K && pageBytes(size) > bytes - pos)
+            size = size == PageSize::Size1G ? PageSize::Size2M
+                                            : PageSize::Size4K;
+        auto block = _vmm.allocHostBlock(size);
         if (!block)
             emv_fatal("host out of memory backing VM %s",
                       _name.c_str());
-        backing.add(gpa + pos, chunk, *block);
-        mapNestedRange(gpa + pos, chunk, *block);
+        backing.add(gpa + pos, pageBytes(size), *block);
+        mapNestedRange(gpa + pos, pageBytes(size), *block);
+        pos += pageBytes(size);
     }
 }
 

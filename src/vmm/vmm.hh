@@ -71,6 +71,16 @@ class HostTableSpace final : public paging::MemSpace
     writeRun(Addr addr, unsigned n, const std::uint64_t *values) override
     { mem.writeRun(addr, n, values); }
 
+    void
+    writeStep(Addr table, std::uint64_t first, std::uint64_t stride)
+        override
+    { mem.writeStep(table, first, stride); }
+
+    bool
+    readStep(Addr table, std::uint64_t &first, std::uint64_t &stride)
+        const override
+    { return mem.readStep(table, first, stride); }
+
     Addr allocTableFrame() override;
     void freeTableFrame(Addr frame) override;
 
@@ -117,6 +127,18 @@ struct VmConfig
      *  when false, eager backing allocates page-by-page. */
     bool contiguousHostReservation = true;
 };
+
+/**
+ * The runs in which a nested table maps [@p gpa, @p gpa + @p bytes)
+ * to the host frames from @p hpa.  A run's granule is the largest
+ * size up to @p nested that the alignment of its start, in both
+ * spaces, and the remainder allow; the run lasts while that granule
+ * stays the same.  Calls @p run(pos, run_bytes, size) for each run
+ * in ascending order, with O(1) work per run.
+ */
+void forEachGranuleRun(Addr gpa, Addr bytes, Addr hpa, PageSize nested,
+                       const std::function<void(Addr, Addr, PageSize)>
+                           &run);
 
 /** VMM segment creation result. */
 struct VmmSegmentInfo

@@ -228,6 +228,52 @@ TEST(PhysMemoryTest, SteppingFrameRunIsStoredLinear)
     }
 }
 
+TEST(PhysMemoryTest, WriteStepEqualsWordRun)
+{
+    // Over a frame that is linear and over one that is materialized,
+    // writeStep() leaves what a 512-word writeRun() of its words
+    // leaves, and readStep() reads it back as the run would.
+    const std::uint64_t kStrides[] = {0, kPage4K, 0 - kPage4K, 3};
+    for (const std::uint64_t stride : kStrides) {
+        const std::uint64_t first = stride == 3 ? ~0ull - 700 : 0x40000007;
+        const auto words = steppedWords(first, stride);
+        PhysMemory step(1 * MiB), run(1 * MiB);
+        for (PhysMemory *mem : {&step, &run}) {
+            mem->zeroFrame(0x5000);        // Linear.
+            mem->write64(0x9000 + 8, 1);   // Materialized.
+        }
+        for (const Addr frame : {Addr{0x5000}, Addr{0x9000}}) {
+            step.writeStep(frame, first, stride);
+            run.writeRun(frame, 512, words.data());
+        }
+        EXPECT_EQ(step.residentFrames(), run.residentFrames());
+        EXPECT_EQ(step.storedFrames(), run.storedFrames());
+        EXPECT_EQ(step.storedFrames(), 0u) << stride;
+        for (const Addr frame : {Addr{0x5000}, Addr{0x9000}}) {
+            EXPECT_EQ(step.hashFrame(frame), run.hashFrame(frame));
+            std::uint64_t got_first = 1, got_stride = 1;
+            ASSERT_TRUE(step.readStep(frame, got_first, got_stride));
+            EXPECT_EQ(got_first, first);
+            EXPECT_EQ(got_stride, stride);
+            std::vector<std::uint64_t> back(512);
+            run.readRun(frame, 512, back.data());
+            EXPECT_EQ(back, words);
+        }
+        EXPECT_EQ(step.stats().counterValue("writes"),
+                  run.stats().counterValue("writes"));
+        EXPECT_EQ(step.stats().counterValue("reads"),
+                  run.stats().counterValue("reads"));
+        EXPECT_EQ(test::ckptBytes(step), test::ckptBytes(run));
+    }
+
+    // A materialized frame has no step to read, and counts no read.
+    PhysMemory mem(1 * MiB);
+    mem.write64(0x2000, 5);
+    std::uint64_t first = 0, stride = 0;
+    EXPECT_FALSE(mem.readStep(0x2000, first, stride));
+    EXPECT_EQ(mem.stats().counterValue("reads"), 0u);
+}
+
 TEST(PhysMemoryTest, WordWriteMaterializesLinearFrameKeepingItsWords)
 {
     const auto words = steppedWords(0x200003, kPage4K);
@@ -298,6 +344,7 @@ TEST(PhysMemoryDeathTest, RunAcrossFramePanics)
     std::uint64_t words[2] = {1, 2};
     EXPECT_DEATH(mem.writeRun(0x1ff8, 2, words), "crosses a 4K frame");
     EXPECT_DEATH(mem.readRun(0x1ff8, 2, words), "crosses a 4K frame");
+    EXPECT_DEATH(mem.writeStep(0x1008, 0, 0), "crosses a 4K frame");
 }
 
 TEST(PhysMemoryDeathTest, OutOfBoundsPanics)

@@ -7,7 +7,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/audit.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "paging/pte.hh"
 #include "vmm/vmm.hh"
 #include "../test_support.hh"
@@ -378,6 +380,257 @@ TEST_F(VmmTest, ReclaimGuestRangeSplitsEveryLargeNestedLeaf)
     EXPECT_EQ(*right, std::make_pair(hpa_after, PageSize::Size4K));
     EXPECT_EQ(nestedLeaf(host, vm.nestedRoot(), 14 * MiB)->second,
               PageSize::Size2M);
+}
+
+TEST_F(VmmTest, PagedBackingTailIsAllocated)
+{
+    // 1G nested granules over 1.5 GB of high RAM: the 512 MB tail is
+    // backed in 2M blocks.  Every backed byte is a byte the host
+    // buddy handed out, and no extent overlaps a free host range.
+    mem::PhysMemory big(8 * GiB);
+    Vmm big_vmm(big, 8 * GiB);
+    VmConfig cfg;
+    cfg.ramBytes = 4 * GiB + 512 * MiB;
+    cfg.nestedPageSize = PageSize::Size1G;
+    cfg.contiguousHostReservation = false;
+    auto &vm = big_vmm.createVm("a", cfg);
+    const auto &buddy = big_vmm.hostBuddy();
+    EXPECT_EQ(vm.backingMap().totalBytes(), cfg.ramBytes);
+    EXPECT_EQ(8 * GiB - buddy.freeBytes() -
+                  big_vmm.hostUnmovable().totalLength(),
+              vm.backingMap().totalBytes());
+    for (const Extent &e : vm.backingMap().extents()) {
+        EXPECT_FALSE(
+            buddy.freeIntervals().intersectsRange(e.hpa, e.hpa + e.bytes))
+            << hexAddr(e.gpa);
+    }
+    const Addr tail = 4 * GiB + 1 * GiB;
+    EXPECT_EQ(nestedLeaf(big, vm.nestedRoot(), tail)->second,
+              PageSize::Size2M);
+    EXPECT_EQ(nestedLeaf(big, vm.nestedRoot(), 0)->second,
+              PageSize::Size1G);
+}
+
+/** The per-granule loop forEachGranuleRun() computes in O(1) per
+ *  run: one granule at a time, each extending the run or starting
+ *  one. */
+struct GranuleRun
+{
+    Addr pos;
+    Addr bytes;
+    PageSize size;
+    bool operator==(const GranuleRun &) const = default;
+};
+
+std::vector<GranuleRun>
+perGranuleRuns(Addr gpa, Addr bytes, Addr hpa, PageSize nested)
+{
+    const auto granule = [&](Addr pos) {
+        PageSize size = nested;
+        while (size != PageSize::Size4K &&
+               (!isAligned(gpa + pos, pageBytes(size)) ||
+                !isAligned(hpa + pos, pageBytes(size)) ||
+                pos + pageBytes(size) > bytes)) {
+            size = size == PageSize::Size1G ? PageSize::Size2M
+                                            : PageSize::Size4K;
+        }
+        return size;
+    };
+    std::vector<GranuleRun> runs;
+    for (Addr pos = 0; pos < bytes;) {
+        const PageSize size = granule(pos);
+        Addr end = pos + pageBytes(size);
+        while (end < bytes && granule(end) == size)
+            end += pageBytes(size);
+        runs.push_back({pos, end - pos, size});
+        pos = end;
+    }
+    return runs;
+}
+
+TEST(GranuleRunTest, MatchesPerGranuleLoop)
+{
+    // Seeded ranges for each nested granule: starts on 4K, 2M and 1G
+    // boundaries, gpa - hpa aligned to 4K, 2M or 1G, and lengths with
+    // ragged 2M and 4K tails.
+    constexpr PageSize kSizes[] = {PageSize::Size4K, PageSize::Size2M,
+                                   PageSize::Size1G};
+    constexpr Addr kAligns[] = {kPage4K, kPage2M, kPage1G};
+    Rng rng(34);
+    unsigned mixed = 0, gig_runs = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const PageSize nested = kSizes[trial % 3];
+        const Addr gpa = rng.nextBelow(64) * kPage1G +
+                         (rng.nextBool(0.5) ? rng.nextBelow(512) * kPage2M
+                                            : 0) +
+                         (rng.nextBool(0.5) ? rng.nextBelow(512) * kPage4K
+                                            : 0);
+        const Addr co = kAligns[rng.nextBelow(3)];
+        const Addr hpa = rng.nextBelow(64) * kPage1G + gpa % co +
+                         rng.nextBelow(kPage1G / co) * co;
+        Addr bytes = rng.nextBelow(2) * kPage1G +
+                     rng.nextBelow(512) * kPage2M +
+                     rng.nextBelow(512) * kPage4K;
+        if (bytes == 0 || rng.nextBool(0.2))
+            bytes = (1 + rng.nextBelow(1024)) * kPage4K;
+
+        std::vector<GranuleRun> runs;
+        forEachGranuleRun(gpa, bytes, hpa, nested,
+                          [&](Addr pos, Addr run_bytes, PageSize size) {
+                              runs.push_back({pos, run_bytes, size});
+                          });
+        ASSERT_EQ(runs, perGranuleRuns(gpa, bytes, hpa, nested))
+            << "trial " << trial << ": gpa " << hexAddr(gpa) << " hpa "
+            << hexAddr(hpa) << " bytes " << hexAddr(bytes);
+        mixed += runs.size() >= 3;
+        for (const GranuleRun &run : runs)
+            gig_runs += run.size == PageSize::Size1G;
+    }
+    EXPECT_GT(mixed, 50u);
+    EXPECT_GT(gig_runs, 5u);
+}
+
+/**
+ * A MemSpace over a VMM's table pool, like HostTableSpace, that
+ * keeps MemSpace's default word paths for runs and steps.
+ */
+class WordTableSpace : public paging::MemSpace
+{
+  public:
+    WordTableSpace(Vmm &vmm, mem::PhysMemory &mem) : vmm(vmm), mem(mem)
+    {
+    }
+
+    std::uint64_t read64(Addr addr) const override
+    { return mem.read64(addr); }
+
+    void write64(Addr addr, std::uint64_t value) override
+    { mem.write64(addr, value); }
+
+    Addr
+    allocTableFrame() override
+    {
+        const Addr frame = vmm.allocTableFrameHost();
+        mem.zeroFrame(frame);
+        return frame;
+    }
+
+    void freeTableFrame(Addr frame) override
+    { vmm.freeTableFrameHost(frame); }
+
+  private:
+    Vmm &vmm;
+    mem::PhysMemory &mem;
+};
+
+TEST(HostTableSpaceTest, StepPathsMatchWordPaths)
+{
+    // Seeded maps and unmaps of 4K and 2M runs, whole leaf tables
+    // and ragged ones, through HostTableSpace on one host and
+    // through word writes on its twin.  After every call the two
+    // hosts' checkpoints (every word of every frame, and the
+    // physmem read and write counts) and the tables' counts agree.
+    // Auditing reads back every leaf and rescans emptied tables.
+    setQuietLogging(true);
+    audit::setEnabled(true);
+    audit::resetCounters();
+    constexpr Addr kHost = 64 * MiB;
+    mem::PhysMemory step_mem(kHost), word_mem(kHost);
+    Vmm step_vmm(step_mem, kHost), word_vmm(word_mem, kHost);
+    WordTableSpace word_space(word_vmm, word_mem);
+    {
+        paging::PageTable step_pt(step_vmm.tableSpace());
+        paging::PageTable word_pt(word_space);
+        const Addr window = 4 * GiB - 8 * kPage2M;
+        const Addr window_bytes = 32 * kPage2M;
+        Rng rng(2014);
+        unsigned linear_tables = 0;
+        for (int step = 0; step < 300; ++step) {
+            const PageSize size =
+                rng.nextBool(0.8) ? PageSize::Size4K : PageSize::Size2M;
+            const Addr page = pageBytes(size);
+            // Whole leaf tables half of the time.
+            const bool whole = rng.nextBool(0.5);
+            const Addr align = whole ? page * 512 : page;
+            Addr va = window + rng.nextBelow(window_bytes / align) * align;
+            Addr pages = whole ? 512 * (1 + rng.nextBelow(3))
+                               : 1 + rng.nextBelow(1200);
+            pages = std::min(pages, (window + window_bytes - va) / page);
+            if (rng.nextBool(0.5)) {
+                // Map the longest prefix of the run that is free.
+                Addr free_pages = 0;
+                for (; free_pages < pages; ++free_pages) {
+                    const Addr at = va + free_pages * page;
+                    const bool busy = word_pt.leafRangeOccupied(at, size);
+                    ASSERT_EQ(step_pt.leafRangeOccupied(at, size), busy);
+                    if (busy)
+                        break;
+                }
+                const Addr pa = rng.nextBelow(4096) * kPage2M;
+                step_pt.mapRange(va, pa, free_pages * page, size);
+                word_pt.mapRange(va, pa, free_pages * page, size);
+            } else {
+                ASSERT_EQ(step_pt.unmapRange(va, pages * page, size),
+                          word_pt.unmapRange(va, pages * page, size))
+                    << "step " << step;
+            }
+            ASSERT_EQ(test::ckptBytes(step_mem), test::ckptBytes(word_mem))
+                << "step " << step;
+            ASSERT_EQ(test::ckptBytes(step_pt), test::ckptBytes(word_pt))
+                << "step " << step;
+            ASSERT_EQ(step_pt.mappedLeaves(), word_pt.mappedLeaves());
+            ASSERT_EQ(step_pt.updateCount(), word_pt.updateCount());
+            linear_tables = std::max<unsigned>(
+                linear_tables,
+                word_mem.storedFrames() - step_mem.storedFrames());
+        }
+        // Whole leaf tables were written by step on one side only.
+        EXPECT_GT(linear_tables, 2u);
+        EXPECT_GT(step_pt.updateCount(), 10000u);
+    }
+    EXPECT_EQ(audit::failureCount(), 0u);
+    audit::setEnabled(false);
+    setQuietLogging(false);
+}
+
+TEST(HostTableSpaceTest, LinearTableWithSteppingFlagsClearsEntryByEntry)
+{
+    // A restored leaf table can be linear with a stride that is not a
+    // multiple of 4K, so its flag bits differ from entry to entry:
+    // 2M leaves (0x87) step into table entries (0x101) and back.
+    // unmapRange() clears its leaves as the word path does.
+    constexpr Addr kHost = 64 * MiB;
+    mem::PhysMemory step_mem(kHost), word_mem(kHost);
+    Vmm step_vmm(step_mem, kHost), word_vmm(word_mem, kHost);
+    WordTableSpace word_space(word_vmm, word_mem);
+    paging::PageTable step_pt(step_vmm.tableSpace());
+    paging::PageTable word_pt(word_space);
+    // The level-2 table that maps [0, 1G).
+    const auto pd = [](paging::PageTable &pt, mem::PhysMemory &mem) {
+        Addr table = pt.root();
+        for (int level = paging::kLevels; level > 2; --level)
+            table = paging::Pte{mem.read64(table)}.frame();
+        return table;
+    };
+    const std::pair<paging::PageTable *, mem::PhysMemory *> sides[] = {
+        {&step_pt, &step_mem}, {&word_pt, &word_mem}};
+    std::uint64_t removed[2] = {};
+    for (int i = 0; i < 2; ++i) {
+        auto &[pt, mem] = sides[i];
+        pt->mapRange(0, 0, 1 * GiB, PageSize::Size2M);
+        mem->writeStep(pd(*pt, *mem), 0x87, kPage2M + 2);
+        removed[i] = pt->unmapRange(0, 1 * GiB, PageSize::Size2M);
+    }
+    EXPECT_EQ(removed[0], removed[1]);
+    EXPECT_GT(removed[0], 0u);
+    EXPECT_LT(removed[0], 512u);
+    EXPECT_EQ(step_pt.mappedLeaves(), word_pt.mappedLeaves());
+    EXPECT_EQ(test::ckptBytes(step_mem), test::ckptBytes(word_mem));
+    EXPECT_EQ(test::ckptBytes(step_pt), test::ckptBytes(word_pt));
+    // The table entries left point at no table; clear them before the
+    // tables' teardown walks them.
+    for (const auto &[pt, mem] : sides)
+        mem->zeroFrame(pd(*pt, *mem));
 }
 
 TEST_F(VmmTest, AllocHostBlockRetiresBadFrames)
