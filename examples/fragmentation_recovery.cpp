@@ -61,7 +61,7 @@ main(int argc, char **argv)
     std::printf("guest segment after boot: %s\n",
                 machine.guestSegment().toString().c_str());
     std::printf("largest free guest run:   %s (need %s)\n",
-                sim::bytesStr(machine.os().buddy().largestFreeRun())
+                sim::bytesStr(machine.os().frames().buddy().largestFreeRun())
                     .c_str(),
                 sim::bytesStr(wl->info().footprintBytes).c_str());
     std::printf("overhead without segment: %s\n\n",

@@ -29,10 +29,10 @@ BalloonDriver::inflate(Addr bytes)
         // Like the virtio balloon, take whatever free 4K pages the
         // allocator hands out — typically scattered when memory is
         // fragmented.
-        auto page = os.buddy().allocate(0);
+        auto page = os.frames().buddy().allocate(0);
         if (!page)
             break;
-        os.markUnmovable(*page, kPage4K);  // Pinned, not swappable.
+        os.frames().markUnmovable(*page, kPage4K);  // Pinned, not swappable.
         batch.push_back(*page);
         got += kPage4K;
     }

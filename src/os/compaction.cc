@@ -16,39 +16,14 @@ CompactionDaemon::CompactionDaemon(GuestOs &os, RemapHook on_remap)
 {
 }
 
-std::optional<CompactionDaemon::Window>
-CompactionDaemon::bestWindow(Addr bytes) const
-{
-    const IntervalSet &free_set = os.buddy().freeIntervals();
-    const IntervalSet &unmovable = os.unmovable();
-
-    std::optional<Window> best;
-    // Slide a window at 2M steps inside each RAM interval.
-    for (const auto &ram : os.ram().intervals()) {
-        if (ram.length() < bytes)
-            continue;
-        for (Addr w = alignUp(ram.start, kPage2M);
-             w + bytes <= ram.end; w += kPage2M) {
-            if (unmovable.intersectsRange(w, w + bytes))
-                continue;
-            const Addr free_in =
-                free_set.coveredBytesInRange(w, w + bytes);
-            const Addr allocated = bytes - free_in;
-            if (!best || allocated < best->allocatedBytes)
-                best = Window{w, allocated};
-            if (best->allocatedBytes == 0)
-                return best;
-        }
-    }
-    return best;
-}
-
 std::optional<std::uint64_t>
 CompactionDaemon::estimateMigrations(Addr bytes)
 {
-    if (os.buddy().largestFreeRun() >= bytes)
+    auto &frames = os.frames();
+    if (frames.buddy().largestFreeRun() >= bytes)
         return 0;
-    auto window = bestWindow(bytes);
+    // Windows slide at 2M steps inside each RAM interval.
+    auto window = frames.bestWindow(os.ram().intervals(), bytes, kPage2M);
     if (!window)
         return std::nullopt;
     EMV_TRACE(Compaction,
@@ -71,13 +46,15 @@ CompactionDaemon::createFreeRun(Addr bytes, std::uint64_t
         return std::nullopt;
     }
 
+    auto &frames = os.frames();
+    auto &buddy = frames.buddy();
     // Already available?
-    if (auto run = os.buddy().freeIntervals().largest();
+    if (auto run = buddy.freeIntervals().largest();
         run && run->length() >= bytes) {
         return Interval{run->start, run->start + bytes};
     }
 
-    auto window = bestWindow(bytes);
+    auto window = frames.bestWindow(os.ram().intervals(), bytes, kPage2M);
     if (!window)
         return std::nullopt;
     if (max_migrations &&
@@ -87,20 +64,12 @@ CompactionDaemon::createFreeRun(Addr bytes, std::uint64_t
 
     const Addr wstart = window->base;
     const Addr wend = window->base + bytes;
-    auto &buddy = os.buddy();
 
     // 1. Reserve every currently free piece of the window so the
-    //    migration targets we allocate land outside it.  A copy:
-    //    the abort path below needs the pieces as they were.
-    const IntervalSet free_pieces = buddy.freeIntervals();
-    for (const auto &piece : free_pieces.intervals()) {
-        const Addr lo = std::max(piece.start, wstart);
-        const Addr hi = std::min(piece.end, wend);
-        if (hi > lo) {
-            const bool ok = buddy.allocateRange(lo, hi - lo);
-            emv_assert(ok, "window free piece vanished");
-        }
-    }
+    //    migration targets we allocate land outside it.  `held`
+    //    lists the window frames the daemon holds; a failure
+    //    releases them.
+    std::vector<Interval> held = frames.reserveFree(wstart, bytes);
 
     // 2. Reverse-map the window: find every leaf whose frame block
     //    overlaps it.
@@ -139,26 +108,22 @@ CompactionDaemon::createFreeRun(Addr bytes, std::uint64_t
                  "aborting",
                  static_cast<unsigned long long>(
                      window->allocatedBytes - victim_bytes));
-        for (const auto &piece : free_pieces.intervals()) {
-            const Addr lo = std::max(piece.start, wstart);
-            const Addr hi = std::min(piece.end, wend);
-            if (hi > lo)
-                buddy.freeRange(lo, hi - lo);
-        }
+        frames.release(held);
         return std::nullopt;
     }
 
     // 3. Migrate each victim to freshly allocated memory (outside
     //    the window by construction of step 1).
     for (const auto &victim : victims) {
-        auto target = os.allocDataBlock(victim.size);
+        auto target = frames.allocBlock(victim.size);
         if (!target) {
             emv_warn("compaction: out of migration targets");
+            frames.release(held);
             return std::nullopt;
         }
         const Addr block_bytes = pageBytes(victim.size);
         for (Addr off = 0; off < block_bytes; off += kPage4K)
-            os.phys().copyFrame(*target + off, victim.pa + off);
+            frames.copyFrame(*target + off, victim.pa + off);
         victim.proc->pageTable().unmap(victim.va, victim.size);
         victim.proc->pageTable().map(victim.va, *target, victim.size);
         if (onRemap)
@@ -172,6 +137,7 @@ CompactionDaemon::createFreeRun(Addr bytes, std::uint64_t
             buddy.freeRange(lo, wstart - lo);
         if (hi > wend)
             buddy.freeRange(wend, hi - wend);
+        held.push_back({std::max(lo, wstart), std::min(hi, wend)});
     }
 
     // 4. The entire window is now reserved by the daemon; release it

@@ -7,7 +7,9 @@
  * run — the slow path for creating direct segments on fragmented
  * memory (Table III's "slowly converted ... with host memory
  * compaction" rows describe the same mechanism on the host side,
- * implemented by emv::vmm::Vmm::compactHost()).
+ * in emv::vmm::Vm::materializeVmmSegmentBacking()).  Both pick and
+ * reserve their window through FrameManager; each migrates its own
+ * victims.
  */
 
 #pragma once
@@ -73,15 +75,6 @@ class CompactionDaemon
     void persist(Ar &ar);
 
   private:
-    /** One candidate window and its cost. */
-    struct Window
-    {
-        Addr base = 0;
-        Addr allocatedBytes = 0;
-    };
-
-    std::optional<Window> bestWindow(Addr bytes) const;
-
     GuestOs &os;
     RemapHook onRemap;
     std::function<bool()> faultHook;

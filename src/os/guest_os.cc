@@ -8,110 +8,26 @@
 
 namespace emv::os {
 
-namespace {
-
-unsigned
-orderFor(PageSize size)
-{
-    switch (size) {
-      case PageSize::Size4K: return 0;
-      case PageSize::Size2M: return 9;
-      case PageSize::Size1G: return 18;
-    }
-    return 0;
-}
-
-} // namespace
-
-/**
- * MemSpace backing per-process page tables: words go through the
- * PhysAccessor (so guest PT bytes physically live wherever the VMM
- * put them), table frames come from the OS buddy allocator.
- */
-class GuestOs::OsMemSpace : public paging::MemSpace
-{
-  public:
-    explicit OsMemSpace(GuestOs &os) : os(os) {}
-
-    std::uint64_t
-    read64(Addr addr) const override
-    {
-        return os._phys.read64(addr);
-    }
-
-    void
-    write64(Addr addr, std::uint64_t value) override
-    {
-        os._phys.write64(addr, value);
-    }
-
-    void
-    readRun(Addr addr, unsigned n, std::uint64_t *out) const override
-    {
-        os._phys.readRun(addr, n, out);
-    }
-
-    void
-    writeRun(Addr addr, unsigned n, const std::uint64_t *values) override
-    {
-        os._phys.writeRun(addr, n, values);
-    }
-
-    Addr
-    allocTableFrame() override
-    {
-        auto frame = os.allocKernelFrame();
-        if (!frame)
-            emv_fatal("out of physical memory for page tables");
-        os._phys.zeroFrame(*frame);
-        return *frame;
-    }
-
-    void
-    freeTableFrame(Addr frame) override
-    {
-        os.freeKernelFrame(frame);
-    }
-
-  private:
-    GuestOs &os;
-};
-
 GuestOs::GuestOs(mem::PhysAccessor &phys, Addr span,
                  const std::vector<Interval> &ram, OsConfig config)
-    : _phys(phys), config(config), span(span)
+    : config(config), span(span),
+      _frames(phys, span, config.kernelAllocBase,
+              _stats.badPagesRetired, _stats.kernelChunks)
 {
-    emv_assert(span > 0 && isAligned(span, kPage4K),
-               "OS physical span must be a positive 4K multiple");
-    _buddy = std::make_unique<mem::BuddyAllocator>(0, span);
     // Nothing is RAM until declared: reserve the whole span, then
     // hot-add the boot RAM ranges.
-    const bool reserved = _buddy->allocateRange(0, span);
+    const bool reserved = _frames.buddy().allocateRange(0, span);
     emv_assert(reserved, "fresh buddy must allow full reservation");
     for (const auto &range : ram)
         hotAdd(range.start, range.length());
-    space = std::make_unique<OsMemSpace>(*this);
-}
-
-GuestOs::~GuestOs()
-{
-    // Page tables free frames through the mem space; drop processes
-    // before the space and buddy go away.
-    processes.clear();
 }
 
 Process &
 GuestOs::createProcess()
 {
     processes.push_back(
-        std::make_unique<Process>(nextPid++, *space));
+        std::make_unique<Process>(nextPid++, _frames));
     return *processes.back();
-}
-
-paging::MemSpace &
-GuestOs::memSpace()
-{
-    return *space;
 }
 
 std::vector<Process *>
@@ -136,7 +52,7 @@ GuestOs::hotAdd(Addr base, Addr bytes)
     EMV_TRACE(Hotplug, "hot-add [%s, +%s)",
               hexAddr(base).c_str(), hexAddr(bytes).c_str());
     ramSet.insert(base, base + bytes);
-    _buddy->freeRange(base, bytes);
+    _frames.buddy().freeRange(base, bytes);
     ++_stats.hotAdds;
     _stats.hotAddedBytes += bytes;
 }
@@ -146,7 +62,7 @@ GuestOs::hotRemove(Addr base, Addr bytes)
 {
     if (!ramSet.containsRange(base, base + bytes))
         return false;
-    if (!_buddy->allocateRange(base, bytes))
+    if (!_frames.buddy().allocateRange(base, bytes))
         return false;  // In use: hot-unplug needs free memory.
     EMV_TRACE(Hotplug, "hot-remove [%s, +%s)",
               hexAddr(base).c_str(), hexAddr(bytes).c_str());
@@ -154,76 +70,6 @@ GuestOs::hotRemove(Addr base, Addr bytes)
     ++_stats.hotRemoves;
     _stats.hotRemovedBytes += bytes;
     return true;
-}
-
-std::optional<Addr>
-GuestOs::allocDataBlock(PageSize size)
-{
-    const unsigned order = orderFor(size);
-    for (;;) {
-        auto block = _buddy->allocate(order);
-        if (!block)
-            return std::nullopt;
-        if (!_phys.anyBadInRange(*block, pageBytes(size)))
-            return block;
-        // Commodity-OS behaviour: retire faulty frames to the
-        // bad-page list [26] and try again.  Healthy 4K siblings of
-        // a large block are returned to the allocator.
-        for (Addr pa = *block; pa < *block + pageBytes(size);
-             pa += kPage4K) {
-            if (_phys.isBad(pa)) {
-                badPages.push_back(pa);
-                markUnmovable(pa, kPage4K);
-                ++_stats.badPagesRetired;
-            } else {
-                _buddy->freeRange(pa, kPage4K);
-            }
-        }
-    }
-}
-
-void
-GuestOs::freeDataBlock(Addr base, PageSize size)
-{
-    _buddy->free(base, orderFor(size));
-}
-
-std::optional<Addr>
-GuestOs::allocKernelFrame()
-{
-    if (kernelFreeList.empty()) {
-        // Grow the pool by one chunk, preferentially placed at the
-        // configured kernel base so unmovable kernel memory stays
-        // clustered (and, under VMM Direct, inside the segment).
-        Addr chunk_bytes = config.kernelChunkBytes;
-        auto fit = _buddy->freeIntervals().findFitLowAbove(
-            chunk_bytes, kPage4K, config.kernelAllocBase);
-        if (fit && _buddy->allocateRange(fit->start, chunk_bytes)) {
-            markUnmovable(fit->start, chunk_bytes);
-            ++_stats.kernelChunks;
-            for (Addr off = 0; off < chunk_bytes; off += kPage4K) {
-                if (!_phys.isBad(fit->start + off))
-                    kernelFreeList.push_back(fit->start + off);
-            }
-        } else {
-            // Desperate path: single frames from the allocator.
-            auto frame = allocDataBlock(PageSize::Size4K);
-            if (!frame)
-                return std::nullopt;
-            markUnmovable(*frame, kPage4K);
-            kernelFreeList.push_back(*frame);
-        }
-    }
-    const Addr frame = kernelFreeList.back();
-    kernelFreeList.pop_back();
-    return frame;
-}
-
-void
-GuestOs::freeKernelFrame(Addr frame)
-{
-    // Pool chunks never shrink; recycle within the pool.
-    kernelFreeList.push_back(frame);
 }
 
 void
@@ -251,7 +97,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
     const auto &seg = proc.guestSegment();
     if (seg.contains(va_page)) {
         const Addr pa = seg.translate(va_page);
-        if (!_phys.isBad(pa)) {
+        if (!_frames.isBad(pa)) {
             pt.map(va_page, pa, PageSize::Size4K);
             ++_stats.segmentOffsetMaps;
             if (mappingHook) {
@@ -261,7 +107,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
             return PageSize::Size4K;
         }
         // Escape: remap the faulty page to a healthy frame.
-        auto healthy = allocDataBlock(PageSize::Size4K);
+        auto healthy = _frames.allocBlock(PageSize::Size4K);
         if (!healthy)
             return std::nullopt;
         pt.map(va_page, *healthy, PageSize::Size4K);
@@ -283,7 +129,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
         if (base2m >= region.base &&
             base2m + kPage2M <= region.end() &&
             !pt.leafRangeOccupied(base2m, PageSize::Size2M)) {
-            if (auto frame = allocDataBlock(PageSize::Size2M)) {
+            if (auto frame = _frames.allocBlock(PageSize::Size2M)) {
                 pt.map(base2m, *frame, PageSize::Size2M);
                 ++_stats.thpPromotions;
                 if (mappingHook) {
@@ -302,7 +148,7 @@ GuestOs::mapPage(Process &proc, const Region &region, Addr va_page)
         const bool fits = base >= region.base &&
                           base + pageBytes(size) <= region.end();
         if (fits) {
-            if (auto frame = allocDataBlock(size)) {
+            if (auto frame = _frames.allocBlock(size)) {
                 proc.pageTable().map(base, *frame, size);
                 ++_stats.pagesMapped;
                 if (mappingHook) {
@@ -361,22 +207,23 @@ GuestOs::mapWindow(Process &proc, const Region &region, Addr va,
     // data frame.  Tables from the pool keep the buddy out of that,
     // so the order cannot matter; a pool that may have to grow
     // cannot promise it.
-    if (kernelFreeList.size() < std::size_t{paging::kLevels - 1})
+    if (_frames.poolFrames() < std::size_t{paging::kLevels - 1})
         return false;
 
     const std::uint64_t pages = (end - va) / kPage4K;
     std::vector<Addr> frames;
     const bool mapped = proc.pageTable().mapIfUnmapped(
         va, end - va, PageSize::Size4K, [&]() -> const Addr * {
-            // allocDataBlock() would retire a bad frame and take
+            // allocBlock() would retire a bad frame and take
             // another: leave such a window to it.
-            for (const Interval &run : _buddy->nextRun(pages)) {
-                if (_phys.anyBadInRange(run.start, run.length()))
+            for (const Interval &run : _frames.buddy().nextRun(pages)) {
+                if (_frames.anyBadInRange(run.start, run.length()))
                     return nullptr;
             }
             frames.reserve(pages);
-            return _buddy->allocateRun(pages, frames) ? frames.data()
-                                                      : nullptr;
+            return _frames.buddy().allocateRun(pages, frames)
+                       ? frames.data()
+                       : nullptr;
         });
     if (!mapped)
         return false;
@@ -460,11 +307,11 @@ GuestOs::unmapRange(Process &proc, Addr va, Addr bytes)
             if (leaf.size == PageSize::Size4K)
                 frames.push_back(leaf.pa);
             else
-                freeDataBlock(leaf.pa, leaf.size);
+                _frames.freeBlock(leaf.pa, leaf.size);
         }
         ++_stats.pagesUnmapped;
     }
-    _buddy->freeFrames(std::move(frames));
+    _frames.buddy().freeFrames(std::move(frames));
     return doomed.size();
 }
 
@@ -480,9 +327,9 @@ GuestOs::createGuestSegment(Process &proc)
     // high memory that a VMM segment covers, and it keeps low
     // kernel memory free (2M-aligned so Guest Direct can compose
     // with 2M nested pages).
-    auto fit =
-        _buddy->freeIntervals().findFitHigh(primary->bytes, kPage2M);
-    if (!fit || !_buddy->allocateRange(fit->start, primary->bytes)) {
+    auto &buddy = _frames.buddy();
+    auto fit = buddy.freeIntervals().findFitHigh(primary->bytes, kPage2M);
+    if (!fit || !buddy.allocateRange(fit->start, primary->bytes)) {
         ++_stats.segmentFailures;
         return std::nullopt;
     }
@@ -490,7 +337,7 @@ GuestOs::createGuestSegment(Process &proc)
         primary->base, primary->bytes, fit->start);
     proc.setGuestSegment(regs);
     // Segment backing cannot be migrated out from under the regs.
-    markUnmovable(fit->start, primary->bytes);
+    _frames.markUnmovable(fit->start, primary->bytes);
     ++_stats.segmentsCreated;
     EMV_TRACE(Segment, "guest segment created: %s",
               regs.toString().c_str());
@@ -506,8 +353,8 @@ GuestOs::releaseGuestSegment(Process &proc)
     // Drop PTEs created by the §VI.B emulation path first so their
     // frames are not double-freed.
     unmapRange(proc, seg.base(), seg.length());
-    clearUnmovable(seg.base() + seg.offset(), seg.length());
-    _buddy->freeRange(seg.base() + seg.offset(), seg.length());
+    _frames.clearUnmovable(seg.base() + seg.offset(), seg.length());
+    _frames.buddy().freeRange(seg.base() + seg.offset(), seg.length());
     proc.clearGuestSegment();
     ++_stats.segmentsReleased;
 }
@@ -517,15 +364,13 @@ void
 GuestOs::persist(Ar &ar)
 {
     ramSet.persist(ar);
-    _buddy->persist(ar);
+    _frames.buddy().persist(ar);
     if (!ar.fixed(processes, "os: process count mismatch (restore "
                              "requires the same boot configuration)"))
         return;
     for (auto &proc : processes)
         proc->persist(ar);
-    ar.u64s(badPages);
-    unmovableSet.persist(ar);
-    ar.u64s(kernelFreeList);
+    _frames.persist(ar, /*bad_first=*/true);
     thpRng.persist(ar);
     _stats.persist(ar);
     ar.u32(nextPid);

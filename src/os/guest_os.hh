@@ -34,10 +34,9 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "mem/buddy_allocator.hh"
 #include "mem/phys_accessor.hh"
+#include "os/frame_manager.hh"
 #include "os/process.hh"
-#include "paging/page_table.hh"
 #include "segment/direct_segment.hh"
 
 namespace emv {
@@ -69,9 +68,6 @@ struct OsConfig
      * memory out of compaction's way.
      */
     Addr kernelAllocBase = 0;
-
-    /** Kernel pool growth granule. */
-    Addr kernelChunkBytes = 4 * MiB;
 };
 
 /** Outcome of a fault (for cost accounting). */
@@ -95,7 +91,6 @@ class GuestOs
      */
     GuestOs(mem::PhysAccessor &phys, Addr span,
             const std::vector<Interval> &ram, OsConfig config = {});
-    ~GuestOs();
 
     GuestOs(const GuestOs &) = delete;
     GuestOs &operator=(const GuestOs &) = delete;
@@ -150,42 +145,16 @@ class GuestOs
     const IntervalSet &ram() const { return ramSet; }
     /** @} */
 
-    /** @{ Physical-memory services. */
-    mem::BuddyAllocator &buddy() { return *_buddy; }
-    mem::PhysAccessor &phys() { return _phys; }
-    paging::MemSpace &memSpace();
-
-    /** Allocate a data block, retiring faulty frames to the
-     *  bad-page list.  Returns nullopt when out of memory. */
-    std::optional<Addr> allocDataBlock(PageSize size);
-
-    /** Free a data block previously allocated. */
-    void freeDataBlock(Addr base, PageSize size);
-
     /**
-     * Allocate one 4 KB kernel frame (page tables, driver state)
-     * from the pooled, unmovable kernel area.
+     * The frame manager of this OS's physical memory: buddy
+     * allocator, bad-page list, unmovable set and the kernel
+     * (page-table) pool, placed at OsConfig::kernelAllocBase.  It is
+     * the MemSpace of every process page table.
      */
-    std::optional<Addr> allocKernelFrame();
-
-    /** Return a kernel frame to the pool free list. */
-    void freeKernelFrame(Addr frame);
-
-    /** Frames retired due to hard faults. */
-    const std::vector<Addr> &badPageList() const { return badPages; }
-
-    /** @{ Movability (for compaction): page-table frames and pinned
-     *     balloon pages cannot be migrated. */
-    void markUnmovable(Addr base, Addr bytes)
-    { unmovableSet.insert(base, base + bytes); }
-    void clearUnmovable(Addr base, Addr bytes)
-    { unmovableSet.erase(base, base + bytes); }
-    const IntervalSet &unmovable() const { return unmovableSet; }
-    /** @} */
+    FrameManager &frames() { return _frames; }
 
     /** All live processes (compaction reverse maps, tests). */
     std::vector<Process *> liveProcesses();
-    /** @} */
 
     /**
      * Observer of mapping changes: fired after a run of leaves is
@@ -216,8 +185,6 @@ class GuestOs
     void persist(Ar &ar);
 
   private:
-    class OsMemSpace;
-
     /**
      * Map one page of @p region at @p va_page.
      * @return the size of the leaf now covering @p va_page, or
@@ -235,18 +202,9 @@ class GuestOs
     bool mapWindow(Process &proc, const Region &region, Addr va,
                    Addr end);
 
-    mem::PhysAccessor &_phys;
     OsConfig config;
     Addr span;
     IntervalSet ramSet;
-    std::unique_ptr<mem::BuddyAllocator> _buddy;
-    std::unique_ptr<OsMemSpace> space;
-    std::vector<std::unique_ptr<Process>> processes;
-    std::vector<Addr> badPages;
-    IntervalSet unmovableSet;
-    MappingHook mappingHook;
-    std::vector<Addr> kernelFreeList;
-    Rng thpRng{0x7709};
     struct Stats : StatGroup
     {
         Stats() : StatGroup("os") {}
@@ -269,6 +227,11 @@ class GuestOs
         Counter segmentsReleased{*this, "segments_released"};
     };
     Stats _stats;
+    FrameManager _frames;
+    /** After the frames: page tables free theirs on teardown. */
+    std::vector<std::unique_ptr<Process>> processes;
+    MappingHook mappingHook;
+    Rng thpRng{0x7709};
     int nextPid = 1;
 };
 

@@ -24,6 +24,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/phys_accessor.hh"
 #include "paging/pte.hh"
 
 namespace emv {
@@ -37,68 +38,14 @@ namespace emv::paging {
 
 /**
  * Address space in which a page table's nodes are allocated and
- * accessed.  Implementations: identity over host memory, or a
- * guest-physical view that routes through the VMM's mapping.
+ * accessed: the word interface of mem::PhysAccessor plus table-frame
+ * allocation.  Implementations: os::FrameManager (the guest OS's, so
+ * process tables route through the VMM's mapping, and the VMM's, for
+ * nested and shadow tables in host memory) and test harnesses.
  */
-class MemSpace
+class MemSpace : public mem::PhysAccessor
 {
   public:
-    virtual ~MemSpace() = default;
-
-    /** Load a 64-bit word at an address in this space. */
-    virtual std::uint64_t read64(Addr addr) const = 0;
-
-    /** Store a 64-bit word at an address in this space. */
-    virtual void write64(Addr addr, std::uint64_t value) = 0;
-
-    /**
-     * Load the @p n consecutive words at @p addr into @p out.  A run
-     * stays inside one 4 KB frame, so a space that maps frames can
-     * translate it once.  The default loads word by word.
-     */
-    virtual void
-    readRun(Addr addr, unsigned n, std::uint64_t *out) const
-    {
-        for (unsigned i = 0; i < n; ++i)
-            out[i] = read64(addr + 8ull * i);
-    }
-
-    /** Store @p n consecutive words at @p addr, inside one 4 KB
-     *  frame.  The default stores word by word. */
-    virtual void
-    writeRun(Addr addr, unsigned n, const std::uint64_t *values)
-    {
-        for (unsigned i = 0; i < n; ++i)
-            write64(addr + 8ull * i, values[i]);
-    }
-
-    /**
-     * Store the whole 4 KB table frame at @p table as entry i =
-     * @p first + i * @p stride (mod 2^64).  The default stores the
-     * 512 entries as one writeRun().
-     */
-    virtual void
-    writeStep(Addr table, std::uint64_t first, std::uint64_t stride)
-    {
-        std::uint64_t entries[kEntriesPerTable];
-        for (unsigned i = 0; i < kEntriesPerTable; ++i)
-            entries[i] = first + i * stride;
-        writeRun(table, kEntriesPerTable, entries);
-    }
-
-    /**
-     * If the space stores the 4 KB table frame at @p table as entry
-     * i = first + i * stride, set @p first and @p stride, count its
-     * 512 loads and return true; otherwise load nothing and return
-     * false.  The default returns false, so callers load the words.
-     */
-    virtual bool
-    readStep(Addr /*table*/, std::uint64_t & /*first*/,
-             std::uint64_t & /*stride*/) const
-    {
-        return false;
-    }
-
     /** Allocate and zero a 4 KB frame for a table node. */
     virtual Addr allocTableFrame() = 0;
 

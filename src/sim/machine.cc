@@ -126,7 +126,7 @@ Machine::buildVirtualized()
         // pages: movable by host compaction, unlike pinned memory.
         mem::Fragmenter frag(cfg.hostFragmentation.seed);
         auto pins = frag.fragmentToRun(
-            _vmm->hostBuddy(), cfg.hostFragmentation.maxRunBytes);
+            _vmm->frames().buddy(), cfg.hostFragmentation.maxRunBytes);
         vmm::VmConfig neighbor_cfg;
         neighbor_cfg.ramBytes =
             alignUp(pins.size() * kPage4K + 64 * MiB, kPage2M) +
@@ -187,12 +187,12 @@ Machine::applyGuestFragmentation()
 {
     mem::Fragmenter frag(cfg.guestFragmentation.seed);
     auto pins = frag.fragmentToRun(
-        _os->buddy(), cfg.guestFragmentation.maxRunBytes);
+        _os->frames().buddy(), cfg.guestFragmentation.maxRunBytes);
     if (!cfg.guestFragmentation.movable) {
         // Pinned fragmentation (driver buffers, balloons): immune
         // to compaction.
         for (const auto &pin : pins)
-            _os->markUnmovable(pin.base, kPage4K << pin.order);
+            _os->frames().markUnmovable(pin.base, kPage4K << pin.order);
         return;
     }
     // Movable fragmentation: the scattered pages belong to a
@@ -378,11 +378,11 @@ Machine::wireMmu()
     // dumps read "machine.mmu.l1_misses", "machine.os.major_faults".
     _mmu->stats().setParent("machine");
     _os->stats().setParent("machine");
-    _os->buddy().stats().setParent(&_os->stats());
+    _os->frames().buddy().stats().setParent(&_os->stats());
     _hostMem->stats().setParent("machine");
     if (_vmm) {
         _vmm->stats().setParent("machine");
-        _vmm->hostBuddy().stats().setParent(&_vmm->stats());
+        _vmm->frames().buddy().stats().setParent(&_vmm->stats());
     }
     if (_vm)
         _vm->stats().setParent("machine");
@@ -421,11 +421,11 @@ Machine::statGroups() const
 {
     std::vector<const StatGroup *> groups = _mmu->statGroups();
     groups.insert(groups.end(),
-                  {&_os->stats(), &_os->buddy().stats(),
+                  {&_os->stats(), &_os->frames().buddy().stats(),
                    &_hostMem->stats(), &injector->stats()});
     if (_vmm) {
         groups.push_back(&_vmm->stats());
-        groups.push_back(&_vmm->hostBuddy().stats());
+        groups.push_back(&_vmm->frames().buddy().stats());
     }
     if (_vm)
         groups.push_back(&_vm->stats());

@@ -69,7 +69,7 @@ PageSharing::mergeDuplicates(const std::vector<Vm *> &vms)
                     continue;
                 // Repoint this gPA to the keeper frame, COW.
                 vm->repointBacking(gpa, keeper);
-                vmm.freeHostBlock(hpa, PageSize::Size4K);
+                vmm.frames().freeBlock(hpa, PageSize::Size4K);
                 ++refCounts[keeper];
                 ++freed;
                 ++_stats.framesMerged;
@@ -90,7 +90,7 @@ PageSharing::onGuestWrite(Vm &vm, Addr gpa)
     if (it == refCounts.end() || it->second <= 1)
         return;
     // Break COW: private copy for the writer.
-    auto copy = vmm.allocHostBlock(PageSize::Size4K);
+    auto copy = vmm.frames().allocBlock(PageSize::Size4K);
     if (!copy)
         emv_fatal("host out of memory breaking COW");
     vmm.hostMem().copyFrame(*copy, frame);

@@ -12,7 +12,7 @@ namespace emv::vmm {
 ShadowPager::ShadowPager(Vm &vm, os::Process &proc)
     : vm(vm), proc(proc),
       shadowPt(std::make_unique<paging::PageTable>(
-          vm.vmm().tableSpace()))
+          vm.vmm().frames()))
 {
 }
 
@@ -159,7 +159,7 @@ void
 ShadowPager::rebuildAll()
 {
     // Rebuild into a fresh table (CR3-write semantics).
-    shadowPt = std::make_unique<paging::PageTable>(vm.vmm().tableSpace());
+    shadowPt = std::make_unique<paging::PageTable>(vm.vmm().frames());
     Run run;
     proc.pageTable().forEachLeaf(
         [&](const paging::PageTable::Leaf &leaf) { sync(leaf, run); });

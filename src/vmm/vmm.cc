@@ -11,34 +11,9 @@ namespace emv::vmm {
 
 namespace {
 
-unsigned
-orderFor(PageSize size)
-{
-    switch (size) {
-      case PageSize::Size4K: return 0;
-      case PageSize::Size2M: return 9;
-      case PageSize::Size1G: return 18;
-    }
-    return 0;
-}
-
 constexpr Addr kGuestHvaBase = 0x7f0000000000ull;
 
 } // namespace
-
-Addr
-HostTableSpace::allocTableFrame()
-{
-    const Addr frame = vmm.allocTableFrameHost();
-    mem.zeroFrame(frame);
-    return frame;
-}
-
-void
-HostTableSpace::freeTableFrame(Addr frame)
-{
-    vmm.freeTableFrameHost(frame);
-}
 
 /** The guest's view of its physical memory. */
 class Vm::GuestPhysAccessor : public mem::PhysAccessor
@@ -81,6 +56,26 @@ class Vm::GuestPhysAccessor : public mem::PhysAccessor
     }
 
     void
+    writeStep(Addr frame_base, std::uint64_t first,
+              std::uint64_t stride) override
+    {
+        vm._vmm.hostMem().writeStep(backedHpa(frame_base), first, stride);
+    }
+
+    bool
+    readStep(Addr frame_base, std::uint64_t &first,
+             std::uint64_t &stride) const override
+    {
+        auto hpa = vm.backing.toHpa(frame_base);
+        if (!hpa) {
+            // Unbacked: zeros, counting nothing, as readRun() reads.
+            first = stride = 0;
+            return true;
+        }
+        return vm._vmm.hostMem().readStep(*hpa, first, stride);
+    }
+
+    void
     zeroFrame(Addr frame_base) override
     {
         vm._vmm.hostMem().zeroFrame(backedHpa(frame_base));
@@ -98,9 +93,8 @@ class Vm::GuestPhysAccessor : public mem::PhysAccessor
         vm._vmm.hostMem().copyFrame(dst, *src);
     }
 
-    /** The VMM hides host hard faults from the guest. */
-    bool isBad(Addr) const override { return false; }
-    bool anyBadInRange(Addr, Addr) const override { return false; }
+    // isBad() keeps its default: the VMM hides host hard faults from
+    // the guest.
 
   private:
     /** The host address of @p gpa, backing its page on demand. */
@@ -120,12 +114,12 @@ class Vm::GuestPhysAccessor : public mem::PhysAccessor
 };
 
 Vmm::Vmm(mem::PhysMemory &host_mem, Addr host_ram_bytes)
-    : _hostMem(host_mem)
+    : _hostMem(host_mem),
+      _frames(hostPhys, host_ram_bytes, 0, _stats.badFramesRetired,
+              _stats.tableChunks)
 {
     emv_assert(host_ram_bytes <= host_mem.size(),
                "host RAM exceeds physical memory size");
-    _hostBuddy =
-        std::make_unique<mem::BuddyAllocator>(0, host_ram_bytes);
 }
 
 Vm &
@@ -137,74 +131,6 @@ Vmm::createVm(StatName name, const VmConfig &config)
               static_cast<unsigned long long>(config.ramBytes),
               pageSizeName(config.nestedPageSize));
     return *_vms.back();
-}
-
-std::optional<Addr>
-Vmm::allocHostBlock(PageSize size)
-{
-    for (;;) {
-        auto block = _hostBuddy->allocate(orderFor(size));
-        if (!block)
-            return std::nullopt;
-        if (!_hostMem.anyBadInRange(*block, pageBytes(size)))
-            return block;
-        for (Addr pa = *block; pa < *block + pageBytes(size);
-             pa += kPage4K) {
-            if (_hostMem.isBad(pa)) {
-                retiredBadFrames.push_back(pa);
-                markHostUnmovable(pa, kPage4K);
-                ++_stats.badFramesRetired;
-            } else {
-                _hostBuddy->freeRange(pa, kPage4K);
-            }
-        }
-    }
-}
-
-void
-Vmm::freeHostBlock(Addr base, PageSize size)
-{
-    _hostBuddy->free(base, orderFor(size));
-}
-
-bool
-Vmm::reserveHostRange(Addr base, Addr bytes)
-{
-    return _hostBuddy->allocateRange(base, bytes);
-}
-
-Addr
-Vmm::allocTableFrameHost()
-{
-    if (tableFreeList.empty()) {
-        constexpr Addr chunk_bytes = 4 * MiB;
-        auto fit = _hostBuddy->freeIntervals().findFitLowAbove(
-            chunk_bytes, kPage4K, 0);
-        if (fit && _hostBuddy->allocateRange(fit->start,
-                                             chunk_bytes)) {
-            markHostUnmovable(fit->start, chunk_bytes);
-            ++_stats.tableChunks;
-            for (Addr off = 0; off < chunk_bytes; off += kPage4K) {
-                if (!_hostMem.isBad(fit->start + off))
-                    tableFreeList.push_back(fit->start + off);
-            }
-        } else {
-            auto frame = allocHostBlock(PageSize::Size4K);
-            if (!frame)
-                emv_fatal("host out of memory for table frames");
-            markHostUnmovable(*frame, kPage4K);
-            tableFreeList.push_back(*frame);
-        }
-    }
-    const Addr frame = tableFreeList.back();
-    tableFreeList.pop_back();
-    return frame;
-}
-
-void
-Vmm::freeTableFrameHost(Addr frame)
-{
-    tableFreeList.push_back(frame);
 }
 
 std::vector<Vm *>
@@ -237,7 +163,7 @@ Vm::Vm(Vmm &vmm, StatName name, const VmConfig &config)
                    high_ram + cfg.extensionReserve,
                    kGuestHvaBase + cfg.ioGapEnd);
 
-    nestedPt = std::make_unique<paging::PageTable>(vmm.tableSpace());
+    nestedPt = std::make_unique<paging::PageTable>(vmm.frames());
     accessor = std::make_unique<GuestPhysAccessor>(*this);
 
     if (cfg.eagerBacking) {
@@ -247,7 +173,7 @@ Vm::Vm(Vmm &vmm, StatName name, const VmConfig &config)
         // extent and a single VMM segment can cover [gap end, top).
         if (cfg.contiguousHostReservation &&
             cfg.extensionReserve > 0) {
-            auto &buddy = _vmm.hostBuddy();
+            auto &buddy = _vmm.frames().buddy();
             auto fit = buddy.freeIntervals().findFit(
                 high_ram + cfg.extensionReserve,
                 pageBytes(cfg.nestedPageSize));
@@ -361,7 +287,7 @@ Vm::backRange(Addr gpa, Addr bytes)
 {
     if (bytes == 0)
         return;
-    auto &buddy = _vmm.hostBuddy();
+    auto &buddy = _vmm.frames().buddy();
     if (cfg.contiguousHostReservation) {
         // §VI.A: reserve one contiguous host block for the range.
         auto fit = buddy.freeIntervals().findFit(
@@ -384,7 +310,7 @@ Vm::backRange(Addr gpa, Addr bytes)
         while (size != PageSize::Size4K && pageBytes(size) > bytes - pos)
             size = size == PageSize::Size1G ? PageSize::Size2M
                                             : PageSize::Size4K;
-        auto block = _vmm.allocHostBlock(size);
+        auto block = _vmm.frames().allocBlock(size);
         if (!block)
             emv_fatal("host out of memory backing VM %s",
                       _name.c_str());
@@ -417,7 +343,7 @@ Vm::ensureBacked(Addr gpa)
     // Swapped-out page: the nested fault swaps it back in.
     const Addr swap_page = alignDown(gpa, kPage4K);
     if (auto it = swapStore.find(swap_page); it != swapStore.end()) {
-        auto frame = _vmm.allocHostBlock(PageSize::Size4K);
+        auto frame = _vmm.frames().allocBlock(PageSize::Size4K);
         if (!frame)
             return false;
         for (unsigned i = 0; i < 512; ++i)
@@ -450,14 +376,14 @@ Vm::ensureBacked(Addr gpa)
     }
 
     if (whole_block_free && cfg.nestedPageSize != PageSize::Size4K) {
-        auto block = _vmm.allocHostBlock(cfg.nestedPageSize);
+        auto block = _vmm.frames().allocBlock(cfg.nestedPageSize);
         if (block) {
             backing.add(base, block_bytes, *block);
             mapNestedRange(base, block_bytes, *block);
             return true;
         }
     }
-    auto frame = _vmm.allocHostBlock(PageSize::Size4K);
+    auto frame = _vmm.frames().allocBlock(PageSize::Size4K);
     if (!frame)
         return false;
     const Addr page = alignDown(gpa, kPage4K);
@@ -489,13 +415,13 @@ Vm::offlineFrame(Addr gpa)
     auto hpa = backing.toHpa(page);
     if (!hpa)
         return false;
-    auto healthy = _vmm.allocHostBlock(PageSize::Size4K);
+    auto healthy = _vmm.frames().allocBlock(PageSize::Size4K);
     if (!healthy)
         return false;
     _vmm.hostMem().copyFrame(*healthy, *hpa);
     repointBacking(page, *healthy);
     // Retire the faulty frame: keep it allocated, never reuse.
-    _vmm.markHostUnmovable(*hpa, kPage4K);
+    _vmm.frames().markUnmovable(*hpa, kPage4K);
     ++_stats.framesOfflined;
     EMV_TRACE(Vmm, "frame offlined: gpa=%s hpa %s -> %s",
               hexAddr(page).c_str(), hexAddr(*hpa).c_str(),
@@ -542,7 +468,7 @@ Vm::swapOutPage(Addr gpa)
     splitNestedLeaf(gpa);
     nestedPt->unmap(gpa, PageSize::Size4K);
     backing.remove(gpa, kPage4K);
-    _vmm.freeHostBlock(*hpa, PageSize::Size4K);
+    _vmm.frames().freeBlock(*hpa, PageSize::Size4K);
     if (nestedChangeHook)
         nestedChangeHook(gpa, PageSize::Size4K);
     ++_stats.pagesSwappedOut;
@@ -586,7 +512,7 @@ Vm::createVmmSegment(Addr min_bytes)
     for (Addr bad :
          _vmm.hostMem().badFramesInRange(extent->hpa, extent->bytes)) {
         const Addr gpa_bad = extent->gpa + (bad - extent->hpa);
-        auto healthy = _vmm.allocHostBlock(PageSize::Size4K);
+        auto healthy = _vmm.frames().allocBlock(PageSize::Size4K);
         if (!healthy)
             emv_fatal("host out of memory remapping faulty frame");
         _vmm.hostMem().copyFrame(*healthy, bad);
@@ -596,7 +522,7 @@ Vm::createVmmSegment(Addr min_bytes)
         backing.remove(gpa_bad, kPage4K);
         backing.add(gpa_bad, kPage4K, *healthy);
         // Retire the faulty frame: keep it allocated, never reuse.
-        _vmm.markHostUnmovable(bad, kPage4K);
+        _vmm.frames().markUnmovable(bad, kPage4K);
         info.escapedGpas.push_back(gpa_bad);
         if (nestedChangeHook)
             nestedChangeHook(gpa_bad, PageSize::Size4K);
@@ -642,7 +568,7 @@ Vm::reclaimGuestPages(const std::vector<Addr> &gpas)
         splitNestedLeaf(gpa);
         nestedPt->unmap(gpa, PageSize::Size4K);
         backing.remove(gpa, kPage4K);
-        _vmm.freeHostBlock(*hpa, PageSize::Size4K);
+        _vmm.frames().freeBlock(*hpa, PageSize::Size4K);
         if (nestedChangeHook)
             nestedChangeHook(gpa, PageSize::Size4K);
         ++_stats.balloonPagesReclaimed;
@@ -703,7 +629,7 @@ Vm::reclaimGuestRange(Addr base, Addr bytes)
         // One free per extent.  The buddy allocator coalesces fully on
         // every insert, so its free lists end exactly as they would
         // after freeing the extent 4K at a time.
-        _vmm.hostBuddy().freeRange(e.hpa, e.bytes);
+        _vmm.frames().buddy().freeRange(e.hpa, e.bytes);
         backing.remove(e.gpa, e.bytes);
         if (nestedChangeHook) {
             for (Addr off = 0; off < e.bytes; off += kPage4K)
@@ -727,7 +653,8 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
                   "(injected compaction fault)");
         return std::nullopt;
     }
-    auto &buddy = _vmm.hostBuddy();
+    auto &frames = _vmm.frames();
+    auto &buddy = frames.buddy();
     const Addr align = pageBytes(cfg.nestedPageSize);
     std::uint64_t migrations = 0;
 
@@ -748,45 +675,20 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
         run = Interval{fit->start, fit->start + bytes};
     } else {
         // Compact: pick the host window needing the least migration.
-        // A copy: the abort path below needs the pieces as they were.
-        const IntervalSet free_set = buddy.freeIntervals();
-        const auto &unmovable = _vmm.hostUnmovable();
-        std::optional<Addr> best;
-        Addr best_alloc = 0;
-        for (Addr w = 0; w + bytes <= buddy.size(); w += kPage2M) {
-            if (!isAligned(w, align))
-                continue;
-            if (unmovable.intersectsRange(w, w + bytes))
-                continue;
-            const Addr alloc =
-                bytes - free_set.coveredBytesInRange(w, w + bytes);
-            if (!best || alloc < best_alloc) {
-                best = w;
-                best_alloc = alloc;
-            }
-            if (best_alloc == 0)
-                break;
-        }
-        if (!best) {
+        auto window =
+            frames.bestWindow({Interval{0, buddy.size()}}, bytes, align);
+        if (!window) {
             ++_stats.compactionFailures;
             return std::nullopt;
         }
         if (max_migrations &&
-            best_alloc / kPage4K + phase_b_pages > max_migrations) {
+            window->allocatedBytes / kPage4K + phase_b_pages >
+                max_migrations) {
             return std::nullopt;
         }
-        const Addr wstart = *best;
+        const Addr wstart = window->base;
         const Addr wend = wstart + bytes;
-
-        // Reserve the window's free pieces.
-        for (const auto &piece : free_set.intervals()) {
-            const Addr lo = std::max(piece.start, wstart);
-            const Addr hi = std::min(piece.end, wend);
-            if (hi > lo) {
-                const bool ok = buddy.allocateRange(lo, hi - lo);
-                emv_assert(ok, "window piece vanished");
-            }
-        }
+        const auto held = frames.reserveFree(wstart, bytes);
 
         // Reverse-map: backed sub-extents (any VM) inside the window.
         struct Victim
@@ -809,16 +711,11 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
                 }
             }
         }
-        if (victim_bytes != best_alloc) {
+        if (victim_bytes != window->allocatedBytes) {
             emv_warn("host compaction: %llu unowned bytes in window",
                      static_cast<unsigned long long>(
-                         best_alloc - victim_bytes));
-            for (const auto &piece : free_set.intervals()) {
-                const Addr lo = std::max(piece.start, wstart);
-                const Addr hi = std::min(piece.end, wend);
-                if (hi > lo)
-                    buddy.freeRange(lo, hi - lo);
-            }
+                         window->allocatedBytes - victim_bytes));
+            frames.release(held);
             ++_stats.compactionFailures;
             return std::nullopt;
         }
@@ -828,7 +725,7 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
             for (Addr off = 0; off < victim.bytes; off += kPage4K) {
                 const Addr gpa = victim.gpa + off;
                 const Addr old_hpa = victim.hpa + off;
-                auto newh = _vmm.allocHostBlock(PageSize::Size4K);
+                auto newh = frames.allocBlock(PageSize::Size4K);
                 if (!newh)
                     emv_fatal("host compaction out of targets");
                 _vmm.hostMem().copyFrame(*newh, old_hpa);
@@ -858,7 +755,7 @@ Vm::materializeVmmSegmentBacking(Addr gpa_base, Addr bytes,
             continue;
         if (cur) {
             _vmm.hostMem().copyFrame(target, *cur);
-            _vmm.freeHostBlock(*cur, PageSize::Size4K);
+            _vmm.frames().freeBlock(*cur, PageSize::Size4K);
             ++migrations;
         }
         splitNestedLeaf(gpa);
@@ -916,10 +813,8 @@ template <class Ar>
 void
 Vmm::persist(Ar &ar)
 {
-    _hostBuddy->persist(ar);
-    unmovableSet.persist(ar);
-    ar.u64s(retiredBadFrames);
-    ar.u64s(tableFreeList);
+    _frames.buddy().persist(ar);
+    _frames.persist(ar, /*bad_first=*/false);
     _stats.persist(ar);
     if (!ar.fixed(_vms, "vmm: VM count mismatch (restore requires "
                         "the same boot configuration)"))

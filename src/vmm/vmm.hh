@@ -2,12 +2,13 @@
  * @file
  * The KVM-like hypervisor model.
  *
- * Vmm owns host physical memory management (a buddy allocator over
- * host RAM, with bad-frame retirement).  Each Vm owns: KVM-style
- * memory slots (Fig. 10), the authoritative gPA→hPA BackingMap, a
- * real nested page table derived from it, the VMM-segment machinery
- * (creation over contiguous backing, escape-filter remapping of
- * faulty host frames), the balloon/hotplug backend used by
+ * Vmm owns host physical memory management: the same
+ * os::FrameManager a guest kernel uses, over host RAM.  Each Vm
+ * owns: KVM-style memory slots (Fig. 10), the authoritative gPA→hPA
+ * BackingMap, a real nested page table derived from it, the
+ * VMM-segment machinery (creation over contiguous backing,
+ * escape-filter remapping of faulty host frames), the
+ * balloon/hotplug backend used by
  * self-ballooning (§IV/§VI.C), and host-side compaction that
  * "slowly converts" fragmented systems to segment-capable ones
  * (Table III).
@@ -26,10 +27,10 @@
 #include "common/intervals.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "mem/buddy_allocator.hh"
 #include "mem/phys_accessor.hh"
 #include "mem/phys_memory.hh"
 #include "os/balloon.hh"
+#include "os/frame_manager.hh"
 #include "paging/page_table.hh"
 #include "segment/direct_segment.hh"
 #include "vmm/backing_map.hh"
@@ -45,49 +46,6 @@ class Decoder;
 namespace emv::vmm {
 
 class Vmm;
-
-/**
- * The memory space of every nested and shadow page table: its words
- * live in host physical memory, and its table frames come from the
- * VMM's pooled, unmovable table area.
- */
-class HostTableSpace final : public paging::MemSpace
-{
-  public:
-    HostTableSpace(Vmm &vmm, mem::PhysMemory &mem) : vmm(vmm), mem(mem)
-    {
-    }
-
-    std::uint64_t read64(Addr addr) const override
-    { return mem.read64(addr); }
-
-    void write64(Addr addr, std::uint64_t value) override
-    { mem.write64(addr, value); }
-
-    void readRun(Addr addr, unsigned n, std::uint64_t *out) const override
-    { mem.readRun(addr, n, out); }
-
-    void
-    writeRun(Addr addr, unsigned n, const std::uint64_t *values) override
-    { mem.writeRun(addr, n, values); }
-
-    void
-    writeStep(Addr table, std::uint64_t first, std::uint64_t stride)
-        override
-    { mem.writeStep(table, first, stride); }
-
-    bool
-    readStep(Addr table, std::uint64_t &first, std::uint64_t &stride)
-        const override
-    { return mem.readStep(table, first, stride); }
-
-    Addr allocTableFrame() override;
-    void freeTableFrame(Addr frame) override;
-
-  private:
-    Vmm &vmm;
-    mem::PhysMemory &mem;
-};
 
 /** Why a VM exited to the VMM; each has a vm_exits_<reason> stat. */
 enum class ExitReason : std::uint8_t {
@@ -388,32 +346,15 @@ class Vmm
 
     Vm &createVm(StatName name, const VmConfig &config);
 
-    /** Allocate a host block, retiring faulty frames. */
-    std::optional<Addr> allocHostBlock(PageSize size);
-    void freeHostBlock(Addr base, PageSize size);
-
-    /** Allocate a 4 KB frame for nested/shadow table nodes from
-     *  the pooled, unmovable table area (clustered low so host
-     *  compaction windows stay clean). */
-    Addr allocTableFrameHost();
-    void freeTableFrameHost(Addr frame);
-
-    /** The space every nested and shadow page table lives in. */
-    HostTableSpace &tableSpace() { return _tableSpace; }
-
-    /** Reserve a specific host range (must be free). */
-    bool reserveHostRange(Addr base, Addr bytes);
+    /**
+     * The frame manager of host RAM: host buddy, retired bad frames,
+     * unmovable host frames (which host compaction avoids) and the
+     * table pool, clustered low so compaction windows stay clean.
+     * It is the MemSpace of every nested and shadow page table.
+     */
+    os::FrameManager &frames() { return _frames; }
 
     mem::PhysMemory &hostMem() { return _hostMem; }
-    mem::BuddyAllocator &hostBuddy() { return *_hostBuddy; }
-
-    /** Unmovable host frames (nested/shadow table nodes, retired
-     *  bad frames) — host compaction must avoid these. */
-    void markHostUnmovable(Addr base, Addr bytes)
-    { unmovableSet.insert(base, base + bytes); }
-    void clearHostUnmovable(Addr base, Addr bytes)
-    { unmovableSet.erase(base, base + bytes); }
-    const IntervalSet &hostUnmovable() const { return unmovableSet; }
 
     std::vector<Vm *> vms();
     StatGroup &stats() { return _stats; }
@@ -428,11 +369,7 @@ class Vmm
 
   private:
     mem::PhysMemory &_hostMem;
-    std::unique_ptr<mem::BuddyAllocator> _hostBuddy;
-    IntervalSet unmovableSet;
-    std::vector<Addr> retiredBadFrames;
-    std::vector<Addr> tableFreeList;
-    HostTableSpace _tableSpace{*this, _hostMem};
+    mem::HostPhysAccessor hostPhys{_hostMem};
     struct Stats : StatGroup
     {
         Stats() : StatGroup("vmm") {}
@@ -440,8 +377,9 @@ class Vmm
         Counter tableChunks{*this, "table_chunks"};
     };
     Stats _stats;
-    /** Last member: Vm teardown frees table frames through the
-     *  buddy and unmovable set above. */
+    os::FrameManager _frames;
+    /** Last member: Vm teardown frees table frames to the frame
+     *  manager above. */
     std::vector<std::unique_ptr<Vm>> _vms;
 };
 

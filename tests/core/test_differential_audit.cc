@@ -19,49 +19,8 @@
 namespace emv::core {
 namespace {
 
-using paging::MemSpace;
 using paging::PageTable;
 using segment::SegmentRegs;
-
-/** gPA-addressed space routed through the nested page table. */
-class GpaSpace : public MemSpace
-{
-  public:
-    GpaSpace(mem::PhysMemory &host, const PageTable &nested,
-             Addr bump_base)
-        : host(host), nested(nested), next(bump_base)
-    {
-    }
-
-    std::uint64_t
-    read64(Addr gpa) const override
-    {
-        return host.read64(nested.translate(gpa)->pa);
-    }
-
-    void
-    write64(Addr gpa, std::uint64_t value) override
-    {
-        host.write64(nested.translate(gpa)->pa, value);
-    }
-
-    Addr
-    allocTableFrame() override
-    {
-        const Addr gpa = next;
-        next += kPage4K;
-        for (unsigned i = 0; i < 512; ++i)
-            write64(gpa + 8ull * i, 0);
-        return gpa;
-    }
-
-    void freeTableFrame(Addr) override {}
-
-  private:
-    mem::PhysMemory &host;
-    const PageTable &nested;
-    Addr next;
-};
 
 class DifferentialAuditTest : public ::testing::Test
 {
@@ -81,8 +40,8 @@ class DifferentialAuditTest : public ::testing::Test
         setQuietLogging(true);
         for (Addr gpa = 0; gpa < kGuestBytes; gpa += kPage4K)
             nestedPt.map(gpa, kHostBase + gpa, PageSize::Size4K);
-        gpaSpace = std::make_unique<GpaSpace>(host, nestedPt,
-                                              40 * MiB);
+        gpaSpace = std::make_unique<test::NestedGpaSpace>(
+            host, nestedPt, 40 * MiB);
         guestPt = std::make_unique<PageTable>(*gpaSpace);
         guestPt->map(0x2000, 0x30000, PageSize::Size4K);
         for (Addr off = 0; off < 1 * MiB; off += kPage4K) {
@@ -122,7 +81,7 @@ class DifferentialAuditTest : public ::testing::Test
     mem::PhysMemory host;
     test::BumpMemSpace hostSpace;
     PageTable nestedPt;
-    std::unique_ptr<GpaSpace> gpaSpace;
+    std::unique_ptr<test::NestedGpaSpace> gpaSpace;
     std::unique_ptr<PageTable> guestPt;
 };
 

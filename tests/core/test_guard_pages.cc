@@ -56,7 +56,7 @@ TEST_F(GuardPageTest, GuardPageEscapesToGuestPaging)
     // The guest OS escapes the guard page and maps it via its page
     // table to a *different* gPA (e.g. read-only zero page).
     mmu->guestFilter().insertPage(guard);
-    auto alt = os->allocDataBlock(PageSize::Size4K);
+    auto alt = os->frames().allocBlock(PageSize::Size4K);
     ASSERT_TRUE(alt.has_value());
     proc->pageTable().map(guard, *alt, PageSize::Size4K,
                           /*writable=*/false);
@@ -87,7 +87,7 @@ TEST_F(GuardPageTest, DualDirectGuardPageAlsoEscapes)
 
     const Addr guard = 1 * GiB + 80 * kPage4K;
     mmu->guestFilter().insertPage(guard);
-    auto alt = os->allocDataBlock(PageSize::Size4K);
+    auto alt = os->frames().allocBlock(PageSize::Size4K);
     ASSERT_TRUE(alt.has_value());
     proc->pageTable().map(guard, *alt, PageSize::Size4K, false);
 

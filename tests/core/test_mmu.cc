@@ -18,50 +18,9 @@
 namespace emv::core {
 namespace {
 
-using paging::MemSpace;
 using paging::PageTable;
 using segment::SegmentRegs;
 using tlb::TlbGeometry;
-
-/** gPA-addressed space routed through a nested page table. */
-class GpaSpace : public MemSpace
-{
-  public:
-    GpaSpace(mem::PhysMemory &host, const PageTable &nested,
-             Addr bump_base)
-        : host(host), nested(nested), next(bump_base)
-    {
-    }
-
-    std::uint64_t
-    read64(Addr gpa) const override
-    {
-        return host.read64(nested.translate(gpa)->pa);
-    }
-
-    void
-    write64(Addr gpa, std::uint64_t value) override
-    {
-        host.write64(nested.translate(gpa)->pa, value);
-    }
-
-    Addr
-    allocTableFrame() override
-    {
-        const Addr gpa = next;
-        next += kPage4K;
-        for (unsigned i = 0; i < 512; ++i)
-            write64(gpa + 8ull * i, 0);
-        return gpa;
-    }
-
-    void freeTableFrame(Addr) override {}
-
-  private:
-    mem::PhysMemory &host;
-    const PageTable &nested;
-    Addr next;
-};
 
 class MmuTest : public ::testing::Test
 {
@@ -80,8 +39,8 @@ class MmuTest : public ::testing::Test
     {
         for (Addr gpa = 0; gpa < kGuestBytes; gpa += kPage4K)
             nestedPt.map(gpa, kHostBase + gpa, PageSize::Size4K);
-        gpaSpace = std::make_unique<GpaSpace>(host, nestedPt,
-                                              40 * MiB);
+        gpaSpace = std::make_unique<test::NestedGpaSpace>(
+            host, nestedPt, 40 * MiB);
         guestPt = std::make_unique<PageTable>(*gpaSpace);
         // A paged guest mapping outside the guest segment.
         guestPt->map(0x2000, 0x30000, PageSize::Size4K);
@@ -114,7 +73,7 @@ class MmuTest : public ::testing::Test
     mem::PhysMemory host;
     test::BumpMemSpace hostSpace;
     PageTable nestedPt;
-    std::unique_ptr<GpaSpace> gpaSpace;
+    std::unique_ptr<test::NestedGpaSpace> gpaSpace;
     std::unique_ptr<PageTable> guestPt;
 };
 

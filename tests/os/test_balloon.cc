@@ -90,7 +90,7 @@ TEST_F(BalloonTest, InflateHandsPagesToVmm)
     EXPECT_EQ(got, 8 * MiB);
     EXPECT_EQ(backend.reclaimed.size(), 2048u);
     EXPECT_EQ(driver.inflatedBytes(), 8 * MiB);
-    EXPECT_EQ(os.buddy().freeBytes(), kRam - 8 * MiB);
+    EXPECT_EQ(os.frames().buddy().freeBytes(), kRam - 8 * MiB);
 }
 
 TEST_F(BalloonTest, InflatedPagesArePinnedUnmovable)
@@ -98,7 +98,7 @@ TEST_F(BalloonTest, InflatedPagesArePinnedUnmovable)
     BalloonDriver driver(os, backend);
     driver.inflate(1 * MiB);
     for (Addr page : driver.pinnedPages())
-        EXPECT_TRUE(os.unmovable().contains(page));
+        EXPECT_TRUE(os.frames().unmovable().contains(page));
 }
 
 TEST_F(BalloonTest, InflateStopsAtExhaustion)
@@ -108,15 +108,15 @@ TEST_F(BalloonTest, InflateStopsAtExhaustion)
     const Addr got = driver.inflate(kRam + 64 * MiB);
     setQuietLogging(false);
     EXPECT_EQ(got, kRam);
-    EXPECT_EQ(os.buddy().freeBytes(), 0u);
+    EXPECT_EQ(os.frames().buddy().freeBytes(), 0u);
 }
 
 TEST_F(BalloonTest, SelfBalloonCreatesContiguousRange)
 {
     // Fragment guest memory so no 32M run exists.
     for (Addr a = 0; a < kRam; a += 2 * MiB)
-        ASSERT_TRUE(os.buddy().allocateRange(a, kPage4K));
-    ASSERT_LT(os.buddy().largestFreeRun(), 32 * MiB);
+        ASSERT_TRUE(os.frames().buddy().allocateRange(a, kPage4K));
+    ASSERT_LT(os.frames().buddy().largestFreeRun(), 32 * MiB);
 
     BalloonDriver driver(os, backend);
     auto ext = driver.selfBalloon(32 * MiB);
@@ -124,8 +124,8 @@ TEST_F(BalloonTest, SelfBalloonCreatesContiguousRange)
     EXPECT_EQ(ext->length(), 32 * MiB);
     // The new range is allocatable, contiguous guest memory.
     EXPECT_TRUE(os.ram().containsRange(ext->start, ext->end));
-    EXPECT_TRUE(os.buddy().rangeFree(ext->start, 32 * MiB));
-    EXPECT_GE(os.buddy().largestFreeRun(), 32 * MiB);
+    EXPECT_TRUE(os.frames().buddy().rangeFree(ext->start, 32 * MiB));
+    EXPECT_GE(os.frames().buddy().largestFreeRun(), 32 * MiB);
     // And the VMM got the fragmented pages back.
     EXPECT_EQ(backend.reclaimed.size(), 32 * MiB / kPage4K);
 }
@@ -140,11 +140,11 @@ TEST_F(BalloonTest, SelfBalloonFailsWhenVmmCannotExtend)
 TEST_F(BalloonTest, SelfBalloonNetGuestMemoryIsUnchanged)
 {
     BalloonDriver driver(os, backend);
-    const Addr before = os.buddy().freeBytes();
+    const Addr before = os.frames().buddy().freeBytes();
     auto ext = driver.selfBalloon(16 * MiB);
     ASSERT_TRUE(ext.has_value());
     // Ballooned out 16M, hot-added 16M.
-    EXPECT_EQ(os.buddy().freeBytes(), before);
+    EXPECT_EQ(os.frames().buddy().freeBytes(), before);
 }
 
 class IoGapTest : public ::testing::Test
@@ -184,7 +184,7 @@ TEST_F(IoGapTest, ReclaimMovesBelowGapMemoryUp)
                                        kGapEnd + kHigh +
                                            result->movedBytes));
     // One guest segment could now cover everything above the gap.
-    auto largest = os.buddy().freeIntervals().largest();
+    auto largest = os.frames().buddy().freeIntervals().largest();
     ASSERT_TRUE(largest.has_value());
     EXPECT_GE(largest->length(), kHigh + result->movedBytes);
     // The VMM was told to drop the unplugged range's backing.
@@ -194,7 +194,7 @@ TEST_F(IoGapTest, ReclaimMovesBelowGapMemoryUp)
 
 TEST_F(IoGapTest, ReclaimFailsWhenBelowGapBusy)
 {
-    ASSERT_TRUE(os.buddy().allocateRange(32 * MiB, kPage4K));
+    ASSERT_TRUE(os.frames().buddy().allocateRange(32 * MiB, kPage4K));
     setQuietLogging(true);
     auto result = reclaimIoGap(os, backend, kGapStart, 16 * MiB);
     setQuietLogging(false);
@@ -208,7 +208,7 @@ TEST_F(IoGapTest, ReclaimRollsBackWhenVmmCannotExtend)
     EXPECT_FALSE(result.has_value());
     // Memory is back where it started.
     EXPECT_TRUE(os.ram().containsRange(0, kGapStart));
-    EXPECT_EQ(os.buddy().freeBytes(), kGapStart + kHigh);
+    EXPECT_EQ(os.frames().buddy().freeBytes(), kGapStart + kHigh);
 }
 
 TEST_F(IoGapTest, KeepLargerThanGapFails)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "mem/phys_accessor.hh"
 #include "os/compaction.hh"
 #include "os/guest_os.hh"
@@ -58,13 +59,13 @@ TEST_F(CompactionTest, MigratesPagesToCreateRun)
     auto &proc = makeLoadedProcess(192 * MiB);
     for (Addr off = 0; off < 192 * MiB; off += 4 * MiB)
         os.unmapRange(proc, 1 * GiB + off, 2 * MiB);
-    ASSERT_LT(os.buddy().largestFreeRun(), 96 * MiB);
+    ASSERT_LT(os.frames().buddy().largestFreeRun(), 96 * MiB);
 
     CompactionDaemon daemon(os);
     auto run = daemon.createFreeRun(96 * MiB);
     ASSERT_TRUE(run.has_value());
     EXPECT_EQ(run->length(), 96 * MiB);
-    EXPECT_TRUE(os.buddy().rangeFree(run->start, 96 * MiB));
+    EXPECT_TRUE(os.frames().buddy().rangeFree(run->start, 96 * MiB));
     EXPECT_GT(daemon.migratedPages(), 0u);
 }
 
@@ -117,7 +118,7 @@ TEST_F(CompactionTest, RespectsUnmovableRegions)
         os.unmapRange(proc, 1 * GiB + off, 2 * MiB);
 
     // Make everything below 128M unmovable; the run must be above.
-    os.markUnmovable(0, 128 * MiB);
+    os.frames().markUnmovable(0, 128 * MiB);
     CompactionDaemon daemon(os);
     auto run = daemon.createFreeRun(64 * MiB);
     ASSERT_TRUE(run.has_value());
@@ -157,6 +158,50 @@ TEST_F(CompactionTest, SegmentCreationAfterCompaction)
     CompactionDaemon daemon(os);
     ASSERT_TRUE(daemon.createFreeRun(80 * MiB).has_value());
     EXPECT_TRUE(os.createGuestSegment(big).has_value());
+}
+
+TEST_F(CompactionTest, FailedMigrationReleasesWindow)
+{
+    // 112 MiB mapped in every other 2M chunk of 224 MiB: a 200 MiB
+    // window holds more victims than there is free memory outside it,
+    // so migration runs out of targets part way.
+    auto &proc = makeLoadedProcess(224 * MiB);
+    for (Addr off = 0; off < 224 * MiB; off += 4 * MiB)
+        os.unmapRange(proc, 1 * GiB + off, 2 * MiB);
+    std::map<Addr, std::uint64_t> markers;
+    for (Addr off = 2 * MiB; off < 224 * MiB; off += 4 * MiB) {
+        for (Addr page = 0; page < 2 * MiB; page += 256 * kPage4K) {
+            const Addr va = 1 * GiB + off + page;
+            auto t = proc.pageTable().translate(va);
+            ASSERT_TRUE(t.has_value());
+            mem.write64(t->pa, va);
+            markers[va] = va;
+        }
+    }
+    auto &buddy = os.frames().buddy();
+    const Addr free_before = buddy.freeBytes();
+
+    CompactionDaemon daemon(os);
+    setQuietLogging(true);
+    const auto run = daemon.createFreeRun(200 * MiB);
+    setQuietLogging(false);
+    ASSERT_FALSE(run.has_value());
+    EXPECT_GT(daemon.migratedPages(), 0u);
+    // The window's free pieces and the frames its migrated victims
+    // left are free again; every mapping holds an allocated frame
+    // with its contents.
+    EXPECT_EQ(buddy.freeBytes(), free_before);
+    EXPECT_EQ(proc.pageTable().mappedLeaves(), 112 * MiB / kPage4K);
+    proc.pageTable().forEachLeaf([&](const paging::PageTable::Leaf &leaf) {
+        EXPECT_FALSE(buddy.freeIntervals().intersectsRange(
+            leaf.pa, leaf.pa + pageBytes(leaf.size)))
+            << hexAddr(leaf.va);
+    });
+    for (const auto &[va, marker] : markers) {
+        auto t = proc.pageTable().translate(va);
+        ASSERT_TRUE(t.has_value());
+        EXPECT_EQ(mem.read64(t->pa), marker);
+    }
 }
 
 TEST_F(CompactionTest, CheckpointRoundTripPreservesMigrations)

@@ -48,7 +48,7 @@ TEST_F(GuestOsTest, CheckpointRoundTripRequiresSameBootShape)
                     PageSize::Size4K);
     ASSERT_TRUE(test::ckptRestore(bytes, *b));
     EXPECT_EQ(test::ckptBytes(*b), bytes);
-    EXPECT_EQ(b->buddy().freeBytes(), a->buddy().freeBytes());
+    EXPECT_EQ(b->frames().buddy().freeBytes(), a->frames().buddy().freeBytes());
     EXPECT_EQ(bproc.pageTable().mappedLeaves(),
               proc.pageTable().mappedLeaves());
 
@@ -60,17 +60,17 @@ TEST_F(GuestOsTest, CheckpointRoundTripRequiresSameBootShape)
 TEST_F(GuestOsTest, BootRamIsFree)
 {
     auto os = makeOs();
-    EXPECT_EQ(os->buddy().freeBytes(), kSpan);
+    EXPECT_EQ(os->frames().buddy().freeBytes(), kSpan);
     EXPECT_EQ(os->ram().totalLength(), kSpan);
 }
 
 TEST_F(GuestOsTest, RamHolesAreNotAllocatable)
 {
     auto os = makeOs({}, {{0, 64 * MiB}, {128 * MiB, kSpan}});
-    EXPECT_EQ(os->buddy().freeBytes(), kSpan - 64 * MiB);
+    EXPECT_EQ(os->frames().buddy().freeBytes(), kSpan - 64 * MiB);
     // Everything allocatable lies inside declared RAM.
     for (int i = 0; i < 100; ++i) {
-        auto block = os->allocDataBlock(PageSize::Size4K);
+        auto block = os->frames().allocBlock(PageSize::Size4K);
         ASSERT_TRUE(block.has_value());
         EXPECT_TRUE(os->ram().contains(*block));
     }
@@ -141,10 +141,10 @@ TEST_F(GuestOsTest, PopulateDescendsOncePerLeafTable)
 
     EXPECT_EQ(os->stats().counterValue("pages_mapped"),
               paged.stats().counterValue("pages_mapped"));
-    EXPECT_EQ(os->buddy().stats().counterValue("allocations"),
-              paged.buddy().stats().counterValue("allocations"));
-    EXPECT_EQ(test::ckptBytes(os->buddy()),
-              test::ckptBytes(paged.buddy()));
+    EXPECT_EQ(os->frames().buddy().stats().counterValue("allocations"),
+              paged.frames().buddy().stats().counterValue("allocations"));
+    EXPECT_EQ(test::ckptBytes(os->frames().buddy()),
+              test::ckptBytes(paged.frames().buddy()));
 }
 
 TEST_F(GuestOsTest, PreferredPageSizeHonored)
@@ -181,10 +181,10 @@ TEST_F(GuestOsTest, UnmapFreesFrames)
     os->defineRegion(proc, "heap", 1 * GiB, 4 * MiB,
                      PageSize::Size4K);
     os->populateRange(proc, 1 * GiB, 4 * MiB);
-    const Addr free_before = os->buddy().freeBytes();
+    const Addr free_before = os->frames().buddy().freeBytes();
     const auto unmapped = os->unmapRange(proc, 1 * GiB, 4 * MiB);
     EXPECT_EQ(unmapped, 1024u);
-    EXPECT_EQ(os->buddy().freeBytes(), free_before + 4 * MiB);
+    EXPECT_EQ(os->frames().buddy().freeBytes(), free_before + 4 * MiB);
     EXPECT_FALSE(proc.pageTable().translate(1 * GiB).has_value());
 }
 
@@ -200,9 +200,9 @@ TEST_F(GuestOsTest, GuestSegmentCreation)
     EXPECT_EQ(regs->length(), 32 * MiB);
     // Backing is reserved and unmovable.
     const Addr backing = regs->base() + regs->offset();
-    EXPECT_FALSE(os->buddy().rangeFree(backing, 32 * MiB));
-    EXPECT_TRUE(os->unmovable().intersectsRange(backing,
-                                                backing + 32 * MiB));
+    EXPECT_FALSE(os->frames().buddy().rangeFree(backing, 32 * MiB));
+    EXPECT_TRUE(os->frames().unmovable().intersectsRange(
+        backing, backing + 32 * MiB));
 }
 
 TEST_F(GuestOsTest, GuestSegmentNeedsPrimaryRegion)
@@ -219,7 +219,7 @@ TEST_F(GuestOsTest, GuestSegmentFailsWhenFragmented)
     auto os = makeOs();
     // Pin a page every 2M so no 32M run exists.
     for (Addr a = 0; a < kSpan; a += 2 * MiB)
-        ASSERT_TRUE(os->buddy().allocateRange(a, kPage4K));
+        ASSERT_TRUE(os->frames().buddy().allocateRange(a, kPage4K));
     auto &proc = os->createProcess();
     os->defineRegion(proc, "heap", 1 * GiB, 32 * MiB,
                      PageSize::Size4K, true);
@@ -271,12 +271,12 @@ TEST_F(GuestOsTest, ReleaseGuestSegmentRestoresMemory)
     auto &proc = os->createProcess();
     os->defineRegion(proc, "heap", 1 * GiB, 32 * MiB,
                      PageSize::Size4K, true);
-    const Addr free_before = os->buddy().freeBytes();
+    const Addr free_before = os->frames().buddy().freeBytes();
     auto regs = os->createGuestSegment(proc);
     ASSERT_TRUE(regs.has_value());
     os->handleFault(proc, 1 * GiB);  // A §VI.B emulation PTE.
     os->releaseGuestSegment(proc);
-    EXPECT_EQ(os->buddy().freeBytes(), free_before);
+    EXPECT_EQ(os->frames().buddy().freeBytes(), free_before);
     EXPECT_FALSE(proc.guestSegment().enabled());
 }
 
@@ -285,17 +285,17 @@ TEST_F(GuestOsTest, BadFrameRetirementOnAllocation)
     auto os = makeOs();
     // Poison the top frame so the first top-down alloc trips it.
     mem.markBad(kSpan - kPage4K);
-    auto block = os->allocDataBlock(PageSize::Size4K);
+    auto block = os->frames().allocBlock(PageSize::Size4K);
     ASSERT_TRUE(block.has_value());
     EXPECT_FALSE(mem.isBad(*block));
-    EXPECT_EQ(os->badPageList().size(), 1u);
+    EXPECT_EQ(os->frames().badFrames().size(), 1u);
     EXPECT_EQ(os->stats().counterValue("bad_pages_retired"), 1u);
 }
 
 TEST_F(GuestOsTest, HotRemoveRequiresFreeMemory)
 {
     auto os = makeOs();
-    ASSERT_TRUE(os->buddy().allocateRange(64 * MiB, kPage4K));
+    ASSERT_TRUE(os->frames().buddy().allocateRange(64 * MiB, kPage4K));
     EXPECT_FALSE(os->hotRemove(64 * MiB, 2 * MiB));
     EXPECT_TRUE(os->hotRemove(66 * MiB, 2 * MiB));
     EXPECT_FALSE(os->ram().contains(66 * MiB));
@@ -304,9 +304,9 @@ TEST_F(GuestOsTest, HotRemoveRequiresFreeMemory)
 TEST_F(GuestOsTest, HotAddExtendsAllocatableMemory)
 {
     auto os = makeOs({}, {{0, 64 * MiB}});
-    EXPECT_EQ(os->buddy().freeBytes(), 64 * MiB);
+    EXPECT_EQ(os->frames().buddy().freeBytes(), 64 * MiB);
     os->hotAdd(128 * MiB, 64 * MiB);
-    EXPECT_EQ(os->buddy().freeBytes(), 128 * MiB);
+    EXPECT_EQ(os->frames().buddy().freeBytes(), 128 * MiB);
     EXPECT_TRUE(os->ram().containsRange(128 * MiB, 192 * MiB));
 }
 
@@ -366,12 +366,12 @@ TEST_F(GuestOsTest, UnmapRangeDropsEveryTouchedLeafInOrder)
         for (Addr off = 0; off < run_bytes; off += pageBytes(size))
             hooked.emplace_back(at + off, size);
     });
-    const Addr free_before = os->buddy().freeBytes();
+    const Addr free_before = os->frames().buddy().freeBytes();
     const Addr nodes_before = proc.pageTable().tableNodes();
 
     EXPECT_EQ(os->unmapRange(proc, va, bytes), expected.size());
     EXPECT_EQ(hooked, expected);
-    EXPECT_EQ(os->buddy().freeBytes(), free_before + leaf_bytes);
+    EXPECT_EQ(os->frames().buddy().freeBytes(), free_before + leaf_bytes);
     EXPECT_LT(proc.pageTable().tableNodes(), nodes_before);
     for (const auto &[at, size] : expected)
         EXPECT_FALSE(proc.pageTable().translate(at)) << at;

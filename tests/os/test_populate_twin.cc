@@ -111,8 +111,8 @@ void
 expectSame(Side &extent, Side &paged)
 {
     // Free lists and allocator stats.
-    EXPECT_EQ(test::ckptBytes(extent.os.buddy()),
-              test::ckptBytes(paged.os.buddy()));
+    EXPECT_EQ(test::ckptBytes(extent.os.frames().buddy()),
+              test::ckptBytes(paged.os.frames().buddy()));
     // The OS up to its stats: RAM, allocator, page-table metadata
     // (every node address and live count), bad pages, unmovable set,
     // kernel pool order and the THP draw state.  The stats and the
@@ -189,7 +189,7 @@ TEST_P(PopulateTwinTest, ExtentPathMatchesPerPageFaults)
     // those windows to the per-page path, which retires them), one
     // in the segment backing (an escape remap).
     std::vector<Addr> bad;
-    for (const auto &run : extent.os.buddy().nextRun(3000)) {
+    for (const auto &run : extent.os.frames().buddy().nextRun(3000)) {
         for (Addr frame = run.start; frame < run.end; frame += kPage4K)
             bad.push_back(frame);
     }
@@ -221,8 +221,8 @@ TEST_P(PopulateTwinTest, ExtentPathMatchesPerPageFaults)
         if (op == 0 && can_take) {
             const unsigned order =
                 static_cast<unsigned>(rng.nextBelow(4));
-            auto a = extent.os.buddy().allocate(order);
-            auto b = paged.os.buddy().allocate(order);
+            auto a = extent.os.frames().buddy().allocate(order);
+            auto b = paged.os.frames().buddy().allocate(order);
             ASSERT_EQ(a, b);
             ASSERT_TRUE(a.has_value());
             held.push_back({*a, kPage4K << order, false});
@@ -235,9 +235,9 @@ TEST_P(PopulateTwinTest, ExtentPathMatchesPerPageFaults)
             held_bytes -= h.bytes;
             for (Side *side : sides) {
                 if (h.range || op == 2) {
-                    side->os.buddy().freeRange(h.base, h.bytes);
+                    side->os.frames().buddy().freeRange(h.base, h.bytes);
                 } else {
-                    side->os.buddy().free(
+                    side->os.frames().buddy().free(
                         h.base,
                         mem::BuddyAllocator::orderForBytes(h.bytes));
                 }
@@ -247,8 +247,10 @@ TEST_P(PopulateTwinTest, ExtentPathMatchesPerPageFaults)
             const Addr bytes =
                 std::min<Addr>((1 + rng.nextBelow(64)) * kPage4K,
                                kSpan - base);
-            const bool a = extent.os.buddy().allocateRange(base, bytes);
-            const bool b = paged.os.buddy().allocateRange(base, bytes);
+            const bool a =
+                extent.os.frames().buddy().allocateRange(base, bytes);
+            const bool b =
+                paged.os.frames().buddy().allocateRange(base, bytes);
             ASSERT_EQ(a, b);
             if (a) {
                 held.push_back({base, bytes, true});
@@ -257,9 +259,9 @@ TEST_P(PopulateTwinTest, ExtentPathMatchesPerPageFaults)
         } else if (op == 4 && can_take) {
             const std::uint64_t frames = 1 + rng.nextBelow(1500);
             std::vector<Addr> run;
-            ASSERT_TRUE(extent.os.buddy().allocateRun(frames, run));
+            ASSERT_TRUE(extent.os.frames().buddy().allocateRun(frames, run));
             for (Addr frame : run) {
-                ASSERT_EQ(paged.os.buddy().allocate(0), frame);
+                ASSERT_EQ(paged.os.frames().buddy().allocate(0), frame);
                 held.push_back({frame, kPage4K, false});
             }
             held_bytes += frames * kPage4K;

@@ -10,50 +10,6 @@
 namespace emv::paging {
 namespace {
 
-/** gPA space implemented through a real nested page table. */
-class NestedMemSpace : public MemSpace
-{
-  public:
-    NestedMemSpace(mem::PhysMemory &host, const PageTable &nested_pt,
-                   Addr gpa_bump_base)
-        : host(host), nestedPt(nested_pt), next(gpa_bump_base)
-    {
-    }
-
-    std::uint64_t
-    read64(Addr gpa) const override
-    {
-        auto t = nestedPt.translate(gpa);
-        EXPECT_TRUE(t.has_value());
-        return host.read64(t->pa);
-    }
-
-    void
-    write64(Addr gpa, std::uint64_t value) override
-    {
-        auto t = nestedPt.translate(gpa);
-        ASSERT_TRUE(t.has_value());
-        host.write64(t->pa, value);
-    }
-
-    Addr
-    allocTableFrame() override
-    {
-        const Addr gpa = next;
-        next += kPage4K;
-        for (unsigned i = 0; i < 512; ++i)
-            write64(gpa + 8ull * i, 0);
-        return gpa;
-    }
-
-    void freeTableFrame(Addr) override {}
-
-  private:
-    mem::PhysMemory &host;
-    const PageTable &nestedPt;
-    Addr next;
-};
-
 class NestedWalkerTest : public ::testing::Test
 {
   protected:
@@ -67,7 +23,7 @@ class NestedWalkerTest : public ::testing::Test
         // Back guest physical [0, 64M) at host [16M, 80M), 4K pages.
         for (Addr gpa = 0; gpa < kGuestMemBytes; gpa += kPage4K)
             nestedPt.map(gpa, kHostBacking + gpa, PageSize::Size4K);
-        guestSpace = std::make_unique<NestedMemSpace>(
+        guestSpace = std::make_unique<test::NestedGpaSpace>(
             host, nestedPt, /*gpa_bump_base=*/32 * MiB);
         guestPt = std::make_unique<PageTable>(*guestSpace);
     }
@@ -105,7 +61,7 @@ class NestedWalkerTest : public ::testing::Test
     mem::PhysMemory host;
     test::BumpMemSpace hostSpace;
     PageTable nestedPt;
-    std::unique_ptr<NestedMemSpace> guestSpace;
+    std::unique_ptr<test::NestedGpaSpace> guestSpace;
     std::unique_ptr<PageTable> guestPt;
 };
 

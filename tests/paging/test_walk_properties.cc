@@ -81,39 +81,7 @@ TEST_P(WalkPropertyTest, NestedWalkEqualsComposition)
         nested.map(gpa, frames[gpa / kPage4K], PageSize::Size4K);
 
     // Guest table whose nodes live behind the nested mapping.
-    class Space : public MemSpace
-    {
-      public:
-        Space(mem::PhysMemory &host, PageTable &nested, Addr bump)
-            : host(host), nested(nested), next(bump)
-        {
-        }
-        std::uint64_t
-        read64(Addr gpa) const override
-        {
-            return host.read64(nested.translate(gpa)->pa);
-        }
-        void
-        write64(Addr gpa, std::uint64_t value) override
-        {
-            host.write64(nested.translate(gpa)->pa, value);
-        }
-        Addr
-        allocTableFrame() override
-        {
-            Addr gpa = next;
-            next += kPage4K;
-            for (unsigned i = 0; i < 512; ++i)
-                write64(gpa + 8ull * i, 0);
-            return gpa;
-        }
-        void freeTableFrame(Addr) override {}
-
-      private:
-        mem::PhysMemory &host;
-        PageTable &nested;
-        Addr next;
-    } guest_space(host, nested, 16 * MiB);
+    test::NestedGpaSpace guest_space(host, nested, 16 * MiB);
 
     PageTable guest(guest_space);
     std::vector<std::pair<Addr, Addr>> pairs;

@@ -399,10 +399,10 @@ TEST(BuddyCheckpointBytesTest, MatchPinnedDigests)
         Machine machine(cfg, *wl);
         machine.run(kWarmup);
         const std::uint64_t guest =
-            digest(test::ckptBytes(machine.os().buddy()));
+            digest(test::ckptBytes(machine.os().frames().buddy()));
         const std::uint64_t host =
             machine.vmm()
-                ? digest(test::ckptBytes(machine.vmm()->hostBuddy()))
+                ? digest(test::ckptBytes(machine.vmm()->frames().buddy()))
                 : 0;
         EXPECT_EQ(guest, pin.guest)
             << workload::workloadName(pin.kind) << " " << pin.label << std::hex

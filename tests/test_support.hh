@@ -2,6 +2,8 @@
 
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -95,6 +97,55 @@ class BumpMemSpace : public paging::MemSpace
 
   private:
     mem::PhysMemory &mem;
+    Addr next;
+};
+
+/**
+ * A gPA-addressed space whose words reach host memory through a
+ * nested page table, word by word, with a bump allocator for table
+ * frames at gPA @p bump_base — the harness for guest tables in
+ * two-dimensional walk tests.  Every gPA it touches must be mapped.
+ */
+class NestedGpaSpace : public paging::MemSpace
+{
+  public:
+    NestedGpaSpace(mem::PhysMemory &host, const paging::PageTable &nested,
+                   Addr bump_base)
+        : host(host), nested(nested), next(bump_base)
+    {
+    }
+
+    std::uint64_t
+    read64(Addr gpa) const override
+    {
+        auto t = nested.translate(gpa);
+        EXPECT_TRUE(t.has_value()) << hexAddr(gpa);
+        return t ? host.read64(t->pa) : 0;
+    }
+
+    void
+    write64(Addr gpa, std::uint64_t value) override
+    {
+        auto t = nested.translate(gpa);
+        ASSERT_TRUE(t.has_value()) << hexAddr(gpa);
+        host.write64(t->pa, value);
+    }
+
+    Addr
+    allocTableFrame() override
+    {
+        const Addr gpa = next;
+        next += kPage4K;
+        for (unsigned i = 0; i < 512; ++i)
+            write64(gpa + 8ull * i, 0);
+        return gpa;
+    }
+
+    void freeTableFrame(Addr) override {}
+
+  private:
+    mem::PhysMemory &host;
+    const paging::PageTable &nested;
     Addr next;
 };
 

@@ -107,10 +107,10 @@ TEST_F(PageSharingTest, MergeFreesDuplicates)
     }
 
     PageSharing sharing(vmm);
-    const Addr free_before = vmm.hostBuddy().freeBytes();
+    const Addr free_before = vmm.frames().buddy().freeBytes();
     const auto freed = sharing.mergeDuplicates({&a, &b});
     EXPECT_EQ(freed, 1 * MiB / kPage4K);
-    EXPECT_EQ(vmm.hostBuddy().freeBytes(), free_before + 1 * MiB);
+    EXPECT_EQ(vmm.frames().buddy().freeBytes(), free_before + 1 * MiB);
 
     // Both VMs still read their (shared) content.
     EXPECT_EQ(a.guestPhys().read64(40 * MiB), 0x5a3e0000u);

@@ -138,7 +138,7 @@ TEST_F(ShadowPagerTest, ShadowSplitsWhenBackingPunctured)
     // Punch a hole in the backing under the 2M guest page.
     auto guest = proc->pageTable().translate(2 * GiB);
     ASSERT_TRUE(guest.has_value());
-    auto fresh = vmm.allocHostBlock(PageSize::Size4K);
+    auto fresh = vmm.frames().allocBlock(PageSize::Size4K);
     ASSERT_TRUE(fresh.has_value());
     vm->repointBacking(guest->pa + 4 * kPage4K, *fresh);
 

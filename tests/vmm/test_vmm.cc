@@ -155,7 +155,7 @@ TEST_F(VmmTest, VmmSegmentFailsWithoutContiguity)
     auto cfg = smallVmConfig();
     cfg.contiguousHostReservation = false;
     // Fragment the host so eager backing is scattered.
-    mem::BuddyAllocator &buddy = vmm.hostBuddy();
+    mem::BuddyAllocator &buddy = vmm.frames().buddy();
     for (Addr a = 0; a < kHostRam; a += 8 * MiB)
         ASSERT_TRUE(buddy.allocateRange(a, kPage4K));
     setQuietLogging(true);
@@ -196,12 +196,12 @@ TEST_F(VmmTest, BadFramesEscapeOnSegmentCreation)
 TEST_F(VmmTest, BalloonReclaimFreesHostMemory)
 {
     auto &vm = vmm.createVm("a", smallVmConfig());
-    const Addr free_before = vmm.hostBuddy().freeBytes();
+    const Addr free_before = vmm.frames().buddy().freeBytes();
     std::vector<Addr> pages;
     for (Addr gpa = 8 * MiB; gpa < 9 * MiB; gpa += kPage4K)
         pages.push_back(gpa);
     vm.reclaimGuestPages(pages);
-    EXPECT_EQ(vmm.hostBuddy().freeBytes(),
+    EXPECT_EQ(vmm.frames().buddy().freeBytes(),
               free_before + 1 * MiB);
     EXPECT_FALSE(vm.gpaToHpa(8 * MiB).has_value());
     // Neighbouring pages are still backed.
@@ -243,7 +243,7 @@ TEST_F(VmmTest, RepointBackingChangesOnePage)
     auto &vm = vmm.createVm("a", smallVmConfig());
     const Addr gpa = 20 * MiB;
     const Addr old_hpa = vm.gpaToHpa(gpa).value();
-    auto fresh = vmm.allocHostBlock(PageSize::Size4K);
+    auto fresh = vmm.frames().allocBlock(PageSize::Size4K);
     ASSERT_TRUE(fresh.has_value());
     vm.repointBacking(gpa, *fresh);
     EXPECT_EQ(vm.gpaToHpa(gpa).value(), *fresh);
@@ -258,7 +258,7 @@ TEST_F(VmmTest, HostCompactionMaterializesSegmentBacking)
     cfg.contiguousHostReservation = false;  // Scattered backing.
     // Pre-fragment the host.
     for (Addr a = 256 * MiB; a < kHostRam; a += 8 * MiB)
-        ASSERT_TRUE(vmm.hostBuddy().allocateRange(a, kPage4K));
+        ASSERT_TRUE(vmm.frames().buddy().allocateRange(a, kPage4K));
     setQuietLogging(true);
     auto &vm = vmm.createVm("a", cfg);
     setQuietLogging(false);
@@ -289,7 +289,7 @@ TEST_F(VmmTest, CompactionBudgetRefuses)
     auto cfg = smallVmConfig();
     cfg.contiguousHostReservation = false;
     for (Addr a = 256 * MiB; a < kHostRam; a += 8 * MiB)
-        ASSERT_TRUE(vmm.hostBuddy().allocateRange(a, kPage4K));
+        ASSERT_TRUE(vmm.frames().buddy().allocateRange(a, kPage4K));
     setQuietLogging(true);
     auto &vm = vmm.createVm("a", cfg);
     setQuietLogging(false);
@@ -319,14 +319,14 @@ TEST_F(VmmTest, ReclaimGuestRangeNotifiesEveryPage)
     });
     const Addr base = 8 * MiB;
     const Addr bytes = 3 * MiB + 5 * kPage4K;
-    const Addr free_before = vmm.hostBuddy().freeBytes();
+    const Addr free_before = vmm.frames().buddy().freeBytes();
     vm.reclaimGuestRange(base, bytes);
 
     std::vector<Addr> expected;
     for (Addr gpa = base; gpa < base + bytes; gpa += kPage4K)
         expected.push_back(gpa);
     EXPECT_EQ(invalidated, expected);
-    EXPECT_EQ(vmm.hostBuddy().freeBytes(), free_before + bytes);
+    EXPECT_EQ(vmm.frames().buddy().freeBytes(), free_before + bytes);
     EXPECT_FALSE(vm.gpaToHpa(base).has_value());
     EXPECT_FALSE(vm.gpaToHpa(base + bytes - kPage4K).has_value());
     EXPECT_TRUE(vm.gpaToHpa(base + bytes).has_value());
@@ -394,10 +394,10 @@ TEST_F(VmmTest, PagedBackingTailIsAllocated)
     cfg.nestedPageSize = PageSize::Size1G;
     cfg.contiguousHostReservation = false;
     auto &vm = big_vmm.createVm("a", cfg);
-    const auto &buddy = big_vmm.hostBuddy();
+    const auto &buddy = big_vmm.frames().buddy();
     EXPECT_EQ(vm.backingMap().totalBytes(), cfg.ramBytes);
     EXPECT_EQ(8 * GiB - buddy.freeBytes() -
-                  big_vmm.hostUnmovable().totalLength(),
+                  big_vmm.frames().unmovable().totalLength(),
               vm.backingMap().totalBytes());
     for (const Extent &e : vm.backingMap().extents()) {
         EXPECT_FALSE(
@@ -491,8 +491,8 @@ TEST(GranuleRunTest, MatchesPerGranuleLoop)
 }
 
 /**
- * A MemSpace over a VMM's table pool, like HostTableSpace, that
- * keeps MemSpace's default word paths for runs and steps.
+ * A MemSpace over a VMM's table pool, like its FrameManager, that
+ * keeps the default word paths for runs and steps.
  */
 class WordTableSpace : public paging::MemSpace
 {
@@ -507,16 +507,11 @@ class WordTableSpace : public paging::MemSpace
     void write64(Addr addr, std::uint64_t value) override
     { mem.write64(addr, value); }
 
-    Addr
-    allocTableFrame() override
-    {
-        const Addr frame = vmm.allocTableFrameHost();
-        mem.zeroFrame(frame);
-        return frame;
-    }
+    Addr allocTableFrame() override
+    { return vmm.frames().allocTableFrame(); }
 
     void freeTableFrame(Addr frame) override
-    { vmm.freeTableFrameHost(frame); }
+    { vmm.frames().freeTableFrame(frame); }
 
   private:
     Vmm &vmm;
@@ -526,8 +521,8 @@ class WordTableSpace : public paging::MemSpace
 TEST(HostTableSpaceTest, StepPathsMatchWordPaths)
 {
     // Seeded maps and unmaps of 4K and 2M runs, whole leaf tables
-    // and ragged ones, through HostTableSpace on one host and
-    // through word writes on its twin.  After every call the two
+    // and ragged ones, through the VMM's FrameManager on one host
+    // and through word writes on its twin.  After every call the two
     // hosts' checkpoints (every word of every frame, and the
     // physmem read and write counts) and the tables' counts agree.
     // Auditing reads back every leaf and rescans emptied tables.
@@ -539,7 +534,7 @@ TEST(HostTableSpaceTest, StepPathsMatchWordPaths)
     Vmm step_vmm(step_mem, kHost), word_vmm(word_mem, kHost);
     WordTableSpace word_space(word_vmm, word_mem);
     {
-        paging::PageTable step_pt(step_vmm.tableSpace());
+        paging::PageTable step_pt(step_vmm.frames());
         paging::PageTable word_pt(word_space);
         const Addr window = 4 * GiB - 8 * kPage2M;
         const Addr window_bytes = 32 * kPage2M;
@@ -603,7 +598,7 @@ TEST(HostTableSpaceTest, LinearTableWithSteppingFlagsClearsEntryByEntry)
     mem::PhysMemory step_mem(kHost), word_mem(kHost);
     Vmm step_vmm(step_mem, kHost), word_vmm(word_mem, kHost);
     WordTableSpace word_space(word_vmm, word_mem);
-    paging::PageTable step_pt(step_vmm.tableSpace());
+    paging::PageTable step_pt(step_vmm.frames());
     paging::PageTable word_pt(word_space);
     // The level-2 table that maps [0, 1G).
     const auto pd = [](paging::PageTable &pt, mem::PhysMemory &mem) {
@@ -637,10 +632,43 @@ TEST_F(VmmTest, AllocHostBlockRetiresBadFrames)
 {
     // Poison the next frame allocation would return (top-down).
     host.markBad(kHostRam - kPage4K);
-    auto block = vmm.allocHostBlock(PageSize::Size4K);
+    auto block = vmm.frames().allocBlock(PageSize::Size4K);
     ASSERT_TRUE(block.has_value());
     EXPECT_FALSE(host.isBad(*block));
     EXPECT_EQ(vmm.stats().counterValue("bad_frames_retired"), 1u);
+}
+
+TEST_F(VmmTest, GuestPhysStepsTranslateOnce)
+{
+    // Guest page tables write and read whole linear leaf tables as
+    // one step on the backing host frame.
+    auto &vm = vmm.createVm("a", smallVmConfig());
+    mem::PhysAccessor &phys = vm.guestPhys();
+    const Addr gpa = 20 * MiB;
+    const Addr hpa = vm.gpaToHpa(gpa).value();
+    phys.writeStep(gpa, 0x1007, kPage4K);
+    std::uint64_t first = 0, stride = 0;
+    ASSERT_TRUE(host.readStep(hpa, first, stride));
+    EXPECT_EQ(first, 0x1007u);
+    EXPECT_EQ(stride, kPage4K);
+
+    const std::uint64_t reads = host.stats().counterValue("reads");
+    first = stride = 0;
+    ASSERT_TRUE(phys.readStep(gpa, first, stride));
+    EXPECT_EQ(first, 0x1007u);
+    EXPECT_EQ(stride, kPage4K);
+    EXPECT_EQ(host.stats().counterValue("reads"), reads + 512);
+
+    // An unbacked guest frame reads as zeros and loads nothing, as
+    // readRun() reads it.
+    vm.reclaimGuestPages({gpa});
+    ASSERT_FALSE(vm.gpaToHpa(gpa).has_value());
+    const std::uint64_t reads_unbacked = host.stats().counterValue("reads");
+    first = stride = 1;
+    ASSERT_TRUE(phys.readStep(gpa, first, stride));
+    EXPECT_EQ(first, 0u);
+    EXPECT_EQ(stride, 0u);
+    EXPECT_EQ(host.stats().counterValue("reads"), reads_unbacked);
 }
 
 /** VMM swapping (a Table II service the segment modes trade away). */
@@ -670,11 +698,11 @@ TEST_F(SwapTest, SwapOutDropsBackingAndPreservesContents)
 {
     auto &vm = makeVm("vm");
     vm.guestPhys().write64(80 * MiB, 0xabcdef);
-    const Addr free_before = vmm.hostBuddy().freeBytes();
+    const Addr free_before = vmm.frames().buddy().freeBytes();
     ASSERT_TRUE(vm.swapOutPage(80 * MiB));
     EXPECT_TRUE(vm.isSwappedOut(80 * MiB));
     EXPECT_FALSE(vm.gpaToHpa(80 * MiB).has_value());
-    EXPECT_EQ(vmm.hostBuddy().freeBytes(), free_before + kPage4K);
+    EXPECT_EQ(vmm.frames().buddy().freeBytes(), free_before + kPage4K);
 
     // The nested fault path swaps it back in with contents intact.
     ASSERT_TRUE(vm.ensureBacked(80 * MiB));

@@ -629,7 +629,7 @@ checkTestCoverage(const fs::path &root)
         {"core/differential_auditor.cc",
          "core/test_differential_audit.cc"},
         {"os/process.cc", "os/test_guest_os.cc"},
-        {"os/hotplug.cc", "os/test_kernel_pool.cc"},
+        {"os/hotplug.cc", "os/test_balloon.cc"},
         {"workload/workload.cc", "workload/test_workloads.cc"},
         {"workload/gups.cc", "workload/test_workloads.cc"},
         {"workload/graph500.cc", "workload/test_workloads.cc"},
